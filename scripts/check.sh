@@ -95,6 +95,11 @@ for leg in "${legs[@]}"; do
     # every ctest pass above, including the sanitizer legs.
     echo "==> [release] live-mutation gates (snapshot overhead + merge churn)"
     "$build/bench/bench_live_mutation"
+    # The repository benchmark's own unit tests (perfbench/README.md). It
+    # builds perfbench/ into $CARGO_TARGET_DIR/perfbench, or
+    # <repo>/.bench_build/perfbench when the variable is unset.
+    echo "==> [release] benchmark self-test (perfbench)"
+    (cd "$repo" && python3 perfbench/run.py --self-test)
   fi
   if [ "$leg" = coverage ]; then
     echo "==> [coverage] line-coverage floor"

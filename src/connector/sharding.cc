@@ -344,26 +344,38 @@ Result<std::vector<std::string>> ShardedTextSource::ScatterSearch(
   const size_t n = shards_.size();
   std::vector<std::optional<Result<std::vector<std::string>>>> parts(n);
   // The scatter lambdas run on pool workers with no ambient token of their
-  // own: re-install the caller's. Under kFailFast the shards additionally
-  // share an abort token (a child of the query token, so client aborts
-  // still fan out): the first shard error cancels it, and sibling shards
-  // stop cooperatively instead of running a scatter nobody can use.
+  // own: re-install the caller's. Under kFailFast each shard additionally
+  // runs under its own abort token (a child of the query token, so client
+  // aborts still fan out): an error in shard s cancels the tokens of the
+  // shards above it, which stop cooperatively instead of running a scatter
+  // nobody can use. Shards below s are never cancelled by it, so every
+  // shard under the lowest failure runs to completion and reports its real
+  // result — which is what makes that lowest failure the reported one.
   CancelToken query_token = CurrentCancelToken();
   const bool fail_fast_abort = failure_mode_ == FailureMode::kFailFast && n > 1;
-  CancelToken abort_token;
-  CancelToken::Registration link;
+  std::vector<CancelToken> abort_tokens;
+  std::vector<CancelToken::Registration> links;
   if (fail_fast_abort) {
-    abort_token = CancelToken::Make();
-    if (query_token.valid()) link = query_token.LinkChild(abort_token);
+    abort_tokens.reserve(n);
+    links.reserve(n);
+    for (size_t s = 0; s < n; ++s) {
+      abort_tokens.push_back(CancelToken::Make());
+      if (query_token.valid()) {
+        links.push_back(query_token.LinkChild(abort_tokens.back()));
+      }
+    }
   }
   ParallelFor(backend_.scatter_pool(), n, [&](size_t s) {
-    CancelScope scope(fail_fast_abort ? abort_token : query_token);
+    CancelScope scope(fail_fast_abort ? abort_tokens[s] : query_token);
     parts[s].emplace(shards_[s]->top->Search(query));
     if (fail_fast_abort && !parts[s]->ok() &&
         parts[s]->status().code() != StatusCode::kCancelled) {
-      abort_token.Cancel(CancelReason::kClient,
-                         "scatter aborted: shard " + std::to_string(s) +
-                             " failed under fail-fast");
+      const std::string message = "scatter aborted: shard " +
+                                  std::to_string(s) +
+                                  " failed under fail-fast";
+      for (size_t above = s + 1; above < n; ++above) {
+        abort_tokens[above].Cancel(CancelReason::kClient, message);
+      }
     }
   });
 

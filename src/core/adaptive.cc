@@ -1,8 +1,8 @@
 #include "core/adaptive.h"
 
-#include <map>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 #include "core/pipeline.h"
 
@@ -19,46 +19,61 @@ Result<AdaptiveResult> ExecuteProbeRTPAdaptive(
   AdaptiveResult out;
   out.join.schema = rspec.output_schema;
 
-  // Phase 1 — probes per distinct probe-column combination (short form).
-  const auto probe_groups =
-      pipeline::GroupByTerms(rspec, left_rows, probe_mask);
-  std::map<std::vector<std::string>, std::vector<std::string>> probe_docs;
+  // Phase 1 — probes per distinct probe-column combination (short form),
+  // in the groups' lexicographic order.
+  const pipeline::KeyGroups probe_groups =
+      pipeline::GroupRowsByTerms(rspec, left_rows, probe_mask);
+  std::vector<std::vector<std::string>> probe_docs(probe_groups.size());
   std::set<std::string> distinct_candidates;
-  for (const auto& [probe_terms, row_indices] : probe_groups) {
+  for (size_t g = 0; g < probe_groups.size(); ++g) {
     TextQueryPtr probe =
-        pipeline::BuildSearch(rspec, probe_terms, probe_mask);
-    TEXTJOIN_ASSIGN_OR_RETURN(std::vector<std::string> docids,
-                              source.Search(*probe));
-    if (docids.empty()) continue;
-    distinct_candidates.insert(docids.begin(), docids.end());
-    probe_docs[probe_terms] = std::move(docids);
+        pipeline::BuildSearch(rspec, probe_groups.terms[g], probe_mask);
+    TEXTJOIN_ASSIGN_OR_RETURN(probe_docs[g], source.Search(*probe));
+    distinct_candidates.insert(probe_docs[g].begin(), probe_docs[g].end());
   }
   out.candidate_docs = distinct_candidates.size();
 
   if (out.candidate_docs <= fetch_budget) {
     // Phase 2a — within budget: fetch once per distinct doc and finish by
-    // relational matching, exactly as P+RTP.
+    // relational matching, exactly as P+RTP (residual terms prepared once
+    // per matched row, fields once per fetched document).
     out.outcome = AdaptiveOutcome::kFetched;
-    std::unordered_map<std::string, Document> fetched;
-    for (const auto& [probe_terms, docids] : probe_docs) {
-      auto group_it = probe_groups.find(probe_terms);
-      TEXTJOIN_CHECK(group_it != probe_groups.end(), "group lookup");
-      std::vector<const Document*> combo_docs;
-      for (const std::string& docid : docids) {
+    std::vector<size_t> prepared_rows;
+    std::vector<size_t> first_prepared(probe_groups.size());
+    for (size_t g = 0; g < probe_groups.size(); ++g) {
+      first_prepared[g] = prepared_rows.size();
+      if (probe_docs[g].empty()) continue;
+      prepared_rows.insert(prepared_rows.end(), probe_groups.rows[g].begin(),
+                           probe_groups.rows[g].end());
+    }
+    const pipeline::JoinTermMatcher matcher(rspec, left_rows, prepared_rows,
+                                            all & ~probe_mask);
+    struct Fetched {
+      Document doc;
+      std::vector<std::string> fields;  ///< matcher.PrepareDoc(doc).
+    };
+    std::unordered_map<std::string, Fetched> fetched;
+    for (size_t g = 0; g < probe_groups.size(); ++g) {
+      if (probe_docs[g].empty()) continue;
+      std::vector<const Fetched*> combo_docs;
+      for (const std::string& docid : probe_docs[g]) {
         auto it = fetched.find(docid);
         if (it == fetched.end()) {
           TEXTJOIN_ASSIGN_OR_RETURN(Document doc, source.Fetch(docid));
-          it = fetched.emplace(docid, std::move(doc)).first;
+          std::vector<std::string> fields = matcher.PrepareDoc(doc);
+          it = fetched
+                   .emplace(docid, Fetched{std::move(doc), std::move(fields)})
+                   .first;
         }
         combo_docs.push_back(&it->second);
       }
       pipeline::ChargeRelationalMatches(source, combo_docs.size());
-      for (const Document* doc : combo_docs) {
-        Row doc_row = pipeline::DocumentToRow(spec.text, *doc);
-        for (size_t r : group_it->second) {
-          if (pipeline::DocMatchesRow(rspec, left_rows[r], *doc,
-                                      all & ~probe_mask)) {
-            out.join.rows.push_back(ConcatRows(left_rows[r], doc_row));
+      for (const Fetched* doc : combo_docs) {
+        Row doc_row = pipeline::DocumentToRow(spec.text, doc->doc);
+        const std::vector<size_t>& rows = probe_groups.rows[g];
+        for (size_t j = 0; j < rows.size(); ++j) {
+          if (matcher.Matches(first_prepared[g] + j, doc->fields)) {
+            out.join.rows.push_back(ConcatRows(left_rows[rows[j]], doc_row));
           }
         }
       }
@@ -71,9 +86,9 @@ Result<AdaptiveResult> ExecuteProbeRTPAdaptive(
   // search returns exactly the matching documents.
   out.outcome = AdaptiveOutcome::kSwitched;
   std::vector<Row> survivors;
-  for (const auto& [probe_terms, docids] : probe_docs) {
-    auto group_it = probe_groups.find(probe_terms);
-    for (size_t r : group_it->second) survivors.push_back(left_rows[r]);
+  for (size_t g = 0; g < probe_groups.size(); ++g) {
+    if (probe_docs[g].empty()) continue;
+    for (size_t r : probe_groups.rows[g]) survivors.push_back(left_rows[r]);
   }
   TEXTJOIN_ASSIGN_OR_RETURN(
       ForeignJoinResult ts,

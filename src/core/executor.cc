@@ -81,17 +81,20 @@ Result<ExecutionResult> PlanExecutor::ExecNode(const PlanNode& node,
                                 catalog_->GetTable(node.table_name));
       ExecutionResult result;
       result.schema = node.output_schema;
+      // Bound once per scan; Eval is read-only, so every row reuses them.
+      std::vector<ExprPtr> filters;
+      filters.reserve(node.filters.size());
+      for (const ExprPtr& filter : node.filters) {
+        filters.push_back(filter->Clone());
+        TEXTJOIN_RETURN_IF_ERROR(filters.back()->Bind(result.schema));
+      }
       for (const Row& row : table->rows()) {
-        bool pass = true;
-        for (const ExprPtr& filter : node.filters) {
-          ExprPtr bound = filter->Clone();
-          TEXTJOIN_RETURN_IF_ERROR(bound->Bind(result.schema));
-          if (!ValueIsTrue(bound->Eval(row))) {
-            pass = false;
-            break;
-          }
+        if (std::all_of(filters.begin(), filters.end(),
+                        [&row](const ExprPtr& filter) {
+                          return ValueIsTrue(filter->Eval(row));
+                        })) {
+          result.rows.push_back(row);
         }
-        if (pass) result.rows.push_back(row);
       }
       return result;
     }

@@ -4,6 +4,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
+#include <optional>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "common/text_match.h"
@@ -122,20 +126,18 @@ Result<ResolvedSpec> ResolveSpec(const ForeignJoinSpec& spec) {
   return rspec;
 }
 
-std::optional<std::vector<std::string>> JoinTerms(const ResolvedSpec& rspec,
-                                                  const Row& row,
-                                                  PredicateMask mask) {
-  std::vector<std::string> terms;
-  for (size_t i = 0; i < rspec.join_columns.size(); ++i) {
-    if ((mask & (1u << i)) == 0) continue;
-    const Value& v = row.at(rspec.join_columns[i]);
-    if (v.type() != ValueType::kString) return std::nullopt;
-    terms.push_back(v.AsString());
-  }
-  return terms;
-}
-
 namespace {
+
+/// The left-row column of every predicate in `mask`, in ascending
+/// predicate order.
+std::vector<size_t> MaskedJoinColumns(const ResolvedSpec& rspec,
+                                      PredicateMask mask) {
+  std::vector<size_t> columns;
+  for (size_t i = 0; i < rspec.join_columns.size(); ++i) {
+    if ((mask & (1u << i)) != 0) columns.push_back(rspec.join_columns[i]);
+  }
+  return columns;
+}
 
 // Appends term nodes for the predicates in `mask` to `children`.
 void AppendJoinTermNodes(const ResolvedSpec& rspec,
@@ -220,41 +222,119 @@ Row NullLeftRow(const Schema& left_schema) {
   return Row(left_schema.num_columns(), Value::Null());
 }
 
-bool DocMatchesRow(const ResolvedSpec& rspec, const Row& row,
-                   const Document& doc, PredicateMask mask) {
+JoinTermMatcher::JoinTermMatcher(const ResolvedSpec& rspec,
+                                 PredicateMask mask)
+    : columns_(MaskedJoinColumns(rspec, mask)) {
   for (size_t i = 0; i < rspec.spec->joins.size(); ++i) {
-    if ((mask & (1u << i)) == 0) continue;
-    const Value& v = row.at(rspec.join_columns[i]);
-    if (v.type() != ValueType::kString) return false;
-    const std::string flattened =
-        JoinFieldValues(doc.FieldValues(rspec.spec->joins[i].field));
-    if (!TermMatchesFieldText(v.AsString(), flattened)) return false;
+    if ((mask & (1u << i)) != 0) fields_.push_back(&rspec.spec->joins[i].field);
+  }
+}
+
+JoinTermMatcher::JoinTermMatcher(const ResolvedSpec& rspec,
+                                 const std::vector<Row>& rows,
+                                 PredicateMask mask)
+    : JoinTermMatcher(rspec, mask) {
+  term_ends_.reserve(rows.size() * columns_.size());
+  for (const Row& row : rows) AddRow(row);
+}
+
+JoinTermMatcher::JoinTermMatcher(const ResolvedSpec& rspec,
+                                 const std::vector<Row>& rows,
+                                 const std::vector<size_t>& row_ids,
+                                 PredicateMask mask)
+    : JoinTermMatcher(rspec, mask) {
+  term_ends_.reserve(row_ids.size() * columns_.size());
+  for (size_t r : row_ids) AddRow(rows.at(r));
+}
+
+void JoinTermMatcher::AddRow(const Row& row) {
+  for (size_t column : columns_) {
+    const Value& v = row.at(column);
+    // A non-string value prepares to the empty, never-matching term.
+    if (v.type() == ValueType::kString) {
+      AppendPreparedTerm(v.AsString(), terms_);
+    }
+    term_ends_.push_back(terms_.size());
+  }
+}
+
+std::vector<std::string> JoinTermMatcher::PrepareDoc(
+    const Document& doc) const {
+  std::vector<std::string> prepared;
+  prepared.reserve(fields_.size());
+  for (const std::string* field : fields_) {
+    prepared.push_back(PrepareFieldValues(doc.FieldValues(*field)));
+  }
+  return prepared;
+}
+
+bool JoinTermMatcher::Matches(
+    size_t i, const std::vector<std::string>& doc_fields) const {
+  const std::string_view terms = terms_;
+  size_t index = i * fields_.size();
+  for (const std::string& field : doc_fields) {
+    const size_t begin = index == 0 ? 0 : term_ends_[index - 1];
+    const size_t end = term_ends_[index++];
+    if (!PreparedTermMatches(terms.substr(begin, end - begin), field)) {
+      return false;
+    }
   }
   return true;
 }
 
-std::map<std::vector<std::string>, std::vector<size_t>> GroupByTerms(
-    const ResolvedSpec& rspec, const std::vector<Row>& rows,
-    PredicateMask mask) {
-  std::map<std::vector<std::string>, std::vector<size_t>> groups;
-  for (size_t r = 0; r < rows.size(); ++r) {
-    std::optional<std::vector<std::string>> terms =
-        JoinTerms(rspec, rows[r], mask);
-    if (!terms) continue;
-    groups[*terms].push_back(r);
-  }
-  return groups;
-}
-
 KeyGroups GroupRowsByTerms(const ResolvedSpec& rspec,
                            const std::vector<Row>& rows, PredicateMask mask) {
+  const std::vector<size_t> columns = MaskedJoinColumns(rspec, mask);
+  const auto term = [&](size_t r, size_t c) -> const std::string& {
+    return rows[r][c].AsString();
+  };
+  // A group is keyed by the index of its first row; hashing, equality and
+  // ordering read the masked join-column strings of the rows in place.
+  const auto key_hash = [&](size_t r) {
+    size_t h = 0;
+    for (size_t c : columns) {
+      h = h * 1099511628211u ^ std::hash<std::string>{}(term(r, c));
+    }
+    return h;
+  };
+  const auto key_eq = [&](size_t a, size_t b) {
+    return std::all_of(columns.begin(), columns.end(),
+                       [&](size_t c) { return term(a, c) == term(b, c); });
+  };
+  struct Group {
+    size_t first_row;
+    std::vector<size_t> rows;
+  };
+  std::vector<Group> groups;
+  std::unordered_map<size_t, size_t, decltype(key_hash), decltype(key_eq)>
+      group_of(rows.size(), key_hash, key_eq);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const bool all_strings =
+        std::all_of(columns.begin(), columns.end(), [&](size_t c) {
+          return rows[r].at(c).type() == ValueType::kString;
+        });
+    if (!all_strings) continue;
+    const auto [it, inserted] = group_of.try_emplace(r, groups.size());
+    if (inserted) groups.push_back({r, {}});
+    groups[it->second].rows.push_back(r);
+  }
+  // Only the distinct keys are sorted, lexicographically by their term
+  // tuples (the order std::map<std::vector<std::string>, ...> iterates).
+  std::sort(groups.begin(), groups.end(), [&](const Group& a, const Group& b) {
+    for (size_t c : columns) {
+      const int cmp = term(a.first_row, c).compare(term(b.first_row, c));
+      if (cmp != 0) return cmp < 0;
+    }
+    return false;
+  });
   KeyGroups out;
-  auto groups = GroupByTerms(rspec, rows, mask);
   out.terms.reserve(groups.size());
   out.rows.reserve(groups.size());
-  for (auto& [terms, row_indices] : groups) {
-    out.terms.push_back(terms);
-    out.rows.push_back(std::move(row_indices));
+  for (Group& group : groups) {
+    std::vector<std::string>& terms = out.terms.emplace_back();
+    terms.reserve(columns.size());
+    for (size_t c : columns) terms.push_back(term(group.first_row, c));
+    out.rows.push_back(std::move(group.rows));
   }
   return out;
 }

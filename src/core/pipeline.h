@@ -5,10 +5,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -140,13 +138,6 @@ struct ResolvedSpec {
 /// validates the referenced fields against the text declaration.
 Result<ResolvedSpec> ResolveSpec(const ForeignJoinSpec& spec);
 
-/// The join-column values of `row` for the predicates in `mask`, as
-/// strings. Returns nullopt if any value is NULL or non-string — such a
-/// tuple can never match (text terms are strings), so no search is sent.
-std::optional<std::vector<std::string>> JoinTerms(const ResolvedSpec& rspec,
-                                                  const Row& row,
-                                                  PredicateMask mask);
-
 /// Builds the instantiated Boolean search: the conjunction of all text
 /// selections plus, for each predicate in `mask`, its field-restricted term
 /// taken from `terms` (parallel to the set bits of `mask`, ascending).
@@ -184,20 +175,49 @@ void AppendDocidOnlyRow(const TextRelationDecl& text, const std::string& docid,
 /// The all-NULL left row (for doc-side semi-join output).
 Row NullLeftRow(const Schema& left_schema);
 
-/// True if `doc` satisfies the join predicates in `mask` for `row`
-/// (relational-side string matching; used by the RTP family).
-bool DocMatchesRow(const ResolvedSpec& rspec, const Row& row,
-                   const Document& doc, PredicateMask mask);
+/// Relational-side string matching for the RTP family (DESIGN.md §14):
+/// outer rows' join terms for the predicates in `mask`, prepared once per
+/// query in common/text_match.h's form, matched against each fetched
+/// document's join fields, prepared once per document. Immutable after
+/// construction, so match units on pool threads share one instance. It
+/// points at the predicates' field names, so the spec behind `rspec` must
+/// outlive it; the rows need not.
+class JoinTermMatcher {
+ public:
+  /// Prepares every row: the i-th prepared row is rows[i].
+  JoinTermMatcher(const ResolvedSpec& rspec, const std::vector<Row>& rows,
+                  PredicateMask mask);
 
-/// Groups row indices by their join-term combination over `mask`.
-/// Rows with NULL/non-string join values are dropped (they cannot match).
-/// Iteration order is deterministic (lexicographic by terms).
-std::map<std::vector<std::string>, std::vector<size_t>> GroupByTerms(
-    const ResolvedSpec& rspec, const std::vector<Row>& rows,
-    PredicateMask mask);
+  /// Prepares only the rows that will be matched: the i-th prepared row is
+  /// rows[row_ids[i]].
+  JoinTermMatcher(const ResolvedSpec& rspec, const std::vector<Row>& rows,
+                  const std::vector<size_t>& row_ids, PredicateMask mask);
 
-/// GroupByTerms materialized into parallel indexable vectors (the shape
-/// the DistinctKeys stage hands to slot-addressed downstream stages).
+  /// `doc`'s fields for the mask's predicates, in prepared form — the
+  /// argument of Matches().
+  std::vector<std::string> PrepareDoc(const Document& doc) const;
+
+  /// True if the prepared document satisfies every predicate in the mask
+  /// for the i-th prepared row. A NULL or non-string join value never
+  /// matches.
+  bool Matches(size_t i, const std::vector<std::string>& doc_fields) const;
+
+ private:
+  JoinTermMatcher(const ResolvedSpec& rspec, PredicateMask mask);
+  void AddRow(const Row& row);
+
+  std::vector<const std::string*> fields_;  ///< Text field per predicate.
+  std::vector<size_t> columns_;             ///< Left column per predicate.
+  std::string terms_;  ///< Every prepared term, row-major, back to back.
+  /// End offset in terms_ of the term of (prepared row i, k-th predicate)
+  /// at index i * fields_.size() + k; it starts where the previous ends.
+  std::vector<size_t> term_ends_;
+};
+
+/// Row indices grouped by their join-term combination over `mask` (the
+/// shape the DistinctKeys stage hands to slot-addressed downstream
+/// stages). Rows with NULL/non-string join values are dropped (they cannot
+/// match); each group lists its rows in ascending order.
 struct KeyGroups {
   std::vector<std::vector<std::string>> terms;  ///< Lexicographic order.
   std::vector<std::vector<size_t>> rows;        ///< Parallel to `terms`.

@@ -307,6 +307,25 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
   // the probe already guaranteed the mask predicates. Matching work is
   // charged to the Match stage; the pass's wall-clock to Assemble.
   ScopedStageTimer timer(sched, sd_assemble, 1);
+  // The residual predicates' terms are prepared once for every outer row a
+  // successful probe's documents are matched against — group by group, so
+  // group g's rows are the prepared rows from first_prepared[g] on — and
+  // each fetched document's fields once, however many groups it serves.
+  std::vector<size_t> prepared_rows;
+  std::vector<size_t> first_prepared(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    first_prepared[g] = prepared_rows.size();
+    if (docids_per_group[g].empty()) continue;
+    prepared_rows.insert(prepared_rows.end(), groups.rows[g].begin(),
+                         groups.rows[g].end());
+  }
+  const JoinTermMatcher matcher(rspec, ctx.left_rows, prepared_rows,
+                                all & ~mask);
+  std::vector<std::vector<std::string>> prepared_docs(fetcher.size());
+  for (size_t slot = 0; slot < prepared_docs.size(); ++slot) {
+    const Document& doc = fetcher.doc(slot);
+    if (!IsPlaceholderDoc(doc)) prepared_docs[slot] = matcher.PrepareDoc(doc);
+  }
   // Batched assembly: the document row is staged once per document in a
   // single-slot batch and concatenated as a view against every matching
   // tuple; cancellation is checkpointed at batch boundaries.
@@ -317,15 +336,16 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
     if (docids.empty()) continue;  // Fail: every agreeing tuple is skipped.
     uint64_t scanned = 0;
     for (const std::string& docid : docids) {
-      const Document& doc = fetcher.doc(docid_slot.at(docid));
+      const size_t slot = docid_slot.at(docid);
+      const Document& doc = fetcher.doc(slot);
       if (IsPlaceholderDoc(doc)) continue;  // Fetch was skipped.
       ++scanned;
       doc_row.Clear();
       AppendDocumentRow(spec.text, doc, doc_row);
-      for (size_t r : groups.rows[g]) {
-        if (DocMatchesRow(rspec, ctx.left_rows[r], doc, all & ~mask)) {
-          TEXTJOIN_RETURN_IF_ERROR(
-              assemble.AppendConcat(ctx.left_rows[r], doc_row.row(0)));
+      for (size_t j = 0; j < groups.rows[g].size(); ++j) {
+        if (matcher.Matches(first_prepared[g] + j, prepared_docs[slot])) {
+          TEXTJOIN_RETURN_IF_ERROR(assemble.AppendConcat(
+              ctx.left_rows[groups.rows[g][j]], doc_row.row(0)));
         }
       }
     }

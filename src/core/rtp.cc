@@ -13,7 +13,9 @@ namespace textjoin::pipeline {
 /// the number of the documents" model; a per-document charge inside the
 /// match unit sums to exactly the serial bulk charge (placeholder slots —
 /// best-effort fetch skips — never reach a match unit, so they are neither
-/// scanned nor charged). Assembly replays document order.
+/// scanned nor charged). The outer rows' join terms are prepared before
+/// any unit spawns and each document's fields once in its match unit.
+/// Assembly replays document order.
 Result<ForeignJoinResult> RunRTP(MethodContext& ctx) {
   const ResolvedSpec& rspec = ctx.rspec;
   const ForeignJoinSpec& spec = *rspec.spec;
@@ -32,6 +34,11 @@ Result<ForeignJoinResult> RunRTP(MethodContext& ctx) {
     ScopedStageTimer timer(sched, sd_build, 1);
     search = BuildSelectionSearch(spec);
   }
+  // Match-stage work, though not a match unit: units stay one per document.
+  const JoinTermMatcher matcher = [&] {
+    ScopedStageTimer timer(sched, sd_match, /*units=*/0);
+    return JoinTermMatcher(rspec, ctx.left_rows, all);
+  }();
 
   ForeignJoinResult result;
   result.schema = rspec.output_schema;
@@ -58,10 +65,13 @@ Result<ForeignJoinResult> RunRTP(MethodContext& ctx) {
       fetcher.Fetch(docids[d], sd_match,
                     [&, out](const Document& doc) -> Status {
                       sched.ChargeRelationalMatches(sd_match, 1);
+                      const std::vector<std::string> fields =
+                          matcher.PrepareDoc(doc);
                       Row doc_row = DocumentToRow(spec.text, doc);
-                      for (const Row& left : ctx.left_rows) {
-                        if (DocMatchesRow(rspec, left, doc, all)) {
-                          out->push_back(ConcatRows(left, doc_row));
+                      for (size_t r = 0; r < ctx.left_rows.size(); ++r) {
+                        if (matcher.Matches(r, fields)) {
+                          out->push_back(
+                              ConcatRows(ctx.left_rows[r], doc_row));
                         }
                       }
                       return Status::OK();

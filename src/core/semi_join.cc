@@ -88,7 +88,8 @@ struct BatchPlan {
   std::vector<Range> ranges;
 };
 
-Result<BatchPlan> PlanBatches(MethodContext& ctx, const KeyGroups& groups) {
+Result<BatchPlan> PlanBatches(
+    MethodContext& ctx, std::vector<std::vector<std::string>> disjunct_terms) {
   const ForeignJoinSpec& spec = *ctx.rspec.spec;
   const size_t selection_terms = spec.selections.size();
   const size_t terms_per_disjunct = spec.joins.size();
@@ -100,7 +101,7 @@ Result<BatchPlan> PlanBatches(MethodContext& ctx, const KeyGroups& groups) {
   const size_t batch_capacity =
       std::max<size_t>(1, (m - selection_terms) / terms_per_disjunct);
   BatchPlan plan;
-  plan.disjunct_terms = groups.terms;
+  plan.disjunct_terms = std::move(disjunct_terms);
   for (size_t b = 0; b < plan.disjunct_terms.size(); b += batch_capacity) {
     plan.ranges.push_back(
         {b, std::min(b + batch_capacity, plan.disjunct_terms.size())});
@@ -188,7 +189,7 @@ Result<ForeignJoinResult> RunSJ(MethodContext& ctx) {
   BatchPlan plan;
   {
     ScopedStageTimer timer(sched, sd_build, 1);
-    TEXTJOIN_ASSIGN_OR_RETURN(plan, PlanBatches(ctx, groups));
+    TEXTJOIN_ASSIGN_OR_RETURN(plan, PlanBatches(ctx, std::move(groups.terms)));
   }
 
   std::vector<std::vector<std::string>> answers(plan.ranges.size());
@@ -259,11 +260,17 @@ Result<ForeignJoinResult> RunSJRTP(MethodContext& ctx) {
   BatchPlan plan;
   {
     ScopedStageTimer timer(sched, sd_build, 1);
-    TEXTJOIN_ASSIGN_OR_RETURN(plan, PlanBatches(ctx, groups));
+    TEXTJOIN_ASSIGN_OR_RETURN(plan, PlanBatches(ctx, std::move(groups.terms)));
   }
 
   std::vector<std::vector<std::string>> answers(plan.ranges.size());
   DocFetcher fetcher(sched, sd_fetch);
+  // Prepared before any match unit spawns and read-only afterwards; timed
+  // as Match-stage work, though not a match unit.
+  const JoinTermMatcher matcher = [&] {
+    ScopedStageTimer timer(sched, sd_match, /*units=*/0);
+    return JoinTermMatcher(rspec, ctx.left_rows, all);
+  }();
   std::mutex mu;
   std::unordered_map<std::string, size_t> docid_slot;
   // Grown in lockstep with the fetch slots under `mu`; a deque keeps the
@@ -277,10 +284,11 @@ Result<ForeignJoinResult> RunSJRTP(MethodContext& ctx) {
         const size_t slot = fetcher.Fetch(
             docid, sd_match, [&, out](const Document& doc) -> Status {
               sched.ChargeRelationalMatches(sd_match, 1);
+              const std::vector<std::string> fields = matcher.PrepareDoc(doc);
               Row doc_row = DocumentToRow(spec.text, doc);
-              for (const Row& left : ctx.left_rows) {
-                if (DocMatchesRow(rspec, left, doc, all)) {
-                  out->push_back(ConcatRows(left, doc_row));
+              for (size_t r = 0; r < ctx.left_rows.size(); ++r) {
+                if (matcher.Matches(r, fields)) {
+                  out->push_back(ConcatRows(ctx.left_rows[r], doc_row));
                 }
               }
               return Status::OK();

@@ -101,8 +101,9 @@ class FederationService {
  public:
   /// Live-corpus mode (DESIGN.md §16): the topology's corpora are mutable
   /// LiveCorpus instances fed by a CorpusWriter sharing `clock`. Every
-  /// query pins clock->published() at admission and reads exactly that
-  /// corpus version end to end — router snapshots, statistics, the
+  /// query pins clock->published() when Run() starts, before parsing,
+  /// statistics, planning or admission, and reads exactly that corpus
+  /// version end to end — router snapshots, statistics, the
   /// document-count the planner sees, and the cache's pin gate all use
   /// the same epoch.
   struct LiveServiceOptions {
@@ -196,7 +197,8 @@ class FederationService {
     int default_priority = 0;
 
     /// Live-corpus mode: presence means the topology mutates while
-    /// serving. Queries pin the clock's published frontier; the
+    /// serving. Queries pin the clock's published frontier when Run()
+    /// starts, before parsing (so before admission, too); the
     /// corpus-size cache watch is bypassed (writers invalidate
     /// surgically through CorpusWriter instead).
     std::optional<LiveServiceOptions> live;

@@ -47,7 +47,7 @@
 /// complements and the postings charge — is byte-identical to a frozen
 /// TextEngine built over the same visible documents in the same order.
 ///
-/// Torn-read freedom: a query pins ONE epoch at admission and every stage
+/// Torn-read freedom: a query pins ONE epoch when it starts and every stage
 /// reads that snapshot; concurrent writers only ever create state at later
 /// epochs, and the merge publishes an equivalent representation (the read
 /// path skips chunk postings already covered by the main segment, so a

@@ -187,9 +187,7 @@ TEST(TextMatchTest, SplitJoinRoundtrip) {
 }
 
 TEST(TextMatchTest, TokensContainPhraseEdges) {
-  // Explicit element type: a bare brace list is ambiguous between the
-  // string and string_view overloads.
-  using Toks = std::vector<std::string_view>;
+  using Toks = std::vector<std::string>;
   EXPECT_FALSE(TokensContainPhrase(Toks{}, Toks{"a"}));
   EXPECT_FALSE(TokensContainPhrase(Toks{"a"}, Toks{}));
   EXPECT_TRUE(TokensContainPhrase(Toks{"a"}, Toks{"a"}));

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <iterator>
+#include <map>
 #include <random>
 #include <set>
 #include <string>
@@ -15,6 +19,7 @@
 #include "core/enumerator.h"
 #include "core/executor.h"
 #include "core/join_methods.h"
+#include "core/pipeline.h"
 #include "core/statistics.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
@@ -431,6 +436,209 @@ TEST_P(CanonicalKeyPropertyTest, KeyChangesUnderSemanticMutation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CanonicalKeyPropertyTest,
+                         ::testing::Range<uint64_t>(1, 11));
+
+// ----------------------------------------------------------------------
+// Prepared matching and hashed grouping (DESIGN.md §14) against their
+// token-by-token and std::map statements.
+
+/// Random text drawn from a small mixed-case vocabulary (so phrases often
+/// recur), joined by punctuation; sometimes empty, sometimes only
+/// punctuation, sometimes with a kValueSeparator inside.
+std::string RandomText(std::mt19937_64& rng, size_t max_tokens) {
+  static const char* const kWords[] = {"Belief", "update", "UPDATE", "kb2",
+                                       "x9y",    "a",      "ab",     "Smith"};
+  static const char* const kGaps[] = {" ", ", ", "-", "!", "..", "\t",
+                                      "  ", "_"};
+  std::string text;
+  const size_t tokens = rng() % (max_tokens + 1);
+  for (size_t i = 0; i < tokens; ++i) {
+    if (i != 0 || rng() % 4 == 0) text += kGaps[rng() % std::size(kGaps)];
+    text += rng() % 12 == 0 ? std::string(1, kValueSeparator)
+                            : std::string(kGaps[rng() % std::size(kGaps)]);
+    text += kWords[rng() % std::size(kWords)];
+  }
+  if (rng() % 3 == 0) text += kGaps[rng() % std::size(kGaps)];
+  return text;
+}
+
+/// Maximal alphanumeric runs, lowercased, written out independently of
+/// common/text_match: TokenizeText shares its tokenizer with the prepared
+/// form, so the reference below is only independent once this pins it.
+std::vector<std::string> NaiveTokens(const std::string& text) {
+  std::vector<std::string> tokens;
+  std::string token;
+  for (const char c : text + " ") {
+    if (std::isalnum(static_cast<unsigned char>(c)) != 0) {
+      token += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    } else if (!token.empty()) {
+      tokens.push_back(token);
+      token.clear();
+    }
+  }
+  return tokens;
+}
+
+/// The reference semantics: `term`'s tokens occur consecutively within one
+/// value of the flattened field.
+bool ReferenceMatch(const std::string& term,
+                    const std::vector<std::string>& values) {
+  const std::vector<std::string> term_tokens = TokenizeText(term);
+  for (const std::string& value : SplitFieldValues(JoinFieldValues(values))) {
+    if (TokensContainPhrase(TokenizeText(value), term_tokens)) return true;
+  }
+  return false;
+}
+
+std::vector<std::string> RandomValues(std::mt19937_64& rng) {
+  std::vector<std::string> values(rng() % 4);
+  for (std::string& value : values) value = RandomText(rng, 5);
+  return values;
+}
+
+class PreparedMatchPropertyTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(PreparedMatchPropertyTest, AgreesWithTokenReference) {
+  std::mt19937_64 rng(GetParam() * 7919u + 3);
+  for (int round = 0; round < 400; ++round) {
+    const std::vector<std::string> values = RandomValues(rng);
+    // Up to 7 tokens: longer than any value, so some phrases cannot fit.
+    const std::string term = round % 25 == 0 ? "..." : RandomText(rng, 7);
+    const std::string flattened = JoinFieldValues(values);
+    const std::string prepared_field = PrepareFieldValues(values);
+    std::string prepared_term;
+    AppendPreparedTerm(term, prepared_term);
+    ASSERT_EQ(TokenizeText(term), NaiveTokens(term)) << "term '" << term << "'";
+    ASSERT_EQ(TokenizeText(flattened), NaiveTokens(flattened));
+    const bool expected = ReferenceMatch(term, values);
+    EXPECT_EQ(PreparedTermMatches(prepared_term, prepared_field), expected)
+        << "term '" << term << "' field '" << flattened << "'";
+    EXPECT_EQ(TermMatchesFieldText(term, flattened), expected);
+  }
+}
+
+TEST_P(PreparedMatchPropertyTest, JoinTermMatcherAgreesWithTokenReference) {
+  std::mt19937_64 rng(GetParam() * 104729u + 11);
+  const std::vector<std::string> fields = {"title", "author", "title"};
+  ForeignJoinSpec spec;
+  spec.text = {"t", {"title", "author"}};
+  for (size_t p = 0; p < fields.size(); ++p) {
+    // Two-step concat (GCC 12 -Wrestrict; see RandomConfig).
+    std::string column = "c";
+    column += std::to_string(p);
+    spec.left_schema.AddColumn(Column{"r", column, ValueType::kString});
+    spec.joins.push_back({"r." + column, fields[p]});
+  }
+  auto rspec = pipeline::ResolveSpec(spec);
+  ASSERT_TRUE(rspec.ok()) << rspec.status().ToString();
+  std::vector<Row> rows(12);
+  for (Row& row : rows) {
+    for (size_t p = 0; p < fields.size(); ++p) {
+      const uint64_t kind = rng() % 8;
+      row.push_back(kind == 0   ? Value::Null()
+                    : kind == 1 ? Value::Int(7)
+                                : Value::Str(RandomText(rng, 3)));
+    }
+  }
+  std::vector<size_t> row_ids;  // A random subset, in random order.
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (rng() % 3 != 0) row_ids.push_back(r);
+  }
+  std::shuffle(row_ids.begin(), row_ids.end(), rng);
+  for (PredicateMask mask = 1; mask < 8; ++mask) {
+    const pipeline::JoinTermMatcher all_rows(*rspec, rows, mask);
+    const pipeline::JoinTermMatcher some_rows(*rspec, rows, row_ids, mask);
+    for (int d = 0; d < 8; ++d) {
+      Document doc;
+      doc.docid = std::to_string(d);
+      doc.fields["title"] = RandomValues(rng);
+      doc.fields["author"] = RandomValues(rng);
+      const std::vector<std::string> prepared = all_rows.PrepareDoc(doc);
+      std::vector<bool> expected(rows.size(), true);
+      for (size_t r = 0; r < rows.size(); ++r) {
+        for (size_t p = 0; p < fields.size(); ++p) {
+          if ((mask & (1u << p)) == 0) continue;
+          const Value& v = rows[r][p];
+          if (v.type() != ValueType::kString ||
+              !ReferenceMatch(v.AsString(), doc.FieldValues(fields[p]))) {
+            expected[r] = false;
+          }
+        }
+        EXPECT_EQ(all_rows.Matches(r, prepared), expected[r])
+            << "row " << r << " mask " << mask;
+      }
+      for (size_t i = 0; i < row_ids.size(); ++i) {
+        EXPECT_EQ(some_rows.Matches(i, prepared), expected[row_ids[i]]);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PreparedMatchPropertyTest,
+                         ::testing::Range<uint64_t>(1, 11));
+
+class GroupRowsPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(GroupRowsPropertyTest, MatchesOrderedMapReference) {
+  std::mt19937_64 rng(GetParam() * 6151u + 29);
+  // Small pools force duplicate keys; "a"/"ab"/"" and a high byte probe
+  // the lexicographic order.
+  static const char* const kPool[] = {"a", "ab", "", "B", "b", "\xff", "z"};
+  for (int round = 0; round < 20; ++round) {
+    const size_t num_preds = 1 + rng() % 3;
+    ForeignJoinSpec spec;
+    spec.text = {"t", {"title"}};
+    // An unused leading column, so join columns are not row positions.
+    spec.left_schema.AddColumn(Column{"r", "id", ValueType::kInt64});
+    for (size_t p = 0; p < num_preds; ++p) {
+      std::string column = "c";
+      column += std::to_string(p);
+      spec.left_schema.AddColumn(Column{"r", column, ValueType::kString});
+      spec.joins.push_back({"r." + column, "title"});
+    }
+    auto rspec = pipeline::ResolveSpec(spec);
+    ASSERT_TRUE(rspec.ok()) << rspec.status().ToString();
+    std::vector<Row> rows(rng() % 60);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      rows[r].push_back(Value::Int(static_cast<int64_t>(r)));
+      for (size_t p = 0; p < num_preds; ++p) {
+        const uint64_t kind = rng() % 10;
+        rows[r].push_back(kind == 0   ? Value::Null()
+                          : kind == 1 ? Value::Int(3)
+                                      : Value::Str(kPool[rng() % 7]));
+      }
+    }
+    const PredicateMask mask =
+        static_cast<PredicateMask>(1 + rng() % ((1u << num_preds) - 1));
+    std::map<std::vector<std::string>, std::vector<size_t>> reference;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      std::vector<std::string> terms;
+      bool all_strings = true;
+      for (size_t p = 0; p < num_preds; ++p) {
+        if ((mask & (1u << p)) == 0) continue;
+        const Value& v = rows[r][rspec->join_columns[p]];
+        if (v.type() != ValueType::kString) {
+          all_strings = false;
+          break;
+        }
+        terms.push_back(v.AsString());
+      }
+      if (all_strings) reference[terms].push_back(r);
+    }
+    const pipeline::KeyGroups groups =
+        pipeline::GroupRowsByTerms(*rspec, rows, mask);
+    ASSERT_EQ(groups.size(), reference.size()) << "mask " << mask;
+    size_t g = 0;
+    for (const auto& [terms, row_indices] : reference) {
+      EXPECT_EQ(groups.terms[g], terms) << "group " << g;
+      EXPECT_EQ(groups.rows[g], row_indices) << "group " << g;
+      ++g;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GroupRowsPropertyTest,
                          ::testing::Range<uint64_t>(1, 11));
 
 }  // namespace
