@@ -2,10 +2,10 @@
 // whose costs underlie the Section-4 model — sorted posting-list merges
 // (linear, per the paper's text-system model) in both the legacy and the
 // block-compressed representation, phrase adjacency, index build, Boolean
-// search evaluation, the probe cache, tokenization, and the relational
-// hash join. A custom main() additionally emits the machine-readable
-// BENCH_vectorized.json snapshot (rows/sec, ns/row, heap allocations) and
-// hosts the release perf-smoke gate:
+// search evaluation, tokenization, and the relational hash join. A custom
+// main() additionally emits the machine-readable BENCH_vectorized.json
+// snapshot (rows/sec, ns/row, heap allocations) and hosts the release
+// perf-smoke gate:
 //
 //   bench_micro                         # full google-benchmark suite + JSON
 //   bench_micro --snapshot_only         # just the JSON snapshot section
@@ -23,7 +23,6 @@
 #include "common/arena.h"
 #include "common/random.h"
 #include "common/text_match.h"
-#include "core/probe_cache.h"
 #include "relational/operators.h"
 #include "text/engine.h"
 #include "text/eval.h"
@@ -226,23 +225,6 @@ BENCHMARK_F(SearchFixture, BM_SearchBigDisjunctionLegacy)
     benchmark::DoNotOptimize(engine->SearchWithMode(*q, EvalMode::kLegacy));
   }
 }
-
-void BM_ProbeCache(benchmark::State& state) {
-  ProbeCache cache;
-  Rng rng(3);
-  std::vector<Row> keys;
-  for (int i = 0; i < 1000; ++i) {
-    std::string key = "k";
-    key += std::to_string(i);
-    keys.push_back({Value::Str(std::move(key))});
-    cache.Insert(keys.back(), i % 2 == 0);
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.Lookup(keys[i++ % keys.size()]));
-  }
-}
-BENCHMARK(BM_ProbeCache);
 
 void BM_HashJoin(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -381,6 +381,30 @@ struct StageCounters {
   std::atomic<uint64_t> cache_coalesced{0};
 };
 
+namespace {
+
+/// RAII timer around one source round-trip that Search/Fetch issue on
+/// behalf of `stage`: the elapsed time is charged to the stage and
+/// excluded from the enclosing unit's own time.
+class OpTimer {
+ public:
+  explicit OpTimer(StageCounters* stage)
+      : stage_(stage), start_(std::chrono::steady_clock::now()) {}
+  ~OpTimer() {
+    const uint64_t elapsed = NsSince(start_);
+    stage_->wall_ns.fetch_add(elapsed, std::memory_order_relaxed);
+    tls_op_ns += elapsed;
+  }
+  OpTimer(const OpTimer&) = delete;
+  OpTimer& operator=(const OpTimer&) = delete;
+
+ private:
+  StageCounters* stage_;
+  std::chrono::steady_clock::time_point start_;
+};
+
+}  // namespace
+
 struct StageScheduler::Task {
   StageCounters* stage = nullptr;
   uint64_t ordinal = 0;
@@ -631,7 +655,7 @@ void StageScheduler::NoteCancelledResult(const Status& status) {
 Result<std::vector<std::string>> StageScheduler::Search(
     StageId stage, const TextQuery& query) {
   if (Status shed = CheckDeadline(stage); !shed.ok()) return shed;
-  OpTimer timer(*this, stage);
+  OpTimer timer(stage);
   if (caching_ != nullptr) {
     CachingTextSource::Outcome outcome;
     Result<std::vector<std::string>> result =
@@ -672,7 +696,7 @@ Result<std::vector<std::string>> StageScheduler::Search(
 Result<Document> StageScheduler::Fetch(StageId stage,
                                        const std::string& docid) {
   if (Status shed = CheckDeadline(stage); !shed.ok()) return shed;
-  OpTimer timer(*this, stage);
+  OpTimer timer(stage);
   if (caching_ != nullptr) {
     CachingTextSource::Outcome outcome;
     Result<Document> result = caching_->FetchWithOutcome(docid, &outcome);
@@ -706,13 +730,6 @@ void StageScheduler::ChargeRelationalMatches(StageId stage,
   pipeline::ChargeRelationalMatches(source_, docs_scanned);
   stage->relational_matches.fetch_add(docs_scanned,
                                       std::memory_order_relaxed);
-}
-
-void StageScheduler::AddStageCounts(StageId stage, uint64_t invocations,
-                                    uint64_t short_docs, uint64_t long_docs) {
-  stage->invocations.fetch_add(invocations, std::memory_order_relaxed);
-  stage->short_docs.fetch_add(short_docs, std::memory_order_relaxed);
-  stage->long_docs.fetch_add(long_docs, std::memory_order_relaxed);
 }
 
 void StageScheduler::NoteCacheHit(StageId stage) {
@@ -758,15 +775,6 @@ PipelineProfile StageScheduler::Profile(
 
 // ---------------------------------------------------------------------------
 // Timers
-
-OpTimer::OpTimer(StageScheduler& /*sched*/, StageScheduler::StageId stage)
-    : stage_(stage), start_(std::chrono::steady_clock::now()) {}
-
-OpTimer::~OpTimer() {
-  const uint64_t elapsed = NsSince(start_);
-  stage_->wall_ns.fetch_add(elapsed, std::memory_order_relaxed);
-  tls_op_ns += elapsed;
-}
 
 ScopedStageTimer::ScopedStageTimer(StageScheduler& /*sched*/,
                                    StageScheduler::StageId stage,

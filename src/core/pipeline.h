@@ -358,11 +358,6 @@ class StageScheduler {
   /// combined time.
   void ChargeRelationalMatches(StageId stage, uint64_t docs_scanned);
 
-  /// Adds raw counts to `stage`'s profile — for source operations the
-  /// scheduler has no wrapper for (e.g. cooperative SearchBatch).
-  void AddStageCounts(StageId stage, uint64_t invocations,
-                      uint64_t short_docs, uint64_t long_docs);
-
   /// Charges one cross-query cache hit to `stage`'s profile, for upstream
   /// operations a method skipped OUTSIDE Search/Fetch (the probing methods
   /// skipping a probe because the session cache already knows its
@@ -392,7 +387,6 @@ class StageScheduler {
   PipelineProfile Profile(const std::vector<StageId>& ids) const;
 
  private:
-  friend class OpTimer;
   friend class ScopedStageTimer;
 
   struct State;
@@ -423,22 +417,6 @@ class StageScheduler {
   std::chrono::steady_clock::time_point deadline_{};
   SteadyClockFn deadline_clock_;
   mutable std::atomic<uint64_t> shed_operations_{0};
-};
-
-/// RAII timer around one source round-trip issued on behalf of `stage`:
-/// the elapsed time is charged to the stage and excluded from the
-/// enclosing unit's own time. Used internally by Search/Fetch; exposed for
-/// operations the scheduler has no wrapper for (SearchBatch).
-class OpTimer {
- public:
-  OpTimer(StageScheduler& sched, StageScheduler::StageId stage);
-  ~OpTimer();
-  OpTimer(const OpTimer&) = delete;
-  OpTimer& operator=(const OpTimer&) = delete;
-
- private:
-  StageScheduler::StageId stage_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// RAII timer for driver-side serial stages (DistinctKeys, QueryBuild,

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "core/pipeline.h"
-#include "core/probe_cache.h"
 
 namespace textjoin::pipeline {
 
@@ -23,13 +22,6 @@ std::vector<std::string> ProbeKeyOf(const std::vector<std::string>& full_terms,
     ++term_index;
   }
   return key;
-}
-
-Row TermsToRow(const std::vector<std::string>& terms) {
-  Row row;
-  row.reserve(terms.size());
-  for (const std::string& t : terms) row.push_back(Value::Str(t));
-  return row;
 }
 
 }  // namespace
@@ -73,16 +65,27 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
       searches.push_back(BuildSearch(rspec, terms, all));
     }
   }
-  // How many distinct full-key combinations share each probe key: a probe
-  // is only worth sending if at least one *other* combination could reuse
-  // its outcome (the paper's refinement for grouped input).
-  std::vector<std::vector<std::string>> probe_keys(groups.size());
-  std::map<std::vector<std::string>, size_t> remaining_sharers;
+  // One entry per distinct probe key: how many full-key combinations still
+  // share it — a probe is only worth sending if at least one *other*
+  // combination could reuse its outcome (the paper's refinement for
+  // grouped input) — and the outcome this query has learned for it, the
+  // per-query probe cache of Section 3.3. Once built, the map is touched
+  // only by the one serial search unit below, so it needs no lock.
+  struct ProbeKeyState {
+    size_t remaining_sharers = 0;
+    std::optional<bool> outcome;  ///< True = the probe matches documents.
+  };
+  using ProbeKeyMap = std::map<std::vector<std::string>, ProbeKeyState>;
+  ProbeKeyMap probe_keys;
+  std::vector<ProbeKeyMap::value_type*> group_probe_key(groups.size());
   {
     ScopedStageTimer timer(sched, sd_probe, groups.size());
     for (size_t g = 0; g < groups.size(); ++g) {
-      probe_keys[g] = ProbeKeyOf(groups.terms[g], mask, spec.joins.size());
-      ++remaining_sharers[probe_keys[g]];
+      std::vector<std::string> key =
+          ProbeKeyOf(groups.terms[g], mask, spec.joins.size());
+      const auto entry = probe_keys.try_emplace(std::move(key)).first;
+      ++entry->second.remaining_sharers;
+      group_probe_key[g] = &*entry;
     }
   }
 
@@ -91,32 +94,29 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
   std::vector<std::vector<size_t>> slots_per_group(groups.size());
   std::vector<std::vector<std::string>> docids_per_group(groups.size());
   sched.Spawn(sd_search, 0, [&]() -> Status {
-    // The per-query probe cache of Section 3.3, seeded from the session
-    // store (text_cache.h) when one is attached: outcomes learned by
-    // EARLIER queries skip full searches / probe sends here, and outcomes
-    // discovered here are recorded for later queries. With no session
-    // store (or a cold one) the behavior is bit-for-bit the original.
-    ProbeCache cache;
+    // Probe outcomes are seeded from the session store (text_cache.h)
+    // when one is attached: outcomes learned by EARLIER queries skip full
+    // searches / probe sends here, and outcomes discovered here are
+    // recorded for later queries. With no session store (or a cold one)
+    // the behavior is bit-for-bit the original.
     CachingTextSource* session = sched.caching();
     for (size_t g = 0; g < groups.size(); ++g) {
-      const std::vector<std::string>& probe_terms = probe_keys[g];
-      const Row probe_key = TermsToRow(probe_terms);
-      --remaining_sharers[probe_terms];
+      const std::vector<std::string>& probe_terms = group_probe_key[g]->first;
+      ProbeKeyState& key = group_probe_key[g]->second;
+      --key.remaining_sharers;
 
-      std::optional<bool> cached = cache.Lookup(probe_key);
       TextQueryPtr probe;
       CachingTextSource::ProbeTicket session_ticket;
       bool session_known = false;
-      if (session != nullptr && !cached.has_value()) {
+      if (session != nullptr && !key.outcome.has_value()) {
         probe = BuildSearch(rspec, probe_terms, mask);
         session_ticket = session->BeginProbe(*probe);
         if (session_ticket.cached.has_value()) {
-          cached = session_ticket.cached;
+          key.outcome = session_ticket.cached;
           session_known = true;
-          cache.Insert(probe_key, *cached);
         }
       }
-      if (cached.has_value() && !*cached) {  // Known fail-query.
+      if (key.outcome.has_value() && !*key.outcome) {  // Known fail-query.
         if (session_known) {
           // The session store saved the full search for this combination.
           session->NoteProbeHit();
@@ -129,8 +129,8 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
       Result<std::vector<std::string>> searched =
           sched.Search(sd_search, *searches[g]);
       if (!searched.ok()) {
-        // Best-effort: drop the combination — and learn nothing for the
-        // cache (the outcome is unknown, so no probe is sent either).
+        // Best-effort: drop the combination — and learn nothing about the
+        // probe key (the outcome is unknown, so no probe is sent either).
         TEXTJOIN_RETURN_IF_ERROR(sched.HandleSourceFailure(
             searched.status(), /*affects_completeness=*/true));
         continue;
@@ -138,7 +138,7 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
       if (!searched->empty()) {
         // A successful full query implies the probe would succeed;
         // remember it without spending an invocation.
-        cache.Insert(probe_key, true);
+        key.outcome = true;
         if (session != nullptr && !session_known && probe != nullptr) {
           session->RecordProbe(*probe, session_ticket.epoch, true);
         }
@@ -155,8 +155,8 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
       // The full query failed. Send the probe (selections + probe-column
       // predicates, short form) so later agreeing combinations can be
       // skipped — but only if some combination still shares this probe key
-      // and the outcome is not already cached.
-      if (!cached.has_value() && remaining_sharers[probe_terms] > 0) {
+      // and the outcome is not already known.
+      if (!key.outcome.has_value() && key.remaining_sharers > 0) {
         if (probe == nullptr) probe = BuildSearch(rspec, probe_terms, mask);
         Result<std::vector<std::string>> probe_docs =
             sched.Search(sd_probe, *probe);
@@ -167,13 +167,12 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
               probe_docs.status(), /*affects_completeness=*/false));
           continue;
         }
-        cache.Insert(probe_key, !probe_docs->empty());
+        key.outcome = !probe_docs->empty();
         if (session != nullptr) {
           session->RecordProbe(*probe, session_ticket.epoch,
                                !probe_docs->empty());
         }
-      } else if (session_known && *cached &&
-                 remaining_sharers[probe_terms] > 0) {
+      } else if (session_known && *key.outcome && key.remaining_sharers > 0) {
         // Without the session store a probe would have been sent here
         // (outcome unknown, sharers remain): a second saved invocation.
         session->NoteProbeHit();

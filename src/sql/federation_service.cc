@@ -242,7 +242,7 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
     // every count change would defeat them.
     if (!options_.live.has_value()) {
       const size_t corpus = CorpusFingerprint(backend_->topology());
-      const size_t previous = last_corpus_size_.exchange(corpus);
+      const size_t previous = last_corpus_fingerprint_.exchange(corpus);
       if (previous != static_cast<size_t>(-1) && previous != corpus) {
         cache_->AdvanceEpoch();
       }

@@ -198,9 +198,10 @@ class FederationService {
 
     /// Live-corpus mode: presence means the topology mutates while
     /// serving. Queries pin the clock's published frontier when Run()
-    /// starts, before parsing (so before admission, too); the
-    /// corpus-size cache watch is bypassed (writers invalidate
-    /// surgically through CorpusWriter instead).
+    /// starts, before parsing (so before admission, too). The cache's
+    /// corpus-change watch over the per-shard document counts is
+    /// bypassed; writers invalidate surgically through CorpusWriter
+    /// instead.
     std::optional<LiveServiceOptions> live;
 
     /// Tenant queries run as when RunOptions does not say otherwise
@@ -209,21 +210,6 @@ class FederationService {
     /// tenant selects the admission fairness/quota bucket and the cache
     /// partition insertions are charged to.
     TenantId default_tenant;
-
-    // --- Deprecated aliases (one release): the flat enable_X + XOptions
-    // pairs that ChainSpec replaced. Normalization folds each enabled pair
-    // into the corresponding `chain` optional (or `admission_control` /
-    // `deadline_clock`) unless the new field is already set, which wins.
-    bool enable_resilience = false;     ///< Deprecated: set chain.resilience.
-    ResilienceOptions resilience;       ///< Deprecated: set chain.resilience.
-    bool enable_cache = false;          ///< Deprecated: set chain.cache.
-    CacheOptions cache;                 ///< Deprecated: set chain.cache.
-    bool enable_adaptive_limit = false; ///< Deprecated: set chain.limiter.
-    AdaptiveLimiterOptions adaptive_limit;  ///< Deprecated: chain.limiter.
-    bool enable_hedging = false;        ///< Deprecated: set chain.hedging.
-    HedgeOptions hedging;               ///< Deprecated: set chain.hedging.
-    bool enable_admission = false;      ///< Deprecated: set admission_control.
-    AdmissionOptions admission;         ///< Deprecated: set admission_control.
   };
 
   /// Per-call overrides of the service-wide defaults.
@@ -284,7 +270,7 @@ class FederationService {
   FederationService(const Catalog* catalog, const SearchableCorpus* engine,
                     Options options)
       : catalog_(catalog),
-        options_(Normalize(std::move(options))),
+        options_(std::move(options)),
         rng_(options_.sampling_seed) {
     TEXTJOIN_CHECK(!options_.topology.empty() || engine != nullptr,
                    "FederationService needs an engine or a topology");
@@ -405,35 +391,6 @@ class FederationService {
   StatsRegistry& stats() { return registry_; }
 
  private:
-  /// Folds the deprecated enable_X aliases into ChainSpec form (new-style
-  /// fields win when both are set).
-  static Options Normalize(Options options) {
-    if (!options.chain.resilience.has_value() && options.enable_resilience) {
-      options.chain.resilience = options.resilience;
-    }
-    if (!options.chain.cache.has_value() && options.enable_cache) {
-      options.chain.cache = options.cache;
-    }
-    if (!options.chain.limiter.has_value() && options.enable_adaptive_limit) {
-      options.chain.limiter = options.adaptive_limit;
-    }
-    if (!options.chain.hedging.has_value() && options.enable_hedging) {
-      options.chain.hedging = options.hedging;
-    }
-    if (!options.admission_control.has_value() && options.enable_admission) {
-      options.admission_control = options.admission;
-    }
-    if (!options.deadline_clock) {
-      if (options.admission_control.has_value() &&
-          options.admission_control->clock) {
-        options.deadline_clock = options.admission_control->clock;
-      } else if (options.admission.clock) {
-        options.deadline_clock = options.admission.clock;
-      }
-    }
-    return options;
-  }
-
   /// Ensures the registry covers every predicate of `query`, reading the
   /// corpus at `pinned_epoch` (mutable corpora only; kUnpinnedEpoch =
   /// latest). Caller holds stats_mu_.
@@ -482,11 +439,11 @@ class FederationService {
   /// The cross-query cache (private or shared per Options). Null when off.
   std::shared_ptr<TextCache> cache_;
 
-  /// Corpus-change watch: the TOTAL document count across every shard
-  /// observed by the last Run() — aggregated, so a single-shard corpus
-  /// swap still bumps the epoch. SIZE_MAX until first observed (no
-  /// spurious invalidation on startup).
-  std::atomic<size_t> last_corpus_size_{static_cast<size_t>(-1)};
+  /// Corpus-change watch: the CorpusFingerprint (an FNV-1a hash over the
+  /// per-shard document counts) observed by the last Run(), so a change in
+  /// any one shard's count bumps the cache epoch. SIZE_MAX until first
+  /// observed (no spurious invalidation on startup).
+  std::atomic<size_t> last_corpus_fingerprint_{static_cast<size_t>(-1)};
 };
 
 }  // namespace textjoin

@@ -17,7 +17,6 @@
 #include "connector/resilience.h"
 #include "core/executor.h"
 #include "core/join_methods.h"
-#include "core/probe_cache.h"
 #include "relational/catalog.h"
 #include "sql/federation_service.h"
 #include "sql/parser.h"
@@ -582,49 +581,6 @@ TEST(CacheResilienceTest, CoalescedFollowerNeverDoubleRetriesOrTouchesBreaker) {
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(again, CachingTextSource::Outcome::kHit);
   EXPECT_EQ(follower_inner.calls(), 0);
-}
-
-// ------------------------------------------------- ProbeCache::size()
-
-TEST(ProbeCacheTest, SizeIsAConsistentSnapshotUnderConcurrency) {
-  // size() holds all stripe locks at once (in index order), so the value
-  // it returns is the cache's entry count at one instant. Pin that: under
-  // insert-only load, values observed by any reader are monotone and
-  // bounded by the final count, concurrent size() callers never deadlock
-  // (consistent acquisition order), and the final count is exact.
-  ProbeCache cache;
-  constexpr int kWriters = 4;
-  constexpr int kPerWriter = 400;
-  std::atomic<bool> done{false};
-
-  auto reader = [&] {
-    size_t last = 0;
-    while (!done.load()) {
-      const size_t now = cache.size();
-      EXPECT_GE(now, last);
-      EXPECT_LE(now, static_cast<size_t>(kWriters * kPerWriter));
-      last = now;
-    }
-  };
-  std::thread r1(reader), r2(reader);
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&cache, w] {
-      for (int i = 0; i < kPerWriter; ++i) {
-        std::string name = "w";
-        name += std::to_string(w);
-        name += "-";
-        name += std::to_string(i);
-        cache.Insert(Row{Value::Str(std::move(name))}, i % 2 == 0);
-      }
-    });
-  }
-  for (std::thread& w : writers) w.join();
-  done.store(true);
-  r1.join();
-  r2.join();
-  EXPECT_EQ(cache.size(), static_cast<size_t>(kWriters * kPerWriter));
 }
 
 // ------------------------------------------- Cache on/off byte identity

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "connector/remote_text_source.h"
 #include "core/join_methods.h"
+#include "core/pipeline.h"
 #include "tests/test_util.h"
 
 namespace textjoin {
@@ -25,6 +30,43 @@ std::set<std::pair<std::string, std::string>> NamePairs(
   }
   return out;
 }
+
+/// The rendering of the conjunctive author search over `authors`, as the
+/// join methods build it.
+std::string AuthorsQuery(const std::vector<std::string>& authors) {
+  std::vector<TextQueryPtr> terms;
+  for (const std::string& author : authors) {
+    terms.push_back(TextQuery::Term("author", author));
+  }
+  return TextQuery::And(std::move(terms))->ToString();
+}
+
+/// Forwards to `inner` and records every search, in the order issued.
+class RecordingSource final : public TextSourceDecorator {
+ public:
+  explicit RecordingSource(TextSource* inner) : TextSourceDecorator(inner) {}
+
+  Result<std::vector<std::string>> Search(
+      const TextQuery& query) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      searches_.push_back(query.ToString());
+    }
+    return inner_->Search(query);
+  }
+  Result<Document> Fetch(const std::string& docid) const override {
+    return inner_->Fetch(docid);
+  }
+
+  std::vector<std::string> searches() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return searches_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::vector<std::string> searches_;
+};
 
 class JoinMethodsTest : public ::testing::Test {
  protected:
@@ -195,22 +237,35 @@ TEST_F(JoinMethodsTest, SemiJoinRTPTwoPredicateJoin) {
 }
 
 TEST_F(JoinMethodsTest, ProbeTSCorrectnessAndSavings) {
-  // Probe on the advisor column (predicate index 1): only 2 distinct
-  // advisors, and Ullman matches nothing, so Smith and Yan are skipped.
+  // Probe on the advisor column (predicate index 1). The five (name,
+  // advisor) combinations run in key order and share two advisors:
+  // Garcia (Gravano, Kao, Radhika) and Ullman (Smith, Yan).
+  RecordingSource recorder(&source_);
+  pipeline::PipelineProfile profile;
   auto result = ExecuteForeignJoin(JoinMethodKind::kPTS, CoauthorSpec(),
-                                   table_->rows(), source_,
-                                   /*probe_mask=*/0b10);
+                                   table_->rows(), recorder,
+                                   /*probe_mask=*/0b10, /*pool=*/nullptr,
+                                   FaultPolicy{}, &profile);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(NamePairs(*result, left_width()), kCoauthorPairs);
-  // Plain TS would send 5 full searches. P+TS sends full searches until a
-  // probe fails: Gravano(hit), Kao(miss->probe Garcia: success cached),
-  // Radhika(miss, probe cached success, no new probe), Smith(miss -> probe
-  // Ullman: fail), Yan(skipped).
-  // Full searches: Gravano, Kao, Radhika, Smith = 4; probes: Garcia-after-
-  // first-failure + Ullman = 2... total <= 6 but Yan's search saved.
-  EXPECT_LE(source_.meter().invocations, 6u);
-  // The probe cache must prevent a second probe for the same advisor.
-  // (Counted: 4 full + at most 2 probes.)
+  // Section 3.3's policy, exactly. Gravano's full search hits, which
+  // records success for Garcia, so the misses of Kao and Radhika send no
+  // Garcia probe. Smith's full search misses while Yan still shares
+  // Ullman, so the Ullman probe goes out; it fails, and Yan is skipped
+  // without a search.
+  const std::vector<std::string> expected = {
+      AuthorsQuery({"Gravano", "Garcia"}), AuthorsQuery({"Kao", "Garcia"}),
+      AuthorsQuery({"Radhika", "Garcia"}), AuthorsQuery({"Smith", "Ullman"}),
+      AuthorsQuery({"Ullman"})};
+  EXPECT_EQ(recorder.searches(), expected);
+  EXPECT_EQ(source_.meter().invocations, 5u);
+  // 4 full searches in SearchDispatch, 1 probe in ProbeFilter.
+  std::map<pipeline::StageKind, uint64_t> invocations;
+  for (const pipeline::StageStats& stage : profile.stages) {
+    invocations[stage.desc.kind] += stage.invocations;
+  }
+  EXPECT_EQ(invocations[pipeline::StageKind::kSearchDispatch], 4u);
+  EXPECT_EQ(invocations[pipeline::StageKind::kProbeFilter], 1u);
 }
 
 TEST_F(JoinMethodsTest, ProbeTSWithProbeOnFirstColumn) {

@@ -12,10 +12,7 @@
 #include "common/random.h"
 #include "common/text_match.h"
 #include "connector/remote_text_source.h"
-#include "connector/cooperative.h"
 #include "connector/sampler.h"
-#include "core/adaptive.h"
-#include "core/batched_ts.h"
 #include "core/enumerator.h"
 #include "core/executor.h"
 #include "core/join_methods.h"
@@ -208,62 +205,6 @@ TEST_P(MethodEquivalenceTest, AllMethodsMatchBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(RandomScenarios, MethodEquivalenceTest,
                          ::testing::Range<uint64_t>(1, 21));
-
-
-/// PROPERTY: the Section-8 batched TS and the adaptive P+RTP produce
-/// exactly the same pairs as their plain counterparts on randomized
-/// scenarios, for every batch size / budget.
-class ExtensionEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
-};
-
-TEST_P(ExtensionEquivalenceTest, BatchedAndAdaptiveMatchPlainMethods) {
-  const ScenarioConfig config = RandomConfig(GetParam() + 4000);
-  auto scenario = BuildScenario(config);
-  ASSERT_TRUE(scenario.ok());
-  Table* table = *scenario->catalog->GetTable("r");
-
-  ForeignJoinSpec spec;
-  spec.left_schema = table->schema();
-  spec.text = scenario->text;
-  for (const SelectionSpec& sel : config.selections) {
-    spec.selections.push_back({sel.term, sel.field});
-  }
-  for (size_t p = 0; p < config.predicates.size(); ++p) {
-    spec.joins.push_back({"r." + config.predicates[p].column,
-                          config.predicates[p].field});
-  }
-  const size_t left_width = table->schema().num_columns();
-
-  RemoteTextSource plain(scenario->engine.get());
-  auto ts = ExecuteForeignJoin(JoinMethodKind::kTS, spec, table->rows(),
-                               plain);
-  ASSERT_TRUE(ts.ok());
-  const auto expected = Pairs(*ts, left_width);
-
-  for (size_t batch : {1, 3, 17}) {
-    CooperativeTextSource coop(scenario->engine.get(), batch);
-    auto batched =
-        ExecuteTupleSubstitutionBatched(spec, table->rows(), coop);
-    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-    EXPECT_EQ(Pairs(*batched, left_width), expected)
-        << "batch " << batch << " seed " << GetParam();
-  }
-  const PredicateMask all = FullMask(spec.joins.size());
-  for (PredicateMask mask = 1; mask <= all; ++mask) {
-    for (size_t budget : {0, 3, 1000000}) {
-      RemoteTextSource source(scenario->engine.get());
-      auto adaptive = ExecuteProbeRTPAdaptive(spec, table->rows(), source,
-                                              mask, budget);
-      ASSERT_TRUE(adaptive.ok());
-      EXPECT_EQ(Pairs(adaptive->join, left_width), expected)
-          << "mask " << MaskToString(mask) << " budget " << budget
-          << " seed " << GetParam();
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomScenarios, ExtensionEquivalenceTest,
-                         ::testing::Range<uint64_t>(1, 9));
 
 /// PROPERTY: the probe reducer never changes the final answer — it only
 /// removes tuples that cannot join (Section 6: probes as semi-joins are

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <tuple>
@@ -341,6 +343,60 @@ ForeignJoinSpec MakeGridSpec(const Table& table, JoinMethodKind method) {
   return spec;
 }
 
+/// The lag leg's hedge trigger, one per run. The first operation on the
+/// lagged replica waits in HoldFirst() until Open() reports an operation on
+/// its sibling. Nothing fails over in that leg, so the sibling's operation
+/// is a hedge duplicate: the hedge fires and reaches the sibling before the
+/// primary can answer and cancel it, under any schedule. Later operations
+/// run without lag, so at most one hedge-pool thread ever waits.
+class HedgeLatch {
+ public:
+  void HoldFirst() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (held_) return;
+    held_ = true;
+    if (!cv_.wait_for(lock, std::chrono::seconds(10),
+                      [this] { return open_; })) {
+      ADD_FAILURE() << "no operation reached the lagged replica's sibling "
+                       "within 10 s";
+    }
+  }
+
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool open_ = false;
+};
+
+/// Pass-through decorator that opens `latch` on every operation it sees.
+class OpenLatchSource final : public TextSourceDecorator {
+ public:
+  OpenLatchSource(TextSource* inner, std::shared_ptr<HedgeLatch> latch)
+      : TextSourceDecorator(inner), latch_(std::move(latch)) {}
+
+  Result<std::vector<std::string>> Search(
+      const TextQuery& query) const override {
+    latch_->Open();
+    return inner_->Search(query);
+  }
+  Result<Document> Fetch(const std::string& docid) const override {
+    latch_->Open();
+    return inner_->Fetch(docid);
+  }
+
+ private:
+  std::shared_ptr<HedgeLatch> latch_;
+};
+
 struct RunOutput {
   std::vector<std::string> rows;
   AccessMeter meter;
@@ -396,14 +452,25 @@ TEST_P(ShardedChaosGridTest, RowsAndMeterMatchTheSingleBackend) {
       split->topology.shards[1].replicas[0].decorator = DeadReplica();
     } else if (leg == ChaosLeg::kLagReplica) {
       // One slow replica; with force-hedging the duplicate races the fast
-      // sibling. NOT a resilience deadline: a post-hoc deadline discards
-      // work that already charged, breaking meter identity.
+      // sibling. The lag is a latch, not a sleep: replica (2,0)'s first
+      // operation waits until the duplicate reaches (2,1). NOT a resilience
+      // deadline: a post-hoc deadline discards work that already charged,
+      // breaking meter identity.
+      auto latch = std::make_shared<HedgeLatch>();
       split->topology.shards[2].replicas[0].decorator =
-          [](TextSource* inner) -> std::unique_ptr<TextSource> {
+          [latch](TextSource* inner) -> std::unique_ptr<TextSource> {
         ChaosOptions chaos;
-        chaos.search_latency = std::chrono::microseconds(2000);
-        chaos.fetch_latency = std::chrono::microseconds(2000);
+        // Any nonzero latency routes each operation through the sink.
+        chaos.search_latency = std::chrono::microseconds(1);
+        chaos.fetch_latency = std::chrono::microseconds(1);
+        chaos.latency_sink = [latch](std::chrono::microseconds) {
+          latch->HoldFirst();
+        };
         return std::make_unique<ChaosTextSource>(inner, chaos);
+      };
+      split->topology.shards[2].replicas[1].decorator =
+          [latch](TextSource* inner) -> std::unique_ptr<TextSource> {
+        return std::make_unique<OpenLatchSource>(inner, latch);
       };
     }
     ShardedBackendOptions backend_options;
