@@ -207,13 +207,13 @@ int Run() {
     }
   }
   broken_split->topology.shards[1].replicas[0].decorator = DeadServer();
-  ShardedBackendOptions chain_options;
-  chain_options.chain.resilience.emplace();
-  chain_options.chain.resilience->retry.max_attempts = 2;
-  chain_options.chain.resilience->enable_breaker = false;
-  chain_options.chain.resilience->sleeper = [](std::chrono::microseconds) {};
-  ShardedBackend healthy_backend(healthy_split->topology, chain_options);
-  ShardedBackend broken_backend(broken_split->topology, chain_options);
+  ChainSpec chain;
+  chain.resilience.emplace();
+  chain.resilience->retry.max_attempts = 2;
+  chain.resilience->enable_breaker = false;
+  chain.resilience->sleeper = [](std::chrono::microseconds) {};
+  ShardedBackend healthy_backend(healthy_split->topology, chain);
+  ShardedBackend broken_backend(broken_split->topology, chain);
   auto healthy = healthy_backend.MakeQuerySource();
   auto broken = broken_backend.MakeQuerySource();
   const Measured healthy_run = MeasureSearches(*healthy);

@@ -19,7 +19,6 @@
 
 #include "common/string_util.h"
 #include "sql/federation_service.h"
-#include "sql/parser.h"
 #include "workload/university.h"
 
 namespace {
@@ -152,21 +151,14 @@ class Shell {
 
  private:
   void Analyze(const std::string& sql) {
-    // Every Run() already carries the per-node profile and the plan it
-    // belongs to; rendering EXPLAIN ANALYZE just needs the parsed query.
-    auto query = ParseQuery(sql, workload_.text);
-    if (!query.ok()) {
-      std::printf("error: %s\n", query.status().ToString().c_str());
-      return;
-    }
+    // Every Run() outcome carries its plan, parsed query and per-node
+    // profile, so it renders its own EXPLAIN ANALYZE.
     auto outcome = service_.Run(sql);
     if (!outcome.ok()) {
       std::printf("error: %s\n", outcome.status().ToString().c_str());
       return;
     }
-    std::printf("%s",
-                ExplainAnalyze(*outcome->plan, *query, outcome->profile)
-                    .c_str());
+    std::printf("%s", ExplainAnalyze(*outcome).c_str());
     PrintResult(outcome->rows);
   }
 

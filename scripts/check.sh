@@ -108,6 +108,13 @@ for leg in "${legs[@]}"; do
     # <repo>/.bench_build/perfbench when the variable is unset.
     echo "==> [release] benchmark self-test (perfbench)"
     (cd "$repo" && python3 perfbench/run.py --self-test)
+    # The examples smoke, as in CI: every example runs to completion, and
+    # the shell drives its \demo tour (EXPLAIN ANALYZE included) and \quit.
+    echo "==> [release] examples smoke run"
+    "$build/examples/quickstart"
+    "$build/examples/hospital_records"
+    "$build/examples/digital_library"
+    printf '\\demo\n\\quit\n' | "$build/examples/textjoin_shell"
   fi
   if [ "$leg" = coverage ]; then
     echo "==> [coverage] line-coverage floor"

@@ -36,6 +36,11 @@ HedgeAttemptScope::~HedgeAttemptScope() { tls_hedge_waste = previous_; }
 
 namespace {
 
+/// How far the latency baseline drifts toward a healthy window's fastest
+/// sample (slow tracking of genuine speedups; congestion never drags the
+/// baseline up because only healthy windows drift).
+constexpr double kBaselineDrift = 0.05;
+
 AdaptiveLimiterOptions SanitizeLimiter(AdaptiveLimiterOptions options) {
   options.min_limit = std::max(1, options.min_limit);
   options.max_limit = std::max(options.min_limit, options.max_limit);
@@ -149,7 +154,7 @@ void AdaptiveLimiter::RecordSampleLocked(std::chrono::nanoseconds rtt,
     } else {
       // Only healthy windows drift the baseline, so congestion can never
       // normalize itself by dragging the reference point up.
-      baseline_ns_ += options_.baseline_drift * (window_min - baseline_ns_);
+      baseline_ns_ += kBaselineDrift * (window_min - baseline_ns_);
     }
   }
   window_count_ = 0;
@@ -198,9 +203,7 @@ template <typename T, typename Op>
 Result<T> LimitedTextSource::Limited(const Op& op) const {
   Result<bool> permit = limiter_->Acquire(CurrentCancelToken());
   if (!permit.ok()) return permit.status();
-  const bool waited = *permit;
-  acquires_.fetch_add(1, std::memory_order_relaxed);
-  if (waited) waits_.fetch_add(1, std::memory_order_relaxed);
+  if (*permit) waits_.fetch_add(1, std::memory_order_relaxed);
   const auto start = limiter_->Now();
   Result<T> result = op();
   const auto rtt = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -218,13 +221,6 @@ Result<std::vector<std::string>> LimitedTextSource::Search(
 
 Result<Document> LimitedTextSource::Fetch(const std::string& docid) const {
   return Limited<Document>([&]() { return inner_->Fetch(docid); });
-}
-
-LimiterActivity LimitedTextSource::activity() const {
-  LimiterActivity activity;
-  activity.acquires = acquires_.load(std::memory_order_relaxed);
-  activity.waits = waits_.load(std::memory_order_relaxed);
-  return activity;
 }
 
 // ---------------------------------------------------------------------------
@@ -486,27 +482,29 @@ HedgeActivity HedgedTextSource::activity() const {
 // ---------------------------------------------------------------------------
 // OverloadActivity
 
-std::string OverloadActivity::ToString(bool stable) const {
+std::string OverloadActivity::ToString(const DegradationReport& degradation,
+                                       bool stable) const {
   char buf[192];
   std::snprintf(buf, sizeof(buf),
                 "hedges=%llu wins=%llu suppressed=%llu waits=%llu "
                 "limit=%d shed=%llu",
-                static_cast<unsigned long long>(hedges),
-                static_cast<unsigned long long>(hedge_wins),
-                static_cast<unsigned long long>(hedges_suppressed),
+                static_cast<unsigned long long>(hedge.hedges),
+                static_cast<unsigned long long>(hedge.hedge_wins),
+                static_cast<unsigned long long>(hedge.suppressed),
                 static_cast<unsigned long long>(limiter_waits), limit,
-                static_cast<unsigned long long>(shed_operations));
+                static_cast<unsigned long long>(degradation.shed_operations));
   std::string out = buf;
   // New-in-cancellation fields render only when non-zero so pre-existing
   // EXPLAIN ANALYZE output stays byte-identical for untouched queries.
-  if (cancelled_operations > 0) {
-    std::snprintf(buf, sizeof(buf), " cancelled=%llu",
-                  static_cast<unsigned long long>(cancelled_operations));
+  if (degradation.cancelled_operations > 0) {
+    std::snprintf(
+        buf, sizeof(buf), " cancelled=%llu",
+        static_cast<unsigned long long>(degradation.cancelled_operations));
     out += buf;
   }
-  if (hedge_losers_cancelled > 0) {
+  if (hedge.losers_cancelled > 0) {
     std::snprintf(buf, sizeof(buf), " losers_cancelled=%llu",
-                  static_cast<unsigned long long>(hedge_losers_cancelled));
+                  static_cast<unsigned long long>(hedge.losers_cancelled));
     out += buf;
   }
   if (!stable && admission_wait_seconds > 0.0) {
@@ -514,8 +512,8 @@ std::string OverloadActivity::ToString(bool stable) const {
                   admission_wait_seconds * 1e3);
     out += buf;
   }
-  if (!(hedge_waste == AccessMeter{})) {
-    out += " waste=[" + hedge_waste.ToString() + "]";
+  if (!(hedge.waste == AccessMeter{})) {
+    out += " waste=[" + hedge.waste.ToString() + "]";
   }
   return out;
 }

@@ -43,6 +43,8 @@
 
 namespace textjoin {
 
+struct DegradationReport;
+
 // SteadyClockFn (the injectable steady-clock read, same shape as
 // CircuitBreaker::Clock; null always means steady_clock::now()) lives in
 // common/cancel.h so cancellation deadlines share the same clock hook.
@@ -92,10 +94,6 @@ struct AdaptiveLimiterOptions {
   /// saw any transient failure) triggers a multiplicative decrease.
   double tolerance = 2.0;
   double decrease_factor = 0.8;
-  /// How far the latency baseline drifts toward a healthy window's fastest
-  /// sample (slow tracking of genuine speedups; congestion never drags the
-  /// baseline up because only healthy windows drift).
-  double baseline_drift = 0.05;
 
   /// Test hook: the clock LimitedTextSource measures round-trips with.
   SteadyClockFn clock;
@@ -172,12 +170,6 @@ class AdaptiveLimiter {
   uint64_t decreases_ = 0;
 };
 
-/// Per-query traffic account of one LimitedTextSource.
-struct LimiterActivity {
-  uint64_t acquires = 0;  ///< Operations that took a permit.
-  uint64_t waits = 0;     ///< Operations that queued for one.
-};
-
 /// The thin per-query decorator over the shared AdaptiveLimiter: every
 /// Search/Fetch takes a permit (blocking when the learned limit is
 /// reached), measures the round-trip on the limiter's clock, and feeds the
@@ -192,14 +184,14 @@ class LimitedTextSource final : public TextSourceDecorator {
       const TextQuery& query) const override;
   Result<Document> Fetch(const std::string& docid) const override;
 
-  LimiterActivity activity() const;
+  /// Operations of this query that queued for a permit.
+  uint64_t waits() const { return waits_.load(std::memory_order_relaxed); }
 
  private:
   template <typename T, typename Op>
   Result<T> Limited(const Op& op) const;
 
   AdaptiveLimiter* limiter_;
-  mutable std::atomic<uint64_t> acquires_{0};
   mutable std::atomic<uint64_t> waits_{0};
 };
 
@@ -360,21 +352,16 @@ class HedgedTextSource final : public TextSourceDecorator {
 // ---------------------------------------------------------------------------
 // Per-query overload account
 
-/// Everything the overload layer did to (and for) one query: hedge races
-/// and their waste, limiter queueing, deadline-shed operations, and the
-/// admission wait. All zero (empty) when the layer is off or idle — the
-/// EXPLAIN ANALYZE `| overload` line renders only when non-empty, so
+/// Everything the overload layer did for one query: hedge races and their
+/// waste, limiter queueing, and the admission wait. All zero (empty) when
+/// the layer is off or idle. Deadline-shed and cancelled operations are
+/// the DegradationReport's; the EXPLAIN ANALYZE `| overload` line renders
+/// both accounts, and only when either has anything to say, so
 /// overload-off output is byte-identical to before.
 struct OverloadActivity {
-  uint64_t hedges = 0;
-  uint64_t hedge_wins = 0;
-  uint64_t hedges_suppressed = 0;
-  AccessMeter hedge_waste;  ///< Loser charges (excluded from meter_delta).
-  uint64_t hedge_losers_cancelled = 0;  ///< Duplicates cancelled mid-run.
-  uint64_t limiter_waits = 0;      ///< Operations that queued for a permit.
-  int limit = 0;                   ///< Concurrency limit after the query.
-  uint64_t shed_operations = 0;    ///< Ops shed past the query deadline.
-  uint64_t cancelled_operations = 0;  ///< Ops abandoned on cancellation.
+  HedgeActivity hedge;  ///< Waste is excluded from meter_delta.
+  uint64_t limiter_waits = 0;  ///< Operations that queued for a permit.
+  int limit = 0;               ///< Concurrency limit after the query.
   double admission_wait_seconds = 0.0;
 
   /// `ignore_timing` treats the wall-clock-derived admission wait as
@@ -382,16 +369,17 @@ struct OverloadActivity {
   /// query whose only overload activity is queueing time renders the same
   /// golden output whether or not it happened to queue.
   bool empty(bool ignore_timing = false) const {
-    return hedges == 0 && hedge_wins == 0 && hedges_suppressed == 0 &&
-           hedge_losers_cancelled == 0 && hedge_waste == AccessMeter{} &&
-           limiter_waits == 0 && shed_operations == 0 &&
-           cancelled_operations == 0 &&
+    return hedge.hedges == 0 && hedge.hedge_wins == 0 &&
+           hedge.suppressed == 0 && hedge.losers_cancelled == 0 &&
+           hedge.waste == AccessMeter{} && limiter_waits == 0 &&
            (ignore_timing || admission_wait_seconds == 0.0);
   }
 
-  /// "hedges=2 wins=1 waits=3 limit=8 shed=0 ...". `stable` omits the
+  /// "hedges=2 wins=1 waits=3 limit=8 shed=0 ...", with the shed= and
+  /// cancelled= fields taken from `degradation`. `stable` omits the
   /// wall-clock admission_wait field (RenderMode::kStable).
-  std::string ToString(bool stable = false) const;
+  std::string ToString(const DegradationReport& degradation,
+                       bool stable = false) const;
 };
 
 }  // namespace textjoin

@@ -33,15 +33,6 @@ Result<std::vector<std::string>> RemoteTextSource::Search(
   return docids;
 }
 
-RemoteTextSource* UnwrapRemote(TextSource* source) {
-  while (source != nullptr) {
-    if (auto* remote = dynamic_cast<RemoteTextSource*>(source)) return remote;
-    auto* decorator = dynamic_cast<TextSourceDecorator*>(source);
-    source = decorator != nullptr ? decorator->inner() : nullptr;
-  }
-  return nullptr;
-}
-
 MeteredTextSource* UnwrapMetered(TextSource* source) {
   while (source != nullptr) {
     if (auto* metered = dynamic_cast<MeteredTextSource*>(source)) {

@@ -102,14 +102,10 @@ class RemoteTextSource final : public MeteredTextSource {
   SimulatedLatency latency_;
 };
 
-/// Walks a decorator chain (resilience, chaos, ...) down to the metered
-/// RemoteTextSource, or null if the innermost source is something else.
-/// Lets profiling and relational-match charging see through wrappers.
-RemoteTextSource* UnwrapRemote(TextSource* source);
-
-/// Like UnwrapRemote, but stops at ANY MeteredTextSource — a single remote
-/// or a sharded router. This is the hook executors use, so sharded
-/// topologies meter identically to a single backend.
+/// Walks a decorator chain (resilience, chaos, ...) down to the first
+/// MeteredTextSource — a single remote or a sharded router — or null if
+/// there is none. Lets profiling and relational-match charging see through
+/// wrappers, so sharded topologies meter identically to a single backend.
 MeteredTextSource* UnwrapMetered(TextSource* source);
 
 /// RAII guard that redirects a MeteredTextSource's charges for a scope and

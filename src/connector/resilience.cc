@@ -40,10 +40,10 @@ std::string DegradationReport::ToString() const {
                 " retries=%llu deadline=%llu opens=%llu rejected=%llu "
                 "resplits=%llu skipped_batches=%llu skipped_ops=%llu "
                 "shed=%llu",
-                static_cast<unsigned long long>(retries),
-                static_cast<unsigned long long>(deadline_hits),
-                static_cast<unsigned long long>(breaker_opens),
-                static_cast<unsigned long long>(breaker_rejections),
+                static_cast<unsigned long long>(resilience.retries),
+                static_cast<unsigned long long>(resilience.deadline_hits),
+                static_cast<unsigned long long>(resilience.breaker_opens),
+                static_cast<unsigned long long>(resilience.breaker_rejections),
                 static_cast<unsigned long long>(batch_resplits),
                 static_cast<unsigned long long>(skipped_batches),
                 static_cast<unsigned long long>(skipped_operations),
@@ -166,6 +166,14 @@ uint64_t CircuitBreaker::rejections() const {
 // ---------------------------------------------------------------------------
 // ResilientTextSource
 
+namespace {
+
+/// Growth bound of the decorrelated-jitter backoff: each delay is drawn
+/// from [initial_backoff, previous * kBackoffMultiplier].
+constexpr double kBackoffMultiplier = 3.0;
+
+}  // namespace
+
 ResilientTextSource::ResilientTextSource(TextSource* inner,
                                          ResilienceOptions options,
                                          CircuitBreaker* shared_breaker)
@@ -284,7 +292,7 @@ Result<T> ResilientTextSource::WithRetries(std::chrono::microseconds deadline,
       const uint64_t ordinal =
           op_counter_.fetch_add(1, std::memory_order_relaxed);
       backoff.emplace(retry.initial_backoff, retry.max_backoff,
-                      retry.backoff_multiplier,
+                      kBackoffMultiplier,
                       retry.jitter_seed ^ (ordinal * 0x9e3779b9));
     }
     const std::chrono::microseconds delay = backoff->NextDelay();
@@ -301,7 +309,7 @@ Result<std::vector<std::string>> ResilientTextSource::Search(
 }
 
 Result<Document> ResilientTextSource::Fetch(const std::string& docid) const {
-  return WithRetries<Document>(options_.fetch_deadline, "Fetch",
+  return WithRetries<Document>(std::chrono::microseconds{0}, "Fetch",
                                [&]() { return inner_->Fetch(docid); });
 }
 

@@ -55,16 +55,22 @@ enum class FailureMode {
 /// "FailFast", "RetryThenFail", "BestEffort".
 const char* FailureModeName(FailureMode mode);
 
+/// Counters of everything the resilience layer did. Plain value snapshot.
+struct ResilienceStats {
+  uint64_t retries = 0;              ///< Re-attempts after a transient error.
+  uint64_t exhausted = 0;            ///< Ops that failed every attempt.
+  uint64_t deadline_hits = 0;        ///< Attempts discarded as too slow.
+  uint64_t breaker_rejections = 0;   ///< Ops failed fast while open.
+  uint64_t breaker_opens = 0;        ///< Times the breaker tripped.
+};
+
 /// The degradation account of one query execution: what the resilience
 /// layer absorbed and what best-effort execution skipped. `complete` is the
 /// headline: when true, the rows are exactly what a fault-free execution
 /// would have produced (retries may still have been spent getting there);
 /// when false, the rows are a subset and the skip counters say why.
 struct DegradationReport {
-  uint64_t retries = 0;             ///< Operation-level retry attempts.
-  uint64_t deadline_hits = 0;       ///< Attempts discarded as too slow.
-  uint64_t breaker_opens = 0;       ///< Times the circuit breaker tripped.
-  uint64_t breaker_rejections = 0;  ///< Calls failed fast while open.
+  ResilienceStats resilience;       ///< What the resilience layer absorbed.
   uint64_t batch_resplits = 0;      ///< SJ OR-batches split after failure.
   uint64_t skipped_batches = 0;     ///< Semi-join disjuncts dropped.
   uint64_t skipped_operations = 0;  ///< Searches/fetches dropped.
@@ -74,25 +80,11 @@ struct DegradationReport {
 
   /// True when anything at all deviated from a clean run.
   bool degraded() const {
-    return !complete || retries != 0 || deadline_hits != 0 ||
-           breaker_opens != 0 || breaker_rejections != 0 ||
-           batch_resplits != 0 || skipped_batches != 0 ||
-           skipped_operations != 0 || shed_operations != 0 ||
-           cancelled_operations != 0;
-  }
-
-  DegradationReport& operator+=(const DegradationReport& other) {
-    retries += other.retries;
-    deadline_hits += other.deadline_hits;
-    breaker_opens += other.breaker_opens;
-    breaker_rejections += other.breaker_rejections;
-    batch_resplits += other.batch_resplits;
-    skipped_batches += other.skipped_batches;
-    skipped_operations += other.skipped_operations;
-    shed_operations += other.shed_operations;
-    cancelled_operations += other.cancelled_operations;
-    complete = complete && other.complete;
-    return *this;
+    return !complete || resilience.retries != 0 ||
+           resilience.deadline_hits != 0 || resilience.breaker_opens != 0 ||
+           resilience.breaker_rejections != 0 || batch_resplits != 0 ||
+           skipped_batches != 0 || skipped_operations != 0 ||
+           shed_operations != 0 || cancelled_operations != 0;
   }
 
   /// Renders "complete retries=2 resplits=0 ..." for logs and benches.
@@ -265,7 +257,6 @@ struct RetryPolicy {
   /// Decorrelated-jitter backoff between attempts (common/backoff.h).
   std::chrono::microseconds initial_backoff{500};
   std::chrono::microseconds max_backoff{50000};
-  double backoff_multiplier = 3.0;
   /// Seed for the jitter; the schedule of delays is deterministic given
   /// the seed and the sequence of operations.
   uint64_t jitter_seed = 42;
@@ -277,30 +268,20 @@ struct ResilienceOptions {
   bool enable_breaker = true;
   CircuitBreakerOptions breaker;
 
-  /// Per-operation time budgets; 0 disables. The underlying call is
-  /// synchronous, so the deadline is enforced post-hoc: an attempt that
-  /// comes back too late is discarded (its meter charges stand — the
-  /// traffic really happened) and treated as a transient DeadlineExceeded
-  /// failure. Query-level cancellation is cooperative instead: the retry
-  /// loop checks the ambient CancelToken before every attempt and the
-  /// backoff sleeps are interruptible, so a cancelled query stops retrying
-  /// a source nobody is waiting on.
+  /// Per-search time budget; 0 disables (fetches are never timed). The
+  /// underlying call is synchronous, so the deadline is enforced post-hoc:
+  /// an attempt that comes back too late is discarded (its meter charges
+  /// stand — the traffic really happened) and treated as a transient
+  /// DeadlineExceeded failure. Query-level cancellation is cooperative
+  /// instead: the retry loop checks the ambient CancelToken before every
+  /// attempt and the backoff sleeps are interruptible, so a cancelled
+  /// query stops retrying a source nobody is waiting on.
   std::chrono::microseconds search_deadline{0};
-  std::chrono::microseconds fetch_deadline{0};
 
   /// Test hook: how to sleep between retries. Null = real sleep.
   std::function<void(std::chrono::microseconds)> sleeper;
   /// Test hook: the breaker's clock. Null = steady_clock.
   CircuitBreaker::Clock clock;
-};
-
-/// Counters of everything the resilience layer did. Plain value snapshot.
-struct ResilienceStats {
-  uint64_t retries = 0;              ///< Re-attempts after a transient error.
-  uint64_t exhausted = 0;            ///< Ops that failed every attempt.
-  uint64_t deadline_hits = 0;        ///< Attempts discarded as too slow.
-  uint64_t breaker_rejections = 0;   ///< Ops failed fast while open.
-  uint64_t breaker_opens = 0;        ///< Times the breaker tripped.
 };
 
 /// The fault-tolerant decorator around any TextSource (paper boundary,

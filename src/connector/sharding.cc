@@ -261,7 +261,8 @@ ShardedTextSource::ShardedTextSource(
     const std::function<std::unique_ptr<TextSource>(TextSource*)>&
         query_decorator,
     bool bare, uint64_t pinned_epoch)
-    : backend_(backend) {
+    : backend_(backend),
+      breaker_opens_at_mint_(backend.breaker_opens_total()) {
   const BackendTopology& topology = backend.topology();
   const ChainSpec& chain = backend.chain();
   shards_.reserve(topology.shards.size());
@@ -482,17 +483,38 @@ CorpusPinInfo ShardedTextSource::corpus_pin() const {
   return info;
 }
 
-void ShardedTextSource::Quiesce() const {
+RouterActivity ShardedTextSource::activity() const {
+  // Straggling hedge losers still charge replica counters, the waste meter
+  // and (for a losing primary) the logical meter: settle them first.
   for (const auto& shard : shards_) {
     if (shard->hedged != nullptr) shard->hedged->Quiesce();
   }
-}
-
-ShardActivity ShardedTextSource::activity() const {
-  ShardActivity out;
+  RouterActivity out;
+  const bool attribute = shards_.size() > 1;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    for (size_t r = 0; r < shards_[s]->replicas.size(); ++r) {
-      const ReplicaRuntime& rt = *shards_[s]->replicas[r];
+    const ShardRuntime& shard = *shards_[s];
+    if (shard.hedged != nullptr) {
+      const HedgeActivity hedge = shard.hedged->activity();
+      out.overload.hedge.hedges += hedge.hedges;
+      out.overload.hedge.hedge_wins += hedge.hedge_wins;
+      out.overload.hedge.suppressed += hedge.suppressed;
+      out.overload.hedge.losers_cancelled += hedge.losers_cancelled;
+      out.overload.hedge.waste += hedge.waste;
+    }
+    for (size_t r = 0; r < shard.replicas.size(); ++r) {
+      const ReplicaRuntime& rt = *shard.replicas[r];
+      ResilienceStats resilience;
+      if (rt.resilient != nullptr) {
+        resilience = rt.resilient->stats();
+        out.resilience.retries += resilience.retries;
+        out.resilience.exhausted += resilience.exhausted;
+        out.resilience.deadline_hits += resilience.deadline_hits;
+        out.resilience.breaker_rejections += resilience.breaker_rejections;
+      }
+      if (rt.limited != nullptr) {
+        out.overload.limiter_waits += rt.limited->waits();
+      }
+      if (!attribute) continue;
       ShardReplicaActivity a;
       a.shard = s;
       a.replica = r;
@@ -500,69 +522,27 @@ ShardActivity ShardedTextSource::activity() const {
       a.ops = rt.counters.ops.load(std::memory_order_relaxed);
       a.errors = rt.counters.errors.load(std::memory_order_relaxed);
       a.failovers = rt.counters.failovers.load(std::memory_order_relaxed);
-      if (rt.resilient != nullptr) a.resilience = rt.resilient->stats();
-      out.replicas.push_back(std::move(a));
+      a.resilience = resilience;
+      out.shards.replicas.push_back(std::move(a));
     }
   }
-  out.broadcasts = broadcasts_.load(std::memory_order_relaxed);
-  out.routed_fetches = routed_fetches_.load(std::memory_order_relaxed);
-  out.dropped_shards = dropped_shards_.load(std::memory_order_relaxed);
-  out.complete = !incomplete_.load(std::memory_order_relaxed);
-  return out;
-}
-
-ResilienceStats ShardedTextSource::resilience_stats() const {
-  ResilienceStats out;
-  for (const auto& shard : shards_) {
-    for (const auto& replica : shard->replicas) {
-      if (replica->resilient == nullptr) continue;
-      const ResilienceStats stats = replica->resilient->stats();
-      out.retries += stats.retries;
-      out.exhausted += stats.exhausted;
-      out.deadline_hits += stats.deadline_hits;
-      out.breaker_rejections += stats.breaker_rejections;
-      out.breaker_opens += stats.breaker_opens;
-    }
-  }
-  return out;
-}
-
-LimiterActivity ShardedTextSource::limiter_activity() const {
-  LimiterActivity out;
-  for (const auto& shard : shards_) {
-    for (const auto& replica : shard->replicas) {
-      if (replica->limited == nullptr) continue;
-      const LimiterActivity activity = replica->limited->activity();
-      out.acquires += activity.acquires;
-      out.waits += activity.waits;
-    }
-  }
-  return out;
-}
-
-HedgeActivity ShardedTextSource::hedge_activity() const {
-  HedgeActivity out;
-  for (const auto& shard : shards_) {
-    if (shard->hedged == nullptr) continue;
-    const HedgeActivity activity = shard->hedged->activity();
-    out.hedges += activity.hedges;
-    out.hedge_wins += activity.hedge_wins;
-    out.suppressed += activity.suppressed;
-    out.losers_cancelled += activity.losers_cancelled;
-    out.waste += activity.waste;
-  }
+  out.resilience.breaker_opens =
+      backend_.breaker_opens_total() - breaker_opens_at_mint_;
+  out.overload.limit = backend_.limit_total();
+  out.shards.broadcasts = broadcasts_.load(std::memory_order_relaxed);
+  out.shards.routed_fetches = routed_fetches_.load(std::memory_order_relaxed);
+  out.shards.dropped_shards = dropped_shards_.load(std::memory_order_relaxed);
+  out.shards.complete = !incomplete_.load(std::memory_order_relaxed);
   return out;
 }
 
 // ---------------------------------------------------------------------------
 // ShardedBackend
 
-ShardedBackend::ShardedBackend(BackendTopology topology,
-                               ShardedBackendOptions options)
-    : topology_(std::move(topology)), options_(std::move(options)) {
+ShardedBackend::ShardedBackend(BackendTopology topology, ChainSpec chain)
+    : topology_(std::move(topology)), chain_(std::move(chain)) {
   const Status valid = topology_.Validate();
   TEXTJOIN_CHECK(valid.ok(), "%s", valid.ToString().c_str());
-  const ChainSpec& chain = options_.chain;
   breakers_.resize(topology_.shards.size());
   limiters_.resize(topology_.shards.size());
   hedges_.resize(topology_.shards.size());
@@ -571,24 +551,21 @@ ShardedBackend::ShardedBackend(BackendTopology topology,
     breakers_[s].resize(replicas);
     limiters_[s].resize(replicas);
     for (size_t r = 0; r < replicas; ++r) {
-      if (chain.resilience.has_value() && chain.resilience->enable_breaker) {
+      if (chain_.resilience.has_value() && chain_.resilience->enable_breaker) {
         breakers_[s][r] = std::make_unique<CircuitBreaker>(
-            chain.resilience->breaker, chain.resilience->clock);
+            chain_.resilience->breaker, chain_.resilience->clock);
       }
-      if (chain.limiter.has_value()) {
-        limiters_[s][r] = std::make_unique<AdaptiveLimiter>(*chain.limiter);
+      if (chain_.limiter.has_value()) {
+        limiters_[s][r] = std::make_unique<AdaptiveLimiter>(*chain_.limiter);
       }
     }
-    if (chain.hedging.has_value()) {
-      hedges_[s] = std::make_unique<HedgeController>(*chain.hedging);
+    if (chain_.hedging.has_value()) {
+      hedges_[s] = std::make_unique<HedgeController>(*chain_.hedging);
     }
   }
   if (topology_.shards.size() > 1) {
-    const int workers =
-        options_.scatter_parallelism > 0
-            ? options_.scatter_parallelism - 1
-            : static_cast<int>(topology_.shards.size()) - 1;
-    scatter_pool_ = std::make_unique<ThreadPool>(workers);
+    scatter_pool_ = std::make_unique<ThreadPool>(
+        static_cast<int>(topology_.shards.size()) - 1);
   }
 }
 

@@ -178,35 +178,40 @@ struct ShardReplicaActivity {
   std::string ToString() const;
 };
 
-/// Router-level attribution for one query.
+/// Router-level attribution for one query. A single-shard router neither
+/// scatters nor routes, and its one shard's traffic is the logical meter
+/// itself, so for it `replicas` stays empty and the counters stay zero.
 struct ShardActivity {
-  std::vector<ShardReplicaActivity> replicas;
+  std::vector<ShardReplicaActivity> replicas;  ///< In (shard, replica) order.
   uint64_t broadcasts = 0;       ///< Searches scattered to every shard.
   uint64_t routed_fetches = 0;   ///< Fetches routed by docid hash.
   uint64_t dropped_shards = 0;   ///< Shard contributions dropped (best effort).
   bool complete = true;          ///< False once any contribution was dropped.
+};
 
-  bool empty() const {
-    return replicas.empty() && broadcasts == 0 && routed_fetches == 0;
-  }
+/// Everything one query router observed, read once after the query: the
+/// per-replica attribution and routing counters, beside the chain layers'
+/// totals, which belong to other accounts (the DegradationReport and the
+/// OverloadActivity) and so are not part of `shards`.
+struct RouterActivity {
+  ShardActivity shards;
+  /// Summed over replicas, except breaker_opens: breakers are shared
+  /// across queries, so that is the backend-wide delta since the router
+  /// was minted.
+  ResilienceStats resilience;
+  /// Hedging summed over shards, limiter waits over replicas, and the
+  /// backend's current total limit. The admission wait is not the
+  /// router's to know and stays zero.
+  OverloadActivity overload;
 };
 
 // ---------------------------------------------------------------------------
 // ShardedBackend
 
-struct ShardedBackendOptions {
-  /// The chain rebuilt per replica for every query source. `chain.cache` is
-  /// ignored here (the cache is a logical layer above the router).
-  ChainSpec chain;
-
-  /// Worker threads for the scatter pool (the calling thread participates,
-  /// so N-way scatter wants N-1 workers). 0 means num_shards() - 1.
-  int scatter_parallelism = 0;
-};
-
 /// The long-lived, service-wide half of a sharded deployment: owns the
 /// topology, the per-(shard, replica) circuit breakers and adaptive
-/// limiters, the per-shard hedge controllers, and the scatter thread pool.
+/// limiters, the per-shard hedge controllers, and the scatter thread pool
+/// (num_shards() - 1 workers; the calling thread participates).
 /// Short-lived ShardedTextSource routers are minted per query via
 /// MakeQuerySource and share this state, so breaker trips and learned
 /// limits persist across queries exactly as PR 4/5's service-wide
@@ -214,15 +219,16 @@ struct ShardedBackendOptions {
 class ShardedBackend {
  public:
   /// Aborts (programmer error) when the topology fails Validate().
-  explicit ShardedBackend(BackendTopology topology,
-                          ShardedBackendOptions options = {});
+  /// `chain` is rebuilt per replica for every query source; `chain.cache`
+  /// is ignored here (the cache is a logical layer above the router).
+  explicit ShardedBackend(BackendTopology topology, ChainSpec chain = {});
   ~ShardedBackend();
 
   ShardedBackend(const ShardedBackend&) = delete;
   ShardedBackend& operator=(const ShardedBackend&) = delete;
 
   const BackendTopology& topology() const { return topology_; }
-  const ChainSpec& chain() const { return options_.chain; }
+  const ChainSpec& chain() const { return chain_; }
   size_t num_shards() const { return topology_.shards.size(); }
   size_t replicas_in(size_t shard) const {
     return topology_.shards[shard].replicas.size();
@@ -261,7 +267,7 @@ class ShardedBackend {
 
  private:
   BackendTopology topology_;
-  ShardedBackendOptions options_;
+  ChainSpec chain_;
   std::vector<std::vector<std::unique_ptr<CircuitBreaker>>> breakers_;
   std::vector<std::vector<std::unique_ptr<AdaptiveLimiter>>> limiters_;
   std::vector<std::unique_ptr<HedgeController>> hedges_;
@@ -305,23 +311,17 @@ class ShardedTextSource final : public MeteredTextSource {
   /// an incomplete result); any other mode fails the logical operation.
   void set_failure_mode(FailureMode mode) { failure_mode_ = mode; }
 
-  /// Waits for in-flight hedge duplicates on every shard — call before
-  /// reading activity() for a complete waste account.
-  void Quiesce() const;
-
-  /// Per-replica physical attribution plus routing counters.
-  ShardActivity activity() const;
+  /// This query's whole account. Waits out in-flight hedge duplicates on
+  /// every shard first, so the waste account, the replica counters and
+  /// meter() are final once it returns. Per-replica rows are built for
+  /// multi-shard routers only.
+  RouterActivity activity() const;
 
   /// Which corpus version this router reads: mutable_corpus is set when
   /// any replica corpus is live; epoch is the pin (max across shards),
   /// delta_docs / visible_docs sum over replica 0 of every shard. All-zero
   /// for frozen topologies.
   CorpusPinInfo corpus_pin() const;
-
-  /// Aggregates across replicas / shards (zeros when disengaged).
-  ResilienceStats resilience_stats() const;
-  LimiterActivity limiter_activity() const;
-  HedgeActivity hedge_activity() const;
 
  private:
   friend class ShardedBackend;
@@ -338,6 +338,7 @@ class ShardedTextSource final : public MeteredTextSource {
   Result<std::vector<std::string>> ScatterSearch(const TextQuery& query) const;
 
   const ShardedBackend& backend_;
+  const uint64_t breaker_opens_at_mint_;
   std::vector<std::unique_ptr<ShardRuntime>> shards_;
 
   mutable AtomicAccessMeter own_meter_;

@@ -182,19 +182,19 @@ TextCache::~TextCache() {
 }
 
 double TextCache::ModeledSaving(const Entry& entry) const {
+  constexpr CostParams kCost;
   switch (entry.kind) {
     case 's':
       // A hit skips one invocation plus the short-form transmissions.
       // (The postings component also vanishes but its size is unknown at
       // this layer; the admission model stays conservative without it.)
-      return options_.cost.invocation +
-             options_.cost.short_form *
-                 static_cast<double>(entry.docids.size());
+      return kCost.invocation +
+             kCost.short_form * static_cast<double>(entry.docids.size());
     case 'd':
-      return options_.cost.long_form;
+      return kCost.long_form;
     case 'p':
       // A known probe outcome skips (at least) the probe invocation.
-      return options_.cost.invocation;
+      return kCost.invocation;
   }
   return 0.0;
 }
@@ -209,9 +209,8 @@ TextCache::Partition& TextCache::PartitionFor(const TenantId& tenant) {
   if (it == partitions_.end()) {
     Partition part;
     auto weight = options_.tenant_weights.find(key);
-    part.weight = weight != options_.tenant_weights.end()
-                      ? weight->second
-                      : options_.default_tenant_weight;
+    part.weight =
+        weight != options_.tenant_weights.end() ? weight->second : 1.0;
     it = partitions_.emplace(key, std::move(part)).first;
   }
   return it->second;
@@ -331,8 +330,11 @@ void TextCache::AdmitLocked(Entry entry, uint64_t epoch,
     ++stats_.admission_rejects;
     return;
   }
-  const double bookkeeping = options_.bookkeeping_seconds_per_byte *
-                             static_cast<double>(entry.bytes);
+  // Modeled cost of keeping the entry resident (pressure on the budget),
+  // scaling the admission threshold with entry size.
+  constexpr double kBookkeepingSecondsPerByte = 1e-9;
+  const double bookkeeping =
+      kBookkeepingSecondsPerByte * static_cast<double>(entry.bytes);
   if (ModeledSaving(entry) - bookkeeping < options_.min_saving_seconds) {
     ++stats_.admission_rejects;
     return;
@@ -459,7 +461,7 @@ TextCache::SearchTicket TextCache::BeginSearch(const std::string& canonical_key,
   ++stats_.search_misses;
   ticket.epoch = epoch_;
   ticket.tenant = tenant;
-  if (options_.coalesce && options_.cache_searches) {
+  if (options_.coalesce) {
     auto [fit, inserted] =
         search_flights_.try_emplace(FlightKeyFor(key, pinned), nullptr);
     if (inserted) {
@@ -484,7 +486,7 @@ void TextCache::FinishSearch(const std::string& canonical_key,
   const std::string key = Prefixed('s', canonical_key);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (result.ok() && options_.cache_searches) {
+    if (result.ok()) {
       Entry entry;
       entry.key = key;
       entry.kind = 's';
@@ -532,7 +534,7 @@ TextCache::FetchTicket TextCache::BeginFetch(const std::string& docid,
   ++stats_.fetch_misses;
   ticket.epoch = epoch_;
   ticket.tenant = tenant;
-  if (options_.coalesce && options_.cache_documents) {
+  if (options_.coalesce) {
     auto [fit, inserted] =
         fetch_flights_.try_emplace(FlightKeyFor(key, pinned), nullptr);
     if (inserted) {
@@ -556,7 +558,7 @@ void TextCache::FinishFetch(const std::string& docid,
   const std::string key = Prefixed('d', docid);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (result.ok() && options_.cache_documents) {
+    if (result.ok()) {
       Entry entry;
       entry.key = key;
       entry.kind = 'd';
@@ -598,7 +600,6 @@ std::optional<bool> TextCache::LookupProbe(const std::string& canonical_key,
 void TextCache::InsertProbe(const std::string& canonical_key, uint64_t epoch,
                             bool matched, const TenantId& tenant,
                             uint64_t pinned, const TermSignature* signature) {
-  if (!options_.cache_probes) return;
   Entry entry;
   entry.key = Prefixed('p', canonical_key);
   entry.kind = 'p';

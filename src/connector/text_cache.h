@@ -87,24 +87,18 @@
 
 namespace textjoin {
 
-/// Tuning knobs for a TextCache. Defaults cache everything that the cost
-/// model says is worth keeping, under a 64 MiB budget.
+/// Tuning knobs for a TextCache. Defaults cache every search, document and
+/// probe outcome that the cost model (the default CostParams) says is
+/// worth keeping, under a 64 MiB budget.
 struct CacheOptions {
   size_t byte_budget = 64ull << 20;  ///< Shared across all three stores.
   /// Largest admissible entry; 0 means byte_budget / 8. An entry bigger
   /// than this is rejected outright (it would evict too much).
   size_t max_entry_bytes = 0;
-  CostParams cost;  ///< Constants for the admission savings model.
   /// Admit only entries whose modeled per-hit saving (minus bookkeeping)
   /// is at least this many simulated seconds. The default 0 admits any
   /// entry that saves more than it costs to keep.
   double min_saving_seconds = 0.0;
-  /// Modeled cost of keeping one byte resident (pressure on the budget);
-  /// scales the admission threshold with entry size.
-  double bookkeeping_seconds_per_byte = 1e-9;
-  bool cache_searches = true;
-  bool cache_documents = true;
-  bool cache_probes = true;
   bool coalesce = true;  ///< In-flight coalescing of identical operations.
 
   /// Partition the byte budget by tenant (DESIGN.md §15). Off (default),
@@ -115,10 +109,9 @@ struct CacheOptions {
   /// protected segment (entries with a proven repeat hit). 0 (default)
   /// disables the split: the partition is a plain LRU.
   double protected_fraction = 0.0;
-  /// Weighted share of the byte budget for tenants not listed in
-  /// `tenant_weights`. Under eviction pressure the partition most over
-  /// bytes/weight loses entries first.
-  double default_tenant_weight = 1.0;
+  /// Weighted shares of the byte budget; tenants not listed weigh 1.
+  /// Under eviction pressure the partition most over bytes/weight loses
+  /// entries first.
   std::map<TenantId, double> tenant_weights;
 
   size_t EffectiveMaxEntryBytes() const {
@@ -506,7 +499,7 @@ class CachingTextSource final : public TextSourceDecorator {
 
 /// Walks a decorator chain down to the CachingTextSource, or null when the
 /// chain has none. Lets the pipeline scheduler and the probing methods see
-/// through outer wrappers (mirror of UnwrapRemote).
+/// through outer wrappers (mirror of UnwrapMetered).
 CachingTextSource* UnwrapCache(TextSource* source);
 
 }  // namespace textjoin

@@ -53,7 +53,7 @@ class TextSource {
 /// metering shims). Forwards the statistical metadata and the concurrency
 /// cap; subclasses override Search/Fetch with their added behavior. Layers
 /// that need the innermost metered source (profiling, relational-match
-/// charging) unwrap the chain with UnwrapRemote (remote_text_source.h).
+/// charging) unwrap the chain with UnwrapMetered (remote_text_source.h).
 class TextSourceDecorator : public TextSource {
  public:
   /// `inner` must outlive this object.

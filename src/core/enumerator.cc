@@ -10,6 +10,12 @@
 namespace textjoin {
 namespace {
 
+/// Probe columns per reducer: the Theorem 5.3 bound.
+constexpr size_t kMaxProbeColumns = 2;
+
+/// Pareto-frontier cap per entity subset.
+constexpr size_t kMaxParetoPlans = 12;
+
 /// One relational join conjunct with the set of relations it references.
 struct ClassifiedConjunct {
   const Expr* expr = nullptr;
@@ -178,8 +184,7 @@ ForeignJoinStats BuildStats(const QueryContext& ctx, const PlanNode& child,
 
 /// Pareto insertion over (est_cost, est_rows).
 void AddPlan(std::vector<std::shared_ptr<PlanNode>>& frontier,
-             std::shared_ptr<PlanNode> plan, const EnumeratorOptions& options,
-             EnumeratorReport& report) {
+             std::shared_ptr<PlanNode> plan, EnumeratorReport& report) {
   ++report.plans_generated;
   for (const auto& existing : frontier) {
     if (existing->est_cost <= plan->est_cost &&
@@ -195,14 +200,14 @@ void AddPlan(std::vector<std::shared_ptr<PlanNode>>& frontier,
                      }),
       frontier.end());
   frontier.push_back(std::move(plan));
-  if (frontier.size() > options.max_pareto_plans) {
+  if (frontier.size() > kMaxParetoPlans) {
     // Keep the cheapest plans (the plain left-deep plan is always among
     // them, preserving the never-worse guarantee).
     std::sort(frontier.begin(), frontier.end(),
               [](const auto& a, const auto& b) {
                 return a->est_cost < b->est_cost;
               });
-    frontier.resize(options.max_pareto_plans);
+    frontier.resize(kMaxParetoPlans);
   }
 }
 
@@ -235,7 +240,7 @@ std::shared_ptr<PlanNode> BuildProbe(const QueryContext& ctx,
                                      PlanNodePtr child,
                                      std::vector<size_t> preds) {
   ForeignJoinStats stats = BuildStats(ctx, *child, preds);
-  CostModel model(ctx.options->cost_params, stats);
+  CostModel model(CostParams{}, stats);
   const PredicateMask mask = FullMask(preds.size());
   const double probe_cost = model.CostProbe(mask);
   const double joint_sel = model.JointSelectivity(mask);
@@ -260,15 +265,15 @@ std::shared_ptr<PlanNode> BuildProbe(const QueryContext& ctx,
   return node;
 }
 
-/// All probe-pred subsets of size <= max_probe_columns from `available`.
+/// All probe-pred subsets of size <= kMaxProbeColumns from `available`.
 std::vector<std::vector<size_t>> ProbeSubsets(
-    const std::vector<size_t>& available, size_t max_cols) {
+    const std::vector<size_t>& available) {
   std::vector<std::vector<size_t>> subsets;
   const size_t k = available.size();
   if (k == 0) return subsets;
   for (uint32_t mask = 1; mask < (1u << k); ++mask) {
     const size_t bits = static_cast<size_t>(__builtin_popcount(mask));
-    if (bits > max_cols) continue;
+    if (bits > kMaxProbeColumns) continue;
     std::vector<size_t> subset;
     for (size_t i = 0; i < k; ++i) {
       if ((mask & (1u << i)) != 0) subset.push_back(available[i]);
@@ -378,7 +383,7 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
   std::vector<std::vector<std::shared_ptr<PlanNode>>> table(full_mask + 1);
 
   for (size_t r = 0; r < ctx.n; ++r) {
-    AddPlan(table[uint64_t{1} << r], BuildScan(ctx, r), options_, report_);
+    AddPlan(table[uint64_t{1} << r], BuildScan(ctx, r), report_);
   }
 
   for (uint64_t mask = 1; mask <= full_mask; ++mask) {
@@ -405,7 +410,7 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
           std::vector<size_t> all_preds(query.text_joins.size());
           for (size_t i = 0; i < all_preds.size(); ++i) all_preds[i] = i;
           ForeignJoinStats stats = BuildStats(ctx, *subplan, all_preds);
-          CostModel model(options_.cost_params, stats);
+          CostModel model(CostParams{}, stats);
           SingleJoinOptimizer optimizer(&model);
           Result<MethodChoice> choice = optimizer.Choose(ctx.applicability);
           if (options_.forced_method.has_value()) {
@@ -432,7 +437,7 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
           node->est_cost = subplan->est_cost + choice->predicted_cost;
           node->text_pred_distinct = subplan->text_pred_distinct;
           node->probed_preds = subplan->probed_preds;
-          AddPlan(table[mask], std::move(node), options_, report_);
+          AddPlan(table[mask], std::move(node), report_);
         }
         continue;
       }
@@ -466,8 +471,7 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
               available.push_back(p);
             }
           }
-          for (auto& preds :
-               ProbeSubsets(available, options_.max_probe_columns)) {
+          for (auto& preds : ProbeSubsets(available)) {
             left_variants.push_back(BuildProbe(ctx, subplan, preds));
           }
         }
@@ -478,8 +482,7 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
           for (size_t p = 0; p < ctx.text_pred_relation.size(); ++p) {
             if (ctx.text_pred_relation[p] == e) available.push_back(p);
           }
-          for (auto& preds :
-               ProbeSubsets(available, options_.max_probe_columns)) {
+          for (auto& preds : ProbeSubsets(available)) {
             right_variants.push_back(BuildProbe(ctx, base_scan, preds));
           }
         }
@@ -536,7 +539,7 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
             node->probed_preds = lv->probed_preds;
             node->probed_preds.insert(rv->probed_preds.begin(),
                                       rv->probed_preds.end());
-            AddPlan(table[mask], std::move(node), options_, report_);
+            AddPlan(table[mask], std::move(node), report_);
           }
         }
       }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <tuple>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -362,10 +361,6 @@ Result<ExecutionResult> PlanExecutor::Execute(const PlanNode& root,
   if (options_.cancel.valid()) cancel_scope.emplace(options_.cancel);
   Result<ExecutionResult> executed =
       Exec(root, query, profile, policy, sched ? &*sched : nullptr);
-  if (profile != nullptr && sched) {
-    profile->overload.shed_operations = sched->shed_operations();
-    profile->overload.cancelled_operations = sched->cancelled_operations();
-  }
   if (degradation != nullptr) *degradation = sink.Snapshot();
   TEXTJOIN_ASSIGN_OR_RETURN(ExecutionResult result, std::move(executed));
   if (!query.aggregates.empty()) {
@@ -577,48 +572,8 @@ void RenderAnalyze(const PlanNode& node, const FederatedQuery& query,
 std::string ExplainAnalyze(const PlanNode& root, const FederatedQuery& query,
                            const ExecutionProfile& profile,
                            const CostParams& params, RenderMode mode) {
-  const bool stable = mode == RenderMode::kStable;
   std::string out;
   RenderAnalyze(root, query, profile, params, mode, 0, out);
-  // Query-global overload account, rendered only when the layer did
-  // anything (overload-off output stays byte-identical to before). In
-  // stable mode "anything" excludes pure queueing time, so a query whose
-  // only activity was an admission wait still matches its golden.
-  if (!profile.overload.empty(/*ignore_timing=*/stable)) {
-    out += "| overload " + profile.overload.ToString(stable) + "\n";
-  }
-  // Corpus pin, rendered only for mutable (live) corpora: which epoch the
-  // query read and how much of it was still served from delta chunks.
-  // Deterministic in both modes for a fixed write history.
-  if (profile.corpus.mutable_corpus) {
-    out += "| corpus epoch=" + std::to_string(profile.corpus.epoch) +
-           " delta_docs=" + std::to_string(profile.corpus.delta_docs) +
-           " docs=" + std::to_string(profile.corpus.visible_docs) + "\n";
-  }
-  // Per-shard-replica physical attribution, present only for sharded
-  // topologies (single-backend output stays byte-identical). The router
-  // reports replicas in (shard, replica) order already; stable mode sorts
-  // canonically anyway so the golden wall cannot depend on reporting
-  // order.
-  if (stable) {
-    std::vector<const ShardReplicaActivity*> sorted;
-    sorted.reserve(profile.shards.replicas.size());
-    for (const ShardReplicaActivity& replica : profile.shards.replicas) {
-      sorted.push_back(&replica);
-    }
-    std::sort(sorted.begin(), sorted.end(),
-              [](const ShardReplicaActivity* a, const ShardReplicaActivity* b) {
-                return std::tie(a->shard, a->replica) <
-                       std::tie(b->shard, b->replica);
-              });
-    for (const ShardReplicaActivity* replica : sorted) {
-      out += "| shard " + replica->ToString() + "\n";
-    }
-  } else {
-    for (const ShardReplicaActivity& replica : profile.shards.replicas) {
-      out += "| shard " + replica.ToString() + "\n";
-    }
-  }
   return out;
 }
 

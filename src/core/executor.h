@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "connector/resilience.h"
-#include "connector/sharding.h"
 #include "connector/text_source.h"
 #include "core/federated_query.h"
 #include "core/pipeline.h"
@@ -37,21 +36,11 @@ struct NodeProfile {
   pipeline::PipelineProfile stages;
 };
 
-/// Profile of one execution, keyed by plan node.
+/// Profile of one execution: per-node actuals, keyed by plan node. The
+/// query-wide accounts (degradation, cache, overload, shards, corpus pin)
+/// live in the service's QueryOutcome.
 struct ExecutionProfile {
   std::map<const PlanNode*, NodeProfile> nodes;
-  /// What the overload layer did during this execution (hedge races,
-  /// limiter queueing, deadline sheds, admission wait). All-zero — and the
-  /// `| overload` EXPLAIN ANALYZE line absent — when the layer is off or
-  /// idle, so overload-off output is byte-identical to before.
-  OverloadActivity overload;
-  /// Per-shard-replica physical attribution (sharded topologies only;
-  /// empty — and the `| shard` lines absent — for a single backend).
-  ShardActivity shards;
-  /// The corpus version this execution was pinned to. mutable_corpus is
-  /// false — and the `| corpus` EXPLAIN ANALYZE line absent — for frozen
-  /// corpora, so their output stays byte-identical to before.
-  CorpusPinInfo corpus;
 };
 
 /// How ExplainAnalyze renders its output.
@@ -60,8 +49,7 @@ struct ExecutionProfile {
 ///    overload admission_wait=) — the operator-facing default.
 ///  - kStable: deterministic output for the golden-explain regression wall
 ///    (tests/goldens/, DESIGN.md §15). Wall-clock and latency fields are
-///    normalized out and "| shard" lines are canonically sorted by
-///    (shard, replica); every remaining field — plan shape, estimated and
+///    normalized out; every remaining field — plan shape, estimated and
 ///    actual rows, simulated text-cost, meter/stage/cache/overload/shard
 ///    counters — is byte-deterministic for a fixed query, corpus and
 ///    stats profile, across parallelism levels and repeated runs.
@@ -70,7 +58,9 @@ enum class RenderMode {
   kStable,
 };
 
-/// Renders the plan with estimated AND actual rows / costs per node.
+/// Renders the plan with estimated AND actual rows / costs per node, plus
+/// each pipeline-backed node's stage and cache lines. ExplainAnalyze(const
+/// QueryOutcome&) in sql/federation_service.h adds the query-wide lines.
 std::string ExplainAnalyze(const PlanNode& root, const FederatedQuery& query,
                            const ExecutionProfile& profile,
                            const CostParams& params = CostParams{},
@@ -96,15 +86,11 @@ std::string ExplainAnalyze(const PlanNode& root, const FederatedQuery& query,
 /// the DegradationReport), under fail-fast it aborts with
 /// DeadlineExceeded. The default (time_point::max) never sheds. `clock` is
 /// the shedding clock (null = steady_clock; injectable for tests).
-/// `priority` is carried for the service's admission queue — higher runs
-/// first when queries queue for an execution slot; the executor itself
-/// does not reorder anything.
 struct ExecutorOptions {
   int parallelism = 1;
   FailureMode failure_mode = FailureMode::kFailFast;
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  int priority = 0;
   SteadyClockFn clock;
   /// Cooperative cancellation (see StageScheduler::SetCancelToken): once
   /// the token fires, remaining operations and pending units abandon and
@@ -148,10 +134,10 @@ class PlanExecutor {
 
   /// Executes `root` for `query` and applies the query's projection.
   /// When `profile` is non-null, records per-node actual rows and meter
-  /// deltas (requires the source to be — or decorate — a RemoteTextSource;
+  /// deltas (requires the source to be — or decorate — a MeteredTextSource;
   /// deltas are zero otherwise). When `degradation` is non-null, receives
-  /// the execution's skip/re-split account (always `complete` under
-  /// fail-fast, which never absorbs a failure).
+  /// the execution's skip/re-split/shed/cancel account (always `complete`
+  /// under fail-fast when nothing was shed or cancelled).
   Result<ExecutionResult> Execute(const PlanNode& root,
                                   const FederatedQuery& query,
                                   ExecutionProfile* profile = nullptr,

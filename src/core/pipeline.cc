@@ -438,7 +438,6 @@ struct StageScheduler::State {
   // gives worker threads the necessary happens-before edge.
   CancelToken cancel;
   const FaultPolicy* policy = nullptr;
-  std::atomic<uint64_t> cancelled_ops{0};
 };
 
 StageScheduler::StageScheduler(ThreadPool* pool, TextSource& source,
@@ -483,10 +482,6 @@ void StageScheduler::SetCancelToken(CancelToken token) {
   state_->cancel = std::move(token);
 }
 
-uint64_t StageScheduler::cancelled_operations() const {
-  return state_->cancelled_ops.load(std::memory_order_relaxed);
-}
-
 Status StageScheduler::BatchCheckpoint() {
   // Assembly runs on the driving thread after the drain, so consult the
   // armed token directly (no ambient scope is guaranteed there). Only a
@@ -509,14 +504,12 @@ Status StageScheduler::CheckDeadline(StageId stage) {
       // Client abort / shutdown: the query is going to error out with
       // kCancelled (permanent — no best-effort absorption, no torn rows),
       // but the report stays honest about the operation dropped.
-      state_->cancelled_ops.fetch_add(1, std::memory_order_relaxed);
       policy_.NoteCancelledOperation();
       return cancel;
     }
     // The token's own deadline fired: same semantics as the armed
     // scheduler deadline below — the operation is shed, not cancelled
     // (under best-effort the query still finishes with the rows it has).
-    shed_operations_.fetch_add(1, std::memory_order_relaxed);
     policy_.NoteShedOperation();
     return cancel;
   }
@@ -530,7 +523,6 @@ Status StageScheduler::CheckDeadline(StageId stage) {
   // (via the DeadlineExceeded status) whether the query aborts (fail-fast)
   // or finishes with the rows it has (best-effort, which also counts the
   // unit among skipped_operations — shed says WHY it was dropped).
-  shed_operations_.fetch_add(1, std::memory_order_relaxed);
   policy_.NoteShedOperation();
   return Status::DeadlineExceeded(
       std::string("query deadline exceeded; ") +
@@ -589,8 +581,7 @@ void StageScheduler::ExecuteTask(State& state, Task task) {
   Status status;
   if (Status cancel = state.cancel.Check();
       !cancel.ok() && cancel.code() == StatusCode::kCancelled) {
-    state.cancelled_ops.fetch_add(1, std::memory_order_relaxed);
-    if (state.policy != nullptr) state.policy->NoteCancelledOperation();
+    state.policy->NoteCancelledOperation();
     task.fn = nullptr;  // Release captures before waiters may proceed.
     task.stage->units.fetch_add(1, std::memory_order_relaxed);
     status = std::move(cancel);
@@ -647,9 +638,9 @@ Status StageScheduler::Wait() {
 }
 
 void StageScheduler::NoteCancelledResult(const Status& status) {
-  if (status.code() != StatusCode::kCancelled) return;
-  state_->cancelled_ops.fetch_add(1, std::memory_order_relaxed);
-  policy_.NoteCancelledOperation();
+  if (status.code() == StatusCode::kCancelled) {
+    policy_.NoteCancelledOperation();
+  }
 }
 
 Result<std::vector<std::string>> StageScheduler::Search(

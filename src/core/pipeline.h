@@ -299,27 +299,20 @@ class StageScheduler {
   void SetDeadline(std::chrono::steady_clock::time_point deadline,
                    SteadyClockFn clock = nullptr);
 
-  /// Operations shed because the query deadline had passed.
-  uint64_t shed_operations() const {
-    return shed_operations_.load(std::memory_order_relaxed);
-  }
-
   /// Arms cooperative cancellation. Once `token` fires with a kClient /
   /// kShutdown reason, every subsequent Search/Fetch returns kCancelled
   /// without touching the source, and pending units drain WITHOUT running:
-  /// their captures are released and each is accounted as a cancelled
-  /// operation. kCancelled is permanent (never absorbed by a best-effort
-  /// policy), so a cancelled query errors out rather than publishing a
-  /// torn row set. A token-armed DEADLINE instead takes the shed path
-  /// above (per-op shedding; the query still assembles the rows it has).
+  /// their captures are released and each is recorded in the policy's
+  /// degradation sink as a cancelled operation. kCancelled is permanent
+  /// (never absorbed by a best-effort policy), so a cancelled query errors
+  /// out rather than publishing a torn row set. A token-armed DEADLINE
+  /// instead takes the shed path above (per-op shedding; the query still
+  /// assembles the rows it has).
   /// The token is also propagated as the ambient CurrentCancelToken() to
   /// whichever thread runs a unit, so source-side decorators (retry
   /// backoff, limiter waits, chaos latency) observe it too. Call from the
   /// driving thread before spawning units.
   void SetCancelToken(CancelToken token);
-
-  /// Source operations + drained units abandoned due to cancellation.
-  uint64_t cancelled_operations() const;
 
   /// Cooperative-cancellation checkpoint for the driver-side assembly
   /// stages (BatchAssembler runs it at TupleBatch boundaries): returns the
@@ -402,8 +395,8 @@ class StageScheduler {
 
   /// Accounts an operation whose source call came back kCancelled: the
   /// token fired MID-call (after the dispatch checkpoint passed), so the
-  /// dropped work must still reach the cancelled counters and the
-  /// degradation sink for the report to stay honest.
+  /// dropped work must still reach the degradation sink for the report to
+  /// stay honest.
   void NoteCancelledResult(const Status& status);
 
   ThreadPool* pool_;
@@ -416,7 +409,6 @@ class StageScheduler {
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
   SteadyClockFn deadline_clock_;
-  mutable std::atomic<uint64_t> shed_operations_{0};
 };
 
 /// RAII timer for driver-side serial stages (DistinctKeys, QueryBuild,

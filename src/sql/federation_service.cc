@@ -198,8 +198,8 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
   if (deadline_tp != std::chrono::steady_clock::time_point::max()) {
     token.SetDeadline(deadline_tp, deadline_clock);
   }
-  const int priority = run.priority.value_or(options_.default_priority);
-  const TenantId tenant = run.tenant.value_or(options_.default_tenant);
+  const int priority = run.priority.value_or(0);
+  const TenantId tenant = run.tenant.value_or(TenantId());
   TEXTJOIN_RETURN_IF_ERROR(token.Check());
 
   // Admission: bounded queueing for an execution slot; sheds queries whose
@@ -226,7 +226,6 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
   // Declaration order matters: reverse destruction tears the stack down
   // outside-in, and each shard's ~HedgedTextSource (inside the router)
   // waits out straggling hedge losers before the layers they call die.
-  const uint64_t opens_before = backend_->breaker_opens_total();
   std::unique_ptr<ShardedTextSource> router =
       backend_->MakeQuerySource(options_.execution_source_decorator,
                                 pinned_epoch);
@@ -255,7 +254,6 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
   exec_options.parallelism = options_.parallelism;
   exec_options.failure_mode = options_.failure_mode;
   exec_options.deadline = deadline_tp;
-  exec_options.priority = priority;
   exec_options.clock = deadline_clock;
   exec_options.cancel = token;
   PlanExecutor executor(catalog_, exec_source, exec_options, pool_.get());
@@ -263,56 +261,60 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
   TEXTJOIN_ASSIGN_OR_RETURN(
       outcome.rows, executor.Execute(*plan, query, &outcome.profile,
                                      &outcome.degradation));
-  if (options_.chain.resilience.has_value()) {
-    const ResilienceStats stats = router->resilience_stats();
-    outcome.degradation.retries = stats.retries;
-    outcome.degradation.deadline_hits = stats.deadline_hits;
-    outcome.degradation.breaker_rejections = stats.breaker_rejections;
-    outcome.degradation.breaker_opens =
-        options_.chain.resilience->enable_breaker
-            ? backend_->breaker_opens_total() - opens_before
-            : stats.breaker_opens;
+  // One read of the router's account. It settles straggling hedge losers
+  // first, so the waste account and the meter read below are final.
+  RouterActivity activity = router->activity();
+  outcome.degradation.resilience = activity.resilience;
+  outcome.overload = activity.overload;
+  outcome.overload.admission_wait_seconds = ticket.wait_seconds();
+  // Per-shard physical attribution — and the honest account of shard
+  // contributions a best-effort broadcast dropped.
+  outcome.shards = std::move(activity.shards);
+  if (outcome.shards.dropped_shards > 0) {
+    outcome.degradation.skipped_operations += outcome.shards.dropped_shards;
+    outcome.degradation.complete = false;
   }
   if (caching != nullptr) outcome.cache = caching->activity();
-  // The overload account: per-query decorator activity plus the shared
-  // controllers' current state. Goes into the profile too, so
-  // ExplainAnalyze renders its `| overload` line.
-  if (options_.chain.limiter.has_value()) {
-    outcome.overload.limiter_waits = router->limiter_activity().waits;
-    outcome.overload.limit = backend_->limit_total();
-  }
-  if (options_.chain.hedging.has_value()) {
-    router->Quiesce();  // Straggling losers still charge the waste meter.
-    const HedgeActivity activity = router->hedge_activity();
-    outcome.overload.hedges = activity.hedges;
-    outcome.overload.hedge_wins = activity.hedge_wins;
-    outcome.overload.hedges_suppressed = activity.suppressed;
-    outcome.overload.hedge_waste = activity.waste;
-    outcome.overload.hedge_losers_cancelled = activity.losers_cancelled;
-  }
-  outcome.overload.shed_operations = outcome.degradation.shed_operations;
-  outcome.overload.cancelled_operations =
-      outcome.degradation.cancelled_operations;
-  outcome.overload.admission_wait_seconds = ticket.wait_seconds();
-  outcome.profile.overload = outcome.overload;
-  // Which corpus version this query read; all-zero (and unrendered) for
-  // frozen topologies.
-  outcome.profile.corpus = router->corpus_pin();
-  if (!backend_->topology().single()) {
-    // Per-shard physical attribution — and the honest account of shard
-    // contributions a best-effort broadcast dropped.
-    outcome.shards = router->activity();
-    if (outcome.shards.dropped_shards > 0) {
-      outcome.degradation.skipped_operations += outcome.shards.dropped_shards;
-      outcome.degradation.complete = false;
-    }
-    outcome.profile.shards = outcome.shards;
-  }
+  outcome.corpus = router->corpus_pin();
   outcome.meter_delta = router->meter();
   outcome.chosen_plan = plan->ToString(query);
   outcome.plan = std::move(plan);
+  outcome.query = std::move(query);
   cumulative_.Add(outcome.meter_delta);
   return outcome;
+}
+
+std::string ExplainAnalyze(const QueryOutcome& outcome, RenderMode mode) {
+  const bool stable = mode == RenderMode::kStable;
+  std::string out = ExplainAnalyze(*outcome.plan, outcome.query,
+                                   outcome.profile, CostParams{}, mode);
+  // The overload account, rendered only when the layer did anything or
+  // the deadline shed / cancellation dropped work (overload-off output
+  // stays byte-identical to before). In stable mode "anything" excludes
+  // pure queueing time, so a query whose only activity was an admission
+  // wait still matches its golden.
+  const DegradationReport& degradation = outcome.degradation;
+  if (!outcome.overload.empty(/*ignore_timing=*/stable) ||
+      degradation.shed_operations != 0 ||
+      degradation.cancelled_operations != 0) {
+    out += "| overload " + outcome.overload.ToString(degradation, stable) +
+           "\n";
+  }
+  // Corpus pin, rendered only for mutable (live) corpora: which epoch the
+  // query read and how much of it was still served from delta chunks.
+  // Deterministic in both modes for a fixed write history.
+  if (outcome.corpus.mutable_corpus) {
+    out += "| corpus epoch=" + std::to_string(outcome.corpus.epoch) +
+           " delta_docs=" + std::to_string(outcome.corpus.delta_docs) +
+           " docs=" + std::to_string(outcome.corpus.visible_docs) + "\n";
+  }
+  // Per-shard-replica physical attribution, present only for sharded
+  // topologies (single-backend output stays byte-identical). The router
+  // reports replicas in (shard, replica) order.
+  for (const ShardReplicaActivity& replica : outcome.shards.replicas) {
+    out += "| shard " + replica.ToString() + "\n";
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -40,9 +40,10 @@ namespace textjoin {
 
 /// Everything one Run() call produced, as a value: the materialized rows,
 /// the text-source charges attributable to THIS call (not a cumulative
-/// counter the caller must diff), the chosen plan, and the per-node
-/// execution profile. Outcomes are self-contained — two concurrent calls
-/// never see each other's charges.
+/// counter the caller must diff), the chosen plan, the per-node execution
+/// profile, and the one home of each query-wide account. Outcomes are
+/// self-contained — two concurrent calls never see each other's charges.
+/// Move-only (it owns the parsed query).
 struct QueryOutcome {
   ExecutionResult rows;
 
@@ -65,8 +66,13 @@ struct QueryOutcome {
   /// as long as the outcome lives (e.g. for ExplainAnalyze rendering).
   PlanNodePtr plan;
 
+  /// The parsed query `plan` answers (ExplainAnalyze renders against it).
+  FederatedQuery query;
+
   /// The honest account of this execution's degradation: retries and
-  /// breaker activity absorbed by the resilience layer, plus whatever a
+  /// breaker activity absorbed by the resilience layer (`resilience`;
+  /// breaker opens are the backend-wide delta over the query), operations
+  /// shed past the deadline or abandoned on cancellation, and whatever a
   /// non-fail-fast failure mode skipped. `degradation.complete` is the
   /// headline — when true, `rows` is exactly the fault-free answer.
   DegradationReport degradation;
@@ -79,8 +85,8 @@ struct QueryOutcome {
 
   /// What the overload layer did for this query: hedge races and their
   /// diverted waste charges (NOT in meter_delta — losers never charge the
-  /// main meter), limiter queueing, deadline-shed operations, and the
-  /// admission wait. All zero when the layer is off or idle.
+  /// main meter), limiter queueing, and the admission wait. All zero when
+  /// the layer is off or idle.
   OverloadActivity overload;
 
   /// Per-shard-replica PHYSICAL attribution (traffic each replica actually
@@ -88,7 +94,18 @@ struct QueryOutcome {
   /// Populated only for multi-shard topologies; rendered as "| shard"
   /// lines by ExplainAnalyze.
   ShardActivity shards;
+
+  /// Which corpus version this query read; all-zero (and unrendered) for
+  /// frozen topologies.
+  CorpusPinInfo corpus;
 };
+
+/// The full EXPLAIN ANALYZE of a Run() outcome: the plan tree with per-node
+/// actuals, stage and cache lines (core ExplainAnalyze), then the
+/// query-wide `| overload`, `| corpus` and `| shard` lines, each rendered
+/// only when it has something to say.
+std::string ExplainAnalyze(const QueryOutcome& outcome,
+                           RenderMode mode = RenderMode::kFull);
 
 /// A federation of one relational catalog and an external text corpus —
 /// either a single engine or a BackendTopology of N shards x R replicas
@@ -151,16 +168,12 @@ class FederationService {
     /// steady_clock. Inject for deterministic deadline tests.
     SteadyClockFn deadline_clock;
 
-    /// Worker threads for multi-shard search scatter (the caller
-    /// participates). 0 = one per shard beyond the first.
-    int scatter_parallelism = 0;
-
     /// true: compute exact statistics engine-side (free, experiment mode).
-    /// false: sample the text source per Section 4.2; sampling charges go
-    /// to stats_meter() and are amortized across queries.
+    /// false: sample the text source per Section 4.2 (seeded, so repeated
+    /// services draw the same samples); sampling charges go to
+    /// stats_meter() and are amortized across queries.
     bool oracle_stats = true;
     size_t sample_size = 50;        ///< Values probed per predicate.
-    uint64_t sampling_seed = 42;
 
     /// Number of concurrent text-source operations per query; 1 = serial.
     /// Parallelism never changes results or meter totals, only wall-clock
@@ -189,12 +202,11 @@ class FederationService {
     /// set, it wins over `chain.cache` (which would build a private one).
     std::shared_ptr<TextCache> shared_cache;
 
-    /// Default per-query deadline (0 = none) and priority, overridable per
-    /// Run() call via RunOptions. The deadline bounds the whole query:
-    /// admission sheds it when it cannot be met, and execution sheds the
-    /// remaining source operations once it passes (on `deadline_clock`).
+    /// Default per-query deadline (0 = none), overridable per Run() call
+    /// via RunOptions. The deadline bounds the whole query: admission
+    /// sheds it when it cannot be met, and execution sheds the remaining
+    /// source operations once it passes (on `deadline_clock`).
     std::chrono::microseconds default_deadline{0};
-    int default_priority = 0;
 
     /// Live-corpus mode: presence means the topology mutates while
     /// serving. Queries pin the clock's published frontier when Run()
@@ -203,21 +215,18 @@ class FederationService {
     /// bypassed; writers invalidate surgically through CorpusWriter
     /// instead.
     std::optional<LiveServiceOptions> live;
-
-    /// Tenant queries run as when RunOptions does not say otherwise
-    /// (DESIGN.md §15). Empty — the default — is the shared default
-    /// tenant: untenanted deployments behave exactly as before. The
-    /// tenant selects the admission fairness/quota bucket and the cache
-    /// partition insertions are charged to.
-    TenantId default_tenant;
   };
 
   /// Per-call overrides of the service-wide defaults.
   struct RunOptions {
     std::optional<std::chrono::microseconds> deadline;
+    /// Admission priority: higher runs first when queries queue for an
+    /// execution slot. Unset = 0.
     std::optional<int> priority;
-    /// The tenant this query runs as (admission fairness bucket + cache
-    /// partition); unset = the service's default_tenant.
+    /// The tenant this query runs as (DESIGN.md §15): the admission
+    /// fairness/quota bucket and the cache partition insertions are
+    /// charged to. Unset = the shared default tenant (the empty id), so
+    /// untenanted deployments behave exactly as before.
     std::optional<TenantId> tenant;
     /// Client abort handle: make one with CancelToken::Make(), pass it
     /// here, and Cancel() it from any thread to abort the query
@@ -269,19 +278,14 @@ class FederationService {
   /// topology it becomes the single backend.
   FederationService(const Catalog* catalog, const SearchableCorpus* engine,
                     Options options)
-      : catalog_(catalog),
-        options_(std::move(options)),
-        rng_(options_.sampling_seed) {
+      : catalog_(catalog), options_(std::move(options)) {
     TEXTJOIN_CHECK(!options_.topology.empty() || engine != nullptr,
                    "FederationService needs an engine or a topology");
     BackendTopology topology = options_.topology.empty()
                                    ? BackendTopology::Single(engine)
                                    : options_.topology;
-    ShardedBackendOptions backend_options;
-    backend_options.chain = options_.chain;
-    backend_options.scatter_parallelism = options_.scatter_parallelism;
     backend_ = std::make_unique<ShardedBackend>(std::move(topology),
-                                                std::move(backend_options));
+                                                options_.chain);
     stats_source_ = backend_->MakeBareSource();
     if (options_.parallelism > 1) {
       pool_ = std::make_unique<ThreadPool>(options_.parallelism - 1);
@@ -412,7 +416,9 @@ class FederationService {
   /// Bare (chain-less) router; its own meter IS the stats meter.
   std::unique_ptr<ShardedTextSource> stats_source_;
   StatsRegistry registry_;
-  Rng rng_;
+  /// Statistics sampling; the fixed seed makes sampled statistics (and so
+  /// plans) reproducible across services.
+  Rng rng_{42};
 
   /// Folded per-call deltas; commutative, so concurrent Run()s agree.
   AtomicAccessMeter cumulative_;

@@ -60,7 +60,7 @@ Result<DocNum> TextEngine::AddDocument(Document doc) {
 }
 
 Result<EngineSearchResult> TextEngine::Search(const TextQuery& query) const {
-  return SearchWithMode(query, kDefaultEvalMode);
+  return SearchWithMode(query, EvalMode::kBlock);
 }
 
 Result<EngineSearchResult> TextEngine::SearchWithMode(const TextQuery& query,

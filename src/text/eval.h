@@ -25,18 +25,12 @@
 
 namespace textjoin {
 
-/// Evaluation engine selector. The build flag TEXTJOIN_LEGACY_POSTINGS
-/// flips the default to the legacy path repo-wide.
+/// Evaluation engine selector. Every engine evaluates with kBlock; only
+/// differential tests and benchmarks ask for kLegacy explicitly.
 enum class EvalMode {
   kBlock,   ///< Block-compressed lists, skip intersection, arena scratch.
   kLegacy,  ///< Flat Posting vectors and linear merges (reference).
 };
-
-#ifdef TEXTJOIN_LEGACY_POSTINGS
-inline constexpr EvalMode kDefaultEvalMode = EvalMode::kLegacy;
-#else
-inline constexpr EvalMode kDefaultEvalMode = EvalMode::kBlock;
-#endif
 
 /// A possibly-owning handle to a block posting list. In-memory providers
 /// hand out borrowed pointers into the index (zero copy); disk providers
@@ -106,7 +100,7 @@ class ListProvider {
 Result<EngineSearchResult> EvaluateBooleanQuery(
     const TextQuery& query, const ListProvider& lists, size_t num_documents,
     size_t max_terms, bool exhaustive = false,
-    EvalMode mode = kDefaultEvalMode);
+    EvalMode mode = EvalMode::kBlock);
 
 /// Like EvaluateBooleanQuery but returns at most `k` docs — the first k in
 /// ascending doc order, i.e. a prefix of the full result. When the query

@@ -303,7 +303,11 @@ void BlockPostings::DecodeDocsInto(DocNum* out) const {
         break;
     }
   }
-  std::memcpy(o, tail_.data(), tail_.size() * sizeof(DocNum));
+  // An empty tail may come with null pointers on either side, and memcpy
+  // with a null argument is undefined even for zero bytes.
+  if (!tail_.empty()) {
+    std::memcpy(o, tail_.data(), tail_.size() * sizeof(DocNum));
+  }
 }
 
 PostingList BlockPostings::Materialize() const {

@@ -14,8 +14,7 @@
 ///  - the legacy array-of-structs PostingList (one heap-allocated position
 ///    vector per posting) with the linear-merge set operations the paper's
 ///    text-system model assumes (Section 2.1). Kept as the differential-
-///    testing reference and selectable at runtime (see eval.h) or as the
-///    build default with -DTEXTJOIN_LEGACY_POSTINGS=ON;
+///    testing reference and selectable at runtime (see eval.h);
 ///
 ///  - the vectorized block layout (DESIGN.md §14): BlockPostings stores
 ///    docids in fixed 128-doc blocks of frame-of-reference byte-packed

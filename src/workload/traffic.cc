@@ -238,9 +238,9 @@ TrafficReport RunOpenLoopTraffic(FederationService& service,
           // query's pin by the time it finished. published() is read
           // AFTER completion, so it is >= the pin by construction.
           if (options.clock != nullptr &&
-              outcome.value().profile.corpus.mutable_corpus) {
+              outcome.value().corpus.mutable_corpus) {
             const uint64_t lag = options.clock->published() -
-                                 outcome.value().profile.corpus.epoch;
+                                 outcome.value().corpus.epoch;
             stats.lag_sum += lag;
             ++stats.lag_count;
             stats.lag_max = std::max(stats.lag_max, lag);

@@ -19,7 +19,6 @@
 #include "core/join_methods.h"
 #include "relational/catalog.h"
 #include "sql/federation_service.h"
-#include "sql/parser.h"
 #include "tests/test_util.h"
 
 namespace textjoin {
@@ -1032,10 +1031,7 @@ TEST(CacheServiceTest, WarmQueriesReportActivityAndRenderCacheLines) {
 
   // ExplainAnalyze renders "| cache" lines exactly when a cache was in
   // play (cache-off output stays byte-identical to the pre-cache repo).
-  auto query = ParseQuery(kServiceSql, options.text);
-  ASSERT_TRUE(query.ok());
-  const std::string analyzed =
-      ExplainAnalyze(*warm->plan, *query, warm->profile);
+  const std::string analyzed = ExplainAnalyze(*warm);
   EXPECT_NE(analyzed.find("| cache hits="), std::string::npos) << analyzed;
 
   FederationService::Options plain_options;
@@ -1044,8 +1040,7 @@ TEST(CacheServiceTest, WarmQueriesReportActivityAndRenderCacheLines) {
   auto uncached = plain.Run(kServiceSql);
   ASSERT_TRUE(uncached.ok());
   EXPECT_TRUE(uncached->cache.Empty());
-  const std::string plain_analyzed =
-      ExplainAnalyze(*uncached->plan, *query, uncached->profile);
+  const std::string plain_analyzed = ExplainAnalyze(*uncached);
   EXPECT_EQ(plain_analyzed.find("| cache"), std::string::npos)
       << plain_analyzed;
 }

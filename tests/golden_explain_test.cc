@@ -12,7 +12,6 @@
 #include "connector/corpus_writer.h"
 #include "core/executor.h"
 #include "sql/federation_service.h"
-#include "sql/parser.h"
 #include "text/live_corpus.h"
 #include "workload/scenario.h"
 #include "workload/sharded_corpus.h"
@@ -290,10 +289,7 @@ std::string RenderCase(const GoldenCase& c, int parallelism) {
   auto outcome = service.Run(c.sql);
   TEXTJOIN_CHECK(outcome.ok(), "%s: %s", c.Name().c_str(),
                  outcome.status().ToString().c_str());
-  auto query = ParseQuery(c.sql, env.scenario.text);
-  TEXTJOIN_CHECK(query.ok(), "%s", query.status().ToString().c_str());
-  return ExplainAnalyze(*outcome->plan, *query, outcome->profile,
-                        CostParams{}, RenderMode::kStable);
+  return ExplainAnalyze(*outcome, RenderMode::kStable);
 }
 
 std::string ReadFile(const fs::path& path) {

@@ -13,7 +13,6 @@
 #include "core/executor.h"
 #include "core/join_methods.h"
 #include "relational/catalog.h"
-#include "sql/parser.h"
 #include "tests/test_util.h"
 #include "text/engine.h"
 #include "text/live_corpus.h"
@@ -198,8 +197,8 @@ TEST(MutationGridTest, MethodsTimesParallelismReplayByteIdentically) {
         auto live = service.Run(kGridSql);
         storm.join();
         ASSERT_TRUE(live.ok()) << cell << ": " << live.status().ToString();
-        ASSERT_TRUE(live->profile.corpus.mutable_corpus) << cell;
-        const uint64_t epoch = live->profile.corpus.epoch;
+        ASSERT_TRUE(live->corpus.mutable_corpus) << cell;
+        const uint64_t epoch = live->corpus.epoch;
         EXPECT_LE(epoch, env->clock.published()) << cell;
 
         auto replay = ReplayAtEpoch(*env, epoch, kGridSql, method,
@@ -233,7 +232,7 @@ TEST(MutationGridTest, RacingWritesNeverTearAQuery) {
     storm.join();
     for (auto& live : outcomes) {
       ASSERT_TRUE(live.ok()) << live.status().ToString();
-      auto replay = ReplayAtEpoch(*env, live->profile.corpus.epoch, kGridSql,
+      auto replay = ReplayAtEpoch(*env, live->corpus.epoch, kGridSql,
                                   JoinMethodKind::kSJRTP, 4);
       ASSERT_TRUE(replay.ok()) << replay.status().ToString();
       EXPECT_EQ(RowStrings(*live), RowStrings(*replay));
@@ -295,7 +294,7 @@ TEST(CacheReconciliationTest, WritesInvalidateExactlyTheAffectedKeys) {
   // ...and replays byte-identically against its pinned epoch with the
   // cache's absorbed operations excluded from the charge comparison (rows
   // only — the cache legitimately changes meters).
-  auto replay = ReplayAtEpoch(*env, fresh_belief->profile.corpus.epoch,
+  auto replay = ReplayAtEpoch(*env, fresh_belief->corpus.epoch,
                               kBeliefSql, JoinMethodKind::kSJRTP, 1);
   ASSERT_TRUE(replay.ok());
   EXPECT_EQ(RowStrings(*fresh_belief), RowStrings(*replay));
@@ -335,16 +334,11 @@ TEST(ExplainCorpusLineTest, RenderedForLiveCorporaOnlyInBothModes) {
                          LiveOptions(*env, JoinMethodKind::kTS, 1));
   auto outcome = live.Run(kGridSql);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  auto query = ParseQuery(kGridSql, MercuryDecl());
-  ASSERT_TRUE(query.ok());
-  const std::string analyzed =
-      ExplainAnalyze(*outcome->plan, *query, outcome->profile);
+  const std::string analyzed = ExplainAnalyze(*outcome);
   EXPECT_NE(analyzed.find("| corpus epoch=1 delta_docs="), std::string::npos)
       << analyzed;
   EXPECT_NE(analyzed.find(" docs=49"), std::string::npos) << analyzed;
-  const std::string stable = ExplainAnalyze(
-      *outcome->plan, *query, outcome->profile, CostParams{},
-      RenderMode::kStable);
+  const std::string stable = ExplainAnalyze(*outcome, RenderMode::kStable);
   EXPECT_NE(stable.find("| corpus epoch=1"), std::string::npos) << stable;
 
   // A frozen corpus renders NO corpus line — the golden wall for frozen
@@ -359,8 +353,7 @@ TEST(ExplainCorpusLineTest, RenderedForLiveCorporaOnlyInBothModes) {
   FederationService reference(&env->catalog, &frozen, frozen_options);
   auto frozen_outcome = reference.Run(kGridSql);
   ASSERT_TRUE(frozen_outcome.ok());
-  const std::string frozen_text = ExplainAnalyze(
-      *frozen_outcome->plan, *query, frozen_outcome->profile);
+  const std::string frozen_text = ExplainAnalyze(*frozen_outcome);
   EXPECT_EQ(frozen_text.find("| corpus"), std::string::npos) << frozen_text;
 }
 
@@ -386,7 +379,7 @@ TEST(MergeWorkerLifecycleTest, ServiceOwnsStartsAndDrainsTheWorker) {
                     .ok());
     auto outcome = service.Run(kGridSql);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    auto replay = ReplayAtEpoch(*env, outcome->profile.corpus.epoch, kGridSql,
+    auto replay = ReplayAtEpoch(*env, outcome->corpus.epoch, kGridSql,
                                 JoinMethodKind::kTS, 1);
     ASSERT_TRUE(replay.ok());
     EXPECT_EQ(RowStrings(*outcome), RowStrings(*replay)) << "i=" << i;

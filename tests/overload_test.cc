@@ -437,7 +437,6 @@ TEST(SchedulerShedTest, ShedsEveryOperationPastTheDeadline) {
   ASSERT_FALSE(search.ok());
   EXPECT_EQ(search.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_FALSE(sched.Fetch(fetch_stage, "d1").ok());
-  EXPECT_EQ(sched.shed_operations(), 2u);
 
   // Shed operations never touch the source (that is the point of
   // shedding), and the report is honest: incomplete, with the shed count.
@@ -461,14 +460,13 @@ TEST(SchedulerShedTest, GenerousDeadlineShedsNothing) {
   auto stage = sched.AddStage({StageKind::kSearchDispatch, "s"});
   TextQueryPtr query = TextQuery::Term("title", "belief");
   ASSERT_TRUE(sched.Search(stage, *query).ok());
-  EXPECT_EQ(sched.shed_operations(), 0u);
   const DegradationReport report = sink.Snapshot();
   EXPECT_TRUE(report.complete);  // complete == false IFF something shed.
   EXPECT_EQ(report.shed_operations, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Executor integration: deadline plumbed through, EXPLAIN ANALYZE line
+// Executor integration: the deadline plumbed through to the report
 
 class ExecutorOverloadTest : public ::testing::Test {
  protected:
@@ -498,17 +496,17 @@ class ExecutorOverloadTest : public ::testing::Test {
   PlanNodePtr plan_;
 };
 
-TEST_F(ExecutorOverloadTest, CleanRunRendersNoOverloadLine) {
+TEST_F(ExecutorOverloadTest, CleanRunShedsNothing) {
   PlanExecutor executor(&catalog_, &source_);
   ExecutionProfile profile;
-  ASSERT_TRUE(executor.Execute(*plan_, query_, &profile).ok());
-  EXPECT_TRUE(profile.overload.empty());
-  const std::string text = ExplainAnalyze(*plan_, query_, profile);
-  // Overload-off rendering is byte-identical to before the layer existed.
-  EXPECT_EQ(text.find("| overload"), std::string::npos) << text;
+  DegradationReport degradation;
+  ASSERT_TRUE(executor.Execute(*plan_, query_, &profile, &degradation).ok());
+  EXPECT_EQ(degradation.shed_operations, 0u);
+  EXPECT_EQ(degradation.cancelled_operations, 0u);
+  EXPECT_TRUE(degradation.complete);
 }
 
-TEST_F(ExecutorOverloadTest, ExpiredDeadlineShedsAndRendersOverloadLine) {
+TEST_F(ExecutorOverloadTest, ExpiredDeadlineShedsIntoTheReport) {
   FakeClock clock;
   ExecutorOptions options;
   options.failure_mode = FailureMode::kBestEffort;
@@ -520,12 +518,9 @@ TEST_F(ExecutorOverloadTest, ExpiredDeadlineShedsAndRendersOverloadLine) {
   DegradationReport degradation;
   auto result = executor.Execute(*plan_, query_, &profile, &degradation);
   ASSERT_TRUE(result.ok());  // Best-effort absorbs the sheds.
-  EXPECT_GT(profile.overload.shed_operations, 0u);
+  EXPECT_GT(degradation.shed_operations, 0u);
   EXPECT_FALSE(degradation.complete);
   EXPECT_EQ(source_.meter().invocations, 0u);  // Nothing reached the source.
-  const std::string text = ExplainAnalyze(*plan_, query_, profile);
-  EXPECT_NE(text.find("| overload"), std::string::npos) << text;
-  EXPECT_NE(text.find("shed="), std::string::npos) << text;
 }
 
 // ---------------------------------------------------------------------------
@@ -1064,6 +1059,9 @@ TEST(ServiceOverloadTest, OverloadActivityReachesOutcomeAndDefaultsEmpty) {
     auto outcome = service.Run(sql);
     ASSERT_TRUE(outcome.ok());
     EXPECT_TRUE(outcome->overload.empty());
+    // Overload-off rendering is byte-identical to before the layer existed.
+    const std::string text = ExplainAnalyze(*outcome);
+    EXPECT_EQ(text.find("| overload"), std::string::npos) << text;
   }
 
   // Hedging + limiter on, force-hedged: the outcome carries the races and
@@ -1088,18 +1086,11 @@ TEST(ServiceOverloadTest, OverloadActivityReachesOutcomeAndDefaultsEmpty) {
       << "\n  plain:  " << baseline->meter_delta.ToString();
 }
 
-TEST(ServiceOverloadTest, DeadlineShedsMidQueryWithHonestReport) {
-  auto engine = MakeSmallEngine();
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddTable(MakeStudentTable()).ok());
-  const std::string sql =
-      "select student.name, mercury.docid from student, mercury "
-      "where 'belief' in mercury.title and student.name in mercury.author";
-
-  // Virtual time: each source operation "takes" 1ms against a 500us query
-  // deadline, so the first operation exhausts the budget and the rest of
-  // the query is shed — deterministically, with no wall-clock sleeps.
-  auto clock = std::make_shared<FakeClock>();
+/// Virtual time: each source operation "takes" 1ms against a 500us query
+/// deadline, so the first operation exhausts the budget and the rest of
+/// the query is shed — deterministically, with no wall-clock sleeps.
+FederationService::Options DeadlineShedOptions(
+    const std::shared_ptr<FakeClock>& clock) {
   FederationService::Options options;
   options.text = MercuryDecl();
   options.failure_mode = FailureMode::kBestEffort;
@@ -1112,13 +1103,22 @@ TEST(ServiceOverloadTest, DeadlineShedsMidQueryWithHonestReport) {
     chaos.latency_sink = clock->sink();
     return std::make_unique<ChaosTextSource>(inner, chaos);
   };
-  FederationService service(&catalog, engine.get(), options);
+  return options;
+}
+
+TEST(ServiceOverloadTest, DeadlineShedsMidQueryWithHonestReport) {
+  auto engine = MakeSmallEngine();
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable(MakeStudentTable()).ok());
+  const std::string sql =
+      "select student.name, mercury.docid from student, mercury "
+      "where 'belief' in mercury.title and student.name in mercury.author";
+  FederationService service(&catalog, engine.get(),
+                            DeadlineShedOptions(std::make_shared<FakeClock>()));
 
   auto outcome = service.Run(sql);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_GT(outcome->overload.shed_operations, 0u);
-  EXPECT_EQ(outcome->degradation.shed_operations,
-            outcome->overload.shed_operations);
+  EXPECT_GT(outcome->degradation.shed_operations, 0u);
   EXPECT_FALSE(outcome->degradation.complete);
 
   // A per-call override can lift the default deadline entirely.
@@ -1126,8 +1126,42 @@ TEST(ServiceOverloadTest, DeadlineShedsMidQueryWithHonestReport) {
   generous.deadline = std::chrono::hours(1);
   auto unshed = service.Run(sql, generous);
   ASSERT_TRUE(unshed.ok()) << unshed.status().ToString();
-  EXPECT_EQ(unshed->overload.shed_operations, 0u);
+  EXPECT_EQ(unshed->degradation.shed_operations, 0u);
   EXPECT_TRUE(unshed->degradation.complete);
+}
+
+TEST(ServiceOverloadTest, OverloadLineReadsEachFigureFromItsOneHome) {
+  auto engine = MakeSmallEngine();
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable(MakeStudentTable()).ok());
+  const std::string sql =
+      "select student.name, mercury.docid from student, mercury "
+      "where 'belief' in mercury.title and student.name in mercury.author";
+
+  // Force-hedged and limited, under the deadline above: the `| overload`
+  // line must render, with the hedge and limiter figures from `overload`
+  // and the shed count from `degradation`.
+  FederationService::Options options =
+      DeadlineShedOptions(std::make_shared<FakeClock>());
+  options.chain.limiter.emplace();
+  options.chain.hedging = ForceHedgeOptions();
+  FederationService service(&catalog, engine.get(), options);
+
+  auto outcome = service.Run(sql);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_GT(outcome->degradation.shed_operations, 0u);
+  EXPECT_GT(outcome->overload.limit, 0);
+  const HedgeActivity& hedge = outcome->overload.hedge;
+  const std::string expected =
+      "| overload hedges=" + std::to_string(hedge.hedges) +
+      " wins=" + std::to_string(hedge.hedge_wins) +
+      " suppressed=" + std::to_string(hedge.suppressed) +
+      " waits=" + std::to_string(outcome->overload.limiter_waits) +
+      " limit=" + std::to_string(outcome->overload.limit) +
+      " shed=" + std::to_string(outcome->degradation.shed_operations);
+  const std::string text = ExplainAnalyze(*outcome);
+  EXPECT_NE(text.find(expected), std::string::npos)
+      << "expected: " << expected << "\n" << text;
 }
 
 // ---------------------------------------------------------------------------

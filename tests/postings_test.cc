@@ -78,6 +78,16 @@ TEST(BlockPostingsTest, EmptyList) {
   EXPECT_EQ(view.num_positions(), 0u);
 }
 
+TEST(BlockPostingsTest, EmptyListDecodesIntoAnyDestination) {
+  // An empty list writes nothing, whether the caller's buffer is null (an
+  // empty std::vector's data()) or real; neither call may touch memory.
+  BlockPostings empty;
+  empty.DecodeDocsInto(nullptr);
+  DocNum sentinel = 7;
+  empty.DecodeDocsInto(&sentinel);
+  EXPECT_EQ(sentinel, 7u);
+}
+
 TEST(BlockPostingsTest, SingleDoc) {
   const PostingList one = ListOf({42});
   ExpectEqualLists(Roundtrip(one), one, "single doc");

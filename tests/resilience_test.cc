@@ -759,7 +759,7 @@ TEST_F(ResilienceServiceTest, ChaoticServiceRecoversByteIdentically) {
       << "chaotic=" << outcome->meter_delta.ToString()
       << " clean=" << truth->meter_delta.ToString();
   EXPECT_TRUE(outcome->degradation.complete);
-  EXPECT_GT(outcome->degradation.retries, 0u)
+  EXPECT_GT(outcome->degradation.resilience.retries, 0u)
       << outcome->degradation.ToString();
 }
 
@@ -789,6 +789,35 @@ TEST_F(ResilienceServiceTest, DeadRemoteTripsTheSharedBreaker) {
   auto second = service.Run(kStudentSql);
   ASSERT_FALSE(second.ok());
   EXPECT_GT(service.breaker()->rejections(), rejections_before);
+}
+
+TEST_F(ResilienceServiceTest, ReportCountsTheBreakerOpensOfThisQueryOnly) {
+  // The breaker is shared across queries, so its own open count is a
+  // lifetime total; each report carries the delta over its query.
+  FederationService::Options options;
+  options.failure_mode = FailureMode::kBestEffort;
+  options.chain.resilience.emplace();
+  options.chain.resilience->retry.max_attempts = 2;
+  options.chain.resilience->breaker.failure_threshold = 2;
+  options.chain.resilience->breaker.cooldown = std::chrono::hours(1);
+  options.chain.resilience->sleeper = [](std::chrono::microseconds) {};
+  options.execution_source_decorator = [](TextSource* inner) {
+    ChaosOptions chaos;
+    chaos.failure_period = 1;  // A dead server: every call fails.
+    return std::make_unique<ChaosTextSource>(inner, chaos);
+  };
+  FederationService service = MakeService(options);
+  auto first = service.Run(kStudentSql);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_FALSE(first->degradation.complete);
+  EXPECT_EQ(first->degradation.resilience.breaker_opens, 1u);
+  // Still open (the cooldown never elapses): the next query is only
+  // rejected, and opens nothing new.
+  auto second = service.Run(kStudentSql);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->degradation.resilience.breaker_opens, 0u);
+  EXPECT_GT(second->degradation.resilience.breaker_rejections, 0u);
+  EXPECT_EQ(service.breaker()->times_opened(), 1u);
 }
 
 TEST_F(ResilienceServiceTest, ExecutorClampsParallelismToSourceCap) {

@@ -20,7 +20,6 @@
 #include "core/executor.h"
 #include "core/join_methods.h"
 #include "sql/federation_service.h"
-#include "sql/parser.h"
 #include "tests/test_util.h"
 #include "workload/sharded_corpus.h"
 
@@ -195,7 +194,7 @@ TEST(ShardedRouterTest, BroadcastMergesIntoSingleBackendOrder) {
     ASSERT_TRUE(fetched.ok()) << doc.docid;
     EXPECT_EQ(fetched->docid, doc.docid);
   }
-  const ShardActivity activity = router->activity();
+  const ShardActivity activity = router->activity().shards;
   EXPECT_EQ(activity.broadcasts, 4u);
   EXPECT_EQ(activity.routed_fetches, full->num_documents());
   EXPECT_TRUE(activity.complete);
@@ -211,7 +210,8 @@ TEST(ShardedRouterTest, SingleShardTopologyUsesTheDirectPath) {
   auto result = router->Search(*query);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 2u);
-  EXPECT_EQ(router->activity().broadcasts, 0u);  // No scatter for one shard.
+  // No scatter for one shard.
+  EXPECT_EQ(router->activity().shards.broadcasts, 0u);
   EXPECT_EQ(backend.scatter_pool(), nullptr);
 }
 
@@ -237,7 +237,7 @@ TEST(ShardedRouterTest, TransientReplicaFailureFailsOverWithinTheShard) {
   EXPECT_EQ(*sharded, *single);
   EXPECT_EQ(router->meter(), reference.meter());
 
-  const ShardActivity activity = router->activity();
+  const ShardActivity activity = router->activity().shards;
   ASSERT_EQ(activity.replicas.size(), 8u);
   const ShardReplicaActivity& dead = activity.replicas[2 * 2 + 0];
   const ShardReplicaActivity& survivor = activity.replicas[2 * 2 + 1];
@@ -297,7 +297,7 @@ TEST(ShardedRouterTest, BestEffortDropsDeadShardsAndReportsHonestly) {
     if (ShardForDocid(docid, 4) != 1) expected.push_back(docid);
   }
   EXPECT_EQ(*sharded, expected);
-  const ShardActivity activity = router->activity();
+  const ShardActivity activity = router->activity().shards;
   EXPECT_GT(activity.dropped_shards, 0u);
   EXPECT_FALSE(activity.complete);
 }
@@ -473,18 +473,14 @@ TEST_P(ShardedChaosGridTest, RowsAndMeterMatchTheSingleBackend) {
         return std::make_unique<OpenLatchSource>(inner, latch);
       };
     }
-    ShardedBackendOptions backend_options;
-    backend_options.chain.resilience.emplace();
-    backend_options.chain.resilience->retry.max_attempts = 2;
-    backend_options.chain.resilience->sleeper =
-        [](std::chrono::microseconds) {};
-    backend_options.chain.resilience->enable_breaker =
-        leg == ChaosLeg::kOpenBreaker;
-    backend_options.chain.resilience->breaker.cooldown = std::chrono::hours(1);
-    if (leg == ChaosLeg::kLagReplica) {
-      backend_options.chain.hedging = ForceHedge();
-    }
-    ShardedBackend backend(split->topology, backend_options);
+    ChainSpec chain;
+    chain.resilience.emplace();
+    chain.resilience->retry.max_attempts = 2;
+    chain.resilience->sleeper = [](std::chrono::microseconds) {};
+    chain.resilience->enable_breaker = leg == ChaosLeg::kOpenBreaker;
+    chain.resilience->breaker.cooldown = std::chrono::hours(1);
+    if (leg == ChaosLeg::kLagReplica) chain.hedging = ForceHedge();
+    ShardedBackend backend(split->topology, chain);
     if (leg == ChaosLeg::kOpenBreaker) {
       // Trip replica (1,0)'s breaker by hand: its sibling must absorb the
       // whole shard, and the rejections must not leak into the meters.
@@ -503,7 +499,8 @@ TEST_P(ShardedChaosGridTest, RowsAndMeterMatchTheSingleBackend) {
     auto result = ExecuteForeignJoin(mc.method, MakeGridSpec(*table, mc.method),
                                      table->rows(), *router, mc.mask,
                                      pool.get(), policy);
-    router->Quiesce();  // Hedge losers must settle before reading meters.
+    // Read first: it settles hedge losers, which may still charge meters.
+    RouterActivity activity = router->activity();
     RunOutput out;
     out.ok = result.ok();
     if (result.ok()) {
@@ -511,8 +508,8 @@ TEST_P(ShardedChaosGridTest, RowsAndMeterMatchTheSingleBackend) {
     }
     out.meter = router->meter();
     out.degradation = sink.Snapshot();
-    out.activity = router->activity();
-    out.hedge = router->hedge_activity();
+    out.activity = std::move(activity.shards);
+    out.hedge = activity.overload.hedge;
     return out;
   };
 
@@ -605,7 +602,7 @@ TEST(ShardedChaosTest, WholeShardDownDegradesHonestlyUnderBestEffort) {
   EXPECT_TRUE(std::includes(full_rows.begin(), full_rows.end(),
                             partial_rows.begin(), partial_rows.end()));
   // ...and the loss is on the record, not papered over.
-  const ShardActivity activity = router->activity();
+  const ShardActivity activity = router->activity().shards;
   EXPECT_GT(activity.dropped_shards, 0u);
   EXPECT_FALSE(activity.complete);
 }
@@ -689,10 +686,7 @@ TEST(ShardedServiceTest, ExplainAnalyzeRendersShardAttribution) {
 
   auto outcome = service.Run(kServiceSql);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  auto query = ParseQuery(kServiceSql, MercuryDecl());
-  ASSERT_TRUE(query.ok());
-  const std::string text =
-      ExplainAnalyze(*outcome->plan, *query, outcome->profile);
+  const std::string text = ExplainAnalyze(*outcome);
   EXPECT_NE(text.find("| shard s0.r0"), std::string::npos) << text;
   EXPECT_NE(text.find("| shard s3.r1"), std::string::npos) << text;
 }
