@@ -11,17 +11,24 @@
 //   2. Hedge-loser reclaim: with loser cancellation on, the losing
 //      hedge duplicates must charge at least 2x less waste than with
 //      the ablation knob off (HedgeOptions::cancel_losers = false).
+//      Every race hedges: each primary waits on a one-shot latch until
+//      its race's duplicate has started.
 //   3. Overhead: the token checks on the never-cancelled hot path (a
 //      valid token threaded through the whole pipeline vs no token at
-//      all) must cost <= 2% wall-clock, min-of-trials.
+//      all) must cost <= 2% wall-clock: the median token/plain ratio
+//      over alternating pairs of runs.
 //
 // Emits one JSON record per leg and a final machine-checked shape line.
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -158,6 +165,12 @@ bool ReclaimLeg(const TextEngine& engine, const Table& table) {
 /// (cancellable) child token; primaries answer quickly. Loser
 /// cancellation reclaims the duplicate mid-wait — the ablation rides it
 /// out and charges the inner source.
+///
+/// Each primary first waits on a one-shot latch until its race's duplicate
+/// has started, so the 0-delay hedge fires in every race however the
+/// threads are scheduled (a primary that answered before the hedge check
+/// would leave nothing to hedge). Races run one at a time, so the k-th
+/// primary pairs with the k-th duplicate.
 class StragglingDuplicateSource final : public TextSourceDecorator {
  public:
   explicit StragglingDuplicateSource(TextSource* inner)
@@ -176,14 +189,33 @@ class StragglingDuplicateSource final : public TextSourceDecorator {
  private:
   Status Straggle() const {
     if (InHedgeAttempt()) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++duplicates_started_;
+      }
+      started_.notify_all();
       if (CurrentCancelToken().SleepFor(10 * kServiceTime)) {
         return CurrentCancelToken().status();
       }
     } else {
+      std::unique_lock<std::mutex> lock(mu_);
+      const uint64_t race = ++primaries_started_;
+      const bool hedged =
+          started_.wait_for(lock, std::chrono::seconds(10), [&] {
+            return duplicates_started_ >= race;
+          });
+      TEXTJOIN_CHECK(hedged, "race %llu: the hedge duplicate never started",
+                     static_cast<unsigned long long>(race));
+      lock.unlock();
       std::this_thread::sleep_for(kServiceTime);
     }
     return Status::OK();
   }
+
+  mutable std::mutex mu_;
+  mutable std::condition_variable started_;
+  mutable uint64_t primaries_started_ = 0;
+  mutable uint64_t duplicates_started_ = 0;
 };
 
 uint64_t MeasureHedgeWaste(const TextEngine& engine, bool cancel_losers,
@@ -232,10 +264,13 @@ bool HedgeWasteLeg(const TextEngine& engine) {
 
 /// Gate 3: the never-cancelled hot path. The same in-memory join (no
 /// injected latency — pure dispatch and token checks) with a valid armed
-/// token versus none; min-of-trials wall clock, <= 2% allowed.
+/// token versus none; the median token/plain wall-clock ratio over
+/// alternating pairs, <= 2% allowed.
 bool OverheadLeg(const TextEngine& engine, const Table& table) {
   constexpr int kRepeats = 20;
-  constexpr int kTrials = 9;
+  // On a shared 4-vCPU VM the median over 41 pairs still read -3.6% to
+  // +2.4% across 20 runs; over 101 pairs it read -0.4% to +1.5% across 40.
+  constexpr int kPairs = 101;
   RemoteTextSource source(&engine);
   const ForeignJoinSpec spec = MakeSpec(table);
 
@@ -256,24 +291,29 @@ bool OverheadLeg(const TextEngine& engine, const Table& table) {
 
   run_once(false);  // Warm both paths (page cache, allocator, branch pred).
   run_once(true);
-  // Min-of-trials is the noise floor; alternating which mode leads each
-  // trial cancels slow drifts (thermal throttle, background load) that a
-  // fixed order would charge to one side.
-  double plain_ms = 1e300, token_ms = 1e300;
-  for (int t = 0; t < kTrials; ++t) {
-    if (t % 2 == 0) {
-      plain_ms = std::min(plain_ms, run_once(false));
-      token_ms = std::min(token_ms, run_once(true));
-    } else {
-      token_ms = std::min(token_ms, run_once(true));
-      plain_ms = std::min(plain_ms, run_once(false));
-    }
+  // Each pair runs both modes back to back, so a slow drift (thermal
+  // throttle, background load) moves both sides of its ratio alike;
+  // alternating which mode leads cancels the order effect; the median
+  // discards the pairs a descheduled run distorted, in either direction.
+  std::vector<double> ratios, plain_ms, token_ms;
+  for (int p = 0; p < kPairs; ++p) {
+    const bool plain_first = p % 2 == 0;
+    const double first = run_once(!plain_first);
+    const double second = run_once(plain_first);
+    plain_ms.push_back(plain_first ? first : second);
+    token_ms.push_back(plain_first ? second : first);
+    ratios.push_back(token_ms.back() / plain_ms.back());
   }
-  const double overhead = token_ms / plain_ms - 1.0;
+  const auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  const double overhead = median(ratios) - 1.0;
   std::printf(
-      "{\"bench\": \"token_check_overhead\", \"plain_ms\": %.2f, "
-      "\"token_ms\": %.2f, \"overhead\": %.4f}\n",
-      plain_ms, token_ms, overhead);
+      "{\"bench\": \"token_check_overhead\", \"pairs\": %d, "
+      "\"plain_ms_median\": %.2f, \"token_ms_median\": %.2f, "
+      "\"overhead\": %.4f}\n",
+      kPairs, median(plain_ms), median(token_ms), overhead);
   return overhead <= 0.02;
 }
 

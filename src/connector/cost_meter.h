@@ -117,7 +117,8 @@ class AtomicAccessMeter {
 
   /// A value snapshot. Consistent (not torn across fields) only once the
   /// operations being counted have completed — which holds everywhere we
-  /// snapshot: after a query, after a join method joined its ParallelFor.
+  /// snapshot: after a query, after a join method's stage scheduler
+  /// drained.
   AccessMeter Snapshot() const {
     constexpr auto kRelaxed = std::memory_order_relaxed;
     AccessMeter m;

@@ -137,8 +137,9 @@ class AtomicDegradation {
   std::atomic<bool> incomplete_{false};
 };
 
-/// How a join method reacts to source failures, threaded from
-/// ExecutorOptions through ExecuteForeignJoin into every method. The
+/// How a join method reacts to source failures. The stage scheduler holds
+/// one copy (built by PlanExecutor from ExecutorOptions::failure_mode, or
+/// passed to ExecuteForeignJoin) and every composition on it reads it. The
 /// default (fail-fast, no sink) reproduces the pre-resilience behavior
 /// exactly.
 struct FaultPolicy {

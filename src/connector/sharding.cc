@@ -408,7 +408,6 @@ Result<std::vector<std::string>> ShardedTextSource::ScatterSearch(
   if (dropped == n && n > 0) return parts[0]->status();
   if (dropped > 0) {
     dropped_shards_.fetch_add(dropped, std::memory_order_relaxed);
-    incomplete_.store(true, std::memory_order_relaxed);
   }
 
   // Merge by global document ordinal: docids partition disjointly across
@@ -532,7 +531,6 @@ RouterActivity ShardedTextSource::activity() const {
   out.shards.broadcasts = broadcasts_.load(std::memory_order_relaxed);
   out.shards.routed_fetches = routed_fetches_.load(std::memory_order_relaxed);
   out.shards.dropped_shards = dropped_shards_.load(std::memory_order_relaxed);
-  out.shards.complete = !incomplete_.load(std::memory_order_relaxed);
   return out;
 }
 

@@ -185,8 +185,9 @@ struct ShardActivity {
   std::vector<ShardReplicaActivity> replicas;  ///< In (shard, replica) order.
   uint64_t broadcasts = 0;       ///< Searches scattered to every shard.
   uint64_t routed_fetches = 0;   ///< Fetches routed by docid hash.
-  uint64_t dropped_shards = 0;   ///< Shard contributions dropped (best effort).
-  bool complete = true;          ///< False once any contribution was dropped.
+  /// Shard contributions dropped (best effort); zero iff the router's
+  /// answers were complete.
+  uint64_t dropped_shards = 0;
 };
 
 /// Everything one query router observed, read once after the query: the
@@ -348,7 +349,6 @@ class ShardedTextSource final : public MeteredTextSource {
   mutable std::atomic<uint64_t> broadcasts_{0};
   mutable std::atomic<uint64_t> routed_fetches_{0};
   mutable std::atomic<uint64_t> dropped_shards_{0};
-  mutable std::atomic<bool> incomplete_{false};
 };
 
 }  // namespace textjoin

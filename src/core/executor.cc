@@ -59,10 +59,9 @@ ForeignJoinSpec PlanExecutor::BuildSpec(const FederatedQuery& query,
 Result<ExecutionResult> PlanExecutor::Exec(const PlanNode& node,
                                            const FederatedQuery& query,
                                            ExecutionProfile* profile,
-                                           const FaultPolicy& policy,
                                            pipeline::StageScheduler* sched) {
   TEXTJOIN_ASSIGN_OR_RETURN(ExecutionResult result,
-                            ExecNode(node, query, profile, policy, sched));
+                            ExecNode(node, query, profile, sched));
   if (profile != nullptr) {
     profile->nodes[&node].actual_rows = result.rows.size();
   }
@@ -72,7 +71,6 @@ Result<ExecutionResult> PlanExecutor::Exec(const PlanNode& node,
 Result<ExecutionResult> PlanExecutor::ExecNode(const PlanNode& node,
                                                const FederatedQuery& query,
                                                ExecutionProfile* profile,
-                                               const FaultPolicy& policy,
                                                pipeline::StageScheduler* sched) {
   switch (node.kind) {
     case PlanNode::Kind::kScan: {
@@ -98,9 +96,9 @@ Result<ExecutionResult> PlanExecutor::ExecNode(const PlanNode& node,
       return result;
     }
     case PlanNode::Kind::kProbe: {
-      TEXTJOIN_ASSIGN_OR_RETURN(
-          ExecutionResult child,
-          Exec(*node.left, query, profile, policy, sched));
+      TEXTJOIN_ASSIGN_OR_RETURN(ExecutionResult child,
+                                Exec(*node.left, query, profile, sched));
+      TEXTJOIN_CHECK(sched != nullptr, "probe node without a text source");
       const AccessMeter before = MeterSnapshot(source_);
       ForeignJoinSpec spec;
       spec.left_schema = child.schema;
@@ -112,9 +110,9 @@ Result<ExecutionResult> PlanExecutor::ExecNode(const PlanNode& node,
       pipeline::PipelineProfile stages;
       TEXTJOIN_ASSIGN_OR_RETURN(
           std::vector<Row> survivors,
-          ProbeSemiJoinReduce(spec, child.rows, *source_,
-                              FullMask(spec.joins.size()), pool_, policy,
-                              profile != nullptr ? &stages : nullptr, sched));
+          pipeline::RunProbeReducer(*sched, spec, child.rows,
+                                    FullMask(spec.joins.size()),
+                                    profile != nullptr ? &stages : nullptr));
       if (profile != nullptr) {
         NodeProfile& np = profile->nodes[&node];
         np.meter_delta = MeterDelta(MeterSnapshot(source_), before);
@@ -126,20 +124,17 @@ Result<ExecutionResult> PlanExecutor::ExecNode(const PlanNode& node,
       return result;
     }
     case PlanNode::Kind::kForeignJoin: {
-      TEXTJOIN_ASSIGN_OR_RETURN(
-          ExecutionResult child,
-          Exec(*node.left, query, profile, policy, sched));
+      TEXTJOIN_ASSIGN_OR_RETURN(ExecutionResult child,
+                                Exec(*node.left, query, profile, sched));
+      TEXTJOIN_CHECK(sched != nullptr, "foreign join without a text source");
       const AccessMeter before = MeterSnapshot(source_);
       ForeignJoinSpec spec = BuildSpec(query, child.schema);
-      TEXTJOIN_ASSIGN_OR_RETURN(
-          pipeline::Pipeline plan,
-          pipeline::Pipeline::Lower(node.method.method, spec,
-                                    node.method.probe_mask));
       pipeline::PipelineProfile stages;
       TEXTJOIN_ASSIGN_OR_RETURN(
           ForeignJoinResult joined,
-          plan.Execute(spec, child.rows, *source_, pool_, policy,
-                       profile != nullptr ? &stages : nullptr, sched));
+          pipeline::RunForeignJoin(*sched, node.method.method, spec,
+                                   child.rows, node.method.probe_mask,
+                                   profile != nullptr ? &stages : nullptr));
       if (profile != nullptr) {
         NodeProfile& np = profile->nodes[&node];
         np.meter_delta = MeterDelta(MeterSnapshot(source_), before);
@@ -151,12 +146,10 @@ Result<ExecutionResult> PlanExecutor::ExecNode(const PlanNode& node,
       return result;
     }
     case PlanNode::Kind::kRelationalJoin: {
-      TEXTJOIN_ASSIGN_OR_RETURN(
-          ExecutionResult lhs,
-          Exec(*node.left, query, profile, policy, sched));
-      TEXTJOIN_ASSIGN_OR_RETURN(
-          ExecutionResult rhs,
-          Exec(*node.right, query, profile, policy, sched));
+      TEXTJOIN_ASSIGN_OR_RETURN(ExecutionResult lhs,
+                                Exec(*node.left, query, profile, sched));
+      TEXTJOIN_ASSIGN_OR_RETURN(ExecutionResult rhs,
+                                Exec(*node.right, query, profile, sched));
       ExprPtr residual;
       std::vector<ExprPtr> residual_parts;
       for (const ExprPtr& c : node.conjuncts) {
@@ -343,24 +336,12 @@ Result<ExecutionResult> PlanExecutor::Execute(const PlanNode& root,
   policy.degradation = &sink;
   // One scheduler for the whole plan: every probe reducer and the foreign
   // join register their stages on it, so a multi-join PrL plan executes as
-  // one composed DAG sharing the pool, policy, and failure selection.
+  // one composed DAG sharing the pool, policy, query token, and failure
+  // selection. It adopts the caller's ambient query token.
   std::optional<pipeline::StageScheduler> sched;
-  if (source_ != nullptr) {
-    sched.emplace(pool_, *source_, policy);
-    if (options_.deadline != std::chrono::steady_clock::time_point::max()) {
-      sched->SetDeadline(options_.deadline, options_.clock);
-    }
-    if (options_.cancel.valid()) {
-      sched->SetCancelToken(options_.cancel);
-    }
-  }
-  // The driving thread participates in every drain; give it the same
-  // ambient token its spawned units get, so inline stages and the
-  // connector waits under them observe cancellation too.
-  std::optional<CancelScope> cancel_scope;
-  if (options_.cancel.valid()) cancel_scope.emplace(options_.cancel);
+  if (source_ != nullptr) sched.emplace(pool_, *source_, policy);
   Result<ExecutionResult> executed =
-      Exec(root, query, profile, policy, sched ? &*sched : nullptr);
+      Exec(root, query, profile, sched ? &*sched : nullptr);
   if (degradation != nullptr) *degradation = sink.Snapshot();
   TEXTJOIN_ASSIGN_OR_RETURN(ExecutionResult result, std::move(executed));
   if (!query.aggregates.empty()) {

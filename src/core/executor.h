@@ -79,29 +79,17 @@ std::string ExplainAnalyze(const PlanNode& root, const FederatedQuery& query,
 /// operation fails even after the source's own resilience layer (if any)
 /// gave up — see FailureMode in connector/resilience.h. The default
 /// fail-fast reproduces the historical behavior.
-/// `deadline` arms deadline-aware load shedding (see
-/// StageScheduler::SetDeadline): once it passes, remaining text-source
-/// operations are shed instead of issued — under best-effort the query
-/// finishes with the rows it has (`complete == false`, sheds counted in
-/// the DegradationReport), under fail-fast it aborts with
-/// DeadlineExceeded. The default (time_point::max) never sheds. `clock` is
-/// the shedding clock (null = steady_clock; injectable for tests).
+///
+/// Cancellation and the query deadline are not options: Execute() runs
+/// under the caller's ambient query token (CancelScope), which the stage
+/// scheduler adopts — see pipeline::StageScheduler.
 struct ExecutorOptions {
   int parallelism = 1;
   FailureMode failure_mode = FailureMode::kFailFast;
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
-  SteadyClockFn clock;
-  /// Cooperative cancellation (see StageScheduler::SetCancelToken): once
-  /// the token fires, remaining operations and pending units abandon and
-  /// the query errors out with kCancelled. A null (default) token never
-  /// cancels. The executor also threads it to every worker thread as the
-  /// ambient CurrentCancelToken(), so connector-side waits observe it.
-  CancelToken cancel;
 };
 
 /// Walks a plan tree bottom-up, running scans/filters/joins with the
-/// relational operators, probe nodes with ProbeSemiJoinReduce, and the
+/// relational operators, probe nodes with the probe reducer, and the
 /// foreign-join node with the plan's chosen method. The final projection
 /// (the query's SELECT list) is applied on top.
 class PlanExecutor {
@@ -132,7 +120,12 @@ class PlanExecutor {
     }
   }
 
-  /// Executes `root` for `query` and applies the query's projection.
+  /// Executes `root` for `query` and applies the query's projection, under
+  /// the calling thread's ambient CurrentCancelToken(): once it fires,
+  /// remaining text-source operations abandon and the query errors out
+  /// with kCancelled; once its deadline passes, they are shed instead of
+  /// issued (under best-effort the query finishes with the rows it has,
+  /// under fail-fast it aborts with DeadlineExceeded).
   /// When `profile` is non-null, records per-node actual rows and meter
   /// deltas (requires the source to be — or decorate — a MeteredTextSource;
   /// deltas are zero otherwise). When `degradation` is non-null, receives
@@ -151,12 +144,10 @@ class PlanExecutor {
   Result<ExecutionResult> Exec(const PlanNode& node,
                                const FederatedQuery& query,
                                ExecutionProfile* profile,
-                               const FaultPolicy& policy,
                                pipeline::StageScheduler* sched);
   Result<ExecutionResult> ExecNode(const PlanNode& node,
                                    const FederatedQuery& query,
                                    ExecutionProfile* profile,
-                                   const FaultPolicy& policy,
                                    pipeline::StageScheduler* sched);
 
   /// Builds the foreign-join spec for the text join of `query` with

@@ -27,10 +27,9 @@ Result<ForeignJoinResult> ExecuteForeignJoin(
     const std::vector<Row>& left_rows, TextSource& source,
     PredicateMask probe_mask, ThreadPool* pool, const FaultPolicy& policy,
     pipeline::PipelineProfile* stage_profile) {
-  TEXTJOIN_ASSIGN_OR_RETURN(
-      pipeline::Pipeline plan,
-      pipeline::Pipeline::Lower(method, spec, probe_mask));
-  return plan.Execute(spec, left_rows, source, pool, policy, stage_profile);
+  pipeline::StageScheduler sched(pool, source, policy);
+  return pipeline::RunForeignJoin(sched, method, spec, left_rows, probe_mask,
+                                  stage_profile);
 }
 
 }  // namespace textjoin

@@ -25,7 +25,6 @@ namespace textjoin {
 
 namespace pipeline {
 struct PipelineProfile;
-class StageScheduler;
 }  // namespace pipeline
 
 /// The six join methods of the paper.
@@ -94,9 +93,12 @@ struct ForeignJoinResult {
 /// loss through the policy's AtomicDegradation sink.
 ///
 /// Every method executes as a staged pipeline (core/pipeline.h): this
-/// function lowers `method` to its stage composition and runs it. When
-/// `stage_profile` is non-null it receives the per-stage wall-clock and
-/// meter attribution of the execution.
+/// function builds a StageScheduler over `pool`, `source` and `policy` —
+/// which adopts the caller's ambient CurrentCancelToken() as the query's
+/// cancel token and deadline — and runs the method's composition on it
+/// (pipeline::RunForeignJoin). When `stage_profile` is non-null it
+/// receives the per-stage wall-clock and meter attribution of the
+/// execution.
 Result<ForeignJoinResult> ExecuteForeignJoin(
     JoinMethodKind method, const ForeignJoinSpec& spec,
     const std::vector<Row>& left_rows, TextSource& source,
@@ -114,17 +116,16 @@ Result<ForeignJoinResult> ExecuteForeignJoin(
 /// failures by keeping the affected rows — the answer is unchanged, only
 /// the reduction is weaker.
 ///
-/// Runs as a three-stage pipeline composition. When `scheduler` is
-/// non-null the reducer joins that scheduler's DAG (its pool/source/policy
-/// win and `pool`/`policy` are ignored) so a plan executor can compose the
-/// reduction with the join it feeds; `stage_profile` receives the
+/// Runs as a three-stage pipeline composition on its own StageScheduler,
+/// which adopts the caller's ambient CurrentCancelToken() (the plan
+/// executor composes the reducer into its shared scheduler through
+/// pipeline::RunProbeReducer instead). `stage_profile` receives the
 /// reducer's per-stage account when non-null.
 Result<std::vector<Row>> ProbeSemiJoinReduce(
     const ForeignJoinSpec& spec, const std::vector<Row>& left_rows,
     TextSource& source, PredicateMask probe_mask, ThreadPool* pool = nullptr,
     const FaultPolicy& policy = {},
-    pipeline::PipelineProfile* stage_profile = nullptr,
-    pipeline::StageScheduler* scheduler = nullptr);
+    pipeline::PipelineProfile* stage_profile = nullptr);
 
 }  // namespace textjoin
 

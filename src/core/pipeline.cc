@@ -167,16 +167,6 @@ TextQueryPtr BuildSearch(const ResolvedSpec& rspec,
   return TextQuery::And(std::move(children));
 }
 
-TextQueryPtr BuildSelectionSearch(const ForeignJoinSpec& spec) {
-  TEXTJOIN_CHECK(!spec.selections.empty(),
-                 "selection search needs text selections");
-  std::vector<TextQueryPtr> children;
-  for (const TextSelection& sel : spec.selections) {
-    children.push_back(TextQuery::Term(sel.field, sel.term));
-  }
-  return TextQuery::And(std::move(children));
-}
-
 TextQueryPtr BuildDisjunct(const ResolvedSpec& rspec,
                            const std::vector<std::string>& terms,
                            PredicateMask mask) {
@@ -354,12 +344,6 @@ Status ValidateProbeMask(const ForeignJoinSpec& spec, PredicateMask mask) {
   return Status::OK();
 }
 
-void ChargeRelationalMatches(TextSource& source, uint64_t docs_scanned) {
-  if (MeteredTextSource* metered = UnwrapMetered(&source)) {
-    metered->charging_meter().ChargeRelationalMatches(docs_scanned);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Scheduler
 
@@ -433,9 +417,9 @@ struct StageScheduler::State {
   // units. Lives here because pool drain jobs address tasks through State;
   // any job that actually pops a task completes before the scheduler's
   // destructor returns, so the policy pointer stays valid whenever it is
-  // dereferenced. Written once before any unit spawns (SetCancelToken
-  // contract); ExecuteTask reads it lock-free — the pool's task queue
-  // gives worker threads the necessary happens-before edge.
+  // dereferenced. Written once, by the constructor, before any unit can
+  // spawn; ExecuteTask reads it lock-free — the pool's task queue gives
+  // worker threads the necessary happens-before edge.
   CancelToken cancel;
   const FaultPolicy* policy = nullptr;
 };
@@ -450,6 +434,7 @@ StageScheduler::StageScheduler(ThreadPool* pool, TextSource& source,
       caching_(dynamic_cast<CachingTextSource*>(&source)),
       policy_(policy),
       state_(std::make_shared<State>()) {
+  state_->cancel = CurrentCancelToken();
   state_->policy = &policy_;
 }
 
@@ -460,63 +445,37 @@ StageScheduler::~StageScheduler() {
   (void)Wait();
 }
 
-StageScheduler::StageId StageScheduler::AddStage(const StageDesc& desc) {
+StageScheduler::StageId StageScheduler::AddStage(StageDesc desc) {
   std::lock_guard<std::mutex> lock(state_->mu);
   state_->stages.push_back(std::make_unique<StageCounters>());
   StageCounters* counters = state_->stages.back().get();
-  counters->desc = desc;
+  counters->desc = std::move(desc);
   counters->rank = state_->stages.size() - 1;
   return counters;
 }
 
-void StageScheduler::SetDeadline(std::chrono::steady_clock::time_point deadline,
-                                 SteadyClockFn clock) {
-  has_deadline_ = true;
-  deadline_ = deadline;
-  deadline_clock_ = std::move(clock);
-}
-
-void StageScheduler::SetCancelToken(CancelToken token) {
-  // No lock: must be called before any unit spawns (see State::cancel), so
-  // the write is ordered before every lock-free read in ExecuteTask.
-  state_->cancel = std::move(token);
-}
-
 Status StageScheduler::BatchCheckpoint() {
-  // Assembly runs on the driving thread after the drain, so consult the
-  // armed token directly (no ambient scope is guaranteed there). Only a
-  // fired kClient/kShutdown token aborts; an expired deadline is ignored —
-  // per-operation shedding already handled it, and the rows in hand are
-  // published. Counters stay untouched: a checkpoint is not an operation.
+  // Only a fired kClient/kShutdown token aborts; an expired deadline is
+  // ignored — per-operation shedding already handled it, and the rows in
+  // hand are published. Counters stay untouched: a checkpoint is not an
+  // operation.
   if (!state_->cancel.valid()) return Status::OK();
   Status cancel = state_->cancel.Check();
   if (!cancel.ok() && cancel.code() == StatusCode::kCancelled) return cancel;
   return Status::OK();
 }
 
-Status StageScheduler::CheckDeadline(StageId stage) {
-  // Cooperative cancellation first. The ambient token is the armed one:
-  // ExecuteTask installs it around every unit, and inline (driver-thread)
-  // operations run under the caller's own scope. Check() also arms the
-  // token when its deadline has passed.
-  if (Status cancel = CurrentCancelToken().Check(); !cancel.ok()) {
-    if (cancel.code() == StatusCode::kCancelled) {
-      // Client abort / shutdown: the query is going to error out with
-      // kCancelled (permanent — no best-effort absorption, no torn rows),
-      // but the report stays honest about the operation dropped.
-      policy_.NoteCancelledOperation();
-      return cancel;
-    }
-    // The token's own deadline fired: same semantics as the armed
-    // scheduler deadline below — the operation is shed, not cancelled
-    // (under best-effort the query still finishes with the rows it has).
-    policy_.NoteShedOperation();
-    return cancel;
+Status StageScheduler::CheckToken() {
+  // Check() also arms the token when its deadline has passed.
+  Status status = state_->cancel.Check();
+  if (status.ok()) return status;
+  if (status.code() == StatusCode::kCancelled) {
+    // Client abort / shutdown: the query is going to error out with
+    // kCancelled (permanent — no best-effort absorption, no torn rows),
+    // but the report stays honest about the operation dropped.
+    policy_.NoteCancelledOperation();
+    return status;
   }
-  if (!has_deadline_) return Status::OK();
-  const auto now = deadline_clock_ ? deadline_clock_()
-                                   : std::chrono::steady_clock::now();
-  if (now <= deadline_) return Status::OK();
   // Shed: the deadline has passed, so this operation's answer can no
   // longer be useful — don't spend source traffic on it. The shed marks
   // the result incomplete; the method's HandleSourceFailure then decides
@@ -524,9 +483,7 @@ Status StageScheduler::CheckDeadline(StageId stage) {
   // or finishes with the rows it has (best-effort, which also counts the
   // unit among skipped_operations — shed says WHY it was dropped).
   policy_.NoteShedOperation();
-  return Status::DeadlineExceeded(
-      std::string("query deadline exceeded; ") +
-      StageKindName(stage->desc.kind) + " operation shed");
+  return status;
 }
 
 void StageScheduler::Spawn(StageId stage, uint64_t ordinal,
@@ -561,13 +518,12 @@ void StageScheduler::ExecuteTask(State& state, Task task) {
   // Propagate the query token to whichever thread runs the unit, so every
   // source-side wait (retry backoff, limiter queue, chaos latency) under
   // this unit observes it. Pool workers carry no ambient token and need the
-  // scope; the serial driver thread usually already has the identical token
-  // ambient (Pipeline::Execute inherits it), and re-installing it there
-  // would charge every in-memory unit a mutex + shared_ptr copy + TLS swap
-  // for nothing — so skip the scope when the states already match. Reading
-  // `state.cancel` without the lock is safe: it is written once before any
-  // unit spawns (SetCancelToken contract) and the pool's task queue
-  // establishes happens-before for worker threads.
+  // scope; the driving thread already has the identical token ambient (the
+  // scheduler adopted it from there), and re-installing it would charge
+  // every in-memory unit a shared_ptr copy + TLS swap for nothing — so skip
+  // the scope when the states already match. Reading `state.cancel` without
+  // the lock is safe: the constructor wrote it before any unit could spawn,
+  // and the pool's task queue establishes happens-before for workers.
   std::optional<CancelScope> scope;
   if (state.cancel.valid() &&
       !state.cancel.SharesStateWith(CurrentCancelToken())) {
@@ -645,7 +601,7 @@ void StageScheduler::NoteCancelledResult(const Status& status) {
 
 Result<std::vector<std::string>> StageScheduler::Search(
     StageId stage, const TextQuery& query) {
-  if (Status shed = CheckDeadline(stage); !shed.ok()) return shed;
+  if (Status stop = CheckToken(); !stop.ok()) return stop;
   OpTimer timer(stage);
   if (caching_ != nullptr) {
     CachingTextSource::Outcome outcome;
@@ -686,7 +642,7 @@ Result<std::vector<std::string>> StageScheduler::Search(
 
 Result<Document> StageScheduler::Fetch(StageId stage,
                                        const std::string& docid) {
-  if (Status shed = CheckDeadline(stage); !shed.ok()) return shed;
+  if (Status stop = CheckToken(); !stop.ok()) return stop;
   OpTimer timer(stage);
   if (caching_ != nullptr) {
     CachingTextSource::Outcome outcome;
@@ -718,7 +674,9 @@ Result<Document> StageScheduler::Fetch(StageId stage,
 
 void StageScheduler::ChargeRelationalMatches(StageId stage,
                                              uint64_t docs_scanned) {
-  pipeline::ChargeRelationalMatches(source_, docs_scanned);
+  if (MeteredTextSource* metered = UnwrapMetered(&source_)) {
+    metered->charging_meter().ChargeRelationalMatches(docs_scanned);
+  }
   stage->relational_matches.fetch_add(docs_scanned,
                                       std::memory_order_relaxed);
 }
@@ -835,20 +793,19 @@ size_t DocFetcher::size() const {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline: lowering + execution
+// Method compositions
 
-StageScheduler::StageId MethodContext::Stage(StageKind kind) const {
-  TEXTJOIN_CHECK(stage_descs != nullptr, "MethodContext has no stage list");
-  for (size_t i = 0; i < stage_descs->size(); ++i) {
-    if ((*stage_descs)[i].kind == kind) return stage_ids.at(i);
-  }
-  TEXTJOIN_UNREACHABLE("stage kind not in this lowering");
+StageScheduler::StageId MethodContext::AddStage(StageKind kind,
+                                                std::string detail) {
+  stage_ids.push_back(sched.AddStage({kind, std::move(detail)}));
+  return stage_ids.back();
 }
 
-Result<Pipeline> Pipeline::Lower(JoinMethodKind method,
-                                 const ForeignJoinSpec& spec,
-                                 PredicateMask probe_mask) {
-  using K = StageKind;
+namespace {
+
+/// The paper's applicability preconditions for `method` over `spec`.
+Status ValidateMethod(JoinMethodKind method, const ForeignJoinSpec& spec,
+                      PredicateMask probe_mask) {
   const bool is_probe_method =
       method == JoinMethodKind::kPTS || method == JoinMethodKind::kPRTP;
   if (!is_probe_method && probe_mask != 0) {
@@ -856,23 +813,13 @@ Result<Pipeline> Pipeline::Lower(JoinMethodKind method,
         std::string("probe mask given to non-probing method ") +
         JoinMethodName(method));
   }
-  if (is_probe_method) {
-    TEXTJOIN_RETURN_IF_ERROR(ValidateProbeMask(spec, probe_mask));
-  }
-  const std::string fetch_form =
-      spec.need_document_fields ? "long-form" : "docid-only";
-  std::vector<StageDesc> stages;
+  if (is_probe_method) return ValidateProbeMask(spec, probe_mask);
   switch (method) {
     case JoinMethodKind::kTS:
       if (spec.selections.empty() && spec.joins.empty()) {
         return Status::InvalidArgument(
             "TS needs at least one text predicate to instantiate");
       }
-      stages = {{K::kDistinctKeys, "all-preds"},
-                {K::kQueryBuild, "per-combination"},
-                {K::kSearchDispatch, "per-combination"},
-                {K::kFetch, fetch_form},
-                {K::kAssemble, "group-order"}};
       break;
     case JoinMethodKind::kRTP:
       if (spec.selections.empty()) {
@@ -882,11 +829,6 @@ Result<Pipeline> Pipeline::Lower(JoinMethodKind method,
         return Status::InvalidArgument(
             "RTP requires text selection conditions");
       }
-      stages = {{K::kQueryBuild, "selections-only"},
-                {K::kSearchDispatch, "single"},
-                {K::kFetch, "long-form"},
-                {K::kMatch, "string-match"},
-                {K::kAssemble, "doc-order"}};
       break;
     case JoinMethodKind::kSJ:
       if (spec.joins.empty()) {
@@ -899,78 +841,35 @@ Result<Pipeline> Pipeline::Lower(JoinMethodKind method,
         return Status::InvalidArgument(
             "SJ yields a doc-side semi-join; the query needs outer columns");
       }
-      stages = {{K::kDistinctKeys, "all-preds"},
-                {K::kQueryBuild, "or-batch+resplit"},
-                {K::kSearchDispatch, "per-batch"},
-                {K::kFetch, fetch_form + ",dedup"},
-                {K::kAssemble, "null-left,first-seen"}};
       break;
     case JoinMethodKind::kSJRTP:
       if (spec.joins.empty()) {
         return Status::InvalidArgument(
             "SJ+RTP requires text join predicates");
       }
-      stages = {{K::kDistinctKeys, "all-preds"},
-                {K::kQueryBuild, "or-batch+resplit"},
-                {K::kSearchDispatch, "per-batch"},
-                {K::kFetch, "long-form,dedup"},
-                {K::kMatch, "string-match"},
-                {K::kAssemble, "first-seen"}};
       break;
     case JoinMethodKind::kPTS:
-      stages = {{K::kDistinctKeys, "all-preds"},
-                {K::kProbeFilter, "cache," + MaskToString(probe_mask)},
-                {K::kQueryBuild, "per-combination"},
-                {K::kSearchDispatch, "serial-chain"},
-                {K::kFetch, fetch_form},
-                {K::kAssemble, "group-order"}};
-      break;
     case JoinMethodKind::kPRTP:
-      stages = {{K::kDistinctKeys, "probe-cols," + MaskToString(probe_mask)},
-                {K::kQueryBuild, "per-probe"},
-                {K::kSearchDispatch, "per-probe"},
-                {K::kFetch, "long-form,dedup"},
-                {K::kMatch, "residual-preds"},
-                {K::kAssemble, "group-order"}};
       break;
   }
-  TEXTJOIN_CHECK(!stages.empty(), "method lowered to no stages");
-  return Pipeline(method, probe_mask, std::move(stages));
+  return Status::OK();
 }
 
-std::string Pipeline::ToString() const {
-  std::string out = JoinMethodName(method_);
-  out += ": ";
-  for (size_t i = 0; i < stages_.size(); ++i) {
-    if (i != 0) out += " -> ";
-    out += stages_[i].ToString();
-  }
-  return out;
-}
+}  // namespace
 
-Result<ForeignJoinResult> Pipeline::Execute(
-    const ForeignJoinSpec& spec, const std::vector<Row>& left_rows,
-    TextSource& source, ThreadPool* pool, const FaultPolicy& policy,
-    PipelineProfile* profile, StageScheduler* scheduler) const {
+Result<ForeignJoinResult> RunForeignJoin(StageScheduler& sched,
+                                         JoinMethodKind method,
+                                         const ForeignJoinSpec& spec,
+                                         const std::vector<Row>& left_rows,
+                                         PredicateMask probe_mask,
+                                         PipelineProfile* profile) {
+  TEXTJOIN_RETURN_IF_ERROR(ValidateMethod(method, spec, probe_mask));
   TEXTJOIN_ASSIGN_OR_RETURN(ResolvedSpec rspec, ResolveSpec(spec));
-  std::optional<StageScheduler> owned;
-  if (scheduler == nullptr) {
-    owned.emplace(pool, source, policy);
-    // A private scheduler inherits the caller's ambient token, so units
-    // running on pool threads observe cancellation too. (The executor arms
-    // its shared scheduler explicitly via SetCancelToken.)
-    if (const CancelToken& token = CurrentCancelToken(); token.valid()) {
-      owned->SetCancelToken(token);
-    }
-    scheduler = &*owned;
-  }
-  MethodContext ctx{rspec, left_rows, probe_mask_, *scheduler, &stages_, {}};
-  ctx.stage_ids.reserve(stages_.size());
-  for (const StageDesc& desc : stages_) {
-    ctx.stage_ids.push_back(scheduler->AddStage(desc));
-  }
+  MethodContext ctx{rspec, left_rows, probe_mask, sched, {}};
+  // At most one stage per kind.
+  ctx.stage_ids.reserve(static_cast<size_t>(StageKind::kAssemble) + 1);
   Result<ForeignJoinResult> result = [&]() -> Result<ForeignJoinResult> {
-    switch (method_) {
+    switch (method) {
       case JoinMethodKind::kTS:
         return RunTS(ctx);
       case JoinMethodKind::kRTP:
@@ -986,7 +885,7 @@ Result<ForeignJoinResult> Pipeline::Execute(
     }
     TEXTJOIN_UNREACHABLE("bad JoinMethodKind");
   }();
-  if (profile != nullptr) *profile = scheduler->Profile(ctx.stage_ids);
+  if (profile != nullptr) *profile = sched.Profile(ctx.stage_ids);
   return result;
 }
 

@@ -32,28 +32,28 @@
 ///  - the stage taxonomy (StageKind / StageDesc) and per-stage runtime
 ///    accounting (StageStats / PipelineProfile);
 ///  - StageScheduler: ONE scheduler owning parallelism, FaultPolicy
-///    handling, metering, and deterministic failure selection for all
-///    methods. Unlike the per-phase parallel loops it replaces, the
-///    scheduler pipelines ACROSS stages: a unit may spawn downstream units
-///    (search answers spawn fetches) that execute while sibling upstream
-///    units are still in flight, so there is no barrier between stages;
+///    handling, metering, the query's cancel token, and deterministic
+///    failure selection for all methods. It pipelines ACROSS stages: a
+///    unit may spawn downstream units (search answers spawn fetches) that
+///    execute while sibling upstream units are still in flight, so there
+///    is no barrier between stages;
 ///  - DocFetcher: slot-addressed asynchronous document retrieval with
 ///    optional per-document continuation units (the RTP-family match
-///    stage), replacing the FetchDocs / FetchDocRows loop copies;
+///    stage);
 ///  - the shared spec-resolution and query-building helpers;
-///  - Pipeline: the lowering of a JoinMethodKind into its stage
-///    composition, and its execution.
+///  - RunForeignJoin / RunProbeReducer: the one entry each for a join
+///    method's composition and for the probe reducer on a given scheduler.
+///    Every composition registers its own stages as it runs.
 ///
-/// Determinism contract (unchanged from the per-method loops): result rows
-/// AND meter totals are byte-identical to serial execution at any
-/// parallelism. The argument: (1) the set of issued source operations is a
-/// pure function of per-operation outcomes, never of scheduling order;
-/// (2) meter charges are commutative sums over that set; (3) every unit
-/// writes into a pre-assigned slot and assembly replays a deterministic
-/// order computed from the answers, not from completion order. Failure
-/// reporting is deterministic too: when several units fail, Wait() returns
-/// the failure of the minimum (stage, ordinal) pair, independent of which
-/// failed first in wall-clock time.
+/// Determinism contract: result rows AND meter totals are byte-identical
+/// to serial execution at any parallelism. The argument: (1) the set of
+/// issued source operations is a pure function of per-operation outcomes,
+/// never of scheduling order; (2) meter charges are commutative sums over
+/// that set; (3) every unit writes into a pre-assigned slot and assembly
+/// replays a deterministic order computed from the answers, not from
+/// completion order. Failure reporting is deterministic too: when several
+/// units fail, Wait() returns the failure of the minimum (stage, ordinal)
+/// pair, independent of which failed first in wall-clock time.
 
 namespace textjoin::pipeline {
 
@@ -74,7 +74,7 @@ enum class StageKind {
 /// "DistinctKeys", "ProbeFilter", ...
 const char* StageKindName(StageKind kind);
 
-/// One stage of a lowered pipeline: the kind plus a short detail string
+/// One stage of a method composition: the kind plus a short detail string
 /// describing the method-specific variant ("or-batch+resplit", ...).
 struct StageDesc {
   StageKind kind;
@@ -115,7 +115,7 @@ struct StageStats {
   std::string ToString(bool stable = false) const;
 };
 
-/// Per-stage profile of one pipeline execution, in lowering order.
+/// Per-stage profile of one pipeline execution, in registration order.
 struct PipelineProfile {
   std::vector<StageStats> stages;
 
@@ -141,13 +141,10 @@ Result<ResolvedSpec> ResolveSpec(const ForeignJoinSpec& spec);
 /// Builds the instantiated Boolean search: the conjunction of all text
 /// selections plus, for each predicate in `mask`, its field-restricted term
 /// taken from `terms` (parallel to the set bits of `mask`, ascending).
+/// With an empty mask it is the selections-only search RTP issues.
 TextQueryPtr BuildSearch(const ResolvedSpec& rspec,
                          const std::vector<std::string>& terms,
                          PredicateMask mask);
-
-/// Builds the selections-only search (used by RTP). Requires at least one
-/// selection.
-TextQueryPtr BuildSelectionSearch(const ForeignJoinSpec& spec);
 
 /// One OR disjunct for the semi-join method: AND of the join terms of one
 /// distinct combination (field-restricted).
@@ -229,13 +226,6 @@ KeyGroups GroupRowsByTerms(const ResolvedSpec& rspec,
 /// Validates a probe mask: non-zero and within the predicate count.
 Status ValidateProbeMask(const ForeignJoinSpec& spec, PredicateMask mask);
 
-/// Charges `docs_scanned` relational string-matching operations (the c_a
-/// component) to the source's meter when the source is metered (decorator
-/// chains are unwrapped to find the metered source). Free-function form for
-/// callers outside a scheduler; StageScheduler::ChargeRelationalMatches
-/// adds per-stage attribution on top.
-void ChargeRelationalMatches(TextSource& source, uint64_t docs_scanned);
-
 /// True for the placeholder a best-effort fetch skip leaves behind (slot
 /// alignment is preserved for callers that index fetched documents by
 /// position; real documents always carry a docid).
@@ -269,6 +259,26 @@ struct StageCounters;  // Internal per-stage accounting (pipeline.cc).
 /// executor runs a whole PrL plan — probe reducers plus the foreign join —
 /// through one scheduler, composing them into a single DAG); AddStage
 /// keeps per-composition stages separate.
+///
+/// The scheduler is the one carrier of the query's execution context: it
+/// adopts the constructing thread's ambient CurrentCancelToken() (the
+/// query token; the null token when none is in scope). That token is its
+/// only cancel route and its only deadline:
+///  - once the token fires with a kClient / kShutdown reason, every
+///    subsequent Search/Fetch returns kCancelled without touching the
+///    source, and pending units drain WITHOUT running: their captures are
+///    released and each is recorded in the policy's degradation sink as a
+///    cancelled operation. kCancelled is permanent (never absorbed by a
+///    best-effort policy), so a cancelled query errors out rather than
+///    publishing a torn row set;
+///  - once the token's deadline passes, every subsequent Search/Fetch is
+///    SHED: it returns DeadlineExceeded without touching the source and is
+///    recorded in the sink as a shed operation (which always marks the
+///    result incomplete; under best-effort the query still finishes with
+///    the rows it has, under fail-fast it aborts).
+/// The token is also installed as the ambient token on whichever thread
+/// runs a unit, so source-side decorators (retry backoff, limiter waits,
+/// chaos latency) observe it too.
 class StageScheduler {
  public:
   /// Opaque stage handle; stable for the scheduler's lifetime.
@@ -276,6 +286,7 @@ class StageScheduler {
 
   /// `pool` may be null (serial: units run on the Wait()ing thread in
   /// spawn order). `source` and `policy` must outlive the scheduler.
+  /// Adopts CurrentCancelToken() as the query token (see above).
   StageScheduler(ThreadPool* pool, TextSource& source,
                  const FaultPolicy& policy);
 
@@ -286,33 +297,7 @@ class StageScheduler {
   StageScheduler& operator=(const StageScheduler&) = delete;
 
   /// Registers a stage. Call from the driving thread (not from units).
-  StageId AddStage(const StageDesc& desc);
-
-  /// Arms deadline-aware load shedding: once `deadline` passes (on `clock`;
-  /// null = steady_clock), every subsequent Search/Fetch is SHED — it
-  /// returns DeadlineExceeded without touching the source, and is recorded
-  /// in the policy's degradation sink as a shed operation (which always
-  /// marks the result incomplete; under best-effort the query still
-  /// finishes with the rows it has, under fail-fast it aborts). Call from
-  /// the driving thread before spawning units (publication rides the spawn
-  /// queue's mutex).
-  void SetDeadline(std::chrono::steady_clock::time_point deadline,
-                   SteadyClockFn clock = nullptr);
-
-  /// Arms cooperative cancellation. Once `token` fires with a kClient /
-  /// kShutdown reason, every subsequent Search/Fetch returns kCancelled
-  /// without touching the source, and pending units drain WITHOUT running:
-  /// their captures are released and each is recorded in the policy's
-  /// degradation sink as a cancelled operation. kCancelled is permanent
-  /// (never absorbed by a best-effort policy), so a cancelled query errors
-  /// out rather than publishing a torn row set. A token-armed DEADLINE
-  /// instead takes the shed path above (per-op shedding; the query still
-  /// assembles the rows it has).
-  /// The token is also propagated as the ambient CurrentCancelToken() to
-  /// whichever thread runs a unit, so source-side decorators (retry
-  /// backoff, limiter waits, chaos latency) observe it too. Call from the
-  /// driving thread before spawning units.
-  void SetCancelToken(CancelToken token);
+  StageId AddStage(StageDesc desc);
 
   /// Cooperative-cancellation checkpoint for the driver-side assembly
   /// stages (BatchAssembler runs it at TupleBatch boundaries): returns the
@@ -389,9 +374,9 @@ class StageScheduler {
   static bool DrainOne(State& state);
   static void ExecuteTask(State& state, Task task);
 
-  /// OK, or the cancel/shed status when the armed token has fired or the
-  /// armed deadline has passed (token checked first).
-  Status CheckDeadline(StageId stage);
+  /// OK, or the cancel/shed status once the query token has fired or its
+  /// deadline has passed.
+  Status CheckToken();
 
   /// Accounts an operation whose source call came back kCancelled: the
   /// token fired MID-call (after the dispatch checkpoint passed), so the
@@ -404,11 +389,6 @@ class StageScheduler {
   CachingTextSource* caching_;  ///< Front of the chain when caching is on.
   FaultPolicy policy_;
   std::shared_ptr<State> state_;  ///< Shared with enqueued pool jobs.
-
-  // Deadline shedding; written once before units spawn, read by units.
-  bool has_deadline_ = false;
-  std::chrono::steady_clock::time_point deadline_{};
-  SteadyClockFn deadline_clock_;
 };
 
 /// RAII timer for driver-side serial stages (DistinctKeys, QueryBuild,
@@ -501,69 +481,49 @@ class DocFetcher {
 };
 
 // ---------------------------------------------------------------------------
-// Pipeline: lowering + execution
+// Method compositions
 
 /// Everything a method composition needs: the resolved spec, the input,
-/// the scheduler, and its lowered stages.
+/// and the scheduler it registers its stages on and runs on.
 struct MethodContext {
   const ResolvedSpec& rspec;
   const std::vector<Row>& left_rows;
   PredicateMask probe_mask;
   StageScheduler& sched;
-  const std::vector<StageDesc>* stage_descs = nullptr;
-  std::vector<StageScheduler::StageId> stage_ids;  ///< Parallel to descs.
+  /// The composition's stages, in registration order (the profile's).
+  std::vector<StageScheduler::StageId> stage_ids;
 
-  /// The registered id of the composition's `kind` stage (each kind
-  /// appears at most once per lowering). CHECK-fails if absent.
-  StageScheduler::StageId Stage(StageKind kind) const;
+  /// Registers one stage of the composition on `sched` and records its id
+  /// for the profile. A composition registers every stage before it
+  /// spawns its first unit; registration order is the failure-selection
+  /// rank and the profile order.
+  StageScheduler::StageId AddStage(StageKind kind, std::string detail);
 };
 
-/// A join method lowered to its stage composition. Lower() performs the
-/// method-applicability validation (the paper's preconditions), so an
-/// accidental recomposition — or an inapplicable method — surfaces before
-/// any source traffic.
-class Pipeline {
- public:
-  static Result<Pipeline> Lower(JoinMethodKind method,
-                                const ForeignJoinSpec& spec,
-                                PredicateMask probe_mask = 0);
+/// Executes `method`'s composition on `sched`, which may already carry
+/// other compositions (the plan executor's shared DAG). Checks the
+/// method's applicability (the paper's preconditions) first, so an
+/// inapplicable method fails before any stage registers or any source
+/// traffic. `profile`, when non-null, receives the composition's
+/// per-stage account.
+Result<ForeignJoinResult> RunForeignJoin(StageScheduler& sched,
+                                         JoinMethodKind method,
+                                         const ForeignJoinSpec& spec,
+                                         const std::vector<Row>& left_rows,
+                                         PredicateMask probe_mask,
+                                         PipelineProfile* profile);
 
-  JoinMethodKind method() const { return method_; }
-  PredicateMask probe_mask() const { return probe_mask_; }
-  const std::vector<StageDesc>& stages() const { return stages_; }
+/// ProbeSemiJoinReduce (join_methods.h) on `sched`: a three-stage
+/// composition. `profile`, when non-null, receives its per-stage account
+/// on success.
+Result<std::vector<Row>> RunProbeReducer(StageScheduler& sched,
+                                         const ForeignJoinSpec& spec,
+                                         const std::vector<Row>& left_rows,
+                                         PredicateMask probe_mask,
+                                         PipelineProfile* profile);
 
-  /// "SJ: DistinctKeys(all-preds) -> QueryBuild(or-batch+resplit) -> ...".
-  std::string ToString() const;
-
-  /// Executes the composition. `spec` must be the spec Lower() saw. When
-  /// `scheduler` is non-null the composition joins that scheduler's DAG
-  /// (its pool/source/policy win and `pool`/`policy` are ignored);
-  /// otherwise a private scheduler over `pool` is used. `profile`, when
-  /// non-null, receives the per-stage account.
-  Result<ForeignJoinResult> Execute(const ForeignJoinSpec& spec,
-                                    const std::vector<Row>& left_rows,
-                                    TextSource& source,
-                                    ThreadPool* pool = nullptr,
-                                    const FaultPolicy& policy = {},
-                                    PipelineProfile* profile = nullptr,
-                                    StageScheduler* scheduler = nullptr) const;
-
- private:
-  Pipeline(JoinMethodKind method, PredicateMask probe_mask,
-           std::vector<StageDesc> stages)
-      : method_(method),
-        probe_mask_(probe_mask),
-        stages_(std::move(stages)) {}
-
-  JoinMethodKind method_;
-  PredicateMask probe_mask_;
-  std::vector<StageDesc> stages_;
-};
-
-// ---------------------------------------------------------------------------
-// Method compositions (defined in the per-method files; dispatched by
-// Pipeline::Execute). Internal to the execution layer.
-
+// The six compositions, dispatched by RunForeignJoin (defined in the
+// per-method files). Internal to the execution layer.
 Result<ForeignJoinResult> RunTS(MethodContext& ctx);     // tuple_substitution.cc
 Result<ForeignJoinResult> RunRTP(MethodContext& ctx);    // rtp.cc
 Result<ForeignJoinResult> RunSJ(MethodContext& ctx);     // semi_join.cc

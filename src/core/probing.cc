@@ -36,7 +36,7 @@ std::vector<std::string> ProbeKeyOf(const std::vector<std::string>& full_terms,
 /// SearchDispatch unit — but it never waits for fetches: each successful
 /// search spawns its fetch units and moves straight to the next
 /// combination, so the serial search chain overlaps all document
-/// retrieval. (The old per-group fetch barrier is gone.)
+/// retrieval.
 Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
   const ResolvedSpec& rspec = ctx.rspec;
   const ForeignJoinSpec& spec = *rspec.spec;
@@ -44,13 +44,19 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
   const PredicateMask all = FullMask(spec.joins.size());
   const PredicateMask mask = ctx.probe_mask;
 
-  const StageScheduler::StageId sd_keys = ctx.Stage(StageKind::kDistinctKeys);
-  const StageScheduler::StageId sd_probe = ctx.Stage(StageKind::kProbeFilter);
-  const StageScheduler::StageId sd_build = ctx.Stage(StageKind::kQueryBuild);
+  const StageScheduler::StageId sd_keys =
+      ctx.AddStage(StageKind::kDistinctKeys, "all-preds");
+  const StageScheduler::StageId sd_probe =
+      ctx.AddStage(StageKind::kProbeFilter, "cache," + MaskToString(mask));
+  const StageScheduler::StageId sd_build =
+      ctx.AddStage(StageKind::kQueryBuild, "per-combination");
   const StageScheduler::StageId sd_search =
-      ctx.Stage(StageKind::kSearchDispatch);
-  const StageScheduler::StageId sd_fetch = ctx.Stage(StageKind::kFetch);
-  const StageScheduler::StageId sd_assemble = ctx.Stage(StageKind::kAssemble);
+      ctx.AddStage(StageKind::kSearchDispatch, "serial-chain");
+  const StageScheduler::StageId sd_fetch = ctx.AddStage(
+      StageKind::kFetch,
+      spec.need_document_fields ? "long-form" : "docid-only");
+  const StageScheduler::StageId sd_assemble =
+      ctx.AddStage(StageKind::kAssemble, "group-order");
 
   KeyGroups groups;
   {
@@ -236,13 +242,18 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
   const PredicateMask all = FullMask(spec.joins.size());
   const PredicateMask mask = ctx.probe_mask;
 
-  const StageScheduler::StageId sd_keys = ctx.Stage(StageKind::kDistinctKeys);
-  const StageScheduler::StageId sd_build = ctx.Stage(StageKind::kQueryBuild);
+  const StageScheduler::StageId sd_keys = ctx.AddStage(
+      StageKind::kDistinctKeys, "probe-cols," + MaskToString(mask));
+  const StageScheduler::StageId sd_build =
+      ctx.AddStage(StageKind::kQueryBuild, "per-probe");
   const StageScheduler::StageId sd_search =
-      ctx.Stage(StageKind::kSearchDispatch);
-  const StageScheduler::StageId sd_fetch = ctx.Stage(StageKind::kFetch);
-  const StageScheduler::StageId sd_match = ctx.Stage(StageKind::kMatch);
-  const StageScheduler::StageId sd_assemble = ctx.Stage(StageKind::kAssemble);
+      ctx.AddStage(StageKind::kSearchDispatch, "per-probe");
+  const StageScheduler::StageId sd_fetch =
+      ctx.AddStage(StageKind::kFetch, "long-form,dedup");
+  const StageScheduler::StageId sd_match =
+      ctx.AddStage(StageKind::kMatch, "residual-preds");
+  const StageScheduler::StageId sd_assemble =
+      ctx.AddStage(StageKind::kAssemble, "group-order");
 
   KeyGroups groups;
   {
@@ -353,70 +364,59 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
   return result;
 }
 
-}  // namespace textjoin::pipeline
-
-namespace textjoin {
-
-Result<std::vector<Row>> ProbeSemiJoinReduce(
-    const ForeignJoinSpec& spec, const std::vector<Row>& left_rows,
-    TextSource& source, PredicateMask probe_mask, ThreadPool* pool,
-    const FaultPolicy& policy, pipeline::PipelineProfile* stage_profile,
-    pipeline::StageScheduler* scheduler) {
-  using pipeline::ScopedStageTimer;
-  using pipeline::StageKind;
-  using pipeline::StageScheduler;
-  TEXTJOIN_RETURN_IF_ERROR(pipeline::ValidateProbeMask(spec, probe_mask));
-  TEXTJOIN_ASSIGN_OR_RETURN(pipeline::ResolvedSpec rspec,
-                            pipeline::ResolveSpec(spec));
-  std::optional<StageScheduler> owned;
-  if (scheduler == nullptr) {
-    owned.emplace(pool, source, policy);
-    scheduler = &*owned;
-  }
-  const StageScheduler::StageId sd_keys = scheduler->AddStage(
-      {StageKind::kDistinctKeys, "probe-cols," + MaskToString(probe_mask)});
+Result<std::vector<Row>> RunProbeReducer(StageScheduler& sched,
+                                         const ForeignJoinSpec& spec,
+                                         const std::vector<Row>& left_rows,
+                                         PredicateMask probe_mask,
+                                         PipelineProfile* profile) {
+  TEXTJOIN_RETURN_IF_ERROR(ValidateProbeMask(spec, probe_mask));
+  TEXTJOIN_ASSIGN_OR_RETURN(ResolvedSpec rspec, ResolveSpec(spec));
+  MethodContext ctx{rspec, left_rows, probe_mask, sched, {}};
+  ctx.stage_ids.reserve(3);
+  const StageScheduler::StageId sd_keys = ctx.AddStage(
+      StageKind::kDistinctKeys, "probe-cols," + MaskToString(probe_mask));
   const StageScheduler::StageId sd_build =
-      scheduler->AddStage({StageKind::kQueryBuild, "per-probe"});
+      ctx.AddStage(StageKind::kQueryBuild, "per-probe");
   const StageScheduler::StageId sd_probe =
-      scheduler->AddStage({StageKind::kProbeFilter, "reducer"});
+      ctx.AddStage(StageKind::kProbeFilter, "reducer");
 
-  pipeline::KeyGroups groups;
+  KeyGroups groups;
   {
-    ScopedStageTimer timer(*scheduler, sd_keys, 1);
-    groups = pipeline::GroupRowsByTerms(rspec, left_rows, probe_mask);
+    ScopedStageTimer timer(sched, sd_keys, 1);
+    groups = GroupRowsByTerms(rspec, left_rows, probe_mask);
   }
   std::vector<TextQueryPtr> probes;
   {
-    ScopedStageTimer timer(*scheduler, sd_build, groups.size());
+    ScopedStageTimer timer(sched, sd_build, groups.size());
     probes.reserve(groups.size());
     for (const std::vector<std::string>& probe_terms : groups.terms) {
-      probes.push_back(pipeline::BuildSearch(rspec, probe_terms, probe_mask));
+      probes.push_back(BuildSearch(rspec, probe_terms, probe_mask));
     }
   }
   // Every distinct combination's probe is independent; overlap them.
   std::vector<char> matched(groups.size(), 0);
   for (size_t g = 0; g < groups.size(); ++g) {
-    scheduler->Spawn(sd_probe, g, [&, g, scheduler]() -> Status {
+    sched.Spawn(sd_probe, g, [&, g]() -> Status {
       // The reducer needs only the one-bit outcome, so BOTH session-known
       // outcomes (matched / failed) replace the probe invocation.
-      CachingTextSource* session = scheduler->caching();
+      CachingTextSource* session = sched.caching();
       CachingTextSource::ProbeTicket session_ticket;
       if (session != nullptr) {
         session_ticket = session->BeginProbe(*probes[g]);
         if (session_ticket.cached.has_value()) {
           session->NoteProbeHit();
-          scheduler->NoteCacheHit(sd_probe);
+          sched.NoteCacheHit(sd_probe);
           matched[g] = *session_ticket.cached ? 1 : 0;
           return Status::OK();
         }
       }
       Result<std::vector<std::string>> docids =
-          scheduler->Search(sd_probe, *probes[g]);
+          sched.Search(sd_probe, *probes[g]);
       if (!docids.ok()) {
         // The reducer is advisory: an unknown probe outcome keeps the
         // rows (a weaker reduction, never a wrong answer), so any
         // recovering policy absorbs the failure.
-        TEXTJOIN_RETURN_IF_ERROR(scheduler->HandleSourceFailure(
+        TEXTJOIN_RETURN_IF_ERROR(sched.HandleSourceFailure(
             docids.status(), /*affects_completeness=*/false));
         matched[g] = 1;
         return Status::OK();
@@ -429,7 +429,7 @@ Result<std::vector<Row>> ProbeSemiJoinReduce(
       return Status::OK();
     });
   }
-  TEXTJOIN_RETURN_IF_ERROR(scheduler->Wait());
+  TEXTJOIN_RETURN_IF_ERROR(sched.Wait());
 
   std::vector<bool> keep(left_rows.size(), false);
   for (size_t g = 0; g < groups.size(); ++g) {
@@ -440,10 +440,21 @@ Result<std::vector<Row>> ProbeSemiJoinReduce(
   for (size_t r = 0; r < left_rows.size(); ++r) {
     if (keep[r]) survivors.push_back(left_rows[r]);
   }
-  if (stage_profile != nullptr) {
-    *stage_profile = scheduler->Profile({sd_keys, sd_build, sd_probe});
-  }
+  if (profile != nullptr) *profile = sched.Profile(ctx.stage_ids);
   return survivors;
+}
+
+}  // namespace textjoin::pipeline
+
+namespace textjoin {
+
+Result<std::vector<Row>> ProbeSemiJoinReduce(
+    const ForeignJoinSpec& spec, const std::vector<Row>& left_rows,
+    TextSource& source, PredicateMask probe_mask, ThreadPool* pool,
+    const FaultPolicy& policy, pipeline::PipelineProfile* stage_profile) {
+  pipeline::StageScheduler sched(pool, source, policy);
+  return pipeline::RunProbeReducer(sched, spec, left_rows, probe_mask,
+                                   stage_profile);
 }
 
 }  // namespace textjoin

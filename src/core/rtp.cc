@@ -22,17 +22,21 @@ Result<ForeignJoinResult> RunRTP(MethodContext& ctx) {
   StageScheduler& sched = ctx.sched;
   const PredicateMask all = FullMask(spec.joins.size());
 
-  const StageScheduler::StageId sd_build = ctx.Stage(StageKind::kQueryBuild);
+  const StageScheduler::StageId sd_build =
+      ctx.AddStage(StageKind::kQueryBuild, "selections-only");
   const StageScheduler::StageId sd_search =
-      ctx.Stage(StageKind::kSearchDispatch);
-  const StageScheduler::StageId sd_fetch = ctx.Stage(StageKind::kFetch);
-  const StageScheduler::StageId sd_match = ctx.Stage(StageKind::kMatch);
-  const StageScheduler::StageId sd_assemble = ctx.Stage(StageKind::kAssemble);
+      ctx.AddStage(StageKind::kSearchDispatch, "single");
+  const StageScheduler::StageId sd_fetch =
+      ctx.AddStage(StageKind::kFetch, "long-form");
+  const StageScheduler::StageId sd_match =
+      ctx.AddStage(StageKind::kMatch, "string-match");
+  const StageScheduler::StageId sd_assemble =
+      ctx.AddStage(StageKind::kAssemble, "doc-order");
 
   TextQueryPtr search;
   {
     ScopedStageTimer timer(sched, sd_build, 1);
-    search = BuildSelectionSearch(spec);
+    search = BuildSearch(rspec, {}, 0);
   }
   // Match-stage work, though not a match unit: units stay one per document.
   const JoinTermMatcher matcher = [&] {

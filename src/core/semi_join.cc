@@ -174,12 +174,17 @@ Result<ForeignJoinResult> RunSJ(MethodContext& ctx) {
   StageScheduler& sched = ctx.sched;
   const PredicateMask all = FullMask(spec.joins.size());
 
-  const StageScheduler::StageId sd_keys = ctx.Stage(StageKind::kDistinctKeys);
-  const StageScheduler::StageId sd_build = ctx.Stage(StageKind::kQueryBuild);
+  const StageScheduler::StageId sd_keys =
+      ctx.AddStage(StageKind::kDistinctKeys, "all-preds");
+  const StageScheduler::StageId sd_build =
+      ctx.AddStage(StageKind::kQueryBuild, "or-batch+resplit");
   const StageScheduler::StageId sd_search =
-      ctx.Stage(StageKind::kSearchDispatch);
-  const StageScheduler::StageId sd_fetch = ctx.Stage(StageKind::kFetch);
-  const StageScheduler::StageId sd_assemble = ctx.Stage(StageKind::kAssemble);
+      ctx.AddStage(StageKind::kSearchDispatch, "per-batch");
+  const StageScheduler::StageId sd_fetch = ctx.AddStage(
+      StageKind::kFetch,
+      spec.need_document_fields ? "long-form,dedup" : "docid-only,dedup");
+  const StageScheduler::StageId sd_assemble =
+      ctx.AddStage(StageKind::kAssemble, "null-left,first-seen");
 
   KeyGroups groups;
   {
@@ -244,13 +249,18 @@ Result<ForeignJoinResult> RunSJRTP(MethodContext& ctx) {
   StageScheduler& sched = ctx.sched;
   const PredicateMask all = FullMask(spec.joins.size());
 
-  const StageScheduler::StageId sd_keys = ctx.Stage(StageKind::kDistinctKeys);
-  const StageScheduler::StageId sd_build = ctx.Stage(StageKind::kQueryBuild);
+  const StageScheduler::StageId sd_keys =
+      ctx.AddStage(StageKind::kDistinctKeys, "all-preds");
+  const StageScheduler::StageId sd_build =
+      ctx.AddStage(StageKind::kQueryBuild, "or-batch+resplit");
   const StageScheduler::StageId sd_search =
-      ctx.Stage(StageKind::kSearchDispatch);
-  const StageScheduler::StageId sd_fetch = ctx.Stage(StageKind::kFetch);
-  const StageScheduler::StageId sd_match = ctx.Stage(StageKind::kMatch);
-  const StageScheduler::StageId sd_assemble = ctx.Stage(StageKind::kAssemble);
+      ctx.AddStage(StageKind::kSearchDispatch, "per-batch");
+  const StageScheduler::StageId sd_fetch =
+      ctx.AddStage(StageKind::kFetch, "long-form,dedup");
+  const StageScheduler::StageId sd_match =
+      ctx.AddStage(StageKind::kMatch, "string-match");
+  const StageScheduler::StageId sd_assemble =
+      ctx.AddStage(StageKind::kAssemble, "first-seen");
 
   KeyGroups groups;
   {

@@ -21,12 +21,17 @@ Result<ForeignJoinResult> RunTS(MethodContext& ctx) {
   StageScheduler& sched = ctx.sched;
   const PredicateMask all = FullMask(spec.joins.size());
 
-  const StageScheduler::StageId sd_keys = ctx.Stage(StageKind::kDistinctKeys);
-  const StageScheduler::StageId sd_build = ctx.Stage(StageKind::kQueryBuild);
+  const StageScheduler::StageId sd_keys =
+      ctx.AddStage(StageKind::kDistinctKeys, "all-preds");
+  const StageScheduler::StageId sd_build =
+      ctx.AddStage(StageKind::kQueryBuild, "per-combination");
   const StageScheduler::StageId sd_search =
-      ctx.Stage(StageKind::kSearchDispatch);
-  const StageScheduler::StageId sd_fetch = ctx.Stage(StageKind::kFetch);
-  const StageScheduler::StageId sd_assemble = ctx.Stage(StageKind::kAssemble);
+      ctx.AddStage(StageKind::kSearchDispatch, "per-combination");
+  const StageScheduler::StageId sd_fetch = ctx.AddStage(
+      StageKind::kFetch,
+      spec.need_document_fields ? "long-form" : "docid-only");
+  const StageScheduler::StageId sd_assemble =
+      ctx.AddStage(StageKind::kAssemble, "group-order");
 
   KeyGroups groups;
   {

@@ -166,8 +166,9 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
       service->lifecycle_cv_.notify_all();
     }
   } unregister{this, query_id};
-  // Ambient for this thread: statistics sampling, planning, and the
-  // executor's inline stages all observe the token.
+  // Ambient for this thread: statistics sampling and planning observe the
+  // token, and the executor's stage scheduler adopts it as the query's
+  // cancel token and deadline.
   CancelScope cancel_scope(token);
 
   // Live mode: pin the corpus version NOW, before statistics or planning
@@ -253,9 +254,6 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
   ExecutorOptions exec_options;
   exec_options.parallelism = options_.parallelism;
   exec_options.failure_mode = options_.failure_mode;
-  exec_options.deadline = deadline_tp;
-  exec_options.clock = deadline_clock;
-  exec_options.cancel = token;
   PlanExecutor executor(catalog_, exec_source, exec_options, pool_.get());
   QueryOutcome outcome;
   TEXTJOIN_ASSIGN_OR_RETURN(

@@ -70,13 +70,6 @@ Result<EngineSearchResult> TextEngine::SearchWithMode(const TextQuery& query,
                               max_search_terms_, exhaustive_eval_, mode);
 }
 
-Result<EngineSearchResult> TextEngine::SearchTopK(const TextQuery& query,
-                                                  size_t k) const {
-  MemoryLists lists(&index_);
-  return EvaluateBooleanQueryTopK(query, lists, docs_.size(),
-                                  max_search_terms_, k, exhaustive_eval_);
-}
-
 const Document& TextEngine::GetDocument(DocNum num) const {
   TEXTJOIN_CHECK(num < docs_.size(), "document number %u out of range", num);
   return docs_[num];

@@ -18,7 +18,7 @@
 /// substrate. It owns a document collection and a positional inverted
 /// index, evaluates Boolean searches by sorted-list merging (text/eval.h),
 /// and enforces the per-search term limit M (70 in Mercury). For the
-/// lists-on-disk variant see text/disk_engine.h.
+/// lists-on-disk variant see text/storage.h.
 
 namespace textjoin {
 
@@ -44,11 +44,6 @@ class TextEngine final : public SearchableCorpus {
   /// differential-testing entry point; results must be identical.
   Result<EngineSearchResult> SearchWithMode(const TextQuery& query,
                                             EvalMode mode) const;
-
-  /// Search returning at most the first `k` matching docs (ascending doc
-  /// order — a prefix of the full result). Charging is unchanged.
-  Result<EngineSearchResult> SearchTopK(const TextQuery& query,
-                                        size_t k) const;
 
   /// Retrieves the long form of a document by number.
   const Document& GetDocument(DocNum num) const override;

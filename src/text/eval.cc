@@ -1,6 +1,6 @@
 #include "text/eval.h"
 
-#include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/arena.h"
@@ -143,21 +143,18 @@ class LegacyEvaluator {
 class BlockEvaluator {
  public:
   BlockEvaluator(const ListProvider& lists, size_t num_documents,
-                 bool exhaustive, uint32_t limit)
+                 bool exhaustive)
       : lists_(lists), num_documents_(num_documents),
-        exhaustive_(exhaustive), limit_(limit) {}
+        exhaustive_(exhaustive) {}
 
   Result<EngineSearchResult> Run(const TextQuery& query) {
-    TEXTJOIN_ASSIGN_OR_RETURN(Operand root, Eval(query, limit_));
+    TEXTJOIN_ASSIGN_OR_RETURN(Operand root, Eval(query));
     EngineSearchResult result;
     if (root.is_block()) {
       result.docs.resize(root.handle->size());
       root.handle->DecodeDocsInto(result.docs.data());
     } else {
       result.docs.assign(root.view.docs, root.view.docs + root.view.size);
-    }
-    if (limit_ != 0 && result.docs.size() > limit_) {
-      result.docs.resize(limit_);
     }
     result.postings_processed = postings_;
     return result;
@@ -195,63 +192,51 @@ class BlockEvaluator {
     return view;
   }
 
-  /// `limit` is nonzero only when this node is the query root of a top-k
-  /// search: a conjunction may then stop its final intersection after
-  /// `limit` docs (ascending output makes the truncation a prefix).
-  Result<Operand> Eval(const TextQuery& node, uint32_t limit) {
+  Result<Operand> Eval(const TextQuery& node) {
     switch (node.kind()) {
       case TextQuery::Kind::kTerm:
         return EvalTerm(node);
       case TextQuery::Kind::kAnd: {
-        TEXTJOIN_ASSIGN_OR_RETURN(Operand acc,
-                                  Eval(*node.children()[0], 0));
-        const size_t n = node.children().size();
-        for (size_t i = 1; i < n; ++i) {
+        TEXTJOIN_ASSIGN_OR_RETURN(Operand acc, Eval(*node.children()[0]));
+        for (size_t i = 1; i < node.children().size(); ++i) {
           if (acc.docs_empty() && !exhaustive_) break;  // short-circuit
-          TEXTJOIN_ASSIGN_OR_RETURN(Operand next,
-                                    Eval(*node.children()[i], 0));
-          const uint32_t lim = i + 1 == n ? limit : 0;
+          TEXTJOIN_ASSIGN_OR_RETURN(Operand next, Eval(*node.children()[i]));
           FlatPostings out;
           if (acc.is_block() && next.is_block()) {
-            out = IntersectBlocks(*acc.handle, *next.handle, arena_, lim);
+            out = IntersectBlocks(*acc.handle, *next.handle, arena_);
             keepalive_.push_back(std::move(acc.handle));
             keepalive_.push_back(std::move(next.handle));
           } else if (!acc.is_block() && next.is_block()) {
-            out = IntersectViewBlock(acc.view, *next.handle, arena_, lim);
+            out = IntersectViewBlock(acc.view, *next.handle, arena_);
             keepalive_.push_back(std::move(next.handle));
           } else {
             // Positions must survive from the accumulator side.
             out = IntersectViews(ViewOf(std::move(acc)),
-                                 ViewOf(std::move(next)), arena_, lim);
+                                 ViewOf(std::move(next)), arena_);
           }
           acc = ViewOperand(out.View());
         }
         return acc;
       }
       case TextQuery::Kind::kOr: {
-        TEXTJOIN_ASSIGN_OR_RETURN(Operand first,
-                                  Eval(*node.children()[0], 0));
+        TEXTJOIN_ASSIGN_OR_RETURN(Operand first, Eval(*node.children()[0]));
         PostingsView acc = ViewOf(std::move(first));
         for (size_t i = 1; i < node.children().size(); ++i) {
-          TEXTJOIN_ASSIGN_OR_RETURN(Operand next,
-                                    Eval(*node.children()[i], 0));
+          TEXTJOIN_ASSIGN_OR_RETURN(Operand next, Eval(*node.children()[i]));
           acc = UnionViews(acc, ViewOf(std::move(next)), arena_).View();
         }
         return ViewOperand(acc);
       }
       case TextQuery::Kind::kNear: {
-        TEXTJOIN_ASSIGN_OR_RETURN(Operand left,
-                                  Eval(*node.children()[0], 0));
-        TEXTJOIN_ASSIGN_OR_RETURN(Operand right,
-                                  Eval(*node.children()[1], 0));
+        TEXTJOIN_ASSIGN_OR_RETURN(Operand left, Eval(*node.children()[0]));
+        TEXTJOIN_ASSIGN_OR_RETURN(Operand right, Eval(*node.children()[1]));
         PostingsView lv = ViewOf(std::move(left));
         PostingsView rv = ViewOf(std::move(right));
         return ViewOperand(
             ProximityViews(lv, rv, node.near_distance(), arena_).View());
       }
       case TextQuery::Kind::kNot: {
-        TEXTJOIN_ASSIGN_OR_RETURN(Operand child,
-                                  Eval(*node.children()[0], 0));
+        TEXTJOIN_ASSIGN_OR_RETURN(Operand child, Eval(*node.children()[0]));
         PostingsView cv = ViewOf(std::move(child));
         postings_ += num_documents_;
         return ViewOperand(DifferenceViews(AllDocs(), cv, arena_).View());
@@ -309,7 +294,6 @@ class BlockEvaluator {
   const ListProvider& lists_;
   size_t num_documents_;
   bool exhaustive_;
-  uint32_t limit_;
   uint64_t postings_ = 0;
   Arena arena_;
   std::vector<BlockListHandle> keepalive_;
@@ -342,21 +326,7 @@ Result<EngineSearchResult> EvaluateBooleanQuery(const TextQuery& query,
     result.postings_processed = evaluator.postings();
     return result;
   }
-  BlockEvaluator evaluator(lists, num_documents, exhaustive, /*limit=*/0);
-  return evaluator.Run(query);
-}
-
-Result<EngineSearchResult> EvaluateBooleanQueryTopK(
-    const TextQuery& query, const ListProvider& lists, size_t num_documents,
-    size_t max_terms, size_t k, bool exhaustive) {
-  TEXTJOIN_RETURN_IF_ERROR(CheckTermLimit(query, max_terms));
-  if (k == 0) {
-    EngineSearchResult result;  // Nothing asked for; nothing retrieved.
-    return result;
-  }
-  const uint32_t limit =
-      static_cast<uint32_t>(std::min<size_t>(k, UINT32_MAX));
-  BlockEvaluator evaluator(lists, num_documents, exhaustive, limit);
+  BlockEvaluator evaluator(lists, num_documents, exhaustive);
   return evaluator.Run(query);
 }
 

@@ -102,16 +102,6 @@ Result<EngineSearchResult> EvaluateBooleanQuery(
     size_t max_terms, bool exhaustive = false,
     EvalMode mode = EvalMode::kBlock);
 
-/// Like EvaluateBooleanQuery but returns at most `k` docs — the first k in
-/// ascending doc order, i.e. a prefix of the full result. When the query
-/// root is a conjunction (or a bare term), the final intersection stops
-/// early once k docs are known; charging is unchanged (lists are still
-/// retrieved at full size), so meters stay comparable with full searches.
-/// Only available on the block path.
-Result<EngineSearchResult> EvaluateBooleanQueryTopK(
-    const TextQuery& query, const ListProvider& lists, size_t num_documents,
-    size_t max_terms, size_t k, bool exhaustive = false);
-
 }  // namespace textjoin
 
 #endif  // TEXTJOIN_TEXT_EVAL_H_

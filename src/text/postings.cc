@@ -445,7 +445,7 @@ PostingsView DecodeBlockPostings(const BlockPostings& list, Arena& arena) {
 // Vectorized merge kernels
 
 FlatPostings IntersectBlocks(const BlockPostings& a, const BlockPostings& b,
-                             Arena& arena, uint32_t limit) {
+                             Arena& arena) {
   FlatPostings out =
       FlatPostings::Make(arena, std::min(a.size(), b.size()),
                          static_cast<uint32_t>(a.num_positions()));
@@ -462,7 +462,6 @@ FlatPostings IntersectBlocks(const BlockPostings& a, const BlockPostings& b,
       out.AppendDoc(da);
       const std::span<const TokenPos> pos = a.PositionsOf(ca.index());
       out.AppendPositions(pos.data(), static_cast<uint32_t>(pos.size()));
-      if (limit != 0 && out.size >= limit) break;
       ca.Next();
       cb.Next();
     }
@@ -471,7 +470,7 @@ FlatPostings IntersectBlocks(const BlockPostings& a, const BlockPostings& b,
 }
 
 FlatPostings IntersectViewBlock(PostingsView a, const BlockPostings& b,
-                                Arena& arena, uint32_t limit) {
+                                Arena& arena) {
   FlatPostings out = FlatPostings::Make(
       arena, std::min(a.size, b.size()), a.num_positions());
   BlockPostings::Cursor cb(b);
@@ -482,7 +481,6 @@ FlatPostings IntersectViewBlock(PostingsView a, const BlockPostings& b,
     const DocNum db = cb.doc();
     if (da == db) {
       CopyPosting(out, a, i);
-      if (limit != 0 && out.size >= limit) break;
       ++i;
       cb.Next();
     } else {  // db > da: gallop the decoded side forward.
@@ -492,8 +490,7 @@ FlatPostings IntersectViewBlock(PostingsView a, const BlockPostings& b,
   return out;
 }
 
-FlatPostings IntersectViews(PostingsView a, PostingsView b, Arena& arena,
-                            uint32_t limit) {
+FlatPostings IntersectViews(PostingsView a, PostingsView b, Arena& arena) {
   FlatPostings out = FlatPostings::Make(arena, std::min(a.size, b.size),
                                         a.num_positions());
   uint32_t i = 0, j = 0;
@@ -506,7 +503,6 @@ FlatPostings IntersectViews(PostingsView a, PostingsView b, Arena& arena,
       j = GallopTo(b.docs, b.size, j + 1, da);
     } else {
       CopyPosting(out, a, i);
-      if (limit != 0 && out.size >= limit) break;
       ++i;
       ++j;
     }

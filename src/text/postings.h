@@ -240,24 +240,21 @@ PostingsView DecodeBlockPostings(const BlockPostings& list, Arena& arena);
 // Vectorized merge kernels. All outputs are FlatPostings in `arena`, sized
 // by exact upper bounds. Semantics (which side's positions survive, dedup
 // rules) are identical to the legacy merges above — the differential fuzz
-// test pins this. `limit` (0 = unlimited) truncates the output after that
-// many docs; because outputs are produced in ascending doc order, a
-// truncated result is a prefix of the full one (the top-k early exit).
+// test pins this.
 
 /// Intersection of two block lists via dual cursors with block-max
 /// skipping. Positions survive from `a`.
 FlatPostings IntersectBlocks(const BlockPostings& a, const BlockPostings& b,
-                             Arena& arena, uint32_t limit = 0);
+                             Arena& arena);
 
 /// Intersection of a decoded accumulator with a block list: gallops over
 /// `a`, block-max skips through `b`. Positions survive from `a`.
 FlatPostings IntersectViewBlock(PostingsView a, const BlockPostings& b,
-                                Arena& arena, uint32_t limit = 0);
+                                Arena& arena);
 
 /// Intersection of two views with mutual galloping. Positions survive
 /// from `a`.
-FlatPostings IntersectViews(PostingsView a, PostingsView b, Arena& arena,
-                            uint32_t limit = 0);
+FlatPostings IntersectViews(PostingsView a, PostingsView b, Arena& arena);
 
 /// Union; positions merged (sorted, deduplicated) for docs in both.
 FlatPostings UnionViews(PostingsView a, PostingsView b, Arena& arena);

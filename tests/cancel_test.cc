@@ -733,12 +733,11 @@ TEST(SchedulerCancelTest, CancelledTokenStopsDispatchBeforeTheSource) {
   FaultPolicy policy;
   policy.mode = FailureMode::kBestEffort;
   policy.degradation = &sink;
-  StageScheduler sched(nullptr, source, policy);
   CancelToken token = CancelToken::Make();
-  sched.SetCancelToken(token);
   token.Cancel(CancelReason::kClient, "gone");
+  CancelScope scope(token);  // The scheduler adopts the ambient token.
+  StageScheduler sched(nullptr, source, policy);
 
-  CancelScope scope(token);  // Driver-thread inline ops use the ambient.
   auto stage = sched.AddStage({StageKind::kSearchDispatch, "s"});
   TextQueryPtr query = TextQuery::Term("title", "belief");
   auto result = sched.Search(stage, *query);
@@ -759,9 +758,9 @@ TEST(SchedulerCancelTest, PendingUnitsDrainWithoutRunningAfterCancel) {
   FaultPolicy policy;
   policy.mode = FailureMode::kBestEffort;
   policy.degradation = &sink;
-  StageScheduler sched(nullptr, source, policy);
   CancelToken token = CancelToken::Make();
-  sched.SetCancelToken(token);
+  CancelScope scope(token);
+  StageScheduler sched(nullptr, source, policy);
 
   auto stage = sched.AddStage({StageKind::kFetch, "f"});
   std::atomic<int> ran{0};
@@ -787,13 +786,12 @@ TEST(SchedulerCancelTest, DeadlineArmedTokenTakesTheShedPathInstead) {
   FaultPolicy policy;
   policy.mode = FailureMode::kBestEffort;
   policy.degradation = &sink;
-  StageScheduler sched(nullptr, source, policy);
   CancelToken token = CancelToken::Make();
   token.SetDeadline(clock.Now(), clock.clock());
   clock.Advance(std::chrono::milliseconds(1));
-  sched.SetCancelToken(token);
-
   CancelScope scope(token);
+  StageScheduler sched(nullptr, source, policy);
+
   auto stage = sched.AddStage({StageKind::kSearchDispatch, "s"});
   TextQueryPtr query = TextQuery::Term("title", "belief");
   auto result = sched.Search(stage, *query);
@@ -807,7 +805,7 @@ TEST(SchedulerCancelTest, DeadlineArmedTokenTakesTheShedPathInstead) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor: ExecutorOptions.cancel reaches the scheduler and the report
+// Executor: the ambient query token reaches the scheduler and the report
 
 TEST(ExecutorCancelTest, PreCancelledTokenAbortsWithoutSourceTraffic) {
   auto engine = MakeSmallEngine();
@@ -823,10 +821,10 @@ TEST(ExecutorCancelTest, PreCancelledTokenAbortsWithoutSourceTraffic) {
   auto plan = enumerator.Optimize(*query);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
-  ExecutorOptions options;
-  options.cancel = CancelToken::Make();
-  options.cancel.Cancel(CancelReason::kClient, "pre-cancelled");
-  PlanExecutor executor(&catalog, &source, options);
+  CancelToken token = CancelToken::Make();
+  token.Cancel(CancelReason::kClient, "pre-cancelled");
+  CancelScope scope(token);
+  PlanExecutor executor(&catalog, &source);
   ExecutionProfile profile;
   DegradationReport degradation;
   auto result = executor.Execute(**plan, *query, &profile, &degradation);
@@ -835,6 +833,36 @@ TEST(ExecutorCancelTest, PreCancelledTokenAbortsWithoutSourceTraffic) {
   EXPECT_EQ(source.meter().invocations, 0u);
   EXPECT_GT(degradation.cancelled_operations, 0u);
   EXPECT_FALSE(degradation.complete);
+}
+
+// ---------------------------------------------------------------------------
+// The public probe reducer builds its own scheduler, which adopts the
+// caller's ambient token — so no pool worker probes for a cancelled query.
+
+TEST(ProbeReducerCancelTest, PreCancelledAmbientTokenSendsNoProbes) {
+  auto engine = MakeSmallEngine();
+  RemoteTextSource source(engine.get());
+  Schema schema;
+  schema.AddColumn(Column{"student", "name", ValueType::kString});
+  std::vector<Row> rows;
+  for (int i = 0; i < 64; ++i) {
+    rows.push_back(Row{Value::Str("author" + std::to_string(i))});
+  }
+  ForeignJoinSpec spec;
+  spec.left_schema = schema;
+  spec.text = MercuryDecl();
+  spec.joins = {{"student.name", "author"}};
+
+  ThreadPool pool(3);
+  ParallelFor(&pool, 64, [](size_t) {});  // Warm: every worker is running.
+  CancelToken token = CancelToken::Make();
+  token.Cancel(CancelReason::kClient, "pre-cancelled");
+  CancelScope scope(token);
+  auto survivors =
+      ProbeSemiJoinReduce(spec, rows, source, /*probe_mask=*/0b1, &pool);
+  ASSERT_FALSE(survivors.ok());
+  EXPECT_EQ(survivors.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(source.meter().invocations, 0u);  // Not one probe was sent.
 }
 
 // ---------------------------------------------------------------------------

@@ -221,30 +221,6 @@ TEST_P(EngineFuzzTest, BlockEvaluatorMatchesLegacy) {
   }
 }
 
-// Top-k searches must return a prefix of the full (sorted) result with an
-// unchanged meter: early exit saves merge work, never charged postings.
-TEST_P(EngineFuzzTest, TopKIsPrefixOfFullResult) {
-  Rng rng(GetParam() * 41 + 3);
-  auto engine = RandomCorpus(rng, static_cast<size_t>(rng.Uniform(20, 120)));
-  for (int q = 0; q < 40; ++q) {
-    TextQueryPtr query = RandomQuery(rng, 3);
-    auto full = engine->Search(*query);
-    ASSERT_TRUE(full.ok()) << query->ToString();
-    for (size_t k : {size_t{1}, size_t{3}, size_t{10}, size_t{100000}}) {
-      auto topk = engine->SearchTopK(*query, k);
-      ASSERT_TRUE(topk.ok()) << query->ToString();
-      const size_t want = std::min(k, full->docs.size());
-      ASSERT_EQ(topk->docs.size(), want)
-          << "query: " << query->ToString() << " k=" << k;
-      EXPECT_TRUE(std::equal(topk->docs.begin(), topk->docs.end(),
-                             full->docs.begin()))
-          << "query: " << query->ToString() << " k=" << k;
-      EXPECT_EQ(topk->postings_processed, full->postings_processed)
-          << "query: " << query->ToString() << " k=" << k;
-    }
-  }
-}
-
 // Round-trip property: every engine query must parse back from its own
 // ToString and produce the same result set.
 TEST(EngineFuzzRoundtrip, ToStringParseRoundtrip) {

@@ -426,9 +426,11 @@ TEST(SchedulerShedTest, ShedsEveryOperationPastTheDeadline) {
   FaultPolicy policy;
   policy.mode = FailureMode::kBestEffort;
   policy.degradation = &sink;
-  StageScheduler sched(nullptr, source, policy);
-  sched.SetDeadline(clock.Now(), clock.clock());
+  CancelToken token = CancelToken::Make();
+  token.SetDeadline(clock.Now(), clock.clock());
   clock.Advance(std::chrono::milliseconds(1));
+  CancelScope scope(token);  // The scheduler adopts the ambient token.
+  StageScheduler sched(nullptr, source, policy);
 
   auto search_stage = sched.AddStage({StageKind::kSearchDispatch, "s"});
   auto fetch_stage = sched.AddStage({StageKind::kFetch, "f"});
@@ -454,8 +456,10 @@ TEST(SchedulerShedTest, GenerousDeadlineShedsNothing) {
   FaultPolicy policy;
   policy.mode = FailureMode::kBestEffort;
   policy.degradation = &sink;
+  CancelToken token = CancelToken::Make();
+  token.SetDeadline(clock.Now() + std::chrono::hours(1), clock.clock());
+  CancelScope scope(token);
   StageScheduler sched(nullptr, source, policy);
-  sched.SetDeadline(clock.Now() + std::chrono::hours(1), clock.clock());
 
   auto stage = sched.AddStage({StageKind::kSearchDispatch, "s"});
   TextQueryPtr query = TextQuery::Term("title", "belief");
@@ -510,9 +514,10 @@ TEST_F(ExecutorOverloadTest, ExpiredDeadlineShedsIntoTheReport) {
   FakeClock clock;
   ExecutorOptions options;
   options.failure_mode = FailureMode::kBestEffort;
-  options.deadline = clock.Now();
-  options.clock = clock.clock();
+  CancelToken token = CancelToken::Make();
+  token.SetDeadline(clock.Now(), clock.clock());
   clock.Advance(std::chrono::milliseconds(1));
+  CancelScope scope(token);
   PlanExecutor executor(&catalog_, &source_, options);
   ExecutionProfile profile;
   DegradationReport degradation;

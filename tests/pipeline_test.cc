@@ -21,7 +21,6 @@ namespace {
 
 using pipeline::DocFetcher;
 using pipeline::IsPlaceholderDoc;
-using pipeline::Pipeline;
 using pipeline::PipelineProfile;
 using pipeline::StageDesc;
 using pipeline::StageKind;
@@ -30,14 +29,18 @@ using textjoin::testing::MakeSmallEngine;
 using textjoin::testing::MakeStudentTable;
 using textjoin::testing::MercuryDecl;
 
-// ------------------------------------------------------------- Lowering
+// ---------------------------------------------------------- Compositions
 //
-// Golden tests: each join method lowers to a fixed stage composition. A
-// change here is a change to how a method executes — update deliberately.
+// Golden tests: each join method runs a fixed stage composition, read back
+// from the stage profile of an execution. A change here is a change to how
+// a method executes — update deliberately.
 
 class LoweringTest : public ::testing::Test {
  protected:
-  LoweringTest() : table_(MakeStudentTable()) {}
+  LoweringTest()
+      : table_(MakeStudentTable()),
+        engine_(MakeSmallEngine()),
+        source_(engine_.get()) {}
 
   ForeignJoinSpec BaseSpec() const {
     ForeignJoinSpec spec;
@@ -49,18 +52,42 @@ class LoweringTest : public ::testing::Test {
     return spec;
   }
 
-  std::string Lowered(JoinMethodKind method, const ForeignJoinSpec& spec,
-                      PredicateMask mask = 0) {
-    auto plan = Pipeline::Lower(method, spec, mask);
-    TEXTJOIN_CHECK(plan.ok(), "%s", plan.status().ToString().c_str());
-    return plan->ToString();
+  /// "SJ: DistinctKeys(all-preds) -> QueryBuild(or-batch+resplit) -> ...":
+  /// the stages the method's execution registered, in order.
+  std::string Composition(JoinMethodKind method, const ForeignJoinSpec& spec,
+                          PredicateMask mask = 0) {
+    PipelineProfile profile;
+    auto joined = ExecuteForeignJoin(method, spec, table_->rows(), source_,
+                                     mask, nullptr, {}, &profile);
+    TEXTJOIN_CHECK(joined.ok(), "%s", joined.status().ToString().c_str());
+    std::string out = std::string(JoinMethodName(method)) + ": ";
+    for (size_t i = 0; i < profile.stages.size(); ++i) {
+      if (i != 0) out += " -> ";
+      out += profile.stages[i].desc.ToString();
+    }
+    return out;
+  }
+
+  /// Executes an inapplicable composition: it must fail without reaching
+  /// the source.
+  bool Rejected(JoinMethodKind method, const ForeignJoinSpec& spec,
+                PredicateMask mask = 0) {
+    PipelineProfile profile;
+    const bool ok = ExecuteForeignJoin(method, spec, table_->rows(), source_,
+                                       mask, nullptr, {}, &profile)
+                        .ok();
+    EXPECT_EQ(source_.meter(), AccessMeter{}) << JoinMethodName(method);
+    EXPECT_TRUE(profile.empty()) << JoinMethodName(method);
+    return !ok;
   }
 
   std::unique_ptr<Table> table_;
+  std::unique_ptr<TextEngine> engine_;
+  RemoteTextSource source_;
 };
 
 TEST_F(LoweringTest, TupleSubstitution) {
-  EXPECT_EQ(Lowered(JoinMethodKind::kTS, BaseSpec()),
+  EXPECT_EQ(Composition(JoinMethodKind::kTS, BaseSpec()),
             "TS: DistinctKeys(all-preds) -> QueryBuild(per-combination) -> "
             "SearchDispatch(per-combination) -> Fetch(long-form) -> "
             "Assemble(group-order)");
@@ -69,14 +96,14 @@ TEST_F(LoweringTest, TupleSubstitution) {
 TEST_F(LoweringTest, TupleSubstitutionDocidOnly) {
   ForeignJoinSpec spec = BaseSpec();
   spec.need_document_fields = false;
-  EXPECT_EQ(Lowered(JoinMethodKind::kTS, spec),
+  EXPECT_EQ(Composition(JoinMethodKind::kTS, spec),
             "TS: DistinctKeys(all-preds) -> QueryBuild(per-combination) -> "
             "SearchDispatch(per-combination) -> Fetch(docid-only) -> "
             "Assemble(group-order)");
 }
 
 TEST_F(LoweringTest, Rtp) {
-  EXPECT_EQ(Lowered(JoinMethodKind::kRTP, BaseSpec()),
+  EXPECT_EQ(Composition(JoinMethodKind::kRTP, BaseSpec()),
             "RTP: QueryBuild(selections-only) -> SearchDispatch(single) -> "
             "Fetch(long-form) -> Match(string-match) -> Assemble(doc-order)");
 }
@@ -85,14 +112,14 @@ TEST_F(LoweringTest, SemiJoin) {
   ForeignJoinSpec spec = BaseSpec();
   spec.left_columns_needed = false;
   spec.need_document_fields = false;
-  EXPECT_EQ(Lowered(JoinMethodKind::kSJ, spec),
+  EXPECT_EQ(Composition(JoinMethodKind::kSJ, spec),
             "SJ: DistinctKeys(all-preds) -> QueryBuild(or-batch+resplit) -> "
             "SearchDispatch(per-batch) -> Fetch(docid-only,dedup) -> "
             "Assemble(null-left,first-seen)");
 }
 
 TEST_F(LoweringTest, SemiJoinRtp) {
-  EXPECT_EQ(Lowered(JoinMethodKind::kSJRTP, BaseSpec()),
+  EXPECT_EQ(Composition(JoinMethodKind::kSJRTP, BaseSpec()),
             "SJ+RTP: DistinctKeys(all-preds) -> "
             "QueryBuild(or-batch+resplit) -> SearchDispatch(per-batch) -> "
             "Fetch(long-form,dedup) -> Match(string-match) -> "
@@ -100,14 +127,14 @@ TEST_F(LoweringTest, SemiJoinRtp) {
 }
 
 TEST_F(LoweringTest, ProbeTupleSubstitution) {
-  EXPECT_EQ(Lowered(JoinMethodKind::kPTS, BaseSpec(), 0b01),
+  EXPECT_EQ(Composition(JoinMethodKind::kPTS, BaseSpec(), 0b01),
             "P+TS: DistinctKeys(all-preds) -> ProbeFilter(cache,{1}) -> "
             "QueryBuild(per-combination) -> SearchDispatch(serial-chain) -> "
             "Fetch(long-form) -> Assemble(group-order)");
 }
 
 TEST_F(LoweringTest, ProbeRtp) {
-  EXPECT_EQ(Lowered(JoinMethodKind::kPRTP, BaseSpec(), 0b10),
+  EXPECT_EQ(Composition(JoinMethodKind::kPRTP, BaseSpec(), 0b10),
             "P+RTP: DistinctKeys(probe-cols,{2}) -> QueryBuild(per-probe) -> "
             "SearchDispatch(per-probe) -> Fetch(long-form,dedup) -> "
             "Match(residual-preds) -> Assemble(group-order)");
@@ -116,14 +143,14 @@ TEST_F(LoweringTest, ProbeRtp) {
 TEST_F(LoweringTest, ValidatesMethodPreconditions) {
   ForeignJoinSpec no_sel = BaseSpec();
   no_sel.selections.clear();
-  EXPECT_FALSE(Pipeline::Lower(JoinMethodKind::kRTP, no_sel).ok());
+  EXPECT_TRUE(Rejected(JoinMethodKind::kRTP, no_sel));
 
   // Pure SJ cannot restore outer columns.
-  EXPECT_FALSE(Pipeline::Lower(JoinMethodKind::kSJ, BaseSpec()).ok());
+  EXPECT_TRUE(Rejected(JoinMethodKind::kSJ, BaseSpec()));
 
   // Probe mask on a non-probing method / missing mask on a probing one.
-  EXPECT_FALSE(Pipeline::Lower(JoinMethodKind::kTS, BaseSpec(), 0b01).ok());
-  EXPECT_FALSE(Pipeline::Lower(JoinMethodKind::kPTS, BaseSpec(), 0).ok());
+  EXPECT_TRUE(Rejected(JoinMethodKind::kTS, BaseSpec(), 0b01));
+  EXPECT_TRUE(Rejected(JoinMethodKind::kPTS, BaseSpec(), 0));
 }
 
 // ------------------------------------------------------------ Scheduler

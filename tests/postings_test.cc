@@ -11,9 +11,8 @@
 /// \file
 /// Edge cases of the block-compressed posting layout (DESIGN.md §14):
 /// empty lists, single-doc lists, lists straddling the 128-doc block
-/// boundary, skip-boundary intersections, duplicate appends, and the
-/// top-k prefix property of the limited intersection kernels. The broad
-/// randomized equivalence against the legacy merges lives here too;
+/// boundary, skip-boundary intersections, and duplicate appends. The
+/// broad randomized equivalence against the legacy merges lives here too;
 /// engine-level differential coverage is in engine_fuzz_test.cc.
 
 namespace textjoin {
@@ -295,39 +294,6 @@ TEST(BlockKernelsTest, SkipBoundaryIntersection) {
           IntersectViewBlock(DecodeBlockPostings(ba, arena), bb, arena)
               .View()),
       want, "boundary view x block");
-}
-
-TEST(BlockKernelsTest, LimitedIntersectIsPrefixOfFull) {
-  Rng rng(31337);
-  for (int iter = 0; iter < 40; ++iter) {
-    const PostingList a = RandomList(rng, 300);
-    const PostingList b = RandomList(rng, 300);
-    const BlockPostings ba = BlockPostingsFromList(a);
-    const BlockPostings bb = BlockPostingsFromList(b);
-    Arena arena;
-    const PostingList full =
-        MaterializeView(IntersectBlocks(ba, bb, arena).View());
-    for (uint32_t limit : {1u, 2u, 5u, 1000u}) {
-      const PostingList got =
-          MaterializeView(IntersectBlocks(ba, bb, arena, limit).View());
-      const size_t want = std::min<size_t>(limit, full.size());
-      ASSERT_EQ(got.size(), want) << "limit " << limit;
-      ExpectEqualLists(got, PostingList(full.begin(), full.begin() + want),
-                       "limit " + std::to_string(limit));
-      PostingsView va = DecodeBlockPostings(ba, arena);
-      PostingsView vb = DecodeBlockPostings(bb, arena);
-      const PostingList got_vb =
-          MaterializeView(IntersectViewBlock(va, bb, arena, limit).View());
-      ExpectEqualLists(got_vb,
-                       PostingList(full.begin(), full.begin() + want),
-                       "view-block limit " + std::to_string(limit));
-      const PostingList got_vv =
-          MaterializeView(IntersectViews(va, vb, arena, limit).View());
-      ExpectEqualLists(got_vv,
-                       PostingList(full.begin(), full.begin() + want),
-                       "view-view limit " + std::to_string(limit));
-    }
-  }
 }
 
 TEST(BlockKernelsTest, EmptyOperands) {
