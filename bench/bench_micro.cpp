@@ -23,7 +23,7 @@
 #include "common/arena.h"
 #include "common/random.h"
 #include "common/text_match.h"
-#include "relational/operators.h"
+#include "relational/join.h"
 #include "text/engine.h"
 #include "text/eval.h"
 #include "text/postings.h"
@@ -239,11 +239,8 @@ void BM_HashJoin(benchmark::State& state) {
     right_rows.push_back({Value::Int(rng.Uniform(0, 1000))});
   }
   for (auto _ : state) {
-    auto left = std::make_unique<RowsSource>(left_schema, left_rows);
-    auto right = std::make_unique<RowsSource>(right_schema, right_rows);
-    HashJoin join(std::move(left), std::move(right), {{"l.k", "r.k"}},
-                  nullptr);
-    benchmark::DoNotOptimize(DrainOperator(join));
+    benchmark::DoNotOptimize(JoinRows(left_schema, left_rows, right_schema,
+                                      right_rows, {{"l.k", "r.k"}}, nullptr));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(2 * n));

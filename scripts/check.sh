@@ -66,6 +66,11 @@ for leg in "${legs[@]}"; do
   esac
   echo "==> [$leg] building"
   cmake --build "$build" -j "$jobs"
+  if [ "$leg" = coverage ]; then
+    # Counts from earlier runs (and from sources since deleted) would
+    # otherwise be merged into this run's report.
+    find "$build" -name '*.gcda' -delete
+  fi
   echo "==> [$leg] testing"
   run_ctest --test-dir "$build" --output-on-failure -j "$jobs"
   if [ "$leg" = release ]; then

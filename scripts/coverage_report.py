@@ -21,12 +21,18 @@ import subprocess
 import sys
 
 # Gated prefixes (repo-relative) and their line-coverage floors, in
-# percent. Floors sit a few points below measured coverage so routine
-# changes don't trip them, while a test regression (or untested new
-# surface) in the cache/resilience layer or the join-method core does.
+# percent: every module under src/. Each floor sits about 3 points below
+# the coverage measured when it was set, so routine changes don't trip
+# it, while a test regression (or untested new surface) in any module
+# does.
 DEFAULT_FLOORS = {
-    "src/connector": 88.0,  # Measured 90.8% at the floor's introduction.
-    "src/core": 90.0,       # Measured 93.0% at the floor's introduction.
+    "src/common": 88.0,      # Measured 91.3% when the floor was set.
+    "src/connector": 88.0,   # Measured 90.8% when the floor was set.
+    "src/core": 90.0,        # Measured 93.0% when the floor was set.
+    "src/relational": 86.0,  # Measured 89.6% when the floor was set.
+    "src/sql": 92.0,         # Measured 95.9% when the floor was set.
+    "src/text": 90.0,        # Measured 93.7% when the floor was set.
+    "src/workload": 92.0,    # Measured 95.2% when the floor was set.
 }
 
 

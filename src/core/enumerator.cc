@@ -490,7 +490,7 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
         for (const auto& lv : left_variants) {
           for (const auto& rv : right_variants) {
             // Hash-join keys: equi conjuncts with one column per side.
-            std::vector<HashJoin::KeyPair> keys;
+            std::vector<JoinKey> keys;
             std::vector<ExprPtr> conjunct_exprs;
             double sel = 1.0;
             for (const Expr* c : applicable) {
@@ -518,9 +518,8 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
               if (!used_as_key) conjunct_exprs.push_back(c->Clone());
             }
             const bool use_hash = !keys.empty();
-            auto node = MakeRelationalJoinNode(lv, rv,
-                                               std::move(conjunct_exprs),
-                                               use_hash, keys);
+            auto node = MakeRelationalJoinNode(
+                lv, rv, std::move(conjunct_exprs), std::move(keys));
             node->est_rows = std::max(0.0, lv->est_rows * rv->est_rows * sel);
             const double join_cpu =
                 use_hash ? (lv->est_rows + rv->est_rows)

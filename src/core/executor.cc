@@ -1,7 +1,6 @@
 #include "core/executor.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <unordered_set>
 
@@ -9,7 +8,7 @@
 #include "common/text_match.h"
 #include "connector/remote_text_source.h"
 #include "core/join_methods.h"
-#include "relational/operators.h"
+#include "relational/join.h"
 
 namespace textjoin {
 
@@ -160,22 +159,11 @@ Result<ExecutionResult> PlanExecutor::ExecNode(const PlanNode& node,
                        ? std::move(residual_parts[0])
                        : And(std::move(residual_parts));
       }
-      auto left_op =
-          std::make_unique<RowsSource>(lhs.schema, std::move(lhs.rows));
-      auto right_op =
-          std::make_unique<RowsSource>(rhs.schema, std::move(rhs.rows));
-      OperatorPtr join;
-      if (node.use_hash) {
-        join = std::make_unique<HashJoin>(std::move(left_op),
-                                          std::move(right_op),
-                                          node.hash_keys, std::move(residual));
-      } else {
-        join = std::make_unique<NestedLoopJoin>(
-            std::move(left_op), std::move(right_op), std::move(residual));
-      }
       ExecutionResult result;
-      result.schema = join->schema();
-      result.rows = DrainOperator(*join);
+      result.schema = lhs.schema.Concat(rhs.schema);
+      TEXTJOIN_ASSIGN_OR_RETURN(
+          result.rows, JoinRows(lhs.schema, lhs.rows, rhs.schema, rhs.rows,
+                                node.hash_keys, std::move(residual)));
       return result;
     }
   }

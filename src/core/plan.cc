@@ -54,7 +54,7 @@ std::string PlanNode::ToString(const FederatedQuery& query,
       return out;
     }
     case Kind::kRelationalJoin: {
-      out += use_hash ? "HashJoin" : "NestedLoopJoin";
+      out += hash_keys.empty() ? "NestedLoopJoin" : "HashJoin";
       if (!conjuncts.empty()) {
         std::vector<std::string> parts;
         for (const ExprPtr& c : conjuncts) parts.push_back(c->ToString());
@@ -85,14 +85,13 @@ std::shared_ptr<PlanNode> MakeScanNode(const std::string& table_name,
 
 std::shared_ptr<PlanNode> MakeRelationalJoinNode(
     PlanNodePtr left, PlanNodePtr right, std::vector<ExprPtr> conjuncts,
-    bool use_hash, std::vector<HashJoin::KeyPair> hash_keys) {
+    std::vector<JoinKey> hash_keys) {
   auto node = std::make_shared<PlanNode>();
   node->kind = PlanNode::Kind::kRelationalJoin;
   node->output_schema = left->output_schema.Concat(right->output_schema);
   node->left = std::move(left);
   node->right = std::move(right);
   node->conjuncts = std::move(conjuncts);
-  node->use_hash = use_hash;
   node->hash_keys = std::move(hash_keys);
   return node;
 }

@@ -10,7 +10,7 @@
 #include "core/federated_query.h"
 #include "core/single_join_optimizer.h"
 #include "relational/expression.h"
-#include "relational/operators.h"
+#include "relational/join.h"
 #include "relational/schema.h"
 
 /// \file
@@ -62,9 +62,8 @@ struct PlanNode {
   PlanNodePtr right;
 
   // ---- kRelationalJoin ----
-  std::vector<ExprPtr> conjuncts;  ///< Join predicates applied here.
-  bool use_hash = false;
-  std::vector<HashJoin::KeyPair> hash_keys;  ///< When use_hash.
+  std::vector<ExprPtr> conjuncts;  ///< Residual join predicates.
+  std::vector<JoinKey> hash_keys;  ///< Equi keys; empty: nested loop.
 
   // ---- kForeignJoin ----
   MethodChoice method;  ///< Join method + probe mask + predicted cost.
@@ -87,7 +86,7 @@ std::shared_ptr<PlanNode> MakeScanNode(const std::string& table_name,
                                        std::vector<ExprPtr> filters);
 std::shared_ptr<PlanNode> MakeRelationalJoinNode(
     PlanNodePtr left, PlanNodePtr right, std::vector<ExprPtr> conjuncts,
-    bool use_hash, std::vector<HashJoin::KeyPair> hash_keys);
+    std::vector<JoinKey> hash_keys);
 std::shared_ptr<PlanNode> MakeForeignJoinNode(PlanNodePtr child,
                                               const FederatedQuery& query,
                                               MethodChoice method);

@@ -2,8 +2,6 @@
 
 namespace textjoin {
 
-Row MaterializeRow(RowView row) { return Row(row.begin(), row.end()); }
-
 Row ConcatRows(RowView left, RowView right) {
   Row out;
   ConcatInto(left, right, out);

@@ -15,8 +15,9 @@
 /// values) used at API boundaries and in long-lived results, and the
 /// non-owning RowView used by the batched execution hot path. A Row
 /// converts implicitly to a RowView, so view-taking functions accept both.
-/// TupleBatch packs many fixed-width rows into one flat allocation,
-/// replacing the per-row vector heap traffic of Row pipelines.
+/// TupleBatch packs many fixed-width rows into one flat allocation; the
+/// join-method stages stage their document rows in it instead of one Row
+/// per document.
 
 namespace textjoin {
 
@@ -26,9 +27,6 @@ using Row = std::vector<Value>;
 /// A borrowed, read-only row (contiguous values owned elsewhere — a Row,
 /// a Table, or a TupleBatch slot).
 using RowView = std::span<const Value>;
-
-/// Copies a view into an owning Row.
-Row MaterializeRow(RowView row);
 
 /// Returns the concatenation of two rows (join output).
 Row ConcatRows(RowView left, RowView right);
@@ -59,9 +57,9 @@ int CompareRows(RowView a, RowView b);
 
 /// A batch of fixed-width rows in one flat, width-strided allocation.
 /// Appending never reallocates (capacity is fixed at construction), so
-/// RowViews into the batch stay valid until Clear(). This is the unit the
-/// batched pipeline stages exchange: ~kDefaultCapacity rows amortize the
-/// per-row virtual-call and allocation overhead of the Volcano model.
+/// RowViews into the batch stay valid until Clear(). The join-method
+/// stages write document rows into it in place (AppendMutable) and read
+/// them back as views, one allocation per batch instead of one per row.
 class TupleBatch {
  public:
   static constexpr size_t kDefaultCapacity = 1024;
@@ -73,27 +71,10 @@ class TupleBatch {
   size_t capacity() const { return capacity_; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  bool full() const { return size_ == capacity_; }
 
   RowView row(size_t i) const {
     TEXTJOIN_CHECK(i < size_, "TupleBatch row %zu out of range", i);
     return {values_.data() + i * width_, width_};
-  }
-
-  /// Appends a copy of `row` (row.size() must equal width()).
-  void AppendRow(RowView row) {
-    TEXTJOIN_CHECK(row.size() == width_, "TupleBatch row width mismatch");
-    Value* slot = AppendSlot();
-    for (size_t c = 0; c < width_; ++c) slot[c] = row[c];
-  }
-
-  /// Appends the concatenation of two views (summed width must match).
-  void AppendConcat(RowView left, RowView right) {
-    TEXTJOIN_CHECK(left.size() + right.size() == width_,
-                   "TupleBatch concat width mismatch");
-    Value* slot = AppendSlot();
-    for (size_t c = 0; c < left.size(); ++c) slot[c] = left[c];
-    for (size_t c = 0; c < right.size(); ++c) slot[left.size() + c] = right[c];
   }
 
   /// Appends a row slot and returns its mutable span — producers write
@@ -104,12 +85,6 @@ class TupleBatch {
 
   /// Discards all rows (slots are reset lazily by the next append).
   void Clear() { size_ = 0; }
-
-  /// Copies every row out as owning Rows, appending to `out`.
-  void MaterializeInto(std::vector<Row>& out) const {
-    out.reserve(out.size() + size_);
-    for (size_t i = 0; i < size_; ++i) out.push_back(MaterializeRow(row(i)));
-  }
 
  private:
   Value* AppendSlot() {

@@ -1,5 +1,7 @@
 #include "sql/parser.h"
 
+#include <charconv>
+#include <cstdint>
 #include <optional>
 
 #include "common/string_util.h"
@@ -72,7 +74,7 @@ class Parser {
       if (Peek().kind != SqlTokenKind::kInteger) {
         return Error("expected an integer after LIMIT");
       }
-      query.limit = static_cast<size_t>(std::stoull(Advance().text));
+      TEXTJOIN_ASSIGN_OR_RETURN(query.limit, ParseNumber<size_t>());
     }
     if (Peek().kind != SqlTokenKind::kEnd) {
       if (IsKeyword(Peek(), "or")) {
@@ -116,6 +118,21 @@ class Parser {
     return Status::InvalidArgument(message + " at offset " +
                                    std::to_string(Peek().offset) + " (near '" +
                                    Peek().text + "')");
+  }
+
+  /// Converts the current numeric token to T and consumes it; a value
+  /// outside T's range is a parse error.
+  template <typename T>
+  Result<T> ParseNumber() {
+    const std::string& text = Peek().text;
+    T value{};
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || end != text.data() + text.size()) {
+      return Error("numeric literal is malformed or out of range");
+    }
+    Advance();
+    return value;
   }
 
   Status ExpectKeyword(const char* kw) {
@@ -228,12 +245,16 @@ class Parser {
       case SqlTokenKind::kString:
         op.literal = Value::Str(Advance().text);
         return op;
-      case SqlTokenKind::kInteger:
-        op.literal = Value::Int(std::stoll(Advance().text));
+      case SqlTokenKind::kInteger: {
+        TEXTJOIN_ASSIGN_OR_RETURN(int64_t v, ParseNumber<int64_t>());
+        op.literal = Value::Int(v);
         return op;
-      case SqlTokenKind::kFloat:
-        op.literal = Value::Real(std::stod(Advance().text));
+      }
+      case SqlTokenKind::kFloat: {
+        TEXTJOIN_ASSIGN_OR_RETURN(double v, ParseNumber<double>());
+        op.literal = Value::Real(v);
         return op;
+      }
       default:
         return Error("expected a column or literal");
     }

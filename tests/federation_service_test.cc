@@ -76,6 +76,14 @@ TEST_F(FederationServiceTest, ParseErrorsPropagate) {
   EXPECT_FALSE(service.Run("select * from missing_table, mercury "
                            "where missing_table.x in mercury.author")
                    .ok());
+  // An equi-join key naming a column the relation lacks (faculty has no
+  // area) fails the query instead of aborting the process.
+  EXPECT_EQ(service
+                .Run("select student.name from student, faculty "
+                     "where student.area = faculty.area")
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(FederationServiceTest, SamplingModeChargesStatsMeter) {

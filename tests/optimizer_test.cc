@@ -217,7 +217,40 @@ TEST_F(OptimizerTest, EquiJoinUsesHashJoin) {
   ASSERT_TRUE(plan.ok());
   const PlanNode* join = plan->get();
   ASSERT_EQ(join->kind, PlanNode::Kind::kRelationalJoin);
-  EXPECT_TRUE(join->use_hash);
+  EXPECT_FALSE(join->hash_keys.empty());
+}
+
+TEST_F(OptimizerTest, NullEquiJoinKeysMatchNothing) {
+  // a(k, x) and b(k, y): each join column holds one NULL and one 'p'.
+  auto make = [](const char* name, const char* payload, int64_t base) {
+    Schema schema;
+    schema.AddColumn(Column{name, "k", ValueType::kString});
+    schema.AddColumn(Column{name, payload, ValueType::kInt64});
+    auto table = std::make_unique<Table>(name, schema);
+    TEXTJOIN_CHECK(table->Insert({Value::Null(), Value::Int(base)}).ok(),
+                   "%s", name);
+    TEXTJOIN_CHECK(table->Insert({Value::Str("p"), Value::Int(2 * base)}).ok(),
+                   "%s", name);
+    return table;
+  };
+  ASSERT_TRUE(catalog_.AddTable(make("a", "x", 1)).ok());
+  ASSERT_TRUE(catalog_.AddTable(make("b", "y", 10)).ok());
+  FederatedQuery q;
+  q.relations = {{"a", "a"}, {"b", "b"}};
+  q.relational_predicates.push_back(Eq(Col("a.k"), Col("b.k")));
+  q.output_columns = {"a.x", "b.y"};
+
+  auto plan = OptimizeQuery(q);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ((*plan)->kind, PlanNode::Kind::kRelationalJoin);
+  EXPECT_FALSE((*plan)->hash_keys.empty());
+  PlanExecutor executor(&catalog_, &source_);
+  auto result = executor.Execute(**plan, q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto reference = ReferenceExecute(q, catalog_, {});
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(Rendered(*reference), std::multiset<std::string>{"[2, 20]"});
+  EXPECT_EQ(Rendered(*result), Rendered(*reference));
 }
 
 TEST_F(OptimizerTest, ExplainRendering) {

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/text_match.h"
 #include "relational/catalog.h"
 #include "relational/expression.h"
-#include "relational/operators.h"
+#include "relational/join.h"
 #include "relational/table.h"
 #include "relational/table_stats.h"
 #include "tests/test_util.h"
@@ -188,126 +190,97 @@ TEST_F(ExprTest, ToStringRendering) {
   EXPECT_EQ(And(std::move(kids))->ToString(), "(a = 1 AND b = 2)");
 }
 
-// -------------------------------------------------------------- Operators
+// ------------------------------------------------------------------ Join
 
-class OperatorTest : public ::testing::Test {
+class JoinRowsTest : public ::testing::Test {
  protected:
-  OperatorTest() : table_(MakeStudentTable()) {}
+  JoinRowsTest()
+      : table_(MakeStudentTable()),
+        right_schema_(table_->schema().WithQualifier("s2")) {}
+
+  const Schema& left_schema() const { return table_->schema(); }
+  const std::vector<Row>& rows() const { return table_->rows(); }
+
   std::unique_ptr<Table> table_;
+  Schema right_schema_;  ///< The student schema, qualified "s2".
 };
 
-TEST_F(OperatorTest, TableScanAll) {
-  TableScan scan(table_.get());
-  EXPECT_EQ(DrainOperator(scan).size(), 5u);
+std::vector<std::string> Rendered(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  for (const Row& row : rows) out.push_back(RowToString(row));
+  return out;
 }
 
-TEST_F(OperatorTest, ScanIsRewindable) {
-  TableScan scan(table_.get());
-  EXPECT_EQ(DrainOperator(scan).size(), 5u);
-  EXPECT_EQ(DrainOperator(scan).size(), 5u);
+TEST_F(JoinRowsTest, CrossProductWithoutKeys) {
+  auto joined =
+      JoinRows(left_schema(), rows(), left_schema(), rows(), {}, nullptr);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(joined->size(), 25u);
+  EXPECT_EQ((*joined)[0].size(), 8u);
 }
 
-TEST_F(OperatorTest, FilterSelectsMatching) {
-  auto scan = std::make_unique<TableScan>(table_.get());
-  Filter filter(std::move(scan),
-                Eq(Col("advisor"), Lit(Value::Str("Garcia"))));
-  EXPECT_EQ(DrainOperator(filter).size(), 3u);
-}
-
-TEST_F(OperatorTest, ProjectReordersColumns) {
-  auto scan = std::make_unique<TableScan>(table_.get());
-  Project project(std::move(scan), {"student.year", "student.name"});
-  std::vector<Row> rows = DrainOperator(project);
-  ASSERT_EQ(rows.size(), 5u);
-  EXPECT_EQ(rows[0][0].AsInt(), 4);
-  EXPECT_EQ(rows[0][1].AsString(), "Radhika");
-  EXPECT_EQ(project.schema().column(0).QualifiedName(), "student.year");
-}
-
-TEST_F(OperatorTest, NestedLoopJoinCrossProduct) {
-  auto left = std::make_unique<TableScan>(table_.get());
-  auto right = std::make_unique<TableScan>(table_.get());
-  // Self cross product needs distinct qualifiers to avoid ambiguity; use no
-  // predicate and check cardinality only.
-  NestedLoopJoin join(std::move(left), std::move(right), nullptr);
-  EXPECT_EQ(DrainOperator(join).size(), 25u);
-}
-
-TEST_F(OperatorTest, HashJoinEquiKeys) {
+TEST_F(JoinRowsTest, EquiKeys) {
   // Join student with itself on advisor: Garcia-group 3x3 + Ullman 2x2 = 13.
-  Schema right_schema = table_->schema().WithQualifier("s2");
-  std::vector<Row> right_rows(table_->rows().begin(), table_->rows().end());
-  auto left = std::make_unique<TableScan>(table_.get());
-  auto right = std::make_unique<RowsSource>(right_schema, right_rows);
-  HashJoin join(std::move(left), std::move(right),
-                {{"student.advisor", "s2.advisor"}}, nullptr);
-  EXPECT_EQ(DrainOperator(join).size(), 13u);
+  auto joined = JoinRows(left_schema(), rows(), right_schema_, rows(),
+                         {{"student.advisor", "s2.advisor"}}, nullptr);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(joined->size(), 13u);
 }
 
-TEST_F(OperatorTest, HashJoinMatchesNestedLoop) {
-  Schema right_schema = table_->schema().WithQualifier("s2");
-  std::vector<Row> right_rows(table_->rows().begin(), table_->rows().end());
-
-  auto nl_left = std::make_unique<TableScan>(table_.get());
-  auto nl_right = std::make_unique<RowsSource>(right_schema, right_rows);
-  NestedLoopJoin nl(std::move(nl_left), std::move(nl_right),
-                    Eq(Col("student.advisor"), Col("s2.advisor")));
-
-  auto h_left = std::make_unique<TableScan>(table_.get());
-  auto h_right = std::make_unique<RowsSource>(right_schema, right_rows);
-  HashJoin hash(std::move(h_left), std::move(h_right),
-                {{"student.advisor", "s2.advisor"}}, nullptr);
-
-  std::vector<Row> a = DrainOperator(nl);
-  std::vector<Row> b = DrainOperator(hash);
-  auto key = [](const Row& r) { return RowToString(r); };
-  std::multiset<std::string> sa, sb;
-  for (const Row& r : a) sa.insert(key(r));
-  for (const Row& r : b) sb.insert(key(r));
-  EXPECT_EQ(sa, sb);
-}
-
-TEST_F(OperatorTest, HashJoinResidualPredicate) {
-  Schema right_schema = table_->schema().WithQualifier("s2");
-  std::vector<Row> right_rows(table_->rows().begin(), table_->rows().end());
-  auto left = std::make_unique<TableScan>(table_.get());
-  auto right = std::make_unique<RowsSource>(right_schema, right_rows);
-  HashJoin join(std::move(left), std::move(right),
-                {{"student.advisor", "s2.advisor"}},
-                Cmp(CompareOp::kNe, Col("student.name"), Col("s2.name")));
+TEST_F(JoinRowsTest, ResidualPredicate) {
+  auto joined =
+      JoinRows(left_schema(), rows(), right_schema_, rows(),
+               {{"student.advisor", "s2.advisor"}},
+               Cmp(CompareOp::kNe, Col("student.name"), Col("s2.name")));
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
   // 13 - 5 self-pairs = 8.
-  EXPECT_EQ(DrainOperator(join).size(), 8u);
+  EXPECT_EQ(joined->size(), 8u);
 }
 
-TEST_F(OperatorTest, DistinctRemovesDuplicates) {
-  auto scan = std::make_unique<TableScan>(table_.get());
-  auto project = std::make_unique<Project>(std::move(scan),
-                                           std::vector<std::string>{
-                                               "student.advisor"});
-  Distinct distinct(std::move(project));
-  EXPECT_EQ(DrainOperator(distinct).size(), 2u);
+TEST_F(JoinRowsTest, HashAndNestedLoopAgreeInOrder) {
+  auto nested = JoinRows(left_schema(), rows(), right_schema_, rows(), {},
+                         Eq(Col("student.advisor"), Col("s2.advisor")));
+  auto hashed = JoinRows(left_schema(), rows(), right_schema_, rows(),
+                         {{"student.advisor", "s2.advisor"}}, nullptr);
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  // Left-row major, each left row's matches in right-input order.
+  EXPECT_EQ(Rendered(*hashed), Rendered(*nested));
+  ASSERT_EQ(hashed->size(), 13u);
+  EXPECT_EQ((*hashed)[0][0].AsString(), "Radhika");
+  EXPECT_EQ((*hashed)[0][4].AsString(), "Radhika");
+  EXPECT_EQ((*hashed)[1][4].AsString(), "Gravano");
 }
 
-TEST_F(OperatorTest, SortOrdersByKey) {
-  auto scan = std::make_unique<TableScan>(table_.get());
-  Sort sort(std::move(scan), {"student.year"});
-  std::vector<Row> rows = DrainOperator(sort);
-  ASSERT_EQ(rows.size(), 5u);
-  for (size_t i = 1; i < rows.size(); ++i) {
-    EXPECT_LE(rows[i - 1][3].AsInt(), rows[i][3].AsInt());
-  }
+TEST_F(JoinRowsTest, NullKeysMatchNothing) {
+  Schema l;
+  l.AddColumn(Column{"a", "k", ValueType::kString});
+  Schema r;
+  r.AddColumn(Column{"b", "k", ValueType::kString});
+  const std::vector<Row> left = {{Value::Null()}, {Value::Str("p")}};
+  const std::vector<Row> right = {{Value::Null()}, {Value::Str("p")}};
+  auto hashed = JoinRows(l, left, r, right, {{"a.k", "b.k"}}, nullptr);
+  auto nested = JoinRows(l, left, r, right, {}, Eq(Col("a.k"), Col("b.k")));
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  EXPECT_EQ(Rendered(*hashed), (std::vector<std::string>{"['p', 'p']"}));
+  EXPECT_EQ(Rendered(*hashed), Rendered(*nested));
 }
 
-TEST_F(OperatorTest, LimitTruncates) {
-  auto scan = std::make_unique<TableScan>(table_.get());
-  Limit limit(std::move(scan), 2);
-  EXPECT_EQ(DrainOperator(limit).size(), 2u);
-}
-
-TEST_F(OperatorTest, LimitZero) {
-  auto scan = std::make_unique<TableScan>(table_.get());
-  Limit limit(std::move(scan), 0);
-  EXPECT_TRUE(DrainOperator(limit).empty());
+TEST_F(JoinRowsTest, UnresolvableKeyOrResidualIsAnError) {
+  EXPECT_EQ(JoinRows(left_schema(), rows(), right_schema_, rows(),
+                     {{"student.nope", "s2.advisor"}}, nullptr)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(JoinRows(left_schema(), rows(), right_schema_, rows(),
+                     {{"student.advisor", "s2.nope"}}, nullptr)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(JoinRows(left_schema(), rows(), right_schema_, rows(), {},
+                        Eq(Col("student.nope"), Col("s2.advisor")))
+                   .ok());
 }
 
 // ------------------------------------------------------------- TableStats

@@ -196,6 +196,21 @@ TEST_F(SqlParserTest, MalformedDecorations) {
   EXPECT_FALSE(Parse("select * from student order by").ok());
   EXPECT_FALSE(Parse("select * from student limit 'x'").ok());
   EXPECT_FALSE(Parse("select * from student limit").ok());
+  // Literals outside their type's range are parse errors, not aborts.
+  EXPECT_EQ(Parse("select * from student where student.year > "
+                  "99999999999999999999")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Parse("select * from student limit 99999999999999999999")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Parse("select * from student where student.year > " +
+                  std::string(400, '9') + ".5")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 
@@ -387,6 +402,23 @@ TEST(SqlEndToEndTest, DistinctOrderByLimitExecution) {
   ASSERT_TRUE(reference.ok());
   ASSERT_EQ(reference->rows.size(), 2u);
   EXPECT_EQ(reference->rows[0][0].AsString(), "Gravano");
+
+  // LIMIT 0 keeps the schema and drops every row, on both paths.
+  auto none = ParseQuery(
+      "select distinct student.name from student, mercury "
+      "where student.name in mercury.author "
+      "order by student.name limit 0",
+      MercuryDecl());
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  auto none_plan = enumerator.Optimize(*none);
+  ASSERT_TRUE(none_plan.ok());
+  auto none_result = executor.Execute(**none_plan, *none);
+  ASSERT_TRUE(none_result.ok());
+  EXPECT_TRUE(none_result->rows.empty());
+  EXPECT_EQ(none_result->schema.num_columns(), 1u);
+  auto none_reference = ReferenceExecute(*none, catalog, engine->documents());
+  ASSERT_TRUE(none_reference.ok());
+  EXPECT_TRUE(none_reference->rows.empty());
 }
 
 TEST(SqlEndToEndTest, ExplainAnalyzeRendersActuals) {
