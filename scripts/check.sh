@@ -87,11 +87,12 @@ for leg in "${legs[@]}"; do
     "$build/bench/bench_shard_scaling"
     echo "==> [release] cancellation gates"
     "$build/bench/bench_cancellation"
-    # Vectorized perf smoke (DESIGN.md §14): block-compressed vs legacy
-    # kernels on identical inputs, gated on the geometric-mean speedup
-    # (3x target, 1.5x hard floor as the noise backstop). Also refreshes
-    # the machine-readable BENCH_vectorized.json snapshot.
-    echo "==> [release] vectorized perf smoke (block vs legacy kernels)"
+    # Vectorized perf smoke (DESIGN.md §14): block-compressed vs the flat
+    # reference kernels of tests/support on identical inputs, gated on the
+    # geometric-mean speedup (3x target, 1.5x hard floor as the noise
+    # backstop). Also refreshes the machine-readable BENCH_vectorized.json
+    # snapshot.
+    echo "==> [release] vectorized perf smoke (block vs reference kernels)"
     "$build/bench/bench_micro" --perf_smoke \
       --snapshot_path="$build/BENCH_vectorized.json"
     # Multi-tenant fairness gates (DESIGN.md §15): quiet tenants keep

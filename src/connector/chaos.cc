@@ -16,7 +16,6 @@ uint64_t Mix64(uint64_t x) {
 }
 
 constexpr uint64_t kFailSalt = 0x1;
-constexpr uint64_t kSpikeSalt = 0x2;
 constexpr uint64_t kTruncateSalt = 0x3;
 constexpr uint64_t kSlowSalt = 0x4;
 
@@ -66,15 +65,6 @@ void ChaosTextSource::MaybeInjectCancel(uint64_t ordinal, int64_t at) const {
   }
 }
 
-void ChaosTextSource::MaybeSpike(uint64_t key) const {
-  if (options_.latency_spike_rate <= 0.0 ||
-      Draw(key, kSpikeSalt) >= options_.latency_spike_rate) {
-    return;
-  }
-  latency_spikes_.fetch_add(1, std::memory_order_relaxed);
-  Delay(options_.latency_spike);
-}
-
 void ChaosTextSource::InjectLatency(uint64_t key,
                                     std::chrono::microseconds base) const {
   std::chrono::microseconds delay = base;
@@ -92,7 +82,6 @@ Result<std::vector<std::string>> ChaosTextSource::Search(
   MaybeInjectCancel(ordinal, options_.cancel_before_op);
   const uint64_t key =
       options_.content_keyed ? HashContent(query.ToString()) : ordinal;
-  MaybeSpike(key);
   InjectLatency(key, options_.search_latency);
   // Cooperative checkpoint after the latency points: a cancelled operation
   // returns before reaching the inner source, so it charges nothing. Only
@@ -129,7 +118,6 @@ Result<Document> ChaosTextSource::Fetch(const std::string& docid) const {
   const uint64_t key = options_.content_keyed
                            ? HashContent(docid) ^ 0x5bd1e995ULL
                            : ordinal;
-  MaybeSpike(key);
   InjectLatency(key, options_.fetch_latency);
   if (Status cancel = CurrentCancelToken().Check();
       cancel.code() == StatusCode::kCancelled) {
@@ -149,7 +137,6 @@ ChaosStats ChaosTextSource::stats() const {
   ChaosStats stats;
   stats.search_failures = search_failures_.load(std::memory_order_relaxed);
   stats.fetch_failures = fetch_failures_.load(std::memory_order_relaxed);
-  stats.latency_spikes = latency_spikes_.load(std::memory_order_relaxed);
   stats.slow_calls = slow_calls_.load(std::memory_order_relaxed);
   stats.truncated_searches = truncated_.load(std::memory_order_relaxed);
   stats.cancelled_operations = cancelled_.load(std::memory_order_relaxed);

@@ -16,7 +16,7 @@
 /// Deterministic fault injection at the TextSource boundary, shared by
 /// tests and benches (robustness_test, resilience_test,
 /// bench_fault_tolerance). A seeded ChaosTextSource decorator misbehaves
-/// the way a real remote text server does — failed calls, latency spikes,
+/// the way a real remote text server does — failed calls, slow calls,
 /// truncated result sets — but reproducibly: the same seed and the same
 /// serial call sequence inject the same faults every run.
 
@@ -48,19 +48,13 @@ struct ChaosOptions {
   /// 0 disables. Period 1 fails every call — a dead server.
   int failure_period = 0;
 
-  /// Probability that an operation sleeps `latency_spike` first (models a
-  /// slow remote; pairs with the resilience layer's deadlines).
-  double latency_spike_rate = 0.0;
-  std::chrono::microseconds latency_spike{0};
-
-  /// Seeded per-op latency injection (exercises hedging and the adaptive
-  /// limiter): every search / fetch takes its base latency, except that a
-  /// `slow_rate` fraction — drawn deterministically like the faults above,
-  /// and content-keyed under `content_keyed` — takes `slow_latency`
+  /// Seeded per-op latency injection (exercises deadlines, hedging and the
+  /// adaptive limiter): every search / fetch takes its base latency, except
+  /// that a `slow_rate` fraction — drawn deterministically like the faults
+  /// above, and content-keyed under `content_keyed` — takes `slow_latency`
   /// instead (a heavy-tailed slow-call distribution). Latency is delivered
   /// through `latency_sink` when set (tests advance a fake clock there —
-  /// no wall-clock sleeps), otherwise slept for real; `latency_spike`
-  /// above goes through the same sink.
+  /// no wall-clock sleeps), otherwise slept for real.
   std::chrono::microseconds search_latency{0};
   std::chrono::microseconds fetch_latency{0};
   double slow_rate = 0.0;
@@ -94,7 +88,6 @@ struct ChaosOptions {
 struct ChaosStats {
   uint64_t search_failures = 0;
   uint64_t fetch_failures = 0;
-  uint64_t latency_spikes = 0;
   uint64_t slow_calls = 0;  ///< Operations that drew `slow_latency`.
   uint64_t truncated_searches = 0;
   uint64_t cancelled_operations = 0;  ///< Ops aborted by an armed token.
@@ -122,7 +115,6 @@ class ChaosTextSource final : public TextSourceDecorator {
   double Draw(uint64_t key, uint64_t salt) const;
   /// Decides failure; `ordinal` drives the period, `key` drives the rate.
   bool ShouldFail(uint64_t ordinal, uint64_t key, double rate) const;
-  void MaybeSpike(uint64_t key) const;
   /// Injects the per-op base latency (or the slow-call latency when the
   /// seeded draw selects this operation).
   void InjectLatency(uint64_t key, std::chrono::microseconds base) const;
@@ -136,7 +128,6 @@ class ChaosTextSource final : public TextSourceDecorator {
   mutable std::atomic<uint64_t> ops_{0};
   mutable std::atomic<uint64_t> search_failures_{0};
   mutable std::atomic<uint64_t> fetch_failures_{0};
-  mutable std::atomic<uint64_t> latency_spikes_{0};
   mutable std::atomic<uint64_t> slow_calls_{0};
   mutable std::atomic<uint64_t> truncated_{0};
   mutable std::atomic<uint64_t> cancelled_{0};

@@ -32,7 +32,7 @@
 ///      and the incoming version's qualified terms, the docid, and
 ///      whether the document universe changed (insert/delete),
 ///   5. applies the mutation to EVERY replica of the shard (plus the
-///      optional whole-corpus mirror used as a statistics oracle),
+///      optional unsharded whole-corpus mirror),
 ///   6. pushes the invalidation into the TextCache, and only then
 ///   7. publishes W.
 ///
@@ -66,9 +66,9 @@ class CorpusWriter {
   /// `shards[s]` holds the replica corpora of shard s; all replicas of a
   /// shard receive identical mutations. `clock` is required and must
   /// outlive the writer. `cache` (optional) receives surgical
-  /// invalidations; `mirror` (optional) is an unsharded oracle corpus that
-  /// receives every mutation — FederationService points the statistics
-  /// oracle at it.
+  /// invalidations; `mirror` (optional) is an unsharded corpus that
+  /// receives every mutation — mutation_service_test freezes its snapshots
+  /// as the replay reference for sharded outcomes.
   CorpusWriter(std::vector<std::vector<LiveCorpus*>> shards,
                EpochClock* clock, std::shared_ptr<TextCache> cache = nullptr,
                LiveCorpus* mirror = nullptr);

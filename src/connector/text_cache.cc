@@ -778,17 +778,4 @@ CacheActivity CachingTextSource::activity() const {
   return a;
 }
 
-CachingTextSource* UnwrapCache(TextSource* source) {
-  TextSource* current = source;
-  while (current != nullptr) {
-    if (auto* caching = dynamic_cast<CachingTextSource*>(current)) {
-      return caching;
-    }
-    auto* decorator = dynamic_cast<TextSourceDecorator*>(current);
-    if (decorator == nullptr) return nullptr;
-    current = decorator->inner();
-  }
-  return nullptr;
-}
-
 }  // namespace textjoin

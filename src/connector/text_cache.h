@@ -497,11 +497,6 @@ class CachingTextSource final : public TextSourceDecorator {
   mutable std::atomic<uint64_t> coalesced_{0};
 };
 
-/// Walks a decorator chain down to the CachingTextSource, or null when the
-/// chain has none. Lets the pipeline scheduler and the probing methods see
-/// through outer wrappers (mirror of UnwrapMetered).
-CachingTextSource* UnwrapCache(TextSource* source);
-
 }  // namespace textjoin
 
 #endif  // TEXTJOIN_CONNECTOR_TEXT_CACHE_H_

@@ -7,33 +7,18 @@ namespace textjoin {
 
 namespace {
 
-/// ListProvider view over an in-memory InvertedIndex. The block accessors
-/// hand out borrowed pointers into the index — the legacy accessors (kept
-/// for the reference evaluator) materialize a flat copy per lookup.
+/// ListProvider view over an in-memory InvertedIndex: hands out borrowed
+/// pointers into the index, so search never copies a list.
 class MemoryLists final : public ListProvider {
  public:
   explicit MemoryLists(const InvertedIndex* index) : index_(index) {}
 
-  Result<PostingList> GetList(const std::string& field,
-                              const std::string& token) const override {
-    return index_->Lookup(field, token).Materialize();
-  }
-
-  Result<std::vector<PostingList>> GetPrefixLists(
-      const std::string& field, const std::string& prefix) const override {
-    std::vector<PostingList> lists;
-    for (const BlockPostings* list : index_->LookupPrefix(field, prefix)) {
-      lists.push_back(list->Materialize());
-    }
-    return lists;
-  }
-
-  Result<BlockListHandle> GetBlockList(
-      const std::string& field, const std::string& token) const override {
+  Result<BlockListHandle> GetList(const std::string& field,
+                                  const std::string& token) const override {
     return BlockListHandle::Borrowed(&index_->Lookup(field, token));
   }
 
-  Result<std::vector<BlockListHandle>> GetBlockPrefixLists(
+  Result<std::vector<BlockListHandle>> GetPrefixLists(
       const std::string& field, const std::string& prefix) const override {
     std::vector<BlockListHandle> handles;
     for (const BlockPostings* list : index_->LookupPrefix(field, prefix)) {
@@ -60,14 +45,9 @@ Result<DocNum> TextEngine::AddDocument(Document doc) {
 }
 
 Result<EngineSearchResult> TextEngine::Search(const TextQuery& query) const {
-  return SearchWithMode(query, EvalMode::kBlock);
-}
-
-Result<EngineSearchResult> TextEngine::SearchWithMode(const TextQuery& query,
-                                                      EvalMode mode) const {
   MemoryLists lists(&index_);
   return EvaluateBooleanQuery(query, lists, docs_.size(),
-                              max_search_terms_, exhaustive_eval_, mode);
+                              max_search_terms_, exhaustive_eval_);
 }
 
 const Document& TextEngine::GetDocument(DocNum num) const {

@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "text/document.h"
-#include "text/eval.h"
 #include "text/inverted_index.h"
 #include "text/query.h"
 #include "text/searchable.h"
@@ -39,11 +38,6 @@ class TextEngine final : public SearchableCorpus {
   /// query has more than max_search_terms() basic terms, mirroring the
   /// server limit that forces semi-join batching.
   Result<EngineSearchResult> Search(const TextQuery& query) const override;
-
-  /// Search with an explicit evaluator selection (block vs legacy) — the
-  /// differential-testing entry point; results must be identical.
-  Result<EngineSearchResult> SearchWithMode(const TextQuery& query,
-                                            EvalMode mode) const;
 
   /// Retrieves the long form of a document by number.
   const Document& GetDocument(DocNum num) const override;

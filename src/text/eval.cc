@@ -1,6 +1,5 @@
 #include "text/eval.h"
 
-#include <memory>
 #include <utility>
 
 #include "common/arena.h"
@@ -9,133 +8,13 @@
 
 namespace textjoin {
 
-Result<BlockListHandle> ListProvider::GetBlockList(
-    const std::string& field, const std::string& token) const {
-  TEXTJOIN_ASSIGN_OR_RETURN(PostingList list, GetList(field, token));
-  return BlockListHandle::Owned(
-      std::make_shared<const BlockPostings>(BlockPostingsFromList(list)));
-}
-
-Result<std::vector<BlockListHandle>> ListProvider::GetBlockPrefixLists(
-    const std::string& field, const std::string& prefix) const {
-  TEXTJOIN_ASSIGN_OR_RETURN(std::vector<PostingList> lists,
-                            GetPrefixLists(field, prefix));
-  std::vector<BlockListHandle> out;
-  out.reserve(lists.size());
-  for (const PostingList& list : lists) {
-    out.push_back(BlockListHandle::Owned(
-        std::make_shared<const BlockPostings>(BlockPostingsFromList(list))));
-  }
-  return out;
-}
-
 namespace {
 
-/// Legacy recursive evaluator over flat Posting vectors (mirrors the
-/// paper's description of processing: retrieve lists, merge). Kept as the
-/// differential-testing reference for the block path below.
-class LegacyEvaluator {
- public:
-  LegacyEvaluator(const ListProvider& lists, size_t num_documents,
-                  bool exhaustive)
-      : lists_(lists), num_documents_(num_documents),
-        exhaustive_(exhaustive) {}
-
-  Result<PostingList> Eval(const TextQuery& node) {
-    switch (node.kind()) {
-      case TextQuery::Kind::kTerm:
-        return EvalTerm(node);
-      case TextQuery::Kind::kAnd: {
-        TEXTJOIN_ASSIGN_OR_RETURN(PostingList acc,
-                                  Eval(*node.children()[0]));
-        for (size_t i = 1; i < node.children().size(); ++i) {
-          if (acc.empty() && !exhaustive_) break;  // short-circuit like a
-                                                   // real engine
-          TEXTJOIN_ASSIGN_OR_RETURN(PostingList next,
-                                    Eval(*node.children()[i]));
-          acc = IntersectLists(acc, next, /*counter=*/nullptr);
-        }
-        return acc;
-      }
-      case TextQuery::Kind::kOr: {
-        PostingList acc;
-        for (const TextQueryPtr& child : node.children()) {
-          TEXTJOIN_ASSIGN_OR_RETURN(PostingList next, Eval(*child));
-          acc = UnionLists(acc, next, /*counter=*/nullptr);
-        }
-        return acc;
-      }
-      case TextQuery::Kind::kNear: {
-        TEXTJOIN_ASSIGN_OR_RETURN(PostingList left,
-                                  Eval(*node.children()[0]));
-        TEXTJOIN_ASSIGN_OR_RETURN(PostingList right,
-                                  Eval(*node.children()[1]));
-        return ProximityMerge(left, right, node.near_distance(),
-                              /*counter=*/nullptr);
-      }
-      case TextQuery::Kind::kNot: {
-        // Complement against the collection; reading the document
-        // directory costs one pass over D postings.
-        TEXTJOIN_ASSIGN_OR_RETURN(PostingList child,
-                                  Eval(*node.children()[0]));
-        postings_ += num_documents_;
-        return DifferenceLists(AllDocsList(), child, /*counter=*/nullptr);
-      }
-    }
-    TEXTJOIN_UNREACHABLE("bad TextQuery kind");
-  }
-
-  uint64_t postings() const { return postings_; }
-
- private:
-  Result<PostingList> EvalTerm(const TextQuery& node) {
-    if (node.term_kind() == TermKind::kPrefix) {
-      TEXTJOIN_ASSIGN_OR_RETURN(
-          std::vector<PostingList> prefix_lists,
-          lists_.GetPrefixLists(node.field(), node.term()));
-      PostingList acc;
-      for (const PostingList& list : prefix_lists) {
-        postings_ += list.size();
-        acc = UnionLists(acc, list, /*counter=*/nullptr);
-      }
-      return acc;
-    }
-    const std::vector<std::string> tokens = AnalyzeTerm(node.term());
-    if (tokens.empty()) return PostingList{};
-    TEXTJOIN_ASSIGN_OR_RETURN(PostingList acc,
-                              lists_.GetList(node.field(), tokens[0]));
-    postings_ += acc.size();
-    for (size_t i = 1; i < tokens.size(); ++i) {
-      // Short-circuit (remaining lists not read) unless exhaustive mode
-      // wants the shard-additive charge.
-      if (acc.empty() && !exhaustive_) break;
-      TEXTJOIN_ASSIGN_OR_RETURN(PostingList next,
-                                lists_.GetList(node.field(), tokens[i]));
-      postings_ += next.size();
-      acc = PhraseAdjacent(acc, next, /*counter=*/nullptr);
-    }
-    return acc;
-  }
-
-  PostingList AllDocsList() const {
-    PostingList all;
-    all.reserve(num_documents_);
-    for (size_t n = 0; n < num_documents_; ++n) {
-      all.push_back(Posting{static_cast<DocNum>(n), {0}});
-    }
-    return all;
-  }
-
-  const ListProvider& lists_;
-  size_t num_documents_;
-  bool exhaustive_;
-  uint64_t postings_ = 0;
-};
-
-/// Vectorized evaluator over block-compressed lists. Charging, traversal
-/// order and short-circuit placement replicate LegacyEvaluator exactly —
-/// a term list is charged at retrieval (handle size, no decode), and the
-/// empty-accumulator short-circuit sits before the next retrieval.
+/// Vectorized evaluator over block-compressed lists. A term list is
+/// charged at retrieval (handle size, no decode), and the empty-accumulator
+/// short-circuit sits before the next retrieval — the same traversal and
+/// charging as the flat reference evaluator in tests/support, which the
+/// differential tests hold it to.
 ///
 /// Operands are either a raw block list (a single-token term leaf — lets
 /// conjunctions run block x block with skip pointers on both sides, never
@@ -249,7 +128,7 @@ class BlockEvaluator {
     if (node.term_kind() == TermKind::kPrefix) {
       TEXTJOIN_ASSIGN_OR_RETURN(
           std::vector<BlockListHandle> prefix_lists,
-          lists_.GetBlockPrefixLists(node.field(), node.term()));
+          lists_.GetPrefixLists(node.field(), node.term()));
       PostingsView acc = EmptyPostingsView();
       for (BlockListHandle& handle : prefix_lists) {
         postings_ += handle->size();
@@ -260,18 +139,16 @@ class BlockEvaluator {
     }
     const std::vector<std::string> tokens = AnalyzeTerm(node.term());
     if (tokens.empty()) return ViewOperand(EmptyPostingsView());
-    TEXTJOIN_ASSIGN_OR_RETURN(
-        BlockListHandle first,
-        lists_.GetBlockList(node.field(), tokens[0]));
+    TEXTJOIN_ASSIGN_OR_RETURN(BlockListHandle first,
+                              lists_.GetList(node.field(), tokens[0]));
     postings_ += first->size();
     if (tokens.size() == 1) return BlockOperand(std::move(first));
     // Phrase: chain adjacency steps over decoded views.
     PostingsView acc = ViewOf(BlockOperand(std::move(first)));
     for (size_t i = 1; i < tokens.size(); ++i) {
       if (acc.empty() && !exhaustive_) break;
-      TEXTJOIN_ASSIGN_OR_RETURN(
-          BlockListHandle next,
-          lists_.GetBlockList(node.field(), tokens[i]));
+      TEXTJOIN_ASSIGN_OR_RETURN(BlockListHandle next,
+                                lists_.GetList(node.field(), tokens[i]));
       postings_ += next->size();
       PostingsView nv = ViewOf(BlockOperand(std::move(next)));
       acc = PhraseAdjacentViews(acc, nv, arena_).View();
@@ -280,7 +157,7 @@ class BlockEvaluator {
   }
 
   /// The collection as a view: every doc with a single position 0 (the
-  /// complement base for NOT, same shape as the legacy AllDocsList).
+  /// complement base for NOT).
   PostingsView AllDocs() {
     const uint32_t n = static_cast<uint32_t>(num_documents_);
     FlatPostings all = FlatPostings::Make(arena_, n, n);
@@ -315,17 +192,8 @@ Result<EngineSearchResult> EvaluateBooleanQuery(const TextQuery& query,
                                                 const ListProvider& lists,
                                                 size_t num_documents,
                                                 size_t max_terms,
-                                                bool exhaustive,
-                                                EvalMode mode) {
+                                                bool exhaustive) {
   TEXTJOIN_RETURN_IF_ERROR(CheckTermLimit(query, max_terms));
-  if (mode == EvalMode::kLegacy) {
-    LegacyEvaluator evaluator(lists, num_documents, exhaustive);
-    TEXTJOIN_ASSIGN_OR_RETURN(PostingList matched, evaluator.Eval(query));
-    EngineSearchResult result;
-    result.docs = DocsOf(matched);
-    result.postings_processed = evaluator.postings();
-    return result;
-  }
   BlockEvaluator evaluator(lists, num_documents, exhaustive);
   return evaluator.Run(query);
 }

@@ -12,25 +12,13 @@
 
 /// \file
 /// The Boolean search evaluator, shared by every engine implementation:
-/// retrieves posting lists through a ListProvider and combines them with
-/// the merge kernels of postings.h. Charging follows the paper's model:
-/// postings_processed = total length of the inverted lists retrieved
-/// (merges are linear in those lengths).
-///
-/// Two evaluation modes (DESIGN.md §14): the vectorized block path
-/// (galloping skip-based intersection over block-compressed lists, scratch
-/// memory in a per-search Arena) and the legacy flat-vector path, kept as
-/// the differential-testing reference. Both produce identical docs and
-/// identical postings_processed.
+/// retrieves block posting lists through a ListProvider and combines them
+/// with the merge kernels of postings.h (galloping skip-based intersection,
+/// scratch memory in a per-search Arena; DESIGN.md §14). Charging follows
+/// the paper's model: postings_processed = total length of the inverted
+/// lists retrieved (merges are linear in those lengths).
 
 namespace textjoin {
-
-/// Evaluation engine selector. Every engine evaluates with kBlock; only
-/// differential tests and benchmarks ask for kLegacy explicitly.
-enum class EvalMode {
-  kBlock,   ///< Block-compressed lists, skip intersection, arena scratch.
-  kLegacy,  ///< Flat Posting vectors and linear merges (reference).
-};
 
 /// A possibly-owning handle to a block posting list. In-memory providers
 /// hand out borrowed pointers into the index (zero copy); disk providers
@@ -67,24 +55,15 @@ class ListProvider {
   virtual ~ListProvider() = default;
 
   /// The posting list for `token` in `field` (empty if absent). `token`
-  /// is already analyzed (lowercase).
-  virtual Result<PostingList> GetList(const std::string& field,
-                                      const std::string& token) const = 0;
+  /// is analyzer output (lowercase).
+  virtual Result<BlockListHandle> GetList(const std::string& field,
+                                          const std::string& token) const = 0;
 
   /// Posting lists for every token in `field` starting with `prefix`
-  /// (truncated searches).
-  virtual Result<std::vector<PostingList>> GetPrefixLists(
+  /// (truncated searches). `prefix` is the query's raw term; providers
+  /// match it case-insensitively.
+  virtual Result<std::vector<BlockListHandle>> GetPrefixLists(
       const std::string& field, const std::string& prefix) const = 0;
-
-  /// Block form of GetList. The default implementation adapts GetList by
-  /// re-encoding (correct for any provider); the real providers override
-  /// it to avoid the copy entirely.
-  virtual Result<BlockListHandle> GetBlockList(const std::string& field,
-                                               const std::string& token) const;
-
-  /// Block form of GetPrefixLists (same default-adaptation contract).
-  virtual Result<std::vector<BlockListHandle>> GetBlockPrefixLists(
-      const std::string& field, const std::string& prefix) const;
 };
 
 /// Evaluates `query` against `lists`. `num_documents` is needed for NOT
@@ -99,8 +78,7 @@ class ListProvider {
 /// than its slice of the single-backend evaluation would.
 Result<EngineSearchResult> EvaluateBooleanQuery(
     const TextQuery& query, const ListProvider& lists, size_t num_documents,
-    size_t max_terms, bool exhaustive = false,
-    EvalMode mode = EvalMode::kBlock);
+    size_t max_terms, bool exhaustive = false);
 
 }  // namespace textjoin
 

@@ -32,7 +32,7 @@ const BlockPostings& InvertedIndex::Lookup(std::string_view field,
   static const BlockPostings* const kEmpty = new BlockPostings();
   auto field_it = fields_.find(field);
   if (field_it == fields_.end()) return *kEmpty;
-  auto token_it = field_it->second.find(ToLower(token));
+  auto token_it = field_it->second.find(token);
   if (token_it == field_it->second.end()) return *kEmpty;
   return token_it->second;
 }
@@ -63,9 +63,14 @@ void InvertedIndex::ForEachPrefix(
   }
 }
 
+size_t InvertedIndex::DocFrequency(std::string_view field,
+                                   std::string_view token) const {
+  return Lookup(field, ToLower(token)).size();
+}
+
 size_t InvertedIndex::ListLength(std::string_view field,
                                  std::string_view token) const {
-  return Lookup(field, token).size();
+  return Lookup(field, ToLower(token)).size();
 }
 
 std::vector<std::string> InvertedIndex::FieldNames() const {

@@ -32,14 +32,17 @@ class InvertedIndex {
   /// must be added in increasing `num` order (posting lists stay sorted).
   void AddDocument(DocNum num, const Document& doc);
 
-  /// The posting list for `token` in `field`; empty list if absent. The
-  /// reference stays valid while the index is alive (lists are never
-  /// removed), though appending more documents may extend it.
+  /// The posting list for `token` in `field`; empty list if absent.
+  /// `token` is analyzer output (lowercase): it is matched as given, with
+  /// no case folding and no copy. The reference stays valid while the
+  /// index is alive (lists are never removed), though appending more
+  /// documents may extend it.
   const BlockPostings& Lookup(std::string_view field,
                               std::string_view token) const;
 
   /// Posting lists for every indexed token in `field` starting with
-  /// `prefix` (supports truncated searches like 'filter?').
+  /// `prefix` (supports truncated searches like 'filter?'). `prefix` is a
+  /// raw query term and is matched case-insensitively.
   std::vector<const BlockPostings*> LookupPrefix(
       std::string_view field, std::string_view prefix) const;
 
@@ -51,13 +54,13 @@ class InvertedIndex {
       const std::function<void(const std::string& token,
                                const BlockPostings& list)>& visit) const;
 
-  /// Number of documents whose `field` contains `token`.
-  size_t DocFrequency(std::string_view field, std::string_view token) const {
-    return Lookup(field, token).size();
-  }
+  /// Number of documents whose `field` contains the raw term `token`
+  /// (matched case-insensitively).
+  size_t DocFrequency(std::string_view field, std::string_view token) const;
 
-  /// Total number of postings in `field`'s lists for `token` — the
-  /// inverted-list length the cost model's L quantity measures.
+  /// Total number of postings in `field`'s lists for the raw term `token`
+  /// (matched case-insensitively) — the inverted-list length the cost
+  /// model's L quantity measures.
   size_t ListLength(std::string_view field, std::string_view token) const;
 
   /// Names of all indexed fields.

@@ -1,10 +1,10 @@
 #include "text/live_corpus.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
-#include "common/string_util.h"
 #include "text/analyzer.h"
 
 namespace textjoin {
@@ -44,34 +44,6 @@ void EpochClock::Publish(uint64_t epoch) {
 
 // ---------------------------------------------------------------------------
 // LiveCorpus — mutations
-
-namespace {
-
-/// Adds one document version's postings to a chunk's token maps.
-void ChunkAdd(
-    std::map<std::string, std::map<std::string, PostingList, std::less<>>,
-             std::less<>>& fields,
-    DocNum num, const Document& doc) {
-  std::string buffer;
-  for (const auto& [field_name, values] : doc.fields) {
-    auto& tokens = fields[field_name];
-    buffer.clear();
-    for (const TokenOccurrenceView& occ :
-         AnalyzeFieldValueViews(values, buffer)) {
-      auto it = tokens.lower_bound(occ.token);
-      if (it == tokens.end() || it->first != occ.token) {
-        it = tokens.emplace_hint(it, std::string(occ.token), PostingList{});
-      }
-      PostingList& list = it->second;
-      if (list.empty() || list.back().doc != num) {
-        list.push_back(Posting{num, {}});
-      }
-      list.back().positions.push_back(occ.position);
-    }
-  }
-}
-
-}  // namespace
 
 DocNum LiveCorpus::AppendVersionLocked(Document doc, uint64_t epoch,
                                        uint64_t ordinal) {
@@ -171,7 +143,7 @@ Result<DocNum> LiveCorpus::SeedLocked(Document doc, uint64_t ordinal) {
     chunks_.push_back(seed_chunk_);
   }
   const DocNum num = static_cast<DocNum>(docs_.size());
-  ChunkAdd(seed_chunk_->fields, num, doc);
+  seed_chunk_->index.AddDocument(num, doc);
   seed_chunk_->end_doc = num + 1;
   AppendVersionLocked(std::move(doc), 0, ordinal);
   visible_count_.fetch_add(1, std::memory_order_acq_rel);
@@ -190,7 +162,7 @@ Status LiveCorpus::ApplyInsert(Document doc, uint64_t epoch,
   chunk->epoch = epoch;
   chunk->first_doc = static_cast<DocNum>(docs_.size());
   chunk->end_doc = chunk->first_doc + 1;
-  ChunkAdd(chunk->fields, chunk->first_doc, doc);
+  chunk->index.AddDocument(chunk->first_doc, doc);
   AppendVersionLocked(std::move(doc), epoch, ordinal);
   chunks_.push_back(std::move(chunk));
   visible_count_.fetch_add(1, std::memory_order_acq_rel);
@@ -213,7 +185,7 @@ Status LiveCorpus::ApplyUpdate(Document doc, uint64_t epoch) {
   chunk->epoch = epoch;
   chunk->first_doc = static_cast<DocNum>(docs_.size());
   chunk->end_doc = chunk->first_doc + 1;
-  ChunkAdd(chunk->fields, chunk->first_doc, doc);
+  chunk->index.AddDocument(chunk->first_doc, doc);
   AppendVersionLocked(std::move(doc), epoch, ordinal);
   chunks_.push_back(std::move(chunk));
   write_seq_.fetch_add(1, std::memory_order_acq_rel);
@@ -625,23 +597,8 @@ class CorpusSnapshot::MaskedLists final : public ListProvider {
  public:
   explicit MaskedLists(const CorpusSnapshot* snap) : snap_(snap) {}
 
-  Result<PostingList> GetList(const std::string& field,
-                              const std::string& token) const override {
-    return snap_->MaskedList(field, token);
-  }
-
-  Result<std::vector<PostingList>> GetPrefixLists(
-      const std::string& field, const std::string& prefix) const override {
-    std::vector<PostingList> lists;
-    for (const std::string& token : snap_->PrefixTokens(field, prefix)) {
-      PostingList list = snap_->MaskedList(field, token);
-      if (!list.empty()) lists.push_back(std::move(list));
-    }
-    return lists;
-  }
-
-  Result<BlockListHandle> GetBlockList(
-      const std::string& field, const std::string& token) const override {
+  Result<BlockListHandle> GetList(const std::string& field,
+                                  const std::string& token) const override {
     if (snap_->identity_) {
       return BlockListHandle::Borrowed(
           &snap_->main_->index.Lookup(field, token));
@@ -656,10 +613,10 @@ class CorpusSnapshot::MaskedLists final : public ListProvider {
         return BlockListHandle::Borrowed(&list);
       }
     }
-    return BlockListHandle::Owned(snap_->MemoizedBlockList(field, token));
+    return BlockListHandle::Owned(snap_->MemoizedList(field, token));
   }
 
-  Result<std::vector<BlockListHandle>> GetBlockPrefixLists(
+  Result<std::vector<BlockListHandle>> GetPrefixLists(
       const std::string& field, const std::string& prefix) const override {
     std::vector<BlockListHandle> handles;
     if (snap_->identity_) {
@@ -670,8 +627,7 @@ class CorpusSnapshot::MaskedLists final : public ListProvider {
       return handles;
     }
     for (const std::string& token : snap_->PrefixTokens(field, prefix)) {
-      TEXTJOIN_ASSIGN_OR_RETURN(BlockListHandle handle,
-                                GetBlockList(field, token));
+      TEXTJOIN_ASSIGN_OR_RETURN(BlockListHandle handle, GetList(field, token));
       if (!handle->empty()) handles.push_back(std::move(handle));
     }
     return handles;
@@ -681,59 +637,51 @@ class CorpusSnapshot::MaskedLists final : public ListProvider {
   const CorpusSnapshot* snap_;
 };
 
-std::shared_ptr<const BlockPostings> CorpusSnapshot::MemoizedBlockList(
+std::shared_ptr<const BlockPostings> CorpusSnapshot::MemoizedList(
     const std::string& field, const std::string& token) const {
   {
     std::lock_guard<std::mutex> lock(memo_mu_);
     auto it = block_memo_.find({field, token});
     if (it != block_memo_.end()) return it->second;
   }
-  auto built = std::make_shared<const BlockPostings>(
-      BlockPostingsFromList(MaskedList(field, token)));
+  auto built = std::make_shared<const BlockPostings>(MaskedList(field, token));
   std::lock_guard<std::mutex> lock(memo_mu_);
   auto [it, inserted] = block_memo_.emplace(std::make_pair(field, token),
                                             std::move(built));
   return it->second;  // A racer's copy wins the tie; both are identical.
 }
 
-PostingList CorpusSnapshot::MaskedList(const std::string& field,
-                                       const std::string& token) const {
-  PostingList out;
+BlockPostings CorpusSnapshot::MaskedList(std::string_view field,
+                                         std::string_view token) const {
+  // (rank, positions) of every visible posting. The positions stay
+  // borrowed from the captured lists, which outlive this call.
+  std::vector<std::pair<uint32_t, std::span<const TokenPos>>> hits;
   bool sorted = true;
-  if (main_ != nullptr) {
-    const BlockPostings& list = main_->index.Lookup(field, token);
+  auto collect = [&](const BlockPostings& list, DocNum first_uncovered) {
     for (BlockPostings::Cursor cur(list); !cur.at_end(); cur.Next()) {
+      // Chunk versions below the main boundary are already served (masked)
+      // from the main segment — this guard is what makes a
+      // crash-after-publish leftover chunk, and a re-merge over it,
+      // observationally inert.
+      if (cur.doc() < first_uncovered) continue;
       const uint32_t rank = rank_of_[cur.doc()];
       if (rank == kInvisible) continue;
-      const auto positions = list.PositionsOf(cur.index());
-      out.push_back(Posting{
-          rank, std::vector<TokenPos>(positions.begin(), positions.end())});
-      if (out.size() >= 2 && out[out.size() - 2].doc > out.back().doc) {
-        sorted = false;
-      }
+      if (!hits.empty() && hits.back().first > rank) sorted = false;
+      hits.emplace_back(rank, list.PositionsOf(cur.index()));
     }
-  }
+  };
+  if (main_ != nullptr) collect(main_->index.Lookup(field, token), 0);
   for (const auto& chunk : chunks_) {
-    auto field_it = chunk->fields.find(field);
-    if (field_it == chunk->fields.end()) continue;
-    auto token_it = field_it->second.find(token);
-    if (token_it == field_it->second.end()) continue;
-    for (const Posting& p : token_it->second) {
-      // Versions below the main boundary are already served (masked) from
-      // the main segment — this guard is what makes a crash-after-publish
-      // leftover chunk, and a re-merge over it, observationally inert.
-      if (p.doc < main_end_) continue;
-      const uint32_t rank = rank_of_[p.doc];
-      if (rank == kInvisible) continue;
-      out.push_back(Posting{rank, p.positions});
-      if (out.size() >= 2 && out[out.size() - 2].doc > out.back().doc) {
-        sorted = false;
-      }
-    }
+    if (chunk->end_doc <= main_end_) continue;  // Fully covered by main.
+    collect(chunk->index.Lookup(field, token), main_end_);
   }
   if (!sorted) {
-    std::sort(out.begin(), out.end(),
-              [](const Posting& a, const Posting& b) { return a.doc < b.doc; });
+    std::sort(hits.begin(), hits.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+  }
+  BlockPostings out;
+  for (const auto& [rank, positions] : hits) {
+    for (TokenPos pos : positions) out.Append(rank, pos);
   }
   return out;
 }
@@ -742,9 +690,7 @@ bool CorpusSnapshot::ChunkHasToken(std::string_view field,
                                    std::string_view token) const {
   for (const auto& chunk : chunks_) {
     if (chunk->end_doc <= main_end_) continue;  // Fully covered by main.
-    auto field_it = chunk->fields.find(field);
-    if (field_it == chunk->fields.end()) continue;
-    if (field_it->second.find(token) != field_it->second.end()) return true;
+    if (!chunk->index.Lookup(field, token).empty()) return true;
   }
   return false;
 }
@@ -754,22 +700,13 @@ std::vector<std::string> CorpusSnapshot::PrefixTokens(
   // Ascending unique token names across the main segment and every chunk
   // (ordered maps on both sides keep each source pre-sorted).
   std::vector<std::string> tokens;
-  if (main_ != nullptr) {
-    main_->index.ForEachPrefix(
-        field, prefix,
-        [&tokens](const std::string& token, const BlockPostings&) {
-          tokens.push_back(token);
-        });
-  }
-  const std::string lower = ToLower(prefix);
+  auto collect = [&tokens](const std::string& token, const BlockPostings&) {
+    tokens.push_back(token);
+  };
+  if (main_ != nullptr) main_->index.ForEachPrefix(field, prefix, collect);
   for (const auto& chunk : chunks_) {
     if (chunk->end_doc <= main_end_) continue;
-    auto field_it = chunk->fields.find(field);
-    if (field_it == chunk->fields.end()) continue;
-    for (auto it = field_it->second.lower_bound(lower);
-         it != field_it->second.end() && StartsWith(it->first, lower); ++it) {
-      tokens.push_back(it->first);
-    }
+    chunk->index.ForEachPrefix(field, prefix, collect);
   }
   std::sort(tokens.begin(), tokens.end());
   tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());

@@ -32,10 +32,10 @@
 /// A LiveCorpus is a SearchableCorpus that accepts inserts, updates and
 /// deletes while serving queries. Every mutation is stamped with a global
 /// write epoch (EpochClock) and lands as an immutable per-epoch DELTA CHUNK
-/// (a tiny sorted-map inverted index over the new document version) plus a
-/// tombstone (the dying version's dead_epoch). A background segment-merge
-/// pass (SegmentMergeWorker) periodically folds everything into a fresh
-/// main BlockPostings segment and prunes the covered chunks.
+/// (an InvertedIndex over the new document version, the same structure as
+/// the main segment) plus a tombstone (the dying version's dead_epoch). A
+/// background segment-merge pass (SegmentMergeWorker) periodically folds
+/// everything into a fresh main segment and prunes the covered chunks.
 ///
 /// Reads never touch the mutable state directly: SnapshotAt(E) captures an
 /// immutable CorpusSnapshot — the corpus exactly as of epoch E — whose
@@ -252,10 +252,7 @@ class LiveCorpus final : public SearchableCorpus {
     uint64_t epoch = 0;
     DocNum first_doc = 0;
     DocNum end_doc = 0;
-    /// field -> token -> postings (legacy form: chunks are tiny).
-    std::map<std::string, std::map<std::string, PostingList, std::less<>>,
-             std::less<>>
-        fields;
+    InvertedIndex index;  ///< Keyed by version index, like the main segment.
   };
 
   /// One docid's permanent-ordinal directory entry. `docid` views into the
@@ -382,17 +379,17 @@ class CorpusSnapshot final : public SearchableCorpus,
   CorpusSnapshot() = default;
 
   /// The tombstone-masked postings of (field, token): (rank, positions)
-  /// collected from the main segment and the chunks <= epoch_, sorted by
-  /// rank. Empty list when no visible doc carries the token.
-  PostingList MaskedList(const std::string& field,
-                         const std::string& token) const;
-  /// MaskedList materialized as block postings and memoized: repeated
-  /// searches of the same term on one snapshot (the oracle-statistics
-  /// path re-probes every query) pay the rebase once. Entries whose terms
-  /// no changed document carries are inherited from the incremental base
-  /// snapshot when no rank moved, so steady insert/update churn reuses
-  /// them across epochs too.
-  std::shared_ptr<const BlockPostings> MemoizedBlockList(
+  /// collected from the main segment and the chunks <= epoch_ and appended
+  /// in rank order. Empty list when no visible doc carries the token.
+  /// `token` is analyzer output (lowercase).
+  BlockPostings MaskedList(std::string_view field,
+                           std::string_view token) const;
+  /// MaskedList memoized: repeated searches of the same term on one
+  /// snapshot (the oracle-statistics path re-probes every query) pay the
+  /// rebase once. Entries whose terms no changed document carries are
+  /// inherited from the incremental base snapshot when no rank moved, so
+  /// steady insert/update churn reuses them across epochs too.
+  std::shared_ptr<const BlockPostings> MemoizedList(
       const std::string& field, const std::string& token) const;
   /// Whether any chunk <= epoch_ indexes `token` beyond main's coverage.
   bool ChunkHasToken(std::string_view field, std::string_view token) const;
@@ -431,8 +428,8 @@ class CorpusSnapshot final : public SearchableCorpus,
   /// Everything visible, fully merged, nothing masked: borrow ALL lists.
   bool identity_ = false;
 
-  /// Masked-block-list memo (see MemoizedBlockList). memo_mu_ is a leaf
-  /// lock taken by const read paths.
+  /// Masked-list memo (see MemoizedList). memo_mu_ is a leaf lock taken
+  /// by const read paths.
   mutable std::mutex memo_mu_;
   mutable std::map<std::pair<std::string, std::string>,
                    std::shared_ptr<const BlockPostings>>

@@ -9,162 +9,6 @@ namespace textjoin {
 
 namespace {
 
-void Charge(MergeCounter* counter, const PostingList& a,
-            const PostingList& b) {
-  if (counter != nullptr) {
-    counter->postings_processed += a.size() + b.size();
-  }
-}
-
-}  // namespace
-
-PostingList IntersectLists(const PostingList& a, const PostingList& b,
-                           MergeCounter* counter) {
-  Charge(counter, a, b);
-  PostingList out;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].doc < b[j].doc) {
-      ++i;
-    } else if (b[j].doc < a[i].doc) {
-      ++j;
-    } else {
-      out.push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-PostingList UnionLists(const PostingList& a, const PostingList& b,
-                       MergeCounter* counter) {
-  Charge(counter, a, b);
-  PostingList out;
-  out.reserve(a.size() + b.size());
-  size_t i = 0, j = 0;
-  while (i < a.size() || j < b.size()) {
-    if (j >= b.size() || (i < a.size() && a[i].doc < b[j].doc)) {
-      out.push_back(a[i++]);
-    } else if (i >= a.size() || b[j].doc < a[i].doc) {
-      out.push_back(b[j++]);
-    } else {
-      Posting merged;
-      merged.doc = a[i].doc;
-      merged.positions.resize(a[i].positions.size() + b[j].positions.size());
-      std::merge(a[i].positions.begin(), a[i].positions.end(),
-                 b[j].positions.begin(), b[j].positions.end(),
-                 merged.positions.begin());
-      merged.positions.erase(
-          std::unique(merged.positions.begin(), merged.positions.end()),
-          merged.positions.end());
-      out.push_back(std::move(merged));
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-PostingList DifferenceLists(const PostingList& a, const PostingList& b,
-                            MergeCounter* counter) {
-  Charge(counter, a, b);
-  PostingList out;
-  size_t i = 0, j = 0;
-  while (i < a.size()) {
-    if (j >= b.size() || a[i].doc < b[j].doc) {
-      out.push_back(a[i++]);
-    } else if (b[j].doc < a[i].doc) {
-      ++j;
-    } else {
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-PostingList PhraseAdjacent(const PostingList& a, const PostingList& b,
-                           MergeCounter* counter) {
-  Charge(counter, a, b);
-  PostingList out;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].doc < b[j].doc) {
-      ++i;
-    } else if (b[j].doc < a[i].doc) {
-      ++j;
-    } else {
-      Posting next;
-      next.doc = a[i].doc;
-      // Two-pointer walk over the position lists: keep q in b where q-1 in a.
-      const std::vector<TokenPos>& pa = a[i].positions;
-      const std::vector<TokenPos>& pb = b[j].positions;
-      size_t x = 0, y = 0;
-      while (x < pa.size() && y < pb.size()) {
-        const TokenPos want = pa[x] + 1;
-        if (pb[y] < want) {
-          ++y;
-        } else if (pb[y] > want) {
-          ++x;
-        } else {
-          next.positions.push_back(pb[y]);
-          ++x;
-          ++y;
-        }
-      }
-      if (!next.positions.empty()) out.push_back(std::move(next));
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-PostingList ProximityMerge(const PostingList& a, const PostingList& b,
-                           TokenPos distance, MergeCounter* counter) {
-  Charge(counter, a, b);
-  PostingList out;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].doc < b[j].doc) {
-      ++i;
-    } else if (b[j].doc < a[i].doc) {
-      ++j;
-    } else {
-      Posting next;
-      next.doc = a[i].doc;
-      const std::vector<TokenPos>& pa = a[i].positions;
-      const std::vector<TokenPos>& pb = b[j].positions;
-      // Two-pointer window scan over the sorted position lists.
-      size_t x = 0;
-      for (size_t y = 0; y < pb.size(); ++y) {
-        while (x < pa.size() && pa[x] + distance < pb[y]) ++x;
-        if (x < pa.size() &&
-            (pa[x] <= pb[y] ? pb[y] - pa[x] : pa[x] - pb[y]) <= distance) {
-          next.positions.push_back(pb[y]);
-        }
-      }
-      if (!next.positions.empty()) out.push_back(std::move(next));
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-std::vector<DocNum> DocsOf(const PostingList& list) {
-  std::vector<DocNum> docs;
-  docs.reserve(list.size());
-  for (const Posting& p : list) docs.push_back(p.doc);
-  return docs;
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized representation
-
-namespace {
-
 constexpr uint32_t kZeroPosBegin[1] = {0};
 
 /// First index >= `from` with docs[index] >= target (or n). Exponential
@@ -310,21 +154,6 @@ void BlockPostings::DecodeDocsInto(DocNum* out) const {
   }
 }
 
-PostingList BlockPostings::Materialize() const {
-  PostingList out;
-  out.reserve(num_docs_);
-  std::vector<DocNum> docs(num_docs_);
-  DecodeDocsInto(docs.data());
-  for (uint32_t i = 0; i < num_docs_; ++i) {
-    Posting p;
-    p.doc = docs[i];
-    const std::span<const TokenPos> pos = PositionsOf(i);
-    p.positions.assign(pos.begin(), pos.end());
-    out.push_back(std::move(p));
-  }
-  return out;
-}
-
 size_t BlockPostings::MemoryBytes() const {
   return blocks_.capacity() * sizeof(BlockMeta) + deltas_.capacity() +
          tail_.capacity() * sizeof(DocNum) +
@@ -426,14 +255,6 @@ bool BlockPostings::Cursor::SkipTo(DocNum target) {
   return true;
 }
 
-BlockPostings BlockPostingsFromList(const PostingList& list) {
-  BlockPostings out;
-  for (const Posting& p : list) {
-    for (TokenPos pos : p.positions) out.Append(p.doc, pos);
-  }
-  return out;
-}
-
 PostingsView DecodeBlockPostings(const BlockPostings& list, Arena& arena) {
   if (list.empty()) return EmptyPostingsView();
   DocNum* docs = arena.AllocArray<DocNum>(list.size());
@@ -442,7 +263,7 @@ PostingsView DecodeBlockPostings(const BlockPostings& list, Arena& arena) {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized merge kernels
+// Merge kernels
 
 FlatPostings IntersectBlocks(const BlockPostings& a, const BlockPostings& b,
                              Arena& arena) {
@@ -522,8 +343,7 @@ FlatPostings UnionViews(PostingsView a, PostingsView b, Arena& arena) {
       CopyPosting(out, b, j++);
     } else {
       out.AppendDoc(a.docs[i]);
-      // Merge + dedup the two sorted position runs (same semantics as the
-      // legacy merge+unique).
+      // Merge + dedup the two sorted position runs.
       const std::span<const TokenPos> pa = a.PositionsOf(i);
       const std::span<const TokenPos> pb = b.PositionsOf(j);
       const uint32_t start = out.num_positions;

@@ -9,20 +9,14 @@
 #include "text/document.h"
 
 /// \file
-/// Positional posting lists in two representations:
-///
-///  - the legacy array-of-structs PostingList (one heap-allocated position
-///    vector per posting) with the linear-merge set operations the paper's
-///    text-system model assumes (Section 2.1). Kept as the differential-
-///    testing reference and selectable at runtime (see eval.h);
-///
-///  - the vectorized block layout (DESIGN.md §14): BlockPostings stores
-///    docids in fixed 128-doc blocks of frame-of-reference byte-packed
-///    deltas with a per-block max-docid skip entry, positions in one flat
-///    array. Merges run over structure-of-arrays views (PostingsView /
-///    FlatPostings) whose memory lives in a per-query Arena, and
-///    conjunctions intersect by galloping + block-max skipping without
-///    decoding blocks that cannot match.
+/// Positional posting lists in the vectorized block layout (DESIGN.md §14):
+/// BlockPostings stores docids in fixed 128-doc blocks of
+/// frame-of-reference byte-packed deltas with a per-block max-docid skip
+/// entry, positions in one flat array. Merges run over structure-of-arrays
+/// views (PostingsView / FlatPostings) whose memory lives in a per-query
+/// Arena, and conjunctions intersect by galloping + block-max skipping
+/// without decoding blocks that cannot match. Every merge is linear in its
+/// inputs, as the paper's text-system model assumes (Section 2.1).
 
 namespace textjoin {
 
@@ -32,55 +26,6 @@ using TokenPos = uint32_t;
 
 /// Gap between consecutive values of a multi-valued field in position space.
 inline constexpr TokenPos kFieldValuePositionGap = 1u << 16;
-
-/// One posting: a document and the positions at which the term occurs in
-/// the indexed field.
-struct Posting {
-  DocNum doc = 0;
-  std::vector<TokenPos> positions;  ///< Sorted ascending.
-};
-
-/// A posting list, sorted by doc number (ascending, unique).
-using PostingList = std::vector<Posting>;
-
-/// Aggregate counter: every merge below adds the number of input postings it
-/// scanned, which is the quantity the cost model charges c_p for.
-struct MergeCounter {
-  uint64_t postings_processed = 0;
-};
-
-/// Docs present in both lists. Positions are taken from `a` (caller chooses
-/// which side's positions survive; used by conjunction).
-PostingList IntersectLists(const PostingList& a, const PostingList& b,
-                           MergeCounter* counter);
-
-/// Docs present in either list. Positions are merged (sorted, deduplicated)
-/// for docs in both.
-PostingList UnionLists(const PostingList& a, const PostingList& b,
-                       MergeCounter* counter);
-
-/// Docs present in `a` but not `b`.
-PostingList DifferenceLists(const PostingList& a, const PostingList& b,
-                            MergeCounter* counter);
-
-/// Phrase step: docs where some position p in `a` has p+1 in `b`; resulting
-/// positions are the p+1 values (so chains of adjacency steps implement
-/// multi-word phrases).
-PostingList PhraseAdjacent(const PostingList& a, const PostingList& b,
-                           MergeCounter* counter);
-
-/// Proximity step: docs present in both lists where some position pair
-/// (pa, pb) satisfies |pa - pb| <= distance. Resulting positions are the
-/// qualifying positions from `b`. Multi-valued-field position gaps keep
-/// proximity from crossing values as long as distance < the gap.
-PostingList ProximityMerge(const PostingList& a, const PostingList& b,
-                           TokenPos distance, MergeCounter* counter);
-
-/// Extracts the sorted doc numbers of `list`.
-std::vector<DocNum> DocsOf(const PostingList& list);
-
-// ---------------------------------------------------------------------------
-// Vectorized representation
 
 /// Read-only structure-of-arrays view of a decoded posting list: `size`
 /// docs in `docs`, and doc i's positions at
@@ -174,10 +119,6 @@ class BlockPostings {
   /// Decodes every docid into out[0 .. size()) (ascending).
   void DecodeDocsInto(DocNum* out) const;
 
-  /// The legacy array-of-structs form (differential tests, serialization
-  /// compatibility).
-  PostingList Materialize() const;
-
   /// Heap footprint of the compressed representation, in bytes.
   size_t MemoryBytes() const;
 
@@ -230,17 +171,14 @@ class BlockPostings {
   DocNum last_doc_ = 0;
 };
 
-/// Builds a BlockPostings from the legacy form (tests, adapters).
-BlockPostings BlockPostingsFromList(const PostingList& list);
-
 /// Decodes `list` into a view: docids land in `arena`, positions are
 /// borrowed from the list's own flat arrays (zero copy).
 PostingsView DecodeBlockPostings(const BlockPostings& list, Arena& arena);
 
-// Vectorized merge kernels. All outputs are FlatPostings in `arena`, sized
-// by exact upper bounds. Semantics (which side's positions survive, dedup
-// rules) are identical to the legacy merges above — the differential fuzz
-// test pins this.
+// Merge kernels. All outputs are FlatPostings in `arena`, sized by exact
+// upper bounds. Their semantics (which side's positions survive, dedup
+// rules) match the flat reference merges in tests/support, which the
+// differential tests pin.
 
 /// Intersection of two block lists via dual cursors with block-max
 /// skipping. Positions survive from `a`.
@@ -262,11 +200,16 @@ FlatPostings UnionViews(PostingsView a, PostingsView b, Arena& arena);
 /// Docs in `a` but not `b`; positions from `a`.
 FlatPostings DifferenceViews(PostingsView a, PostingsView b, Arena& arena);
 
-/// Phrase step over views (see PhraseAdjacent).
+/// Phrase step: docs where some position p in `a` has p+1 in `b`; the
+/// resulting positions are the p+1 values (so chains of adjacency steps
+/// implement multi-word phrases).
 FlatPostings PhraseAdjacentViews(PostingsView a, PostingsView b,
                                  Arena& arena);
 
-/// Proximity step over views (see ProximityMerge).
+/// Proximity step: docs in both views where some position pair (pa, pb)
+/// satisfies |pa - pb| <= distance; the resulting positions are the
+/// qualifying positions from `b`. Multi-valued-field position gaps keep
+/// proximity from crossing values as long as distance < the gap.
 FlatPostings ProximityViews(PostingsView a, PostingsView b, TokenPos distance,
                             Arena& arena);
 

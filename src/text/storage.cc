@@ -1,10 +1,9 @@
 #include "text/storage.h"
 
-#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/check.h"
-
 #include "common/string_util.h"
 
 namespace textjoin {
@@ -172,9 +171,10 @@ Result<std::vector<Document>> ReadCorpusDocuments(const std::string& path) {
     return Status::Unimplemented("unsupported corpus file version " +
                                  std::to_string(version));
   }
+  // Counts come from the file, so nothing is reserved from them: a corrupt
+  // count fails at the first missing byte instead of on allocation.
   TEXTJOIN_ASSIGN_OR_RETURN(uint64_t count, r.U64());
   std::vector<Document> docs;
-  docs.reserve(count);
   for (uint64_t d = 0; d < count; ++d) {
     Document doc;
     TEXTJOIN_ASSIGN_OR_RETURN(doc.docid, r.Str());
@@ -183,7 +183,6 @@ Result<std::vector<Document>> ReadCorpusDocuments(const std::string& path) {
       TEXTJOIN_ASSIGN_OR_RETURN(std::string field, r.Str());
       TEXTJOIN_ASSIGN_OR_RETURN(uint32_t values, r.U32());
       std::vector<std::string> list;
-      list.reserve(values);
       for (uint32_t v = 0; v < values; ++v) {
         TEXTJOIN_ASSIGN_OR_RETURN(std::string value, r.Str());
         list.push_back(std::move(value));
@@ -269,12 +268,21 @@ DiskPostingIndex::~DiskPostingIndex() {
 }
 
 Result<std::unique_ptr<DiskPostingIndex>> DiskPostingIndex::Open(
-    const std::string& path) {
+    const std::string& path, size_t num_documents) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
     return Status::NotFound("cannot open index file '" + path + "'");
   }
-  auto index = std::unique_ptr<DiskPostingIndex>(new DiskPostingIndex(file));
+  auto index = std::unique_ptr<DiskPostingIndex>(
+      new DiskPostingIndex(file, num_documents));
+  if (std::fseek(file, 0, SEEK_END) != 0) {
+    return Status::Internal("seek failed in index file");
+  }
+  const long end = std::ftell(file);
+  if (end < 0 || std::fseek(file, 0, SEEK_SET) != 0) {
+    return Status::Internal("seek failed in index file");
+  }
+  const uint64_t file_size = static_cast<uint64_t>(end);
   Reader r(file);
   TEXTJOIN_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
   if (magic != kIndexMagic) {
@@ -293,24 +301,13 @@ Result<std::unique_ptr<DiskPostingIndex>> DiskPostingIndex::Open(
     TEXTJOIN_ASSIGN_OR_RETURN(entry.offset, r.U64());
     TEXTJOIN_ASSIGN_OR_RETURN(entry.bytes, r.U32());
     TEXTJOIN_ASSIGN_OR_RETURN(entry.postings, r.U32());
+    if (entry.offset > file_size || entry.bytes > file_size - entry.offset) {
+      return Status::InvalidArgument(
+          "corrupt index file: list runs past the end of the file");
+    }
     index->directory_[{std::move(field), std::move(token)}] = entry;
   }
   return index;
-}
-
-Result<std::vector<PostingList>> DiskPostingIndex::ReadPrefixLists(
-    const std::string& field, const std::string& prefix) const {
-  std::vector<PostingList> lists;
-  const std::string lower = ToLower(prefix);
-  for (auto it = directory_.lower_bound({field, lower});
-       it != directory_.end() && it->first.first == field &&
-       StartsWith(it->first.second, lower);
-       ++it) {
-    TEXTJOIN_ASSIGN_OR_RETURN(PostingList list,
-                              ReadList(field, it->first.second));
-    lists.push_back(std::move(list));
-  }
-  return lists;
 }
 
 size_t DiskPostingIndex::DocFrequency(const std::string& field,
@@ -319,10 +316,12 @@ size_t DiskPostingIndex::DocFrequency(const std::string& field,
   return it == directory_.end() ? 0 : it->second.postings;
 }
 
-Result<PostingList> DiskPostingIndex::ReadList(
+Result<BlockListHandle> DiskPostingIndex::ReadList(
     const std::string& field, const std::string& token) const {
   auto it = directory_.find({field, ToLower(token)});
-  if (it == directory_.end()) return PostingList{};
+  if (it == directory_.end()) {
+    return BlockListHandle::Owned(std::make_shared<const BlockPostings>());
+  }
   std::string encoded(it->second.bytes, '\0');
   {
     // The handle's file position is shared state; only the seek+read pair
@@ -337,71 +336,42 @@ Result<PostingList> DiskPostingIndex::ReadList(
       return Status::InvalidArgument("corrupt or truncated index file");
     }
   }
-  PostingList list;
-  list.reserve(it->second.postings);
-  size_t pos = 0;
-  DocNum prev_doc = 0;
-  for (uint32_t p = 0; p < it->second.postings; ++p) {
-    Posting posting;
-    TEXTJOIN_ASSIGN_OR_RETURN(uint64_t doc_delta, DecodeVarint(encoded, pos));
-    posting.doc = prev_doc + static_cast<DocNum>(doc_delta);
-    prev_doc = posting.doc;
-    TEXTJOIN_ASSIGN_OR_RETURN(uint64_t positions, DecodeVarint(encoded, pos));
-    posting.positions.reserve(positions);
-    TokenPos prev_pos = 0;
-    for (uint64_t i = 0; i < positions; ++i) {
-      TEXTJOIN_ASSIGN_OR_RETURN(uint64_t delta, DecodeVarint(encoded, pos));
-      prev_pos += static_cast<TokenPos>(delta);
-      posting.positions.push_back(prev_pos);
-    }
-    list.push_back(std::move(posting));
-  }
-  return list;
-}
-
-Result<BlockListHandle> DiskPostingIndex::ReadBlockList(
-    const std::string& field, const std::string& token) const {
-  auto it = directory_.find({field, ToLower(token)});
-  if (it == directory_.end()) {
-    return BlockListHandle::Owned(std::make_shared<const BlockPostings>());
-  }
-  std::string encoded(it->second.bytes, '\0');
-  {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    if (std::fseek(file_, static_cast<long>(it->second.offset), SEEK_SET) !=
-        0) {
-      return Status::Internal("seek failed in index file");
-    }
-    if (std::fread(encoded.data(), 1, encoded.size(), file_) !=
-        encoded.size()) {
-      return Status::InvalidArgument("corrupt or truncated index file");
-    }
-  }
   // Decode the delta+varint stream straight into the block-compressed
-  // form (no flat PostingList intermediate).
+  // form. The stream is outside input: every doc must ascend and stay
+  // inside the corpus, and every posting must carry ascending positions,
+  // or BlockPostings::Append and the corpus's GetDocument would abort.
   auto list = std::make_shared<BlockPostings>();
   size_t pos = 0;
-  DocNum prev_doc = 0;
+  uint64_t prev_doc = 0;
   for (uint32_t p = 0; p < it->second.postings; ++p) {
     TEXTJOIN_ASSIGN_OR_RETURN(uint64_t doc_delta, DecodeVarint(encoded, pos));
-    const DocNum doc = prev_doc + static_cast<DocNum>(doc_delta);
+    if ((p > 0 && doc_delta == 0) || doc_delta >= num_documents_ - prev_doc) {
+      return Status::InvalidArgument(
+          "corrupt index file: doc out of order or out of range");
+    }
+    const uint64_t doc = prev_doc + doc_delta;
     prev_doc = doc;
     TEXTJOIN_ASSIGN_OR_RETURN(uint64_t positions, DecodeVarint(encoded, pos));
     if (positions == 0) {
       return Status::InvalidArgument(
           "corrupt index file: posting without positions");
     }
-    TokenPos prev_pos = 0;
+    uint64_t prev_pos = 0;
     for (uint64_t i = 0; i < positions; ++i) {
       TEXTJOIN_ASSIGN_OR_RETURN(uint64_t delta, DecodeVarint(encoded, pos));
-      prev_pos += static_cast<TokenPos>(delta);
-      list->Append(doc, prev_pos);
+      if ((i > 0 && delta == 0) ||
+          delta > std::numeric_limits<TokenPos>::max() - prev_pos) {
+        return Status::InvalidArgument(
+            "corrupt index file: positions out of order");
+      }
+      prev_pos += delta;
+      list->Append(static_cast<DocNum>(doc), static_cast<TokenPos>(prev_pos));
     }
   }
   return BlockListHandle::Owned(std::move(list));
 }
 
-Result<std::vector<BlockListHandle>> DiskPostingIndex::ReadBlockPrefixLists(
+Result<std::vector<BlockListHandle>> DiskPostingIndex::ReadPrefixLists(
     const std::string& field, const std::string& prefix) const {
   std::vector<BlockListHandle> lists;
   const std::string lower = ToLower(prefix);
@@ -410,7 +380,7 @@ Result<std::vector<BlockListHandle>> DiskPostingIndex::ReadBlockPrefixLists(
        StartsWith(it->first.second, lower);
        ++it) {
     TEXTJOIN_ASSIGN_OR_RETURN(BlockListHandle list,
-                              ReadBlockList(field, it->first.second));
+                              ReadList(field, it->first.second));
     lists.push_back(std::move(list));
   }
   return lists;
@@ -423,24 +393,14 @@ class DiskLists final : public ListProvider {
  public:
   explicit DiskLists(const DiskPostingIndex* index) : index_(index) {}
 
-  Result<PostingList> GetList(const std::string& field,
-                              const std::string& token) const override {
+  Result<BlockListHandle> GetList(const std::string& field,
+                                  const std::string& token) const override {
     return index_->ReadList(field, token);
   }
 
-  Result<std::vector<PostingList>> GetPrefixLists(
+  Result<std::vector<BlockListHandle>> GetPrefixLists(
       const std::string& field, const std::string& prefix) const override {
     return index_->ReadPrefixLists(field, prefix);
-  }
-
-  Result<BlockListHandle> GetBlockList(
-      const std::string& field, const std::string& token) const override {
-    return index_->ReadBlockList(field, token);
-  }
-
-  Result<std::vector<BlockListHandle>> GetBlockPrefixLists(
-      const std::string& field, const std::string& prefix) const override {
-    return index_->ReadBlockPrefixLists(field, prefix);
   }
 
  private:
@@ -466,7 +426,7 @@ Result<std::unique_ptr<DiskTextEngine>> DiskTextEngine::Open(
   TEXTJOIN_ASSIGN_OR_RETURN(std::vector<Document> docs,
                             ReadCorpusDocuments(corpus_path));
   TEXTJOIN_ASSIGN_OR_RETURN(std::unique_ptr<DiskPostingIndex> index,
-                            DiskPostingIndex::Open(index_path));
+                            DiskPostingIndex::Open(index_path, docs.size()));
   return std::unique_ptr<DiskTextEngine>(new DiskTextEngine(
       std::move(docs), std::move(index), max_search_terms));
 }

@@ -51,35 +51,32 @@ Status WriteIndexFile(const TextEngine& engine, const std::string& path);
 /// [DH91]); each ReadList seeks and decodes one posting list from disk.
 class DiskPostingIndex {
  public:
-  /// Opens `path` and loads the directory. The file must stay in place for
-  /// the lifetime of the object.
+  /// Opens `path` and loads the directory. `num_documents` is the size of
+  /// the corpus the index was built over: a list naming a document at or
+  /// past it is corrupt. The file must stay in place for the lifetime of
+  /// the object. Fails with InvalidArgument when a directory entry runs
+  /// past the end of the file.
   static Result<std::unique_ptr<DiskPostingIndex>> Open(
-      const std::string& path);
+      const std::string& path, size_t num_documents);
 
   ~DiskPostingIndex();
   DiskPostingIndex(const DiskPostingIndex&) = delete;
   DiskPostingIndex& operator=(const DiskPostingIndex&) = delete;
 
-  /// Reads the posting list for (field, token) from disk; empty list if
-  /// the token is not in the directory. `token` is matched lowercase.
-  /// Safe to call concurrently: the shared seek+read on the single file
-  /// handle is serialized internally.
-  Result<PostingList> ReadList(const std::string& field,
-                               const std::string& token) const;
+  /// Reads the posting list for (field, token) from disk and decodes it
+  /// into the block form the evaluator consumes; the returned handle owns
+  /// the list. Empty list if the token is not in the directory. `token` is
+  /// matched lowercase. Fails with InvalidArgument on a corrupt list: docs
+  /// that do not ascend or fall outside the corpus, a posting with no
+  /// positions, or positions that do not ascend. Safe to call
+  /// concurrently: the shared seek+read on the single file handle is
+  /// serialized internally.
+  Result<BlockListHandle> ReadList(const std::string& field,
+                                   const std::string& token) const;
 
   /// Reads the posting lists of every directory token in `field` with the
   /// given prefix (truncated searches).
-  Result<std::vector<PostingList>> ReadPrefixLists(
-      const std::string& field, const std::string& prefix) const;
-
-  /// Like ReadList, but decodes straight into the block-compressed form
-  /// the vectorized evaluator consumes (no flat PostingList detour). The
-  /// returned handle owns the decoded list.
-  Result<BlockListHandle> ReadBlockList(const std::string& field,
-                                        const std::string& token) const;
-
-  /// Block form of ReadPrefixLists.
-  Result<std::vector<BlockListHandle>> ReadBlockPrefixLists(
+  Result<std::vector<BlockListHandle>> ReadPrefixLists(
       const std::string& field, const std::string& prefix) const;
 
   /// Document frequency straight from the in-memory directory (no I/O) —
@@ -97,9 +94,11 @@ class DiskPostingIndex {
     uint32_t postings = 0; ///< Number of postings in the list.
   };
 
-  explicit DiskPostingIndex(std::FILE* file) : file_(file) {}
+  DiskPostingIndex(std::FILE* file, size_t num_documents)
+      : file_(file), num_documents_(num_documents) {}
 
   std::FILE* file_;
+  size_t num_documents_;
   /// Serializes the fseek+fread pair in ReadList: the file position is
   /// state shared by every reader of the single handle.
   mutable std::mutex io_mu_;

@@ -454,17 +454,6 @@ TEST(CachingSourceTest, SessionProbeOutcomesRoundTripWithEpochGuard) {
   EXPECT_FALSE(source.BeginProbe(*probe).cached.has_value());
 }
 
-TEST(CachingSourceTest, UnwrapCacheSeesThroughOuterDecorators) {
-  auto engine = MakeSmallEngine();
-  RemoteTextSource metered(engine.get());
-  auto cache = std::make_shared<TextCache>();
-  CachingTextSource caching(&metered, cache);
-  ChaosTextSource outer(&caching);  // Zero-rate chaos: a pass-through.
-  EXPECT_EQ(UnwrapCache(&outer), &caching);
-  EXPECT_EQ(UnwrapCache(&caching), &caching);
-  EXPECT_EQ(UnwrapCache(&metered), nullptr);
-}
-
 /// A text source whose FIRST search blocks until Open() and fails the
 /// first `fail_first` attempts — so a leader's retry sequence can be held
 /// open while a follower coalesces onto its flight.

@@ -9,19 +9,25 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "common/text_match.h"
+#include "tests/support/random_text.h"
+#include "tests/support/reference_postings.h"
 #include "text/analyzer.h"
 #include "text/engine.h"
 #include "text/query.h"
 
 /// \file
 /// Differential fuzzing of the Boolean text engine: random corpora and
-/// random Boolean query trees, evaluated both by the inverted-index engine
-/// and by a brute-force per-document reference built on the shared
-/// relational-side matcher. Any divergence is a bug in the index, the
-/// merges, or the analyzer.
+/// random Boolean query trees, evaluated by the inverted-index engine, by
+/// a brute-force per-document reference built on the shared
+/// relational-side matcher, and by the flat reference evaluator of
+/// tests/support. Any divergence is a bug in the index, the merges, or the
+/// analyzer.
 
 namespace textjoin {
 namespace {
+
+using textjoin::testing::RandomDocument;
+using textjoin::testing::RandomQuery;
 
 /// Global (analyzer-scheme) positions at which `term` matches within
 /// `values` — last-token positions for phrases, all matching-token
@@ -106,72 +112,16 @@ bool DocMatches(const TextQuery& query, const Document& doc) {
   return false;
 }
 
-/// Random corpus: small vocabulary so conjunctions and phrases hit often.
+/// Random corpus over the shared test vocabulary.
 std::unique_ptr<TextEngine> RandomCorpus(Rng& rng, size_t docs) {
   auto engine = std::make_unique<TextEngine>();
-  const char* vocab[] = {"alpha", "beta", "gamma", "delta", "epsilon",
-                         "zeta",  "eta",  "theta", "iota",  "kappa"};
   for (size_t d = 0; d < docs; ++d) {
-    Document doc;
-    doc.docid = "d" + std::to_string(d);
-    for (const char* field : {"title", "author"}) {
-      const int64_t values = rng.Uniform(0, 2);
-      std::vector<std::string> list;
-      for (int64_t v = 0; v < values; ++v) {
-        std::string value;
-        const int64_t words = rng.Uniform(1, 4);
-        for (int64_t w = 0; w < words; ++w) {
-          if (w != 0) value += " ";
-          value += vocab[rng.Uniform(0, 9)];
-        }
-        list.push_back(std::move(value));
-      }
-      if (!list.empty()) doc.fields[field] = std::move(list);
-    }
-    TEXTJOIN_CHECK(engine->AddDocument(std::move(doc)).ok(), "add");
+    TEXTJOIN_CHECK(
+        engine->AddDocument(RandomDocument(rng, "d" + std::to_string(d)))
+            .ok(),
+        "add");
   }
   return engine;
-}
-
-/// Random Boolean query tree of bounded depth.
-TextQueryPtr RandomQuery(Rng& rng, int depth) {
-  const char* vocab[] = {"alpha", "beta", "gamma", "delta", "epsilon",
-                         "zeta",  "eta",  "theta", "iota",  "kappa"};
-  const char* fields[] = {"title", "author"};
-  if (depth == 0 || rng.Bernoulli(0.4)) {
-    const int64_t kind = rng.Uniform(0, 9);
-    std::string term = vocab[rng.Uniform(0, 9)];
-    TermKind term_kind = TermKind::kWordOrPhrase;
-    if (kind < 3) {
-      // Phrase of two words.
-      term += " ";
-      term += vocab[rng.Uniform(0, 9)];
-    } else if (kind == 3) {
-      // Prefix of a vocabulary word.
-      term = term.substr(0, static_cast<size_t>(rng.Uniform(1, 3)));
-      term_kind = TermKind::kPrefix;
-    }
-    return TextQuery::Term(fields[rng.Uniform(0, 1)], std::move(term),
-                           term_kind);
-  }
-  const int64_t connector = rng.Uniform(0, 3);
-  if (connector == 2) {
-    return TextQuery::Not(RandomQuery(rng, depth - 1));
-  }
-  if (connector == 3) {
-    // Proximity between two random terms (possibly different fields).
-    TextQueryPtr l = RandomQuery(rng, 0);
-    TextQueryPtr r = RandomQuery(rng, 0);
-    return TextQuery::Near(std::move(l), std::move(r),
-                           static_cast<uint32_t>(rng.Uniform(0, 6)));
-  }
-  std::vector<TextQueryPtr> children;
-  const int64_t arity = rng.Uniform(2, 3);
-  for (int64_t i = 0; i < arity; ++i) {
-    children.push_back(RandomQuery(rng, depth - 1));
-  }
-  return connector == 0 ? TextQuery::And(std::move(children))
-                        : TextQuery::Or(std::move(children));
 }
 
 class EngineFuzzTest : public ::testing::TestWithParam<uint64_t> {};
@@ -201,23 +151,30 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzzTest,
                          ::testing::Range<uint64_t>(1, 13));
 
 // Differential property (DESIGN.md §14): the block-compressed evaluator
-// and the legacy posting-list evaluator must agree EXACTLY — same docs in
-// the same order AND the same postings_processed meter, since the meter is
-// the paper's cost-model artifact and must not shift with the decoder.
-TEST_P(EngineFuzzTest, BlockEvaluatorMatchesLegacy) {
+// and the flat reference evaluator (tests/support) must agree EXACTLY —
+// same docs in the same order AND the same postings_processed meter, since
+// the meter is the paper's cost-model artifact and must not shift with the
+// decoder. Both evaluation modes run: exhaustive changes only the charge.
+TEST_P(EngineFuzzTest, BlockEvaluatorMatchesReference) {
   Rng rng(GetParam() * 17 + 11);
   auto engine = RandomCorpus(rng, static_cast<size_t>(rng.Uniform(10, 150)));
   for (int q = 0; q < 80; ++q) {
     TextQueryPtr query = RandomQuery(rng, 3);
-    auto block = engine->SearchWithMode(*query, EvalMode::kBlock);
-    auto legacy = engine->SearchWithMode(*query, EvalMode::kLegacy);
-    ASSERT_TRUE(block.ok()) << query->ToString();
-    ASSERT_TRUE(legacy.ok()) << query->ToString();
-    EXPECT_EQ(block->docs, legacy->docs)
-        << "query: " << query->ToString() << " seed " << GetParam();
-    EXPECT_EQ(block->postings_processed, legacy->postings_processed)
-        << "meter drift, query: " << query->ToString() << " seed "
-        << GetParam();
+    for (bool exhaustive : {false, true}) {
+      engine->set_exhaustive_eval(exhaustive);
+      auto block = engine->Search(*query);
+      auto reference =
+          ReferenceSearch(*query, engine->index(), engine->num_documents(),
+                          engine->max_search_terms(), exhaustive);
+      ASSERT_TRUE(block.ok()) << query->ToString();
+      ASSERT_TRUE(reference.ok()) << query->ToString();
+      EXPECT_EQ(block->docs, reference->docs)
+          << "query: " << query->ToString() << " seed " << GetParam()
+          << " exhaustive " << exhaustive;
+      EXPECT_EQ(block->postings_processed, reference->postings_processed)
+          << "meter drift, query: " << query->ToString() << " seed "
+          << GetParam() << " exhaustive " << exhaustive;
+    }
   }
 }
 

@@ -2,27 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "connector/corpus_writer.h"
-#include "text/engine.h"
+#include "tests/support/random_text.h"
 #include "tests/test_util.h"
+#include "text/engine.h"
 
 /// Unit tests for the live-corpus subsystem (DESIGN.md §16): the epoch
 /// clock's contiguous frontier, snapshot parity with a frozen TextEngine,
 /// tombstone visibility across pinned epochs, snapshot immutability under
 /// later writes and merges, chaos-injected merge faults at the publish
-/// boundary, replica agreement through CorpusWriter, and a sleepless
-/// writer/reader/merger stress for TSan.
+/// boundary, replica agreement through CorpusWriter, randomized write
+/// histories replayed in mirror order against a reference model, and a
+/// sleepless writer/reader/merger stress for TSan.
 
 namespace textjoin {
 namespace {
 
 using textjoin::testing::MakeDoc;
+using textjoin::testing::RandomDocument;
+using textjoin::testing::RandomQuery;
 
 TextQueryPtr And2(TextQueryPtr a, TextQueryPtr b) {
   std::vector<TextQueryPtr> children;
@@ -71,11 +80,13 @@ std::unique_ptr<TextEngine> FrozenReplay(const CorpusSnapshot& snapshot,
 }
 
 /// Asserts byte-identical Search results (doc numbers AND postings
-/// charge) plus document identity between a snapshot and its replay.
+/// charge) for every query in `queries`, plus document identity, between
+/// a snapshot and its replay.
 void ExpectParity(const SearchableCorpus& snapshot,
-                  const SearchableCorpus& frozen, const std::string& label) {
+                  const SearchableCorpus& frozen, const std::string& label,
+                  const std::vector<TextQueryPtr>& queries = ParityQueries()) {
   ASSERT_EQ(snapshot.num_documents(), frozen.num_documents()) << label;
-  for (const TextQueryPtr& query : ParityQueries()) {
+  for (const TextQueryPtr& query : queries) {
     auto live = snapshot.Search(*query);
     auto replay = frozen.Search(*query);
     ASSERT_EQ(live.ok(), replay.ok()) << label;
@@ -326,6 +337,205 @@ TEST(SegmentMergeWorkerTest, FaultScheduleDrivesDeterministicChaos) {
   worker.Stop();
   EXPECT_FALSE(worker.running());
 }
+
+// ------------------------------------------------- Randomized parity
+
+/// One mutation of a generated write history.
+struct HistoryOp {
+  enum class Kind { kInsert, kUpdate, kDelete };
+  Kind kind = Kind::kInsert;
+  uint64_t epoch = 0;
+  std::string docid;
+  uint64_t ordinal = 0;  ///< Permanent per docid.
+  Document doc;          ///< The new version (insert and update).
+};
+
+/// The reference model: every version applied so far, per docid, with the
+/// epoch that bore it and the epoch that killed it (none yet = unpinned).
+struct ModelVersion {
+  uint64_t born = 0;
+  uint64_t dead = kUnpinnedEpoch;
+  Document doc;
+};
+struct ModelDocid {
+  uint64_t ordinal = 0;
+  std::vector<ModelVersion> versions;
+};
+
+/// The docids visible at `pin` under the model, in permanent-ordinal
+/// order: what CorpusSnapshot numbers 0..V-1.
+std::vector<const Document*> ModelVisible(
+    const std::map<std::string, ModelDocid>& model, uint64_t pin) {
+  std::vector<std::pair<uint64_t, const Document*>> visible;
+  for (const auto& [docid, entry] : model) {
+    for (const ModelVersion& v : entry.versions) {
+      if (v.born <= pin && pin < v.dead) {
+        visible.emplace_back(entry.ordinal, &v.doc);
+      }
+    }
+  }
+  std::sort(visible.begin(), visible.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<const Document*> docs;
+  for (const auto& [ordinal, doc] : visible) docs.push_back(doc);
+  return docs;
+}
+
+/// A random history of inserts, updates, deletes and re-inserts over a
+/// small docid pool, one mutation per epoch 1..epochs, valid when applied
+/// in epoch order. Seeds hold docids [0, seeds) with ordinals 0..seeds-1.
+std::vector<HistoryOp> RandomHistory(Rng& rng, int seeds, int pool,
+                                     int epochs) {
+  std::map<std::string, bool> live;
+  std::map<std::string, uint64_t> ordinals;
+  for (int d = 0; d < seeds; ++d) {
+    const std::string docid = "doc" + std::to_string(d);
+    live[docid] = true;
+    ordinals[docid] = static_cast<uint64_t>(d);
+  }
+  uint64_t next_ordinal = static_cast<uint64_t>(seeds);
+  std::vector<HistoryOp> ops;
+  for (int e = 1; e <= epochs; ++e) {
+    HistoryOp op;
+    op.epoch = static_cast<uint64_t>(e);
+    op.docid = "doc" + std::to_string(rng.Uniform(0, pool - 1));
+    const bool is_live = live[op.docid];
+    if (!is_live) {
+      op.kind = HistoryOp::Kind::kInsert;  // First insert or re-insert.
+      auto [it, fresh] = ordinals.emplace(op.docid, next_ordinal);
+      if (fresh) ++next_ordinal;
+      op.ordinal = it->second;
+    } else {
+      op.kind = rng.Bernoulli(0.5) ? HistoryOp::Kind::kUpdate
+                                   : HistoryOp::Kind::kDelete;
+      op.ordinal = ordinals[op.docid];
+    }
+    if (op.kind != HistoryOp::Kind::kDelete) {
+      op.doc = RandomDocument(rng, op.docid);
+    }
+    live[op.docid] = op.kind != HistoryOp::Kind::kDelete;
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+/// The order a sharded mirror receives `ops` in: each shard's (ordinal
+/// parity's) ops keep their epoch order, as the writer's shard lock
+/// guarantees, but the two shards interleave at random — so epochs, and
+/// the ordinals of new docids, arrive out of order.
+std::vector<const HistoryOp*> MirrorOrder(Rng& rng,
+                                          const std::vector<HistoryOp>& ops) {
+  std::vector<const HistoryOp*> shards[2];
+  for (const HistoryOp& op : ops) shards[op.ordinal % 2].push_back(&op);
+  std::vector<const HistoryOp*> order;
+  size_t next[2] = {0, 0};
+  while (next[0] < shards[0].size() || next[1] < shards[1].size()) {
+    const int shard = next[0] == shards[0].size()   ? 1
+                      : next[1] == shards[1].size() ? 0
+                                                    : static_cast<int>(
+                                                          rng.Uniform(0, 1));
+    order.push_back(shards[shard][next[shard]++]);
+  }
+  return order;
+}
+
+/// Random history x random application order x random merges (each
+/// MergeFault) x random pins x random query trees, in both evaluation
+/// modes: every pinned snapshot must show exactly the model's visible
+/// documents, and match its frozen replay in docs AND postings charge.
+class LiveSnapshotFuzzTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(LiveSnapshotFuzzTest, RandomHistoriesMatchFrozenReplay) {
+  const auto [seed, exhaustive] = GetParam();
+  Rng rng(seed * 7919 + 13);
+  constexpr int kSeeds = 6;
+  constexpr int kPool = 14;
+  constexpr int kEpochs = 48;
+  const std::vector<HistoryOp> ops = RandomHistory(rng, kSeeds, kPool,
+                                                   kEpochs);
+  // Two thirds of the seeds apply the history in mirror order.
+  std::vector<const HistoryOp*> order;
+  if (seed % 3 != 0) {
+    order = MirrorOrder(rng, ops);
+  } else {
+    for (const HistoryOp& op : ops) order.push_back(&op);
+  }
+
+  LiveCorpus corpus;
+  corpus.set_exhaustive_eval(exhaustive);
+  std::map<std::string, ModelDocid> model;
+  for (int d = 0; d < kSeeds; ++d) {
+    Document doc = RandomDocument(rng, "doc" + std::to_string(d));
+    model[doc.docid] = {static_cast<uint64_t>(d), {{0, kUnpinnedEpoch, doc}}};
+    ASSERT_TRUE(corpus.SeedDocument(std::move(doc)).ok());
+  }
+
+  uint64_t max_applied = 0;
+  std::vector<TextQueryPtr> queries;
+  auto check_pin = [&](uint64_t pin, const std::string& label) {
+    auto snapshot = corpus.Snapshot(pin);
+    const uint64_t resolved = pin == kUnpinnedEpoch ? max_applied : pin;
+    const std::vector<const Document*> want = ModelVisible(model, resolved);
+    ASSERT_EQ(snapshot->num_documents(), want.size()) << label;
+    for (DocNum num = 0; num < want.size(); ++num) {
+      ASSERT_EQ(snapshot->GetDocument(num).docid, want[num]->docid) << label;
+      ASSERT_EQ(snapshot->GetDocument(num).fields, want[num]->fields)
+          << label;
+    }
+    queries.clear();
+    for (int q = 0; q < 4; ++q) queries.push_back(RandomQuery(rng, 3));
+    ExpectParity(*snapshot, *FrozenReplay(*snapshot, exhaustive), label,
+                 queries);
+  };
+
+  const MergeFault faults[] = {MergeFault::kNone,
+                               MergeFault::kAbortBeforePublish,
+                               MergeFault::kSkipPrune};
+  for (size_t i = 0; i < order.size(); ++i) {
+    const HistoryOp& op = *order[i];
+    ModelDocid& entry = model[op.docid];
+    switch (op.kind) {
+      case HistoryOp::Kind::kInsert:
+        ASSERT_TRUE(corpus.ApplyInsert(op.doc, op.epoch, op.ordinal).ok());
+        entry.ordinal = op.ordinal;
+        entry.versions.push_back({op.epoch, kUnpinnedEpoch, op.doc});
+        break;
+      case HistoryOp::Kind::kUpdate:
+        ASSERT_TRUE(corpus.ApplyUpdate(op.doc, op.epoch).ok());
+        entry.versions.back().dead = op.epoch;
+        entry.versions.push_back({op.epoch, kUnpinnedEpoch, op.doc});
+        break;
+      case HistoryOp::Kind::kDelete:
+        ASSERT_TRUE(corpus.ApplyDelete(op.docid, op.epoch).ok());
+        entry.versions.back().dead = op.epoch;
+        break;
+    }
+    max_applied = std::max(max_applied, op.epoch);
+    if (rng.Bernoulli(0.15)) corpus.MergePass(faults[rng.Uniform(0, 2)]);
+    if (rng.Bernoulli(0.25)) {
+      const uint64_t pin =
+          rng.Bernoulli(0.2) ? kUnpinnedEpoch
+                             : static_cast<uint64_t>(rng.Uniform(0, kEpochs));
+      check_pin(pin, "seed=" + std::to_string(seed) + " op=" +
+                         std::to_string(i) + " pin=" + std::to_string(pin));
+    }
+  }
+  // Pins across the finished history, before and after a clean merge.
+  for (int round = 0; round < 2; ++round) {
+    for (uint64_t pin = 0; pin <= kEpochs; pin += 4) {
+      check_pin(pin, "seed=" + std::to_string(seed) + " final pin=" +
+                         std::to_string(pin) + " round=" +
+                         std::to_string(round));
+    }
+    check_pin(kUnpinnedEpoch, "seed=" + std::to_string(seed) + " latest");
+    corpus.MergePass();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LiveSnapshotFuzzTest,
+                         ::testing::Combine(::testing::Range<uint64_t>(1, 17),
+                                            ::testing::Bool()));
 
 // --------------------------------------------------------- CorpusWriter
 

@@ -6,21 +6,23 @@
 
 #include "common/arena.h"
 #include "common/random.h"
+#include "tests/support/reference_postings.h"
 #include "text/postings.h"
 
 /// \file
 /// Edge cases of the block-compressed posting layout (DESIGN.md §14):
 /// empty lists, single-doc lists, lists straddling the 128-doc block
 /// boundary, skip-boundary intersections, and duplicate appends. The
-/// broad randomized equivalence against the legacy merges lives here too;
-/// engine-level differential coverage is in engine_fuzz_test.cc.
+/// broad randomized equivalence against the flat reference merges
+/// (tests/support) lives here too; engine-level differential coverage is
+/// in engine_fuzz_test.cc.
 
 namespace textjoin {
 namespace {
 
 constexpr uint32_t kB = BlockPostings::kBlockDocs;  // 128
 
-/// Builds a legacy list over the given docids with synthetic positions
+/// Builds a flat list over the given docids with synthetic positions
 /// (doc*3 and doc*3+7 — two positions so position plumbing is exercised).
 PostingList ListOf(const std::vector<DocNum>& docs) {
   PostingList list;
@@ -33,7 +35,7 @@ PostingList ListOf(const std::vector<DocNum>& docs) {
 
 /// Round-trips `list` through the block layout and back.
 PostingList Roundtrip(const PostingList& list) {
-  return BlockPostingsFromList(list).Materialize();
+  return Materialize(BlockPostingsFromList(list));
 }
 
 void ExpectEqualLists(const PostingList& got, const PostingList& want,
@@ -65,7 +67,7 @@ TEST(BlockPostingsTest, EmptyList) {
   EXPECT_TRUE(empty.empty());
   EXPECT_EQ(empty.size(), 0u);
   EXPECT_EQ(empty.num_positions(), 0u);
-  EXPECT_TRUE(empty.Materialize().empty());
+  EXPECT_TRUE(Materialize(empty).empty());
 
   BlockPostings::Cursor cur(empty);
   EXPECT_TRUE(cur.at_end());
@@ -137,7 +139,7 @@ TEST(BlockPostingsTest, DuplicateAppendsMergeIntoOneDoc) {
   EXPECT_FALSE(block.Append(5, 12));
   EXPECT_TRUE(block.Append(8, 2));
   EXPECT_EQ(block.size(), 2u);
-  const PostingList got = block.Materialize();
+  const PostingList got = Materialize(block);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].positions, (std::vector<TokenPos>{1, 9, 12}));
   EXPECT_EQ(got[1].positions, (std::vector<TokenPos>{2}));
@@ -179,7 +181,7 @@ TEST(BlockPostingsCursorTest, NextWalksEveryDocAcrossRegions) {
   EXPECT_TRUE(cur.at_end());
 }
 
-// ----------------------------------------------------- Kernels vs legacy
+// -------------------------------------------------- Kernels vs reference
 
 /// Random sorted docid set with clustered and sparse stretches, so
 /// intersections exercise both the galloping and the block-skip paths.
@@ -211,7 +213,7 @@ PostingList RandomList(Rng& rng, size_t max_count) {
   return list;
 }
 
-TEST(BlockKernelsTest, IntersectMatchesLegacyOnRandomLists) {
+TEST(BlockKernelsTest, IntersectMatchesReferenceOnRandomLists) {
   Rng rng(2024);
   for (int iter = 0; iter < 60; ++iter) {
     const PostingList a = RandomList(rng, 400);
@@ -235,7 +237,7 @@ TEST(BlockKernelsTest, IntersectMatchesLegacyOnRandomLists) {
   }
 }
 
-TEST(BlockKernelsTest, UnionDifferencePhraseProximityMatchLegacy) {
+TEST(BlockKernelsTest, UnionDifferencePhraseProximityMatchReference) {
   Rng rng(777);
   for (int iter = 0; iter < 60; ++iter) {
     const PostingList a = RandomList(rng, 250);

@@ -362,13 +362,12 @@ TEST_F(ResilientSourceTest, BreakerFailsFastAfterConsecutiveFailures) {
 
 TEST_F(ResilientSourceTest, DeadlineDiscardsSlowAttempts) {
   ChaosOptions slow;
-  slow.latency_spike_rate = 1.0;
-  slow.latency_spike = std::chrono::microseconds(2000);
-  ChaosTextSource spiky(&remote_, slow);
+  slow.search_latency = std::chrono::microseconds(2000);
+  ChaosTextSource slow_remote(&remote_, slow);
   options_.retry.max_attempts = 2;
   options_.enable_breaker = false;
   options_.search_deadline = std::chrono::microseconds(100);
-  ResilientTextSource resilient(&spiky, options_);
+  ResilientTextSource resilient(&slow_remote, options_);
   TextQueryPtr query = TextQuery::Term("title", "belief");
   auto result = resilient.Search(*query);
   ASSERT_FALSE(result.ok());

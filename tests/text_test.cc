@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/text_match.h"
+#include "tests/support/reference_postings.h"
 #include "tests/test_util.h"
 #include "text/analyzer.h"
 #include "text/engine.h"
@@ -102,9 +103,13 @@ TEST(InvertedIndexTest, LookupAndFrequency) {
   EXPECT_EQ(index.DocFrequency("title", "belief"), 2u);
   EXPECT_EQ(index.DocFrequency("title", "update"), 1u);
   EXPECT_EQ(index.DocFrequency("title", "BELIEF"), 2u);  // case-insensitive
+  EXPECT_EQ(index.ListLength("title", "Belief"), 2u);
   EXPECT_EQ(index.DocFrequency("author", "smith"), 1u);
   EXPECT_EQ(index.DocFrequency("title", "nothere"), 0u);
   EXPECT_EQ(index.DocFrequency("nofield", "belief"), 0u);
+  // Lookup takes analyzer output as given: no case folding.
+  EXPECT_EQ(index.Lookup("title", "belief").size(), 2u);
+  EXPECT_TRUE(index.Lookup("title", "BELIEF").empty());
 }
 
 TEST(InvertedIndexTest, PrefixLookup) {
@@ -320,7 +325,7 @@ TEST(SignatureIndexTest, NoFalseNegatives) {
     const std::vector<DocNum> candidates =
         signatures.Candidates(field, token);
     std::set<DocNum> candidate_set(candidates.begin(), candidates.end());
-    for (const Posting& p : list.Materialize()) {
+    for (const Posting& p : Materialize(list)) {
       EXPECT_TRUE(candidate_set.count(p.doc))
           << field << "/" << token << " doc " << p.doc;
     }
@@ -345,7 +350,7 @@ TEST(SignatureIndexTest, CandidatesVerifyToExactMatches) {
       }
     }
     const PostingList truth =
-        engine->index().Lookup("author", token).Materialize();
+        Materialize(engine->index().Lookup("author", token));
     std::set<DocNum> expected;
     for (const Posting& p : truth) expected.insert(p.doc);
     EXPECT_EQ(verified, expected) << token;
