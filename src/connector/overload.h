@@ -39,7 +39,8 @@
 ///    byte-identity contract on meter totals survives hedging.
 ///
 /// The FederationService composes these into its per-query decorator
-/// chain as cache -> hedging -> limiter -> resilience -> meter.
+/// chain as cache -> router -> hedging (per shard) -> limiter ->
+/// resilience (per replica) -> meter.
 
 namespace textjoin {
 

@@ -88,15 +88,14 @@ size_t StringBytes(const std::string& s) {
   return s.size() + kPerStringOverhead;
 }
 
-size_t SearchEntryBytes(const std::string& key,
-                        const std::vector<std::string>& docids) {
-  size_t bytes = kEntryOverhead + StringBytes(key);
+size_t PayloadBytes(const TextCache::Docids& docids) {
+  size_t bytes = 0;
   for (const std::string& docid : docids) bytes += StringBytes(docid);
   return bytes;
 }
 
-size_t DocumentEntryBytes(const std::string& key, const Document& doc) {
-  size_t bytes = kEntryOverhead + StringBytes(key) + StringBytes(doc.docid);
+size_t PayloadBytes(const Document& doc) {
+  size_t bytes = StringBytes(doc.docid);
   for (const auto& [field, values] : doc.fields) {
     bytes += StringBytes(field);
     for (const std::string& value : values) bytes += StringBytes(value);
@@ -104,66 +103,45 @@ size_t DocumentEntryBytes(const std::string& key, const Document& doc) {
   return bytes;
 }
 
-size_t ProbeEntryBytes(const std::string& key) {
-  return kEntryOverhead + StringBytes(key) + 1;
+size_t PayloadBytes(bool) { return 1; }
+
+template <typename V>
+size_t EntryBytes(const std::string& key, const V& payload) {
+  return kEntryOverhead + StringBytes(key) + PayloadBytes(payload);
 }
 
-std::string Prefixed(char kind, const std::string& key) {
-  std::string out(1, kind);
+/// Entry keys carry their kind as a leading tag byte, so a search, a fetch
+/// and a probe with the same text never share an entry or a flight.
+constexpr char kSearchTag = 's';
+constexpr char kDocumentTag = 'd';
+constexpr char kProbeTag = 'p';
+
+std::string EntryKey(char tag, const std::string& key) {
+  std::string out;
+  out.reserve(key.size() + 1);
+  out += tag;
   out += key;
   return out;
 }
 
-/// Shared follower wait: blocks until the leader publishes, the flight is
-/// abandoned, or the follower's own token fires. The flight is kept alive
-/// by the shared_ptr captured in the wake-up callback, so a cancellation
-/// racing with this frame's return can never touch a dead flight.
+/// What Begin<T> needs to know about an operation kind: its key tag and
+/// its hit / miss counters.
 template <typename T>
-std::optional<Result<T>> WaitFlight(
-    const std::shared_ptr<TextCache::Flight<T>>& flight,
-    const CancelToken& token) {
-  auto registration = token.OnCancel([flight] {
-    std::lock_guard<std::mutex> lock(flight->m);
-    flight->cv.notify_all();
-  });
-  const auto wait_deadline = token.wait_deadline();
-  std::unique_lock<std::mutex> lock(flight->m);
-  const auto ready = [&flight, &token] {
-    return flight->done || token.cancelled();
-  };
-  while (!flight->done) {
-    if (wait_deadline != std::chrono::steady_clock::time_point::max()) {
-      flight->cv.wait_until(lock, wait_deadline, ready);
-    } else {
-      flight->cv.wait(lock, ready);
-    }
-    if (flight->done) break;
-    const Status cancel = token.Check();
-    if (!cancel.ok()) return Result<T>(cancel);
-  }
-  if (flight->abandoned) return std::nullopt;
-  return flight->result;
-}
+struct OpKind;
+template <>
+struct OpKind<TextCache::Docids> {
+  static constexpr char kTag = kSearchTag;
+  static constexpr uint64_t CacheStats::*kHits = &CacheStats::search_hits;
+  static constexpr uint64_t CacheStats::*kMisses = &CacheStats::search_misses;
+};
+template <>
+struct OpKind<Document> {
+  static constexpr char kTag = kDocumentTag;
+  static constexpr uint64_t CacheStats::*kHits = &CacheStats::fetch_hits;
+  static constexpr uint64_t CacheStats::*kMisses = &CacheStats::fetch_misses;
+};
 
 }  // namespace
-
-std::string CacheStats::ToString() const {
-  return "search=" + std::to_string(search_hits) + "/" +
-         std::to_string(search_hits + search_misses) +
-         " fetch=" + std::to_string(fetch_hits) + "/" +
-         std::to_string(fetch_hits + fetch_misses) +
-         " probe=" + std::to_string(probe_hits) + "/" +
-         std::to_string(probe_hits + probe_misses) +
-         " coalesced=" + std::to_string(coalesced) +
-         " inserted=" + std::to_string(insertions) +
-         " rejected=" + std::to_string(admission_rejects + stale_rejects) +
-         " evicted=" + std::to_string(evictions) +
-         " surgical=" + std::to_string(surgical_invalidations) +
-         " flushed=" + std::to_string(epoch_flush_evictions) +
-         " epoch=" + std::to_string(epoch) +
-         " bytes=" + std::to_string(bytes) +
-         " entries=" + std::to_string(entries);
-}
 
 std::string CacheActivity::ToString() const {
   return "search " + std::to_string(search_hits) + "/" +
@@ -176,35 +154,23 @@ std::string CacheActivity::ToString() const {
 
 TextCache::TextCache(CacheOptions options) : options_(std::move(options)) {}
 
-TextCache::~TextCache() {
-  // Flights hold shared_ptrs; any leader still in flight keeps its Flight
-  // alive past our maps. Nothing to drain.
-}
-
-double TextCache::ModeledSaving(const Entry& entry) const {
+double TextCache::ModeledSaving(const Entry& entry) {
   constexpr CostParams kCost;
-  switch (entry.kind) {
-    case 's':
-      // A hit skips one invocation plus the short-form transmissions.
-      // (The postings component also vanishes but its size is unknown at
-      // this layer; the admission model stays conservative without it.)
-      return kCost.invocation +
-             kCost.short_form * static_cast<double>(entry.docids.size());
-    case 'd':
-      return kCost.long_form;
-    case 'p':
-      // A known probe outcome skips (at least) the probe invocation.
-      return kCost.invocation;
+  if (const Docids* docids = std::get_if<Docids>(&entry.value)) {
+    // A hit skips one invocation plus the short-form transmissions. (The
+    // postings component also vanishes but its size is unknown at this
+    // layer; the admission model stays conservative without it.)
+    return kCost.invocation +
+           kCost.short_form * static_cast<double>(docids->size());
   }
-  return 0.0;
-}
-
-TenantId TextCache::PartitionKeyFor(const TenantId& tenant) const {
-  return options_.partition_by_tenant ? tenant : TenantId();
+  if (std::holds_alternative<Document>(entry.value)) return kCost.long_form;
+  // A known probe outcome skips (at least) the probe invocation.
+  return kCost.invocation;
 }
 
 TextCache::Partition& TextCache::PartitionFor(const TenantId& tenant) {
-  const TenantId key = PartitionKeyFor(tenant);
+  static const TenantId kShared;
+  const TenantId& key = options_.partition_by_tenant ? tenant : kShared;
   auto it = partitions_.find(key);
   if (it == partitions_.end()) {
     Partition part;
@@ -227,8 +193,19 @@ size_t TextCache::ProtectedCapacityLocked(const Partition& part) const {
   return static_cast<size_t>(options_.protected_fraction * share);
 }
 
+const TextCache::Entry* TextCache::FindLocked(const std::string& key,
+                                              uint64_t pinned) {
+  auto it = index_.find(key);
+  if (it == index_.end()) return nullptr;
+  if (pinned != kUnpinnedEpoch && pinned < it->second.it->valid_from) {
+    return nullptr;
+  }
+  TouchLocked(it->second);  // Promote to most-recent (owner's partition).
+  return &*it->second.it;
+}
+
 void TextCache::TouchLocked(Slot& slot) {
-  Partition& part = partitions_.at(slot.owner);
+  Partition& part = *slot.owner;
   ++part.stats.hits;
   const size_t cap = ProtectedCapacityLocked(part);
   if (cap == 0) {
@@ -264,11 +241,6 @@ void TextCache::TouchLocked(Slot& slot) {
 }
 
 void TextCache::RegisterSignatureLocked(const Entry& entry) {
-  if (entry.kind != 's' && entry.kind != 'p') return;
-  if (!entry.has_signature) {
-    unsigned_keys_.insert(entry.key);
-    return;
-  }
   for (const std::string& term : entry.signature.terms) {
     keys_by_term_[term].insert(entry.key);
   }
@@ -279,11 +251,6 @@ void TextCache::RegisterSignatureLocked(const Entry& entry) {
 }
 
 void TextCache::UnregisterSignatureLocked(const Entry& entry) {
-  if (entry.kind != 's' && entry.kind != 'p') return;
-  if (!entry.has_signature) {
-    unsigned_keys_.erase(entry.key);
-    return;
-  }
   for (const std::string& term : entry.signature.terms) {
     auto it = keys_by_term_.find(term);
     if (it == keys_by_term_.end()) continue;
@@ -297,10 +264,11 @@ void TextCache::UnregisterSignatureLocked(const Entry& entry) {
 }
 
 void TextCache::EraseSlotLocked(Index::iterator it) {
-  Slot& slot = it->second;
-  Partition& part = partitions_.at(slot.owner);
+  const Slot slot = it->second;
+  Partition& part = *slot.owner;
   const size_t bytes = slot.it->bytes;
   UnregisterSignatureLocked(*slot.it);
+  index_.erase(it);
   if (slot.in_protected) {
     part.protected_bytes -= bytes;
     part.protected_q.erase(slot.it);
@@ -309,15 +277,10 @@ void TextCache::EraseSlotLocked(Index::iterator it) {
     part.probation.erase(slot.it);
   }
   bytes_ -= bytes;
-  index_.erase(it);
 }
 
-void TextCache::AdmitLocked(Entry entry, uint64_t epoch,
-                            const TenantId& tenant, uint64_t pinned) {
-  if (epoch != epoch_) {
-    ++stats_.stale_rejects;
-    return;
-  }
+void TextCache::AdmitLocked(Entry entry, const TenantId& tenant,
+                            uint64_t pinned) {
   // A query pinned before the latest write computed its result against a
   // superseded corpus version: never let it publish over fresher state.
   // Checked BEFORE the refresh below, so a stale leader cannot replace a
@@ -341,9 +304,9 @@ void TextCache::AdmitLocked(Entry entry, uint64_t epoch,
   }
   auto it = index_.find(entry.key);
   if (it != index_.end()) {
-    // Refresh (e.g. two leaders raced with coalescing off): replace the
-    // payload and promote to most-recent (re-entering through probation,
-    // and re-owned by the inserting tenant).
+    // Refresh (e.g. leaders at two pins, or a probe outcome recorded
+    // twice): replace the payload and promote to most-recent (re-entering
+    // through probation, and re-owned by the inserting tenant).
     EraseSlotLocked(it);
   }
   entry.valid_from = last_write_epoch_;
@@ -351,8 +314,8 @@ void TextCache::AdmitLocked(Entry entry, uint64_t epoch,
   bytes_ += entry.bytes;
   part.probation_bytes += entry.bytes;
   part.probation.push_front(std::move(entry));
-  index_[part.probation.front().key] =
-      Slot{PartitionKeyFor(tenant), false, part.probation.begin()};
+  index_.emplace(part.probation.front().key,
+                 Slot{&part, false, part.probation.begin()});
   RegisterSignatureLocked(part.probation.front());
   ++stats_.insertions;
   ++part.stats.insertions;
@@ -392,19 +355,14 @@ void TextCache::EvictToBudgetLocked() {
   }
 }
 
-std::string TextCache::FlightKeyFor(const std::string& key, uint64_t pinned) {
-  // Pin-qualified: queries pinned at different corpus versions must not
-  // coalesce onto one another's results. '\x01' never appears in a
-  // canonical key's kind prefix ('s'/'d'/'p' lead) or in decimal digits.
-  return key + '\x01' + std::to_string(pinned);
-}
-
 void TextCache::ApplyWrite(const WriteInvalidation& write) {
   std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.invalidations;
   last_write_epoch_ = std::max(last_write_epoch_, write.epoch);
   // Victim set: entries whose signature overlaps the write. Collected
-  // before erasing — EraseSlotLocked mutates the reverse maps.
-  std::set<std::string> victims(unsigned_keys_.begin(), unsigned_keys_.end());
+  // (as copies) before erasing — EraseSlotLocked mutates the reverse maps
+  // and frees the keys they view.
+  std::set<std::string> victims;
   for (const std::string& term : write.terms) {
     auto tit = keys_by_term_.find(term);
     if (tit != keys_by_term_.end()) {
@@ -415,9 +373,9 @@ void TextCache::ApplyWrite(const WriteInvalidation& write) {
     // are short, so this stays O(len · log entries).
     for (size_t len = 1; len <= term.size(); ++len) {
       const std::string cand = term.substr(0, len);
-      for (auto pit = prefix_keys_.lower_bound({cand, std::string()});
+      for (auto pit = prefix_keys_.lower_bound({cand, std::string_view()});
            pit != prefix_keys_.end() && pit->first == cand; ++pit) {
-        victims.insert(pit->second);
+        victims.emplace(pit->second);
       }
     }
   }
@@ -426,8 +384,7 @@ void TextCache::ApplyWrite(const WriteInvalidation& write) {
     victims.insert(universe_keys_.begin(), universe_keys_.end());
   }
   for (const std::string& docid : write.docids) {
-    const std::string key = Prefixed('d', docid);
-    if (index_.count(key) != 0) victims.insert(key);
+    victims.insert(EntryKey(kDocumentTag, docid));
   }
   for (const std::string& key : victims) {
     auto it = index_.find(key);
@@ -437,208 +394,134 @@ void TextCache::ApplyWrite(const WriteInvalidation& write) {
   }
 }
 
-uint64_t TextCache::last_write_epoch() const {
+template <typename T>
+TextCache::Ticket<T> TextCache::Begin(const std::string& key,
+                                      const TenantId& tenant,
+                                      uint64_t pinned) {
+  std::string entry_key = EntryKey(OpKind<T>::kTag, key);
+  Ticket<T> ticket;
   std::lock_guard<std::mutex> lock(mu_);
-  return last_write_epoch_;
-}
-
-TextCache::SearchTicket TextCache::BeginSearch(const std::string& canonical_key,
-                                               const TenantId& tenant,
-                                               uint64_t pinned) {
-  const std::string key = Prefixed('s', canonical_key);
-  SearchTicket ticket;
-  ticket.pinned = pinned;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end() && ValidAtPin(*it->second.it, pinned)) {
-    TouchLocked(it->second);  // Promote to most-recent (owner's partition).
-    ticket.cached = it->second.it->docids;
-    ++stats_.search_hits;
+  if (const Entry* entry = FindLocked(entry_key, pinned)) {
+    ticket.cached = std::get<T>(entry->value);
+    ++(stats_.*OpKind<T>::kHits);
     return ticket;
   }
-  // Pin-invisible entries (admitted after this query's snapshot) stay
-  // resident for fresher queries; this one just misses.
-  ++stats_.search_misses;
-  ticket.epoch = epoch_;
-  ticket.tenant = tenant;
-  if (options_.coalesce) {
-    auto [fit, inserted] =
-        search_flights_.try_emplace(FlightKeyFor(key, pinned), nullptr);
-    if (inserted) {
-      fit->second = std::make_shared<SearchFlight>();
-      ticket.flight = fit->second;
-      ticket.leader = true;
-    } else {
-      ticket.flight = fit->second;
-      ++stats_.coalesced;
-    }
-  } else {
-    ticket.leader = true;
+  ++(stats_.*OpKind<T>::kMisses);
+  auto [it, inserted] = flights_.try_emplace({entry_key, pinned});
+  if (!inserted) {
+    if (it->second == nullptr) it->second = std::make_shared<Flight<T>>();
+    ticket.flight = std::static_pointer_cast<Flight<T>>(it->second);
+    ++stats_.coalesced;
+    return ticket;
   }
+  ticket.leader = true;
+  ticket.key = std::move(entry_key);
+  ticket.pinned = pinned;
+  ticket.tenant = tenant;
   return ticket;
 }
 
-void TextCache::FinishSearch(const std::string& canonical_key,
-                             const SearchTicket& ticket,
-                             const Result<std::vector<std::string>>& result,
-                             bool abandoned, const TermSignature* signature) {
-  TEXTJOIN_CHECK(ticket.leader, "FinishSearch by a non-leader");
-  const std::string key = Prefixed('s', canonical_key);
+template <typename T>
+void TextCache::Finish(Ticket<T>& ticket, const Result<T>& result,
+                       TermSignature signature, bool abandoned) {
+  TEXTJOIN_CHECK(ticket.leader, "Finish by a non-leader");
+  // The entry is built before taking the lock: copying the payload is the
+  // largest part of a miss.
+  Entry entry;
+  entry.key = std::move(ticket.key);
+  if (result.ok()) {
+    entry.value = result.value();
+    entry.bytes = EntryBytes(entry.key, result.value());
+    entry.signature = std::move(signature);
+  }
+  std::shared_ptr<void> joined;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Erased before waking the followers: one that retakes leadership
+    // re-enters Begin and must find the slot free.
+    auto it = flights_.find(FlightId{entry.key, ticket.pinned});
+    TEXTJOIN_CHECK(it != flights_.end(), "leader ticket without a flight");
+    joined = std::move(it->second);
+    flights_.erase(it);
     if (result.ok()) {
-      Entry entry;
-      entry.key = key;
-      entry.kind = 's';
-      entry.docids = result.value();
-      entry.bytes = SearchEntryBytes(key, entry.docids);
-      if (signature != nullptr) {
-        entry.signature = *signature;
-        entry.has_signature = true;
-      }
-      AdmitLocked(std::move(entry), ticket.epoch, ticket.tenant,
-                  ticket.pinned);
+      AdmitLocked(std::move(entry), ticket.tenant, ticket.pinned);
     }
-    // Erased before waking the waiters: a follower that retakes leadership
-    // re-enters BeginSearch and must find the slot free.
-    search_flights_.erase(FlightKeyFor(key, ticket.pinned));
   }
-  if (ticket.flight != nullptr) {
-    std::lock_guard<std::mutex> flock(ticket.flight->m);
-    ticket.flight->result = result;
-    ticket.flight->done = true;
-    ticket.flight->abandoned = abandoned;
-    ticket.flight->cv.notify_all();
-  }
+  if (joined == nullptr) return;  // No follower to wake.
+  Flight<T>& flight = *std::static_pointer_cast<Flight<T>>(joined);
+  std::lock_guard<std::mutex> flock(flight.m);
+  if (!abandoned) flight.result = result;
+  flight.done = true;
+  flight.abandoned = abandoned;
+  flight.cv.notify_all();
 }
 
-std::optional<Result<std::vector<std::string>>> TextCache::WaitSearch(
-    const std::shared_ptr<SearchFlight>& flight, const CancelToken& token) {
-  return WaitFlight(flight, token);
-}
-
-TextCache::FetchTicket TextCache::BeginFetch(const std::string& docid,
-                                             const TenantId& tenant,
-                                             uint64_t pinned) {
-  const std::string key = Prefixed('d', docid);
-  FetchTicket ticket;
-  ticket.pinned = pinned;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end() && ValidAtPin(*it->second.it, pinned)) {
-    TouchLocked(it->second);
-    ticket.cached = it->second.it->doc;
-    ++stats_.fetch_hits;
-    return ticket;
-  }
-  ++stats_.fetch_misses;
-  ticket.epoch = epoch_;
-  ticket.tenant = tenant;
-  if (options_.coalesce) {
-    auto [fit, inserted] =
-        fetch_flights_.try_emplace(FlightKeyFor(key, pinned), nullptr);
-    if (inserted) {
-      fit->second = std::make_shared<FetchFlight>();
-      ticket.flight = fit->second;
-      ticket.leader = true;
+template <typename T>
+std::optional<Result<T>> TextCache::Wait(const Ticket<T>& ticket,
+                                         const CancelToken& token) {
+  // The flight is kept alive by the shared_ptr captured in the wake-up
+  // callback, so a cancellation racing with this frame's return can never
+  // touch a dead flight.
+  const std::shared_ptr<Flight<T>>& flight = ticket.flight;
+  auto registration = token.OnCancel([flight] {
+    std::lock_guard<std::mutex> lock(flight->m);
+    flight->cv.notify_all();
+  });
+  const auto wait_deadline = token.wait_deadline();
+  std::unique_lock<std::mutex> lock(flight->m);
+  const auto ready = [&flight, &token] {
+    return flight->done || token.cancelled();
+  };
+  while (!flight->done) {
+    if (wait_deadline != std::chrono::steady_clock::time_point::max()) {
+      flight->cv.wait_until(lock, wait_deadline, ready);
     } else {
-      ticket.flight = fit->second;
-      ++stats_.coalesced;
+      flight->cv.wait(lock, ready);
     }
-  } else {
-    ticket.leader = true;
+    if (flight->done) break;
+    const Status cancel = token.Check();
+    if (!cancel.ok()) return Result<T>(cancel);
   }
-  return ticket;
+  if (flight->abandoned) return std::nullopt;
+  return *flight->result;
 }
 
-void TextCache::FinishFetch(const std::string& docid,
-                            const FetchTicket& ticket,
-                            const Result<Document>& result, bool abandoned) {
-  TEXTJOIN_CHECK(ticket.leader, "FinishFetch by a non-leader");
-  const std::string key = Prefixed('d', docid);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (result.ok()) {
-      Entry entry;
-      entry.key = key;
-      entry.kind = 'd';
-      entry.doc = result.value();
-      entry.bytes = DocumentEntryBytes(key, *entry.doc);
-      AdmitLocked(std::move(entry), ticket.epoch, ticket.tenant,
-                  ticket.pinned);
-    }
-    fetch_flights_.erase(FlightKeyFor(key, ticket.pinned));
-  }
-  if (ticket.flight != nullptr) {
-    std::lock_guard<std::mutex> flock(ticket.flight->m);
-    ticket.flight->result = result;
-    ticket.flight->done = true;
-    ticket.flight->abandoned = abandoned;
-    ticket.flight->cv.notify_all();
-  }
-}
-
-std::optional<Result<Document>> TextCache::WaitFetch(
-    const std::shared_ptr<FetchFlight>& flight, const CancelToken& token) {
-  return WaitFlight(flight, token);
-}
+template TextCache::Ticket<TextCache::Docids> TextCache::Begin(
+    const std::string&, const TenantId&, uint64_t);
+template TextCache::Ticket<Document> TextCache::Begin(const std::string&,
+                                                      const TenantId&,
+                                                      uint64_t);
+template void TextCache::Finish(Ticket<Docids>&, const Result<Docids>&,
+                                TermSignature, bool);
+template void TextCache::Finish(Ticket<Document>&, const Result<Document>&,
+                                TermSignature, bool);
+template std::optional<Result<TextCache::Docids>> TextCache::Wait(
+    const Ticket<Docids>&, const CancelToken&);
+template std::optional<Result<Document>> TextCache::Wait(
+    const Ticket<Document>&, const CancelToken&);
 
 std::optional<bool> TextCache::LookupProbe(const std::string& canonical_key,
                                            uint64_t pinned) {
-  const std::string key = Prefixed('p', canonical_key);
+  const std::string key = EntryKey(kProbeTag, canonical_key);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end() && ValidAtPin(*it->second.it, pinned)) {
-    TouchLocked(it->second);
+  if (const Entry* entry = FindLocked(key, pinned)) {
     ++stats_.probe_hits;
-    return it->second.it->probe_matched;
+    return std::get<bool>(entry->value);
   }
   ++stats_.probe_misses;
   return std::nullopt;
 }
 
-void TextCache::InsertProbe(const std::string& canonical_key, uint64_t epoch,
-                            bool matched, const TenantId& tenant,
-                            uint64_t pinned, const TermSignature* signature) {
+void TextCache::InsertProbe(const std::string& canonical_key, bool matched,
+                            TermSignature signature, const TenantId& tenant,
+                            uint64_t pinned) {
   Entry entry;
-  entry.key = Prefixed('p', canonical_key);
-  entry.kind = 'p';
-  entry.probe_matched = matched;
-  entry.bytes = ProbeEntryBytes(entry.key);
-  if (signature != nullptr) {
-    entry.signature = *signature;
-    entry.has_signature = true;
-  }
+  entry.key = EntryKey(kProbeTag, canonical_key);
+  entry.value = matched;
+  entry.bytes = EntryBytes(entry.key, matched);
+  entry.signature = std::move(signature);
   std::lock_guard<std::mutex> lock(mu_);
-  AdmitLocked(std::move(entry), epoch, tenant, pinned);
-}
-
-uint64_t TextCache::epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
-}
-
-void TextCache::AdvanceEpoch() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.epoch_flush_evictions += index_.size();
-  for (auto& [id, part] : partitions_) {
-    // Partitions (weights, cumulative counters) survive the invalidation;
-    // only resident entries drop.
-    part.probation.clear();
-    part.protected_q.clear();
-    part.probation_bytes = 0;
-    part.protected_bytes = 0;
-  }
-  index_.clear();
-  keys_by_term_.clear();
-  prefix_keys_.clear();
-  universe_keys_.clear();
-  unsigned_keys_.clear();
-  bytes_ = 0;
-  ++epoch_;
-  ++stats_.invalidations;
-  // In-flight leaders publish to their waiters as usual but their inserts
-  // are rejected by the epoch check in AdmitLocked.
+  AdmitLocked(std::move(entry), tenant, pinned);
 }
 
 CacheStats TextCache::Stats() const {
@@ -646,7 +529,6 @@ CacheStats TextCache::Stats() const {
   CacheStats snapshot = stats_;
   snapshot.bytes = bytes_;
   snapshot.entries = index_.size();
-  snapshot.epoch = epoch_;
   for (const auto& [id, part] : partitions_) {
     CachePartitionStats ps = part.stats;
     ps.bytes = part.bytes();
@@ -670,6 +552,47 @@ CachingTextSource::CachingTextSource(TextSource* inner,
   TEXTJOIN_CHECK(cache_ != nullptr, "CachingTextSource needs a cache");
 }
 
+template <typename T, typename Upstream, typename Signature>
+Result<T> CachingTextSource::Serve(const std::string& key, Traffic& traffic,
+                                   const Upstream& upstream,
+                                   const Signature& signature,
+                                   Outcome* outcome) const {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  const CancelToken& token = CurrentCancelToken();
+  // Loop only re-enters after an abandoned flight (a cancelled leader):
+  // each iteration either returns, or observed an abandonment — and the
+  // follower that wins the next Begin becomes the new leader, so the
+  // stampede never hangs on a dead leader.
+  while (true) {
+    TextCache::Ticket<T> ticket =
+        cache_->Begin<T>(key, tenant_, pinned_epoch_);
+    if (ticket.cached.has_value()) {
+      *outcome = Outcome::kHit;
+      traffic.hits.fetch_add(1, kRelaxed);
+      return std::move(*ticket.cached);
+    }
+    if (!ticket.leader) {
+      *outcome = Outcome::kCoalesced;
+      coalesced_.fetch_add(1, kRelaxed);
+      std::optional<Result<T>> waited = TextCache::Wait(ticket, token);
+      if (waited.has_value()) return *std::move(waited);
+      // Leader abandoned the flight. Stop here if we were cancelled too;
+      // otherwise contend for leadership.
+      TEXTJOIN_RETURN_IF_ERROR(token.Check());
+      continue;
+    }
+    *outcome = Outcome::kMiss;
+    traffic.misses.fetch_add(1, kRelaxed);
+    Result<T> result = upstream();
+    // A leader that errored out because its own query was cancelled must
+    // not hand that kCancelled to coalesced followers from other queries.
+    const bool abandoned = !result.ok() && token.cancelled();
+    cache_->Finish(ticket, result,
+                   result.ok() ? signature() : TermSignature(), abandoned);
+    return result;
+  }
+}
+
 Result<std::vector<std::string>> CachingTextSource::Search(
     const TextQuery& query) const {
   Outcome outcome;
@@ -683,83 +606,27 @@ Result<Document> CachingTextSource::Fetch(const std::string& docid) const {
 
 Result<std::vector<std::string>> CachingTextSource::SearchWithOutcome(
     const TextQuery& query, Outcome* outcome) const {
-  const std::string key = query.CanonicalKey();
-  const CancelToken& token = CurrentCancelToken();
-  // Loop only re-enters after an abandoned flight (a cancelled leader):
-  // each iteration either returns, or observed an abandonment — and the
-  // follower that wins the next BeginSearch becomes the new leader, so the
-  // stampede never hangs on a dead leader.
-  while (true) {
-    TextCache::SearchTicket ticket =
-        cache_->BeginSearch(key, tenant_, pinned_epoch_);
-    if (ticket.cached.has_value()) {
-      *outcome = Outcome::kHit;
-      search_hits_.fetch_add(1, std::memory_order_relaxed);
-      return std::move(*ticket.cached);
-    }
-    if (!ticket.leader) {
-      *outcome = Outcome::kCoalesced;
-      coalesced_.fetch_add(1, std::memory_order_relaxed);
-      auto waited = TextCache::WaitSearch(ticket.flight, token);
-      if (waited.has_value()) return *std::move(waited);
-      // Leader abandoned the flight. Stop here if we were cancelled too;
-      // otherwise contend for leadership.
-      TEXTJOIN_RETURN_IF_ERROR(token.Check());
-      continue;
-    }
-    *outcome = Outcome::kMiss;
-    search_misses_.fetch_add(1, std::memory_order_relaxed);
-    Result<std::vector<std::string>> result = inner_->Search(query);
-    // A leader that errored out because its own query was cancelled must
-    // not hand that kCancelled to coalesced followers from other queries.
-    const bool abandoned = !result.ok() && token.cancelled();
-    const TermSignature sig = SignatureOfQuery(query);
-    cache_->FinishSearch(key, ticket, result, abandoned, &sig);
-    return result;
-  }
+  return Serve<TextCache::Docids>(
+      query.CanonicalKey(), search_, [&] { return inner_->Search(query); },
+      [&] { return SignatureOfQuery(query); }, outcome);
 }
 
 Result<Document> CachingTextSource::FetchWithOutcome(const std::string& docid,
                                                      Outcome* outcome) const {
-  const CancelToken& token = CurrentCancelToken();
-  while (true) {
-    TextCache::FetchTicket ticket =
-        cache_->BeginFetch(docid, tenant_, pinned_epoch_);
-    if (ticket.cached.has_value()) {
-      *outcome = Outcome::kHit;
-      fetch_hits_.fetch_add(1, std::memory_order_relaxed);
-      return std::move(*ticket.cached);
-    }
-    if (!ticket.leader) {
-      *outcome = Outcome::kCoalesced;
-      coalesced_.fetch_add(1, std::memory_order_relaxed);
-      auto waited = TextCache::WaitFetch(ticket.flight, token);
-      if (waited.has_value()) return *std::move(waited);
-      TEXTJOIN_RETURN_IF_ERROR(token.Check());
-      continue;
-    }
-    *outcome = Outcome::kMiss;
-    fetch_misses_.fetch_add(1, std::memory_order_relaxed);
-    Result<Document> result = inner_->Fetch(docid);
-    const bool abandoned = !result.ok() && token.cancelled();
-    cache_->FinishFetch(docid, ticket, result, abandoned);
-    return result;
-  }
+  return Serve<Document>(
+      docid, fetch_, [&] { return inner_->Fetch(docid); },
+      [] { return TermSignature(); }, outcome);
 }
 
-CachingTextSource::ProbeTicket CachingTextSource::BeginProbe(
+std::optional<bool> CachingTextSource::BeginProbe(
     const TextQuery& probe) const {
-  ProbeTicket ticket;
-  ticket.epoch = cache_->epoch();
-  ticket.cached = cache_->LookupProbe(probe.CanonicalKey(), pinned_epoch_);
-  return ticket;
+  return cache_->LookupProbe(probe.CanonicalKey(), pinned_epoch_);
 }
 
-void CachingTextSource::RecordProbe(const TextQuery& probe, uint64_t epoch,
+void CachingTextSource::RecordProbe(const TextQuery& probe,
                                     bool matched) const {
-  const TermSignature sig = SignatureOfQuery(probe);
-  cache_->InsertProbe(probe.CanonicalKey(), epoch, matched, tenant_,
-                      pinned_epoch_, &sig);
+  cache_->InsertProbe(probe.CanonicalKey(), matched, SignatureOfQuery(probe),
+                      tenant_, pinned_epoch_);
 }
 
 void CachingTextSource::NoteProbeHit() const {
@@ -769,10 +636,10 @@ void CachingTextSource::NoteProbeHit() const {
 CacheActivity CachingTextSource::activity() const {
   constexpr auto kRelaxed = std::memory_order_relaxed;
   CacheActivity a;
-  a.search_hits = search_hits_.load(kRelaxed);
-  a.search_misses = search_misses_.load(kRelaxed);
-  a.fetch_hits = fetch_hits_.load(kRelaxed);
-  a.fetch_misses = fetch_misses_.load(kRelaxed);
+  a.search_hits = search_.hits.load(kRelaxed);
+  a.search_misses = search_.misses.load(kRelaxed);
+  a.fetch_hits = fetch_.hits.load(kRelaxed);
+  a.fetch_misses = fetch_.misses.load(kRelaxed);
   a.probe_hits = probe_hits_.load(kRelaxed);
   a.coalesced = coalesced_.load(kRelaxed);
   return a;

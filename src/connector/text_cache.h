@@ -11,8 +11,10 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/cancel.h"
@@ -41,35 +43,39 @@
 ///    canonical key — sound across queries because the key captures the
 ///    whole probe expression, selections included.
 ///
-/// Invalidation comes in two grains. The blunt one: AdvanceEpoch() drops
-/// everything and bumps a counter; an in-flight upstream call that started
-/// under the old epoch cannot publish into the new one. The surgical one
-/// (DESIGN.md §16): a live-corpus write calls ApplyWrite with the write's
-/// epoch, the qualified terms of the old and new document versions, and
-/// the docid — the cache erases exactly the resident entries the write
-/// can affect (search/probe entries whose TermSignature intersects the
-/// write terms, matches one of its prefixes, or is universe-sensitive
-/// when the document universe changed; document entries for that docid)
-/// and leaves everything else resident. Queries pinned at a snapshot
-/// epoch (text/live_corpus.h) pass the pin to every lookup: an entry
-/// admitted after a write at epoch W carries valid_from = W, a lookup
-/// pinned at E < W misses it, and an insert from a query pinned before
-/// the latest write is rejected (stale_rejects) so an old pin can never
-/// publish over fresher state. Coalescing keys include the pin, so
-/// queries at different pins never share a flight. Admission
-/// is cost-model-aware: an entry is admitted only when the modeled seconds
-/// it saves per hit (c_i + c_s·|result| for a search, c_l for a document,
-/// c_i for a probe) beat its modeled bookkeeping cost. In-flight request
-/// coalescing makes N concurrent identical operations issue ONE upstream
-/// call (stampede suppression): followers block on the leader's flight and
-/// receive a copy of its final result — including the leader's retries
-/// when a ResilientTextSource sits below, so coalesced requests never
-/// double-retry and never touch the circuit breaker themselves.
+/// An entry leaves the store by eviction or by one invalidation route
+/// (DESIGN.md §16): the CorpusWriter calls ApplyWrite for every write to a
+/// live corpus, with the write's epoch, the qualified terms of the old and
+/// new document versions, and the docid. The cache erases exactly the
+/// resident entries the write can affect (search/probe entries whose
+/// TermSignature intersects the write terms, matches one of its prefixes,
+/// or is universe-sensitive when the document universe changed; document
+/// entries for that docid) and leaves everything else resident. A frozen
+/// corpus never changes while it is served, so nothing else invalidates.
+/// Queries pinned at a snapshot epoch (text/live_corpus.h) pass the pin to
+/// every lookup: an entry admitted after a write at epoch W carries
+/// valid_from = W, a lookup pinned at E < W misses it, and an insert from
+/// a query pinned before the latest write is rejected (stale_rejects) so
+/// an old pin can never publish over fresher state. Admission is
+/// cost-model-aware: an entry is admitted only when the modeled seconds it
+/// saves per hit (c_i + c_s·|result| for a search, c_l for a document, c_i
+/// for a probe) beat its modeled bookkeeping cost.
+///
+/// Searches and fetches share one operation protocol (Begin / Finish /
+/// Wait). In-flight request coalescing makes N concurrent identical
+/// operations at one pin issue ONE upstream call (stampede suppression):
+/// followers block on the leader's flight and receive a copy of its final
+/// result — including the leader's retries when a ResilientTextSource sits
+/// below, so coalesced requests never double-retry and never touch the
+/// circuit breaker themselves. Flights are per (key, pin), so queries at
+/// different corpus versions never share an upstream result.
 ///
 /// Layering (see DESIGN.md §10): the CachingTextSource decorator goes
-/// OUTERMOST — above resilience, chaos and the meter — so a hit skips the
-/// meter entirely. The meter keeps counting upstream calls actually made;
-/// hits are reported separately (CacheActivity / "| cache" profile lines).
+/// OUTERMOST — above the router, hedging, the limiter, resilience, chaos
+/// and the meter — so a hit skips all of them. The meter keeps counting
+/// upstream calls actually made; what the cache absorbed is reported
+/// separately, per query in CacheActivity and per pipeline stage in the
+/// stage counters that EXPLAIN ANALYZE's "| cache" lines sum.
 ///
 /// Multi-tenant partitioning (DESIGN.md §15): with `partition_by_tenant`
 /// set, every resident entry belongs to the partition of the tenant that
@@ -99,7 +105,6 @@ struct CacheOptions {
   /// is at least this many simulated seconds. The default 0 admits any
   /// entry that saves more than it costs to keep.
   double min_saving_seconds = 0.0;
-  bool coalesce = true;  ///< In-flight coalescing of identical operations.
 
   /// Partition the byte budget by tenant (DESIGN.md §15). Off (default),
   /// every tenant shares one partition and behavior is byte-identical to
@@ -178,23 +183,17 @@ struct CacheStats {
   uint64_t coalesced = 0;          ///< Operations served by another's flight.
   uint64_t insertions = 0;
   uint64_t admission_rejects = 0;  ///< Entries the savings model refused.
-  uint64_t stale_rejects = 0;      ///< Inserts that lost an epoch race.
+  /// Inserts from a query pinned before the latest write.
+  uint64_t stale_rejects = 0;
   uint64_t evictions = 0;
-  uint64_t invalidations = 0;      ///< AdvanceEpoch calls.
-  /// Entries erased by ApplyWrite because a write provably affected them
-  /// — the surgical grain, vs ...
+  uint64_t invalidations = 0;  ///< ApplyWrite calls (corpus writes seen).
+  /// Entries erased by ApplyWrite because a write provably affected them.
   uint64_t surgical_invalidations = 0;
-  /// ... entries dropped wholesale by an AdvanceEpoch flush.
-  uint64_t epoch_flush_evictions = 0;
-  uint64_t epoch = 0;
   size_t bytes = 0;
   size_t entries = 0;
   /// Per-tenant partition breakdown; a single "" entry when partitioning
   /// is off. Keyed by partition id (= tenant id).
   std::map<TenantId, CachePartitionStats> partitions;
-
-  /// "hits=12 misses=3 coalesced=0 evictions=1 bytes=4096 entries=7".
-  std::string ToString() const;
 };
 
 /// Per-query view of cache traffic, snapshotted from one CachingTextSource
@@ -217,138 +216,111 @@ struct CacheActivity {
 };
 
 /// The shared store: LRU over search/document/probe entries under one byte
-/// budget, epoch invalidation, cost-model admission, and the coalescing
+/// budget, write invalidation, cost-model admission, and the coalescing
 /// flight table. All methods are thread-safe (one internal mutex; waiting
 /// on a flight blocks outside it). Shareable across any number of
 /// CachingTextSource instances and sessions.
 class TextCache {
  public:
+  /// A search's result. Searches and fetches are the two coalescing
+  /// operations, named by their result types: Begin<Docids> looks up a
+  /// search by canonical key, Begin<Document> a fetch by docid.
+  using Docids = std::vector<std::string>;
+
   explicit TextCache(CacheOptions options = CacheOptions());
-  ~TextCache();
 
   TextCache(const TextCache&) = delete;
   TextCache& operator=(const TextCache&) = delete;
 
-  /// One in-flight upstream operation that followers wait on. The leader
-  /// publishes exactly once; the stored Result is copied out per waiter.
-  /// `abandoned` marks a flight whose leader was cancelled before producing
-  /// a usable result: followers must NOT inherit the leader's kCancelled —
-  /// they re-enter Begin* and one of them takes over leadership.
+  /// One in-flight upstream operation that followers wait on, created when
+  /// the first follower joins. The leader publishes exactly once; the
+  /// result is copied out per waiter. `abandoned` marks a flight whose
+  /// leader was cancelled before producing a usable result: followers must
+  /// NOT inherit the leader's kCancelled — they re-enter Begin and one of
+  /// them takes over leadership.
   template <typename T>
   struct Flight {
     std::mutex m;
     std::condition_variable cv;
     bool done = false;
     bool abandoned = false;
-    Result<T> result;
-    Flight() : result(Status::Unavailable("operation in flight")) {}
+    std::optional<Result<T>> result;  ///< Set when done, unless abandoned.
   };
-  using SearchFlight = Flight<std::vector<std::string>>;
-  using FetchFlight = Flight<Document>;
 
-  /// The atomically-taken decision for one search lookup. Exactly one of
-  /// three shapes: `cached` set (hit); `leader` true (perform the upstream
-  /// call, then FinishSearch — `epoch` is the epoch the result belongs
-  /// to); `flight` set with `leader` false (wait on it with WaitSearch).
-  struct SearchTicket {
-    std::optional<std::vector<std::string>> cached;
-    std::shared_ptr<SearchFlight> flight;
+  /// The atomically-taken decision for one lookup. Exactly one of three
+  /// shapes: `cached` set (hit); `leader` true (perform the upstream call,
+  /// then Finish); `flight` set (follower: Wait on it).
+  template <typename T>
+  struct Ticket {
+    std::optional<T> cached;
     bool leader = false;
-    uint64_t epoch = 0;
-    uint64_t pinned = kUnpinnedEpoch;  ///< The query's snapshot pin.
-    TenantId tenant;  ///< Partition the leader's result is charged to.
+    std::shared_ptr<Flight<T>> flight;
+    // What a leader's Finish admits under.
+    std::string key;  ///< The kind-tagged entry key.
+    uint64_t pinned = kUnpinnedEpoch;
+    TenantId tenant;  ///< Partition the result is charged to.
   };
-  /// `pinned` is the caller's corpus snapshot epoch (kUnpinnedEpoch for
-  /// frozen corpora): a resident entry hits only when valid at that pin,
-  /// and the resulting insert is rejected if a newer write landed first.
-  SearchTicket BeginSearch(const std::string& canonical_key,
-                           const TenantId& tenant = TenantId(),
-                           uint64_t pinned = kUnpinnedEpoch);
-  /// Publishes the leader's result: admits it into the store (success
-  /// only, and only if the epoch did not advance meanwhile) and wakes the
-  /// flight's waiters. Must be called exactly once per leader ticket, on
-  /// success AND failure — including cancellation, where `abandoned` must
-  /// be true so waiting followers retake leadership instead of inheriting
-  /// the leader's kCancelled. `signature` (optional, copied) is the
-  /// query's term signature for surgical invalidation; entries admitted
-  /// without one are conservatively dropped on EVERY write.
-  void FinishSearch(const std::string& canonical_key,
-                    const SearchTicket& ticket,
-                    const Result<std::vector<std::string>>& result,
-                    bool abandoned = false,
-                    const TermSignature* signature = nullptr);
-  /// Waits for the leader's published result. Returns nullopt when the
-  /// leader abandoned the flight (the caller should re-enter BeginSearch,
-  /// possibly becoming the new leader), or the follower's own cancellation
-  /// status when `token` fires first.
-  static std::optional<Result<std::vector<std::string>>> WaitSearch(
-      const std::shared_ptr<SearchFlight>& flight,
-      const CancelToken& token = CancelToken());
 
-  /// Same protocol for document retrieval.
-  struct FetchTicket {
-    std::optional<Document> cached;
-    std::shared_ptr<FetchFlight> flight;
-    bool leader = false;
-    uint64_t epoch = 0;
-    uint64_t pinned = kUnpinnedEpoch;  ///< The query's snapshot pin.
-    TenantId tenant;  ///< Partition the leader's result is charged to.
-  };
-  FetchTicket BeginFetch(const std::string& docid,
-                         const TenantId& tenant = TenantId(),
-                         uint64_t pinned = kUnpinnedEpoch);
-  void FinishFetch(const std::string& docid, const FetchTicket& ticket,
-                   const Result<Document>& result, bool abandoned = false);
-  static std::optional<Result<Document>> WaitFetch(
-      const std::shared_ptr<FetchFlight>& flight,
-      const CancelToken& token = CancelToken());
+  /// `key` is the search's canonical key (T = Docids) or the docid
+  /// (T = Document). `pinned` is the caller's corpus snapshot epoch
+  /// (kUnpinnedEpoch for frozen corpora): a resident entry hits only when
+  /// valid at that pin, and a miss joins or opens the flight for
+  /// (key, pin).
+  template <typename T>
+  Ticket<T> Begin(const std::string& key, const TenantId& tenant = TenantId(),
+                  uint64_t pinned = kUnpinnedEpoch);
+  /// Publishes a leader's result: admits it into the store (success only,
+  /// and only if no write newer than the pin landed meanwhile) and wakes
+  /// the followers, if any joined. Must be called exactly once per leader
+  /// ticket, on success AND failure — including cancellation, where
+  /// `abandoned` must be true so waiting followers retake leadership
+  /// instead of inheriting the leader's kCancelled. `signature` is the
+  /// search's SignatureOfQuery; fetches pass an empty one (writes reach
+  /// document entries by docid).
+  template <typename T>
+  void Finish(Ticket<T>& ticket, const Result<T>& result,
+              TermSignature signature, bool abandoned = false);
+  /// A follower's wait for the leader's published result. Returns nullopt
+  /// when the leader abandoned the flight (the caller should re-enter
+  /// Begin, possibly becoming the new leader), or the follower's own
+  /// cancellation status when `token` fires first.
+  template <typename T>
+  static std::optional<Result<T>> Wait(
+      const Ticket<T>& ticket, const CancelToken& token = CancelToken());
 
   /// Probe outcomes (no coalescing: probes already dedup per query, and
   /// the outcome is one bit). Lookup returns whether the probe query
-  /// matched anything, if known for the current epoch.
+  /// matched anything, if known at `pinned`.
   std::optional<bool> LookupProbe(const std::string& canonical_key,
                                   uint64_t pinned = kUnpinnedEpoch);
-  /// Records a probe outcome observed under `epoch` (capture epoch()
-  /// BEFORE issuing the probe); rejected if the epoch advanced since.
-  void InsertProbe(const std::string& canonical_key, uint64_t epoch,
-                   bool matched, const TenantId& tenant = TenantId(),
-                   uint64_t pinned = kUnpinnedEpoch,
-                   const TermSignature* signature = nullptr);
+  /// Records a probe outcome under the same admission and pin rules as
+  /// Finish; `signature` is the probe's SignatureOfQuery.
+  void InsertProbe(const std::string& canonical_key, bool matched,
+                   TermSignature signature,
+                   const TenantId& tenant = TenantId(),
+                   uint64_t pinned = kUnpinnedEpoch);
 
-  uint64_t epoch() const;
-  /// Corpus changed: drop every entry, bump the epoch. In-flight leaders
-  /// that started under the old epoch will fail to publish. The blunt
-  /// fallback — live corpora with a CorpusWriter use ApplyWrite instead.
-  void AdvanceEpoch();
-
-  /// Surgical invalidation for one corpus write: erases exactly the
+  /// The one invalidation route, for one corpus write: erases exactly the
   /// resident entries the write can affect (see WriteInvalidation) and
   /// raises the write floor — subsequent admissions carry
   /// valid_from = write.epoch, and inserts from queries pinned before it
   /// are rejected. Must be called BEFORE the write's epoch publishes.
   void ApplyWrite(const WriteInvalidation& write);
 
-  /// The epoch of the latest ApplyWrite (0 before any).
-  uint64_t last_write_epoch() const;
-
   CacheStats Stats() const;
-  const CacheOptions& options() const { return options_; }
 
  private:
+  /// One resident entry; the value's alternative is its kind: a search's
+  /// docids, a long-form document, or a probe outcome.
   struct Entry {
-    std::string key;  ///< Prefixed ('s'/'d'/'p') canonical key.
-    char kind;
+    std::string key;  ///< Kind-tagged ('s'/'d'/'p') key.
+    std::variant<Docids, Document, bool> value;
     size_t bytes = 0;
-    std::vector<std::string> docids;  ///< kind 's'.
-    std::optional<Document> doc;      ///< kind 'd'.
-    bool probe_matched = false;       ///< kind 'p'.
     /// A lookup pinned at E hits only when E >= valid_from (set to the
     /// write floor at admission; kUnpinnedEpoch pins always hit).
     uint64_t valid_from = 0;
-    /// Surgical-invalidation fingerprint (kinds 's'/'p'). Entries without
-    /// one land in unsigned_keys_ and die on any write.
+    /// Surgical-invalidation fingerprint; empty for documents.
     TermSignature signature;
-    bool has_signature = false;
   };
   using Lru = std::list<Entry>;
 
@@ -365,22 +337,46 @@ class TextCache {
     size_t bytes() const { return probation_bytes + protected_bytes; }
   };
   /// Where one resident entry lives; the global index maps key -> Slot so
-  /// lookups stay partition-blind (cross-tenant hits allowed).
+  /// lookups stay partition-blind (cross-tenant hits allowed). Index keys
+  /// view the entry's own key (list nodes never move), so erase an entry's
+  /// index slot before its list node.
   struct Slot {
-    TenantId owner;
+    Partition* owner = nullptr;  ///< partitions_ nodes never move either.
     bool in_protected = false;
     Lru::iterator it;
   };
-  using Index = std::unordered_map<std::string, Slot>;
+  using Index = std::unordered_map<std::string_view, Slot>;
+
+  /// Flights by (entry key, pin). The order is transparent so Finish finds
+  /// a flight by a view of the ticket's key. Each value is the Flight<T>
+  /// of the key's kind, null until a follower joins.
+  using FlightId = std::pair<std::string_view, uint64_t>;
+  struct FlightOrder {
+    using is_transparent = void;
+    static FlightId View(const std::pair<std::string, uint64_t>& id) {
+      return {id.first, id.second};
+    }
+    static FlightId View(const FlightId& id) { return id; }
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return View(a) < View(b);
+    }
+  };
+  using FlightTable = std::map<std::pair<std::string, uint64_t>,
+                               std::shared_ptr<void>, FlightOrder>;
 
   /// Modeled simulated seconds one hit on this entry saves.
-  double ModeledSaving(const Entry& entry) const;
-  /// The partition id `tenant` maps to ("" unless partitioning is on).
-  TenantId PartitionKeyFor(const TenantId& tenant) const;
+  static double ModeledSaving(const Entry& entry);
+  /// The partition `tenant`'s insertions are charged to (the one shared
+  /// partition "" unless partitioning is on).
   Partition& PartitionFor(const TenantId& tenant);
   /// Protected-segment byte reserve of `part` under the current weighted
   /// shares; 0 when protected_fraction is 0.
   size_t ProtectedCapacityLocked(const Partition& part) const;
+  /// The resident entry under `key` if it is valid at `pinned`, after hit
+  /// bookkeeping; null otherwise (pin-invisible entries stay resident for
+  /// fresher queries).
+  const Entry* FindLocked(const std::string& key, uint64_t pinned);
   /// Hit bookkeeping: recency promotion, and probation -> protected when
   /// the SLRU split is on (demoting the protected tail as needed).
   void TouchLocked(Slot& slot);
@@ -390,43 +386,30 @@ class TextCache {
   /// Inserts/refreshes under the admission policy, charging `tenant`'s
   /// partition. `pinned` is the inserting query's snapshot pin: inserts
   /// pinned before the write floor are rejected. Caller holds mu_.
-  void AdmitLocked(Entry entry, uint64_t epoch, const TenantId& tenant,
-                   uint64_t pinned);
+  void AdmitLocked(Entry entry, const TenantId& tenant, uint64_t pinned);
   /// Evicts until under budget, always from the partition most over its
   /// weighted share, probation tail first.
   void EvictToBudgetLocked();
-  /// Adds / removes `entry` (kinds 's'/'p') in the signature reverse maps.
+  /// Adds / removes `entry` in the signature reverse maps.
   void RegisterSignatureLocked(const Entry& entry);
   void UnregisterSignatureLocked(const Entry& entry);
-  /// Whether a resident entry at `valid_from` satisfies a lookup pin.
-  static bool ValidAtPin(const Entry& entry, uint64_t pinned) {
-    return pinned == kUnpinnedEpoch || pinned >= entry.valid_from;
-  }
-  /// Coalescing key: flights are per (operation, pin) so queries at
-  /// different corpus versions never share an upstream result.
-  static std::string FlightKeyFor(const std::string& key, uint64_t pinned);
 
   const CacheOptions options_;
 
   mutable std::mutex mu_;
   std::map<TenantId, Partition> partitions_;
   Index index_;
-  std::unordered_map<std::string, std::shared_ptr<SearchFlight>>
-      search_flights_;
-  std::unordered_map<std::string, std::shared_ptr<FetchFlight>> fetch_flights_;
+  FlightTable flights_;
   size_t bytes_ = 0;
-  uint64_t epoch_ = 0;
   /// Epoch of the latest ApplyWrite; admissions stamp it as valid_from.
   uint64_t last_write_epoch_ = 0;
-  /// Signature reverse maps (resident 's'/'p' entries only): qualified
-  /// term -> keys, (qualified prefix, key) pairs ordered for range scans,
-  /// universe-sensitive keys, and signature-less keys (dropped on any
-  /// write).
-  std::unordered_map<std::string, std::set<std::string>> keys_by_term_;
-  std::set<std::pair<std::string, std::string>> prefix_keys_;
-  std::set<std::string> universe_keys_;
-  std::set<std::string> unsigned_keys_;
-  CacheStats stats_;  ///< bytes/entries/epoch filled in on snapshot.
+  /// Signature reverse maps over resident entries' keys (views, like the
+  /// index): qualified term -> keys, (qualified prefix, key) pairs ordered
+  /// for range scans, and universe-sensitive keys.
+  std::unordered_map<std::string, std::set<std::string_view>> keys_by_term_;
+  std::set<std::pair<std::string, std::string_view>> prefix_keys_;
+  std::set<std::string_view> universe_keys_;
+  CacheStats stats_;  ///< bytes/entries filled in on snapshot.
 };
 
 /// The decorator: consults a (possibly shared) TextCache before
@@ -465,15 +448,12 @@ class CachingTextSource final : public TextSourceDecorator {
   Result<Document> FetchWithOutcome(const std::string& docid,
                                     Outcome* outcome) const;
 
-  /// Session-scope probe outcomes (paper Section 3.3 across queries).
-  /// BeginProbe: the cached outcome if known, plus the epoch token to pass
-  /// to RecordProbe after actually probing.
-  struct ProbeTicket {
-    std::optional<bool> cached;
-    uint64_t epoch = 0;
-  };
-  ProbeTicket BeginProbe(const TextQuery& probe) const;
-  void RecordProbe(const TextQuery& probe, uint64_t epoch, bool matched) const;
+  /// Session-scope probe outcomes (paper Section 3.3 across queries):
+  /// BeginProbe returns the outcome an earlier query recorded for `probe`,
+  /// if one is valid at this query's pin; RecordProbe stores the outcome
+  /// this query observed.
+  std::optional<bool> BeginProbe(const TextQuery& probe) const;
+  void RecordProbe(const TextQuery& probe, bool matched) const;
   /// Counts one reuse of a session probe outcome (the consumer skipped an
   /// upstream operation because of it).
   void NoteProbeHit() const;
@@ -482,17 +462,25 @@ class CachingTextSource final : public TextSourceDecorator {
   /// FederationService, so this is the per-query cache account).
   CacheActivity activity() const;
 
-  TextCache* cache() const { return cache_.get(); }
-  const TenantId& tenant() const { return tenant_; }
-
  private:
+  struct Traffic {
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
+  };
+
+  /// The one lookup loop behind SearchWithOutcome and FetchWithOutcome:
+  /// `upstream()` performs the operation on a miss, and `signature()`
+  /// computes the successful result's TermSignature.
+  template <typename T, typename Upstream, typename Signature>
+  Result<T> Serve(const std::string& key, Traffic& traffic,
+                  const Upstream& upstream, const Signature& signature,
+                  Outcome* outcome) const;
+
   std::shared_ptr<TextCache> cache_;
   TenantId tenant_;
   uint64_t pinned_epoch_ = kUnpinnedEpoch;
-  mutable std::atomic<uint64_t> search_hits_{0};
-  mutable std::atomic<uint64_t> search_misses_{0};
-  mutable std::atomic<uint64_t> fetch_hits_{0};
-  mutable std::atomic<uint64_t> fetch_misses_{0};
+  mutable Traffic search_;
+  mutable Traffic fetch_;
   mutable std::atomic<uint64_t> probe_hits_{0};
   mutable std::atomic<uint64_t> coalesced_{0};
 };

@@ -7,6 +7,7 @@
 #include <functional>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -599,77 +600,55 @@ void StageScheduler::NoteCancelledResult(const Status& status) {
   }
 }
 
-Result<std::vector<std::string>> StageScheduler::Search(
-    StageId stage, const TextQuery& query) {
+template <typename T, typename Call>
+Result<T> StageScheduler::Perform(StageId stage, const Call& call) {
   if (Status stop = CheckToken(); !stop.ok()) return stop;
   OpTimer timer(stage);
-  if (caching_ != nullptr) {
-    CachingTextSource::Outcome outcome;
-    Result<std::vector<std::string>> result =
-        caching_->SearchWithOutcome(query, &outcome);
-    constexpr auto kRelaxed = std::memory_order_relaxed;
-    switch (outcome) {
-      case CachingTextSource::Outcome::kMiss:
-        // The upstream call happened: charge it as always.
-        if (result.ok()) {
+  CachingTextSource::Outcome outcome = CachingTextSource::Outcome::kMiss;
+  Result<T> result = call(&outcome);
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  switch (outcome) {
+    case CachingTextSource::Outcome::kMiss:
+      // The upstream call happened: charge it as always.
+      if (result.ok()) {
+        if constexpr (std::is_same_v<T, Document>) {
+          stage->long_docs.fetch_add(1, kRelaxed);
+        } else {
           stage->invocations.fetch_add(1, kRelaxed);
           stage->short_docs.fetch_add(result->size(), kRelaxed);
         }
-        stage->cache_misses.fetch_add(1, kRelaxed);
-        break;
-      case CachingTextSource::Outcome::kHit:
-        // No upstream call: the stage profile mirrors the meter (nothing
-        // charged) and reports the hit separately.
-        stage->cache_hits.fetch_add(1, kRelaxed);
-        break;
-      case CachingTextSource::Outcome::kCoalesced:
-        // The ONE upstream call is charged by the leader's stage.
-        stage->cache_coalesced.fetch_add(1, kRelaxed);
-        break;
-    }
-    if (!result.ok()) NoteCancelledResult(result.status());
-    return result;
+      }
+      if (caching_ != nullptr) stage->cache_misses.fetch_add(1, kRelaxed);
+      break;
+    case CachingTextSource::Outcome::kHit:
+      // No upstream call: the stage profile mirrors the meter (nothing
+      // charged) and reports the hit separately.
+      stage->cache_hits.fetch_add(1, kRelaxed);
+      break;
+    case CachingTextSource::Outcome::kCoalesced:
+      // The ONE upstream call is charged by the leader's stage.
+      stage->cache_coalesced.fetch_add(1, kRelaxed);
+      break;
   }
-  Result<std::vector<std::string>> result = source_.Search(query);
-  if (result.ok()) {
-    stage->invocations.fetch_add(1, std::memory_order_relaxed);
-    stage->short_docs.fetch_add(result->size(), std::memory_order_relaxed);
-  } else {
-    NoteCancelledResult(result.status());
-  }
+  if (!result.ok()) NoteCancelledResult(result.status());
   return result;
+}
+
+Result<std::vector<std::string>> StageScheduler::Search(
+    StageId stage, const TextQuery& query) {
+  return Perform<std::vector<std::string>>(
+      stage, [&](CachingTextSource::Outcome* outcome) {
+        return caching_ != nullptr ? caching_->SearchWithOutcome(query, outcome)
+                                   : source_.Search(query);
+      });
 }
 
 Result<Document> StageScheduler::Fetch(StageId stage,
                                        const std::string& docid) {
-  if (Status stop = CheckToken(); !stop.ok()) return stop;
-  OpTimer timer(stage);
-  if (caching_ != nullptr) {
-    CachingTextSource::Outcome outcome;
-    Result<Document> result = caching_->FetchWithOutcome(docid, &outcome);
-    constexpr auto kRelaxed = std::memory_order_relaxed;
-    switch (outcome) {
-      case CachingTextSource::Outcome::kMiss:
-        if (result.ok()) stage->long_docs.fetch_add(1, kRelaxed);
-        stage->cache_misses.fetch_add(1, kRelaxed);
-        break;
-      case CachingTextSource::Outcome::kHit:
-        stage->cache_hits.fetch_add(1, kRelaxed);
-        break;
-      case CachingTextSource::Outcome::kCoalesced:
-        stage->cache_coalesced.fetch_add(1, kRelaxed);
-        break;
-    }
-    if (!result.ok()) NoteCancelledResult(result.status());
-    return result;
-  }
-  Result<Document> result = source_.Fetch(docid);
-  if (result.ok()) {
-    stage->long_docs.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    NoteCancelledResult(result.status());
-  }
-  return result;
+  return Perform<Document>(stage, [&](CachingTextSource::Outcome* outcome) {
+    return caching_ != nullptr ? caching_->FetchWithOutcome(docid, outcome)
+                               : source_.Fetch(docid);
+  });
 }
 
 void StageScheduler::ChargeRelationalMatches(StageId stage,
@@ -682,6 +661,7 @@ void StageScheduler::ChargeRelationalMatches(StageId stage,
 }
 
 void StageScheduler::NoteCacheHit(StageId stage) {
+  caching_->NoteProbeHit();
   stage->cache_hits.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -336,10 +336,11 @@ class StageScheduler {
   /// combined time.
   void ChargeRelationalMatches(StageId stage, uint64_t docs_scanned);
 
-  /// Charges one cross-query cache hit to `stage`'s profile, for upstream
-  /// operations a method skipped OUTSIDE Search/Fetch (the probing methods
-  /// skipping a probe because the session cache already knows its
-  /// outcome). Search/Fetch account their own hits.
+  /// Charges one cross-query cache hit for an upstream operation a method
+  /// skipped OUTSIDE Search/Fetch (the probing methods skipping a search
+  /// or probe because the session store already knows the probe's
+  /// outcome): to `stage`'s profile and to the query's probe-hit account.
+  /// Search/Fetch account their own hits. Requires caching().
   void NoteCacheHit(StageId stage);
 
   /// The caching decorator when the source chain is fronted by one (the
@@ -377,6 +378,12 @@ class StageScheduler {
   /// OK, or the cancel/shed status once the query token has fired or its
   /// deadline has passed.
   Status CheckToken();
+
+  /// The one accounting path of Search and Fetch, with and without a
+  /// cache: `call(&outcome)` runs the operation and reports how the cache
+  /// served it (it stays kMiss when no cache is in front).
+  template <typename T, typename Call>
+  Result<T> Perform(StageId stage, const Call& call);
 
   /// Accounts an operation whose source call came back kCancelled: the
   /// token fired MID-call (after the dispatch checkpoint passed), so the

@@ -112,22 +112,15 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
       --key.remaining_sharers;
 
       TextQueryPtr probe;
-      CachingTextSource::ProbeTicket session_ticket;
       bool session_known = false;
       if (session != nullptr && !key.outcome.has_value()) {
         probe = BuildSearch(rspec, probe_terms, mask);
-        session_ticket = session->BeginProbe(*probe);
-        if (session_ticket.cached.has_value()) {
-          key.outcome = session_ticket.cached;
-          session_known = true;
-        }
+        key.outcome = session->BeginProbe(*probe);
+        session_known = key.outcome.has_value();
       }
       if (key.outcome.has_value() && !*key.outcome) {  // Known fail-query.
-        if (session_known) {
-          // The session store saved the full search for this combination.
-          session->NoteProbeHit();
-          sched.NoteCacheHit(sd_search);
-        }
+        // The session store saved the full search for this combination.
+        if (session_known) sched.NoteCacheHit(sd_search);
         continue;
       }
 
@@ -146,7 +139,7 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
         // remember it without spending an invocation.
         key.outcome = true;
         if (session != nullptr && !session_known && probe != nullptr) {
-          session->RecordProbe(*probe, session_ticket.epoch, true);
+          session->RecordProbe(*probe, true);
         }
         group_hit[g] = 1;
         docids_per_group[g] = *std::move(searched);
@@ -174,14 +167,10 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
           continue;
         }
         key.outcome = !probe_docs->empty();
-        if (session != nullptr) {
-          session->RecordProbe(*probe, session_ticket.epoch,
-                               !probe_docs->empty());
-        }
+        if (session != nullptr) session->RecordProbe(*probe, *key.outcome);
       } else if (session_known && *key.outcome && key.remaining_sharers > 0) {
         // Without the session store a probe would have been sent here
         // (outcome unknown, sharers remain): a second saved invocation.
-        session->NoteProbeHit();
         sched.NoteCacheHit(sd_probe);
       }
     }
@@ -280,11 +269,10 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
       // without a search. (A known-success outcome does not help — the
       // docids are still needed, and those come from the search cache.)
       CachingTextSource* session = sched.caching();
-      CachingTextSource::ProbeTicket session_ticket;
+      std::optional<bool> known;
       if (session != nullptr) {
-        session_ticket = session->BeginProbe(*probes[g]);
-        if (session_ticket.cached.has_value() && !*session_ticket.cached) {
-          session->NoteProbeHit();
+        known = session->BeginProbe(*probes[g]);
+        if (known.has_value() && !*known) {
           sched.NoteCacheHit(sd_search);
           return Status::OK();
         }
@@ -296,9 +284,8 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
         return sched.HandleSourceFailure(searched.status(),
                                          /*affects_completeness=*/true);
       }
-      if (session != nullptr && !session_ticket.cached.has_value()) {
-        session->RecordProbe(*probes[g], session_ticket.epoch,
-                             !searched->empty());
+      if (session != nullptr && !known.has_value()) {
+        session->RecordProbe(*probes[g], !searched->empty());
       }
       docids_per_group[g] = *std::move(searched);
       std::lock_guard<std::mutex> lock(mu);
@@ -400,13 +387,10 @@ Result<std::vector<Row>> RunProbeReducer(StageScheduler& sched,
       // The reducer needs only the one-bit outcome, so BOTH session-known
       // outcomes (matched / failed) replace the probe invocation.
       CachingTextSource* session = sched.caching();
-      CachingTextSource::ProbeTicket session_ticket;
       if (session != nullptr) {
-        session_ticket = session->BeginProbe(*probes[g]);
-        if (session_ticket.cached.has_value()) {
-          session->NoteProbeHit();
+        if (std::optional<bool> known = session->BeginProbe(*probes[g])) {
           sched.NoteCacheHit(sd_probe);
-          matched[g] = *session_ticket.cached ? 1 : 0;
+          matched[g] = *known ? 1 : 0;
           return Status::OK();
         }
       }
@@ -422,8 +406,7 @@ Result<std::vector<Row>> RunProbeReducer(StageScheduler& sched,
         return Status::OK();
       }
       if (session != nullptr) {
-        session->RecordProbe(*probes[g], session_ticket.epoch,
-                             !docids->empty());
+        session->RecordProbe(*probes[g], !docids->empty());
       }
       matched[g] = docids->empty() ? 0 : 1;
       return Status::OK();

@@ -5,31 +5,6 @@
 
 namespace textjoin {
 
-namespace {
-
-/// Fingerprint of the per-shard document counts (FNV-1a over the counts).
-/// The corpus watch compares fingerprints instead of one total, so growth
-/// in ANY single shard bumps the cache epoch — even when offset by
-/// shrinkage elsewhere. For a single backend this degenerates to watching
-/// the one document count, as before.
-size_t CorpusFingerprint(const BackendTopology& topology) {
-  uint64_t h = 1469598103934665603ull;
-  for (const BackendTopology::Shard& shard : topology.shards) {
-    uint64_t count = shard.replicas.empty()
-                         ? 0
-                         : shard.replicas[0].corpus->num_documents();
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (count >> (byte * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  // SIZE_MAX is the "not yet observed" sentinel; avoid colliding with it.
-  const size_t fp = static_cast<size_t>(h);
-  return fp == static_cast<size_t>(-1) ? 0 : fp;
-}
-
-}  // namespace
-
 Status FederationService::EnsureStatistics(const FederatedQuery& query,
                                            uint64_t pinned_epoch) {
   if (options_.oracle_stats) {
@@ -234,19 +209,6 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
   TextSource* exec_source = router.get();
   std::unique_ptr<CachingTextSource> caching;
   if (cache_ != nullptr) {
-    // Corpus-change watch: a different per-shard document-count
-    // fingerprint than last observed means cached results may be stale —
-    // drop everything. (Changes that keep the counts need an explicit
-    // InvalidateCache().) Bypassed in live mode: the CorpusWriter pushes
-    // SURGICAL invalidations for every write, and a whole-store flush on
-    // every count change would defeat them.
-    if (!options_.live.has_value()) {
-      const size_t corpus = CorpusFingerprint(backend_->topology());
-      const size_t previous = last_corpus_fingerprint_.exchange(corpus);
-      if (previous != static_cast<size_t>(-1) && previous != corpus) {
-        cache_->AdvanceEpoch();
-      }
-    }
     caching = std::make_unique<CachingTextSource>(exec_source, cache_, tenant,
                                                   pinned_epoch);
     exec_source = caching.get();

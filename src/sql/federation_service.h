@@ -1,7 +1,6 @@
 #ifndef TEXTJOIN_SQL_FEDERATION_SERVICE_H_
 #define TEXTJOIN_SQL_FEDERATION_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -200,6 +199,9 @@ class FederationService {
     /// A cache to share with other services/sessions (the multi-session
     /// setting: one cache, many federations over the same corpus). When
     /// set, it wins over `chain.cache` (which would build a private one).
+    /// In live mode it must be the cache the CorpusWriter invalidates: the
+    /// writer is the only route by which a write reaches a cache, so live
+    /// mode refuses a private `chain.cache`.
     std::shared_ptr<TextCache> shared_cache;
 
     /// Default per-query deadline (0 = none), overridable per Run() call
@@ -209,11 +211,13 @@ class FederationService {
     std::chrono::microseconds default_deadline{0};
 
     /// Live-corpus mode: presence means the topology mutates while
-    /// serving. Queries pin the clock's published frontier when Run()
-    /// starts, before parsing (so before admission, too). The cache's
-    /// corpus-change watch over the per-shard document counts is
-    /// bypassed; writers invalidate surgically through CorpusWriter
-    /// instead.
+    /// serving, and a topology with a mutable corpus (LiveCorpus) is
+    /// refused without it. Queries pin the clock's published frontier when
+    /// Run() starts, before parsing (so before admission, too). Any cache
+    /// must be `shared_cache`, the one the CorpusWriter invalidates
+    /// surgically. Without `live` the corpus is frozen: it must not change
+    /// while the service serves it, and cache entries stay valid until
+    /// evicted.
     std::optional<LiveServiceOptions> live;
   };
 
@@ -302,9 +306,20 @@ class FederationService {
       }
       admission_ = std::make_unique<AdmissionController>(admission);
     }
+    for (const BackendTopology::Shard& shard : backend_->topology().shards) {
+      for (const BackendTopology::Replica& replica : shard.replicas) {
+        TEXTJOIN_CHECK(options_.live.has_value() ||
+                           !replica.corpus->mutable_corpus(),
+                       "a mutable corpus needs live mode");
+      }
+    }
     if (options_.live.has_value()) {
       TEXTJOIN_CHECK(options_.live->clock != nullptr,
                      "live mode needs an EpochClock");
+      TEXTJOIN_CHECK(!options_.chain.cache.has_value() ||
+                         options_.shared_cache != nullptr,
+                     "live mode needs the CorpusWriter's cache as "
+                     "shared_cache");
       if (options_.live->start_merge_worker) {
         merge_worker_ = std::make_unique<SegmentMergeWorker>(
             options_.live->merge_corpora, options_.live->merge_worker);
@@ -383,13 +398,6 @@ class FederationService {
   /// one. Stopped by Drain() and the destructor.
   SegmentMergeWorker* merge_worker() const { return merge_worker_.get(); }
 
-  /// Drops every cache entry and advances the epoch — for corpus changes
-  /// the automatic document-count watch cannot see (in-place edits).
-  /// No-op when caching is off.
-  void InvalidateCache() {
-    if (cache_ != nullptr) cache_->AdvanceEpoch();
-  }
-
   /// The statistics cache (exposed for inspection/preloading). Not
   /// synchronized — do not touch while Run() is in flight elsewhere.
   StatsRegistry& stats() { return registry_; }
@@ -444,12 +452,6 @@ class FederationService {
 
   /// The cross-query cache (private or shared per Options). Null when off.
   std::shared_ptr<TextCache> cache_;
-
-  /// Corpus-change watch: the CorpusFingerprint (an FNV-1a hash over the
-  /// per-shard document counts) observed by the last Run(), so a change in
-  /// any one shard's count bumps the cache epoch. SIZE_MAX until first
-  /// observed (no spurious invalidation on startup).
-  std::atomic<size_t> last_corpus_fingerprint_{static_cast<size_t>(-1)};
 };
 
 }  // namespace textjoin

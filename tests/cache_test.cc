@@ -13,6 +13,7 @@
 
 #include "common/thread_pool.h"
 #include "connector/chaos.h"
+#include "connector/corpus_writer.h"
 #include "connector/remote_text_source.h"
 #include "connector/resilience.h"
 #include "core/executor.h"
@@ -20,6 +21,7 @@
 #include "relational/catalog.h"
 #include "sql/federation_service.h"
 #include "tests/test_util.h"
+#include "text/live_corpus.h"
 
 namespace textjoin {
 namespace {
@@ -113,43 +115,76 @@ TEST(CanonicalKeyTest, FieldTermBoundaryIsUnambiguous) {
             TextQuery::Term("ab", "c")->CanonicalKey());
 }
 
+Document MakeEditedDoc(std::string docid, std::string title,
+                       std::string author, std::string editor) {
+  Document doc;
+  doc.docid = std::move(docid);
+  doc.fields["title"] = {std::move(title)};
+  doc.fields["author"] = {std::move(author)};
+  doc.fields["editor"] = {std::move(editor)};
+  return doc;
+}
+
 // ------------------------------------------------------- TextCache wall
 //
-// LRU byte accounting, eviction order, epoch invalidation and admission
+// LRU byte accounting, eviction order, write invalidation and admission
 // need no clock at all (recency is positional, not temporal), so there are
 // no sleeps and nothing to fake.
 
+using Docids = TextCache::Docids;
+
 void PutSearch(TextCache& cache, const std::string& key,
-               std::vector<std::string> docids) {
-  TextCache::SearchTicket ticket = cache.BeginSearch(key);
+               std::vector<std::string> docids,
+               TermSignature signature = TermSignature()) {
+  TextCache::Ticket<Docids> ticket = cache.Begin<Docids>(key);
   ASSERT_TRUE(ticket.leader) << "entry for '" << key << "' already present";
-  cache.FinishSearch(key, ticket, SearchResult(std::move(docids)));
+  cache.Finish(ticket, SearchResult(std::move(docids)), std::move(signature));
+}
+
+/// Begins a lookup of a search key; a miss retires the leader slot it
+/// opened with a failure (nothing admitted).
+bool SearchHits(TextCache& cache, const std::string& key,
+                const TenantId& tenant = TenantId(),
+                uint64_t pinned = kUnpinnedEpoch) {
+  TextCache::Ticket<Docids> ticket = cache.Begin<Docids>(key, tenant, pinned);
+  if (ticket.leader) {
+    cache.Finish(ticket, SearchResult(Status::Unavailable("x")), {});
+  }
+  return ticket.cached.has_value();
+}
+
+TermSignature Terms(std::vector<std::string> terms) {
+  TermSignature signature;
+  signature.terms = std::move(terms);
+  return signature;
 }
 
 TEST(TextCacheTest, ByteAccountingTracksInsertsAndInvalidation) {
   TextCache cache;
   EXPECT_EQ(cache.Stats().bytes, 0u);
 
-  PutSearch(cache, "q1", {"d1", "d2"});
+  PutSearch(cache, "q1", {"d1", "d2"}, Terms({"title\x1f" "a"}));
   const CacheStats after_one = cache.Stats();
   EXPECT_EQ(after_one.entries, 1u);
   EXPECT_EQ(after_one.insertions, 1u);
   EXPECT_GT(after_one.bytes, 0u);
 
-  PutSearch(cache, "q2", {"d3"});
+  PutSearch(cache, "q2", {"d3"}, Terms({"title\x1f" "b"}));
   const CacheStats after_two = cache.Stats();
   EXPECT_EQ(after_two.entries, 2u);
   EXPECT_GT(after_two.bytes, after_one.bytes);
   // A longer result costs more bytes than a shorter one (monotone model).
   EXPECT_GT(after_one.bytes, after_two.bytes - after_one.bytes);
 
-  cache.AdvanceEpoch();
-  const CacheStats cleared = cache.Stats();
-  EXPECT_EQ(cleared.entries, 0u);
-  EXPECT_EQ(cleared.bytes, 0u);
-  EXPECT_EQ(cleared.invalidations, 1u);
-  EXPECT_EQ(cleared.epoch, 1u);
-  EXPECT_FALSE(cache.BeginSearch("q1").cached.has_value());
+  // A write touching q2's term returns exactly q2's bytes.
+  cache.ApplyWrite({1, {"title\x1f" "b"}, {}, false});
+  const CacheStats after_write = cache.Stats();
+  EXPECT_EQ(after_write.entries, 1u);
+  EXPECT_EQ(after_write.bytes, after_one.bytes);
+  EXPECT_EQ(after_write.invalidations, 1u);
+  EXPECT_EQ(after_write.surgical_invalidations, 1u);
+  EXPECT_TRUE(SearchHits(cache, "q1"));
+  EXPECT_FALSE(SearchHits(cache, "q2"));
 }
 
 TEST(TextCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
@@ -172,7 +207,7 @@ TEST(TextCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   PutSearch(cache, "A", {"d1"});
   PutSearch(cache, "B", {"d2"});
   // Touch A: B becomes the least recently used entry.
-  EXPECT_TRUE(cache.BeginSearch("A").cached.has_value());
+  EXPECT_TRUE(SearchHits(cache, "A"));
   PutSearch(cache, "C", {"d3"});
 
   const CacheStats stats = cache.Stats();
@@ -180,11 +215,9 @@ TEST(TextCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_LE(stats.bytes, options.byte_budget);
 
-  EXPECT_TRUE(cache.BeginSearch("A").cached.has_value());
-  EXPECT_TRUE(cache.BeginSearch("C").cached.has_value());
-  TextCache::SearchTicket b = cache.BeginSearch("B");
-  EXPECT_FALSE(b.cached.has_value()) << "LRU victim must be B";
-  cache.FinishSearch("B", b, SearchResult(Status::Unavailable("cleanup")));
+  EXPECT_TRUE(SearchHits(cache, "A"));
+  EXPECT_TRUE(SearchHits(cache, "C"));
+  EXPECT_FALSE(SearchHits(cache, "B")) << "LRU victim must be B";
 }
 
 TEST(TextCacheTest, BudgetIsNeverExceeded) {
@@ -205,41 +238,18 @@ TEST(TextCacheTest, BudgetIsNeverExceeded) {
   EXPECT_GT(cache.Stats().evictions, 0u);
 }
 
-TEST(TextCacheTest, InFlightInsertLosesEpochRace) {
-  TextCache cache;
-  TextCache::SearchTicket leader = cache.BeginSearch("q");
-  ASSERT_TRUE(leader.leader);
-  cache.AdvanceEpoch();  // Corpus changed while the upstream call ran.
-  cache.FinishSearch("q", leader, SearchResult({"stale-docid"}));
-
-  const CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.stale_rejects, 1u);
-  EXPECT_EQ(stats.insertions, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_FALSE(cache.BeginSearch("q").cached.has_value());
-}
-
-TEST(TextCacheTest, StaleProbeInsertRejected) {
-  TextCache cache;
-  const uint64_t epoch = cache.epoch();
-  cache.AdvanceEpoch();
-  cache.InsertProbe("p", epoch, true);
-  EXPECT_EQ(cache.Stats().stale_rejects, 1u);
-  EXPECT_FALSE(cache.LookupProbe("p").has_value());
-}
-
 TEST(TextCacheTest, FailuresAreNeverCached) {
   TextCache cache;
-  TextCache::SearchTicket t = cache.BeginSearch("q");
+  TextCache::Ticket<Docids> t = cache.Begin<Docids>("q");
   ASSERT_TRUE(t.leader);
-  cache.FinishSearch("q", t, SearchResult(Status::Unavailable("flaky")));
+  cache.Finish(t, SearchResult(Status::Unavailable("flaky")), {});
   EXPECT_EQ(cache.Stats().insertions, 0u);
   // The next caller is a fresh leader, not a hit and not a waiter.
-  TextCache::SearchTicket again = cache.BeginSearch("q");
+  TextCache::Ticket<Docids> again = cache.Begin<Docids>("q");
   EXPECT_FALSE(again.cached.has_value());
   EXPECT_TRUE(again.leader);
-  cache.FinishSearch("q", again, SearchResult({"d1"}));
-  EXPECT_TRUE(cache.BeginSearch("q").cached.has_value());
+  cache.Finish(again, SearchResult({"d1"}), {});
+  EXPECT_TRUE(SearchHits(cache, "q"));
 }
 
 TEST(TextCacheTest, AdmissionFollowsTheCostModel) {
@@ -251,55 +261,225 @@ TEST(TextCacheTest, AdmissionFollowsTheCostModel) {
   options.min_saving_seconds = 3.5;
   TextCache cache(options);
 
-  cache.InsertProbe("probe", cache.epoch(), true);
+  cache.InsertProbe("probe", true, {});
   EXPECT_FALSE(cache.LookupProbe("probe").has_value());
   EXPECT_EQ(cache.Stats().admission_rejects, 1u);
 
-  TextCache::SearchTicket thin = cache.BeginSearch("thin");
-  ASSERT_TRUE(thin.leader);
-  cache.FinishSearch("thin", thin, SearchResult(std::vector<std::string>{}));
-  EXPECT_FALSE(cache.BeginSearch("thin").cached.has_value());
+  PutSearch(cache, "thin", {});
+  EXPECT_FALSE(SearchHits(cache, "thin"));
 
   std::vector<std::string> fat(100, "");
   for (size_t i = 0; i < fat.size(); ++i) {
     fat[i] = "d";
     fat[i] += std::to_string(i);
   }
-  TextCache::SearchTicket fat_ticket = cache.BeginSearch("fat");
-  // "thin" left a flight behind? No: FinishSearch cleaned it. "fat" is new.
-  ASSERT_TRUE(fat_ticket.leader);
-  cache.FinishSearch("fat", fat_ticket, SearchResult(fat));
-  EXPECT_TRUE(cache.BeginSearch("fat").cached.has_value());
+  PutSearch(cache, "fat", fat);
+  EXPECT_TRUE(SearchHits(cache, "fat"));
 
   Document doc;
   doc.docid = "d1";
   doc.fields["title"] = {"Belief update"};
-  TextCache::FetchTicket fetch = cache.BeginFetch("d1");
+  TextCache::Ticket<Document> fetch = cache.Begin<Document>("d1");
   ASSERT_TRUE(fetch.leader);
-  cache.FinishFetch("d1", fetch, Result<Document>(doc));
-  EXPECT_TRUE(cache.BeginFetch("d1").cached.has_value());
+  cache.Finish(fetch, Result<Document>(doc), {});
+  EXPECT_TRUE(cache.Begin<Document>("d1").cached.has_value());
 }
 
 TEST(TextCacheTest, OversizeEntriesAreRejected) {
   CacheOptions options;
   options.max_entry_bytes = 128;
   TextCache cache(options);
-  std::vector<std::string> huge(64, "long-docid-string");
-  TextCache::SearchTicket t = cache.BeginSearch("huge");
-  ASSERT_TRUE(t.leader);
-  cache.FinishSearch("huge", t, SearchResult(huge));
-  EXPECT_FALSE(cache.BeginSearch("huge").cached.has_value());
+  PutSearch(cache, "huge", std::vector<std::string>(64, "long-docid-string"));
+  EXPECT_FALSE(SearchHits(cache, "huge"));
   EXPECT_GE(cache.Stats().admission_rejects, 1u);
   // EffectiveMaxEntryBytes defaults to budget/8 when unset.
   CacheOptions defaults;
   EXPECT_EQ(defaults.EffectiveMaxEntryBytes(), defaults.byte_budget / 8);
 }
 
+// ------------------------------------------------ Write invalidation
+//
+// ApplyWrite is the cache's one invalidation route (the CorpusWriter calls
+// it for every live write). Signatures and write terms come from the real
+// SignatureOfQuery / WriteTermsOfDocument, so the analyzer's tokens are
+// what meets on both sides.
+
+TermSignature SignatureOf(const std::string& text) {
+  return SignatureOfQuery(*Parse(text));
+}
+
+/// The invalidation a CorpusWriter computes for one write: `before` is
+/// the dying version (null for inserts), `after` the new one (null for
+/// deletes).
+WriteInvalidation WriteOf(uint64_t epoch, const Document* before,
+                          const Document* after) {
+  WriteInvalidation write;
+  write.epoch = epoch;
+  for (const Document* doc : {before, after}) {
+    if (doc == nullptr) continue;
+    std::vector<std::string> terms = WriteTermsOfDocument(*doc);
+    write.terms.insert(write.terms.end(), terms.begin(), terms.end());
+    write.docids = {doc->docid};
+  }
+  std::sort(write.terms.begin(), write.terms.end());
+  write.universe_changed = before == nullptr || after == nullptr;
+  return write;
+}
+
+void PutDocument(TextCache& cache, const Document& doc) {
+  TextCache::Ticket<Document> ticket = cache.Begin<Document>(doc.docid);
+  ASSERT_TRUE(ticket.leader);
+  cache.Finish(ticket, Result<Document>(doc), {});
+}
+
+bool DocumentHits(TextCache& cache, const std::string& docid) {
+  TextCache::Ticket<Document> ticket = cache.Begin<Document>(docid);
+  if (ticket.leader) {
+    cache.Finish(ticket, Result<Document>(Status::NotFound("x")), {});
+  }
+  return ticket.cached.has_value();
+}
+
+TEST(TextCacheWriteTest, WriteErasesExactlyTheEntriesItTouches) {
+  TextCache cache;
+  const std::vector<std::string> searches = {
+      "title='retrieval'",      // Term.
+      "title='belief update'",  // Phrase: one signature term per token.
+      "title='filt?'",          // Prefix.
+      "not title='zebra'",      // NOT: universe-sensitive.
+      "author='kao'",
+  };
+  for (const std::string& text : searches) {
+    PutSearch(cache, text, {"d1"}, SignatureOf(text));
+  }
+  const Document d1 = MakeEditedDoc("d1", "Text retrieval", "Kao", "Xavier");
+  const Document d2 = MakeEditedDoc("d2", "Query processing", "Kao", "Yan");
+  PutDocument(cache, d1);
+  PutDocument(cache, d2);
+  ASSERT_EQ(cache.Stats().entries, 7u);
+  const auto resident = [&cache](const std::string& key) {
+    return SearchHits(cache, key);
+  };
+
+  // An update of d2 whose new title reads "belief filtering": the phrase
+  // (token "belief"), the prefix ("filt" of "filtering"), author='kao'
+  // (both versions carry author Kao) and d2's long form go. The NOT entry
+  // stays: an update keeps the document universe.
+  const Document d2_new =
+      MakeEditedDoc("d2", "Belief filtering", "Kao", "Yan");
+  cache.ApplyWrite(WriteOf(1, &d2, &d2_new));
+  EXPECT_FALSE(resident("title='belief update'"));
+  EXPECT_FALSE(resident("title='filt?'"));
+  EXPECT_FALSE(resident("author='kao'"));
+  EXPECT_FALSE(DocumentHits(cache, "d2"));
+  EXPECT_TRUE(resident("title='retrieval'"));
+  EXPECT_TRUE(resident("not title='zebra'"));
+  EXPECT_TRUE(DocumentHits(cache, "d1"));
+  EXPECT_EQ(cache.Stats().surgical_invalidations, 4u);
+
+  // An insert whose terms touch no entry still changes the universe: the
+  // NOT entry goes, nothing else.
+  const Document d3 = MakeEditedDoc("d3", "Quantum", "Lee", "Moss");
+  cache.ApplyWrite(WriteOf(2, nullptr, &d3));
+  EXPECT_FALSE(resident("not title='zebra'"));
+  EXPECT_TRUE(resident("title='retrieval'"));
+  EXPECT_TRUE(DocumentHits(cache, "d1"));
+  EXPECT_EQ(cache.Stats().surgical_invalidations, 5u);
+
+  // A delete changes the universe too.
+  PutSearch(cache, "not title='zebra'", {"d1"},
+            SignatureOf("not title='zebra'"));
+  cache.ApplyWrite(WriteOf(3, &d3, nullptr));
+  EXPECT_FALSE(resident("not title='zebra'"));
+  EXPECT_TRUE(resident("title='retrieval'"));
+  EXPECT_TRUE(DocumentHits(cache, "d1"));
+  EXPECT_EQ(cache.Stats().surgical_invalidations, 6u);
+
+  // A delete of d1 reaches its long form and the term its title carries.
+  cache.ApplyWrite(WriteOf(4, &d1, nullptr));
+  EXPECT_FALSE(resident("title='retrieval'"));
+  EXPECT_FALSE(DocumentHits(cache, "d1"));
+  const CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.surgical_invalidations, 8u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.invalidations, 4u);
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST(TextCacheWriteTest, LookupsPinnedBelowAnEntrysValidFromMiss) {
+  TextCache cache;
+  cache.ApplyWrite({3, {}, {}, false});  // Raises the write floor to 3.
+  PutSearch(cache, "q", {"d1"});          // Admitted with valid_from = 3.
+  EXPECT_FALSE(SearchHits(cache, "q", TenantId(), /*pinned=*/2));
+  EXPECT_TRUE(SearchHits(cache, "q", TenantId(), /*pinned=*/3));
+  EXPECT_TRUE(SearchHits(cache, "q", TenantId(), /*pinned=*/7));
+  EXPECT_TRUE(SearchHits(cache, "q"));
+  // The older pin's miss left the entry resident for fresher queries.
+  EXPECT_EQ(cache.Stats().entries, 1u);
+
+  cache.InsertProbe("p", true, {});
+  EXPECT_FALSE(cache.LookupProbe("p", /*pinned=*/2).has_value());
+  const std::optional<bool> at_floor = cache.LookupProbe("p", /*pinned=*/3);
+  ASSERT_TRUE(at_floor.has_value());
+  EXPECT_TRUE(*at_floor);
+}
+
+TEST(TextCacheWriteTest, LeaderPinnedBelowTheWriteFloorIsAStaleReject) {
+  TextCache cache;
+  TextCache::Ticket<Docids> stale = cache.Begin<Docids>("q", TenantId(), 1);
+  ASSERT_TRUE(stale.leader);
+  cache.ApplyWrite({2, {}, {}, false});  // Lands while the leader runs.
+  cache.Finish(stale, SearchResult({"stale-docid"}), {});
+  cache.InsertProbe("p", true, {}, TenantId(), /*pinned=*/1);
+
+  CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.stale_rejects, 2u);
+  EXPECT_EQ(stats.insertions, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+
+  // A leader pinned at the floor publishes.
+  TextCache::Ticket<Docids> fresh = cache.Begin<Docids>("q", TenantId(), 2);
+  ASSERT_TRUE(fresh.leader);
+  cache.Finish(fresh, SearchResult({"d1"}), {});
+  stats = cache.Stats();
+  EXPECT_EQ(stats.stale_rejects, 2u);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_TRUE(SearchHits(cache, "q", TenantId(), 2));
+}
+
+TEST(TextCacheWriteTest, OneKeyAtTwoPinsGetsTwoFlightsAndTheLaterRefreshes) {
+  TextCache cache;
+  TextCache::Ticket<Docids> at1 = cache.Begin<Docids>("q", TenantId(), 1);
+  TextCache::Ticket<Docids> at2 = cache.Begin<Docids>("q", TenantId(), 2);
+  TextCache::Ticket<Docids> follower = cache.Begin<Docids>("q", TenantId(), 1);
+  ASSERT_TRUE(at1.leader);
+  ASSERT_TRUE(at2.leader);  // A different pin never joins the first flight.
+  ASSERT_FALSE(follower.leader);
+  ASSERT_NE(follower.flight, nullptr);
+  EXPECT_EQ(cache.Stats().coalesced, 1u);
+
+  cache.Finish(at1, SearchResult({"d1"}), {});
+  auto waited = TextCache::Wait(follower);
+  ASSERT_TRUE(waited.has_value());
+  ASSERT_TRUE(waited->ok());
+  EXPECT_EQ(**waited, (Docids{"d1"}));
+
+  // The later publish replaces the entry rather than duplicating it.
+  cache.Finish(at2, SearchResult({"d1", "d2"}), {});
+  TextCache::Ticket<Docids> hit = cache.Begin<Docids>("q");
+  ASSERT_TRUE(hit.cached.has_value());
+  EXPECT_EQ(*hit.cached, (Docids{"d1", "d2"}));
+  const CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.insertions, 2u);
+}
+
 // ------------------------------------------------------- Coalescing
 
 TEST(TextCacheCoalesceTest, ConcurrentIdenticalSearchesShareOneFlight) {
   TextCache cache;
-  TextCache::SearchTicket leader = cache.BeginSearch("q");
+  TextCache::Ticket<Docids> leader = cache.Begin<Docids>("q");
   ASSERT_TRUE(leader.leader);
 
   constexpr int kFollowers = 4;
@@ -311,11 +491,11 @@ TEST(TextCacheCoalesceTest, ConcurrentIdenticalSearchesShareOneFlight) {
   threads.reserve(kFollowers);
   for (int i = 0; i < kFollowers; ++i) {
     threads.emplace_back([&, i] {
-      TextCache::SearchTicket t = cache.BeginSearch("q");
+      TextCache::Ticket<Docids> t = cache.Begin<Docids>("q");
       joined.count_down();
       if (t.flight != nullptr && !t.leader) {
         coalesced.fetch_add(1);
-        auto waited = TextCache::WaitSearch(t.flight);
+        auto waited = TextCache::Wait(t);
         if (waited.has_value()) results[i] = *std::move(waited);
       }
     });
@@ -323,7 +503,7 @@ TEST(TextCacheCoalesceTest, ConcurrentIdenticalSearchesShareOneFlight) {
   // Every follower has joined the leader's flight before it publishes, so
   // the coalesce path (not the hit path) is what this exercises.
   joined.wait();
-  cache.FinishSearch("q", leader, SearchResult({"d1", "d2"}));
+  cache.Finish(leader, SearchResult({"d1", "d2"}), {});
   for (std::thread& t : threads) t.join();
 
   EXPECT_EQ(coalesced.load(), kFollowers);
@@ -340,51 +520,49 @@ TEST(TextCacheCoalesceTest, ConcurrentIdenticalSearchesShareOneFlight) {
 
 TEST(TextCacheCoalesceTest, LeaderFailurePropagatesToWaitersUncached) {
   TextCache cache;
-  TextCache::FetchTicket leader = cache.BeginFetch("d9");
+  TextCache::Ticket<Document> leader = cache.Begin<Document>("d9");
   ASSERT_TRUE(leader.leader);
 
   std::latch joined(1);
   Result<Document> follower_result(Status::Unavailable("pending"));
   std::thread follower([&] {
-    TextCache::FetchTicket t = cache.BeginFetch("d9");
+    TextCache::Ticket<Document> t = cache.Begin<Document>("d9");
     joined.count_down();
     ASSERT_FALSE(t.leader);
     ASSERT_NE(t.flight, nullptr);
-    auto waited = TextCache::WaitFetch(t.flight);
+    auto waited = TextCache::Wait(t);
     ASSERT_TRUE(waited.has_value());
     follower_result = *std::move(waited);
   });
   joined.wait();
-  cache.FinishFetch("d9", leader, Result<Document>(Status::NotFound("gone")));
+  cache.Finish(leader, Result<Document>(Status::NotFound("gone")), {});
   follower.join();
 
   EXPECT_FALSE(follower_result.ok());
   EXPECT_EQ(follower_result.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(cache.Stats().insertions, 0u);
   // The flight is gone; a later caller becomes a fresh leader.
-  TextCache::FetchTicket again = cache.BeginFetch("d9");
+  TextCache::Ticket<Document> again = cache.Begin<Document>("d9");
   EXPECT_TRUE(again.leader);
-  cache.FinishFetch("d9", again, Result<Document>(Status::NotFound("gone")));
+  cache.Finish(again, Result<Document>(Status::NotFound("gone")), {});
 }
 
-TEST(TextCacheCoalesceTest, DisabledCoalescingMakesEveryCallerALeader) {
-  CacheOptions options;
-  options.coalesce = false;
-  TextCache cache(options);
-  TextCache::SearchTicket first = cache.BeginSearch("q");
-  TextCache::SearchTicket second = cache.BeginSearch("q");
-  EXPECT_TRUE(first.leader);
-  EXPECT_TRUE(second.leader);
-  EXPECT_EQ(first.flight, nullptr);
-  EXPECT_EQ(second.flight, nullptr);
-  // Both publish; the refresh path replaces rather than duplicates.
-  cache.FinishSearch("q", first, SearchResult({"d1"}));
-  cache.FinishSearch("q", second, SearchResult({"d1", "d2"}));
-  TextCache::SearchTicket hit = cache.BeginSearch("q");
-  ASSERT_TRUE(hit.cached.has_value());
-  EXPECT_EQ(hit.cached->size(), 2u);
-  EXPECT_EQ(cache.Stats().entries, 1u);
+TEST(TextCacheCoalesceTest, SearchesAndFetchesNeverShareAFlight) {
+  // One flight table serves both kinds; the key's kind tag keeps a search
+  // and a fetch with the same text apart.
+  TextCache cache;
+  TextCache::Ticket<Docids> search = cache.Begin<Docids>("x");
+  TextCache::Ticket<Document> fetch = cache.Begin<Document>("x");
+  EXPECT_TRUE(search.leader);
+  EXPECT_TRUE(fetch.leader);
   EXPECT_EQ(cache.Stats().coalesced, 0u);
+  cache.Finish(search, SearchResult({"d1"}), {});
+  Document doc;
+  doc.docid = "x";
+  cache.Finish(fetch, Result<Document>(doc), {});
+  EXPECT_TRUE(SearchHits(cache, "x"));
+  EXPECT_TRUE(DocumentHits(cache, "x"));
+  EXPECT_EQ(cache.Stats().entries, 2u);
 }
 
 // ----------------------------------------------- Decorator + resilience
@@ -431,27 +609,28 @@ TEST(CachingSourceTest, FetchHitsSkipLongFormCharges) {
   EXPECT_EQ(source.activity().fetch_hits, 1u);
 }
 
-TEST(CachingSourceTest, SessionProbeOutcomesRoundTripWithEpochGuard) {
+TEST(CachingSourceTest, SessionProbeOutcomesRoundTripWithPinGuard) {
   auto engine = MakeSmallEngine();
   RemoteTextSource metered(engine.get());
   auto cache = std::make_shared<TextCache>();
-  CachingTextSource source(&metered, cache);
+  CachingTextSource source(&metered, cache, TenantId(), /*pinned_epoch=*/0);
   TextQueryPtr probe = Parse("title='belief' and author='kao'");
 
-  CachingTextSource::ProbeTicket cold = source.BeginProbe(*probe);
-  EXPECT_FALSE(cold.cached.has_value());
-  source.RecordProbe(*probe, cold.epoch, true);
-  CachingTextSource::ProbeTicket warm = source.BeginProbe(*probe);
-  ASSERT_TRUE(warm.cached.has_value());
-  EXPECT_TRUE(*warm.cached);
+  EXPECT_FALSE(source.BeginProbe(*probe).has_value());
+  source.RecordProbe(*probe, true);
+  const std::optional<bool> warm = source.BeginProbe(*probe);
+  ASSERT_TRUE(warm.has_value());
+  EXPECT_TRUE(*warm);
   source.NoteProbeHit();
   EXPECT_EQ(source.activity().probe_hits, 1u);
 
-  // A record that straddles an invalidation must not land.
-  CachingTextSource::ProbeTicket stale = source.BeginProbe(*probe);
-  cache->AdvanceEpoch();
-  source.RecordProbe(*probe, stale.epoch, false);
-  EXPECT_FALSE(source.BeginProbe(*probe).cached.has_value());
+  // A write touching the probe's terms erases the outcome, and a record
+  // from a query pinned before the write must not land.
+  cache->ApplyWrite({1, {"title\x1f" "belief"}, {}, false});
+  EXPECT_FALSE(source.BeginProbe(*probe).has_value());
+  source.RecordProbe(*probe, false);
+  EXPECT_FALSE(source.BeginProbe(*probe).has_value());
+  EXPECT_EQ(cache->Stats().stale_rejects, 1u);
 }
 
 /// A text source whose FIRST search blocks until Open() and fails the
@@ -582,16 +761,6 @@ TEST(CacheResilienceTest, CoalescedFollowerNeverDoubleRetriesOrTouchesBreaker) {
 // The corpus is built so no single query re-issues an identical operation
 // (DocFetcher intentionally does not dedup across stages); the cold run
 // asserts zero hits to keep the workload honest about that.
-
-Document MakeEditedDoc(std::string docid, std::string title,
-                       std::string author, std::string editor) {
-  Document doc;
-  doc.docid = std::move(docid);
-  doc.fields["title"] = {std::move(title)};
-  doc.fields["author"] = {std::move(author)};
-  doc.fields["editor"] = {std::move(editor)};
-  return doc;
-}
 
 std::unique_ptr<TextEngine> MakeCacheCorpus() {
   auto engine = std::make_unique<TextEngine>();
@@ -775,25 +944,14 @@ INSTANTIATE_TEST_SUITE_P(Parallelism, CacheIdentityTest,
 
 void PutSearchAs(TextCache& cache, const TenantId& tenant,
                  const std::string& key, std::vector<std::string> docids) {
-  TextCache::SearchTicket ticket = cache.BeginSearch(key, tenant);
+  TextCache::Ticket<Docids> ticket = cache.Begin<Docids>(key, tenant);
   ASSERT_TRUE(ticket.leader) << "entry for '" << key << "' already present";
-  cache.FinishSearch(key, ticket, SearchResult(std::move(docids)));
-}
-
-bool SearchMisses(TextCache& cache, const std::string& key,
-                  const TenantId& tenant = TenantId()) {
-  TextCache::SearchTicket ticket = cache.BeginSearch(key, tenant);
-  const bool miss = !ticket.cached.has_value();
-  if (miss) {  // Retire the in-flight leader slot the probe opened.
-    cache.FinishSearch(key, ticket, SearchResult(Status::Unavailable("x")));
-  }
-  return miss;
+  cache.Finish(ticket, SearchResult(std::move(docids)), {});
 }
 
 size_t OneEntryBytes() {
   TextCache probe;
-  TextCache::SearchTicket ticket = probe.BeginSearch("p0");
-  probe.FinishSearch("p0", ticket, SearchResult({std::string("d1")}));
+  PutSearch(probe, "p0", {"d1"});
   return probe.Stats().bytes;
 }
 
@@ -813,9 +971,9 @@ TEST(TenantCacheTest, PartitionBudgetChargesTheTenantOverItsShare) {
   }
   PutSearchAs(cache, "b", "b0", {"d1"});
 
-  EXPECT_TRUE(SearchMisses(cache, "a0", "a")) << "a's LRU entry survives";
-  EXPECT_TRUE(cache.BeginSearch("a1", "a").cached.has_value());
-  EXPECT_TRUE(cache.BeginSearch("b0", "b").cached.has_value());
+  EXPECT_FALSE(SearchHits(cache, "a0", "a")) << "a's LRU entry survives";
+  EXPECT_TRUE(SearchHits(cache, "a1", "a"));
+  EXPECT_TRUE(SearchHits(cache, "b0", "b"));
   const CacheStats stats = cache.Stats();
   EXPECT_LE(stats.bytes, options.byte_budget);
   EXPECT_EQ(stats.partitions.at("a").evictions, 1u);
@@ -824,7 +982,7 @@ TEST(TenantCacheTest, PartitionBudgetChargesTheTenantOverItsShare) {
 
   // Lookups stay partition-blind: one corpus, one truth — b may hit an
   // entry a inserted (insertion charged the inserter, hits help everyone).
-  EXPECT_TRUE(cache.BeginSearch("a1", "b").cached.has_value());
+  EXPECT_TRUE(SearchHits(cache, "a1", "b"));
 }
 
 TEST(TenantCacheTest, WeightedSharesPickTheEvictionVictim) {
@@ -844,10 +1002,10 @@ TEST(TenantCacheTest, WeightedSharesPickTheEvictionVictim) {
 
   // a holds 3 entries at weight 3 (1 per weight); b holds 2 at weight 1
   // (2 per weight) — the victim is b's own oldest entry.
-  EXPECT_TRUE(SearchMisses(cache, "b0", "b"));
-  EXPECT_TRUE(cache.BeginSearch("b1", "b").cached.has_value());
+  EXPECT_FALSE(SearchHits(cache, "b0", "b"));
+  EXPECT_TRUE(SearchHits(cache, "b1", "b"));
   for (const char* key : {"a0", "a1", "a2"}) {
-    EXPECT_TRUE(cache.BeginSearch(key, "a").cached.has_value()) << key;
+    EXPECT_TRUE(SearchHits(cache, key, "a")) << key;
   }
   const CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.partitions.at("b").evictions, 1u);
@@ -865,7 +1023,7 @@ TEST(TenantCacheTest, ProtectedSegmentResistsAScanPlainLruDoesNot) {
     PutSearchAs(*cache, TenantId(), "h0", {"d1"});
     // The repeat hit is the promotion ticket: h0 moves to the protected
     // segment (when there is one) and a one-pass scan cannot touch it.
-    EXPECT_TRUE(cache->BeginSearch("h0").cached.has_value());
+    EXPECT_TRUE(SearchHits(*cache, "h0"));
     for (const char* key : {"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"}) {
       PutSearchAs(*cache, TenantId(), key, {"d1"});
     }
@@ -874,16 +1032,16 @@ TEST(TenantCacheTest, ProtectedSegmentResistsAScanPlainLruDoesNot) {
 
   {  // SLRU: the scan churns probation; the proven-hot entry survives.
     auto cache = scan(0.5);
-    EXPECT_TRUE(cache->BeginSearch("h0").cached.has_value());
-    EXPECT_TRUE(cache->BeginSearch("c7").cached.has_value());
-    EXPECT_TRUE(SearchMisses(*cache, "c0"));
+    EXPECT_TRUE(SearchHits(*cache, "h0"));
+    EXPECT_TRUE(SearchHits(*cache, "c7"));
+    EXPECT_FALSE(SearchHits(*cache, "c0"));
     const CacheStats stats = cache->Stats();
     EXPECT_GT(stats.partitions.at("").protected_bytes, 0u);
     EXPECT_LE(stats.bytes, 4 * entry + entry / 2);
   }
   {  // protected_fraction 0 is the legacy plain LRU: the scan flushes h0.
     auto cache = scan(0.0);
-    EXPECT_TRUE(SearchMisses(*cache, "h0"));
+    EXPECT_FALSE(SearchHits(*cache, "h0"));
     EXPECT_EQ(cache->Stats().partitions.at("").protected_bytes, 0u);
   }
 }
@@ -898,8 +1056,8 @@ TEST(TenantCacheTest, ProtectedOverflowDemotesBackToProbation) {
 
   PutSearchAs(cache, TenantId(), "h0", {"d1"});
   PutSearchAs(cache, TenantId(), "h1", {"d1"});
-  EXPECT_TRUE(cache.BeginSearch("h0").cached.has_value());  // h0 protected.
-  EXPECT_TRUE(cache.BeginSearch("h1").cached.has_value());  // h1 displaces.
+  EXPECT_TRUE(SearchHits(cache, "h0"));  // h0 protected.
+  EXPECT_TRUE(SearchHits(cache, "h1"));  // h1 displaces.
 
   // Overflow demotes, it does not drop: both entries are still resident,
   // and exactly ONE of them (h1) holds the single protected slot — so h0
@@ -914,8 +1072,8 @@ TEST(TenantCacheTest, ProtectedOverflowDemotesBackToProbation) {
   for (const char* key : {"c0", "c1", "c2", "c3", "c4", "c5"}) {
     PutSearchAs(cache, TenantId(), key, {"d1"});
   }
-  EXPECT_TRUE(SearchMisses(cache, "h0"));
-  EXPECT_TRUE(cache.BeginSearch("h1").cached.has_value());
+  EXPECT_FALSE(SearchHits(cache, "h0"));
+  EXPECT_TRUE(SearchHits(cache, "h1"));
 }
 
 /// Two tenants, one partitioned cache, the full method grid: tenant a
@@ -1034,36 +1192,48 @@ TEST(CacheServiceTest, WarmQueriesReportActivityAndRenderCacheLines) {
       << plain_analyzed;
 }
 
-TEST(CacheServiceTest, CorpusGrowthAdvancesTheEpoch) {
+TEST(CacheServiceTest, WriterInsertReachesTheNextWarmQuery) {
+  // A live single backend: the writer holds the service's cache, so a
+  // matching insert erases the warm entries it touches and the next query
+  // reads the new document.
   auto engine = MakeSmallEngine();
   auto catalog = MakeStudentCatalog();
+  auto cache = std::make_shared<TextCache>();
+  LiveCorpus live;
+  EpochClock clock;
+  CorpusWriter writer({{&live}}, &clock, cache);
+  for (const Document& doc : engine->documents()) {
+    ASSERT_TRUE(writer.Seed(doc).ok());
+  }
   FederationService::Options options;
   options.text = MercuryDecl();
-  options.chain.cache.emplace();
-  FederationService service(catalog.get(), engine.get(), options);
+  options.topology.shards.push_back({{{&live, nullptr}}});
+  options.topology.partitioner = writer.PartitionFn();
+  options.topology.global_ordinal = writer.OrdinalFn();
+  options.shared_cache = cache;
+  options.live.emplace();
+  options.live->clock = &clock;
+  FederationService service(catalog.get(), nullptr, options);
 
   ASSERT_TRUE(service.Run(kServiceSql).ok());
-  ASSERT_TRUE(service.Run(kServiceSql).ok());
-  ASSERT_NE(service.cache(), nullptr);
-  EXPECT_EQ(service.cache()->Stats().invalidations, 0u);
+  auto warm = service.Run(kServiceSql);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_GT(warm->cache.TotalHits(), 0u);
+  EXPECT_EQ(cache->Stats().invalidations, 0u);
 
-  // New document matching the query: the next Run must see it, not stale
-  // cached results.
-  auto added = engine->AddDocument(
-      testing::MakeDoc("d7", "Belief networks for retrieval", {"Yan"}));
-  ASSERT_TRUE(added.ok());
+  ASSERT_TRUE(
+      writer.Insert(testing::MakeDoc("d7", "Belief networks for retrieval",
+                                     {"Yan"}))
+          .ok());
+  EXPECT_EQ(cache->Stats().invalidations, 1u);
+  EXPECT_GT(cache->Stats().surgical_invalidations, 0u);
   auto fresh = service.Run(kServiceSql);
   ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(service.cache()->Stats().invalidations, 1u);
   bool saw_new_doc = false;
   for (const Row& row : fresh->rows.rows) {
     if (RowToString(row).find("d7") != std::string::npos) saw_new_doc = true;
   }
   EXPECT_TRUE(saw_new_doc);
-
-  // Manual invalidation for count-preserving corpus edits.
-  service.InvalidateCache();
-  EXPECT_EQ(service.cache()->Stats().invalidations, 2u);
 }
 
 // ---------------------------------------------- Multi-session stress

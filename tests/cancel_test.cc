@@ -553,50 +553,50 @@ TEST(HedgeCancelTest, CancelLosersOffRidesOutTheDuplicate) {
 // to a follower instead of hanging it (the satellite-1 regression wall).
 
 TEST(CacheCoalescingCancelTest, AbandonedFlightHandsLeadershipToAFollower) {
+  using Docids = TextCache::Docids;
   TextCache cache;
-  TextCache::SearchTicket leader = cache.BeginSearch("k");
+  TextCache::Ticket<Docids> leader = cache.Begin<Docids>("k");
   ASSERT_TRUE(leader.leader);
 
   std::latch follower_joined{1};
   std::vector<std::string> follower_rows;
   bool follower_ok = false;
   std::thread follower([&] {
-    TextCache::SearchTicket ticket = cache.BeginSearch("k");
+    TextCache::Ticket<Docids> ticket = cache.Begin<Docids>("k");
     EXPECT_FALSE(ticket.leader);  // Coalesced onto the leader's flight.
     follower_joined.count_down();
-    auto waited = TextCache::WaitSearch(ticket.flight);
+    auto waited = TextCache::Wait(ticket);
     // The leader abandoned: the follower must NOT inherit kCancelled.
     EXPECT_FALSE(waited.has_value());
-    TextCache::SearchTicket retry = cache.BeginSearch("k");
+    TextCache::Ticket<Docids> retry = cache.Begin<Docids>("k");
     EXPECT_TRUE(retry.leader);  // Leadership handed off.
-    Result<std::vector<std::string>> produced(
-        std::vector<std::string>{"d1", "d4"});
-    cache.FinishSearch("k", retry, produced);
+    Result<Docids> produced(Docids{"d1", "d4"});
     follower_ok = retry.leader;
+    cache.Finish(retry, produced, {});
     follower_rows = *produced;
   });
   follower_joined.wait();
 
   // The leader was cancelled before producing anything usable.
-  cache.FinishSearch("k", leader,
-                     Result<std::vector<std::string>>(
-                         Status(StatusCode::kCancelled, "leader aborted")),
-                     /*abandoned=*/true);
+  cache.Finish(leader,
+               Result<Docids>(Status(StatusCode::kCancelled, "leader aborted")),
+               {}, /*abandoned=*/true);
   follower.join();
   ASSERT_TRUE(follower_ok);
-  EXPECT_EQ(follower_rows, (std::vector<std::string>{"d1", "d4"}));
+  EXPECT_EQ(follower_rows, (Docids{"d1", "d4"}));
 
   // The handed-off leader's publish is live: the next lookup hits.
-  TextCache::SearchTicket hit = cache.BeginSearch("k");
+  TextCache::Ticket<Docids> hit = cache.Begin<Docids>("k");
   ASSERT_TRUE(hit.cached.has_value());
-  EXPECT_EQ(*hit.cached, (std::vector<std::string>{"d1", "d4"}));
+  EXPECT_EQ(*hit.cached, (Docids{"d1", "d4"}));
 }
 
 TEST(CacheCoalescingCancelTest, FollowerOwnCancellationUnblocksItsWait) {
+  using Docids = TextCache::Docids;
   TextCache cache;
-  TextCache::SearchTicket leader = cache.BeginSearch("k");
+  TextCache::Ticket<Docids> leader = cache.Begin<Docids>("k");
   ASSERT_TRUE(leader.leader);
-  TextCache::SearchTicket follower = cache.BeginSearch("k");
+  TextCache::Ticket<Docids> follower = cache.Begin<Docids>("k");
   ASSERT_FALSE(follower.leader);
 
   // A follower whose OWN query is cancelled leaves the flight immediately
@@ -607,17 +607,15 @@ TEST(CacheCoalescingCancelTest, FollowerOwnCancellationUnblocksItsWait) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     token.Cancel(CancelReason::kClient, "follower abort");
   });
-  auto waited = TextCache::WaitSearch(follower.flight, token);
+  auto waited = TextCache::Wait(follower, token);
   canceller.join();
   ASSERT_TRUE(waited.has_value());
   ASSERT_FALSE(waited->ok());
   EXPECT_EQ(waited->status().code(), StatusCode::kCancelled);
 
   // The leader is unaffected and still publishes normally.
-  cache.FinishSearch(
-      "k", leader,
-      Result<std::vector<std::string>>(std::vector<std::string>{"d1"}));
-  EXPECT_TRUE(cache.BeginSearch("k").cached.has_value());
+  cache.Finish(leader, Result<Docids>(Docids{"d1"}), {});
+  EXPECT_TRUE(cache.Begin<Docids>("k").cached.has_value());
 }
 
 TEST(CacheCoalescingCancelTest, EndToEndFollowerTakesOverACancelledLeader) {
@@ -713,13 +711,12 @@ TEST(CacheCoalescingCancelTest, CancelledLeaderNeverHangsFollowers) {
   // Nothing reached the inner engine, and no flight entry leaked: a fresh
   // caller becomes a fresh leader instantly.
   EXPECT_EQ(metered.meter().invocations, 0u);
-  TextCache::SearchTicket fresh =
-      cache->BeginSearch(query->CanonicalKey());
+  TextCache::Ticket<TextCache::Docids> fresh =
+      cache->Begin<TextCache::Docids>(query->CanonicalKey());
   EXPECT_TRUE(fresh.leader);
-  cache->FinishSearch(
-      query->CanonicalKey(), fresh,
-      Result<std::vector<std::string>>(Status::Unavailable("cleanup")),
-      /*abandoned=*/true);
+  cache->Finish(fresh,
+                Result<TextCache::Docids>(Status::Unavailable("cleanup")), {},
+                /*abandoned=*/true);
 }
 
 // ---------------------------------------------------------------------------

@@ -266,19 +266,24 @@ bool UpdateMode() {
 }
 
 /// Runs the case end-to-end at the given parallelism (fresh service and
-/// fresh private cache, so cache traffic starts cold every time) and
-/// returns the stable EXPLAIN ANALYZE render.
+/// fresh cache, so cache traffic starts cold every time) and returns the
+/// stable EXPLAIN ANALYZE render.
 std::string RenderCase(const GoldenCase& c, int parallelism) {
   ProfileEnv& env = EnvFor(c.profile);
   FederationService::Options options;
   options.text = env.scenario.text;
   options.parallelism = parallelism;
   options.enumerator.forced_method = c.method;
-  // A (cold, private) cache makes the "| cache" lines part of the golden
-  // surface: miss/insert accounting must stay deterministic too.
+  // A (cold) cache makes the "| cache" lines part of the golden surface:
+  // miss/insert accounting must stay deterministic too.
   options.chain.cache = CacheOptions{};
   if (c.sharded) options.topology = env.sharded.topology;
   if (c.live) {
+    // Live mode reads only a shared cache. The write history finished
+    // before this service exists, so a fresh one starts as cold as a
+    // private one would.
+    options.chain.cache.reset();
+    options.shared_cache = std::make_shared<TextCache>();
     options.topology = env.live_topology;
     options.live.emplace();
     options.live->clock = &env.clock;

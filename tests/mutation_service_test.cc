@@ -23,9 +23,9 @@
 /// storm and chaos-faulted merges race the query, must produce rows AND
 /// meter charges byte-identical to a serial replay against the frozen
 /// corpus of the epoch the query pinned. Plus: the cache reconciliation
-/// proof (writes invalidate exactly the affected keys, zero epoch
-/// flushes), the "| corpus" EXPLAIN ANALYZE line, merge-worker drain, and
-/// the write-mix traffic report.
+/// proof (writes invalidate exactly the affected keys), the configurations
+/// a live service refuses, the "| corpus" EXPLAIN ANALYZE line,
+/// merge-worker drain, and the write-mix traffic report.
 
 namespace textjoin {
 namespace {
@@ -270,7 +270,6 @@ TEST(CacheReconciliationTest, WritesInvalidateExactlyTheAffectedKeys) {
   EXPECT_GT(warm_filtering->cache.TotalHits(), 0u);
 
   const CacheStats before = cache->Stats();
-  ASSERT_EQ(before.epoch_flush_evictions, 0u);
 
   // A write that provably touches the 'belief' family and not the
   // 'filtering' one.
@@ -280,8 +279,8 @@ TEST(CacheReconciliationTest, WritesInvalidateExactlyTheAffectedKeys) {
 
   const CacheStats after = cache->Stats();
   EXPECT_GT(after.surgical_invalidations, before.surgical_invalidations);
-  EXPECT_EQ(after.epoch_flush_evictions, 0u);  // Nothing was flushed.
-  EXPECT_EQ(after.invalidations, before.invalidations);
+  EXPECT_EQ(after.invalidations, before.invalidations + 1);  // One write.
+  EXPECT_GT(after.entries, 0u);  // Not a flush: the filtering family stays.
 
   // The belief query sees the new document (no stale hit)...
   auto fresh_belief = service.Run(kBeliefSql);
@@ -312,14 +311,39 @@ TEST(CacheReconciliationTest, WritesInvalidateExactlyTheAffectedKeys) {
   for (const std::string& row : RowStrings(*after_delete)) {
     EXPECT_EQ(row.find("fresh-belief"), std::string::npos) << row;
   }
-  EXPECT_EQ(cache->Stats().epoch_flush_evictions, 0u);
+  // Every entry that left, left through a write: the writer is the only
+  // invalidation route, and nothing was evicted.
+  const CacheStats end = cache->Stats();
+  EXPECT_EQ(end.invalidations, before.invalidations + 2);
+  EXPECT_EQ(end.evictions, 0u);
+  EXPECT_GT(end.entries, 0u);
+}
 
-  // Only an explicit epoch flush pays the scorched-earth price — and the
-  // counter tells it apart from the surgical path.
-  const size_t entries = cache->Stats().entries;
-  EXPECT_GT(entries, 0u);
-  service.InvalidateCache();
-  EXPECT_GE(cache->Stats().epoch_flush_evictions, entries);
+// ---------------------------------------------------------------------------
+// Refused configurations: the writer can only invalidate the cache it
+// holds, so a live service reads through no other cache, and a mutable
+// corpus is served only in live mode.
+
+TEST(LiveServiceDeathTest, LiveModeRefusesACacheTheWriterDoesNotHold) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto env = MakeLiveEnv(/*num_shards=*/1, /*num_replicas=*/1);
+  FederationService::Options options =
+      LiveOptions(*env, JoinMethodKind::kSJRTP, /*parallelism=*/1);
+  options.chain.cache.emplace();  // Private: no writer invalidates it.
+  EXPECT_DEATH(
+      { FederationService service(&env->catalog, nullptr, options); },
+      "live mode needs the CorpusWriter's cache");
+}
+
+TEST(LiveServiceDeathTest, MutableCorpusIsRefusedWithoutLiveMode) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto env = MakeLiveEnv(/*num_shards=*/1, /*num_replicas=*/1);
+  FederationService::Options options =
+      LiveOptions(*env, JoinMethodKind::kSJRTP, /*parallelism=*/1);
+  options.live.reset();  // No pins: writes would tear queries and caches.
+  EXPECT_DEATH(
+      { FederationService service(&env->catalog, nullptr, options); },
+      "a mutable corpus needs live mode");
 }
 
 // ---------------------------------------------------------------------------

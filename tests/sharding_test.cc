@@ -15,12 +15,14 @@
 
 #include "common/thread_pool.h"
 #include "connector/chaos.h"
+#include "connector/corpus_writer.h"
 #include "connector/remote_text_source.h"
 #include "connector/resilience.h"
 #include "core/executor.h"
 #include "core/join_methods.h"
 #include "sql/federation_service.h"
 #include "tests/test_util.h"
+#include "text/live_corpus.h"
 #include "workload/sharded_corpus.h"
 
 namespace textjoin {
@@ -715,21 +717,34 @@ TEST(ShardedServiceTest, WholeShardOutageYieldsHonestServiceDegradation) {
   EXPECT_GT(outcome->shards.dropped_shards, 0u);
 }
 
-// Regression (the cross-shard epoch bug): the cache's corpus watch must
-// aggregate per-shard document counts — growth in ONE shard has to bump
-// the epoch, or warm queries serve stale rows that miss the new document.
-TEST(ShardedServiceTest, CacheEpochWatchesAggregateShardCounts) {
+// A write that lands in ONE shard of four must reach the shared cache's
+// warm entries, or warm queries serve stale rows that miss the new
+// document. The CorpusWriter, not a count watch, is what carries it.
+TEST(ShardedServiceTest, WriterInsertInOneShardReachesTheNextWarmQuery) {
   auto full = MakeMediumEngine();
   Catalog catalog;
   ASSERT_TRUE(catalog.AddTable(MakeStudentTable()).ok());
-  ShardedCorpusConfig config;
-  config.num_shards = 4;
-  auto split = SplitCorpus(*full, config);
-  ASSERT_TRUE(split.ok());
+  constexpr size_t kShards = 4;
+  std::vector<std::unique_ptr<LiveCorpus>> shards;
+  std::vector<std::vector<LiveCorpus*>> replicas;
   FederationService::Options options;
   options.text = MercuryDecl();
-  options.topology = split->topology;
-  options.chain.cache.emplace();
+  for (size_t s = 0; s < kShards; ++s) {
+    shards.push_back(std::make_unique<LiveCorpus>());
+    replicas.push_back({shards.back().get()});
+    options.topology.shards.push_back({{{shards.back().get(), nullptr}}});
+  }
+  auto cache = std::make_shared<TextCache>();
+  EpochClock clock;
+  CorpusWriter writer(std::move(replicas), &clock, cache);
+  for (const Document& doc : full->documents()) {
+    ASSERT_TRUE(writer.Seed(doc).ok());
+  }
+  options.topology.partitioner = writer.PartitionFn();
+  options.topology.global_ordinal = writer.OrdinalFn();
+  options.shared_cache = cache;
+  options.live.emplace();
+  options.live->clock = &clock;
   FederationService service(&catalog, nullptr, options);
 
   ASSERT_TRUE(service.Run(kServiceSql).ok());
@@ -737,12 +752,12 @@ TEST(ShardedServiceTest, CacheEpochWatchesAggregateShardCounts) {
   ASSERT_TRUE(warm.ok());
   EXPECT_GT(warm->cache.TotalHits(), 0u);
 
-  // A matching document lands on its hash shard; only that one shard's
-  // count changes. The next Run must see it, not the stale cache.
-  Document doc =
-      MakeDoc("zz-new", "Belief update in sharded corpora", {"Radhika"});
-  const size_t owner = ShardForDocid("zz-new", 4);
-  ASSERT_TRUE(split->engines[owner]->AddDocument(std::move(doc)).ok());
+  // A matching document lands on its hash shard; the next Run must see
+  // it, not the stale cache.
+  ASSERT_TRUE(writer
+                  .Insert(MakeDoc("zz-new", "Belief update in sharded corpora",
+                                  {"Radhika"}))
+                  .ok());
   auto fresh = service.Run(kServiceSql);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   bool saw_new_document = false;
@@ -752,8 +767,8 @@ TEST(ShardedServiceTest, CacheEpochWatchesAggregateShardCounts) {
     }
   }
   EXPECT_TRUE(saw_new_document);
-  ASSERT_NE(service.cache(), nullptr);
-  EXPECT_GT(service.cache()->Stats().invalidations, 0u);
+  EXPECT_EQ(cache->Stats().invalidations, 1u);
+  EXPECT_GT(cache->Stats().surgical_invalidations, 0u);
 }
 
 }  // namespace
