@@ -3,7 +3,8 @@
 // (linear, per the paper's text-system model) in both the engine's
 // block-compressed representation and the flat reference form of
 // tests/support, phrase adjacency, index build, Boolean search evaluation,
-// tokenization, and the relational hash join. A custom main() additionally
+// tokenization, the relational hash join, and the paper's Q5 through the
+// whole service. A custom main() additionally
 // emits the machine-readable BENCH_vectorized.json snapshot (rows/sec,
 // ns/row, heap allocations) and hosts the release perf-smoke gate:
 //
@@ -24,6 +25,7 @@
 #include "common/random.h"
 #include "common/text_match.h"
 #include "relational/join.h"
+#include "sql/federation_service.h"
 #include "tests/support/reference_postings.h"
 #include "text/engine.h"
 #include "text/eval.h"
@@ -245,9 +247,10 @@ void BM_HashJoin(benchmark::State& state) {
     left_rows.push_back({Value::Int(rng.Uniform(0, 1000))});
     right_rows.push_back({Value::Int(rng.Uniform(0, 1000))});
   }
+  const RowIdSet left = RowIdSet::BorrowedAll(left_schema, left_rows);
+  const RowIdSet right = RowIdSet::BorrowedAll(right_schema, right_rows);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(JoinRows(left_schema, left_rows, right_schema,
-                                      right_rows, {{"l.k", "r.k"}}, nullptr));
+    benchmark::DoNotOptimize(JoinRows(left, right, {{"l.k", "r.k"}}, nullptr));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(2 * n));
@@ -312,7 +315,7 @@ BENCHMARK(BM_MemoryListLookup);
 // BENCH_vectorized.json snapshot + perf-smoke gate (DESIGN.md §14). Every
 // paired record measures the flat reference (tests/support) and the
 // block-compressed kernel on identical inputs, so ns_per_row ratios are
-// direct speedups; the join record measures the batched tuple pipeline end
+// direct speedups; the join records measure the batched tuple pipeline end
 // to end, where the allocation count is the arena-vs-heap artifact. The
 // reference records keep their "legacy" names so the snapshot stays
 // comparable with earlier ones.
@@ -446,6 +449,40 @@ std::vector<bench::BenchRecord> RunVectorizedSnapshot() {
                                *built->scenario.engine)
                   .result_rows);
         }));
+  }
+  {
+    // The paper's Example 6.1 (Q5) through FederationService::Run with
+    // sampled statistics: a P+RTP foreign join over the student x faculty
+    // nested-loop join. rows = the relational join's tuples, the outer
+    // side the plan carries as row ids; every timed run's rows and meter
+    // are CHECKed against a reference service's run.
+    auto built = BuildQ5(Q5Config{});
+    TEXTJOIN_CHECK(built.ok(), "q5");
+    FederationService::Options options;
+    options.text = built->scenario.text;
+    options.oracle_stats = false;
+    const std::string sql = built->query.ToString();
+    auto reference = FederationService(built->scenario.catalog.get(),
+                                       built->scenario.engine.get(), options)
+                         .Run(sql);
+    TEXTJOIN_CHECK(reference.ok(), "q5 reference");
+    double join_tuples = 0;
+    for (const auto& [node, actuals] : reference->profile.nodes) {
+      if (node->kind == PlanNode::Kind::kRelationalJoin) {
+        join_tuples += static_cast<double>(actuals.actual_rows);
+      }
+    }
+    TEXTJOIN_CHECK(join_tuples > 0, "q5 plan has no relational join");
+    FederationService service(built->scenario.catalog.get(),
+                              built->scenario.engine.get(), options);
+    TEXTJOIN_CHECK(service.Run(sql).ok(), "q5 warm-up");  // Samples stats.
+    out.push_back(TimeLoop("join_prl_q5_end_to_end", 200, join_tuples, [&] {
+      auto outcome = service.Run(sql);
+      TEXTJOIN_CHECK(outcome.ok() &&
+                         outcome->rows.rows == reference->rows.rows &&
+                         outcome->meter_delta == reference->meter_delta,
+                     "q5 rows or meter differ from the reference run");
+    }));
   }
   return out;
 }

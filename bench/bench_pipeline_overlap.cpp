@@ -56,7 +56,8 @@ Result<ForeignJoinResult> BarrierSemiJoin(const ForeignJoinSpec& spec,
   namespace pl = pipeline;
   TEXTJOIN_ASSIGN_OR_RETURN(pl::ResolvedSpec rspec, pl::ResolveSpec(spec));
   const PredicateMask all = FullMask(spec.joins.size());
-  const pl::KeyGroups groups = pl::GroupRowsByTerms(rspec, left_rows, all);
+  const pl::KeyGroups groups = pl::GroupRowsByTerms(
+      rspec, RowIdSet::BorrowedAll(spec.left_schema, left_rows), all);
 
   const size_t m = source.max_search_terms();
   const size_t capacity =
@@ -115,11 +116,15 @@ Result<ForeignJoinResult> BarrierSemiJoin(const ForeignJoinSpec& spec,
   ForeignJoinResult result;
   result.schema = rspec.output_schema;
   const Row null_left = pl::NullLeftRow(spec.left_schema);
+  TupleBatch doc_row(spec.text.fields.size() + 1, 1);
   for (size_t d = 0; d < distinct.size(); ++d) {
-    result.rows.push_back(ConcatRows(
-        null_left, spec.need_document_fields
-                       ? pl::DocumentToRow(spec.text, docs[d])
-                       : pl::DocidOnlyRow(spec.text, distinct[d])));
+    doc_row.Clear();
+    if (spec.need_document_fields) {
+      pl::AppendDocumentRow(spec.text, docs[d], doc_row);
+    } else {
+      pl::AppendDocidOnlyRow(spec.text, distinct[d], doc_row);
+    }
+    result.rows.push_back(ConcatRows(null_left, doc_row.row(0)));
   }
   return result;
 }

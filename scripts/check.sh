@@ -76,13 +76,14 @@ for leg in "${legs[@]}"; do
   if [ "$leg" = release ]; then
     # The schedule-sensitive determinism grids (sharding, pipeline,
     # cancellation, mutation), the deadline-shed, executor-cancel and
-    # probe-reducer tests (overload, join methods) and the cache's flight
-    # handoff and shared-cache stress tests (cache), repeated on top of the
-    # single pass above so that a test whose outcome depends on the thread
-    # schedule fails here rather than once in a few hundred runs.
+    # probe-reducer tests (overload, join methods), the cache's flight
+    # handoff and shared-cache stress tests (cache) and the multi-relation
+    # plan parity grid at parallelism 1/4/8 (plan parity), repeated on top
+    # of the single pass above so that a test whose outcome depends on the
+    # thread schedule fails here rather than once in a few hundred runs.
     echo "==> [release] determinism grids, repeated until failure (50x)"
     run_ctest --test-dir "$build" --output-on-failure \
-      -R 'sharding_test|pipeline_test|cancel_test|mutation_service_test|overload_test|join_methods_test|cache_test' \
+      -R 'sharding_test|pipeline_test|cancel_test|mutation_service_test|overload_test|join_methods_test|cache_test|plan_parity_test' \
       --repeat until-fail:50 -j "$jobs"
     echo "==> [release] shard scaling gate"
     "$build/bench/bench_shard_scaling"

@@ -55,52 +55,52 @@ ForeignJoinSpec PlanExecutor::BuildSpec(const FederatedQuery& query,
   return spec;
 }
 
-Result<ExecutionResult> PlanExecutor::Exec(const PlanNode& node,
-                                           const FederatedQuery& query,
-                                           ExecutionProfile* profile,
-                                           pipeline::StageScheduler* sched) {
-  TEXTJOIN_ASSIGN_OR_RETURN(ExecutionResult result,
+Result<RowIdSet> PlanExecutor::Exec(const PlanNode& node,
+                                    const FederatedQuery& query,
+                                    ExecutionProfile* profile,
+                                    pipeline::StageScheduler* sched) {
+  TEXTJOIN_ASSIGN_OR_RETURN(RowIdSet result,
                             ExecNode(node, query, profile, sched));
   if (profile != nullptr) {
-    profile->nodes[&node].actual_rows = result.rows.size();
+    profile->nodes[&node].actual_rows = result.size();
   }
   return result;
 }
 
-Result<ExecutionResult> PlanExecutor::ExecNode(const PlanNode& node,
-                                               const FederatedQuery& query,
-                                               ExecutionProfile* profile,
-                                               pipeline::StageScheduler* sched) {
+Result<RowIdSet> PlanExecutor::ExecNode(const PlanNode& node,
+                                        const FederatedQuery& query,
+                                        ExecutionProfile* profile,
+                                        pipeline::StageScheduler* sched) {
   switch (node.kind) {
     case PlanNode::Kind::kScan: {
       TEXTJOIN_ASSIGN_OR_RETURN(Table * table,
                                 catalog_->GetTable(node.table_name));
-      ExecutionResult result;
-      result.schema = node.output_schema;
       // Bound once per scan; Eval is read-only, so every row reuses them.
       std::vector<ExprPtr> filters;
       filters.reserve(node.filters.size());
       for (const ExprPtr& filter : node.filters) {
         filters.push_back(filter->Clone());
-        TEXTJOIN_RETURN_IF_ERROR(filters.back()->Bind(result.schema));
+        TEXTJOIN_RETURN_IF_ERROR(filters.back()->Bind(node.output_schema));
       }
-      for (const Row& row : table->rows()) {
+      const std::vector<Row>& rows = table->rows();
+      std::vector<size_t> ids;
+      for (size_t r = 0; r < rows.size(); ++r) {
         if (std::all_of(filters.begin(), filters.end(),
-                        [&row](const ExprPtr& filter) {
+                        [&row = rows[r]](const ExprPtr& filter) {
                           return ValueIsTrue(filter->Eval(row));
                         })) {
-          result.rows.push_back(row);
+          ids.push_back(r);
         }
       }
-      return result;
+      return RowIdSet::Borrowed(node.output_schema, rows, std::move(ids));
     }
     case PlanNode::Kind::kProbe: {
-      TEXTJOIN_ASSIGN_OR_RETURN(ExecutionResult child,
+      TEXTJOIN_ASSIGN_OR_RETURN(RowIdSet child,
                                 Exec(*node.left, query, profile, sched));
       TEXTJOIN_CHECK(sched != nullptr, "probe node without a text source");
       const AccessMeter before = MeterSnapshot(source_);
       ForeignJoinSpec spec;
-      spec.left_schema = child.schema;
+      spec.left_schema = child.schema();
       spec.selections = query.text_selections;
       spec.text = query.text;
       for (size_t i : node.probe_pred_indices) {
@@ -108,8 +108,8 @@ Result<ExecutionResult> PlanExecutor::ExecNode(const PlanNode& node,
       }
       pipeline::PipelineProfile stages;
       TEXTJOIN_ASSIGN_OR_RETURN(
-          std::vector<Row> survivors,
-          pipeline::RunProbeReducer(*sched, spec, child.rows,
+          RowIdSet survivors,
+          pipeline::RunProbeReducer(*sched, spec, child,
                                     FullMask(spec.joins.size()),
                                     profile != nullptr ? &stages : nullptr));
       if (profile != nullptr) {
@@ -117,37 +117,32 @@ Result<ExecutionResult> PlanExecutor::ExecNode(const PlanNode& node,
         np.meter_delta = MeterDelta(MeterSnapshot(source_), before);
         np.stages = std::move(stages);
       }
-      ExecutionResult result;
-      result.schema = child.schema;
-      result.rows = std::move(survivors);
-      return result;
+      return survivors;
     }
     case PlanNode::Kind::kForeignJoin: {
-      TEXTJOIN_ASSIGN_OR_RETURN(ExecutionResult child,
+      TEXTJOIN_ASSIGN_OR_RETURN(RowIdSet child,
                                 Exec(*node.left, query, profile, sched));
       TEXTJOIN_CHECK(sched != nullptr, "foreign join without a text source");
       const AccessMeter before = MeterSnapshot(source_);
-      ForeignJoinSpec spec = BuildSpec(query, child.schema);
+      ForeignJoinSpec spec = BuildSpec(query, child.schema());
       pipeline::PipelineProfile stages;
       TEXTJOIN_ASSIGN_OR_RETURN(
           ForeignJoinResult joined,
-          pipeline::RunForeignJoin(*sched, node.method.method, spec,
-                                   child.rows, node.method.probe_mask,
+          pipeline::RunForeignJoin(*sched, node.method.method, spec, child,
+                                   node.method.probe_mask,
                                    profile != nullptr ? &stages : nullptr));
       if (profile != nullptr) {
         NodeProfile& np = profile->nodes[&node];
         np.meter_delta = MeterDelta(MeterSnapshot(source_), before);
         np.stages = std::move(stages);
       }
-      ExecutionResult result;
-      result.schema = std::move(joined.schema);
-      result.rows = std::move(joined.rows);
-      return result;
+      // The foreign join's output is materialized: it becomes one part.
+      return RowIdSet::Owned(std::move(joined.schema), std::move(joined.rows));
     }
     case PlanNode::Kind::kRelationalJoin: {
-      TEXTJOIN_ASSIGN_OR_RETURN(ExecutionResult lhs,
+      TEXTJOIN_ASSIGN_OR_RETURN(RowIdSet lhs,
                                 Exec(*node.left, query, profile, sched));
-      TEXTJOIN_ASSIGN_OR_RETURN(ExecutionResult rhs,
+      TEXTJOIN_ASSIGN_OR_RETURN(RowIdSet rhs,
                                 Exec(*node.right, query, profile, sched));
       ExprPtr residual;
       std::vector<ExprPtr> residual_parts;
@@ -159,12 +154,10 @@ Result<ExecutionResult> PlanExecutor::ExecNode(const PlanNode& node,
                        ? std::move(residual_parts[0])
                        : And(std::move(residual_parts));
       }
-      ExecutionResult result;
-      result.schema = lhs.schema.Concat(rhs.schema);
       TEXTJOIN_ASSIGN_OR_RETURN(
-          result.rows, JoinRows(lhs.schema, lhs.rows, rhs.schema, rhs.rows,
-                                node.hash_keys, std::move(residual)));
-      return result;
+          std::vector<TuplePair> pairs,
+          JoinRows(lhs, rhs, node.hash_keys, std::move(residual)));
+      return RowIdSet::Join(lhs, rhs, pairs);
     }
   }
   return Status::Internal("unknown plan node kind");
@@ -173,25 +166,27 @@ Result<ExecutionResult> PlanExecutor::ExecNode(const PlanNode& node,
 
 namespace {
 
-/// Applies GROUP BY + aggregates on a materialized (joined) result: the
-/// output schema becomes the group-by columns followed by one column per
-/// aggregate. Without group-by columns, a single global group (even when
-/// the input is empty, per SQL: COUNT(*) over nothing is 0).
-Status ApplyAggregation(const FederatedQuery& query, ExecutionResult& out) {
-  if (query.aggregates.empty()) return Status::OK();
-  std::vector<size_t> group_cols;
+/// Applies GROUP BY + aggregates to `tuples`, reading their columns in
+/// place: the output schema is the group-by columns followed by one column
+/// per aggregate. Without group-by columns, a single global group (even
+/// when the input is empty, per SQL: COUNT(*) over nothing is 0).
+Result<ExecutionResult> Aggregate(const FederatedQuery& query,
+                                  const RowIdSet& tuples) {
+  const Schema& schema = tuples.schema();
+  std::vector<RowIdSet::ColumnRef> group_cols;
   Schema agg_schema;
   for (const std::string& ref : query.group_by) {
-    TEXTJOIN_ASSIGN_OR_RETURN(size_t idx, out.schema.Resolve(ref));
-    group_cols.push_back(idx);
-    agg_schema.AddColumn(out.schema.column(idx));
+    TEXTJOIN_ASSIGN_OR_RETURN(size_t idx, schema.Resolve(ref));
+    group_cols.push_back(tuples.Locate(idx));
+    agg_schema.AddColumn(schema.column(idx));
   }
-  std::vector<size_t> agg_cols(query.aggregates.size(), 0);
+  std::vector<RowIdSet::ColumnRef> agg_cols(query.aggregates.size());
   for (size_t a = 0; a < query.aggregates.size(); ++a) {
     const AggregateItem& agg = query.aggregates[a];
+    size_t idx = 0;
     if (agg.kind != AggregateItem::Kind::kCountStar) {
-      TEXTJOIN_ASSIGN_OR_RETURN(size_t idx, out.schema.Resolve(agg.column));
-      agg_cols[a] = idx;
+      TEXTJOIN_ASSIGN_OR_RETURN(idx, schema.Resolve(agg.column));
+      agg_cols[a] = tuples.Locate(idx);
     }
     ValueType type;
     switch (agg.kind) {
@@ -204,7 +199,7 @@ Status ApplyAggregation(const FederatedQuery& query, ExecutionResult& out) {
         type = ValueType::kDouble;
         break;
       default:
-        type = out.schema.column(agg_cols[a]).type;
+        type = schema.column(idx).type;
         break;
     }
     agg_schema.AddColumn(Column{"", agg.Name(), type});
@@ -220,8 +215,13 @@ Status ApplyAggregation(const FederatedQuery& query, ExecutionResult& out) {
   if (query.group_by.empty()) {
     groups[Row{}] = GroupState{};  // the global group always exists
   }
-  for (const Row& row : out.rows) {
-    GroupState& state = groups[ProjectRow(row, group_cols)];
+  for (size_t t = 0; t < tuples.size(); ++t) {
+    Row key;
+    key.reserve(group_cols.size());
+    for (const RowIdSet::ColumnRef& c : group_cols) {
+      key.push_back(tuples.at(t, c));
+    }
+    GroupState& state = groups[std::move(key)];
     state.counts.resize(query.aggregates.size(), 0);
     state.mins.resize(query.aggregates.size());
     state.maxs.resize(query.aggregates.size());
@@ -232,7 +232,7 @@ Status ApplyAggregation(const FederatedQuery& query, ExecutionResult& out) {
         ++state.counts[a];
         continue;
       }
-      const Value& v = row.at(agg_cols[a]);
+      const Value& v = tuples.at(t, agg_cols[a]);
       if (v.is_null()) continue;  // SQL: aggregates skip NULLs
       ++state.counts[a];
       if (state.mins[a].is_null() || v < state.mins[a]) state.mins[a] = v;
@@ -279,8 +279,7 @@ Status ApplyAggregation(const FederatedQuery& query, ExecutionResult& out) {
     }
     aggregated.rows.push_back(std::move(row));
   }
-  out = std::move(aggregated);
-  return Status::OK();
+  return aggregated;
 }
 
 /// Applies SELECT DISTINCT / ORDER BY / LIMIT on a materialized result.
@@ -299,10 +298,14 @@ Status ApplyDecorations(const FederatedQuery& query, ExecutionResult& out) {
       TEXTJOIN_ASSIGN_OR_RETURN(size_t idx, out.schema.Resolve(ref));
       keys.push_back(idx);
     }
+    // Compares the key columns in place; ties keep their input order.
     std::stable_sort(out.rows.begin(), out.rows.end(),
                      [&keys](const Row& a, const Row& b) {
-                       return CompareRows(ProjectRow(a, keys),
-                                          ProjectRow(b, keys)) < 0;
+                       for (size_t k : keys) {
+                         const int c = a[k].Compare(b[k]);
+                         if (c != 0) return c < 0;
+                       }
+                       return false;
                      });
   }
   if (query.limit != FederatedQuery::kNoLimit &&
@@ -328,12 +331,13 @@ Result<ExecutionResult> PlanExecutor::Execute(const PlanNode& root,
   // selection. It adopts the caller's ambient query token.
   std::optional<pipeline::StageScheduler> sched;
   if (source_ != nullptr) sched.emplace(pool_, *source_, policy);
-  Result<ExecutionResult> executed =
+  Result<RowIdSet> executed =
       Exec(root, query, profile, sched ? &*sched : nullptr);
   if (degradation != nullptr) *degradation = sink.Snapshot();
-  TEXTJOIN_ASSIGN_OR_RETURN(ExecutionResult result, std::move(executed));
+  TEXTJOIN_ASSIGN_OR_RETURN(RowIdSet tuples, std::move(executed));
   if (!query.aggregates.empty()) {
-    TEXTJOIN_RETURN_IF_ERROR(ApplyAggregation(query, result));
+    TEXTJOIN_ASSIGN_OR_RETURN(ExecutionResult result,
+                              Aggregate(query, tuples));
     TEXTJOIN_RETURN_IF_ERROR(ApplyDecorations(query, result));
     return result;
   }
@@ -357,18 +361,22 @@ Result<ExecutionResult> PlanExecutor::Execute(const PlanNode& root,
       }
     }
   }
-  std::vector<size_t> indices;
+  // The output rows: each projected column read in place from the root's
+  // tuples.
+  std::vector<RowIdSet::ColumnRef> columns;
   Schema projected;
   for (const std::string& ref : output_refs) {
-    TEXTJOIN_ASSIGN_OR_RETURN(size_t idx, result.schema.Resolve(ref));
-    indices.push_back(idx);
-    projected.AddColumn(result.schema.column(idx));
+    TEXTJOIN_ASSIGN_OR_RETURN(size_t idx, tuples.schema().Resolve(ref));
+    columns.push_back(tuples.Locate(idx));
+    projected.AddColumn(tuples.schema().column(idx));
   }
   ExecutionResult out;
   out.schema = std::move(projected);
-  out.rows.reserve(result.rows.size());
-  for (const Row& row : result.rows) {
-    out.rows.push_back(ProjectRow(row, indices));
+  out.rows.reserve(tuples.size());
+  for (size_t t = 0; t < tuples.size(); ++t) {
+    Row& row = out.rows.emplace_back();
+    row.reserve(columns.size());
+    for (const RowIdSet::ColumnRef& c : columns) row.push_back(tuples.at(t, c));
   }
   TEXTJOIN_RETURN_IF_ERROR(ApplyDecorations(query, out));
   return out;
@@ -451,9 +459,11 @@ Result<ExecutionResult> ReferenceExecute(
   }
   // 4. Aggregation / projection / decorations.
   if (!query.aggregates.empty()) {
-    TEXTJOIN_RETURN_IF_ERROR(ApplyAggregation(query, joined));
-    TEXTJOIN_RETURN_IF_ERROR(ApplyDecorations(query, joined));
-    return joined;
+    TEXTJOIN_ASSIGN_OR_RETURN(
+        ExecutionResult result,
+        Aggregate(query, RowIdSet::BorrowedAll(joined.schema, joined.rows)));
+    TEXTJOIN_RETURN_IF_ERROR(ApplyDecorations(query, result));
+    return result;
   }
   if (query.output_columns.empty()) {
     TEXTJOIN_RETURN_IF_ERROR(ApplyDecorations(query, joined));

@@ -88,10 +88,13 @@ struct ExecutorOptions {
   FailureMode failure_mode = FailureMode::kFailFast;
 };
 
-/// Walks a plan tree bottom-up, running scans/filters/joins with the
-/// relational operators, probe nodes with the probe reducer, and the
-/// foreign-join node with the plan's chosen method. The final projection
-/// (the query's SELECT list) is applied on top.
+/// Walks a plan tree bottom-up. Every node yields a RowIdSet (DESIGN.md
+/// §14): a scan, the ids of its table's rows that pass its pushed-down
+/// filters; a relational join, JoinRows's pairs of its inputs' tuples; a
+/// probe node, the tuples the probe reducer keeps; and the foreign join,
+/// its chosen method's output over its input's tuples, materialized and
+/// held as one new part. Execute() gathers the query's SELECT list from
+/// the root's tuples, the one place the plan's rows are built.
 class PlanExecutor {
  public:
   /// All pointers must outlive the executor. When `options.parallelism > 1`
@@ -141,14 +144,12 @@ class PlanExecutor {
   /// `sched` is the execution's shared stage scheduler (null for plans
   /// without a text source): every pipeline-backed node joins its DAG, so a
   /// multi-join PrL plan executes as one composed pipeline.
-  Result<ExecutionResult> Exec(const PlanNode& node,
-                               const FederatedQuery& query,
-                               ExecutionProfile* profile,
-                               pipeline::StageScheduler* sched);
-  Result<ExecutionResult> ExecNode(const PlanNode& node,
-                                   const FederatedQuery& query,
-                                   ExecutionProfile* profile,
-                                   pipeline::StageScheduler* sched);
+  Result<RowIdSet> Exec(const PlanNode& node, const FederatedQuery& query,
+                        ExecutionProfile* profile,
+                        pipeline::StageScheduler* sched);
+  Result<RowIdSet> ExecNode(const PlanNode& node, const FederatedQuery& query,
+                            ExecutionProfile* profile,
+                            pipeline::StageScheduler* sched);
 
   /// Builds the foreign-join spec for the text join of `query` with
   /// `left_schema` as the outer side.
@@ -163,10 +164,11 @@ class PlanExecutor {
 };
 
 /// Reference evaluation: executes `query` by brute force (cross product of
-/// relations x documents, filtering every conjunct relationally, fetching
-/// every document). Exponentially expensive but obviously correct — used by
-/// tests and benches as ground truth. Does not touch the meter if `source`
-/// is null (documents come straight from `engine_docs`).
+/// relations x documents, filtering every conjunct relationally, matching
+/// every document in `all_documents`). Exponentially expensive but
+/// obviously correct — used by tests and benches as ground truth. It
+/// materializes every intermediate row and reads no text source or meter,
+/// so it shares nothing with the executor's row-id sets.
 Result<ExecutionResult> ReferenceExecute(
     const FederatedQuery& query, const Catalog& catalog,
     const std::vector<Document>& all_documents);

@@ -28,8 +28,9 @@ Result<ForeignJoinResult> ExecuteForeignJoin(
     PredicateMask probe_mask, ThreadPool* pool, const FaultPolicy& policy,
     pipeline::PipelineProfile* stage_profile) {
   pipeline::StageScheduler sched(pool, source, policy);
-  return pipeline::RunForeignJoin(sched, method, spec, left_rows, probe_mask,
-                                  stage_profile);
+  return pipeline::RunForeignJoin(
+      sched, method, spec, RowIdSet::BorrowedAll(spec.left_schema, left_rows),
+      probe_mask, stage_profile);
 }
 
 }  // namespace textjoin

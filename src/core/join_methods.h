@@ -78,10 +78,15 @@ struct ForeignJoinResult {
 /// its probe-cache-ordered search sequence serial and overlaps only the
 /// fetches).
 ///
-/// Fails with InvalidArgument when the method is inapplicable:
-///  - kRTP / kSJRTP / kPRTP and kSJ/kTS variants require what the paper
-///    requires (RTP-family needs text selections for its initial search
-///    except the probe variant; kSJ requires !left_columns_needed).
+/// Fails before any source traffic when the method is inapplicable, with
+/// InvalidArgument unless noted:
+///  - kTS needs at least one text predicate (a selection or a join
+///    predicate) to instantiate;
+///  - kRTP needs text selections: its one search is selections-only;
+///  - kSJ needs join predicates and !left_columns_needed;
+///  - kSJRTP needs join predicates;
+///  - kPTS / kPRTP need a non-zero probe mask (OutOfRange when it selects
+///    a predicate beyond spec.joins); the other methods need a zero one.
 ///
 /// `policy` decides what happens when a source operation fails even after
 /// the resilience layer (if the source is wrapped in one) gave up. The
@@ -96,9 +101,9 @@ struct ForeignJoinResult {
 /// function builds a StageScheduler over `pool`, `source` and `policy` —
 /// which adopts the caller's ambient CurrentCancelToken() as the query's
 /// cancel token and deadline — and runs the method's composition on it
-/// (pipeline::RunForeignJoin). When `stage_profile` is non-null it
-/// receives the per-stage wall-clock and meter attribution of the
-/// execution.
+/// (pipeline::RunForeignJoin) over `left_rows` as a one-part RowIdSet.
+/// When `stage_profile` is non-null it receives the per-stage wall-clock
+/// and meter attribution of the execution.
 Result<ForeignJoinResult> ExecuteForeignJoin(
     JoinMethodKind method, const ForeignJoinSpec& spec,
     const std::vector<Row>& left_rows, TextSource& source,
@@ -117,10 +122,11 @@ Result<ForeignJoinResult> ExecuteForeignJoin(
 /// the reduction is weaker.
 ///
 /// Runs as a three-stage pipeline composition on its own StageScheduler,
-/// which adopts the caller's ambient CurrentCancelToken() (the plan
-/// executor composes the reducer into its shared scheduler through
-/// pipeline::RunProbeReducer instead). `stage_profile` receives the
-/// reducer's per-stage account when non-null.
+/// which adopts the caller's ambient CurrentCancelToken(), over
+/// `left_rows` as a one-part RowIdSet, and copies out the surviving rows
+/// (the plan executor composes the reducer into its shared scheduler
+/// through pipeline::RunProbeReducer and keeps the surviving ids instead).
+/// `stage_profile` receives the reducer's per-stage account when non-null.
 Result<std::vector<Row>> ProbeSemiJoinReduce(
     const ForeignJoinSpec& spec, const std::vector<Row>& left_rows,
     TextSource& source, PredicateMask probe_mask, ThreadPool* pool = nullptr,

@@ -5,6 +5,8 @@
 #include <condition_variable>
 #include <cstdio>
 #include <functional>
+#include <limits>
+#include <numeric>
 #include <optional>
 #include <string_view>
 #include <type_traits>
@@ -129,13 +131,16 @@ Result<ResolvedSpec> ResolveSpec(const ForeignJoinSpec& spec) {
 
 namespace {
 
-/// The left-row column of every predicate in `mask`, in ascending
-/// predicate order.
-std::vector<size_t> MaskedJoinColumns(const ResolvedSpec& rspec,
-                                      PredicateMask mask) {
-  std::vector<size_t> columns;
+/// The outer column of every predicate in `mask`, located in `tuples`, in
+/// ascending predicate order.
+std::vector<RowIdSet::ColumnRef> MaskedJoinColumns(const ResolvedSpec& rspec,
+                                                   const RowIdSet& tuples,
+                                                   PredicateMask mask) {
+  std::vector<RowIdSet::ColumnRef> columns;
   for (size_t i = 0; i < rspec.join_columns.size(); ++i) {
-    if ((mask & (1u << i)) != 0) columns.push_back(rspec.join_columns[i]);
+    if ((mask & (1u << i)) != 0) {
+      columns.push_back(tuples.Locate(rspec.join_columns[i]));
+    }
   }
   return columns;
 }
@@ -177,22 +182,6 @@ TextQueryPtr BuildDisjunct(const ResolvedSpec& rspec,
   return TextQuery::And(std::move(children));
 }
 
-Row DocumentToRow(const TextRelationDecl& text, const Document& doc) {
-  Row row;
-  row.reserve(text.fields.size() + 1);
-  row.push_back(Value::Str(doc.docid));
-  for (const std::string& field : text.fields) {
-    row.push_back(Value::Str(JoinFieldValues(doc.FieldValues(field))));
-  }
-  return row;
-}
-
-Row DocidOnlyRow(const TextRelationDecl& text, const std::string& docid) {
-  Row row(text.fields.size() + 1, Value::Null());
-  row[0] = Value::Str(docid);
-  return row;
-}
-
 void AppendDocumentRow(const TextRelationDecl& text, const Document& doc,
                        TupleBatch& batch) {
   std::span<Value> slot = batch.AppendMutable();
@@ -214,33 +203,35 @@ Row NullLeftRow(const Schema& left_schema) {
 }
 
 JoinTermMatcher::JoinTermMatcher(const ResolvedSpec& rspec,
-                                 PredicateMask mask)
-    : columns_(MaskedJoinColumns(rspec, mask)) {
+                                 PredicateMask mask,
+                                 std::vector<RowIdSet::ColumnRef> columns,
+                                 size_t num_tuples)
+    : columns_(std::move(columns)) {
   for (size_t i = 0; i < rspec.spec->joins.size(); ++i) {
     if ((mask & (1u << i)) != 0) fields_.push_back(&rspec.spec->joins[i].field);
   }
+  term_ends_.reserve(num_tuples * columns_.size());
 }
 
 JoinTermMatcher::JoinTermMatcher(const ResolvedSpec& rspec,
-                                 const std::vector<Row>& rows,
-                                 PredicateMask mask)
-    : JoinTermMatcher(rspec, mask) {
-  term_ends_.reserve(rows.size() * columns_.size());
-  for (const Row& row : rows) AddRow(row);
+                                 const RowIdSet& tuples, PredicateMask mask)
+    : JoinTermMatcher(rspec, mask, MaskedJoinColumns(rspec, tuples, mask),
+                      tuples.size()) {
+  for (size_t t = 0; t < tuples.size(); ++t) AddTuple(tuples, t);
 }
 
 JoinTermMatcher::JoinTermMatcher(const ResolvedSpec& rspec,
-                                 const std::vector<Row>& rows,
-                                 const std::vector<size_t>& row_ids,
+                                 const RowIdSet& tuples,
+                                 const std::vector<size_t>& tuple_ids,
                                  PredicateMask mask)
-    : JoinTermMatcher(rspec, mask) {
-  term_ends_.reserve(row_ids.size() * columns_.size());
-  for (size_t r : row_ids) AddRow(rows.at(r));
+    : JoinTermMatcher(rspec, mask, MaskedJoinColumns(rspec, tuples, mask),
+                      tuple_ids.size()) {
+  for (size_t t : tuple_ids) AddTuple(tuples, t);
 }
 
-void JoinTermMatcher::AddRow(const Row& row) {
-  for (size_t column : columns_) {
-    const Value& v = row.at(column);
+void JoinTermMatcher::AddTuple(const RowIdSet& tuples, size_t tuple) {
+  for (const RowIdSet::ColumnRef& column : columns_) {
+    const Value& v = tuples.at(tuple, column);
     // A non-string value prepares to the empty, never-matching term.
     if (v.type() == ValueType::kString) {
       AppendPreparedTerm(v.AsString(), terms_);
@@ -273,59 +264,116 @@ bool JoinTermMatcher::Matches(
   return true;
 }
 
-KeyGroups GroupRowsByTerms(const ResolvedSpec& rspec,
-                           const std::vector<Row>& rows, PredicateMask mask) {
-  const std::vector<size_t> columns = MaskedJoinColumns(rspec, mask);
-  const auto term = [&](size_t r, size_t c) -> const std::string& {
-    return rows[r][c].AsString();
-  };
-  // A group is keyed by the index of its first row; hashing, equality and
-  // ordering read the masked join-column strings of the rows in place.
-  const auto key_hash = [&](size_t r) {
-    size_t h = 0;
-    for (size_t c : columns) {
-      h = h * 1099511628211u ^ std::hash<std::string>{}(term(r, c));
+KeyGroups GroupRowsByTerms(const ResolvedSpec& rspec, const RowIdSet& tuples,
+                           PredicateMask mask) {
+  const std::vector<RowIdSet::ColumnRef> columns =
+      MaskedJoinColumns(rspec, tuples, mask);
+  constexpr uint32_t kNoKey = std::numeric_limits<uint32_t>::max();
+  constexpr uint32_t kUnseen = kNoKey - 1;
+  // Each tuple's key code, where equal codes mean equal masked terms. Every
+  // tuple starts with the one code of the empty key, and each part holding
+  // masked columns folds its part-local key in; kNoKey drops the tuple.
+  std::vector<uint32_t> code(tuples.size(), 0);
+  size_t num_codes = 1;
+  for (size_t part = 0; part < tuples.num_parts(); ++part) {
+    std::vector<size_t> cols;  // The part's masked columns.
+    for (const RowIdSet::ColumnRef& c : columns) {
+      if (c.part == part) cols.push_back(c.column);
     }
-    return h;
-  };
-  const auto key_eq = [&](size_t a, size_t b) {
-    return std::all_of(columns.begin(), columns.end(),
-                       [&](size_t c) { return term(a, c) == term(b, c); });
-  };
-  struct Group {
-    size_t first_row;
-    std::vector<size_t> rows;
-  };
-  std::vector<Group> groups;
-  std::unordered_map<size_t, size_t, decltype(key_hash), decltype(key_eq)>
-      group_of(rows.size(), key_hash, key_eq);
-  for (size_t r = 0; r < rows.size(); ++r) {
-    const bool all_strings =
-        std::all_of(columns.begin(), columns.end(), [&](size_t c) {
-          return rows[r].at(c).type() == ValueType::kString;
-        });
-    if (!all_strings) continue;
-    const auto [it, inserted] = group_of.try_emplace(r, groups.size());
-    if (inserted) groups.push_back({r, {}});
-    groups[it->second].rows.push_back(r);
+    if (cols.empty()) continue;
+    const std::vector<Row>& rows = tuples.rows(part);
+    const auto str = [&](size_t r, size_t c) -> const std::string& {
+      return rows[r][c].AsString();
+    };
+    // Part-local keys: base rows with equal masked strings share one. A
+    // base row's strings are hashed once, when its first tuple comes by.
+    const auto key_hash = [&](size_t r) {
+      size_t h = 0;
+      for (size_t c : cols) {
+        h = h * 1099511628211u ^ std::hash<std::string>{}(str(r, c));
+      }
+      return h;
+    };
+    const auto key_eq = [&](size_t a, size_t b) {
+      return std::all_of(cols.begin(), cols.end(),
+                         [&](size_t c) { return str(a, c) == str(b, c); });
+    };
+    std::unordered_map<size_t, uint32_t, decltype(key_hash), decltype(key_eq)>
+        local_of(std::min(rows.size(), tuples.size()), key_hash, key_eq);
+    std::vector<uint32_t> key_of(rows.size(), kUnseen);
+    const auto local_key = [&](size_t r) {
+      uint32_t& key = key_of[r];
+      if (key != kUnseen) return key;
+      const bool all_strings =
+          std::all_of(cols.begin(), cols.end(), [&](size_t c) {
+            return rows[r][c].type() == ValueType::kString;
+          });
+      const auto next = static_cast<uint32_t>(local_of.size());
+      key = all_strings ? local_of.try_emplace(r, next).first->second : kNoKey;
+      return key;
+    };
+    // While every live code is the same, a local key is the new code;
+    // otherwise (code, local key) pairs are numbered as they first occur.
+    const bool single_code = num_codes == 1;
+    std::unordered_map<uint64_t, uint32_t> combined;
+    for (size_t t = 0; t < tuples.size(); ++t) {
+      if (code[t] == kNoKey) continue;
+      const uint32_t local = local_key(tuples.id(t, part));
+      if (local == kNoKey || single_code) {
+        code[t] = local;
+      } else {
+        const auto next = static_cast<uint32_t>(combined.size());
+        code[t] = combined.try_emplace((uint64_t{code[t]} << 32) | local, next)
+                      .first->second;
+      }
+    }
+    num_codes = single_code ? local_of.size() : combined.size();
+  }
+
+  // Groups in order of first appearance, each sized by a counting pass,
+  // with their terms read in place from their first tuple.
+  std::vector<size_t> count(num_codes, 0);
+  for (uint32_t c : code) {
+    if (c != kNoKey) ++count[c];
+  }
+  std::vector<std::vector<size_t>> group_tuples;
+  std::vector<const std::string*> group_terms;  // columns.size() per group.
+  group_tuples.reserve(num_codes);  // A group per live code.
+  group_terms.reserve(num_codes * columns.size());
+  std::vector<size_t> group_of(num_codes, SIZE_MAX);
+  for (size_t t = 0; t < tuples.size(); ++t) {
+    if (code[t] == kNoKey) continue;
+    size_t& g = group_of[code[t]];
+    if (g == SIZE_MAX) {
+      g = group_tuples.size();
+      group_tuples.emplace_back().reserve(count[code[t]]);
+      for (const RowIdSet::ColumnRef& c : columns) {
+        group_terms.push_back(&tuples.at(t, c).AsString());
+      }
+    }
+    group_tuples[g].push_back(t);
   }
   // Only the distinct keys are sorted, lexicographically by their term
   // tuples (the order std::map<std::vector<std::string>, ...> iterates).
-  std::sort(groups.begin(), groups.end(), [&](const Group& a, const Group& b) {
-    for (size_t c : columns) {
-      const int cmp = term(a.first_row, c).compare(term(b.first_row, c));
+  const size_t k = columns.size();
+  std::vector<size_t> order(group_tuples.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    for (size_t c = 0; c < k; ++c) {
+      const int cmp = group_terms[a * k + c]->compare(*group_terms[b * k + c]);
       if (cmp != 0) return cmp < 0;
     }
     return false;
   });
   KeyGroups out;
-  out.terms.reserve(groups.size());
-  out.rows.reserve(groups.size());
-  for (Group& group : groups) {
-    std::vector<std::string>& terms = out.terms.emplace_back();
-    terms.reserve(columns.size());
-    for (size_t c : columns) terms.push_back(term(group.first_row, c));
-    out.rows.push_back(std::move(group.rows));
+  out.terms.reserve(order.size());
+  out.rows.reserve(order.size());
+  for (size_t g : order) {
+    out.terms.emplace_back().reserve(k);
+    for (size_t c = 0; c < k; ++c) {
+      out.terms.back().push_back(*group_terms[g * k + c]);
+    }
+    out.rows.push_back(std::move(group_tuples[g]));
   }
   return out;
 }
@@ -840,12 +888,12 @@ Status ValidateMethod(JoinMethodKind method, const ForeignJoinSpec& spec,
 Result<ForeignJoinResult> RunForeignJoin(StageScheduler& sched,
                                          JoinMethodKind method,
                                          const ForeignJoinSpec& spec,
-                                         const std::vector<Row>& left_rows,
+                                         const RowIdSet& left,
                                          PredicateMask probe_mask,
                                          PipelineProfile* profile) {
   TEXTJOIN_RETURN_IF_ERROR(ValidateMethod(method, spec, probe_mask));
   TEXTJOIN_ASSIGN_OR_RETURN(ResolvedSpec rspec, ResolveSpec(spec));
-  MethodContext ctx{rspec, left_rows, probe_mask, sched, {}};
+  MethodContext ctx{rspec, left, probe_mask, sched, {}};
   // At most one stage per kind.
   ctx.stage_ids.reserve(static_cast<size_t>(StageKind::kAssemble) + 1);
   Result<ForeignJoinResult> result = [&]() -> Result<ForeignJoinResult> {

@@ -130,7 +130,7 @@ struct PipelineProfile {
 /// The join spec with column references resolved to indices.
 struct ResolvedSpec {
   const ForeignJoinSpec* spec = nullptr;
-  std::vector<size_t> join_columns;  ///< Index into left rows, per predicate.
+  std::vector<size_t> join_columns;  ///< Left-schema column, per predicate.
   Schema output_schema;              ///< left ⨯ text.
 };
 
@@ -152,20 +152,15 @@ TextQueryPtr BuildDisjunct(const ResolvedSpec& rspec,
                            const std::vector<std::string>& terms,
                            PredicateMask mask);
 
-/// Converts a fetched document into the text-side row
-/// [docid, field1, field2, ...] with multi-valued fields flattened.
-Row DocumentToRow(const TextRelationDecl& text, const Document& doc);
-
-/// The text-side row carrying only the docid (fields NULL).
-Row DocidOnlyRow(const TextRelationDecl& text, const std::string& docid);
-
-/// DocumentToRow written in place into a fresh slot of `batch` — the
-/// batched assembly staging form (same values, no Row temporary). The
-/// batch's width must be text.fields.size() + 1.
+/// Writes a fetched document's text-side row [docid, field1, field2, ...],
+/// multi-valued fields flattened, into a fresh slot of `batch` (the
+/// assembly staging form: no Row per document). The batch's width must be
+/// text.fields.size() + 1.
 void AppendDocumentRow(const TextRelationDecl& text, const Document& doc,
                        TupleBatch& batch);
 
-/// DocidOnlyRow written in place into a fresh slot of `batch`.
+/// Writes the text-side row carrying only the docid (fields NULL) into a
+/// fresh slot of `batch`.
 void AppendDocidOnlyRow(const TextRelationDecl& text, const std::string& docid,
                         TupleBatch& batch);
 
@@ -173,22 +168,22 @@ void AppendDocidOnlyRow(const TextRelationDecl& text, const std::string& docid,
 Row NullLeftRow(const Schema& left_schema);
 
 /// Relational-side string matching for the RTP family (DESIGN.md §14):
-/// outer rows' join terms for the predicates in `mask`, prepared once per
-/// query in common/text_match.h's form, matched against each fetched
-/// document's join fields, prepared once per document. Immutable after
-/// construction, so match units on pool threads share one instance. It
-/// points at the predicates' field names, so the spec behind `rspec` must
-/// outlive it; the rows need not.
+/// outer tuples' join terms for the predicates in `mask`, read through the
+/// tuples' row ids and prepared once per query in common/text_match.h's
+/// form, matched against each fetched document's join fields, prepared
+/// once per document. Immutable after construction, so match units on
+/// pool threads share one instance. It points at the predicates' field
+/// names, so the spec behind `rspec` must outlive it; the tuples need not.
 class JoinTermMatcher {
  public:
-  /// Prepares every row: the i-th prepared row is rows[i].
-  JoinTermMatcher(const ResolvedSpec& rspec, const std::vector<Row>& rows,
+  /// Prepares every tuple: the i-th prepared row is tuple i.
+  JoinTermMatcher(const ResolvedSpec& rspec, const RowIdSet& tuples,
                   PredicateMask mask);
 
-  /// Prepares only the rows that will be matched: the i-th prepared row is
-  /// rows[row_ids[i]].
-  JoinTermMatcher(const ResolvedSpec& rspec, const std::vector<Row>& rows,
-                  const std::vector<size_t>& row_ids, PredicateMask mask);
+  /// Prepares only the tuples that will be matched: the i-th prepared row
+  /// is tuple tuple_ids[i].
+  JoinTermMatcher(const ResolvedSpec& rspec, const RowIdSet& tuples,
+                  const std::vector<size_t>& tuple_ids, PredicateMask mask);
 
   /// `doc`'s fields for the mask's predicates, in prepared form — the
   /// argument of Matches().
@@ -200,28 +195,32 @@ class JoinTermMatcher {
   bool Matches(size_t i, const std::vector<std::string>& doc_fields) const;
 
  private:
-  JoinTermMatcher(const ResolvedSpec& rspec, PredicateMask mask);
-  void AddRow(const Row& row);
+  JoinTermMatcher(const ResolvedSpec& rspec, PredicateMask mask,
+                  std::vector<RowIdSet::ColumnRef> columns,
+                  size_t num_tuples);
+  void AddTuple(const RowIdSet& tuples, size_t tuple);
 
   std::vector<const std::string*> fields_;  ///< Text field per predicate.
-  std::vector<size_t> columns_;             ///< Left column per predicate.
+  std::vector<RowIdSet::ColumnRef> columns_;  ///< Left column per predicate.
   std::string terms_;  ///< Every prepared term, row-major, back to back.
   /// End offset in terms_ of the term of (prepared row i, k-th predicate)
   /// at index i * fields_.size() + k; it starts where the previous ends.
   std::vector<size_t> term_ends_;
 };
 
-/// Row indices grouped by their join-term combination over `mask` (the
+/// Tuple indices grouped by their join-term combination over `mask` (the
 /// shape the DistinctKeys stage hands to slot-addressed downstream
-/// stages). Rows with NULL/non-string join values are dropped (they cannot
-/// match); each group lists its rows in ascending order.
+/// stages). Tuples with NULL/non-string join values are dropped (they
+/// cannot match); each group lists its tuples in ascending order. Each
+/// part's masked strings are hashed once per base row, and tuples are
+/// routed to their group by row id.
 struct KeyGroups {
   std::vector<std::vector<std::string>> terms;  ///< Lexicographic order.
   std::vector<std::vector<size_t>> rows;        ///< Parallel to `terms`.
   size_t size() const { return terms.size(); }
 };
-KeyGroups GroupRowsByTerms(const ResolvedSpec& rspec,
-                           const std::vector<Row>& rows, PredicateMask mask);
+KeyGroups GroupRowsByTerms(const ResolvedSpec& rspec, const RowIdSet& tuples,
+                           PredicateMask mask);
 
 /// Validates a probe mask: non-zero and within the predicate count.
 Status ValidateProbeMask(const ForeignJoinSpec& spec, PredicateMask mask);
@@ -418,9 +417,9 @@ class ScopedStageTimer {
 };
 
 /// Batched deterministic result assembly (DESIGN.md §14). Every method's
-/// Assemble stage appends its join output through this helper: concat
-/// output is built with ConcatInto (one allocation per output row, no
-/// ConcatRows temporary + move), and the scheduler's cooperative
+/// Assemble stage appends its join output through this helper, and it is
+/// the one place a foreign join gathers an outer tuple's values: only for
+/// the output rows, one allocation per row. The scheduler's cooperative
 /// cancellation checkpoint runs once per kBatchRows appends — a client
 /// abort mid-assembly lands within one batch instead of after a full
 /// cross product. Deadline shedding is deliberately NOT checked here: a
@@ -433,16 +432,18 @@ class BatchAssembler {
   BatchAssembler(StageScheduler& sched, std::vector<Row>& out)
       : sched_(sched), out_(&out) {}
 
-  /// Appends left ⨯ right as one output row.
-  Status AppendConcat(RowView left, RowView right) {
-    out_->emplace_back();
-    ConcatInto(left, right, out_->back());
+  /// Appends outer tuple `tuple` of `left` ⨯ `right` as one output row.
+  Status AppendConcat(const RowIdSet& left, size_t tuple, RowView right) {
+    Row& row = out_->emplace_back();
+    row.reserve(left.schema().num_columns() + right.size());
+    left.GatherInto(tuple, row);
+    row.insert(row.end(), right.begin(), right.end());
     return Tick();
   }
 
-  /// Moves a prebuilt row (match-stage output) into the result.
-  Status Append(Row&& row) {
-    out_->push_back(std::move(row));
+  /// Appends left ⨯ right as one output row (SJ's all-NULL left row).
+  Status AppendConcat(RowView left, RowView right) {
+    ConcatInto(left, right, out_->emplace_back());
     return Tick();
   }
 
@@ -455,6 +456,13 @@ class BatchAssembler {
   StageScheduler& sched_;
   std::vector<Row>* out_;
   uint64_t appended_ = 0;
+};
+
+/// What one RTP-family match unit found: the fetched document and the
+/// outer tuples it matched, ascending. Assemble gathers their rows.
+struct DocMatches {
+  const Document* doc = nullptr;  ///< Set by the match unit.
+  std::vector<size_t> tuples;
 };
 
 /// Slot-addressed asynchronous document retrieval. Each Fetch() reserves a
@@ -490,11 +498,11 @@ class DocFetcher {
 // ---------------------------------------------------------------------------
 // Method compositions
 
-/// Everything a method composition needs: the resolved spec, the input,
-/// and the scheduler it registers its stages on and runs on.
+/// Everything a method composition needs: the resolved spec, the outer
+/// tuples, and the scheduler it registers its stages on and runs on.
 struct MethodContext {
   const ResolvedSpec& rspec;
-  const std::vector<Row>& left_rows;
+  const RowIdSet& left;  ///< Schema: rspec.spec->left_schema.
   PredicateMask probe_mask;
   StageScheduler& sched;
   /// The composition's stages, in registration order (the profile's).
@@ -508,26 +516,27 @@ struct MethodContext {
 };
 
 /// Executes `method`'s composition on `sched`, which may already carry
-/// other compositions (the plan executor's shared DAG). Checks the
-/// method's applicability (the paper's preconditions) first, so an
-/// inapplicable method fails before any stage registers or any source
-/// traffic. `profile`, when non-null, receives the composition's
-/// per-stage account.
+/// other compositions (the plan executor's shared DAG), over the outer
+/// tuples `left`, whose schema is spec.left_schema. Checks the method's
+/// applicability (the paper's preconditions) first, so an inapplicable
+/// method fails before any stage registers or any source traffic.
+/// `profile`, when non-null, receives the composition's per-stage account.
 Result<ForeignJoinResult> RunForeignJoin(StageScheduler& sched,
                                          JoinMethodKind method,
                                          const ForeignJoinSpec& spec,
-                                         const std::vector<Row>& left_rows,
+                                         const RowIdSet& left,
                                          PredicateMask probe_mask,
                                          PipelineProfile* profile);
 
-/// ProbeSemiJoinReduce (join_methods.h) on `sched`: a three-stage
-/// composition. `profile`, when non-null, receives its per-stage account
-/// on success.
-Result<std::vector<Row>> RunProbeReducer(StageScheduler& sched,
-                                         const ForeignJoinSpec& spec,
-                                         const std::vector<Row>& left_rows,
-                                         PredicateMask probe_mask,
-                                         PipelineProfile* profile);
+/// ProbeSemiJoinReduce (join_methods.h) on `sched`, over the outer tuples
+/// `left` (schema spec.left_schema): a three-stage composition that
+/// returns the surviving tuples, in input order. `profile`, when non-null,
+/// receives its per-stage account on success.
+Result<RowIdSet> RunProbeReducer(StageScheduler& sched,
+                                 const ForeignJoinSpec& spec,
+                                 const RowIdSet& left,
+                                 PredicateMask probe_mask,
+                                 PipelineProfile* profile);
 
 // The six compositions, dispatched by RunForeignJoin (defined in the
 // per-method files). Internal to the execution layer.

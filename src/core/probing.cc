@@ -61,7 +61,7 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
   KeyGroups groups;
   {
     ScopedStageTimer timer(sched, sd_keys, 1);
-    groups = GroupRowsByTerms(rspec, ctx.left_rows, all);
+    groups = GroupRowsByTerms(rspec, ctx.left, all);
   }
   std::vector<TextQueryPtr> searches;
   {
@@ -205,7 +205,7 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
     for (size_t r : groups.rows[g]) {
       for (size_t d = 0; d < doc_rows.size(); ++d) {
         TEXTJOIN_RETURN_IF_ERROR(
-            assemble.AppendConcat(ctx.left_rows[r], doc_rows.row(d)));
+            assemble.AppendConcat(ctx.left, r, doc_rows.row(d)));
       }
     }
   }
@@ -247,7 +247,7 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
   KeyGroups groups;
   {
     ScopedStageTimer timer(sched, sd_keys, 1);
-    groups = GroupRowsByTerms(rspec, ctx.left_rows, mask);
+    groups = GroupRowsByTerms(rspec, ctx.left, mask);
   }
   std::vector<TextQueryPtr> probes;
   {
@@ -304,9 +304,9 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
   // the probe already guaranteed the mask predicates. Matching work is
   // charged to the Match stage; the pass's wall-clock to Assemble.
   ScopedStageTimer timer(sched, sd_assemble, 1);
-  // The residual predicates' terms are prepared once for every outer row a
-  // successful probe's documents are matched against — group by group, so
-  // group g's rows are the prepared rows from first_prepared[g] on — and
+  // The residual predicates' terms are prepared once for every outer tuple
+  // a successful probe's documents are matched against — group by group, so
+  // group g's tuples are the prepared rows from first_prepared[g] on — and
   // each fetched document's fields once, however many groups it serves.
   std::vector<size_t> prepared_rows;
   std::vector<size_t> first_prepared(groups.size());
@@ -316,8 +316,7 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
     prepared_rows.insert(prepared_rows.end(), groups.rows[g].begin(),
                          groups.rows[g].end());
   }
-  const JoinTermMatcher matcher(rspec, ctx.left_rows, prepared_rows,
-                                all & ~mask);
+  const JoinTermMatcher matcher(rspec, ctx.left, prepared_rows, all & ~mask);
   std::vector<std::vector<std::string>> prepared_docs(fetcher.size());
   for (size_t slot = 0; slot < prepared_docs.size(); ++slot) {
     const Document& doc = fetcher.doc(slot);
@@ -325,7 +324,8 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
   }
   // Batched assembly: the document row is staged once per document in a
   // single-slot batch and concatenated as a view against every matching
-  // tuple; cancellation is checkpointed at batch boundaries.
+  // tuple, whose values are gathered only then; cancellation is
+  // checkpointed at batch boundaries.
   BatchAssembler assemble(sched, result.rows);
   TupleBatch doc_row(spec.text.fields.size() + 1, 1);
   for (size_t g = 0; g < groups.size(); ++g) {
@@ -342,7 +342,7 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
       for (size_t j = 0; j < groups.rows[g].size(); ++j) {
         if (matcher.Matches(first_prepared[g] + j, prepared_docs[slot])) {
           TEXTJOIN_RETURN_IF_ERROR(assemble.AppendConcat(
-              ctx.left_rows[groups.rows[g][j]], doc_row.row(0)));
+              ctx.left, groups.rows[g][j], doc_row.row(0)));
         }
       }
     }
@@ -351,14 +351,14 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
   return result;
 }
 
-Result<std::vector<Row>> RunProbeReducer(StageScheduler& sched,
-                                         const ForeignJoinSpec& spec,
-                                         const std::vector<Row>& left_rows,
-                                         PredicateMask probe_mask,
-                                         PipelineProfile* profile) {
+Result<RowIdSet> RunProbeReducer(StageScheduler& sched,
+                                 const ForeignJoinSpec& spec,
+                                 const RowIdSet& left,
+                                 PredicateMask probe_mask,
+                                 PipelineProfile* profile) {
   TEXTJOIN_RETURN_IF_ERROR(ValidateProbeMask(spec, probe_mask));
   TEXTJOIN_ASSIGN_OR_RETURN(ResolvedSpec rspec, ResolveSpec(spec));
-  MethodContext ctx{rspec, left_rows, probe_mask, sched, {}};
+  MethodContext ctx{rspec, left, probe_mask, sched, {}};
   ctx.stage_ids.reserve(3);
   const StageScheduler::StageId sd_keys = ctx.AddStage(
       StageKind::kDistinctKeys, "probe-cols," + MaskToString(probe_mask));
@@ -370,7 +370,7 @@ Result<std::vector<Row>> RunProbeReducer(StageScheduler& sched,
   KeyGroups groups;
   {
     ScopedStageTimer timer(sched, sd_keys, 1);
-    groups = GroupRowsByTerms(rspec, left_rows, probe_mask);
+    groups = GroupRowsByTerms(rspec, left, probe_mask);
   }
   std::vector<TextQueryPtr> probes;
   {
@@ -414,17 +414,17 @@ Result<std::vector<Row>> RunProbeReducer(StageScheduler& sched,
   }
   TEXTJOIN_RETURN_IF_ERROR(sched.Wait());
 
-  std::vector<bool> keep(left_rows.size(), false);
+  std::vector<bool> keep(left.size(), false);
   for (size_t g = 0; g < groups.size(); ++g) {
     if (!matched[g]) continue;
-    for (size_t r : groups.rows[g]) keep[r] = true;
+    for (size_t t : groups.rows[g]) keep[t] = true;
   }
-  std::vector<Row> survivors;
-  for (size_t r = 0; r < left_rows.size(); ++r) {
-    if (keep[r]) survivors.push_back(left_rows[r]);
+  std::vector<size_t> survivors;
+  for (size_t t = 0; t < left.size(); ++t) {
+    if (keep[t]) survivors.push_back(t);
   }
   if (profile != nullptr) *profile = sched.Profile(ctx.stage_ids);
-  return survivors;
+  return left.Subset(survivors);
 }
 
 }  // namespace textjoin::pipeline
@@ -436,8 +436,17 @@ Result<std::vector<Row>> ProbeSemiJoinReduce(
     TextSource& source, PredicateMask probe_mask, ThreadPool* pool,
     const FaultPolicy& policy, pipeline::PipelineProfile* stage_profile) {
   pipeline::StageScheduler sched(pool, source, policy);
-  return pipeline::RunProbeReducer(sched, spec, left_rows, probe_mask,
-                                   stage_profile);
+  TEXTJOIN_ASSIGN_OR_RETURN(
+      RowIdSet reduced,
+      pipeline::RunProbeReducer(
+          sched, spec, RowIdSet::BorrowedAll(spec.left_schema, left_rows),
+          probe_mask, stage_profile));
+  std::vector<Row> survivors;
+  survivors.reserve(reduced.size());
+  for (size_t t = 0; t < reduced.size(); ++t) {
+    survivors.push_back(reduced.Gather(t));
+  }
+  return survivors;
 }
 
 }  // namespace textjoin

@@ -13,9 +13,10 @@ namespace textjoin::pipeline {
 /// the number of the documents" model; a per-document charge inside the
 /// match unit sums to exactly the serial bulk charge (placeholder slots —
 /// best-effort fetch skips — never reach a match unit, so they are neither
-/// scanned nor charged). The outer rows' join terms are prepared before
-/// any unit spawns and each document's fields once in its match unit.
-/// Assembly replays document order.
+/// scanned nor charged). The outer tuples' join terms are prepared before
+/// any unit spawns and each document's fields once in its match unit,
+/// which records the tuples the document matched. Assembly replays
+/// document order and gathers the rows of those tuples alone.
 Result<ForeignJoinResult> RunRTP(MethodContext& ctx) {
   const ResolvedSpec& rspec = ctx.rspec;
   const ForeignJoinSpec& spec = *rspec.spec;
@@ -41,17 +42,17 @@ Result<ForeignJoinResult> RunRTP(MethodContext& ctx) {
   // Match-stage work, though not a match unit: units stay one per document.
   const JoinTermMatcher matcher = [&] {
     ScopedStageTimer timer(sched, sd_match, /*units=*/0);
-    return JoinTermMatcher(rspec, ctx.left_rows, all);
+    return JoinTermMatcher(rspec, ctx.left, all);
   }();
 
   ForeignJoinResult result;
   result.schema = rspec.output_schema;
 
-  // rows_per_doc is sized once by the search unit before any fetch unit is
-  // spawned (scheduler handoff orders the resize before every unit that
+  // matches_per_doc is sized once by the search unit before any fetch unit
+  // is spawned (scheduler handoff orders the resize before every unit that
   // indexes it); a deque keeps element addresses stable.
   DocFetcher fetcher(sched, sd_fetch);
-  std::deque<std::vector<Row>> rows_per_doc;
+  std::deque<DocMatches> matches_per_doc;
   sched.Spawn(sd_search, 0, [&]() -> Status {
     Result<std::vector<std::string>> searched =
         sched.Search(sd_search, *search);
@@ -63,21 +64,20 @@ Result<ForeignJoinResult> RunRTP(MethodContext& ctx) {
                                        /*affects_completeness=*/true);
     }
     const std::vector<std::string>& docids = *searched;
-    rows_per_doc.resize(docids.size());
+    matches_per_doc.resize(docids.size());
     for (size_t d = 0; d < docids.size(); ++d) {
-      std::vector<Row>* out = &rows_per_doc[d];
+      DocMatches* out = &matches_per_doc[d];
       fetcher.Fetch(docids[d], sd_match,
                     [&, out](const Document& doc) -> Status {
                       sched.ChargeRelationalMatches(sd_match, 1);
                       const std::vector<std::string> fields =
                           matcher.PrepareDoc(doc);
-                      Row doc_row = DocumentToRow(spec.text, doc);
-                      for (size_t r = 0; r < ctx.left_rows.size(); ++r) {
-                        if (matcher.Matches(r, fields)) {
-                          out->push_back(
-                              ConcatRows(ctx.left_rows[r], doc_row));
+                      for (size_t t = 0; t < ctx.left.size(); ++t) {
+                        if (matcher.Matches(t, fields)) {
+                          out->tuples.push_back(t);
                         }
                       }
+                      out->doc = &doc;
                       return Status::OK();
                     });
     }
@@ -87,11 +87,17 @@ Result<ForeignJoinResult> RunRTP(MethodContext& ctx) {
 
   ScopedStageTimer timer(sched, sd_assemble, 1);
   // Batched assembly replay of document order, with cancellation
-  // checkpoints at batch boundaries.
+  // checkpoints at batch boundaries; a matched document's row is staged
+  // once in a single-slot batch.
   BatchAssembler assemble(sched, result.rows);
-  for (std::vector<Row>& rows : rows_per_doc) {
-    for (Row& row : rows) {
-      TEXTJOIN_RETURN_IF_ERROR(assemble.Append(std::move(row)));
+  TupleBatch doc_row(spec.text.fields.size() + 1, 1);
+  for (const DocMatches& matches : matches_per_doc) {
+    if (matches.tuples.empty()) continue;
+    doc_row.Clear();
+    AppendDocumentRow(spec.text, *matches.doc, doc_row);
+    for (size_t t : matches.tuples) {
+      TEXTJOIN_RETURN_IF_ERROR(
+          assemble.AppendConcat(ctx.left, t, doc_row.row(0)));
     }
   }
   return result;

@@ -189,7 +189,7 @@ Result<ForeignJoinResult> RunSJ(MethodContext& ctx) {
   KeyGroups groups;
   {
     ScopedStageTimer timer(sched, sd_keys, 1);
-    groups = GroupRowsByTerms(rspec, ctx.left_rows, all);
+    groups = GroupRowsByTerms(rspec, ctx.left, all);
   }
   BatchPlan plan;
   {
@@ -265,7 +265,7 @@ Result<ForeignJoinResult> RunSJRTP(MethodContext& ctx) {
   KeyGroups groups;
   {
     ScopedStageTimer timer(sched, sd_keys, 1);
-    groups = GroupRowsByTerms(rspec, ctx.left_rows, all);
+    groups = GroupRowsByTerms(rspec, ctx.left, all);
   }
   BatchPlan plan;
   {
@@ -279,28 +279,25 @@ Result<ForeignJoinResult> RunSJRTP(MethodContext& ctx) {
   // as Match-stage work, though not a match unit.
   const JoinTermMatcher matcher = [&] {
     ScopedStageTimer timer(sched, sd_match, /*units=*/0);
-    return JoinTermMatcher(rspec, ctx.left_rows, all);
+    return JoinTermMatcher(rspec, ctx.left, all);
   }();
   std::mutex mu;
   std::unordered_map<std::string, size_t> docid_slot;
   // Grown in lockstep with the fetch slots under `mu`; a deque keeps the
   // element addresses the match units write through stable.
-  std::deque<std::vector<Row>> rows_per_slot;
+  std::deque<DocMatches> matches_per_slot;
   SpawnBatchSearches(
       ctx, sd_search, plan, answers, mu, [&](const std::string& docid) {
         if (docid_slot.count(docid) != 0) return;
-        rows_per_slot.emplace_back();
-        std::vector<Row>* out = &rows_per_slot.back();
+        DocMatches* out = &matches_per_slot.emplace_back();
         const size_t slot = fetcher.Fetch(
             docid, sd_match, [&, out](const Document& doc) -> Status {
               sched.ChargeRelationalMatches(sd_match, 1);
               const std::vector<std::string> fields = matcher.PrepareDoc(doc);
-              Row doc_row = DocumentToRow(spec.text, doc);
-              for (size_t r = 0; r < ctx.left_rows.size(); ++r) {
-                if (matcher.Matches(r, fields)) {
-                  out->push_back(ConcatRows(ctx.left_rows[r], doc_row));
-                }
+              for (size_t t = 0; t < ctx.left.size(); ++t) {
+                if (matcher.Matches(t, fields)) out->tuples.push_back(t);
               }
+              out->doc = &doc;
               return Status::OK();
             });
         docid_slot.emplace(docid, slot);
@@ -310,14 +307,21 @@ Result<ForeignJoinResult> RunSJRTP(MethodContext& ctx) {
   ForeignJoinResult result;
   result.schema = rspec.output_schema;
   ScopedStageTimer timer(sched, sd_assemble, 1);
-  // Batched first-seen replay with cancellation checkpoints.
+  // Batched first-seen replay with cancellation checkpoints; a matched
+  // document's row is staged once in a single-slot batch.
   BatchAssembler assemble(sched, result.rows);
+  TupleBatch doc_row(spec.text.fields.size() + 1, 1);
   std::set<std::string> seen;
   for (const std::vector<std::string>& docids : answers) {
     for (const std::string& docid : docids) {
       if (!seen.insert(docid).second) continue;
-      for (Row& row : rows_per_slot[docid_slot.at(docid)]) {
-        TEXTJOIN_RETURN_IF_ERROR(assemble.Append(std::move(row)));
+      const DocMatches& matches = matches_per_slot[docid_slot.at(docid)];
+      if (matches.tuples.empty()) continue;
+      doc_row.Clear();
+      AppendDocumentRow(spec.text, *matches.doc, doc_row);
+      for (size_t t : matches.tuples) {
+        TEXTJOIN_RETURN_IF_ERROR(
+            assemble.AppendConcat(ctx.left, t, doc_row.row(0)));
       }
     }
   }

@@ -36,7 +36,7 @@ Result<ForeignJoinResult> RunTS(MethodContext& ctx) {
   KeyGroups groups;
   {
     ScopedStageTimer timer(sched, sd_keys, 1);
-    groups = GroupRowsByTerms(rspec, ctx.left_rows, all);
+    groups = GroupRowsByTerms(rspec, ctx.left, all);
   }
   std::vector<TextQueryPtr> searches;
   {
@@ -103,7 +103,7 @@ Result<ForeignJoinResult> RunTS(MethodContext& ctx) {
     for (size_t r : groups.rows[g]) {
       for (size_t d = 0; d < doc_rows.size(); ++d) {
         TEXTJOIN_RETURN_IF_ERROR(
-            assemble.AppendConcat(ctx.left_rows[r], doc_rows.row(d)));
+            assemble.AppendConcat(ctx.left, r, doc_rows.row(d)));
       }
     }
   }

@@ -7,68 +7,78 @@ namespace textjoin {
 
 namespace {
 
-/// Writes the projection of `row` onto `cols` into `key`; false when any
-/// key value is NULL (such a row joins with nothing).
-bool KeyOf(const Row& row, const std::vector<size_t>& cols, Row& key) {
-  key.clear();
-  for (size_t c : cols) {
-    if (row[c].is_null()) return false;
-    key.push_back(row[c]);
+/// Assigns `tuple`'s values of `cols` over `key`; false when any key value
+/// is NULL (such a tuple joins with nothing).
+bool KeyOf(const RowIdSet& set, size_t tuple,
+           const std::vector<RowIdSet::ColumnRef>& cols, Row& key) {
+  for (size_t i = 0; i < cols.size(); ++i) {
+    const Value& v = set.at(tuple, cols[i]);
+    if (v.is_null()) return false;
+    key[i] = v;
   }
   return true;
 }
 
 }  // namespace
 
-Result<std::vector<Row>> JoinRows(const Schema& left_schema,
-                                  const std::vector<Row>& left,
-                                  const Schema& right_schema,
-                                  const std::vector<Row>& right,
-                                  const std::vector<JoinKey>& keys,
-                                  ExprPtr residual) {
-  std::vector<size_t> left_cols;
-  std::vector<size_t> right_cols;
+Result<std::vector<TuplePair>> JoinRows(const RowIdSet& left,
+                                        const RowIdSet& right,
+                                        const std::vector<JoinKey>& keys,
+                                        ExprPtr residual) {
+  std::vector<RowIdSet::ColumnRef> left_cols;
+  std::vector<RowIdSet::ColumnRef> right_cols;
   for (const JoinKey& key : keys) {
-    TEXTJOIN_ASSIGN_OR_RETURN(size_t l, left_schema.Resolve(key.left_ref));
-    TEXTJOIN_ASSIGN_OR_RETURN(size_t r, right_schema.Resolve(key.right_ref));
+    TEXTJOIN_ASSIGN_OR_RETURN(RowIdSet::ColumnRef l,
+                              left.Resolve(key.left_ref));
+    TEXTJOIN_ASSIGN_OR_RETURN(RowIdSet::ColumnRef r,
+                              right.Resolve(key.right_ref));
     left_cols.push_back(l);
     right_cols.push_back(r);
   }
   if (residual != nullptr) {
-    TEXTJOIN_RETURN_IF_ERROR(residual->Bind(left_schema.Concat(right_schema)));
+    TEXTJOIN_RETURN_IF_ERROR(
+        residual->Bind(left.schema().Concat(right.schema())));
   }
 
-  // Candidates per left row: the right-row indices sharing its key, or
-  // every right row when there are no keys.
+  // Candidates per left tuple: the right-tuple indices sharing its key, or
+  // every right tuple when there are no keys.
   std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> buckets;
   std::vector<size_t> every_right;
-  Row key;
+  Row key(keys.size());
   if (keys.empty()) {
     every_right.resize(right.size());
     std::iota(every_right.begin(), every_right.end(), size_t{0});
   } else {
     for (size_t r = 0; r < right.size(); ++r) {
-      if (KeyOf(right[r], right_cols, key)) buckets[key].push_back(r);
+      if (KeyOf(right, r, right_cols, key)) buckets[key].push_back(r);
     }
   }
 
-  std::vector<Row> out;
-  Row joined;
-  for (const Row& l : left) {
+  // The residual's input: the left tuple's values, written once per left
+  // tuple, then each candidate's right values over the rest.
+  const size_t left_width = left.schema().num_columns();
+  Row scratch;
+  if (residual != nullptr) {
+    scratch.resize(left_width + right.schema().num_columns());
+  }
+  std::vector<TuplePair> out;
+  for (size_t l = 0; l < left.size(); ++l) {
     const std::vector<size_t>* candidates = &every_right;
     if (!keys.empty()) {
-      if (!KeyOf(l, left_cols, key)) continue;
+      if (!KeyOf(left, l, left_cols, key)) continue;
       auto it = buckets.find(key);
       if (it == buckets.end()) continue;
       candidates = &it->second;
     }
+    if (residual != nullptr && !candidates->empty()) {
+      left.AssignTo(l, scratch);
+    }
     for (size_t r : *candidates) {
-      joined.clear();
-      ConcatInto(l, right[r], joined);
-      if (residual != nullptr && !ValueIsTrue(residual->Eval(joined))) {
-        continue;
+      if (residual != nullptr) {
+        right.AssignTo(r, std::span(scratch).subspan(left_width));
+        if (!ValueIsTrue(residual->Eval(scratch))) continue;
       }
-      out.push_back(std::move(joined));
+      out.emplace_back(l, r);
     }
   }
   return out;

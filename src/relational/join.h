@@ -10,10 +10,10 @@
 #include "relational/tuple.h"
 
 /// \file
-/// The relational join: one function over two materialized inputs. The
-/// plan executor materializes every PrL node into rows, so the join of two
-/// stored-relation subtrees needs no iterator protocol. The foreign joins
-/// live in src/core (they need the text source).
+/// The relational join: one function over two row-id sets. The plan
+/// executor holds every PrL node's output as a RowIdSet, so the join of
+/// two subtrees needs no iterator protocol and copies no row. The foreign
+/// joins live in src/core (they need the text source).
 
 namespace textjoin {
 
@@ -24,22 +24,22 @@ struct JoinKey {
   std::string right_ref;  ///< Column in the right input.
 };
 
-/// Joins `left` with `right`. With `keys`, a right row is a candidate for
-/// a left row when every key pair compares equal (hash join on right-row
+/// Joins `left` with `right` and returns the joined (left tuple, right
+/// tuple) pairs. With `keys`, a right tuple is a candidate for a left
+/// tuple when every key pair compares equal (hash join on right-tuple
 /// indices); a key holding NULL on either side matches nothing, as `=`
-/// does. Without keys, every right row is a candidate (nested loop).
-/// `residual` (may be null) is bound against the concatenated schema and
-/// filters each concatenated candidate pair.
+/// does. Without keys, every right tuple is a candidate (nested loop).
+/// `residual` (may be null) is bound against left.schema() ++
+/// right.schema() and filters each candidate pair, evaluated on one
+/// reused scratch row.
 ///
-/// Output rows are the concatenation left ++ right, in left-row order and,
-/// within one left row, in right-input order. Fails if a key does not
-/// resolve or the residual does not bind.
-Result<std::vector<Row>> JoinRows(const Schema& left_schema,
-                                  const std::vector<Row>& left,
-                                  const Schema& right_schema,
-                                  const std::vector<Row>& right,
-                                  const std::vector<JoinKey>& keys,
-                                  ExprPtr residual);
+/// Pairs come in left-tuple order and, within one left tuple, in
+/// right-input order. Fails if a key does not resolve or the residual
+/// does not bind.
+Result<std::vector<TuplePair>> JoinRows(const RowIdSet& left,
+                                        const RowIdSet& right,
+                                        const std::vector<JoinKey>& keys,
+                                        ExprPtr residual);
 
 }  // namespace textjoin
 

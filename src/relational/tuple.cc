@@ -1,5 +1,8 @@
 #include "relational/tuple.h"
 
+#include <algorithm>
+#include <numeric>
+
 namespace textjoin {
 
 Row ConcatRows(RowView left, RowView right) {
@@ -55,6 +58,101 @@ int CompareRows(RowView a, RowView b) {
   if (a.size() < b.size()) return -1;
   if (a.size() > b.size()) return 1;
   return 0;
+}
+
+RowIdSet RowIdSet::Borrowed(Schema schema, const std::vector<Row>& rows,
+                            std::vector<size_t> ids) {
+  RowIdSet set;
+  set.parts_.push_back({&rows, 0, schema.num_columns()});
+  set.schema_ = std::move(schema);
+  set.ids_ = std::move(ids);
+  return set;
+}
+
+RowIdSet RowIdSet::BorrowedAll(Schema schema, const std::vector<Row>& rows) {
+  std::vector<size_t> ids(rows.size());
+  std::iota(ids.begin(), ids.end(), size_t{0});
+  return Borrowed(std::move(schema), rows, std::move(ids));
+}
+
+RowIdSet RowIdSet::Owned(Schema schema, std::vector<Row> rows) {
+  auto owned = std::make_shared<const std::vector<Row>>(std::move(rows));
+  RowIdSet set = BorrowedAll(std::move(schema), *owned);
+  set.owned_.push_back(std::move(owned));
+  return set;
+}
+
+RowIdSet RowIdSet::Join(const RowIdSet& left, const RowIdSet& right,
+                        const std::vector<TuplePair>& pairs) {
+  RowIdSet set;
+  set.schema_ = left.schema_.Concat(right.schema_);
+  set.parts_ = left.parts_;
+  for (Part part : right.parts_) {
+    part.first_column += left.schema_.num_columns();
+    set.parts_.push_back(part);
+  }
+  set.owned_ = left.owned_;
+  set.owned_.insert(set.owned_.end(), right.owned_.begin(),
+                    right.owned_.end());
+  set.ids_.reserve(pairs.size() * set.parts_.size());
+  for (const auto& [l, r] : pairs) {
+    set.AppendIds(left, l);
+    set.AppendIds(right, r);
+  }
+  return set;
+}
+
+RowIdSet RowIdSet::Subset(const std::vector<size_t>& tuples) const {
+  RowIdSet set;
+  set.schema_ = schema_;
+  set.parts_ = parts_;
+  set.owned_ = owned_;
+  set.ids_.reserve(tuples.size() * parts_.size());
+  for (size_t t : tuples) set.AppendIds(*this, t);
+  return set;
+}
+
+void RowIdSet::AppendIds(const RowIdSet& from, size_t tuple) {
+  const auto first =
+      from.ids_.begin() + static_cast<ptrdiff_t>(tuple * from.parts_.size());
+  ids_.insert(ids_.end(), first,
+              first + static_cast<ptrdiff_t>(from.parts_.size()));
+}
+
+RowIdSet::ColumnRef RowIdSet::Locate(size_t index) const {
+  for (size_t p = 0; p < parts_.size(); ++p) {
+    if (index < parts_[p].first_column + parts_[p].width) {
+      return {p, index - parts_[p].first_column};
+    }
+  }
+  TEXTJOIN_UNREACHABLE("column index beyond the set's schema");
+}
+
+Result<RowIdSet::ColumnRef> RowIdSet::Resolve(const std::string& ref) const {
+  TEXTJOIN_ASSIGN_OR_RETURN(size_t index, schema_.Resolve(ref));
+  return Locate(index);
+}
+
+void RowIdSet::GatherInto(size_t tuple, Row& out) const {
+  out.reserve(out.size() + schema_.num_columns());
+  for (size_t p = 0; p < parts_.size(); ++p) {
+    const Row& base = rows(p)[id(tuple, p)];
+    out.insert(out.end(), base.begin(), base.end());
+  }
+}
+
+Row RowIdSet::Gather(size_t tuple) const {
+  Row out;
+  GatherInto(tuple, out);
+  return out;
+}
+
+void RowIdSet::AssignTo(size_t tuple, std::span<Value> out) const {
+  for (size_t p = 0; p < parts_.size(); ++p) {
+    const Row& base = rows(p)[id(tuple, p)];
+    std::copy(base.begin(), base.end(),
+              out.begin() + static_cast<ptrdiff_t>(parts_[p].first_column));
+  }
 }
 
 }  // namespace textjoin

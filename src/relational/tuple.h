@@ -1,23 +1,28 @@
 #ifndef TEXTJOIN_RELATIONAL_TUPLE_H_
 #define TEXTJOIN_RELATIONAL_TUPLE_H_
 
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/status.h"
 #include "common/value.h"
+#include "relational/schema.h"
 
 /// \file
 /// Row representations and small row helpers.
 ///
-/// Two forms (DESIGN.md §14): the owning Row (a positional vector of
-/// values) used at API boundaries and in long-lived results, and the
-/// non-owning RowView used by the batched execution hot path. A Row
-/// converts implicitly to a RowView, so view-taking functions accept both.
-/// TupleBatch packs many fixed-width rows into one flat allocation; the
-/// join-method stages stage their document rows in it instead of one Row
-/// per document.
+/// Three forms (DESIGN.md §14): the owning Row (a positional vector of
+/// values) used at API boundaries and in results, the non-owning RowView
+/// used by the batched execution hot path, and the RowIdSet the plan
+/// executor carries between plan nodes: join tuples held as row ids into
+/// base rows that are read in place. A Row converts implicitly to a
+/// RowView, so view-taking functions accept both. TupleBatch packs many
+/// fixed-width rows into one flat allocation; the join-method stages stage
+/// their document rows in it instead of one Row per document.
 
 namespace textjoin {
 
@@ -98,6 +103,92 @@ class TupleBatch {
   size_t capacity_;
   size_t size_ = 0;
   std::vector<Value> values_;  ///< width_ * capacity_ slots, flat.
+};
+
+/// A joined pair: (tuple of the left input, tuple of the right input).
+using TuplePair = std::pair<size_t, size_t>;
+
+/// Join tuples held as row ids (DESIGN.md §14). Each tuple is one row id
+/// per part, and a part is a vector of base rows: a catalog table's,
+/// borrowed, or a materialized foreign-join output that the set shares
+/// ownership of. The set's schema is its parts' schemas concatenated, and
+/// a column of it resolves to (part, column) and is read in place. So a
+/// scan, a probe reducer and a relational join pass ids up the plan, and a
+/// Row is gathered only where one is output. Each base row must have its
+/// part's width. Immutable once built, so pool threads may read it.
+class RowIdSet {
+ public:
+  /// A column of the concatenated schema, located in its part.
+  struct ColumnRef {
+    size_t part = 0;
+    size_t column = 0;  ///< Index within the part's base rows.
+  };
+
+  RowIdSet() = default;
+
+  /// One part over `rows`, borrowed: they must outlive the set and every
+  /// set derived from it. The tuples are `ids`, in order.
+  static RowIdSet Borrowed(Schema schema, const std::vector<Row>& rows,
+                           std::vector<size_t> ids);
+  /// One borrowed part (as above) holding every row of `rows`, in order.
+  static RowIdSet BorrowedAll(Schema schema, const std::vector<Row>& rows);
+  /// One part that owns `rows` and holds every one of them, in order.
+  static RowIdSet Owned(Schema schema, std::vector<Row> rows);
+  /// The concatenation left ++ right of each pair's tuples, in `pairs`
+  /// order: the parts of `left` followed by the parts of `right`.
+  static RowIdSet Join(const RowIdSet& left, const RowIdSet& right,
+                       const std::vector<TuplePair>& pairs);
+
+  /// The tuples at `tuples` (indices into this set), in the given order.
+  RowIdSet Subset(const std::vector<size_t>& tuples) const;
+
+  const Schema& schema() const { return schema_; }
+  size_t size() const {
+    return parts_.empty() ? 0 : ids_.size() / parts_.size();
+  }
+  size_t num_parts() const { return parts_.size(); }
+
+  /// Column `index` of schema(), located in its part.
+  ColumnRef Locate(size_t index) const;
+  /// Resolves `ref` against schema() (Schema::Resolve) and locates it.
+  Result<ColumnRef> Resolve(const std::string& ref) const;
+
+  /// The base rows of `part`.
+  const std::vector<Row>& rows(size_t part) const {
+    return *parts_[part].rows;
+  }
+  /// The row id `tuple` holds in `part`.
+  size_t id(size_t tuple, size_t part) const {
+    return ids_[tuple * parts_.size() + part];
+  }
+  /// `tuple`'s value of `column`, read in place.
+  const Value& at(size_t tuple, ColumnRef column) const {
+    return rows(column.part)[id(tuple, column.part)][column.column];
+  }
+
+  /// Appends `tuple`'s row of schema() to `out`, part by part.
+  void GatherInto(size_t tuple, Row& out) const;
+  /// `tuple`'s row of schema().
+  Row Gather(size_t tuple) const;
+  /// Copy-assigns `tuple`'s row of schema() over out[0, width): values
+  /// already there keep their storage, so a reused row stops allocating.
+  void AssignTo(size_t tuple, std::span<Value> out) const;
+
+ private:
+  struct Part {
+    const std::vector<Row>* rows = nullptr;
+    size_t first_column = 0;  ///< Its first column in schema_.
+    size_t width = 0;
+  };
+
+  /// Appends the ids `tuple` holds in `from`.
+  void AppendIds(const RowIdSet& from, size_t tuple);
+
+  Schema schema_;
+  std::vector<Part> parts_;
+  std::vector<size_t> ids_;  ///< Tuple-major, parts_.size() ids per tuple.
+  /// The owned parts, shared with every set derived from this one.
+  std::vector<std::shared_ptr<const std::vector<Row>>> owned_;
 };
 
 }  // namespace textjoin

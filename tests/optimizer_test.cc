@@ -253,6 +253,46 @@ TEST_F(OptimizerTest, NullEquiJoinKeysMatchNothing) {
   EXPECT_EQ(Rendered(*result), Rendered(*reference));
 }
 
+TEST_F(OptimizerTest, OrderByTwoKeysPutsNullFirstAndKeepsTiesInInputOrder) {
+  Schema schema;
+  schema.AddColumn(Column{"t", "a", ValueType::kString});
+  schema.AddColumn(Column{"t", "b", ValueType::kInt64});
+  schema.AddColumn(Column{"t", "id", ValueType::kInt64});
+  auto table = std::make_unique<Table>("t", schema);
+  // (a, b) per id; ids 1/5, 2/4 and 3/7 tie on both keys.
+  const std::vector<std::pair<Value, Value>> keys = {
+      {Value::Str("y"), Value::Int(2)}, {Value::Null(), Value::Int(5)},
+      {Value::Str("x"), Value::Int(2)}, {Value::Str("y"), Value::Int(1)},
+      {Value::Str("x"), Value::Int(2)}, {Value::Null(), Value::Int(5)},
+      {Value::Str("x"), Value::Null()}, {Value::Str("y"), Value::Int(1)}};
+  for (size_t id = 0; id < keys.size(); ++id) {
+    ASSERT_TRUE(table
+                    ->Insert({keys[id].first, keys[id].second,
+                              Value::Int(static_cast<int64_t>(id))})
+                    .ok());
+  }
+  ASSERT_TRUE(catalog_.AddTable(std::move(table)).ok());
+  FederatedQuery q;
+  q.relations = {{"t", "t"}};
+  q.output_columns = {"t.id", "t.a", "t.b"};
+  q.order_by = {"t.a", "t.b"};
+
+  auto plan = OptimizeQuery(q);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  PlanExecutor executor(&catalog_, &source_);
+  auto result = executor.Execute(**plan, q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto reference = ReferenceExecute(q, catalog_, {});
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  // NULL sorts before every value; equal keys keep the scan's order.
+  const std::vector<int64_t> expected = {1, 5, 6, 2, 4, 3, 7, 0};
+  for (const ExecutionResult* out : {&*result, &*reference}) {
+    std::vector<int64_t> ids;
+    for (const Row& row : out->rows) ids.push_back(row[0].AsInt());
+    EXPECT_EQ(ids, expected);
+  }
+}
+
 TEST_F(OptimizerTest, ExplainRendering) {
   FederatedQuery q = MultiJoinQuery();
   auto plan = OptimizeQuery(q);

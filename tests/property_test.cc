@@ -487,9 +487,10 @@ TEST_P(PreparedMatchPropertyTest, JoinTermMatcherAgreesWithTokenReference) {
     if (rng() % 3 != 0) row_ids.push_back(r);
   }
   std::shuffle(row_ids.begin(), row_ids.end(), rng);
+  const RowIdSet tuples = RowIdSet::BorrowedAll(spec.left_schema, rows);
   for (PredicateMask mask = 1; mask < 8; ++mask) {
-    const pipeline::JoinTermMatcher all_rows(*rspec, rows, mask);
-    const pipeline::JoinTermMatcher some_rows(*rspec, rows, row_ids, mask);
+    const pipeline::JoinTermMatcher all_rows(*rspec, tuples, mask);
+    const pipeline::JoinTermMatcher some_rows(*rspec, tuples, row_ids, mask);
     for (int d = 0; d < 8; ++d) {
       Document doc;
       doc.docid = std::to_string(d);
@@ -521,59 +522,90 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PreparedMatchPropertyTest,
 
 class GroupRowsPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
+/// Tuples of 1-3 parts with few base rows each, so base rows repeat across
+/// tuples; every part leads with an unused id column, so join columns are
+/// not row positions, and the join columns of different parts interleave
+/// in predicate order, so masks span parts.
 TEST_P(GroupRowsPropertyTest, MatchesOrderedMapReference) {
   std::mt19937_64 rng(GetParam() * 6151u + 29);
   // Small pools force duplicate keys; "a"/"ab"/"" and a high byte probe
   // the lexicographic order.
   static const char* const kPool[] = {"a", "ab", "", "B", "b", "\xff", "z"};
-  for (int round = 0; round < 20; ++round) {
-    const size_t num_preds = 1 + rng() % 3;
+  for (int round = 0; round < 40; ++round) {
+    const size_t num_parts = 1 + rng() % 3;
+    std::vector<Schema> schemas(num_parts);
+    std::vector<std::vector<Row>> base(num_parts);
+    std::vector<std::string> join_refs;
+    for (size_t p = 0; p < num_parts; ++p) {
+      std::string part = "p";  // Two-step concat (see RandomConfig).
+      part += std::to_string(p);
+      schemas[p].AddColumn(Column{part, "id", ValueType::kInt64});
+      const size_t string_columns = (p == 0 ? 1 : 0) + rng() % 2;
+      for (size_t c = 0; c < string_columns; ++c) {
+        std::string column = "c";
+        column += std::to_string(c);
+        schemas[p].AddColumn(Column{part, column, ValueType::kString});
+        join_refs.push_back(part + "." + column);
+      }
+      base[p].resize(1 + rng() % 6);
+      for (size_t r = 0; r < base[p].size(); ++r) {
+        base[p][r].push_back(Value::Int(static_cast<int64_t>(r)));
+        for (size_t c = 1; c < schemas[p].num_columns(); ++c) {
+          const uint64_t kind = rng() % 10;
+          base[p][r].push_back(kind == 0   ? Value::Null()
+                               : kind == 1 ? Value::Int(3)
+                                           : Value::Str(kPool[rng() % 7]));
+        }
+      }
+    }
+    std::shuffle(join_refs.begin(), join_refs.end(), rng);
+    // Random tuples: each join pairs random earlier tuples with random
+    // base rows of the next part, in random order.
+    RowIdSet tuples = RowIdSet::BorrowedAll(schemas[0], base[0]);
+    for (size_t p = 1; p < num_parts; ++p) {
+      const RowIdSet next = RowIdSet::BorrowedAll(schemas[p], base[p]);
+      std::vector<TuplePair> pairs(tuples.size() == 0 ? 0 : rng() % 60);
+      for (TuplePair& pair : pairs) {
+        pair = {rng() % tuples.size(), rng() % next.size()};
+      }
+      tuples = RowIdSet::Join(tuples, next, pairs);
+    }
     ForeignJoinSpec spec;
     spec.text = {"t", {"title"}};
-    // An unused leading column, so join columns are not row positions.
-    spec.left_schema.AddColumn(Column{"r", "id", ValueType::kInt64});
-    for (size_t p = 0; p < num_preds; ++p) {
-      std::string column = "c";
-      column += std::to_string(p);
-      spec.left_schema.AddColumn(Column{"r", column, ValueType::kString});
-      spec.joins.push_back({"r." + column, "title"});
+    spec.left_schema = tuples.schema();
+    for (const std::string& ref : join_refs) {
+      spec.joins.push_back({ref, "title"});
     }
     auto rspec = pipeline::ResolveSpec(spec);
     ASSERT_TRUE(rspec.ok()) << rspec.status().ToString();
-    std::vector<Row> rows(rng() % 60);
-    for (size_t r = 0; r < rows.size(); ++r) {
-      rows[r].push_back(Value::Int(static_cast<int64_t>(r)));
-      for (size_t p = 0; p < num_preds; ++p) {
-        const uint64_t kind = rng() % 10;
-        rows[r].push_back(kind == 0   ? Value::Null()
-                          : kind == 1 ? Value::Int(3)
-                                      : Value::Str(kPool[rng() % 7]));
-      }
-    }
+    const size_t num_preds = join_refs.size();
     const PredicateMask mask =
         static_cast<PredicateMask>(1 + rng() % ((1u << num_preds) - 1));
+    // The reference: a std::map over the concatenated rows.
     std::map<std::vector<std::string>, std::vector<size_t>> reference;
-    for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t t = 0; t < tuples.size(); ++t) {
+      const Row row = tuples.Gather(t);
       std::vector<std::string> terms;
       bool all_strings = true;
       for (size_t p = 0; p < num_preds; ++p) {
         if ((mask & (1u << p)) == 0) continue;
-        const Value& v = rows[r][rspec->join_columns[p]];
+        const Value& v = row[rspec->join_columns[p]];
         if (v.type() != ValueType::kString) {
           all_strings = false;
           break;
         }
         terms.push_back(v.AsString());
       }
-      if (all_strings) reference[terms].push_back(r);
+      if (all_strings) reference[terms].push_back(t);
     }
     const pipeline::KeyGroups groups =
-        pipeline::GroupRowsByTerms(*rspec, rows, mask);
-    ASSERT_EQ(groups.size(), reference.size()) << "mask " << mask;
+        pipeline::GroupRowsByTerms(*rspec, tuples, mask);
+    ASSERT_EQ(groups.size(), reference.size())
+        << "mask " << mask << " parts " << num_parts;
     size_t g = 0;
-    for (const auto& [terms, row_indices] : reference) {
+    for (const auto& [terms, tuple_indices] : reference) {
       EXPECT_EQ(groups.terms[g], terms) << "group " << g;
-      EXPECT_EQ(groups.rows[g], row_indices) << "group " << g;
+      EXPECT_EQ(groups.rows[g], tuple_indices) << "group " << g;
       ++g;
     }
   }

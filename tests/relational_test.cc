@@ -196,60 +196,69 @@ class JoinRowsTest : public ::testing::Test {
  protected:
   JoinRowsTest()
       : table_(MakeStudentTable()),
-        right_schema_(table_->schema().WithQualifier("s2")) {}
-
-  const Schema& left_schema() const { return table_->schema(); }
-  const std::vector<Row>& rows() const { return table_->rows(); }
+        left_(RowIdSet::BorrowedAll(table_->schema(), table_->rows())),
+        right_(RowIdSet::BorrowedAll(table_->schema().WithQualifier("s2"),
+                                     table_->rows())) {}
 
   std::unique_ptr<Table> table_;
-  Schema right_schema_;  ///< The student schema, qualified "s2".
+  RowIdSet left_;   ///< Every student row.
+  RowIdSet right_;  ///< The same rows, qualified "s2".
 };
 
-std::vector<std::string> Rendered(const std::vector<Row>& rows) {
+std::vector<std::string> Rendered(const RowIdSet& set) {
   std::vector<std::string> out;
-  for (const Row& row : rows) out.push_back(RowToString(row));
+  for (size_t t = 0; t < set.size(); ++t) {
+    out.push_back(RowToString(set.Gather(t)));
+  }
   return out;
 }
 
+/// Students 0-2 have advisor Garcia, 3-4 Ullman: the advisor equi-join's
+/// pairs, left-major and in right-input order.
+const std::vector<TuplePair> kSameAdvisor = {
+    {0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}, {2, 0},
+    {2, 1}, {2, 2}, {3, 3}, {3, 4}, {4, 3}, {4, 4}};
+
 TEST_F(JoinRowsTest, CrossProductWithoutKeys) {
-  auto joined =
-      JoinRows(left_schema(), rows(), left_schema(), rows(), {}, nullptr);
-  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-  EXPECT_EQ(joined->size(), 25u);
-  EXPECT_EQ((*joined)[0].size(), 8u);
+  auto pairs = JoinRows(left_, right_, {}, nullptr);
+  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+  ASSERT_EQ(pairs->size(), 25u);
+  for (size_t i = 0; i < pairs->size(); ++i) {
+    EXPECT_EQ((*pairs)[i], TuplePair(i / 5, i % 5));
+  }
+  const RowIdSet joined = RowIdSet::Join(left_, right_, *pairs);
+  EXPECT_EQ(joined.num_parts(), 2u);
+  EXPECT_EQ(joined.Gather(7),
+            ConcatRows(table_->row(1), table_->row(2)));
 }
 
 TEST_F(JoinRowsTest, EquiKeys) {
-  // Join student with itself on advisor: Garcia-group 3x3 + Ullman 2x2 = 13.
-  auto joined = JoinRows(left_schema(), rows(), right_schema_, rows(),
-                         {{"student.advisor", "s2.advisor"}}, nullptr);
-  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-  EXPECT_EQ(joined->size(), 13u);
+  auto pairs =
+      JoinRows(left_, right_, {{"student.advisor", "s2.advisor"}}, nullptr);
+  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+  EXPECT_EQ(*pairs, kSameAdvisor);
 }
 
 TEST_F(JoinRowsTest, ResidualPredicate) {
-  auto joined =
-      JoinRows(left_schema(), rows(), right_schema_, rows(),
-               {{"student.advisor", "s2.advisor"}},
-               Cmp(CompareOp::kNe, Col("student.name"), Col("s2.name")));
-  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-  // 13 - 5 self-pairs = 8.
-  EXPECT_EQ(joined->size(), 8u);
+  auto pairs = JoinRows(left_, right_, {{"student.advisor", "s2.advisor"}},
+                        Cmp(CompareOp::kNe, Col("student.name"),
+                            Col("s2.name")));
+  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+  // The 13 same-advisor pairs less the 5 self-pairs.
+  EXPECT_EQ(*pairs, (std::vector<TuplePair>{{0, 1}, {0, 2}, {1, 0}, {1, 2},
+                                            {2, 0}, {2, 1}, {3, 4}, {4, 3}}));
 }
 
 TEST_F(JoinRowsTest, HashAndNestedLoopAgreeInOrder) {
-  auto nested = JoinRows(left_schema(), rows(), right_schema_, rows(), {},
+  auto nested = JoinRows(left_, right_, {},
                          Eq(Col("student.advisor"), Col("s2.advisor")));
-  auto hashed = JoinRows(left_schema(), rows(), right_schema_, rows(),
-                         {{"student.advisor", "s2.advisor"}}, nullptr);
+  auto hashed =
+      JoinRows(left_, right_, {{"student.advisor", "s2.advisor"}}, nullptr);
   ASSERT_TRUE(nested.ok()) << nested.status().ToString();
   ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
-  // Left-row major, each left row's matches in right-input order.
-  EXPECT_EQ(Rendered(*hashed), Rendered(*nested));
-  ASSERT_EQ(hashed->size(), 13u);
-  EXPECT_EQ((*hashed)[0][0].AsString(), "Radhika");
-  EXPECT_EQ((*hashed)[0][4].AsString(), "Radhika");
-  EXPECT_EQ((*hashed)[1][4].AsString(), "Gravano");
+  // Left-tuple major, each left tuple's matches in right-input order.
+  EXPECT_EQ(*nested, kSameAdvisor);
+  EXPECT_EQ(*hashed, kSameAdvisor);
 }
 
 TEST_F(JoinRowsTest, NullKeysMatchNothing) {
@@ -257,30 +266,92 @@ TEST_F(JoinRowsTest, NullKeysMatchNothing) {
   l.AddColumn(Column{"a", "k", ValueType::kString});
   Schema r;
   r.AddColumn(Column{"b", "k", ValueType::kString});
-  const std::vector<Row> left = {{Value::Null()}, {Value::Str("p")}};
-  const std::vector<Row> right = {{Value::Null()}, {Value::Str("p")}};
-  auto hashed = JoinRows(l, left, r, right, {{"a.k", "b.k"}}, nullptr);
-  auto nested = JoinRows(l, left, r, right, {}, Eq(Col("a.k"), Col("b.k")));
+  const std::vector<Row> rows = {{Value::Null()}, {Value::Str("p")}};
+  const RowIdSet left = RowIdSet::BorrowedAll(l, rows);
+  const RowIdSet right = RowIdSet::BorrowedAll(r, rows);
+  auto hashed = JoinRows(left, right, {{"a.k", "b.k"}}, nullptr);
+  auto nested = JoinRows(left, right, {}, Eq(Col("a.k"), Col("b.k")));
   ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
   ASSERT_TRUE(nested.ok()) << nested.status().ToString();
-  EXPECT_EQ(Rendered(*hashed), (std::vector<std::string>{"['p', 'p']"}));
-  EXPECT_EQ(Rendered(*hashed), Rendered(*nested));
+  EXPECT_EQ(*hashed, (std::vector<TuplePair>{{1, 1}}));
+  EXPECT_EQ(*nested, (std::vector<TuplePair>{{1, 1}}));
+}
+
+TEST_F(JoinRowsTest, MultiPartInputsReadInPlace) {
+  // (student ⋈ s2 on advisor) ⋈ s3: keys and residual read columns of
+  // either part of the joined left input.
+  const RowIdSet pairs_set = RowIdSet::Join(left_, right_, kSameAdvisor);
+  const RowIdSet third = RowIdSet::BorrowedAll(
+      table_->schema().WithQualifier("s3"), table_->rows());
+  auto hashed = JoinRows(pairs_set, third, {{"s2.name", "s3.name"}},
+                         Cmp(CompareOp::kLt, Col("student.year"),
+                             Col("s3.year")));
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  std::vector<TuplePair> expected;
+  for (size_t t = 0; t < kSameAdvisor.size(); ++t) {
+    const auto [s, s2] = kSameAdvisor[t];
+    if (table_->row(s)[3].AsInt() < table_->row(s2)[3].AsInt()) {
+      expected.emplace_back(t, s2);
+    }
+  }
+  EXPECT_EQ(*hashed, expected);
+  const RowIdSet joined = RowIdSet::Join(pairs_set, third, *hashed);
+  ASSERT_EQ(joined.num_parts(), 3u);
+  for (size_t t = 0; t < joined.size(); ++t) {
+    const auto [s, s2] = kSameAdvisor[expected[t].first];
+    EXPECT_EQ(joined.Gather(t),
+              ConcatRows(ConcatRows(table_->row(s), table_->row(s2)),
+                         table_->row(s2)));
+  }
 }
 
 TEST_F(JoinRowsTest, UnresolvableKeyOrResidualIsAnError) {
-  EXPECT_EQ(JoinRows(left_schema(), rows(), right_schema_, rows(),
-                     {{"student.nope", "s2.advisor"}}, nullptr)
+  EXPECT_EQ(JoinRows(left_, right_, {{"student.nope", "s2.advisor"}}, nullptr)
                 .status()
                 .code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(JoinRows(left_schema(), rows(), right_schema_, rows(),
-                     {{"student.advisor", "s2.nope"}}, nullptr)
+  EXPECT_EQ(JoinRows(left_, right_, {{"student.advisor", "s2.nope"}}, nullptr)
                 .status()
                 .code(),
             StatusCode::kNotFound);
-  EXPECT_FALSE(JoinRows(left_schema(), rows(), right_schema_, rows(), {},
+  EXPECT_FALSE(JoinRows(left_, right_, {},
                         Eq(Col("student.nope"), Col("s2.advisor")))
                    .ok());
+}
+
+TEST(RowIdSetTest, PartsLocateGatherAndShareOwnership) {
+  auto students = MakeStudentTable();
+  Schema doc_schema;
+  doc_schema.AddColumn(Column{"d", "docid", ValueType::kString});
+  RowIdSet docs = RowIdSet::Owned(
+      doc_schema, {{Value::Str("doc0")}, {Value::Str("doc1")}});
+  const RowIdSet scan =
+      RowIdSet::Borrowed(students->schema(), students->rows(), {4, 1});
+  RowIdSet joined = RowIdSet::Join(scan, docs, {{1, 0}, {0, 1}, {0, 0}});
+  docs = RowIdSet();  // The joined set keeps the owned rows alive.
+  ASSERT_EQ(joined.size(), 3u);
+  EXPECT_EQ(joined.schema().num_columns(), 5u);
+  auto docid = joined.Resolve("d.docid");
+  ASSERT_TRUE(docid.ok()) << docid.status().ToString();
+  EXPECT_EQ(docid->part, 1u);
+  EXPECT_EQ(docid->column, 0u);
+  EXPECT_EQ(joined.Resolve("student.year")->column, 3u);
+  EXPECT_EQ(joined.Resolve("nope").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(joined.id(0, 0), 1u);
+  EXPECT_EQ(joined.id(2, 1), 0u);
+  EXPECT_EQ(Rendered(joined),
+            (std::vector<std::string>{"['Gravano', 'distributed systems', "
+                                      "'Garcia', 5, 'doc0']",
+                                      "['Yan', 'IR', 'Ullman', 6, 'doc1']",
+                                      "['Yan', 'IR', 'Ullman', 6, 'doc0']"}));
+  const RowIdSet subset = joined.Subset({2, 0});
+  EXPECT_EQ(Rendered(subset),
+            (std::vector<std::string>{Rendered(joined)[2],
+                                      Rendered(joined)[0]}));
+  // AssignTo overwrites a reused row in place.
+  Row scratch(5, Value::Str("stale"));
+  joined.AssignTo(1, scratch);
+  EXPECT_EQ(scratch, joined.Gather(1));
 }
 
 // ------------------------------------------------------------- TableStats
