@@ -3,19 +3,22 @@
 // (linear, per the paper's text-system model) in both the engine's
 // block-compressed representation and the flat reference form of
 // tests/support, phrase adjacency, index build, Boolean search evaluation,
-// tokenization, the relational hash join, and the paper's Q5 through the
-// whole service. A custom main() additionally
+// tokenization, the relational hash join, Q5's relational join with its
+// residual in place and on the scratch row it replaced, and the paper's Q5
+// through the whole service. A custom main() additionally
 // emits the machine-readable BENCH_vectorized.json snapshot (rows/sec,
-// ns/row, heap allocations) and hosts the release perf-smoke gate:
+// ns/row, heap allocations) and hosts the release perf-smoke gates:
 //
 //   bench_micro                         # full google-benchmark suite + JSON
 //   bench_micro --snapshot_only         # just the JSON snapshot section
-//   bench_micro --perf_smoke            # snapshot + block-vs-reference gate
+//   bench_micro --perf_smoke            # snapshot + block-vs-reference and
+//                                       # in-place-vs-scratch-row gates
 //   bench_micro --snapshot_path=<file>  # where the JSON lands
 //                                       # (default BENCH_vectorized.json)
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string_view>
@@ -451,6 +454,61 @@ std::vector<bench::BenchRecord> RunVectorizedSnapshot() {
         }));
   }
   {
+    // Q5's relational join (the paper's Example 6.1): JoinRows over
+    // student (200 rows) x faculty (40) with no keys and the residual
+    // `faculty.dept != student.dept`; rows = the 8,000 candidate pairs.
+    // The scratch-row record is the path JoinRows took before it read
+    // base rows in place, kept as the baseline: one reused row, the left
+    // tuple's values copy-assigned over it once per left tuple and each
+    // candidate's right values over the rest, then the same Eval. Both
+    // records bind the residual per call and must return the same pairs.
+    auto built = BuildQ5(Q5Config{});
+    TEXTJOIN_CHECK(built.ok(), "q5");
+    auto student = built->scenario.catalog->GetTable("student");
+    auto faculty = built->scenario.catalog->GetTable("faculty");
+    TEXTJOIN_CHECK(student.ok() && faculty.ok(), "q5 tables");
+    const RowIdSet left = RowIdSet::BorrowedAll(
+        (*student)->schema().WithQualifier("student"), (*student)->rows());
+    const RowIdSet right = RowIdSet::BorrowedAll(
+        (*faculty)->schema().WithQualifier("faculty"), (*faculty)->rows());
+    TEXTJOIN_CHECK(built->query.relational_predicates.size() == 1,
+                   "q5 has one join predicate");
+    const Expr& predicate = *built->query.relational_predicates.front();
+    const double candidates = static_cast<double>(left.size() * right.size());
+    std::vector<TuplePair> in_place;
+    out.push_back(TimeLoop("join_residual_q5", 200, candidates, [&] {
+      auto pairs = JoinRows(left, right, {}, predicate.Clone());
+      TEXTJOIN_CHECK(pairs.ok(), "q5 join");
+      in_place = std::move(*pairs);
+    }));
+    std::vector<TuplePair> scratch_row;
+    out.push_back(
+        TimeLoop("join_residual_q5_scratch_row", 200, candidates, [&] {
+          ExprPtr residual = predicate.Clone();
+          TEXTJOIN_CHECK(
+              residual->Bind(left.schema().Concat(right.schema())).ok(),
+              "q5 residual binds");
+          const size_t left_width = left.schema().num_columns();
+          Row scratch(left_width + right.schema().num_columns());
+          std::vector<TuplePair> pairs;
+          for (size_t l = 0; l < left.size(); ++l) {
+            const Row& left_row = left.rows(0)[left.id(l, 0)];
+            std::copy(left_row.begin(), left_row.end(), scratch.begin());
+            for (size_t r = 0; r < right.size(); ++r) {
+              const Row& right_row = right.rows(0)[right.id(r, 0)];
+              std::copy(right_row.begin(), right_row.end(),
+                        scratch.begin() + static_cast<ptrdiff_t>(left_width));
+              if (ValueIsTrue(residual->Eval(scratch))) {
+                pairs.emplace_back(l, r);
+              }
+            }
+          }
+          scratch_row = std::move(pairs);
+        }));
+    TEXTJOIN_CHECK(!in_place.empty() && in_place == scratch_row,
+                   "q5 join pairs differ between in place and scratch row");
+  }
+  {
     // The paper's Example 6.1 (Q5) through FederationService::Run with
     // sampled statistics: a P+RTP foreign join over the student x faculty
     // nested-loop join. rows = the relational join's tuples, the outer
@@ -487,13 +545,22 @@ std::vector<bench::BenchRecord> RunVectorizedSnapshot() {
   return out;
 }
 
-/// Release perf-smoke gate: block-vs-reference speedup per kernel pair,
-/// gated on the geometric mean. The target is the ≥3x design goal; the hard
-/// floor is a generous backstop so a noisy CI machine does not flake the
-/// build.
+/// Prints a gate's verdict: `speedup` against its design `target` and its
+/// hard `backstop`. The backstop is generous so that a noisy CI machine
+/// does not flake the build; returns whether it holds.
+bool Gate(const char* what, double speedup, double target, double backstop) {
+  const bool pass = speedup >= backstop;
+  std::printf("\n%s %.2fx — target %.1fx %s, hard floor %.1fx %s\n", what,
+              speedup, target, speedup >= target ? "met" : "NOT met",
+              backstop, pass ? "PASS" : "FAIL");
+  return pass;
+}
+
+/// Release perf-smoke gates. Block-vs-reference speedup per kernel pair,
+/// gated on the geometric mean against the ≥3x design goal; and Q5's
+/// relational join with its residual read in place against the scratch
+/// row it replaced.
 int PerfSmoke(const std::vector<bench::BenchRecord>& records) {
-  constexpr double kTarget = 3.0;
-  constexpr double kBackstop = 1.5;
   const std::pair<const char*, const char*> pairs[] = {
       {"intersect_legacy_64k", "intersect_block_64k"},
       {"intersect_skew_legacy", "intersect_skew_block"},
@@ -502,11 +569,11 @@ int PerfSmoke(const std::vector<bench::BenchRecord>& records) {
       {"search_conjunction_legacy", "search_conjunction_block"},
       {"search_disjunction_legacy", "search_disjunction_block"},
   };
-  auto find = [&](const char* name) -> const bench::BenchRecord* {
+  auto find = [&](const char* name) -> const bench::BenchRecord& {
     for (const bench::BenchRecord& r : records) {
-      if (r.name == name) return &r;
+      if (r.name == name) return r;
     }
-    return nullptr;
+    TEXTJOIN_UNREACHABLE("missing record");
   };
   bench::PrintHeader("Perf smoke — block-compressed vs reference kernels");
   std::printf("%-26s %12s %12s %10s\n", "kernel", "ref ns/row",
@@ -514,25 +581,31 @@ int PerfSmoke(const std::vector<bench::BenchRecord>& records) {
   double log_sum = 0.0;
   size_t count = 0;
   for (const auto& [reference_name, block_name] : pairs) {
-    const bench::BenchRecord* reference = find(reference_name);
-    const bench::BenchRecord* block = find(block_name);
-    TEXTJOIN_CHECK(reference != nullptr && block != nullptr,
-                   "missing record");
+    const bench::BenchRecord& reference = find(reference_name);
+    const bench::BenchRecord& block = find(block_name);
     const double speedup =
-        bench::NsPerRow(*reference) / bench::NsPerRow(*block);
+        bench::NsPerRow(reference) / bench::NsPerRow(block);
     std::printf("%-26s %12.3f %12.3f %9.2fx\n", block_name,
-                bench::NsPerRow(*reference), bench::NsPerRow(*block), speedup);
+                bench::NsPerRow(reference), bench::NsPerRow(block), speedup);
     log_sum += std::log(speedup);
     ++count;
   }
-  const double geomean = std::exp(log_sum / static_cast<double>(count));
-  const bool target_met = geomean >= kTarget;
-  const bool pass = geomean >= kBackstop;
-  std::printf("\ngeomean speedup %.2fx — target %.1fx %s, hard floor %.1fx "
-              "%s\n",
-              geomean, kTarget, target_met ? "met" : "NOT met", kBackstop,
-              pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  const bool kernels_pass =
+      Gate("geomean speedup", std::exp(log_sum / static_cast<double>(count)),
+           /*target=*/3.0, /*backstop=*/1.5);
+
+  bench::PrintHeader("Perf smoke — Q5 join residual in place vs scratch row");
+  const bench::BenchRecord& scratch_row =
+      find("join_residual_q5_scratch_row");
+  const bench::BenchRecord& in_place = find("join_residual_q5");
+  std::printf("%-26s %12s %12s\n", "join", "scratch ns", "in-place ns");
+  std::printf("%-26s %12.3f %12.3f\n", "q5 (per candidate)",
+              bench::NsPerRow(scratch_row), bench::NsPerRow(in_place));
+  const bool residual_pass =
+      Gate("speedup",
+           bench::NsPerRow(scratch_row) / bench::NsPerRow(in_place),
+           /*target=*/1.5, /*backstop=*/1.1);
+  return kernels_pass && residual_pass ? 0 : 1;
 }
 
 }  // namespace

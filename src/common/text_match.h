@@ -16,9 +16,9 @@
 /// built on the prepared form below, which is what guarantees that
 /// agreement: it is the one implementation of tokenization and matching.
 /// The analyzer indexes TokenizeTextViews tokens — the prepared form split
-/// at its spaces — and every relational-side match (the TextMatch
-/// expression in src/relational/expression.h, the RTP-family match stage
-/// in src/core/pipeline.h, TermMatchesFieldText) compares prepared forms.
+/// at its spaces — and every relational-side match (the RTP-family match
+/// stage in src/core/pipeline.h, TermMatchesFieldText) compares prepared
+/// forms.
 ///
 /// Semantics: a field value is tokenized into lowercase alphanumeric words;
 /// a term (word or phrase) matches iff its token sequence occurs

@@ -182,6 +182,20 @@ ForeignJoinStats BuildStats(const QueryContext& ctx, const PlanNode& child,
   return stats;
 }
 
+/// Whether a foreign join over the relations in `below` has its outer
+/// columns read: when the SELECT list names a relational column, or when
+/// a conjunct over a relation in `below` and one outside it is applied by
+/// a relational join above the foreign join. Otherwise only the document
+/// side is read, which is the one shape that permits SJ.
+bool OuterColumnsNeeded(const QueryContext& ctx, uint64_t below) {
+  if (ctx.applicability.left_columns_needed) return true;
+  return std::any_of(ctx.conjuncts.begin(), ctx.conjuncts.end(),
+                     [below](const ClassifiedConjunct& c) {
+                       return (c.relation_mask & below) != 0 &&
+                              (c.relation_mask & ~below) != 0;
+                     });
+}
+
 /// Pareto insertion over (est_cost, est_rows).
 void AddPlan(std::vector<std::shared_ptr<PlanNode>>& frontier,
              std::shared_ptr<PlanNode> plan, EnumeratorReport& report) {
@@ -362,7 +376,9 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
         query.text_selections.empty() ? 0.0 : joint_docs;
   }
 
-  // Method applicability for the foreign join.
+  // Method applicability for the foreign join. left_columns_needed says
+  // whether the SELECT list reads outer columns; each placement adds its
+  // own conjuncts (OuterColumnsNeeded).
   ctx.applicability.has_selections = !query.text_selections.empty();
   ctx.applicability.need_document_fields = query.NeedsDocumentFields();
   bool needs_left = query.output_columns.empty();
@@ -406,13 +422,15 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
         if ((sub & ctx.text_required_mask) != ctx.text_required_mask) {
           continue;
         }
+        MethodApplicability applicability = ctx.applicability;
+        applicability.left_columns_needed = OuterColumnsNeeded(ctx, sub);
         for (const auto& subplan : table[sub]) {
           std::vector<size_t> all_preds(query.text_joins.size());
           for (size_t i = 0; i < all_preds.size(); ++i) all_preds[i] = i;
           ForeignJoinStats stats = BuildStats(ctx, *subplan, all_preds);
           CostModel model(CostParams{}, stats);
           SingleJoinOptimizer optimizer(&model);
-          Result<MethodChoice> choice = optimizer.Choose(ctx.applicability);
+          Result<MethodChoice> choice = optimizer.Choose(applicability);
           if (options_.forced_method.has_value()) {
             // Pin the method (golden wall / ablations): take its entry —
             // with its individually optimal probe mask — from the ranked
@@ -422,7 +440,7 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
                 JoinMethodName(*options_.forced_method) +
                 " is not applicable to this query shape");
             for (const MethodChoice& ranked :
-                 optimizer.RankMethods(ctx.applicability)) {
+                 optimizer.RankMethods(applicability)) {
               if (ranked.method == *options_.forced_method) {
                 choice = ranked;
                 break;
@@ -430,7 +448,8 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
             }
           }
           if (!choice.ok()) return choice.status();
-          auto node = MakeForeignJoinNode(subplan, query, *choice);
+          auto node = MakeForeignJoinNode(subplan, query, *choice,
+                                          applicability.left_columns_needed);
           node->est_rows =
               stats.num_tuples *
               model.JointFanout(FullMask(stats.predicates.size()));

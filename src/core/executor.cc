@@ -37,7 +37,8 @@ AccessMeter MeterDelta(const AccessMeter& a, const AccessMeter& b) {
 
 }  // namespace
 
-ForeignJoinSpec PlanExecutor::BuildSpec(const FederatedQuery& query,
+ForeignJoinSpec PlanExecutor::BuildSpec(const PlanNode& node,
+                                        const FederatedQuery& query,
                                         const Schema& left_schema) const {
   ForeignJoinSpec spec;
   spec.left_schema = left_schema;
@@ -45,13 +46,9 @@ ForeignJoinSpec PlanExecutor::BuildSpec(const FederatedQuery& query,
   spec.joins = query.text_joins;
   spec.text = query.text;
   spec.need_document_fields = query.NeedsDocumentFields();
-  // The projection decides whether outer columns are needed; every
-  // relational predicate has already been applied below the foreign join.
-  bool needs_left = query.output_columns.empty() && left_schema.num_columns();
-  for (const std::string& ref : query.output_columns) {
-    if (left_schema.Resolve(ref).ok()) needs_left = true;
-  }
-  spec.left_columns_needed = needs_left;
+  // The enumerator decided whether outer columns are read above this
+  // join: by the SELECT list, or by a relational join's conjunct above it.
+  spec.left_columns_needed = node.left_columns_needed;
   return spec;
 }
 
@@ -124,7 +121,7 @@ Result<RowIdSet> PlanExecutor::ExecNode(const PlanNode& node,
                                 Exec(*node.left, query, profile, sched));
       TEXTJOIN_CHECK(sched != nullptr, "foreign join without a text source");
       const AccessMeter before = MeterSnapshot(source_);
-      ForeignJoinSpec spec = BuildSpec(query, child.schema());
+      ForeignJoinSpec spec = BuildSpec(node, query, child.schema());
       pipeline::PipelineProfile stages;
       TEXTJOIN_ASSIGN_OR_RETURN(
           ForeignJoinResult joined,

@@ -151,9 +151,9 @@ class PlanExecutor {
                             ExecutionProfile* profile,
                             pipeline::StageScheduler* sched);
 
-  /// Builds the foreign-join spec for the text join of `query` with
-  /// `left_schema` as the outer side.
-  ForeignJoinSpec BuildSpec(const FederatedQuery& query,
+  /// Builds the foreign-join spec of foreign-join `node` for the text join
+  /// of `query` with `left_schema` as the outer side.
+  ForeignJoinSpec BuildSpec(const PlanNode& node, const FederatedQuery& query,
                             const Schema& left_schema) const;
 
   const Catalog* catalog_;

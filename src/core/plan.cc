@@ -98,13 +98,15 @@ std::shared_ptr<PlanNode> MakeRelationalJoinNode(
 
 std::shared_ptr<PlanNode> MakeForeignJoinNode(PlanNodePtr child,
                                               const FederatedQuery& query,
-                                              MethodChoice method) {
+                                              MethodChoice method,
+                                              bool left_columns_needed) {
   auto node = std::make_shared<PlanNode>();
   node->kind = PlanNode::Kind::kForeignJoin;
   node->output_schema =
       child->output_schema.Concat(query.text.ToSchema());
   node->left = std::move(child);
   node->method = method;
+  node->left_columns_needed = left_columns_needed;
   return node;
 }
 

@@ -67,6 +67,10 @@ struct PlanNode {
 
   // ---- kForeignJoin ----
   MethodChoice method;  ///< Join method + probe mask + predicted cost.
+  /// Whether anything above reads the join's outer columns: the SELECT
+  /// list, or a relational join above it whose conjunct reads a relation
+  /// below it. When false only the document side is read, and SJ applies.
+  bool left_columns_needed = true;
 
   // ---- kProbe ----
   std::vector<size_t> probe_pred_indices;  ///< text_joins probed here.
@@ -89,7 +93,8 @@ std::shared_ptr<PlanNode> MakeRelationalJoinNode(
     std::vector<JoinKey> hash_keys);
 std::shared_ptr<PlanNode> MakeForeignJoinNode(PlanNodePtr child,
                                               const FederatedQuery& query,
-                                              MethodChoice method);
+                                              MethodChoice method,
+                                              bool left_columns_needed);
 std::shared_ptr<PlanNode> MakeProbeNode(PlanNodePtr child,
                                         std::vector<size_t> probe_preds);
 

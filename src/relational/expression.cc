@@ -1,7 +1,6 @@
 #include "relational/expression.h"
 
 #include "common/string_util.h"
-#include "common/text_match.h"
 
 namespace textjoin {
 
@@ -40,14 +39,21 @@ Status ColumnRefExpr::Bind(const Schema& schema) {
   return Status::OK();
 }
 
+ExprOperand::ExprOperand(ExprPtr expr)
+    : expr_(std::move(expr)),
+      column_(dynamic_cast<const ColumnRefExpr*>(expr_.get())),
+      literal_(dynamic_cast<const LiteralExpr*>(expr_.get())) {}
+
 Status ComparisonExpr::Bind(const Schema& schema) {
-  TEXTJOIN_RETURN_IF_ERROR(left_->Bind(schema));
-  return right_->Bind(schema);
+  TEXTJOIN_RETURN_IF_ERROR(left_.expr().Bind(schema));
+  return right_.expr().Bind(schema);
 }
 
-Value ComparisonExpr::Eval(RowView row) const {
-  const Value l = left_->Eval(row);
-  const Value r = right_->Eval(row);
+Value ComparisonExpr::Eval(const SplitRowView& row) const {
+  Value left_local;
+  Value right_local;
+  const Value& l = left_.Read(row, left_local);
+  const Value& r = right_.Read(row, right_local);
   // SQL-style: comparisons involving NULL are false (not unknown-propagating
   // three-valued logic; adequate for conjunctive queries).
   if (l.is_null() || r.is_null()) return Value::Int(0);
@@ -77,8 +83,8 @@ Value ComparisonExpr::Eval(RowView row) const {
 }
 
 std::string ComparisonExpr::ToString() const {
-  return left_->ToString() + " " + CompareOpName(op_) + " " +
-         right_->ToString();
+  return left().ToString() + " " + CompareOpName(op_) + " " +
+         right().ToString();
 }
 
 Status LogicalExpr::Bind(const Schema& schema) {
@@ -88,7 +94,7 @@ Status LogicalExpr::Bind(const Schema& schema) {
   return Status::OK();
 }
 
-Value LogicalExpr::Eval(RowView row) const {
+Value LogicalExpr::Eval(const SplitRowView& row) const {
   switch (op_) {
     case LogicalOp::kAnd:
       for (const ExprPtr& child : children_) {
@@ -127,21 +133,11 @@ ExprPtr LogicalExpr::Clone() const {
   return std::make_unique<LogicalExpr>(op_, std::move(copies));
 }
 
-Value LikeExpr::Eval(RowView row) const {
-  const Value v = input_->Eval(row);
+Value LikeExpr::Eval(const SplitRowView& row) const {
+  Value local;
+  const Value& v = input_.Read(row, local);
   if (v.type() != ValueType::kString) return Value::Int(0);
   return Value::Int(LikeMatch(v.AsString(), pattern_) ? 1 : 0);
-}
-
-Value TextMatchExpr::Eval(RowView row) const {
-  const Value term = term_->Eval(row);
-  const Value field = field_->Eval(row);
-  if (term.type() != ValueType::kString ||
-      field.type() != ValueType::kString) {
-    return Value::Int(0);
-  }
-  return Value::Int(
-      TermMatchesFieldText(term.AsString(), field.AsString()) ? 1 : 0);
 }
 
 ExprPtr Lit(Value v) { return std::make_unique<LiteralExpr>(std::move(v)); }
@@ -175,10 +171,6 @@ ExprPtr Not(ExprPtr child) {
 
 ExprPtr Like(ExprPtr input, std::string pattern) {
   return std::make_unique<LikeExpr>(std::move(input), std::move(pattern));
-}
-
-ExprPtr TextMatch(ExprPtr term, ExprPtr field) {
-  return std::make_unique<TextMatchExpr>(std::move(term), std::move(field));
 }
 
 }  // namespace textjoin

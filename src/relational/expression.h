@@ -18,6 +18,11 @@
 /// infallible: comparisons are total across types (see Value::Compare) and
 /// string functions return false on non-string inputs, which mirrors SQL's
 /// permissive string matching semantics the paper relies on for RTP.
+///
+/// Eval reads its row in place: comparisons and LIKE read a column or a
+/// literal operand by reference, and the row may come in two pieces
+/// (SplitRowView), so a relational join evaluates its residual on the
+/// left tuple's row and the candidate's base row without copying either.
 
 namespace textjoin {
 
@@ -36,10 +41,14 @@ class Expr {
   /// succeed) before Eval.
   virtual Status Bind(const Schema& schema) = 0;
 
-  /// Evaluates over a row matching the bound schema. RowView accepts an
-  /// owning Row implicitly, so both batched and row-at-a-time callers use
-  /// the same entry point.
-  virtual Value Eval(RowView row) const = 0;
+  /// Evaluates over a row matching the bound schema, read in place. The
+  /// row may come in two pieces, left ++ right (a join's two inputs); a
+  /// Row or a RowView converts to the one-piece SplitRowView implicitly,
+  /// so scan filters, joins and the reference executor share this one
+  /// entry point. The view is taken by reference: at four words it would
+  /// be copied through the stack on every call, which doubled the cost of
+  /// evaluating a join residual.
+  virtual Value Eval(const SplitRowView& row) const = 0;
 
   /// Renders SQL-ish text for debugging and EXPLAIN output.
   virtual std::string ToString() const = 0;
@@ -63,7 +72,7 @@ class LiteralExpr final : public Expr {
   explicit LiteralExpr(Value value) : value_(std::move(value)) {}
 
   Status Bind(const Schema&) override { return Status::OK(); }
-  Value Eval(RowView) const override { return value_; }
+  Value Eval(const SplitRowView&) const override { return value_; }
   std::string ToString() const override { return value_.ToString(); }
   ExprPtr Clone() const override {
     return std::make_unique<LiteralExpr>(value_);
@@ -82,13 +91,7 @@ class ColumnRefExpr final : public Expr {
   explicit ColumnRefExpr(std::string ref) : ref_(std::move(ref)) {}
 
   Status Bind(const Schema& schema) override;
-  Value Eval(RowView row) const override {
-    TEXTJOIN_CHECK(bound_, "ColumnRef '%s' evaluated before Bind",
-                   ref_.c_str());
-    TEXTJOIN_CHECK(index_ < row.size(), "ColumnRef '%s' index out of range",
-                   ref_.c_str());
-    return row[index_];
-  }
+  Value Eval(const SplitRowView& row) const override { return Read(row); }
   std::string ToString() const override { return ref_; }
   ExprPtr Clone() const override {
     auto copy = std::make_unique<ColumnRefExpr>(ref_);
@@ -108,10 +111,45 @@ class ColumnRefExpr final : public Expr {
     return index_;
   }
 
+  /// The column's value in `row`, by reference. Requires a successful Bind
+  /// and a row of the bound schema's width.
+  const Value& Read(const SplitRowView& row) const {
+    TEXTJOIN_CHECK(bound_, "ColumnRef '%s' evaluated before Bind",
+                   ref_.c_str());
+    TEXTJOIN_CHECK(index_ < row.size(), "ColumnRef '%s' index out of range",
+                   ref_.c_str());
+    return row[index_];
+  }
+
  private:
   std::string ref_;
   bool bound_ = false;
   size_t index_ = 0;
+};
+
+/// An operand of a comparison or LIKE. A column or a literal is read by
+/// reference, in place; any other expression is evaluated into a local of
+/// the caller. Which of the three it is is decided once, at construction.
+class ExprOperand {
+ public:
+  explicit ExprOperand(ExprPtr expr);
+
+  Expr& expr() { return *expr_; }
+  const Expr& expr() const { return *expr_; }
+
+  /// The operand's value over `row`: a reference into `row` or to the
+  /// literal, or to `local` after evaluating into it.
+  const Value& Read(const SplitRowView& row, Value& local) const {
+    if (column_ != nullptr) return column_->Read(row);
+    if (literal_ != nullptr) return literal_->value();
+    local = expr_->Eval(row);
+    return local;
+  }
+
+ private:
+  ExprPtr expr_;
+  const ColumnRefExpr* column_ = nullptr;  ///< expr_ when a column.
+  const LiteralExpr* literal_ = nullptr;   ///< expr_ when a literal.
 };
 
 /// Binary comparison of two sub-expressions.
@@ -121,25 +159,25 @@ class ComparisonExpr final : public Expr {
       : op_(op), left_(std::move(left)), right_(std::move(right)) {}
 
   Status Bind(const Schema& schema) override;
-  Value Eval(RowView row) const override;
+  Value Eval(const SplitRowView& row) const override;
   std::string ToString() const override;
   ExprPtr Clone() const override {
-    return std::make_unique<ComparisonExpr>(op_, left_->Clone(),
-                                            right_->Clone());
+    return std::make_unique<ComparisonExpr>(op_, left().Clone(),
+                                            right().Clone());
   }
   void CollectColumns(std::vector<std::string>& out) const override {
-    left_->CollectColumns(out);
-    right_->CollectColumns(out);
+    left().CollectColumns(out);
+    right().CollectColumns(out);
   }
 
   CompareOp op() const { return op_; }
-  const Expr& left() const { return *left_; }
-  const Expr& right() const { return *right_; }
+  const Expr& left() const { return left_.expr(); }
+  const Expr& right() const { return right_.expr(); }
 
  private:
   CompareOp op_;
-  ExprPtr left_;
-  ExprPtr right_;
+  ExprOperand left_;
+  ExprOperand right_;
 };
 
 /// N-ary conjunction / disjunction, and unary negation.
@@ -155,7 +193,7 @@ class LogicalExpr final : public Expr {
   }
 
   Status Bind(const Schema& schema) override;
-  Value Eval(RowView row) const override;
+  Value Eval(const SplitRowView& row) const override;
   std::string ToString() const override;
   ExprPtr Clone() const override;
   void CollectColumns(std::vector<std::string>& out) const override {
@@ -176,52 +214,23 @@ class LikeExpr final : public Expr {
   LikeExpr(ExprPtr input, std::string pattern)
       : input_(std::move(input)), pattern_(std::move(pattern)) {}
 
-  Status Bind(const Schema& schema) override { return input_->Bind(schema); }
-  Value Eval(RowView row) const override;
-  std::string ToString() const override {
-    return input_->ToString() + " LIKE '" + pattern_ + "'";
-  }
-  ExprPtr Clone() const override {
-    return std::make_unique<LikeExpr>(input_->Clone(), pattern_);
-  }
-  void CollectColumns(std::vector<std::string>& out) const override {
-    input_->CollectColumns(out);
-  }
-
- private:
-  ExprPtr input_;
-  std::string pattern_;
-};
-
-/// The relational-side text matching function: true iff the value of `term`
-/// (a string) occurs as a word/phrase within a single value of the
-/// (flattened multi-value) field text produced by `field`. This is the SQL
-/// string-processing capability RTP relies on; its semantics match the text
-/// engine exactly (see common/text_match.h).
-class TextMatchExpr final : public Expr {
- public:
-  TextMatchExpr(ExprPtr term, ExprPtr field)
-      : term_(std::move(term)), field_(std::move(field)) {}
-
   Status Bind(const Schema& schema) override {
-    TEXTJOIN_RETURN_IF_ERROR(term_->Bind(schema));
-    return field_->Bind(schema);
+    return input_.expr().Bind(schema);
   }
-  Value Eval(RowView row) const override;
+  Value Eval(const SplitRowView& row) const override;
   std::string ToString() const override {
-    return term_->ToString() + " IN " + field_->ToString();
+    return input_.expr().ToString() + " LIKE '" + pattern_ + "'";
   }
   ExprPtr Clone() const override {
-    return std::make_unique<TextMatchExpr>(term_->Clone(), field_->Clone());
+    return std::make_unique<LikeExpr>(input_.expr().Clone(), pattern_);
   }
   void CollectColumns(std::vector<std::string>& out) const override {
-    term_->CollectColumns(out);
-    field_->CollectColumns(out);
+    input_.expr().CollectColumns(out);
   }
 
  private:
-  ExprPtr term_;
-  ExprPtr field_;
+  ExprOperand input_;
+  std::string pattern_;
 };
 
 /// Convenience factories, used heavily by tests and query builders.
@@ -233,7 +242,6 @@ ExprPtr And(std::vector<ExprPtr> children);
 ExprPtr Or(std::vector<ExprPtr> children);
 ExprPtr Not(ExprPtr child);
 ExprPtr Like(ExprPtr input, std::string pattern);
-ExprPtr TextMatch(ExprPtr term, ExprPtr field);
 
 }  // namespace textjoin
 

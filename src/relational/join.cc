@@ -19,6 +19,15 @@ bool KeyOf(const RowIdSet& set, size_t tuple,
   return true;
 }
 
+/// `tuple`'s row of set.schema(), in place: its base row when the set has
+/// one part, else gathered into `gathered`, which the view then borrows.
+RowView RowOf(const RowIdSet& set, size_t tuple, Row& gathered) {
+  if (set.num_parts() == 1) return set.rows(0)[set.id(tuple, 0)];
+  gathered.clear();
+  set.GatherInto(tuple, gathered);
+  return gathered;
+}
+
 }  // namespace
 
 Result<std::vector<TuplePair>> JoinRows(const RowIdSet& left,
@@ -54,13 +63,11 @@ Result<std::vector<TuplePair>> JoinRows(const RowIdSet& left,
     }
   }
 
-  // The residual's input: the left tuple's values, written once per left
-  // tuple, then each candidate's right values over the rest.
-  const size_t left_width = left.schema().num_columns();
-  Row scratch;
-  if (residual != nullptr) {
-    scratch.resize(left_width + right.schema().num_columns());
-  }
+  // The residual reads the left tuple's row and each candidate's row in
+  // place: a one-part input's base row, or, for a multi-part input, its
+  // row gathered into a reused buffer (once per left tuple on the left).
+  Row left_gathered;
+  Row right_gathered;
   std::vector<TuplePair> out;
   for (size_t l = 0; l < left.size(); ++l) {
     const std::vector<size_t>* candidates = &every_right;
@@ -70,13 +77,15 @@ Result<std::vector<TuplePair>> JoinRows(const RowIdSet& left,
       if (it == buckets.end()) continue;
       candidates = &it->second;
     }
+    RowView left_row;
     if (residual != nullptr && !candidates->empty()) {
-      left.AssignTo(l, scratch);
+      left_row = RowOf(left, l, left_gathered);
     }
     for (size_t r : *candidates) {
-      if (residual != nullptr) {
-        right.AssignTo(r, std::span(scratch).subspan(left_width));
-        if (!ValueIsTrue(residual->Eval(scratch))) continue;
+      if (residual != nullptr &&
+          !ValueIsTrue(residual->Eval(
+              SplitRowView(left_row, RowOf(right, r, right_gathered))))) {
+        continue;
       }
       out.emplace_back(l, r);
     }

@@ -30,8 +30,13 @@ struct JoinKey {
 /// indices); a key holding NULL on either side matches nothing, as `=`
 /// does. Without keys, every right tuple is a candidate (nested loop).
 /// `residual` (may be null) is bound against left.schema() ++
-/// right.schema() and filters each candidate pair, evaluated on one
-/// reused scratch row.
+/// right.schema() and filters each candidate pair. It reads the pair's
+/// values in place, as a SplitRowView over the left tuple's row and the
+/// candidate's row: an input of one part (a scan, or a probe over a scan,
+/// as every right input the enumerator builds) is read from its base row;
+/// an input of several parts has its tuple's row gathered into a reused
+/// row, once per left tuple on the left and once per candidate on the
+/// right.
 ///
 /// Pairs come in left-tuple order and, within one left tuple, in
 /// right-input order. Fails if a key does not resolve or the residual

@@ -1,6 +1,5 @@
 #include "relational/tuple.h"
 
-#include <algorithm>
 #include <numeric>
 
 namespace textjoin {
@@ -82,6 +81,19 @@ RowIdSet RowIdSet::Owned(Schema schema, std::vector<Row> rows) {
   return set;
 }
 
+namespace {
+
+/// Writes the `width` ids of tuple `tuple` of tuple-major `ids` at `out`,
+/// and returns the position after them.
+size_t* CopyIds(const std::vector<size_t>& ids, size_t width, size_t tuple,
+                size_t* out) {
+  const size_t* first = ids.data() + tuple * width;
+  for (size_t p = 0; p < width; ++p) out[p] = first[p];
+  return out + width;
+}
+
+}  // namespace
+
 RowIdSet RowIdSet::Join(const RowIdSet& left, const RowIdSet& right,
                         const std::vector<TuplePair>& pairs) {
   RowIdSet set;
@@ -94,10 +106,13 @@ RowIdSet RowIdSet::Join(const RowIdSet& left, const RowIdSet& right,
   set.owned_ = left.owned_;
   set.owned_.insert(set.owned_.end(), right.owned_.begin(),
                     right.owned_.end());
-  set.ids_.reserve(pairs.size() * set.parts_.size());
+  const size_t left_width = left.parts_.size();
+  const size_t right_width = right.parts_.size();
+  set.ids_.resize(pairs.size() * set.parts_.size());
+  size_t* out = set.ids_.data();
   for (const auto& [l, r] : pairs) {
-    set.AppendIds(left, l);
-    set.AppendIds(right, r);
+    out = CopyIds(left.ids_, left_width, l, out);
+    out = CopyIds(right.ids_, right_width, r, out);
   }
   return set;
 }
@@ -107,16 +122,10 @@ RowIdSet RowIdSet::Subset(const std::vector<size_t>& tuples) const {
   set.schema_ = schema_;
   set.parts_ = parts_;
   set.owned_ = owned_;
-  set.ids_.reserve(tuples.size() * parts_.size());
-  for (size_t t : tuples) set.AppendIds(*this, t);
+  set.ids_.resize(tuples.size() * parts_.size());
+  size_t* out = set.ids_.data();
+  for (size_t t : tuples) out = CopyIds(ids_, parts_.size(), t, out);
   return set;
-}
-
-void RowIdSet::AppendIds(const RowIdSet& from, size_t tuple) {
-  const auto first =
-      from.ids_.begin() + static_cast<ptrdiff_t>(tuple * from.parts_.size());
-  ids_.insert(ids_.end(), first,
-              first + static_cast<ptrdiff_t>(from.parts_.size()));
 }
 
 RowIdSet::ColumnRef RowIdSet::Locate(size_t index) const {
@@ -145,14 +154,6 @@ Row RowIdSet::Gather(size_t tuple) const {
   Row out;
   GatherInto(tuple, out);
   return out;
-}
-
-void RowIdSet::AssignTo(size_t tuple, std::span<Value> out) const {
-  for (size_t p = 0; p < parts_.size(); ++p) {
-    const Row& base = rows(p)[id(tuple, p)];
-    std::copy(base.begin(), base.end(),
-              out.begin() + static_cast<ptrdiff_t>(parts_[p].first_column));
-  }
 }
 
 }  // namespace textjoin

@@ -15,14 +15,17 @@
 /// \file
 /// Row representations and small row helpers.
 ///
-/// Three forms (DESIGN.md §14): the owning Row (a positional vector of
+/// Four forms (DESIGN.md §14): the owning Row (a positional vector of
 /// values) used at API boundaries and in results, the non-owning RowView
-/// used by the batched execution hot path, and the RowIdSet the plan
-/// executor carries between plan nodes: join tuples held as row ids into
-/// base rows that are read in place. A Row converts implicitly to a
-/// RowView, so view-taking functions accept both. TupleBatch packs many
-/// fixed-width rows into one flat allocation; the join-method stages stage
-/// their document rows in it instead of one Row per document.
+/// used by the batched execution hot path, the SplitRowView that
+/// expressions read (one or two RowViews read as one row, so a join
+/// evaluates its residual on two base rows in place), and the RowIdSet
+/// the plan executor carries between plan nodes: join tuples held as row
+/// ids into base rows that are read in place. A Row converts implicitly
+/// to a RowView and to a SplitRowView, so view-taking functions accept
+/// it. TupleBatch packs many fixed-width rows into one flat allocation;
+/// the join-method stages stage their document rows in it instead of one
+/// Row per document.
 
 namespace textjoin {
 
@@ -32,6 +35,27 @@ using Row = std::vector<Value>;
 /// A borrowed, read-only row (contiguous values owned elsewhere — a Row,
 /// a Table, or a TupleBatch slot).
 using RowView = std::span<const Value>;
+
+/// A borrowed, read-only row that may come in two pieces: `left` followed
+/// by `right`, each viewed in place. Column i is left[i] while i is below
+/// left.size(), and right[i - left.size()] after. A Row or a RowView
+/// converts to it implicitly as the one-piece row.
+class SplitRowView {
+ public:
+  SplitRowView(RowView row) : left_(row) {}     // NOLINT(runtime/explicit)
+  SplitRowView(const Row& row) : left_(row) {}  // NOLINT(runtime/explicit)
+  SplitRowView(RowView left, RowView right) : left_(left), right_(right) {}
+
+  size_t size() const { return left_.size() + right_.size(); }
+  /// Column `i`; requires i < size().
+  const Value& operator[](size_t i) const {
+    return i < left_.size() ? left_[i] : right_[i - left_.size()];
+  }
+
+ private:
+  RowView left_;
+  RowView right_;
+};
 
 /// Returns the concatenation of two rows (join output).
 Row ConcatRows(RowView left, RowView right);
@@ -170,9 +194,6 @@ class RowIdSet {
   void GatherInto(size_t tuple, Row& out) const;
   /// `tuple`'s row of schema().
   Row Gather(size_t tuple) const;
-  /// Copy-assigns `tuple`'s row of schema() over out[0, width): values
-  /// already there keep their storage, so a reused row stops allocating.
-  void AssignTo(size_t tuple, std::span<Value> out) const;
 
  private:
   struct Part {
@@ -180,9 +201,6 @@ class RowIdSet {
     size_t first_column = 0;  ///< Its first column in schema_.
     size_t width = 0;
   };
-
-  /// Appends the ids `tuple` holds in `from`.
-  void AppendIds(const RowIdSet& from, size_t tuple);
 
   Schema schema_;
   std::vector<Part> parts_;

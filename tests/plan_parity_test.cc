@@ -6,7 +6,10 @@
 // the same rows, in the same order, and the same meter at parallelism 1,
 // 4 and 8. The executor carries row-id sets of several parts between
 // these nodes (DESIGN.md §14), so this is where multi-part grouping,
-// matching and gathering meet the oracle.
+// matching and gathering meet the oracle. The docid-only variant projects
+// the text side alone, the shape SJ answers as a semi-join, so its rows
+// are compared as sets; a relational join above the foreign join must
+// still see the outer columns its conjuncts read.
 
 #include <gtest/gtest.h>
 
@@ -152,18 +155,24 @@ Run Execute(const ParityCase& pc, const PlanNode& plan, int parallelism) {
   return run;
 }
 
-std::multiset<std::string> Multiset(const std::vector<std::string>& rows) {
-  return {rows.begin(), rows.end()};
+/// The rows as a multiset, or, when `distinct`, with duplicates dropped.
+std::multiset<std::string> Observed(const std::vector<std::string>& rows,
+                                    bool distinct) {
+  std::multiset<std::string> out;
+  for (const std::string& row : rows) {
+    if (!distinct || out.count(row) == 0) out.insert(row);
+  }
+  return out;
 }
 
-/// Runs `plan` at parallelism 1, 4 and 8: the multiset must equal the
-/// reference, and rows and meter must not depend on the parallelism.
+/// Runs `plan` at parallelism 1, 4 and 8: the observed rows must equal the
+/// reference's, and rows and meter must not depend on the parallelism.
 void ExpectParity(const ParityCase& pc, const PlanNode& plan,
-                  const std::multiset<std::string>& reference,
+                  const std::multiset<std::string>& reference, bool distinct,
                   const std::string& label) {
   const std::string context = label + "\n" + plan.ToString(pc.query);
   const Run serial = Execute(pc, plan, 1);
-  EXPECT_EQ(Multiset(serial.rows), reference) << context;
+  EXPECT_EQ(Observed(serial.rows, distinct), reference) << context;
   for (int parallelism : {4, 8}) {
     const Run parallel = Execute(pc, plan, parallelism);
     EXPECT_EQ(parallel.rows, serial.rows)
@@ -187,10 +196,10 @@ std::shared_ptr<PlanNode> Scan(const ParityCase& pc, size_t r) {
   return MakeScanNode(Name("r", r), Name("r", r), (*table)->schema(), {});
 }
 
-class PlanParityTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(PlanParityTest, EveryPlanMatchesReferenceAtEveryParallelism) {
-  const ParityCase pc = MakeCase(GetParam());
+/// Runs every plan of `pc` against ReferenceExecute: the optimizer's
+/// choice, each forced method and the hand-built plans. `distinct`
+/// compares rows as sets.
+void ExpectEveryPlanMatches(const ParityCase& pc, bool distinct) {
   const FederatedQuery& query = pc.query;
   auto reference = ReferenceExecute(query, *pc.scenario.catalog,
                                     pc.scenario.engine->documents());
@@ -199,7 +208,8 @@ TEST_P(PlanParityTest, EveryPlanMatchesReferenceAtEveryParallelism) {
   for (const Row& row : reference->rows) {
     reference_rows.push_back(RowToString(row));
   }
-  const std::multiset<std::string> expected = Multiset(reference_rows);
+  const std::multiset<std::string> expected =
+      Observed(reference_rows, distinct);
 
   StatsRegistry registry;
   ASSERT_TRUE(ComputeExactStats(query, *pc.scenario.catalog,
@@ -215,7 +225,7 @@ TEST_P(PlanParityTest, EveryPlanMatchesReferenceAtEveryParallelism) {
   // The optimizer's choice, then each of the six methods forced.
   auto chosen = optimize(EnumeratorOptions{});
   ASSERT_TRUE(chosen.ok()) << chosen.status().ToString();
-  ExpectParity(pc, **chosen, expected, "chosen");
+  ExpectParity(pc, **chosen, expected, distinct, "chosen");
   for (JoinMethodKind method :
        {JoinMethodKind::kTS, JoinMethodKind::kRTP, JoinMethodKind::kSJ,
         JoinMethodKind::kSJRTP, JoinMethodKind::kPTS, JoinMethodKind::kPRTP}) {
@@ -227,7 +237,7 @@ TEST_P(PlanParityTest, EveryPlanMatchesReferenceAtEveryParallelism) {
       EXPECT_EQ(forced.status().code(), StatusCode::kInvalidArgument);
       continue;
     }
-    ExpectParity(pc, **forced, expected,
+    ExpectParity(pc, **forced, expected, distinct,
                  std::string("forced ") + JoinMethodName(method));
   }
 
@@ -242,14 +252,27 @@ TEST_P(PlanParityTest, EveryPlanMatchesReferenceAtEveryParallelism) {
         MakeRelationalJoinNode(Scan(pc, 0), Scan(pc, 1),
                                Clones(pc.residual01), pc.keys01),
         all_preds);
-    plan = MakeForeignJoinNode(plan, query, method);
+    plan = MakeForeignJoinNode(plan, query, method,
+                               /*left_columns_needed=*/true);
     if (pc.num_relations == 3) {
       plan = MakeRelationalJoinNode(plan, Scan(pc, 2), Clones(pc.residual2),
                                     pc.keys2);
     }
-    ExpectParity(pc, *plan, expected,
+    ExpectParity(pc, *plan, expected, distinct,
                  std::string("hand-built ") + JoinMethodName(method.method));
   }
+}
+
+class PlanParityTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PlanParityTest, EveryPlanMatchesReferenceAtEveryParallelism) {
+  ExpectEveryPlanMatches(MakeCase(GetParam()), /*distinct=*/false);
+}
+
+TEST_P(PlanParityTest, DocidOnlyPlansMatchReferenceAsSets) {
+  ParityCase pc = MakeCase(GetParam());
+  pc.query.output_columns = {pc.query.text.alias + ".docid"};
+  ExpectEveryPlanMatches(pc, /*distinct=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomScenarios, PlanParityTest,

@@ -18,6 +18,7 @@
 #include "core/join_methods.h"
 #include "core/pipeline.h"
 #include "core/statistics.h"
+#include "relational/join.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
 
@@ -612,6 +613,167 @@ TEST_P(GroupRowsPropertyTest, MatchesOrderedMapReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GroupRowsPropertyTest,
+                         ::testing::Range<uint64_t>(1, 11));
+
+/// A random value: NULL, ints and doubles that tie across types ("2" as
+/// Int(2) and Real(2.0)), short strings, a string of digits, and a string
+/// too long to be stored inline.
+Value RandomValue(std::mt19937_64& rng) {
+  switch (rng() % 9) {
+    case 0:
+      return Value::Null();
+    case 1:
+      return Value::Int(1);
+    case 2:
+      return Value::Int(2);
+    case 3:
+      return Value::Real(2.0);
+    case 4:
+      return Value::Real(1.5);
+    case 5:
+      return Value::Str("a");
+    case 6:
+      return Value::Str("ab");
+    case 7:
+      return Value::Str("2");
+    default:
+      return Value::Str("a string well beyond the inline capacity");
+  }
+}
+
+/// A comparison or LIKE operand: a column, a literal, or (as the operand
+/// read by evaluation, not in place) a nested comparison.
+ExprPtr RandomOperand(std::mt19937_64& rng,
+                      const std::vector<std::string>& columns) {
+  switch (rng() % 5) {
+    case 0:
+    case 1:
+      return Col(columns[rng() % columns.size()]);
+    case 2:
+    case 3:
+      return Lit(RandomValue(rng));
+    default:
+      return Cmp(static_cast<CompareOp>(rng() % 6),
+                 Col(columns[rng() % columns.size()]), Lit(RandomValue(rng)));
+  }
+}
+
+/// A random predicate tree: the six comparisons and LIKE at the leaves,
+/// AND, OR and NOT above them.
+ExprPtr RandomPredicate(std::mt19937_64& rng,
+                        const std::vector<std::string>& columns, int depth) {
+  static const char* const kPatterns[] = {"a%", "%b", "_", "%", "2"};
+  switch (rng() % (depth == 0 ? 2 : 5)) {
+    case 0:
+      return Cmp(static_cast<CompareOp>(rng() % 6),
+                 RandomOperand(rng, columns), RandomOperand(rng, columns));
+    case 1:
+      return Like(RandomOperand(rng, columns), kPatterns[rng() % 5]);
+    case 2:
+    case 3: {
+      std::vector<ExprPtr> children;
+      const size_t n = 2 + rng() % 2;
+      for (size_t i = 0; i < n; ++i) {
+        children.push_back(RandomPredicate(rng, columns, depth - 1));
+      }
+      return rng() % 2 == 0 ? And(std::move(children))
+                            : Or(std::move(children));
+    }
+    default:
+      return Not(RandomPredicate(rng, columns, depth - 1));
+  }
+}
+
+/// A set of `num_parts` parts named <prefix>0.., each of 1-2 random value
+/// columns over a few base rows, joined at random so base rows repeat.
+/// `base` owns the base rows and `columns` collects the column names.
+RowIdSet RandomParts(std::mt19937_64& rng, const std::string& prefix,
+                     size_t num_parts, std::vector<std::vector<Row>>& base,
+                     std::vector<std::string>& columns) {
+  std::vector<Schema> schemas(num_parts);
+  base.assign(num_parts, {});
+  for (size_t p = 0; p < num_parts; ++p) {
+    std::string part = prefix;  // Two-step concat (see RandomConfig).
+    part += std::to_string(p);
+    const size_t width = 1 + rng() % 2;
+    for (size_t c = 0; c < width; ++c) {
+      std::string column = "v";
+      column += std::to_string(c);
+      schemas[p].AddColumn(Column{part, column, ValueType::kString});
+      columns.push_back(part + "." + column);
+    }
+    base[p].resize(1 + rng() % 5);
+    for (Row& row : base[p]) {
+      for (size_t c = 0; c < width; ++c) row.push_back(RandomValue(rng));
+    }
+  }
+  RowIdSet tuples = RowIdSet::BorrowedAll(schemas[0], base[0]);
+  for (size_t p = 1; p < num_parts; ++p) {
+    const RowIdSet next = RowIdSet::BorrowedAll(schemas[p], base[p]);
+    std::vector<TuplePair> pairs(tuples.size() == 0 ? 0 : rng() % 12);
+    for (TuplePair& pair : pairs) {
+      pair = {rng() % tuples.size(), rng() % next.size()};
+    }
+    tuples = RowIdSet::Join(tuples, next, pairs);
+  }
+  return tuples;
+}
+
+class InPlaceResidualPropertyTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+/// JoinRows evaluates its residual on the two inputs' rows in place; the
+/// reference evaluates the same predicate on each candidate pair's
+/// concatenated, gathered row.
+TEST_P(InPlaceResidualPropertyTest, JoinRowsMatchesConcatenatedRows) {
+  std::mt19937_64 rng(GetParam() * 7717u + 3);
+  for (int round = 0; round < 60; ++round) {
+    std::vector<std::vector<Row>> left_base;
+    std::vector<std::vector<Row>> right_base;
+    std::vector<std::string> left_columns;
+    std::vector<std::string> right_columns;
+    const RowIdSet left =
+        RandomParts(rng, "l", 1 + rng() % 3, left_base, left_columns);
+    const RowIdSet right =
+        RandomParts(rng, "r", 1 + rng() % 2, right_base, right_columns);
+    std::vector<JoinKey> keys;
+    if (rng() % 2 == 0) {
+      keys.push_back({left_columns[rng() % left_columns.size()],
+                      right_columns[rng() % right_columns.size()]});
+    }
+    std::vector<std::string> columns = left_columns;
+    columns.insert(columns.end(), right_columns.begin(), right_columns.end());
+    ExprPtr residual = RandomPredicate(rng, columns, 3);
+    const std::string text = residual->ToString();
+    ExprPtr reference = residual->Clone();
+    ASSERT_TRUE(reference->Bind(left.schema().Concat(right.schema())).ok());
+
+    std::vector<TuplePair> expected;
+    for (size_t l = 0; l < left.size(); ++l) {
+      for (size_t r = 0; r < right.size(); ++r) {
+        const Row row = ConcatRows(left.Gather(l), right.Gather(r));
+        bool keys_equal = true;
+        for (const JoinKey& key : keys) {
+          const Value& a = row[*left.schema().Resolve(key.left_ref)];
+          const Value& b =
+              row[left.schema().num_columns() +
+                  *right.schema().Resolve(key.right_ref)];
+          keys_equal = keys_equal && !a.is_null() && !b.is_null() && a == b;
+        }
+        if (keys_equal && ValueIsTrue(reference->Eval(row))) {
+          expected.emplace_back(l, r);
+        }
+      }
+    }
+    auto joined = JoinRows(left, right, keys, std::move(residual));
+    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+    EXPECT_EQ(*joined, expected)
+        << "residual " << text << " keys " << keys.size() << " parts "
+        << left.num_parts() << "+" << right.num_parts();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InPlaceResidualPropertyTest,
                          ::testing::Range<uint64_t>(1, 11));
 
 }  // namespace

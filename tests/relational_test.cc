@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/text_match.h"
 #include "relational/catalog.h"
 #include "relational/expression.h"
 #include "relational/join.h"
@@ -152,21 +151,20 @@ TEST_F(ExprTest, LikeExpression) {
   EXPECT_FALSE(ValueIsTrue(EvalOn(Like(Col("year"), "4"), 0)));
 }
 
-TEST_F(ExprTest, TextMatchExpression) {
-  Schema schema;
-  schema.AddColumn(Column{"d", "title", ValueType::kString});
-  schema.AddColumn(Column{"d", "authors", ValueType::kString});
-  Row row{Value::Str("Belief update in KBs"),
-          Value::Str(JoinFieldValues({"John Smith", "Mary Kao"}))};
-  ExprPtr match = TextMatch(Lit(Value::Str("belief update")),
-                            Col("d.title"));
-  ASSERT_TRUE(match->Bind(schema).ok());
-  EXPECT_TRUE(ValueIsTrue(match->Eval(row)));
-
-  ExprPtr cross = TextMatch(Lit(Value::Str("smith mary")),
-                            Col("d.authors"));
-  ASSERT_TRUE(cross->Bind(schema).ok());
-  EXPECT_FALSE(ValueIsTrue(cross->Eval(row)));
+TEST_F(ExprTest, OperandsThatAreExpressionsAreEvaluated) {
+  // Row 0: Radhika, AI, Garcia, 4. A comparison or LIKE whose operand is
+  // neither a column nor a literal evaluates it, then compares the result.
+  EXPECT_TRUE(ValueIsTrue(EvalOn(
+      Eq(Cmp(CompareOp::kGt, Col("year"), Lit(Value::Int(3))),
+         Lit(Value::Int(1))),
+      0)));
+  EXPECT_FALSE(ValueIsTrue(EvalOn(
+      Eq(Lit(Value::Int(1)),
+         Cmp(CompareOp::kGt, Col("year"), Lit(Value::Int(4)))),
+      0)));
+  // The nested comparison yields an integer, so LIKE is false.
+  EXPECT_FALSE(ValueIsTrue(
+      EvalOn(Like(Eq(Col("area"), Lit(Value::Str("AI"))), "%"), 0)));
 }
 
 TEST_F(ExprTest, BindFailsOnUnknownColumn) {
@@ -348,10 +346,6 @@ TEST(RowIdSetTest, PartsLocateGatherAndShareOwnership) {
   EXPECT_EQ(Rendered(subset),
             (std::vector<std::string>{Rendered(joined)[2],
                                       Rendered(joined)[0]}));
-  // AssignTo overwrites a reused row in place.
-  Row scratch(5, Value::Str("stale"));
-  joined.AssignTo(1, scratch);
-  EXPECT_EQ(scratch, joined.Gather(1));
 }
 
 // ------------------------------------------------------------- TableStats
