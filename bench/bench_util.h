@@ -56,18 +56,11 @@ inline Result<PreparedJoin> PrepareSingleJoin(const FederatedQuery& query,
     if (out.spec.left_schema.Resolve(ref).ok()) needs_left = true;
   }
   out.spec.left_columns_needed = needs_left;
-  for (const Row& row : table->rows()) {
-    bool pass = true;
-    for (const ExprPtr& pred : query.relational_predicates) {
-      ExprPtr bound = pred->Clone();
-      TEXTJOIN_RETURN_IF_ERROR(bound->Bind(out.spec.left_schema));
-      if (!ValueIsTrue(bound->Eval(row))) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) out.rows.push_back(row);
-  }
+  TEXTJOIN_ASSIGN_OR_RETURN(
+      std::vector<size_t> kept,
+      SelectRows(out.spec.left_schema, table->rows(),
+                 query.relational_predicates));
+  for (size_t r : kept) out.rows.push_back(table->row(r));
   return out;
 }
 

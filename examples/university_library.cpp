@@ -44,19 +44,11 @@ Result<std::pair<ForeignJoinSpec, std::vector<Row>>> Prepare(
   spec.left_columns_needed = needs_left;
 
   // Push the relational selections down onto the scan.
+  TEXTJOIN_ASSIGN_OR_RETURN(
+      std::vector<size_t> kept,
+      SelectRows(spec.left_schema, table->rows(), query.relational_predicates));
   std::vector<Row> rows;
-  for (const Row& row : table->rows()) {
-    bool pass = true;
-    for (const ExprPtr& pred : query.relational_predicates) {
-      ExprPtr bound = pred->Clone();
-      TEXTJOIN_RETURN_IF_ERROR(bound->Bind(spec.left_schema));
-      if (!ValueIsTrue(bound->Eval(row))) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) rows.push_back(row);
-  }
+  for (size_t r : kept) rows.push_back(table->row(r));
   return std::make_pair(std::move(spec), std::move(rows));
 }
 

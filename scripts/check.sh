@@ -92,11 +92,12 @@ for leg in "${legs[@]}"; do
     # Vectorized perf smoke (DESIGN.md §14): block-compressed vs the flat
     # reference kernels of tests/support on identical inputs, gated on the
     # geometric-mean speedup (3x target, 1.5x hard floor as the noise
-    # backstop); and Q5's relational join with its residual read in place
-    # vs the scratch-row path it replaced (1.5x target, 1.1x hard floor).
-    # Also refreshes the machine-readable BENCH_vectorized.json snapshot.
+    # backstop); and Q5's relational join with its residual selected per
+    # batch by Expr::Select vs evaluated per row on the scratch-row path it
+    # replaced (3x target, 1.1x hard floor). Also refreshes the
+    # machine-readable BENCH_vectorized.json snapshot.
     echo "==> [release] vectorized perf smoke (block vs reference kernels," \
-      "in-place residual)"
+      "batch residual vs scratch row)"
     "$build/bench/bench_micro" --perf_smoke \
       --snapshot_path="$build/BENCH_vectorized.json"
     # Multi-tenant fairness gates (DESIGN.md §15): quiet tenants keep

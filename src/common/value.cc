@@ -53,48 +53,6 @@ double Value::NumericValue() const {
   }
 }
 
-namespace {
-
-bool IsNumeric(ValueType t) {
-  return t == ValueType::kInt64 || t == ValueType::kDouble;
-}
-
-// Type rank used when comparing values of incomparable types:
-// NULL < numbers < strings.
-int TypeRank(ValueType t) {
-  switch (t) {
-    case ValueType::kNull:
-      return 0;
-    case ValueType::kInt64:
-    case ValueType::kDouble:
-      return 1;
-    case ValueType::kString:
-      return 2;
-  }
-  return 3;
-}
-
-}  // namespace
-
-int Value::Compare(const Value& other) const {
-  const ValueType a = type();
-  const ValueType b = other.type();
-  if (a == ValueType::kNull || b == ValueType::kNull) {
-    return TypeRank(a) - TypeRank(b);
-  }
-  if (IsNumeric(a) && IsNumeric(b)) {
-    const double x = NumericValue();
-    const double y = other.NumericValue();
-    if (x < y) return -1;
-    if (x > y) return 1;
-    return 0;
-  }
-  if (a == ValueType::kString && b == ValueType::kString) {
-    return AsString().compare(other.AsString());
-  }
-  return TypeRank(a) - TypeRank(b);
-}
-
 size_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:

@@ -68,7 +68,23 @@ class Value {
   /// Three-way comparison across the total order described above. Numeric
   /// values of different numeric types compare by numeric value. Comparing
   /// a string with a number orders by type tag (numbers < strings).
-  int Compare(const Value& other) const;
+  /// Inline, without the accessors' type checks: predicates, DISTINCT,
+  /// ORDER BY, hash-join buckets and aggregates call it per value.
+  int Compare(const Value& other) const {
+    const size_t a = rep_.index();
+    const size_t b = other.rep_.index();
+    if (a == kStringIndex && b == kStringIndex) {
+      return std::string_view(*std::get_if<std::string>(&rep_))
+          .compare(*std::get_if<std::string>(&other.rep_));
+    }
+    if (IsNumericIndex(a) && IsNumericIndex(b)) {
+      const double x = NumericOf(a);
+      const double y = other.NumericOf(b);
+      return (x > y) - (x < y);
+    }
+    // NULL < numbers < strings: the type rank is (index + 1) / 2.
+    return static_cast<int>((a + 1) / 2) - static_cast<int>((b + 1) / 2);
+  }
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
   bool operator!=(const Value& other) const { return Compare(other) != 0; }
@@ -87,7 +103,17 @@ class Value {
 
  private:
   using Rep = std::variant<std::monostate, int64_t, double, std::string>;
+  static constexpr size_t kStringIndex = 3;  ///< Rep's index of a string.
   explicit Value(Rep rep) : rep_(std::move(rep)) {}
+
+  static bool IsNumericIndex(size_t index) {
+    return index == 1 || index == 2;
+  }
+  /// The numeric value; requires rep_.index() == index, 1 or 2.
+  double NumericOf(size_t index) const {
+    return index == 1 ? static_cast<double>(*std::get_if<int64_t>(&rep_))
+                      : *std::get_if<double>(&rep_);
+  }
 
   Rep rep_;
 };

@@ -196,6 +196,13 @@ bool OuterColumnsNeeded(const QueryContext& ctx, uint64_t below) {
                      });
 }
 
+/// The refusal of a forced method that no complete plan admits.
+Status ForcedNotApplicable(JoinMethodKind method) {
+  return Status::InvalidArgument(std::string("forced join method ") +
+                                 JoinMethodName(method) +
+                                 " is not applicable to this query shape");
+}
+
 /// Pareto insertion over (est_cost, est_rows).
 void AddPlan(std::vector<std::shared_ptr<PlanNode>>& frontier,
              std::shared_ptr<PlanNode> plan, EnumeratorReport& report) {
@@ -434,11 +441,9 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
           if (options_.forced_method.has_value()) {
             // Pin the method (golden wall / ablations): take its entry —
             // with its individually optimal probe mask — from the ranked
-            // applicable list, and refuse shapes it does not apply to.
-            choice = Status::InvalidArgument(
-                std::string("forced join method ") +
-                JoinMethodName(*options_.forced_method) +
-                " is not applicable to this query shape");
+            // applicable list, and skip placements it does not apply to;
+            // the query is refused only when no complete plan remains.
+            choice = ForcedNotApplicable(*options_.forced_method);
             for (const MethodChoice& ranked :
                  optimizer.RankMethods(applicability)) {
               if (ranked.method == *options_.forced_method) {
@@ -446,6 +451,7 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
                 break;
               }
             }
+            if (!choice.ok()) continue;
           }
           if (!choice.ok()) return choice.status();
           auto node = MakeForeignJoinNode(subplan, query, *choice,
@@ -566,6 +572,9 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
 
   uint64_t final_mask = full_mask;
   if (table[final_mask].empty()) {
+    if (options_.forced_method.has_value()) {
+      return ForcedNotApplicable(*options_.forced_method);
+    }
     return Status::Internal("enumeration produced no plan for the query");
   }
   for (const auto& frontier : table) report_.plans_retained += frontier.size();

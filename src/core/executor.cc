@@ -72,23 +72,10 @@ Result<RowIdSet> PlanExecutor::ExecNode(const PlanNode& node,
     case PlanNode::Kind::kScan: {
       TEXTJOIN_ASSIGN_OR_RETURN(Table * table,
                                 catalog_->GetTable(node.table_name));
-      // Bound once per scan; Eval is read-only, so every row reuses them.
-      std::vector<ExprPtr> filters;
-      filters.reserve(node.filters.size());
-      for (const ExprPtr& filter : node.filters) {
-        filters.push_back(filter->Clone());
-        TEXTJOIN_RETURN_IF_ERROR(filters.back()->Bind(node.output_schema));
-      }
       const std::vector<Row>& rows = table->rows();
-      std::vector<size_t> ids;
-      for (size_t r = 0; r < rows.size(); ++r) {
-        if (std::all_of(filters.begin(), filters.end(),
-                        [&row = rows[r]](const ExprPtr& filter) {
-                          return ValueIsTrue(filter->Eval(row));
-                        })) {
-          ids.push_back(r);
-        }
-      }
+      TEXTJOIN_ASSIGN_OR_RETURN(
+          std::vector<size_t> ids,
+          SelectRows(node.output_schema, rows, node.filters));
       return RowIdSet::Borrowed(node.output_schema, rows, std::move(ids));
     }
     case PlanNode::Kind::kProbe: {
@@ -151,10 +138,7 @@ Result<RowIdSet> PlanExecutor::ExecNode(const PlanNode& node,
                        ? std::move(residual_parts[0])
                        : And(std::move(residual_parts));
       }
-      TEXTJOIN_ASSIGN_OR_RETURN(
-          std::vector<TuplePair> pairs,
-          JoinRows(lhs, rhs, node.hash_keys, std::move(residual)));
-      return RowIdSet::Join(lhs, rhs, pairs);
+      return JoinRows(lhs, rhs, node.hash_keys, std::move(residual));
     }
   }
   return Status::Internal("unknown plan node kind");
@@ -400,15 +384,13 @@ Result<ExecutionResult> ReferenceExecute(
     rows = std::move(next);
   }
   // 2. Relational predicates.
-  for (const ExprPtr& pred : query.relational_predicates) {
-    ExprPtr bound = pred->Clone();
-    TEXTJOIN_RETURN_IF_ERROR(bound->Bind(schema));
-    std::vector<Row> kept;
-    for (Row& row : rows) {
-      if (ValueIsTrue(bound->Eval(row))) kept.push_back(std::move(row));
-    }
-    rows = std::move(kept);
+  TEXTJOIN_ASSIGN_OR_RETURN(
+      std::vector<size_t> kept,
+      SelectRows(schema, rows, query.relational_predicates));
+  for (size_t i = 0; i < kept.size(); ++i) {
+    if (kept[i] != i) rows[i] = std::move(rows[kept[i]]);
   }
+  rows.resize(kept.size());
   ExecutionResult joined;
   if (!query.has_text_relation) {
     joined.schema = schema;

@@ -268,14 +268,16 @@ KeyGroups GroupRowsByTerms(const ResolvedSpec& rspec, const RowIdSet& tuples,
                            PredicateMask mask) {
   const std::vector<RowIdSet::ColumnRef> columns =
       MaskedJoinColumns(rspec, tuples, mask);
+  const size_t n = tuples.size();
+  const size_t width = tuples.num_parts();
   constexpr uint32_t kNoKey = std::numeric_limits<uint32_t>::max();
   constexpr uint32_t kUnseen = kNoKey - 1;
   // Each tuple's key code, where equal codes mean equal masked terms. Every
   // tuple starts with the one code of the empty key, and each part holding
   // masked columns folds its part-local key in; kNoKey drops the tuple.
-  std::vector<uint32_t> code(tuples.size(), 0);
+  std::vector<uint32_t> code(n, 0);
   size_t num_codes = 1;
-  for (size_t part = 0; part < tuples.num_parts(); ++part) {
+  for (size_t part = 0; part < width; ++part) {
     std::vector<size_t> cols;  // The part's masked columns.
     for (const RowIdSet::ColumnRef& c : columns) {
       if (c.part == part) cols.push_back(c.column);
@@ -299,7 +301,7 @@ KeyGroups GroupRowsByTerms(const ResolvedSpec& rspec, const RowIdSet& tuples,
                          [&](size_t c) { return str(a, c) == str(b, c); });
     };
     std::unordered_map<size_t, uint32_t, decltype(key_hash), decltype(key_eq)>
-        local_of(std::min(rows.size(), tuples.size()), key_hash, key_eq);
+        local_of(std::min(rows.size(), n), key_hash, key_eq);
     std::vector<uint32_t> key_of(rows.size(), kUnseen);
     const auto local_key = [&](size_t r) {
       uint32_t& key = key_of[r];
@@ -312,69 +314,86 @@ KeyGroups GroupRowsByTerms(const ResolvedSpec& rspec, const RowIdSet& tuples,
       key = all_strings ? local_of.try_emplace(r, next).first->second : kNoKey;
       return key;
     };
-    // While every live code is the same, a local key is the new code;
-    // otherwise (code, local key) pairs are numbered as they first occur.
-    const bool single_code = num_codes == 1;
-    std::unordered_map<uint64_t, uint32_t> combined;
-    for (size_t t = 0; t < tuples.size(); ++t) {
-      if (code[t] == kNoKey) continue;
-      const uint32_t local = local_key(tuples.id(t, part));
-      if (local == kNoKey || single_code) {
-        code[t] = local;
-      } else {
-        const auto next = static_cast<uint32_t>(combined.size());
-        code[t] = combined.try_emplace((uint64_t{code[t]} << 32) | local, next)
-                      .first->second;
+    // One pass over the part's ids. While every live code is the same, a
+    // local key is the new code; otherwise (code, local key) pairs are
+    // numbered as they first occur.
+    const size_t* id = tuples.ids().data() + part;
+    if (num_codes == 1) {
+      for (size_t t = 0; t < n; ++t, id += width) {
+        if (code[t] != kNoKey) code[t] = local_key(*id);
       }
+      num_codes = local_of.size();
+      continue;
     }
-    num_codes = single_code ? local_of.size() : combined.size();
+    std::unordered_map<uint64_t, uint32_t> combined;
+    for (size_t t = 0; t < n; ++t, id += width) {
+      if (code[t] == kNoKey) continue;
+      const uint32_t local = local_key(*id);
+      const auto next = static_cast<uint32_t>(combined.size());
+      code[t] = local == kNoKey
+                    ? kNoKey
+                    : combined.try_emplace((uint64_t{code[t]} << 32) | local,
+                                           next)
+                          .first->second;
+    }
+    num_codes = combined.size();
   }
 
-  // Groups in order of first appearance, each sized by a counting pass,
-  // with their terms read in place from their first tuple.
-  std::vector<size_t> count(num_codes, 0);
-  for (uint32_t c : code) {
-    if (c != kNoKey) ++count[c];
-  }
-  std::vector<std::vector<size_t>> group_tuples;
-  std::vector<const std::string*> group_terms;  // columns.size() per group.
-  group_tuples.reserve(num_codes);  // A group per live code.
-  group_terms.reserve(num_codes * columns.size());
-  std::vector<size_t> group_of(num_codes, SIZE_MAX);
-  for (size_t t = 0; t < tuples.size(); ++t) {
-    if (code[t] == kNoKey) continue;
-    size_t& g = group_of[code[t]];
-    if (g == SIZE_MAX) {
-      g = group_tuples.size();
-      group_tuples.emplace_back().reserve(count[code[t]]);
-      for (const RowIdSet::ColumnRef& c : columns) {
-        group_terms.push_back(&tuples.at(t, c).AsString());
-      }
+  // Calls `run(c, begin, end)` for each maximal run [begin, end) of tuples
+  // sharing the live code c, in tuple order.
+  const auto for_each_run = [&](auto run) {
+    for (size_t t = 0; t < n;) {
+      const uint32_t c = code[t];
+      size_t end = t + 1;
+      while (end < n && code[end] == c) ++end;
+      if (c != kNoKey) run(c, t, end);
+      t = end;
     }
-    group_tuples[g].push_back(t);
-  }
-  // Only the distinct keys are sorted, lexicographically by their term
-  // tuples (the order std::map<std::vector<std::string>, ...> iterates).
+  };
+  // Each code's tuple count and first tuple, whose terms are read in place.
+  std::vector<size_t> count(num_codes, 0);
+  std::vector<size_t> first(num_codes, 0);
+  for_each_run([&](uint32_t c, size_t begin, size_t end) {
+    if (count[c] == 0) first[c] = begin;
+    count[c] += end - begin;
+  });
+  // Only the live codes are sorted, lexicographically by their term tuples
+  // (the order std::map<std::vector<std::string>, ...> iterates).
   const size_t k = columns.size();
-  std::vector<size_t> order(group_tuples.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    for (size_t c = 0; c < k; ++c) {
-      const int cmp = group_terms[a * k + c]->compare(*group_terms[b * k + c]);
+  std::vector<const std::string*> terms(num_codes * k);
+  std::vector<uint32_t> order;
+  order.reserve(num_codes);
+  for (uint32_t c = 0; c < num_codes; ++c) {
+    if (count[c] == 0) continue;
+    order.push_back(c);
+    for (size_t i = 0; i < k; ++i) {
+      terms[c * k + i] = &tuples.at(first[c], columns[i]).AsString();
+    }
+  }
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    for (size_t i = 0; i < k; ++i) {
+      const int cmp = terms[a * k + i]->compare(*terms[b * k + i]);
       if (cmp != 0) return cmp < 0;
     }
     return false;
   });
+  // Each group's list is presized to its count, and the tuples are
+  // scattered into it a run at a time, so each list comes out ascending.
   KeyGroups out;
-  out.terms.reserve(order.size());
-  out.rows.reserve(order.size());
-  for (size_t g : order) {
-    out.terms.emplace_back().reserve(k);
-    for (size_t c = 0; c < k; ++c) {
-      out.terms.back().push_back(*group_terms[g * k + c]);
-    }
-    out.rows.push_back(std::move(group_tuples[g]));
+  out.terms.resize(order.size());
+  out.rows.resize(order.size());
+  std::vector<size_t*> cursor(num_codes, nullptr);
+  for (size_t g = 0; g < order.size(); ++g) {
+    const uint32_t c = order[g];
+    out.terms[g].reserve(k);
+    for (size_t i = 0; i < k; ++i) out.terms[g].push_back(*terms[c * k + i]);
+    out.rows[g].resize(count[c]);
+    cursor[c] = out.rows[g].data();
   }
+  for_each_run([&](uint32_t c, size_t begin, size_t end) {
+    size_t*& dst = cursor[c];
+    for (size_t t = begin; t < end; ++t) *dst++ = t;
+  });
   return out;
 }
 

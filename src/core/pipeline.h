@@ -212,8 +212,9 @@ class JoinTermMatcher {
 /// shape the DistinctKeys stage hands to slot-addressed downstream
 /// stages). Tuples with NULL/non-string join values are dropped (they
 /// cannot match); each group lists its tuples in ascending order. Each
-/// part's masked strings are hashed once per base row, and tuples are
-/// routed to their group by row id.
+/// part's masked strings are hashed once per base row, each masked part's
+/// ids are read in one pass, and runs of tuples with equal keys are
+/// counted and scattered into presized group lists as one.
 struct KeyGroups {
   std::vector<std::vector<std::string>> terms;  ///< Lexicographic order.
   std::vector<std::vector<size_t>> rows;        ///< Parallel to `terms`.

@@ -1,5 +1,10 @@
 #include "relational/expression.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <numeric>
+
 #include "common/string_util.h"
 
 namespace textjoin {
@@ -22,8 +27,10 @@ const char* CompareOpName(CompareOp op) {
   return "?";
 }
 
+namespace {
+
+/// A predicate result: non-null and numerically non-zero.
 bool ValueIsTrue(const Value& v) {
-  if (v.is_null()) return false;
   switch (v.type()) {
     case ValueType::kInt64:
     case ValueType::kDouble:
@@ -33,53 +40,118 @@ bool ValueIsTrue(const Value& v) {
   }
 }
 
+/// Keeps, in order, the candidates of `selection` that `keep` holds for.
+template <typename Keep>
+void Narrow(Selection& selection, Keep keep) {
+  size_t kept = 0;
+  for (size_t c : selection) {
+    if (keep(c)) selection[kept++] = c;
+  }
+  selection.resize(kept);
+}
+
+/// Removes `dropped`, a subset of `selection`, from `selection`; both
+/// strictly ascending.
+void Subtract(Selection& selection, const Selection& dropped) {
+  size_t next = 0;
+  Narrow(selection, [&](size_t c) {
+    if (next < dropped.size() && dropped[next] == c) {
+      ++next;
+      return false;
+    }
+    return true;
+  });
+}
+
+/// The three-way results each CompareOp (=, !=, <, <=, >, >=, in enum
+/// order) holds for, as a bit mask indexed by the result's sign plus one
+/// (bit 0: less, bit 1: equal, bit 2: greater).
+constexpr unsigned kAcceptedSigns[] = {0b010, 0b101, 0b001,
+                                       0b011, 0b100, 0b110};
+
+}  // namespace
+
+Result<std::vector<size_t>> SelectRows(const Schema& schema,
+                                       const std::vector<Row>& rows,
+                                       const std::vector<ExprPtr>& predicates) {
+  std::vector<ExprPtr> bound;
+  bound.reserve(predicates.size());
+  for (const ExprPtr& predicate : predicates) {
+    bound.push_back(predicate->Clone());
+    TEXTJOIN_RETURN_IF_ERROR(bound.back()->Bind(schema));
+  }
+  Selection selection(rows.size());
+  std::iota(selection.begin(), selection.end(), size_t{0});
+  RowBatch batch;
+  batch.rows = rows.data();
+  for (const ExprPtr& predicate : bound) {
+    if (selection.empty()) break;
+    predicate->Select(batch, selection);
+  }
+  return selection;
+}
+
+void LiteralExpr::Select(const RowBatch&, Selection& selection) const {
+  if (!ValueIsTrue(value_)) selection.clear();
+}
+
 Status ColumnRefExpr::Bind(const Schema& schema) {
   TEXTJOIN_ASSIGN_OR_RETURN(index_, schema.Resolve(ref_));
   bound_ = true;
   return Status::OK();
 }
 
+void ColumnRefExpr::Select(const RowBatch& batch,
+                           Selection& selection) const {
+  const size_t column = CandidateColumn(batch);
+  if (column == SIZE_MAX) {
+    if (!ValueIsTrue(batch.fixed[index_])) selection.clear();
+    return;
+  }
+  Narrow(selection,
+         [&](size_t c) { return ValueIsTrue(Read(batch, c, column)); });
+}
+
 ExprOperand::ExprOperand(ExprPtr expr)
     : expr_(std::move(expr)),
       column_(dynamic_cast<const ColumnRefExpr*>(expr_.get())),
-      literal_(dynamic_cast<const LiteralExpr*>(expr_.get())) {}
+      literal_(dynamic_cast<const LiteralExpr*>(expr_.get())) {
+  TEXTJOIN_CHECK(column_ != nullptr || literal_ != nullptr,
+                 "operand '%s' is neither a column nor a literal",
+                 expr_->ToString().c_str());
+}
+
+ExprOperand::Resolved ExprOperand::Resolve(const RowBatch& batch) const {
+  if (literal_ != nullptr) return {&literal_->value()};
+  const size_t column = column_->CandidateColumn(batch);
+  if (column == SIZE_MAX) return {&batch.fixed[column_->index()]};
+  return {nullptr, column_, column};
+}
 
 Status ComparisonExpr::Bind(const Schema& schema) {
   TEXTJOIN_RETURN_IF_ERROR(left_.expr().Bind(schema));
   return right_.expr().Bind(schema);
 }
 
-Value ComparisonExpr::Eval(const SplitRowView& row) const {
-  Value left_local;
-  Value right_local;
-  const Value& l = left_.Read(row, left_local);
-  const Value& r = right_.Read(row, right_local);
+void ComparisonExpr::Select(const RowBatch& batch,
+                            Selection& selection) const {
+  const ExprOperand::Resolved l = left_.Resolve(batch);
+  const ExprOperand::Resolved r = right_.Resolve(batch);
+  const unsigned accepted = kAcceptedSigns[static_cast<size_t>(op_)];
   // SQL-style: comparisons involving NULL are false (not unknown-propagating
   // three-valued logic; adequate for conjunctive queries).
-  if (l.is_null() || r.is_null()) return Value::Int(0);
-  const int c = l.Compare(r);
-  bool result = false;
-  switch (op_) {
-    case CompareOp::kEq:
-      result = c == 0;
-      break;
-    case CompareOp::kNe:
-      result = c != 0;
-      break;
-    case CompareOp::kLt:
-      result = c < 0;
-      break;
-    case CompareOp::kLe:
-      result = c <= 0;
-      break;
-    case CompareOp::kGt:
-      result = c > 0;
-      break;
-    case CompareOp::kGe:
-      result = c >= 0;
-      break;
+  const auto holds = [accepted](const Value& a, const Value& b) {
+    if (a.is_null() || b.is_null()) return false;
+    const int c = a.Compare(b);
+    return ((accepted >> ((c > 0) - (c < 0) + 1)) & 1u) != 0;
+  };
+  if (l.value != nullptr && r.value != nullptr) {  // The same for all.
+    if (!holds(*l.value, *r.value)) selection.clear();
+    return;
   }
-  return Value::Int(result ? 1 : 0);
+  Narrow(selection, [&](size_t c) {
+    return holds(l.Read(batch, c), r.Read(batch, c));
+  });
 }
 
 std::string ComparisonExpr::ToString() const {
@@ -94,20 +166,39 @@ Status LogicalExpr::Bind(const Schema& schema) {
   return Status::OK();
 }
 
-Value LogicalExpr::Eval(const SplitRowView& row) const {
+void LogicalExpr::Select(const RowBatch& batch, Selection& selection) const {
   switch (op_) {
     case LogicalOp::kAnd:
       for (const ExprPtr& child : children_) {
-        if (!ValueIsTrue(child->Eval(row))) return Value::Int(0);
+        if (selection.empty()) return;
+        child->Select(batch, selection);
       }
-      return Value::Int(1);
-    case LogicalOp::kOr:
+      return;
+    case LogicalOp::kOr: {
+      // Each child selects among the candidates no earlier child kept, and
+      // the kept candidates are merged back into ascending order.
+      Selection remaining = selection;
+      Selection picked;
+      Selection merged;
+      selection.clear();
       for (const ExprPtr& child : children_) {
-        if (ValueIsTrue(child->Eval(row))) return Value::Int(1);
+        if (remaining.empty()) break;
+        picked = remaining;
+        child->Select(batch, picked);
+        merged.clear();
+        std::set_union(selection.begin(), selection.end(), picked.begin(),
+                       picked.end(), std::back_inserter(merged));
+        selection.swap(merged);
+        Subtract(remaining, picked);
       }
-      return Value::Int(0);
-    case LogicalOp::kNot:
-      return Value::Int(ValueIsTrue(children_[0]->Eval(row)) ? 0 : 1);
+      return;
+    }
+    case LogicalOp::kNot: {
+      Selection held = selection;
+      children_[0]->Select(batch, held);
+      Subtract(selection, held);
+      return;
+    }
   }
   TEXTJOIN_UNREACHABLE("bad LogicalOp");
 }
@@ -133,11 +224,17 @@ ExprPtr LogicalExpr::Clone() const {
   return std::make_unique<LogicalExpr>(op_, std::move(copies));
 }
 
-Value LikeExpr::Eval(const SplitRowView& row) const {
-  Value local;
-  const Value& v = input_.Read(row, local);
-  if (v.type() != ValueType::kString) return Value::Int(0);
-  return Value::Int(LikeMatch(v.AsString(), pattern_) ? 1 : 0);
+void LikeExpr::Select(const RowBatch& batch, Selection& selection) const {
+  const auto matches = [this](const Value& v) {
+    return v.type() == ValueType::kString && LikeMatch(v.AsString(), pattern_);
+  };
+  const ExprOperand::Resolved input = input_.Resolve(batch);
+  if (input.value != nullptr) {  // The same for every candidate.
+    if (!matches(*input.value)) selection.clear();
+    return;
+  }
+  Narrow(selection,
+         [&](size_t c) { return matches(input.Read(batch, c)); });
 }
 
 ExprPtr Lit(Value v) { return std::make_unique<LiteralExpr>(std::move(v)); }

@@ -1,6 +1,7 @@
 #ifndef TEXTJOIN_RELATIONAL_EXPRESSION_H_
 #define TEXTJOIN_RELATIONAL_EXPRESSION_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,18 +12,20 @@
 #include "relational/tuple.h"
 
 /// \file
-/// Scalar expression AST and evaluator.
+/// Scalar predicate AST and its batch evaluator.
 ///
 /// Expressions are built unbound (column references by name), then Bind()
-/// resolves references against a schema. After a successful Bind, Eval is
-/// infallible: comparisons are total across types (see Value::Compare) and
-/// string functions return false on non-string inputs, which mirrors SQL's
-/// permissive string matching semantics the paper relies on for RTP.
+/// resolves references against a schema. After a successful Bind, Select
+/// is infallible: comparisons are total across types (see Value::Compare)
+/// and string functions return false on non-string inputs, which mirrors
+/// SQL's permissive string matching semantics the paper relies on for RTP.
 ///
-/// Eval reads its row in place: comparisons and LIKE read a column or a
-/// literal operand by reference, and the row may come in two pieces
-/// (SplitRowView), so a relational join evaluates its residual on the
-/// left tuple's row and the candidate's base row without copying either.
+/// Select narrows a selection of candidate rows (a RowBatch) per call, not
+/// one row: a comparison or LIKE resolves its operands once per call (a
+/// literal or a column of the batch's fixed piece is read once, a column
+/// of the candidates' rows by reference per candidate), and AND, OR and
+/// NOT combine their children's selections. So a scan filters its table
+/// and a relational join each left tuple's candidates in one call each.
 
 namespace textjoin {
 
@@ -38,17 +41,14 @@ class Expr {
   virtual ~Expr() = default;
 
   /// Resolves column references against `schema`. Must be called (and
-  /// succeed) before Eval.
+  /// succeed) before Select.
   virtual Status Bind(const Schema& schema) = 0;
 
-  /// Evaluates over a row matching the bound schema, read in place. The
-  /// row may come in two pieces, left ++ right (a join's two inputs); a
-  /// Row or a RowView converts to the one-piece SplitRowView implicitly,
-  /// so scan filters, joins and the reference executor share this one
-  /// entry point. The view is taken by reference: at four words it would
-  /// be copied through the stack on every call, which doubled the cost of
-  /// evaluating a join residual.
-  virtual Value Eval(const SplitRowView& row) const = 0;
+  /// Narrows `selection`, strictly ascending candidates of `batch` whose
+  /// rows match the bound schema, to those the predicate holds for, in
+  /// order. A predicate holds where it evaluates to a non-NULL, non-zero
+  /// number; a comparison involving NULL does not hold.
+  virtual void Select(const RowBatch& batch, Selection& selection) const = 0;
 
   /// Renders SQL-ish text for debugging and EXPLAIN output.
   virtual std::string ToString() const = 0;
@@ -63,8 +63,12 @@ class Expr {
 
 using ExprPtr = std::unique_ptr<Expr>;
 
-/// Interprets `v` as a predicate result: non-null and numerically non-zero.
-bool ValueIsTrue(const Value& v);
+/// The indices of `rows` (each of `schema`) every predicate holds for,
+/// ascending. Binds each predicate once, then narrows the selection of
+/// every row predicate by predicate. Fails if a predicate does not bind.
+Result<std::vector<size_t>> SelectRows(const Schema& schema,
+                                       const std::vector<Row>& rows,
+                                       const std::vector<ExprPtr>& predicates);
 
 /// A constant.
 class LiteralExpr final : public Expr {
@@ -72,7 +76,7 @@ class LiteralExpr final : public Expr {
   explicit LiteralExpr(Value value) : value_(std::move(value)) {}
 
   Status Bind(const Schema&) override { return Status::OK(); }
-  Value Eval(const SplitRowView&) const override { return value_; }
+  void Select(const RowBatch& batch, Selection& selection) const override;
   std::string ToString() const override { return value_.ToString(); }
   ExprPtr Clone() const override {
     return std::make_unique<LiteralExpr>(value_);
@@ -91,7 +95,7 @@ class ColumnRefExpr final : public Expr {
   explicit ColumnRefExpr(std::string ref) : ref_(std::move(ref)) {}
 
   Status Bind(const Schema& schema) override;
-  Value Eval(const SplitRowView& row) const override { return Read(row); }
+  void Select(const RowBatch& batch, Selection& selection) const override;
   std::string ToString() const override { return ref_; }
   ExprPtr Clone() const override {
     auto copy = std::make_unique<ColumnRefExpr>(ref_);
@@ -111,14 +115,23 @@ class ColumnRefExpr final : public Expr {
     return index_;
   }
 
-  /// The column's value in `row`, by reference. Requires a successful Bind
-  /// and a row of the bound schema's width.
-  const Value& Read(const SplitRowView& row) const {
+  /// The column's index within a candidate's base row of `batch`, or
+  /// SIZE_MAX when the column lies in the batch's fixed piece. Requires a
+  /// successful Bind.
+  size_t CandidateColumn(const RowBatch& batch) const {
     TEXTJOIN_CHECK(bound_, "ColumnRef '%s' evaluated before Bind",
                    ref_.c_str());
-    TEXTJOIN_CHECK(index_ < row.size(), "ColumnRef '%s' index out of range",
+    return index_ < batch.fixed.size() ? SIZE_MAX
+                                       : index_ - batch.fixed.size();
+  }
+
+  /// Column `column` (a CandidateColumn) of candidate c's base row, by
+  /// reference. Requires a row of the bound schema's width.
+  const Value& Read(const RowBatch& batch, size_t c, size_t column) const {
+    const Row& row = batch.candidate(c);
+    TEXTJOIN_CHECK(column < row.size(), "ColumnRef '%s' index out of range",
                    ref_.c_str());
-    return row[index_];
+    return row[column];
   }
 
  private:
@@ -127,9 +140,9 @@ class ColumnRefExpr final : public Expr {
   size_t index_ = 0;
 };
 
-/// An operand of a comparison or LIKE. A column or a literal is read by
-/// reference, in place; any other expression is evaluated into a local of
-/// the caller. Which of the three it is is decided once, at construction.
+/// An operand of a comparison or LIKE: a column or a literal, the only
+/// operands the SQL front end builds; constructing one over any other
+/// expression is a CHECK failure. Select resolves it once per call.
 class ExprOperand {
  public:
   explicit ExprOperand(ExprPtr expr);
@@ -137,14 +150,20 @@ class ExprOperand {
   Expr& expr() { return *expr_; }
   const Expr& expr() const { return *expr_; }
 
-  /// The operand's value over `row`: a reference into `row` or to the
-  /// literal, or to `local` after evaluating into it.
-  const Value& Read(const SplitRowView& row, Value& local) const {
-    if (column_ != nullptr) return column_->Read(row);
-    if (literal_ != nullptr) return literal_->value();
-    local = expr_->Eval(row);
-    return local;
-  }
+  /// The operand resolved against one batch: `value` is non-null when it
+  /// is the same for every candidate (a literal, or a column of the fixed
+  /// piece), read once; otherwise it is a column of each candidate's row.
+  struct Resolved {
+    const Value* value = nullptr;
+    const ColumnRefExpr* column = nullptr;
+    size_t index = 0;  ///< Within a candidate's base row.
+
+    /// Candidate c's value, by reference.
+    const Value& Read(const RowBatch& batch, size_t c) const {
+      return value != nullptr ? *value : column->Read(batch, c, index);
+    }
+  };
+  Resolved Resolve(const RowBatch& batch) const;
 
  private:
   ExprPtr expr_;
@@ -159,7 +178,7 @@ class ComparisonExpr final : public Expr {
       : op_(op), left_(std::move(left)), right_(std::move(right)) {}
 
   Status Bind(const Schema& schema) override;
-  Value Eval(const SplitRowView& row) const override;
+  void Select(const RowBatch& batch, Selection& selection) const override;
   std::string ToString() const override;
   ExprPtr Clone() const override {
     return std::make_unique<ComparisonExpr>(op_, left().Clone(),
@@ -193,7 +212,7 @@ class LogicalExpr final : public Expr {
   }
 
   Status Bind(const Schema& schema) override;
-  Value Eval(const SplitRowView& row) const override;
+  void Select(const RowBatch& batch, Selection& selection) const override;
   std::string ToString() const override;
   ExprPtr Clone() const override;
   void CollectColumns(std::vector<std::string>& out) const override {
@@ -217,7 +236,7 @@ class LikeExpr final : public Expr {
   Status Bind(const Schema& schema) override {
     return input_.expr().Bind(schema);
   }
-  Value Eval(const SplitRowView& row) const override;
+  void Select(const RowBatch& batch, Selection& selection) const override;
   std::string ToString() const override {
     return input_.expr().ToString() + " LIKE '" + pattern_ + "'";
   }
@@ -227,6 +246,9 @@ class LikeExpr final : public Expr {
   void CollectColumns(std::vector<std::string>& out) const override {
     input_.expr().CollectColumns(out);
   }
+
+  const Expr& input() const { return input_.expr(); }
+  const std::string& pattern() const { return pattern_; }
 
  private:
   ExprOperand input_;

@@ -28,12 +28,25 @@ RowView RowOf(const RowIdSet& set, size_t tuple, Row& gathered) {
   return gathered;
 }
 
+/// Points `batch`'s candidates at `set`'s tuples, candidate t being tuple
+/// t's row: a one-part set's base rows are read in place through its ids;
+/// a multi-part set's rows are gathered into `gathered` once.
+void PointAtTuples(const RowIdSet& set, RowBatch& batch,
+                   std::vector<Row>& gathered) {
+  if (set.num_parts() == 1) {
+    batch.rows = set.rows(0).data();
+    batch.ids = set.ids().data();
+    return;
+  }
+  gathered.resize(set.size());
+  for (size_t t = 0; t < set.size(); ++t) set.GatherInto(t, gathered[t]);
+  batch.rows = gathered.data();
+}
+
 }  // namespace
 
-Result<std::vector<TuplePair>> JoinRows(const RowIdSet& left,
-                                        const RowIdSet& right,
-                                        const std::vector<JoinKey>& keys,
-                                        ExprPtr residual) {
+Result<RowIdSet> JoinRows(const RowIdSet& left, const RowIdSet& right,
+                          const std::vector<JoinKey>& keys, ExprPtr residual) {
   std::vector<RowIdSet::ColumnRef> left_cols;
   std::vector<RowIdSet::ColumnRef> right_cols;
   for (const JoinKey& key : keys) {
@@ -44,13 +57,13 @@ Result<std::vector<TuplePair>> JoinRows(const RowIdSet& left,
     left_cols.push_back(l);
     right_cols.push_back(r);
   }
+  RowIdSet out = RowIdSet::JoinOf(left, right);
   if (residual != nullptr) {
-    TEXTJOIN_RETURN_IF_ERROR(
-        residual->Bind(left.schema().Concat(right.schema())));
+    TEXTJOIN_RETURN_IF_ERROR(residual->Bind(out.schema()));
   }
 
   // Candidates per left tuple: the right-tuple indices sharing its key, or
-  // every right tuple when there are no keys.
+  // every right tuple when there are no keys; ascending either way.
   std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> buckets;
   std::vector<size_t> every_right;
   Row key(keys.size());
@@ -63,12 +76,13 @@ Result<std::vector<TuplePair>> JoinRows(const RowIdSet& left,
     }
   }
 
-  // The residual reads the left tuple's row and each candidate's row in
-  // place: a one-part input's base row, or, for a multi-part input, its
-  // row gathered into a reused buffer (once per left tuple on the left).
+  // The residual selects among each left tuple's candidates in one call,
+  // with the left tuple's row as the batch's fixed piece.
+  RowBatch batch;
+  std::vector<Row> right_gathered;
+  if (residual != nullptr) PointAtTuples(right, batch, right_gathered);
   Row left_gathered;
-  Row right_gathered;
-  std::vector<TuplePair> out;
+  Selection selection;
   for (size_t l = 0; l < left.size(); ++l) {
     const std::vector<size_t>* candidates = &every_right;
     if (!keys.empty()) {
@@ -77,18 +91,15 @@ Result<std::vector<TuplePair>> JoinRows(const RowIdSet& left,
       if (it == buckets.end()) continue;
       candidates = &it->second;
     }
-    RowView left_row;
-    if (residual != nullptr && !candidates->empty()) {
-      left_row = RowOf(left, l, left_gathered);
+    if (candidates->empty()) continue;
+    if (residual == nullptr) {
+      out.AppendJoined(left, l, right, *candidates);
+      continue;
     }
-    for (size_t r : *candidates) {
-      if (residual != nullptr &&
-          !ValueIsTrue(residual->Eval(
-              SplitRowView(left_row, RowOf(right, r, right_gathered))))) {
-        continue;
-      }
-      out.emplace_back(l, r);
-    }
+    batch.fixed = RowOf(left, l, left_gathered);
+    selection.assign(candidates->begin(), candidates->end());
+    residual->Select(batch, selection);
+    out.AppendJoined(left, l, right, selection);
   }
   return out;
 }

@@ -24,27 +24,24 @@ struct JoinKey {
   std::string right_ref;  ///< Column in the right input.
 };
 
-/// Joins `left` with `right` and returns the joined (left tuple, right
-/// tuple) pairs. With `keys`, a right tuple is a candidate for a left
-/// tuple when every key pair compares equal (hash join on right-tuple
-/// indices); a key holding NULL on either side matches nothing, as `=`
-/// does. Without keys, every right tuple is a candidate (nested loop).
-/// `residual` (may be null) is bound against left.schema() ++
-/// right.schema() and filters each candidate pair. It reads the pair's
-/// values in place, as a SplitRowView over the left tuple's row and the
-/// candidate's row: an input of one part (a scan, or a probe over a scan,
-/// as every right input the enumerator builds) is read from its base row;
-/// an input of several parts has its tuple's row gathered into a reused
-/// row, once per left tuple on the left and once per candidate on the
-/// right.
+/// Joins `left` with `right` and returns the joined tuples, each written
+/// once: left's parts followed by right's (RowIdSet::JoinOf). With `keys`,
+/// a right tuple is a candidate for a left tuple when every key pair
+/// compares equal (hash join on right-tuple indices); a key holding NULL
+/// on either side matches nothing, as `=` does. Without keys, every right
+/// tuple is a candidate (nested loop). `residual` (may be null) is bound
+/// against left.schema() ++ right.schema() and selects among each left
+/// tuple's candidates in one Expr::Select call: the left tuple's row is
+/// the batch's fixed piece, and the candidates' rows are the right input's
+/// base rows read in place (a one-part input, as every right input the
+/// enumerator builds) or, for a multi-part input, its rows gathered once
+/// per call. A multi-part left tuple's row is gathered once per tuple.
 ///
-/// Pairs come in left-tuple order and, within one left tuple, in
+/// Tuples come in left-tuple order and, within one left tuple, in
 /// right-input order. Fails if a key does not resolve or the residual
 /// does not bind.
-Result<std::vector<TuplePair>> JoinRows(const RowIdSet& left,
-                                        const RowIdSet& right,
-                                        const std::vector<JoinKey>& keys,
-                                        ExprPtr residual);
+Result<RowIdSet> JoinRows(const RowIdSet& left, const RowIdSet& right,
+                          const std::vector<JoinKey>& keys, ExprPtr residual);
 
 }  // namespace textjoin
 

@@ -65,6 +65,7 @@ RowIdSet RowIdSet::Borrowed(Schema schema, const std::vector<Row>& rows,
   set.parts_.push_back({&rows, 0, schema.num_columns()});
   set.schema_ = std::move(schema);
   set.ids_ = std::move(ids);
+  set.size_ = set.ids_.size();
   return set;
 }
 
@@ -81,21 +82,7 @@ RowIdSet RowIdSet::Owned(Schema schema, std::vector<Row> rows) {
   return set;
 }
 
-namespace {
-
-/// Writes the `width` ids of tuple `tuple` of tuple-major `ids` at `out`,
-/// and returns the position after them.
-size_t* CopyIds(const std::vector<size_t>& ids, size_t width, size_t tuple,
-                size_t* out) {
-  const size_t* first = ids.data() + tuple * width;
-  for (size_t p = 0; p < width; ++p) out[p] = first[p];
-  return out + width;
-}
-
-}  // namespace
-
-RowIdSet RowIdSet::Join(const RowIdSet& left, const RowIdSet& right,
-                        const std::vector<TuplePair>& pairs) {
+RowIdSet RowIdSet::JoinOf(const RowIdSet& left, const RowIdSet& right) {
   RowIdSet set;
   set.schema_ = left.schema_.Concat(right.schema_);
   set.parts_ = left.parts_;
@@ -106,15 +93,35 @@ RowIdSet RowIdSet::Join(const RowIdSet& left, const RowIdSet& right,
   set.owned_ = left.owned_;
   set.owned_.insert(set.owned_.end(), right.owned_.begin(),
                     right.owned_.end());
+  return set;
+}
+
+void RowIdSet::AppendJoined(const RowIdSet& left, size_t l,
+                            const RowIdSet& right,
+                            std::span<const size_t> right_tuples) {
   const size_t left_width = left.parts_.size();
   const size_t right_width = right.parts_.size();
-  set.ids_.resize(pairs.size() * set.parts_.size());
-  size_t* out = set.ids_.data();
-  for (const auto& [l, r] : pairs) {
-    out = CopyIds(left.ids_, left_width, l, out);
-    out = CopyIds(right.ids_, right_width, r, out);
+  const size_t width = parts_.size();
+  TEXTJOIN_CHECK(width == left_width + right_width,
+                 "AppendJoined onto a set not made by JoinOf");
+  const size_t n = right_tuples.size();
+  const size_t old = ids_.size();
+  ids_.resize(old + n * width);
+  size_t* out = ids_.data() + old;
+  // Part by part, one strided pass over the new tuples (a per-tuple copy
+  // of a part-wide run would be a library call per tuple): the left
+  // tuple's ids repeat, and each right tuple's are read in turn.
+  for (size_t p = 0; p < left_width; ++p) {
+    const size_t id = left.id(l, p);
+    for (size_t k = 0; k < n; ++k) out[k * width + p] = id;
   }
-  return set;
+  for (size_t p = 0; p < right_width; ++p) {
+    const size_t* from = right.ids_.data() + p;
+    for (size_t k = 0; k < n; ++k) {
+      out[k * width + left_width + p] = from[right_tuples[k] * right_width];
+    }
+  }
+  size_ += n;
 }
 
 RowIdSet RowIdSet::Subset(const std::vector<size_t>& tuples) const {
@@ -122,9 +129,14 @@ RowIdSet RowIdSet::Subset(const std::vector<size_t>& tuples) const {
   set.schema_ = schema_;
   set.parts_ = parts_;
   set.owned_ = owned_;
-  set.ids_.resize(tuples.size() * parts_.size());
-  size_t* out = set.ids_.data();
-  for (size_t t : tuples) out = CopyIds(ids_, parts_.size(), t, out);
+  const size_t width = parts_.size();
+  set.ids_.resize(tuples.size() * width);
+  for (size_t p = 0; p < width; ++p) {
+    for (size_t k = 0; k < tuples.size(); ++k) {
+      set.ids_[k * width + p] = ids_[tuples[k] * width + p];
+    }
+  }
+  set.size_ = tuples.size();
   return set;
 }
 

@@ -17,15 +17,15 @@
 ///
 /// Four forms (DESIGN.md §14): the owning Row (a positional vector of
 /// values) used at API boundaries and in results, the non-owning RowView
-/// used by the batched execution hot path, the SplitRowView that
-/// expressions read (one or two RowViews read as one row, so a join
-/// evaluates its residual on two base rows in place), and the RowIdSet
-/// the plan executor carries between plan nodes: join tuples held as row
-/// ids into base rows that are read in place. A Row converts implicitly
-/// to a RowView and to a SplitRowView, so view-taking functions accept
-/// it. TupleBatch packs many fixed-width rows into one flat allocation;
-/// the join-method stages stage their document rows in it instead of one
-/// Row per document.
+/// used by the batched execution hot path, the RowBatch that predicates
+/// select from (one fixed row piece plus one base row per candidate, so a
+/// scan filters its table's rows and a join its candidates' rows in place),
+/// and the RowIdSet the plan executor carries between plan nodes: join
+/// tuples held as row ids into base rows that are read in place. A Row
+/// converts implicitly to a RowView, so view-taking functions accept it.
+/// TupleBatch packs many fixed-width rows into one flat allocation; the
+/// join-method stages stage their document rows in it instead of one Row
+/// per document.
 
 namespace textjoin {
 
@@ -36,26 +36,27 @@ using Row = std::vector<Value>;
 /// a Table, or a TupleBatch slot).
 using RowView = std::span<const Value>;
 
-/// A borrowed, read-only row that may come in two pieces: `left` followed
-/// by `right`, each viewed in place. Column i is left[i] while i is below
-/// left.size(), and right[i - left.size()] after. A Row or a RowView
-/// converts to it implicitly as the one-piece row.
-class SplitRowView {
- public:
-  SplitRowView(RowView row) : left_(row) {}     // NOLINT(runtime/explicit)
-  SplitRowView(const Row& row) : left_(row) {}  // NOLINT(runtime/explicit)
-  SplitRowView(RowView left, RowView right) : left_(left), right_(right) {}
+/// The rows a predicate selects among: a fixed piece, read once per call,
+/// and one base row per candidate. Candidate c's row is the fixed piece
+/// followed by rows[ids[c]] (rows[c] when `ids` is null), so column i is
+/// fixed[i] while i is below fixed.size(), and column i - fixed.size() of
+/// the candidate's base row after. A scan's batch has no fixed piece and
+/// its table's rows as candidates; a join's has the left tuple's row as the
+/// fixed piece and the right input's rows as candidates.
+struct RowBatch {
+  RowView fixed;
+  const Row* rows = nullptr;
+  const size_t* ids = nullptr;
 
-  size_t size() const { return left_.size() + right_.size(); }
-  /// Column `i`; requires i < size().
-  const Value& operator[](size_t i) const {
-    return i < left_.size() ? left_[i] : right_[i - left_.size()];
+  /// Candidate c's base row.
+  const Row& candidate(size_t c) const {
+    return rows[ids == nullptr ? c : ids[c]];
   }
-
- private:
-  RowView left_;
-  RowView right_;
 };
+
+/// Candidates of a RowBatch, strictly ascending. A predicate narrows it to
+/// the candidates it holds for.
+using Selection = std::vector<size_t>;
 
 /// Returns the concatenation of two rows (join output).
 Row ConcatRows(RowView left, RowView right);
@@ -129,9 +130,6 @@ class TupleBatch {
   std::vector<Value> values_;  ///< width_ * capacity_ slots, flat.
 };
 
-/// A joined pair: (tuple of the left input, tuple of the right input).
-using TuplePair = std::pair<size_t, size_t>;
-
 /// Join tuples held as row ids (DESIGN.md §14). Each tuple is one row id
 /// per part, and a part is a vector of base rows: a catalog table's,
 /// borrowed, or a materialized foreign-join output that the set shares
@@ -158,18 +156,22 @@ class RowIdSet {
   static RowIdSet BorrowedAll(Schema schema, const std::vector<Row>& rows);
   /// One part that owns `rows` and holds every one of them, in order.
   static RowIdSet Owned(Schema schema, std::vector<Row> rows);
-  /// The concatenation left ++ right of each pair's tuples, in `pairs`
-  /// order: the parts of `left` followed by the parts of `right`.
-  static RowIdSet Join(const RowIdSet& left, const RowIdSet& right,
-                       const std::vector<TuplePair>& pairs);
+  /// An empty set for the join of `left` and `right`: the parts of `left`
+  /// followed by the parts of `right`, over left ++ right's schema, sharing
+  /// both sets' owned parts. AppendJoined fills it.
+  static RowIdSet JoinOf(const RowIdSet& left, const RowIdSet& right);
+
+  /// Appends `left`'s tuple `l` joined with each of `right`'s tuples in
+  /// `right_tuples`, in order, writing each tuple's ids once. `left` and
+  /// `right` are the sets this set was made from by JoinOf.
+  void AppendJoined(const RowIdSet& left, size_t l, const RowIdSet& right,
+                    std::span<const size_t> right_tuples);
 
   /// The tuples at `tuples` (indices into this set), in the given order.
   RowIdSet Subset(const std::vector<size_t>& tuples) const;
 
   const Schema& schema() const { return schema_; }
-  size_t size() const {
-    return parts_.empty() ? 0 : ids_.size() / parts_.size();
-  }
+  size_t size() const { return size_; }
   size_t num_parts() const { return parts_.size(); }
 
   /// Column `index` of schema(), located in its part.
@@ -185,6 +187,9 @@ class RowIdSet {
   size_t id(size_t tuple, size_t part) const {
     return ids_[tuple * parts_.size() + part];
   }
+  /// Every tuple's ids, tuple-major: num_parts() ids per tuple, so part
+  /// p's ids are read in one pass at stride num_parts() from offset p.
+  const std::vector<size_t>& ids() const { return ids_; }
   /// `tuple`'s value of `column`, read in place.
   const Value& at(size_t tuple, ColumnRef column) const {
     return rows(column.part)[id(tuple, column.part)][column.column];
@@ -205,6 +210,7 @@ class RowIdSet {
   Schema schema_;
   std::vector<Part> parts_;
   std::vector<size_t> ids_;  ///< Tuple-major, parts_.size() ids per tuple.
+  size_t size_ = 0;          ///< The tuple count, ids_.size() / parts.
   /// The owned parts, shared with every set derived from this one.
   std::vector<std::shared_ptr<const std::vector<Row>>> owned_;
 };

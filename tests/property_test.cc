@@ -19,6 +19,7 @@
 #include "core/pipeline.h"
 #include "core/statistics.h"
 #include "relational/join.h"
+#include "tests/support/reference_expression.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
 
@@ -521,6 +522,20 @@ TEST_P(PreparedMatchPropertyTest, JoinTermMatcherAgreesWithTokenReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PreparedMatchPropertyTest,
                          ::testing::Range<uint64_t>(1, 11));
 
+/// Up to `max_pairs - 1` random (left tuple, right tuple) pairs, in random
+/// order and with repeats, joined into one set.
+RowIdSet RandomPairs(std::mt19937_64& rng, const RowIdSet& left,
+                     const RowIdSet& right, size_t max_pairs) {
+  RowIdSet joined = RowIdSet::JoinOf(left, right);
+  const size_t num_pairs = left.size() == 0 ? 0 : rng() % max_pairs;
+  for (size_t i = 0; i < num_pairs; ++i) {
+    const size_t l = rng() % left.size();
+    const std::vector<size_t> r = {rng() % right.size()};
+    joined.AppendJoined(left, l, right, r);
+  }
+  return joined;
+}
+
 class GroupRowsPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 /// Tuples of 1-3 parts with few base rows each, so base rows repeat across
@@ -565,11 +580,7 @@ TEST_P(GroupRowsPropertyTest, MatchesOrderedMapReference) {
     RowIdSet tuples = RowIdSet::BorrowedAll(schemas[0], base[0]);
     for (size_t p = 1; p < num_parts; ++p) {
       const RowIdSet next = RowIdSet::BorrowedAll(schemas[p], base[p]);
-      std::vector<TuplePair> pairs(tuples.size() == 0 ? 0 : rng() % 60);
-      for (TuplePair& pair : pairs) {
-        pair = {rng() % tuples.size(), rng() % next.size()};
-      }
-      tuples = RowIdSet::Join(tuples, next, pairs);
+      tuples = RandomPairs(rng, tuples, next, 60);
     }
     ForeignJoinSpec spec;
     spec.text = {"t", {"title"}};
@@ -641,21 +652,11 @@ Value RandomValue(std::mt19937_64& rng) {
   }
 }
 
-/// A comparison or LIKE operand: a column, a literal, or (as the operand
-/// read by evaluation, not in place) a nested comparison.
+/// A comparison or LIKE operand: a column or a literal.
 ExprPtr RandomOperand(std::mt19937_64& rng,
                       const std::vector<std::string>& columns) {
-  switch (rng() % 5) {
-    case 0:
-    case 1:
-      return Col(columns[rng() % columns.size()]);
-    case 2:
-    case 3:
-      return Lit(RandomValue(rng));
-    default:
-      return Cmp(static_cast<CompareOp>(rng() % 6),
-                 Col(columns[rng() % columns.size()]), Lit(RandomValue(rng)));
-  }
+  if (rng() % 2 == 0) return Col(columns[rng() % columns.size()]);
+  return Lit(RandomValue(rng));
 }
 
 /// A random predicate tree: the six comparisons and LIKE at the leaves,
@@ -710,11 +711,7 @@ RowIdSet RandomParts(std::mt19937_64& rng, const std::string& prefix,
   RowIdSet tuples = RowIdSet::BorrowedAll(schemas[0], base[0]);
   for (size_t p = 1; p < num_parts; ++p) {
     const RowIdSet next = RowIdSet::BorrowedAll(schemas[p], base[p]);
-    std::vector<TuplePair> pairs(tuples.size() == 0 ? 0 : rng() % 12);
-    for (TuplePair& pair : pairs) {
-      pair = {rng() % tuples.size(), rng() % next.size()};
-    }
-    tuples = RowIdSet::Join(tuples, next, pairs);
+    tuples = RandomPairs(rng, tuples, next, 12);
   }
   return tuples;
 }
@@ -722,9 +719,10 @@ RowIdSet RandomParts(std::mt19937_64& rng, const std::string& prefix,
 class InPlaceResidualPropertyTest
     : public ::testing::TestWithParam<uint64_t> {};
 
-/// JoinRows evaluates its residual on the two inputs' rows in place; the
-/// reference evaluates the same predicate on each candidate pair's
-/// concatenated, gathered row.
+/// JoinRows selects among each left tuple's candidates on the two inputs'
+/// rows in place; the reference evaluates the same predicate per row on
+/// each candidate pair's concatenated, gathered row. The joined sets must
+/// hold the same tuples, in the same order.
 TEST_P(InPlaceResidualPropertyTest, JoinRowsMatchesConcatenatedRows) {
   std::mt19937_64 rng(GetParam() * 7717u + 3);
   for (int round = 0; round < 60; ++round) {
@@ -748,7 +746,7 @@ TEST_P(InPlaceResidualPropertyTest, JoinRowsMatchesConcatenatedRows) {
     ExprPtr reference = residual->Clone();
     ASSERT_TRUE(reference->Bind(left.schema().Concat(right.schema())).ok());
 
-    std::vector<TuplePair> expected;
+    RowIdSet expected = RowIdSet::JoinOf(left, right);
     for (size_t l = 0; l < left.size(); ++l) {
       for (size_t r = 0; r < right.size(); ++r) {
         const Row row = ConcatRows(left.Gather(l), right.Gather(r));
@@ -758,22 +756,81 @@ TEST_P(InPlaceResidualPropertyTest, JoinRowsMatchesConcatenatedRows) {
           const Value& b =
               row[left.schema().num_columns() +
                   *right.schema().Resolve(key.right_ref)];
-          keys_equal = keys_equal && !a.is_null() && !b.is_null() && a == b;
+          keys_equal = keys_equal && !a.is_null() && !b.is_null() &&
+                       ReferenceCompare(a, b) == 0;
         }
-        if (keys_equal && ValueIsTrue(reference->Eval(row))) {
-          expected.emplace_back(l, r);
+        if (keys_equal && ReferenceHolds(*reference, row)) {
+          expected.AppendJoined(left, l, right, std::vector<size_t>{r});
         }
       }
     }
     auto joined = JoinRows(left, right, keys, std::move(residual));
     ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-    EXPECT_EQ(*joined, expected)
+    EXPECT_EQ(joined->size(), expected.size());
+    EXPECT_EQ(joined->ids(), expected.ids())
         << "residual " << text << " keys " << keys.size() << " parts "
         << left.num_parts() << "+" << right.num_parts();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InPlaceResidualPropertyTest,
+                         ::testing::Range<uint64_t>(1, 11));
+
+class SelectPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+/// Expr::Select over random batches (a fixed piece of 0-3 columns, 0-50
+/// candidates read directly or through ids with repeats, a random
+/// ascending input selection) keeps, in order, exactly the candidates the
+/// per-row reference holds for on the fixed piece ++ the candidate's row.
+TEST_P(SelectPropertyTest, KeepsWhatThePerRowReferenceHolds) {
+  std::mt19937_64 rng(GetParam() * 4391u + 17);
+  for (int round = 0; round < 200; ++round) {
+    const size_t fixed_width = rng() % 4;
+    const size_t row_width = 1 + rng() % 3;
+    Schema schema;
+    std::vector<std::string> columns;
+    for (size_t c = 0; c < fixed_width + row_width; ++c) {
+      const std::string table = c < fixed_width ? "f" : "k";
+      std::string name = "c";  // Two-step concat (see RandomConfig).
+      name += std::to_string(c);
+      schema.AddColumn(Column{table, name, ValueType::kString});
+      columns.push_back(table + "." + name);
+    }
+    Row fixed(fixed_width);
+    for (Value& v : fixed) v = RandomValue(rng);
+    const size_t num_candidates = rng() % 51;
+    const bool through_ids = rng() % 2 == 0;
+    std::vector<Row> rows(through_ids ? 1 + rng() % 20 : num_candidates);
+    for (Row& row : rows) {
+      for (size_t c = 0; c < row_width; ++c) row.push_back(RandomValue(rng));
+    }
+    std::vector<size_t> ids(num_candidates);
+    for (size_t& id : ids) id = rng() % rows.size();
+    const uint64_t keep_one_in = 1 + rng() % 4;
+    Selection selection;
+    for (size_t c = 0; c < num_candidates; ++c) {
+      if (rng() % keep_one_in == 0) selection.push_back(c);
+    }
+    ExprPtr predicate = RandomPredicate(rng, columns, 3);
+    ASSERT_TRUE(predicate->Bind(schema).ok());
+
+    RowBatch batch;
+    batch.fixed = fixed;
+    batch.rows = rows.data();
+    batch.ids = through_ids ? ids.data() : nullptr;
+    Selection expected;
+    for (size_t c : selection) {
+      if (ReferenceHolds(*predicate, ConcatRows(fixed, batch.candidate(c)))) {
+        expected.push_back(c);
+      }
+    }
+    predicate->Select(batch, selection);
+    EXPECT_EQ(selection, expected)
+        << predicate->ToString() << " fixed width " << fixed_width;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SelectPropertyTest,
                          ::testing::Range<uint64_t>(1, 11));
 
 }  // namespace

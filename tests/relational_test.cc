@@ -94,10 +94,19 @@ class ExprTest : public ::testing::Test {
  protected:
   ExprTest() : table_(MakeStudentTable()) {}
 
-  Value EvalOn(ExprPtr expr, size_t row_index) {
+  /// Whether bound `expr` holds for student row `row_index`: Select over
+  /// a batch of the table's rows, with that row the one candidate.
+  bool HoldsOn(const Expr& expr, size_t row_index) {
+    RowBatch batch;
+    batch.rows = table_->rows().data();
+    Selection selection = {row_index};
+    expr.Select(batch, selection);
+    return !selection.empty();
+  }
+  bool HoldsOn(ExprPtr expr, size_t row_index) {
     const Status st = expr->Bind(table_->schema());
     TEXTJOIN_CHECK(st.ok(), "%s", st.ToString().c_str());
-    return expr->Eval(table_->row(row_index));
+    return HoldsOn(*expr, row_index);
   }
 
   std::unique_ptr<Table> table_;
@@ -105,66 +114,123 @@ class ExprTest : public ::testing::Test {
 
 TEST_F(ExprTest, ComparisonOnStrings) {
   // Row 0: Radhika, AI, Garcia, 4.
-  EXPECT_TRUE(ValueIsTrue(
-      EvalOn(Eq(Col("student.area"), Lit(Value::Str("AI"))), 0)));
-  EXPECT_FALSE(ValueIsTrue(
-      EvalOn(Eq(Col("student.area"), Lit(Value::Str("IR"))), 0)));
+  EXPECT_TRUE(
+      HoldsOn(Eq(Col("student.area"), Lit(Value::Str("AI"))), 0));
+  EXPECT_FALSE(
+      HoldsOn(Eq(Col("student.area"), Lit(Value::Str("IR"))), 0));
 }
 
 TEST_F(ExprTest, ComparisonOperators) {
-  EXPECT_TRUE(ValueIsTrue(EvalOn(
-      Cmp(CompareOp::kGt, Col("year"), Lit(Value::Int(3))), 0)));
-  EXPECT_FALSE(ValueIsTrue(EvalOn(
-      Cmp(CompareOp::kGt, Col("year"), Lit(Value::Int(3))), 2)));
-  EXPECT_TRUE(ValueIsTrue(EvalOn(
-      Cmp(CompareOp::kLe, Col("year"), Lit(Value::Int(2))), 2)));
-  EXPECT_TRUE(ValueIsTrue(EvalOn(
-      Cmp(CompareOp::kNe, Col("advisor"), Lit(Value::Str("Garcia"))), 3)));
+  EXPECT_TRUE(HoldsOn(
+      Cmp(CompareOp::kGt, Col("year"), Lit(Value::Int(3))), 0));
+  EXPECT_FALSE(HoldsOn(
+      Cmp(CompareOp::kGt, Col("year"), Lit(Value::Int(3))), 2));
+  EXPECT_TRUE(HoldsOn(
+      Cmp(CompareOp::kLe, Col("year"), Lit(Value::Int(2))), 2));
+  EXPECT_TRUE(HoldsOn(
+      Cmp(CompareOp::kNe, Col("advisor"), Lit(Value::Str("Garcia"))), 3));
 }
 
 TEST_F(ExprTest, NullComparisonsAreFalse) {
-  EXPECT_FALSE(ValueIsTrue(EvalOn(
-      Eq(Col("name"), Lit(Value::Null())), 0)));
-  EXPECT_FALSE(ValueIsTrue(EvalOn(
-      Cmp(CompareOp::kNe, Col("name"), Lit(Value::Null())), 0)));
+  EXPECT_FALSE(HoldsOn(
+      Eq(Col("name"), Lit(Value::Null())), 0));
+  EXPECT_FALSE(HoldsOn(
+      Cmp(CompareOp::kNe, Col("name"), Lit(Value::Null())), 0));
 }
 
 TEST_F(ExprTest, LogicalOps) {
   std::vector<ExprPtr> both;
   both.push_back(Eq(Col("area"), Lit(Value::Str("AI"))));
   both.push_back(Cmp(CompareOp::kGt, Col("year"), Lit(Value::Int(3))));
-  EXPECT_TRUE(ValueIsTrue(EvalOn(And(std::move(both)), 0)));
+  EXPECT_TRUE(HoldsOn(And(std::move(both)), 0));
 
   std::vector<ExprPtr> either;
   either.push_back(Eq(Col("area"), Lit(Value::Str("nope"))));
   either.push_back(Eq(Col("advisor"), Lit(Value::Str("Garcia"))));
-  EXPECT_TRUE(ValueIsTrue(EvalOn(Or(std::move(either)), 0)));
+  EXPECT_TRUE(HoldsOn(Or(std::move(either)), 0));
 
-  EXPECT_FALSE(ValueIsTrue(
-      EvalOn(Not(Eq(Col("area"), Lit(Value::Str("AI")))), 0)));
+  EXPECT_FALSE(
+      HoldsOn(Not(Eq(Col("area"), Lit(Value::Str("AI")))), 0));
 }
 
 TEST_F(ExprTest, LikeExpression) {
-  EXPECT_TRUE(ValueIsTrue(EvalOn(Like(Col("name"), "Rad%"), 0)));
-  EXPECT_FALSE(ValueIsTrue(EvalOn(Like(Col("name"), "Rad%"), 1)));
+  EXPECT_TRUE(HoldsOn(Like(Col("name"), "Rad%"), 0));
+  EXPECT_FALSE(HoldsOn(Like(Col("name"), "Rad%"), 1));
   // LIKE on an integer column is false, not an error.
-  EXPECT_FALSE(ValueIsTrue(EvalOn(Like(Col("year"), "4"), 0)));
+  EXPECT_FALSE(HoldsOn(Like(Col("year"), "4"), 0));
 }
 
-TEST_F(ExprTest, OperandsThatAreExpressionsAreEvaluated) {
-  // Row 0: Radhika, AI, Garcia, 4. A comparison or LIKE whose operand is
-  // neither a column nor a literal evaluates it, then compares the result.
-  EXPECT_TRUE(ValueIsTrue(EvalOn(
-      Eq(Cmp(CompareOp::kGt, Col("year"), Lit(Value::Int(3))),
-         Lit(Value::Int(1))),
-      0)));
-  EXPECT_FALSE(ValueIsTrue(EvalOn(
-      Eq(Lit(Value::Int(1)),
-         Cmp(CompareOp::kGt, Col("year"), Lit(Value::Int(4)))),
-      0)));
-  // The nested comparison yields an integer, so LIKE is false.
-  EXPECT_FALSE(ValueIsTrue(
-      EvalOn(Like(Eq(Col("area"), Lit(Value::Str("AI"))), "%"), 0)));
+TEST_F(ExprTest, SelectNarrowsInOrder) {
+  // Rows: 0 Radhika/AI/Garcia/4, 1 Gravano/distributed systems/Garcia/5,
+  // 2 Kao/distributed systems/Garcia/2, 3 Smith/AI/Ullman/4,
+  // 4 Yan/IR/Ullman/6.
+  RowBatch batch;
+  batch.rows = table_->rows().data();
+  const auto select = [&](ExprPtr expr, Selection selection) {
+    EXPECT_TRUE(expr->Bind(table_->schema()).ok());
+    expr->Select(batch, selection);
+    return selection;
+  };
+  EXPECT_EQ(select(Eq(Col("advisor"), Lit(Value::Str("Garcia"))),
+                   {0, 1, 2, 3, 4}),
+            (Selection{0, 1, 2}));
+  // Candidates outside the selection are never kept.
+  EXPECT_EQ(select(Eq(Col("advisor"), Lit(Value::Str("Garcia"))), {1, 4}),
+            (Selection{1}));
+  std::vector<ExprPtr> either;
+  either.push_back(Cmp(CompareOp::kGt, Col("year"), Lit(Value::Int(4))));
+  either.push_back(Eq(Col("area"), Lit(Value::Str("AI"))));
+  EXPECT_EQ(select(Or(std::move(either)), {0, 1, 2, 3, 4}),
+            (Selection{0, 1, 3, 4}));
+  EXPECT_EQ(select(Not(Like(Col("name"), "%a%")), {0, 1, 2, 3, 4}),
+            (Selection{3}));
+  // A constant comparison keeps all or nothing.
+  EXPECT_EQ(select(Eq(Lit(Value::Int(1)), Lit(Value::Real(1.0))), {2, 3}),
+            (Selection{2, 3}));
+  EXPECT_EQ(select(Eq(Lit(Value::Int(1)), Lit(Value::Null())), {2, 3}),
+            Selection{});
+}
+
+TEST_F(ExprTest, FixedPieceColumnsAreReadOncePerCall) {
+  // A join's batch: the left row is the fixed piece, and the candidates'
+  // rows follow it, so "s2.*" columns index past the fixed width.
+  const Schema joined =
+      table_->schema().Concat(table_->schema().WithQualifier("s2"));
+  ExprPtr expr = Cmp(CompareOp::kLt, Col("student.year"), Col("s2.year"));
+  ASSERT_TRUE(expr->Bind(joined).ok());
+  RowBatch batch;
+  batch.fixed = table_->row(0);  // year 4
+  batch.rows = table_->rows().data();
+  const std::vector<size_t> ids = {4, 3, 1, 1};  // years 6, 4, 5, 5
+  batch.ids = ids.data();
+  Selection selection = {0, 1, 2, 3};
+  expr->Select(batch, selection);
+  EXPECT_EQ(selection, (Selection{0, 2, 3}));
+}
+
+TEST_F(ExprTest, OperandsMustBeColumnsOrLiterals) {
+  EXPECT_DEATH(Eq(Cmp(CompareOp::kGt, Col("year"), Lit(Value::Int(3))),
+                  Lit(Value::Int(1))),
+               "neither a column nor a literal");
+  EXPECT_DEATH(Like(Eq(Col("area"), Lit(Value::Str("AI"))), "%"),
+               "neither a column nor a literal");
+}
+
+TEST_F(ExprTest, SelectRowsKeepsRowsEveryPredicateHolds) {
+  std::vector<ExprPtr> predicates;
+  predicates.push_back(Eq(Col("advisor"), Lit(Value::Str("Garcia"))));
+  predicates.push_back(Cmp(CompareOp::kGe, Col("year"), Lit(Value::Int(4))));
+  auto kept = SelectRows(table_->schema(), table_->rows(), predicates);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_EQ(*kept, (std::vector<size_t>{0, 1}));
+  auto all = SelectRows(table_->schema(), table_->rows(), {});
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(*all, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  predicates.push_back(Eq(Col("nope"), Lit(Value::Int(1))));
+  EXPECT_EQ(SelectRows(table_->schema(), table_->rows(), predicates)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(ExprTest, BindFailsOnUnknownColumn) {
@@ -176,7 +242,7 @@ TEST_F(ExprTest, CloneIsDeepAndIndependent) {
   ExprPtr expr = Eq(Col("area"), Lit(Value::Str("AI")));
   ExprPtr copy = expr->Clone();
   ASSERT_TRUE(copy->Bind(table_->schema()).ok());
-  EXPECT_TRUE(ValueIsTrue(copy->Eval(table_->row(0))));
+  EXPECT_TRUE(HoldsOn(*copy, 0));
   EXPECT_EQ(expr->ToString(), copy->ToString());
 }
 
@@ -211,40 +277,52 @@ std::vector<std::string> Rendered(const RowIdSet& set) {
   return out;
 }
 
+/// Each tuple's row ids, one per part.
+std::vector<std::vector<size_t>> Ids(const RowIdSet& set) {
+  std::vector<std::vector<size_t>> out(set.size());
+  for (size_t t = 0; t < set.size(); ++t) {
+    for (size_t p = 0; p < set.num_parts(); ++p) {
+      out[t].push_back(set.id(t, p));
+    }
+  }
+  return out;
+}
+
 /// Students 0-2 have advisor Garcia, 3-4 Ullman: the advisor equi-join's
-/// pairs, left-major and in right-input order.
-const std::vector<TuplePair> kSameAdvisor = {
+/// (left, right) ids, left-major and in right-input order.
+const std::vector<std::vector<size_t>> kSameAdvisor = {
     {0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}, {2, 0},
     {2, 1}, {2, 2}, {3, 3}, {3, 4}, {4, 3}, {4, 4}};
 
 TEST_F(JoinRowsTest, CrossProductWithoutKeys) {
-  auto pairs = JoinRows(left_, right_, {}, nullptr);
-  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
-  ASSERT_EQ(pairs->size(), 25u);
-  for (size_t i = 0; i < pairs->size(); ++i) {
-    EXPECT_EQ((*pairs)[i], TuplePair(i / 5, i % 5));
+  auto joined = JoinRows(left_, right_, {}, nullptr);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  ASSERT_EQ(joined->size(), 25u);
+  EXPECT_EQ(joined->num_parts(), 2u);
+  const std::vector<std::vector<size_t>> ids = Ids(*joined);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(ids[i], (std::vector<size_t>{i / 5, i % 5}));
   }
-  const RowIdSet joined = RowIdSet::Join(left_, right_, *pairs);
-  EXPECT_EQ(joined.num_parts(), 2u);
-  EXPECT_EQ(joined.Gather(7),
-            ConcatRows(table_->row(1), table_->row(2)));
+  EXPECT_EQ(joined->Gather(7), ConcatRows(table_->row(1), table_->row(2)));
 }
 
 TEST_F(JoinRowsTest, EquiKeys) {
-  auto pairs =
+  auto joined =
       JoinRows(left_, right_, {{"student.advisor", "s2.advisor"}}, nullptr);
-  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
-  EXPECT_EQ(*pairs, kSameAdvisor);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(Ids(*joined), kSameAdvisor);
 }
 
 TEST_F(JoinRowsTest, ResidualPredicate) {
-  auto pairs = JoinRows(left_, right_, {{"student.advisor", "s2.advisor"}},
-                        Cmp(CompareOp::kNe, Col("student.name"),
-                            Col("s2.name")));
-  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+  auto joined = JoinRows(left_, right_, {{"student.advisor", "s2.advisor"}},
+                         Cmp(CompareOp::kNe, Col("student.name"),
+                             Col("s2.name")));
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
   // The 13 same-advisor pairs less the 5 self-pairs.
-  EXPECT_EQ(*pairs, (std::vector<TuplePair>{{0, 1}, {0, 2}, {1, 0}, {1, 2},
-                                            {2, 0}, {2, 1}, {3, 4}, {4, 3}}));
+  EXPECT_EQ(Ids(*joined),
+            (std::vector<std::vector<size_t>>{
+                {0, 1}, {0, 2}, {1, 0}, {1, 2}, {2, 0}, {2, 1}, {3, 4},
+                {4, 3}}));
 }
 
 TEST_F(JoinRowsTest, HashAndNestedLoopAgreeInOrder) {
@@ -255,8 +333,8 @@ TEST_F(JoinRowsTest, HashAndNestedLoopAgreeInOrder) {
   ASSERT_TRUE(nested.ok()) << nested.status().ToString();
   ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
   // Left-tuple major, each left tuple's matches in right-input order.
-  EXPECT_EQ(*nested, kSameAdvisor);
-  EXPECT_EQ(*hashed, kSameAdvisor);
+  EXPECT_EQ(Ids(*nested), kSameAdvisor);
+  EXPECT_EQ(Ids(*hashed), kSameAdvisor);
 }
 
 TEST_F(JoinRowsTest, NullKeysMatchNothing) {
@@ -271,36 +349,50 @@ TEST_F(JoinRowsTest, NullKeysMatchNothing) {
   auto nested = JoinRows(left, right, {}, Eq(Col("a.k"), Col("b.k")));
   ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
   ASSERT_TRUE(nested.ok()) << nested.status().ToString();
-  EXPECT_EQ(*hashed, (std::vector<TuplePair>{{1, 1}}));
-  EXPECT_EQ(*nested, (std::vector<TuplePair>{{1, 1}}));
+  EXPECT_EQ(Ids(*hashed), (std::vector<std::vector<size_t>>{{1, 1}}));
+  EXPECT_EQ(Ids(*nested), (std::vector<std::vector<size_t>>{{1, 1}}));
 }
 
 TEST_F(JoinRowsTest, MultiPartInputsReadInPlace) {
   // (student ⋈ s2 on advisor) ⋈ s3: keys and residual read columns of
-  // either part of the joined left input.
-  const RowIdSet pairs_set = RowIdSet::Join(left_, right_, kSameAdvisor);
+  // either part of the joined left input, and a multi-part right input's
+  // rows are gathered for the residual.
+  auto pairs_set =
+      JoinRows(left_, right_, {{"student.advisor", "s2.advisor"}}, nullptr);
+  ASSERT_TRUE(pairs_set.ok()) << pairs_set.status().ToString();
   const RowIdSet third = RowIdSet::BorrowedAll(
       table_->schema().WithQualifier("s3"), table_->rows());
-  auto hashed = JoinRows(pairs_set, third, {{"s2.name", "s3.name"}},
+  auto hashed = JoinRows(*pairs_set, third, {{"s2.name", "s3.name"}},
                          Cmp(CompareOp::kLt, Col("student.year"),
                              Col("s3.year")));
   ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
-  std::vector<TuplePair> expected;
-  for (size_t t = 0; t < kSameAdvisor.size(); ++t) {
-    const auto [s, s2] = kSameAdvisor[t];
+  std::vector<std::vector<size_t>> expected;
+  for (const std::vector<size_t>& pair : kSameAdvisor) {
+    const size_t s = pair[0];
+    const size_t s2 = pair[1];
     if (table_->row(s)[3].AsInt() < table_->row(s2)[3].AsInt()) {
-      expected.emplace_back(t, s2);
+      expected.push_back({s, s2, s2});
     }
   }
-  EXPECT_EQ(*hashed, expected);
-  const RowIdSet joined = RowIdSet::Join(pairs_set, third, *hashed);
-  ASSERT_EQ(joined.num_parts(), 3u);
-  for (size_t t = 0; t < joined.size(); ++t) {
-    const auto [s, s2] = kSameAdvisor[expected[t].first];
-    EXPECT_EQ(joined.Gather(t),
-              ConcatRows(ConcatRows(table_->row(s), table_->row(s2)),
-                         table_->row(s2)));
+  EXPECT_EQ(Ids(*hashed), expected);
+  for (size_t t = 0; t < hashed->size(); ++t) {
+    EXPECT_EQ(hashed->Gather(t),
+              ConcatRows(ConcatRows(table_->row(expected[t][0]),
+                                    table_->row(expected[t][1])),
+                         table_->row(expected[t][2])));
   }
+  // The same join with the multi-part set on the right.
+  auto flipped = JoinRows(third, *pairs_set, {{"s3.name", "s2.name"}},
+                          Cmp(CompareOp::kLt, Col("student.year"),
+                              Col("s3.year")));
+  ASSERT_TRUE(flipped.ok()) << flipped.status().ToString();
+  std::vector<std::vector<size_t>> flipped_expected;
+  for (size_t s3 = 0; s3 < table_->num_rows(); ++s3) {
+    for (const std::vector<size_t>& e : expected) {
+      if (e[2] == s3) flipped_expected.push_back({s3, e[0], e[1]});
+    }
+  }
+  EXPECT_EQ(Ids(*flipped), flipped_expected);
 }
 
 TEST_F(JoinRowsTest, UnresolvableKeyOrResidualIsAnError) {
@@ -325,7 +417,9 @@ TEST(RowIdSetTest, PartsLocateGatherAndShareOwnership) {
       doc_schema, {{Value::Str("doc0")}, {Value::Str("doc1")}});
   const RowIdSet scan =
       RowIdSet::Borrowed(students->schema(), students->rows(), {4, 1});
-  RowIdSet joined = RowIdSet::Join(scan, docs, {{1, 0}, {0, 1}, {0, 0}});
+  RowIdSet joined = RowIdSet::JoinOf(scan, docs);
+  joined.AppendJoined(scan, 1, docs, std::vector<size_t>{0});
+  joined.AppendJoined(scan, 0, docs, std::vector<size_t>{1, 0});
   docs = RowIdSet();  // The joined set keeps the owned rows alive.
   ASSERT_EQ(joined.size(), 3u);
   EXPECT_EQ(joined.schema().num_columns(), 5u);
