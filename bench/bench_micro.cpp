@@ -5,15 +5,17 @@
 // tests/support, phrase adjacency, index build, Boolean search evaluation,
 // tokenization, the relational hash join, Q5's relational join with its
 // residual selected per batch and evaluated per row on the scratch row it
-// replaced, Q5's probe grouping, and the paper's Q5 through the whole
-// service. A custom main() additionally emits the machine-readable
+// replaced, Q5's probe grouping, the paper's Q5 through the whole service,
+// and planning each paper query on a plan-cache hit against planning it
+// from scratch. A custom main() additionally emits the machine-readable
 // BENCH_vectorized.json snapshot (rows/sec, ns/row, heap allocations) and
 // hosts the release perf-smoke gates:
 //
 //   bench_micro                         # full google-benchmark suite + JSON
 //   bench_micro --snapshot_only         # just the JSON snapshot section
-//   bench_micro --perf_smoke            # snapshot + block-vs-reference and
-//                                       # batch-vs-scratch-row gates
+//   bench_micro --perf_smoke            # snapshot + block-vs-reference,
+//                                       # batch-vs-scratch-row and
+//                                       # plan-cache-hit gates
 //   bench_micro --snapshot_path=<file>  # where the JSON lands
 //                                       # (default BENCH_vectorized.json)
 
@@ -22,14 +24,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <string_view>
 
 #include "bench/bench_util.h"
 #include "common/arena.h"
 #include "common/random.h"
 #include "common/text_match.h"
+#include "core/enumerator.h"
 #include "relational/join.h"
 #include "sql/federation_service.h"
+#include "sql/parser.h"
 #include "tests/support/reference_expression.h"
 #include "tests/support/reference_postings.h"
 #include "text/engine.h"
@@ -543,7 +548,8 @@ std::vector<bench::BenchRecord> RunVectorizedSnapshot() {
     // sampled statistics: a P+RTP foreign join over the student x faculty
     // nested-loop join. rows = the relational join's tuples, the outer
     // side the plan carries as row ids; every timed run's rows and meter
-    // are CHECKed against a reference service's run.
+    // are CHECKed against a reference service's run. The text is planned
+    // once, in the warm-up: the timed runs take the plan from the cache.
     auto built = BuildQ5(Q5Config{});
     TEXTJOIN_CHECK(built.ok(), "q5");
     FederationService::Options options;
@@ -572,6 +578,50 @@ std::vector<bench::BenchRecord> RunVectorizedSnapshot() {
                      "q5 rows or meter differ from the reference run");
     }));
   }
+  {
+    // Planning each paper query (Q1-Q5, sampled statistics) on a warm
+    // service: Explain on a plan-cache hit, against what the hit skips —
+    // ParseQuery, Enumerator::Optimize and the EXPLAIN rendering, run
+    // standalone against the same service's registry and document count.
+    // rows = calls; both records must render the text Explain returned
+    // when it planned the query.
+    Result<PaperScenario> built[] = {BuildQ1(Q1Config{}), BuildQ2(Q2Config{}),
+                                     BuildQ3(Q3Config{}), BuildQ4(Q4Config{}),
+                                     BuildQ5(Q5Config{})};
+    for (size_t q = 0; q < std::size(built); ++q) {
+      TEXTJOIN_CHECK(built[q].ok(), "paper query");
+      const Scenario& scenario = built[q]->scenario;
+      const std::string sql = built[q]->query.ToString();
+      FederationService::Options options;
+      options.text = scenario.text;
+      options.oracle_stats = false;
+      FederationService service(scenario.catalog.get(),
+                                scenario.engine.get(), options);
+      const auto planned = service.Explain(sql);  // Samples and plans.
+      TEXTJOIN_CHECK(planned.ok(), "paper query explain");
+      const std::string number = std::to_string(q + 1);
+      std::string uncached;
+      out.push_back(TimeLoop("explain_uncached_q" + number, 2000, 1.0, [&] {
+        auto query = ParseQuery(sql, scenario.text);
+        TEXTJOIN_CHECK(query.ok(), "parse");
+        Enumerator enumerator(scenario.catalog.get(), &service.stats(),
+                              scenario.engine->num_documents(),
+                              scenario.engine->max_search_terms(),
+                              EnumeratorOptions{});
+        auto plan = enumerator.Optimize(*query);
+        TEXTJOIN_CHECK(plan.ok(), "optimize");
+        uncached = query->ToString() + "\n" + (*plan)->ToString(*query);
+      }));
+      std::string hit;
+      out.push_back(TimeLoop("explain_hit_q" + number, 20000, 1.0, [&] {
+        auto explained = service.Explain(sql);
+        TEXTJOIN_CHECK(explained.ok(), "explain");
+        hit = std::move(*explained);
+      }));
+      TEXTJOIN_CHECK(hit == *planned && uncached == *planned,
+                     "a plan-cache hit renders another plan than planning");
+    }
+  }
   return out;
 }
 
@@ -586,10 +636,15 @@ bool Gate(const char* what, double speedup, double target, double backstop) {
   return pass;
 }
 
+/// Planning budget for a plan-cache hit, per call (Explain, sampled
+/// statistics).
+constexpr double kExplainHitBudgetUs = 5.0;
+
 /// Release perf-smoke gates. Block-vs-reference speedup per kernel pair,
-/// gated on the geometric mean against the ≥3x design goal; and Q5's
+/// gated on the geometric mean against the ≥3x design goal; Q5's
 /// relational join, its residual selected per batch by Expr::Select,
-/// against the per-row scratch-row path it replaced.
+/// against the per-row scratch-row path it replaced; and Explain on a
+/// plan-cache hit within kExplainHitBudgetUs for every paper query.
 int PerfSmoke(const std::vector<bench::BenchRecord>& records) {
   const std::pair<const char*, const char*> pairs[] = {
       {"intersect_legacy_64k", "intersect_block_64k"},
@@ -599,7 +654,7 @@ int PerfSmoke(const std::vector<bench::BenchRecord>& records) {
       {"search_conjunction_legacy", "search_conjunction_block"},
       {"search_disjunction_legacy", "search_disjunction_block"},
   };
-  auto find = [&](const char* name) -> const bench::BenchRecord& {
+  auto find = [&](const std::string& name) -> const bench::BenchRecord& {
     for (const bench::BenchRecord& r : records) {
       if (r.name == name) return r;
     }
@@ -635,7 +690,25 @@ int PerfSmoke(const std::vector<bench::BenchRecord>& records) {
   const bool residual_pass =
       Gate("speedup", bench::NsPerRow(scratch_row) / bench::NsPerRow(batch),
            /*target=*/3.0, /*backstop=*/1.1);
-  return kernels_pass && residual_pass ? 0 : 1;
+
+  bench::PrintHeader(
+      "Perf smoke — planning a paper query: plan-cache hit vs from scratch");
+  std::printf("%-10s %14s %12s %10s\n", "query", "uncached us", "hit us",
+              "speedup");
+  bool explain_pass = true;
+  for (int q = 1; q <= 5; ++q) {
+    const std::string number = std::to_string(q);
+    const double uncached_us =
+        bench::NsPerRow(find("explain_uncached_q" + number)) / 1e3;
+    const double hit_us =
+        bench::NsPerRow(find("explain_hit_q" + number)) / 1e3;
+    std::printf("q%-9d %14.2f %12.2f %9.1fx\n", q, uncached_us, hit_us,
+                uncached_us / hit_us);
+    explain_pass = explain_pass && hit_us <= kExplainHitBudgetUs;
+  }
+  std::printf("\nplan-cache hit <= %.1f us on every paper query %s\n",
+              kExplainHitBudgetUs, explain_pass ? "PASS" : "FAIL");
+  return kernels_pass && residual_pass && explain_pass ? 0 : 1;
 }
 
 }  // namespace

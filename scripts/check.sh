@@ -77,13 +77,14 @@ for leg in "${legs[@]}"; do
     # The schedule-sensitive determinism grids (sharding, pipeline,
     # cancellation, mutation), the deadline-shed, executor-cancel and
     # probe-reducer tests (overload, join methods), the cache's flight
-    # handoff and shared-cache stress tests (cache) and the multi-relation
-    # plan parity grid at parallelism 1/4/8 (plan parity), repeated on top
-    # of the single pass above so that a test whose outcome depends on the
-    # thread schedule fails here rather than once in a few hundred runs.
+    # handoff and shared-cache stress tests (cache), the multi-relation
+    # plan parity grid at parallelism 1/4/8 (plan parity) and the plan
+    # cache's 8-thread stress mix (plan cache), repeated on top of the
+    # single pass above so that a test whose outcome depends on the thread
+    # schedule fails here rather than once in a few hundred runs.
     echo "==> [release] determinism grids, repeated until failure (50x)"
     run_ctest --test-dir "$build" --output-on-failure \
-      -R 'sharding_test|pipeline_test|cancel_test|mutation_service_test|overload_test|join_methods_test|cache_test|plan_parity_test' \
+      -R 'sharding_test|pipeline_test|cancel_test|mutation_service_test|overload_test|join_methods_test|cache_test|plan_parity_test|plan_cache_test' \
       --repeat until-fail:50 -j "$jobs"
     echo "==> [release] shard scaling gate"
     "$build/bench/bench_shard_scaling"
@@ -92,12 +93,13 @@ for leg in "${legs[@]}"; do
     # Vectorized perf smoke (DESIGN.md §14): block-compressed vs the flat
     # reference kernels of tests/support on identical inputs, gated on the
     # geometric-mean speedup (3x target, 1.5x hard floor as the noise
-    # backstop); and Q5's relational join with its residual selected per
-    # batch by Expr::Select vs evaluated per row on the scratch-row path it
-    # replaced (3x target, 1.1x hard floor). Also refreshes the
+    # backstop); Q5's relational join with its residual selected per batch
+    # by Expr::Select vs evaluated per row on the scratch-row path it
+    # replaced (3x target, 1.1x hard floor); and Explain of each paper
+    # query on a plan-cache hit (at most 5 us per call). Also refreshes the
     # machine-readable BENCH_vectorized.json snapshot.
     echo "==> [release] vectorized perf smoke (block vs reference kernels," \
-      "batch residual vs scratch row)"
+      "batch residual vs scratch row, plan-cache hit)"
     "$build/bench/bench_micro" --perf_smoke \
       --snapshot_path="$build/BENCH_vectorized.json"
     # Multi-tenant fairness gates (DESIGN.md §15): quiet tenants keep

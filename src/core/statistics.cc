@@ -6,10 +6,24 @@
 
 namespace textjoin {
 
+template <typename Map>
+void StatsRegistry::Store(Map& map, typename Map::key_type key,
+                          typename Map::mapped_type value) {
+  auto it = map.find(key);
+  if (it == map.end()) {
+    map.emplace(std::move(key), std::move(value));
+  } else if (it->second == value) {
+    return;
+  } else {
+    it->second = std::move(value);
+  }
+  ++generation_;
+}
+
 void StatsRegistry::SetTextJoinStats(const std::string& column_ref,
                                      const std::string& field,
                                      double selectivity, double fanout) {
-  join_stats_[{column_ref, field}] = JoinStatsEntry{selectivity, fanout};
+  Store(join_stats_, {column_ref, field}, JoinStatsEntry{selectivity, fanout});
 }
 
 Result<TextPredicateStats> StatsRegistry::GetTextJoinStats(
@@ -35,7 +49,8 @@ void StatsRegistry::SetTextSelectionStats(const std::string& term,
                                           const std::string& field,
                                           double match_docs,
                                           double postings) {
-  selection_stats_[{term, field}] = TextSelectionStats{match_docs, postings};
+  Store(selection_stats_, {term, field},
+        TextSelectionStats{match_docs, postings});
 }
 
 Result<TextSelectionStats> StatsRegistry::GetTextSelectionStats(
@@ -50,7 +65,7 @@ Result<TextSelectionStats> StatsRegistry::GetTextSelectionStats(
 
 void StatsRegistry::SetTableStats(const std::string& table_name,
                                   TableStats stats) {
-  table_stats_[table_name] = std::move(stats);
+  Store(table_stats_, table_name, std::move(stats));
 }
 
 Result<const TableStats*> StatsRegistry::GetTableStats(

@@ -1,6 +1,8 @@
 #ifndef TEXTJOIN_CORE_STATISTICS_H_
 #define TEXTJOIN_CORE_STATISTICS_H_
 
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,13 +26,24 @@ namespace textjoin {
 struct TextSelectionStats {
   double match_docs = 0.0;  ///< Documents matching the term.
   double postings = 0.0;    ///< Inverted-list postings read to evaluate it.
+
+  bool operator==(const TextSelectionStats&) const = default;
 };
 
 /// Holds every estimate the optimizer consumes. Estimates are keyed by the
 /// textual form of the predicate, so they are shared across queries (the
 /// paper amortizes sampling cost this way).
+///
+/// The registry counts its own changes: generation() moves exactly when a
+/// Set* call inserts an entry or stores a value different from the one it
+/// holds, so a plan made at generation g is still the optimizer's plan for
+/// the same query while generation() reads g. Setters are not
+/// synchronized; generation() may be read concurrently with them.
 class StatsRegistry {
  public:
+  /// The number of changes so far (inserts plus value changes).
+  uint64_t generation() const { return generation_.load(); }
+
   /// Records s_i / f_i for `column_ref in field`.
   void SetTextJoinStats(const std::string& column_ref,
                         const std::string& field, double selectivity,
@@ -61,7 +74,17 @@ class StatsRegistry {
   struct JoinStatsEntry {
     double selectivity;
     double fanout;
+
+    bool operator==(const JoinStatsEntry&) const = default;
   };
+
+  /// Stores `value` under `key`, moving the generation only when that
+  /// inserts an entry or changes the stored value.
+  template <typename Map>
+  void Store(Map& map, typename Map::key_type key,
+             typename Map::mapped_type value);
+
+  std::atomic<uint64_t> generation_{0};
   std::map<std::pair<std::string, std::string>, JoinStatsEntry> join_stats_;
   std::map<std::pair<std::string, std::string>, TextSelectionStats>
       selection_stats_;

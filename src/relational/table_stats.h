@@ -25,6 +25,8 @@ struct ColumnStats {
   /// values in [fence[i], fence[i+1]], each bucket ~1/kHistogramBuckets of
   /// the rows.
   std::vector<Value> histogram;
+
+  bool operator==(const ColumnStats&) const = default;
 };
 
 /// Statistics for a whole table, computed eagerly by Analyze().
@@ -61,6 +63,8 @@ class TableStats {
   /// Fraction of rows with column value strictly below `v` (histogram
   /// interpolation; 0.5 without a histogram).
   double FractionBelow(size_t column_index, const Value& v) const;
+
+  bool operator==(const TableStats&) const = default;
 
  private:
   size_t num_rows_ = 0;

@@ -8,12 +8,13 @@ namespace textjoin {
 Status FederationService::EnsureStatistics(const FederatedQuery& query,
                                            uint64_t pinned_epoch) {
   if (options_.oracle_stats) {
-    // Exact statistics computed engine-side (no metered traffic); cheap
-    // enough to recompute per query, and idempotent. Probes go to replica
-    // 0 of every shard and the counts are summed — docids partition
-    // disjointly, so the sums equal the single-corpus numbers. Mutable
-    // corpora are read at the query's pinned epoch so the statistics
-    // describe exactly the corpus the plan will execute against.
+    // Exact statistics computed engine-side (no metered traffic),
+    // recomputed on every query; storing the values the registry already
+    // holds leaves its generation, and so the cached plans, valid. Probes
+    // go to replica 0 of every shard and the counts are summed — docids
+    // partition disjointly, so the sums equal the single-corpus numbers.
+    // Mutable corpora are read at the query's pinned epoch so the
+    // statistics describe exactly the corpus the plan will execute against.
     std::vector<std::shared_ptr<const SearchableCorpus>> pinned;
     std::vector<const SearchableCorpus*> shards;
     shards.reserve(backend_->num_shards());
@@ -85,15 +86,9 @@ Status FederationService::EnsureStatistics(const FederatedQuery& query,
   return Status::OK();
 }
 
-Result<PlanNodePtr> FederationService::Plan(const FederatedQuery& query,
-                                            uint64_t pinned_epoch) {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  TEXTJOIN_RETURN_IF_ERROR(EnsureStatistics(query, pinned_epoch));
-  const BackendTopology& topology = backend_->topology();
-  // The planner's corpus size is the PINNED size for mutable corpora —
-  // the same universe execution will see.
+size_t FederationService::PlannerDocuments(uint64_t pinned_epoch) const {
   size_t total_documents = 0;
-  for (const BackendTopology::Shard& shard : topology.shards) {
+  for (const BackendTopology::Shard& shard : backend_->topology().shards) {
     if (shard.replicas.empty() || shard.replicas[0].corpus == nullptr) {
       continue;
     }
@@ -102,9 +97,83 @@ Result<PlanNodePtr> FederationService::Plan(const FederatedQuery& query,
                            ? corpus->SnapshotAt(pinned_epoch)->num_documents()
                            : corpus->num_documents();
   }
-  Enumerator enumerator(catalog_, &registry_, total_documents,
-                        topology.max_search_terms(), options_.enumerator);
-  return enumerator.Optimize(query);
+  return total_documents;
+}
+
+Result<FederationService::PlannedQueryPtr> FederationService::PlanSql(
+    const std::string& sql, uint64_t pinned_epoch) {
+  // An entry is valid while nothing the enumerator reads has changed: the
+  // registry (its generation moves on every insert or changed value) and
+  // the document count. The catalog, topology and options are fixed.
+  const size_t documents = PlannerDocuments(pinned_epoch);
+  const auto valid = [documents](const PlannedQuery& entry,
+                                 uint64_t generation) {
+    return entry.stats_generation == generation &&
+           entry.num_documents == documents;
+  };
+  PlannedQueryPtr cached = plan_cache_.Find(sql);
+  // Sampled statistics are acquired once per predicate and never
+  // refreshed, so a valid entry is the answer without taking stats_mu_.
+  if (!options_.oracle_stats && cached != nullptr &&
+      valid(*cached, registry_.generation())) {
+    return cached;
+  }
+  // Parse outside the lock; a cached entry's query is reused as is.
+  std::shared_ptr<const FederatedQuery> query;
+  if (cached == nullptr) {
+    TEXTJOIN_ASSIGN_OR_RETURN(FederatedQuery parsed,
+                              ParseQuery(sql, options_.text));
+    query = std::make_shared<const FederatedQuery>(std::move(parsed));
+  }
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  // Concurrent misses of one text plan it once: the first to get here
+  // inserts, the others find its entry.
+  if (cached == nullptr) cached = plan_cache_.Find(sql);
+  if (cached != nullptr) query = cached->query;
+  // Oracle statistics are recomputed on every query; the plan is reused
+  // only if that changed nothing.
+  TEXTJOIN_RETURN_IF_ERROR(EnsureStatistics(*query, pinned_epoch));
+  const uint64_t generation = registry_.generation();
+  if (cached != nullptr && valid(*cached, generation)) return cached;
+  Enumerator enumerator(catalog_, &registry_, documents,
+                        backend_->topology().max_search_terms(),
+                        options_.enumerator);
+  TEXTJOIN_ASSIGN_OR_RETURN(PlanNodePtr plan, enumerator.Optimize(*query));
+  std::string chosen_plan = plan->ToString(*query);
+  std::string explain = query->ToString() + "\n" + chosen_plan;
+  PlannedQueryPtr planned = std::make_shared<const PlannedQuery>(
+      PlannedQuery{std::move(query), std::move(plan), std::move(chosen_plan),
+                   std::move(explain), generation, documents});
+  plan_cache_.Insert(sql, planned);
+  return planned;
+}
+
+FederationService::PlannedQueryPtr FederationService::PlanCache::Find(
+    std::string_view sql) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(sql);
+  if (it == index_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return it->second->second;
+}
+
+void FederationService::PlanCache::Insert(const std::string& sql,
+                                          PlannedQueryPtr entry) {
+  PlannedQueryPtr evicted;  // Destroyed after the lock is released.
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(sql);
+  if (it != index_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
+    evicted = std::exchange(it->second->second, std::move(entry));
+    return;
+  }
+  lru_.emplace_front(sql, std::move(entry));
+  index_.emplace(lru_.front().first, lru_.begin());
+  if (lru_.size() > kPlanCacheEntries) {
+    index_.erase(lru_.back().first);
+    evicted = std::move(lru_.back().second);
+    lru_.pop_back();
+  }
 }
 
 Result<QueryOutcome> FederationService::Run(const std::string& sql) {
@@ -155,8 +224,9 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
                                     ? options_.live->clock->published()
                                     : kUnpinnedEpoch;
 
-  TEXTJOIN_ASSIGN_OR_RETURN(FederatedQuery query, ParseQuery(sql, options_.text));
-  TEXTJOIN_ASSIGN_OR_RETURN(PlanNodePtr plan, Plan(query, pinned_epoch));
+  TEXTJOIN_ASSIGN_OR_RETURN(PlannedQueryPtr planned,
+                            PlanSql(sql, pinned_epoch));
+  const PlanNode& plan = *planned->plan;
 
   // Query deadline: per-call override, else the service default, else
   // none. Computed and checked on deadline_clock everywhere (the one
@@ -186,7 +256,7 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
   if (admission_ != nullptr) {
     TEXTJOIN_ASSIGN_OR_RETURN(
         ticket,
-        admission_->Admit(plan->est_cost, deadline_tp, priority, token,
+        admission_->Admit(plan.est_cost, deadline_tp, priority, token,
                           tenant));
   }
 
@@ -219,7 +289,7 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
   PlanExecutor executor(catalog_, exec_source, exec_options, pool_.get());
   QueryOutcome outcome;
   TEXTJOIN_ASSIGN_OR_RETURN(
-      outcome.rows, executor.Execute(*plan, query, &outcome.profile,
+      outcome.rows, executor.Execute(plan, *planned->query, &outcome.profile,
                                      &outcome.degradation));
   // One read of the router's account. It settles straggling hedge losers
   // first, so the waste account and the meter read below are final.
@@ -237,16 +307,16 @@ Result<QueryOutcome> FederationService::Run(const std::string& sql,
   if (caching != nullptr) outcome.cache = caching->activity();
   outcome.corpus = router->corpus_pin();
   outcome.meter_delta = router->meter();
-  outcome.chosen_plan = plan->ToString(query);
-  outcome.plan = std::move(plan);
-  outcome.query = std::move(query);
+  outcome.chosen_plan = planned->chosen_plan;
+  outcome.plan = planned->plan;
+  outcome.query = planned->query;
   cumulative_.Add(outcome.meter_delta);
   return outcome;
 }
 
 std::string ExplainAnalyze(const QueryOutcome& outcome, RenderMode mode) {
   const bool stable = mode == RenderMode::kStable;
-  std::string out = ExplainAnalyze(*outcome.plan, outcome.query,
+  std::string out = ExplainAnalyze(*outcome.plan, *outcome.query,
                                    outcome.profile, CostParams{}, mode);
   // The overload account, rendered only when the layer did anything or
   // the deadline shed / cancellation dropped work (overload-off output
@@ -357,9 +427,9 @@ Result<std::string> FederationService::Explain(const std::string& sql) {
   const uint64_t pinned_epoch = options_.live.has_value()
                                     ? options_.live->clock->published()
                                     : kUnpinnedEpoch;
-  TEXTJOIN_ASSIGN_OR_RETURN(FederatedQuery query, ParseQuery(sql, options_.text));
-  TEXTJOIN_ASSIGN_OR_RETURN(PlanNodePtr plan, Plan(query, pinned_epoch));
-  return query.ToString() + "\n" + plan->ToString(query);
+  TEXTJOIN_ASSIGN_OR_RETURN(PlannedQueryPtr planned,
+                            PlanSql(sql, pinned_epoch));
+  return planned->explain;
 }
 
 }  // namespace textjoin

@@ -4,12 +4,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,7 +45,6 @@ namespace textjoin {
 /// counter the caller must diff), the chosen plan, the per-node execution
 /// profile, and the one home of each query-wide account. Outcomes are
 /// self-contained — two concurrent calls never see each other's charges.
-/// Move-only (it owns the parsed query).
 struct QueryOutcome {
   ExecutionResult rows;
 
@@ -66,7 +68,9 @@ struct QueryOutcome {
   PlanNodePtr plan;
 
   /// The parsed query `plan` answers (ExplainAnalyze renders against it).
-  FederatedQuery query;
+  /// Shared with the service's plan cache; the outcome keeps it alive after
+  /// the cache evicts its entry.
+  std::shared_ptr<const FederatedQuery> query;
 
   /// The honest account of this execution's degradation: retries and
   /// breaker activity absorbed by the resilience layer (`resilience`;
@@ -113,8 +117,17 @@ std::string ExplainAnalyze(const QueryOutcome& outcome,
 /// Run() is safe to call from multiple threads concurrently: statistics
 /// acquisition and planning are serialized internally, and each execution
 /// charges a private per-call meter before folding into the cumulative one.
+///
+/// Each SQL text is planned once and then served from a plan cache
+/// (DESIGN.md §7, "Plan cache"): the parsed query, its plan and their
+/// renderings are reused while the statistics generation and the planner's
+/// document count stay what they were when the text was planned.
 class FederationService {
  public:
+  /// Plan-cache capacity in SQL texts; past it, the least recently used
+  /// text is evicted (and planned afresh when it comes back).
+  static constexpr size_t kPlanCacheEntries = 256;
+
   /// Live-corpus mode (DESIGN.md §16): the topology's corpora are mutable
   /// LiveCorpus instances fed by a CorpusWriter sharing `clock`. Every
   /// query pins clock->published() when Run() starts, before parsing,
@@ -332,8 +345,12 @@ class FederationService {
   FederationService& operator=(const FederationService&) = delete;
 
   /// Parses, optimizes, and executes `sql`, returning a self-contained
-  /// QueryOutcome. Statistics for predicates not yet known are acquired on
-  /// first use and cached across queries.
+  /// QueryOutcome. Oracle statistics (the default) are recomputed for the
+  /// query's predicates on every call, at the pinned epoch; sampled ones
+  /// are acquired the first time a predicate is seen and then kept. Either
+  /// way the parsed query and its plan come from the plan cache when the
+  /// statistics and the document count have not changed since `sql` was
+  /// planned, so a repeated text skips parsing, enumeration and rendering.
   Result<QueryOutcome> Run(const std::string& sql);
 
   /// Run() with per-call deadline/priority overrides. A query shed by
@@ -369,7 +386,8 @@ class FederationService {
   }
 
   /// Parses and optimizes `sql`, returning the EXPLAIN rendering of the
-  /// chosen plan (no execution, no meter charges beyond statistics).
+  /// chosen plan (no execution, no meter charges beyond statistics). Shares
+  /// Run()'s planning path, plan cache included.
   Result<std::string> Explain(const std::string& sql);
 
   /// Cumulative execution charges across every Run() so far.
@@ -398,19 +416,57 @@ class FederationService {
   /// one. Stopped by Drain() and the destructor.
   SegmentMergeWorker* merge_worker() const { return merge_worker_.get(); }
 
-  /// The statistics cache (exposed for inspection/preloading). Not
-  /// synchronized — do not touch while Run() is in flight elsewhere.
+  /// The statistics store (exposed for inspection/preloading). Not
+  /// synchronized — do not touch while Run() is in flight elsewhere. A
+  /// preload that inserts or changes a value moves the registry's
+  /// generation, so the next Run() or Explain() of any text re-plans.
   StatsRegistry& stats() { return registry_; }
 
  private:
+  /// One planned SQL text: the parsed query, its plan and renderings, and
+  /// what it was planned against. Immutable once built; outcomes share its
+  /// query and plan.
+  struct PlannedQuery {
+    std::shared_ptr<const FederatedQuery> query;
+    PlanNodePtr plan;
+    std::string chosen_plan;        ///< plan->ToString(*query).
+    std::string explain;            ///< What Explain() returns.
+    uint64_t stats_generation = 0;  ///< StatsRegistry::generation().
+    size_t num_documents = 0;       ///< The planner's D.
+  };
+  using PlannedQueryPtr = std::shared_ptr<const PlannedQuery>;
+
+  /// SQL text -> planned query, bounded at kPlanCacheEntries with
+  /// least-recently-used eviction. Only its own mutex guards it.
+  class PlanCache {
+   public:
+    /// The entry for `sql`, marked most recently used; null when absent.
+    PlannedQueryPtr Find(std::string_view sql);
+    /// Inserts or replaces the entry for `sql`.
+    void Insert(const std::string& sql, PlannedQueryPtr entry);
+
+   private:
+    std::mutex mu_;
+    /// Most recently used first; the index's keys view these strings.
+    std::list<std::pair<std::string, PlannedQueryPtr>> lru_;
+    std::unordered_map<std::string_view, decltype(lru_)::iterator> index_;
+  };
+
   /// Ensures the registry covers every predicate of `query`, reading the
   /// corpus at `pinned_epoch` (mutable corpora only; kUnpinnedEpoch =
   /// latest). Caller holds stats_mu_.
   Status EnsureStatistics(const FederatedQuery& query, uint64_t pinned_epoch);
 
-  /// Statistics + enumeration under stats_mu_, against the corpus as of
-  /// `pinned_epoch`.
-  Result<PlanNodePtr> Plan(const FederatedQuery& query, uint64_t pinned_epoch);
+  /// The planner's corpus size D: for mutable corpora, the size at
+  /// `pinned_epoch` — the same universe execution will see.
+  size_t PlannerDocuments(uint64_t pinned_epoch) const;
+
+  /// The one planning path of Run() and Explain(): the cached entry for
+  /// `sql` while it is still valid at `pinned_epoch`, else a fresh plan
+  /// (parse, statistics and enumeration under stats_mu_), which replaces
+  /// it. Failures are returned and never cached.
+  Result<PlannedQueryPtr> PlanSql(const std::string& sql,
+                                  uint64_t pinned_epoch);
 
   const Catalog* catalog_;
   Options options_;
@@ -420,6 +476,7 @@ class FederationService {
   std::unique_ptr<ShardedBackend> backend_;
 
   /// Serializes statistics acquisition and planning (registry_, rng_).
+  /// A plan-cache hit with sampled statistics does not take it.
   std::mutex stats_mu_;
   /// Bare (chain-less) router; its own meter IS the stats meter.
   std::unique_ptr<ShardedTextSource> stats_source_;
@@ -427,6 +484,8 @@ class FederationService {
   /// Statistics sampling; the fixed seed makes sampled statistics (and so
   /// plans) reproducible across services.
   Rng rng_{42};
+
+  PlanCache plan_cache_;
 
   /// Folded per-call deltas; commutative, so concurrent Run()s agree.
   AtomicAccessMeter cumulative_;
