@@ -123,12 +123,14 @@ for leg in "${legs[@]}"; do
     echo "==> [release] benchmark self-test (perfbench)"
     (cd "$repo" && python3 perfbench/run.py --self-test)
     # The examples smoke, as in CI: every example runs to completion, and
-    # the shell drives its \demo tour (EXPLAIN ANALYZE included) and \quit.
+    # the shell drives its \demo tour (EXPLAIN ANALYZE included) and \quit
+    # from stdin, which the others ignore.
     echo "==> [release] examples smoke run"
-    "$build/examples/quickstart"
-    "$build/examples/hospital_records"
-    "$build/examples/digital_library"
-    printf '\\demo\n\\quit\n' | "$build/examples/textjoin_shell"
+    for e in "$build"/examples/*; do
+      if [ -f "$e" ] && [ -x "$e" ]; then
+        "$e" <<< $'\\demo\n\\quit'
+      fi
+    done
   fi
   if [ "$leg" = coverage ]; then
     echo "==> [coverage] line-coverage floor"

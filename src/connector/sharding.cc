@@ -591,16 +591,6 @@ uint64_t ShardedBackend::breaker_opens_total() const {
   return opens;
 }
 
-uint64_t ShardedBackend::breaker_rejections_total() const {
-  uint64_t rejections = 0;
-  for (const auto& shard : breakers_) {
-    for (const auto& breaker : shard) {
-      if (breaker != nullptr) rejections += breaker->rejections();
-    }
-  }
-  return rejections;
-}
-
 int ShardedBackend::limit_total() const {
   int limit = 0;
   for (const auto& shard : limiters_) {

@@ -125,25 +125,12 @@ struct BackendTopology {
   }
 
   bool empty() const { return shards.empty(); }
-  bool single() const { return shards.size() <= 1; }
   size_t num_shards() const { return shards.size(); }
 
   /// Total replica count across all shards.
   size_t num_replicas() const {
     size_t n = 0;
     for (const Shard& shard : shards) n += shard.replicas.size();
-    return n;
-  }
-
-  /// Logical corpus size: the sum of the shards' document counts (replicas
-  /// hold the same documents, so only replica 0 of each shard counts).
-  size_t total_documents() const {
-    size_t n = 0;
-    for (const Shard& shard : shards) {
-      if (!shard.replicas.empty() && shard.replicas[0].corpus != nullptr) {
-        n += shard.replicas[0].corpus->num_documents();
-      }
-    }
     return n;
   }
 
@@ -231,9 +218,6 @@ class ShardedBackend {
   const BackendTopology& topology() const { return topology_; }
   const ChainSpec& chain() const { return chain_; }
   size_t num_shards() const { return topology_.shards.size(); }
-  size_t replicas_in(size_t shard) const {
-    return topology_.shards[shard].replicas.size();
-  }
 
   /// Shared controllers; null when the corresponding layer is disengaged.
   CircuitBreaker* breaker(size_t shard, size_t replica) const;
@@ -244,7 +228,6 @@ class ShardedBackend {
 
   /// Lifetime totals across every breaker / limiter (0 when disengaged).
   uint64_t breaker_opens_total() const;
-  uint64_t breaker_rejections_total() const;
   int limit_total() const;
 
   /// Mints a per-query router with the full chain per replica. `decorator`

@@ -1,6 +1,8 @@
 #include "core/statistics.h"
 
-#include <set>
+#include <algorithm>
+#include <string_view>
+#include <utility>
 
 #include "text/query.h"
 
@@ -12,11 +14,10 @@ void StatsRegistry::Store(Map& map, typename Map::key_type key,
   auto it = map.find(key);
   if (it == map.end()) {
     map.emplace(std::move(key), std::move(value));
-  } else if (it->second == value) {
     return;
-  } else {
-    it->second = std::move(value);
   }
+  if (it->second == value) return;
+  it->second = std::move(value);
   ++generation_;
 }
 
@@ -38,11 +39,6 @@ Result<TextPredicateStats> StatsRegistry::GetTextJoinStats(
   stats.fanout = it->second.fanout;
   stats.num_distinct = 0.0;  // filled by the caller from table stats
   return stats;
-}
-
-bool StatsRegistry::HasTextJoinStats(const std::string& column_ref,
-                                     const std::string& field) const {
-  return join_stats_.count({column_ref, field}) != 0;
 }
 
 void StatsRegistry::SetTextSelectionStats(const std::string& term,
@@ -79,20 +75,147 @@ Result<const TableStats*> StatsRegistry::GetTableStats(
 
 namespace {
 
-// Exact (selectivity, fanout, postings) of `term in field` via unmetered
-// engine searches, summed across shards (one shard = one corpus).
-Result<EngineSearchResult> OracleSearch(
-    const std::vector<const SearchableCorpus*>& shards,
-    const std::string& field, const std::string& term) {
-  TextQueryPtr q = TextQuery::Term(field, term);
-  EngineSearchResult total;
-  for (const SearchableCorpus* shard : shards) {
-    TEXTJOIN_ASSIGN_OR_RETURN(EngineSearchResult result, shard->Search(*q));
-    total.docs.insert(total.docs.end(), result.docs.begin(),
-                      result.docs.end());
-    total.postings_processed += result.postings_processed;
+/// The distinct string values of `column`, in ascending order, viewed in
+/// place in the table's rows.
+std::vector<std::string_view> SortedDistinctStrings(const Table& table,
+                                                    size_t column) {
+  std::vector<std::string_view> values;
+  values.reserve(table.num_rows());
+  for (const Row& row : table.rows()) {
+    const Value& v = row.at(column);
+    if (v.type() == ValueType::kString) values.push_back(v.AsString());
   }
-  return total;
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  return values;
+}
+
+/// How a statistics pass measures, the one part its two providers do not
+/// share: the exact provider searches the shard corpora, unmetered; the
+/// sampled one searches the source `mint` returns when first needed.
+class StatsProvider {
+ public:
+  explicit StatsProvider(const std::vector<const SearchableCorpus*>& shards)
+      : shards_(&shards) {}
+  StatsProvider(std::function<TextSource&()> mint, size_t sample_size,
+                Rng& rng)
+      : mint_(std::move(mint)), sample_size_(sample_size), rng_(&rng) {}
+
+  bool exact() const { return shards_ != nullptr; }
+
+  /// The documents a term matches and the postings read to find them.
+  struct Matches {
+    uint64_t docs = 0;
+    uint64_t postings = 0;
+  };
+
+  /// s_i and f_i of a join column's sorted distinct string values in
+  /// `field`: over every value for the exact provider, over a seeded
+  /// sample of at most sample_size values (sorted order shuffled, then
+  /// truncated) for the sampled one.
+  Result<PredicateStatsEstimate> MeasureJoin(
+      std::vector<std::string_view> values, const std::string& field) {
+    if (!exact()) {
+      rng_->Shuffle(values);
+      if (values.size() > sample_size_) values.resize(sample_size_);
+    }
+    size_t matched = 0;
+    uint64_t docs = 0;
+    for (std::string_view value : values) {
+      TEXTJOIN_ASSIGN_OR_RETURN(Matches matches, Search(field, value));
+      if (matches.docs != 0) ++matched;
+      docs += matches.docs;
+    }
+    PredicateStatsEstimate est;
+    est.sample_size = values.size();
+    est.selectivity =
+        static_cast<double>(matched) / static_cast<double>(values.size());
+    est.fanout = static_cast<double>(docs) / static_cast<double>(values.size());
+    return est;
+  }
+
+  /// The matches of `term in field`, summed over the shards. A source
+  /// reports no postings; its result size, a lower bound, stands in (the
+  /// cost term is tiny under c_p).
+  Result<Matches> Search(const std::string& field, std::string_view term) {
+    TextQueryPtr query = TextQuery::Term(field, std::string(term));
+    Matches total;
+    if (!exact()) {
+      if (source_ == nullptr) source_ = &mint_();
+      TEXTJOIN_ASSIGN_OR_RETURN(std::vector<std::string> docids,
+                                source_->Search(*query));
+      total.docs = total.postings = docids.size();
+      return total;
+    }
+    for (const SearchableCorpus* shard : *shards_) {
+      TEXTJOIN_ASSIGN_OR_RETURN(EngineSearchResult result,
+                                shard->Search(*query));
+      total.docs += result.docs.size();
+      total.postings += result.postings_processed;
+    }
+    return total;
+  }
+
+ private:
+  const std::vector<const SearchableCorpus*>* shards_ = nullptr;
+  std::function<TextSource&()> mint_;
+  TextSource* source_ = nullptr;
+  size_t sample_size_ = 0;
+  Rng* rng_ = nullptr;
+};
+
+/// The statistics pass: tables, then text-join predicates, then text
+/// selections (the order fixes the sampled provider's draws).
+Status AcquireStatistics(const FederatedQuery& query, const Catalog& catalog,
+                         StatsProvider& provider, StatsRegistry& registry) {
+  // The refresh rule: a key is measured when the registry lacks it, and
+  // always by the exact provider.
+  const bool remeasure = provider.exact();
+  for (const RelationRef& rel : query.relations) {
+    if (!remeasure && registry.GetTableStats(rel.table_name).ok()) continue;
+    TEXTJOIN_ASSIGN_OR_RETURN(Table * table, catalog.GetTable(rel.table_name));
+    registry.SetTableStats(rel.table_name, TableStats::Analyze(*table));
+  }
+  for (const TextJoinPredicate& pred : query.text_joins) {
+    if (!remeasure &&
+        registry.GetTextJoinStats(pred.column_ref, pred.field).ok()) {
+      continue;
+    }
+    const size_t dot = pred.column_ref.find('.');
+    if (dot == std::string::npos) {
+      return Status::InvalidArgument("text join column '" + pred.column_ref +
+                                     "' must be qualified");
+    }
+    TEXTJOIN_ASSIGN_OR_RETURN(
+        const RelationRef* rel,
+        query.FindRelation(pred.column_ref.substr(0, dot)));
+    TEXTJOIN_ASSIGN_OR_RETURN(Table * table,
+                              catalog.GetTable(rel->table_name));
+    TEXTJOIN_ASSIGN_OR_RETURN(
+        size_t column,
+        table->schema().WithQualifier(rel->name()).Resolve(pred.column_ref));
+    std::vector<std::string_view> values =
+        SortedDistinctStrings(*table, column);
+    PredicateStatsEstimate est;  // s = f = 0: a non-string never matches.
+    if (!values.empty()) {
+      TEXTJOIN_ASSIGN_OR_RETURN(
+          est, provider.MeasureJoin(std::move(values), pred.field));
+    }
+    registry.SetTextJoinStats(pred.column_ref, pred.field, est.selectivity,
+                              est.fanout);
+  }
+  for (const TextSelection& sel : query.text_selections) {
+    if (!remeasure &&
+        registry.GetTextSelectionStats(sel.term, sel.field).ok()) {
+      continue;
+    }
+    TEXTJOIN_ASSIGN_OR_RETURN(StatsProvider::Matches matches,
+                              provider.Search(sel.field, sel.term));
+    registry.SetTextSelectionStats(sel.term, sel.field,
+                                   static_cast<double>(matches.docs),
+                                   static_cast<double>(matches.postings));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -108,58 +231,34 @@ Status ComputeExactStats(const FederatedQuery& query, const Catalog& catalog,
 Status ComputeExactStats(const FederatedQuery& query, const Catalog& catalog,
                          const std::vector<const SearchableCorpus*>& shards,
                          StatsRegistry& registry) {
-  // Relational table statistics.
-  for (const RelationRef& rel : query.relations) {
-    TEXTJOIN_ASSIGN_OR_RETURN(Table * table,
-                              catalog.GetTable(rel.table_name));
-    registry.SetTableStats(rel.table_name, TableStats::Analyze(*table));
+  StatsProvider exact(shards);
+  return AcquireStatistics(query, catalog, exact, registry);
+}
+
+Status ComputeSampledStats(const FederatedQuery& query,
+                           const Catalog& catalog,
+                           std::function<TextSource&()> source,
+                           size_t sample_size, Rng& rng,
+                           StatsRegistry& registry) {
+  StatsProvider sampled(std::move(source), sample_size, rng);
+  return AcquireStatistics(query, catalog, sampled, registry);
+}
+
+Result<PredicateStatsEstimate> EstimatePredicateStats(
+    const Table& table, size_t column_index, TextSource& source,
+    const std::string& field, size_t sample_size, Rng& rng) {
+  if (column_index >= table.schema().num_columns()) {
+    return Status::OutOfRange("column index " + std::to_string(column_index) +
+                              " out of range for table " + table.name());
   }
-  // Text selection statistics.
-  for (const TextSelection& sel : query.text_selections) {
-    TEXTJOIN_ASSIGN_OR_RETURN(EngineSearchResult result,
-                              OracleSearch(shards, sel.field, sel.term));
-    registry.SetTextSelectionStats(
-        sel.term, sel.field, static_cast<double>(result.docs.size()),
-        static_cast<double>(result.postings_processed));
+  std::vector<std::string_view> values =
+      SortedDistinctStrings(table, column_index);
+  if (values.empty()) {
+    return Status::InvalidArgument("column has no string values to sample");
   }
-  // Text join predicate statistics: enumerate the column's distinct values.
-  for (const TextJoinPredicate& pred : query.text_joins) {
-    const size_t dot = pred.column_ref.find('.');
-    if (dot == std::string::npos) {
-      return Status::InvalidArgument("text join column '" + pred.column_ref +
-                                     "' must be qualified");
-    }
-    const std::string rel_name = pred.column_ref.substr(0, dot);
-    TEXTJOIN_ASSIGN_OR_RETURN(const RelationRef* rel,
-                              query.FindRelation(rel_name));
-    TEXTJOIN_ASSIGN_OR_RETURN(Table * table,
-                              catalog.GetTable(rel->table_name));
-    TEXTJOIN_ASSIGN_OR_RETURN(size_t col,
-                              table->schema().Resolve(pred.column_ref));
-    std::set<std::string> distinct;
-    for (const Row& row : table->rows()) {
-      const Value& v = row.at(col);
-      if (v.type() == ValueType::kString) distinct.insert(v.AsString());
-    }
-    if (distinct.empty()) {
-      registry.SetTextJoinStats(pred.column_ref, pred.field, 0.0, 0.0);
-      continue;
-    }
-    size_t matched = 0;
-    uint64_t total_docs = 0;
-    for (const std::string& term : distinct) {
-      TEXTJOIN_ASSIGN_OR_RETURN(EngineSearchResult result,
-                                OracleSearch(shards, pred.field, term));
-      if (!result.docs.empty()) ++matched;
-      total_docs += result.docs.size();
-    }
-    registry.SetTextJoinStats(
-        pred.column_ref, pred.field,
-        static_cast<double>(matched) / static_cast<double>(distinct.size()),
-        static_cast<double>(total_docs) /
-            static_cast<double>(distinct.size()));
-  }
-  return Status::OK();
+  StatsProvider sampled([&source]() -> TextSource& { return source; },
+                        sample_size, rng);
+  return sampled.MeasureJoin(std::move(values), field);
 }
 
 }  // namespace textjoin

@@ -3,22 +3,35 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "common/status.h"
+#include "connector/text_source.h"
 #include "core/cost_model.h"
 #include "core/federated_query.h"
 #include "relational/catalog.h"
+#include "relational/table.h"
 #include "relational/table_stats.h"
 #include "text/searchable.h"
 
 /// \file
-/// The optimizer's statistics store (paper Section 4.2): per text-join
-/// predicate selectivity and fanout (obtained by sampling, or exactly in
-/// oracle mode for experiments), per text-selection match counts, and
-/// relational table statistics.
+/// The optimizer's statistics (paper Section 4.2), held in a StatsRegistry:
+/// per text-join predicate selectivity s_i and fanout f_i, per text
+/// selection match counts, and relational table statistics. One pass
+/// measures them for a query: tables, then text-join predicates (a column
+/// is resolved through the query relation its qualifier names, and one
+/// without string values gets s = f = 0), then text selections. Its two
+/// providers differ only in how they measure a join column or a term:
+///   - exact (ComputeExactStats, the experiments' calibrated "oracle"):
+///     unmetered engine searches over every distinct value; it re-measures
+///     every key of the query on each pass;
+///   - sampled (ComputeSampledStats, the paper's method): metered searches
+///     through a text source over a seeded sample; it measures only the keys
+///     the registry lacks, amortizing sampling across queries.
 
 namespace textjoin {
 
@@ -32,16 +45,18 @@ struct TextSelectionStats {
 
 /// Holds every estimate the optimizer consumes. Estimates are keyed by the
 /// textual form of the predicate, so they are shared across queries (the
-/// paper amortizes sampling cost this way).
+/// paper amortizes sampling cost this way). Keys are never erased.
 ///
 /// The registry counts its own changes: generation() moves exactly when a
-/// Set* call inserts an entry or stores a value different from the one it
-/// holds, so a plan made at generation g is still the optimizer's plan for
-/// the same query while generation() reads g. Setters are not
-/// synchronized; generation() may be read concurrently with them.
+/// Set* call stores a value different from the one a key already holds.
+/// Inserting a new key does not move it: the enumerator fails on a missing
+/// key, so every key a plan read existed when the plan was made, and a plan
+/// made at generation g is still the optimizer's plan for the same query
+/// while generation() reads g. Setters are not synchronized; generation()
+/// may be read concurrently with them.
 class StatsRegistry {
  public:
-  /// The number of changes so far (inserts plus value changes).
+  /// The number of stored values changed so far.
   uint64_t generation() const { return generation_.load(); }
 
   /// Records s_i / f_i for `column_ref in field`.
@@ -66,9 +81,6 @@ class StatsRegistry {
 
   Result<const TableStats*> GetTableStats(const std::string& table_name) const;
 
-  bool HasTextJoinStats(const std::string& column_ref,
-                        const std::string& field) const;
-
  private:
   // Selectivity/fanout only; N_i comes from table stats at use time.
   struct JoinStatsEntry {
@@ -79,7 +91,7 @@ class StatsRegistry {
   };
 
   /// Stores `value` under `key`, moving the generation only when that
-  /// inserts an entry or changes the stored value.
+  /// changes a value the key already holds.
   template <typename Map>
   void Store(Map& map, typename Map::key_type key,
              typename Map::mapped_type value);
@@ -91,23 +103,55 @@ class StatsRegistry {
   std::map<std::string, TableStats> table_stats_;
 };
 
-/// Fills `registry` with *exact* statistics for every text predicate of
-/// `query`, by enumerating distinct column values against the engine
-/// directly (oracle mode — no metered source traffic). This mirrors the
-/// paper's assumption that calibrated statistics are available to the
-/// optimizer; the sampling path (connector/sampler.h) provides the
-/// realistic alternative.
+/// Runs the statistics pass with the exact provider over one corpus, for
+/// every key of `query`. No metered traffic.
 Status ComputeExactStats(const FederatedQuery& query, const Catalog& catalog,
                          const SearchableCorpus& corpus,
                          StatsRegistry& registry);
 
-/// The sharded-topology overload: each selection / distinct join value is
-/// probed against every shard and the counts summed (docids partition
+/// The sharded overload: each selection term and distinct join value is
+/// searched on every shard and the counts summed (docids partition
 /// disjointly, so the sums equal the single-corpus numbers — exactly so
 /// when the shards evaluate exhaustively).
 Status ComputeExactStats(const FederatedQuery& query, const Catalog& catalog,
                          const std::vector<const SearchableCorpus*>& shards,
                          StatsRegistry& registry);
+
+/// Runs the statistics pass with the sampled provider, for the keys of
+/// `query` that `registry` lacks. A join column is measured on up to
+/// `sample_size` of its distinct values, drawn with `rng`; a selection term
+/// by one search, whose result size stands in for its postings. `source` is
+/// called at most once, when the pass first needs a search; every search of
+/// the pass goes to (and is charged by) the source it returns.
+Status ComputeSampledStats(const FederatedQuery& query,
+                           const Catalog& catalog,
+                           std::function<TextSource&()> source,
+                           size_t sample_size, Rng& rng,
+                           StatsRegistry& registry);
+
+/// Estimated statistics for one text join predicate `column in field`.
+struct PredicateStatsEstimate {
+  /// s_i — probability that a term drawn from the column matches at least
+  /// one document in the field.
+  double selectivity = 0.0;
+  /// f_i — unconditional mean number of documents a term from the column
+  /// matches (zero-matching terms included), so that the expected result
+  /// size of n single-term searches is n * fanout.
+  double fanout = 0.0;
+  /// Number of distinct column values actually probed.
+  size_t sample_size = 0;
+};
+
+/// The sampled provider's measurement of one column, outside a pass:
+/// samples up to `sample_size` distinct values of column `column_index` of
+/// `table`, issues one short-form search per sampled term against `field`
+/// of `source`, and returns the estimates. Fails with OutOfRange for a
+/// column index past the schema and InvalidArgument for a column with no
+/// string values. Charges go to `source`'s active meter; redirect it (e.g.
+/// ScopedMeter) to account for sampling separately.
+Result<PredicateStatsEstimate> EstimatePredicateStats(
+    const Table& table, size_t column_index, TextSource& source,
+    const std::string& field, size_t sample_size, Rng& rng);
 
 }  // namespace textjoin
 

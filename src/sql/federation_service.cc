@@ -1,111 +1,58 @@
 #include "sql/federation_service.h"
 
-#include "connector/sampler.h"
 #include "sql/parser.h"
 
 namespace textjoin {
 
-Status FederationService::EnsureStatistics(const FederatedQuery& query,
-                                           uint64_t pinned_epoch) {
-  if (options_.oracle_stats) {
-    // Exact statistics computed engine-side (no metered traffic),
-    // recomputed on every query; storing the values the registry already
-    // holds leaves its generation, and so the cached plans, valid. Probes
-    // go to replica 0 of every shard and the counts are summed — docids
-    // partition disjointly, so the sums equal the single-corpus numbers.
-    // Mutable corpora are read at the query's pinned epoch so the
-    // statistics describe exactly the corpus the plan will execute against.
-    std::vector<std::shared_ptr<const SearchableCorpus>> pinned;
-    std::vector<const SearchableCorpus*> shards;
-    shards.reserve(backend_->num_shards());
-    for (const BackendTopology::Shard& shard : backend_->topology().shards) {
-      const SearchableCorpus* corpus = shard.replicas[0].corpus;
-      if (corpus->mutable_corpus()) {
-        pinned.push_back(corpus->SnapshotAt(pinned_epoch));
-        corpus = pinned.back().get();
-      }
-      shards.push_back(corpus);
+FederationService::PinnedCorpora FederationService::PinCorpora(
+    uint64_t pinned_epoch) const {
+  PinnedCorpora pinned;
+  pinned.shards.reserve(backend_->num_shards());
+  pinned.snapshots.reserve(options_.live.has_value() ? backend_->num_shards()
+                                                     : 0);
+  for (const BackendTopology::Shard& shard : backend_->topology().shards) {
+    const SearchableCorpus* corpus = shard.replicas[0].corpus;
+    if (corpus->mutable_corpus()) {
+      pinned.snapshots.push_back(corpus->SnapshotAt(pinned_epoch));
+      corpus = pinned.snapshots.back().get();
     }
-    return ComputeExactStats(query, *catalog_, shards, registry_);
+    pinned.shards.push_back(corpus);
+    pinned.num_documents += corpus->num_documents();
   }
-  // Sampling mode (paper Section 4.2): probe the source for predicates we
-  // have not seen before; table stats are computed locally. All traffic
-  // goes through stats_source_ — the bare router, so sampling sees the
-  // whole sharded corpus without touching breakers or limiter permits —
-  // and its meter is the stats meter. Under a live corpus the long-lived
-  // bare router is frozen at construction time, so mint a fresh one
-  // pinned at this query's epoch; it charges the same stats meter.
-  ShardedTextSource* sampler_source = stats_source_.get();
-  std::unique_ptr<ShardedTextSource> pinned_source;
-  if (options_.live.has_value()) {
-    pinned_source = backend_->MakeBareSource(pinned_epoch);
-    pinned_source->SetMeter(&stats_source_->charging_meter());
-    sampler_source = pinned_source.get();
-  }
-  for (const RelationRef& rel : query.relations) {
-    if (!registry_.GetTableStats(rel.table_name).ok()) {
-      TEXTJOIN_ASSIGN_OR_RETURN(Table * table,
-                                catalog_->GetTable(rel.table_name));
-      registry_.SetTableStats(rel.table_name, TableStats::Analyze(*table));
-    }
-  }
-  for (const TextJoinPredicate& pred : query.text_joins) {
-    if (registry_.HasTextJoinStats(pred.column_ref, pred.field)) continue;
-    const size_t dot = pred.column_ref.find('.');
-    if (dot == std::string::npos) {
-      return Status::InvalidArgument("text join column '" + pred.column_ref +
-                                     "' must be qualified");
-    }
-    TEXTJOIN_ASSIGN_OR_RETURN(
-        const RelationRef* rel,
-        query.FindRelation(pred.column_ref.substr(0, dot)));
-    TEXTJOIN_ASSIGN_OR_RETURN(Table * table,
-                              catalog_->GetTable(rel->table_name));
-    TEXTJOIN_ASSIGN_OR_RETURN(
-        size_t col,
-        table->schema().WithQualifier(rel->name()).Resolve(pred.column_ref));
-    TEXTJOIN_ASSIGN_OR_RETURN(
-        PredicateStatsEstimate est,
-        EstimatePredicateStats(*table, col, *sampler_source, pred.field,
-                               options_.sample_size, rng_));
-    registry_.SetTextJoinStats(pred.column_ref, pred.field, est.selectivity,
-                               est.fanout);
-  }
-  for (const TextSelection& sel : query.text_selections) {
-    if (registry_.GetTextSelectionStats(sel.term, sel.field).ok()) continue;
-    // One short-form search measures the selection exactly.
-    TextQueryPtr probe = TextQuery::Term(sel.field, sel.term);
-    TEXTJOIN_ASSIGN_OR_RETURN(std::vector<std::string> docids,
-                              sampler_source->Search(*probe));
-    // Postings estimate: result size is a lower bound on list length; use
-    // it (the cost term is tiny under c_p).
-    registry_.SetTextSelectionStats(sel.term, sel.field,
-                                    static_cast<double>(docids.size()),
-                                    static_cast<double>(docids.size()));
-  }
-  return Status::OK();
+  return pinned;
 }
 
-size_t FederationService::PlannerDocuments(uint64_t pinned_epoch) const {
-  size_t total_documents = 0;
-  for (const BackendTopology::Shard& shard : backend_->topology().shards) {
-    if (shard.replicas.empty() || shard.replicas[0].corpus == nullptr) {
-      continue;
-    }
-    const SearchableCorpus* corpus = shard.replicas[0].corpus;
-    total_documents += corpus->mutable_corpus()
-                           ? corpus->SnapshotAt(pinned_epoch)->num_documents()
-                           : corpus->num_documents();
+Status FederationService::EnsureStatistics(const FederatedQuery& query,
+                                           const PinnedCorpora& corpora,
+                                           uint64_t pinned_epoch) {
+  if (options_.oracle_stats) {
+    return ComputeExactStats(query, *catalog_, corpora.shards, registry_);
   }
-  return total_documents;
+  // The sampled provider searches through a bare router: it sees the whole
+  // sharded corpus at this query's pin, trips no breaker and takes no
+  // limiter permit. It is minted only when a key needs a search.
+  std::unique_ptr<ShardedTextSource> router;
+  return ComputeSampledStats(
+      query, *catalog_,
+      [&]() -> TextSource& {
+        router = backend_->MakeBareSource(pinned_epoch);
+        router->SetMeter(&stats_meter_);
+        return *router;
+      },
+      options_.sample_size, rng_, registry_);
 }
 
 Result<FederationService::PlannedQueryPtr> FederationService::PlanSql(
     const std::string& sql, uint64_t pinned_epoch) {
-  // An entry is valid while nothing the enumerator reads has changed: the
-  // registry (its generation moves on every insert or changed value) and
-  // the document count. The catalog, topology and options are fixed.
-  const size_t documents = PlannerDocuments(pinned_epoch);
+  // An entry is valid while nothing the enumerator read has changed: the
+  // registry's stored values (its generation moves when one changes; an
+  // insert adds a key no cached plan read) and the document count. The
+  // catalog, topology and options are fixed.
+  std::optional<PinnedCorpora> live_corpora;
+  if (options_.live.has_value()) live_corpora = PinCorpora(pinned_epoch);
+  const PinnedCorpora& corpora =
+      live_corpora.has_value() ? *live_corpora : frozen_corpora_;
+  const size_t documents = corpora.num_documents;
   const auto valid = [documents](const PlannedQuery& entry,
                                  uint64_t generation) {
     return entry.stats_generation == generation &&
@@ -132,7 +79,7 @@ Result<FederationService::PlannedQueryPtr> FederationService::PlanSql(
   if (cached != nullptr) query = cached->query;
   // Oracle statistics are recomputed on every query; the plan is reused
   // only if that changed nothing.
-  TEXTJOIN_RETURN_IF_ERROR(EnsureStatistics(*query, pinned_epoch));
+  TEXTJOIN_RETURN_IF_ERROR(EnsureStatistics(*query, corpora, pinned_epoch));
   const uint64_t generation = registry_.generation();
   if (cached != nullptr && valid(*cached, generation)) return cached;
   Enumerator enumerator(catalog_, &registry_, documents,

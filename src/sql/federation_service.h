@@ -33,10 +33,11 @@
 
 /// \file
 /// The one-stop facade over the whole pipeline: SQL text in, rows out.
-/// Wires together the parser, statistics acquisition (sampling per paper
-/// Section 4.2, or oracle mode for experiments), the PrL enumerator, the
-/// plan executor, and the access meter — over ONE text backend or a
-/// sharded, replicated topology of them (connector/sharding.h).
+/// Wires together the parser, the statistics pass (core/statistics.h) with
+/// one of its two providers — sampled through a bare router per paper
+/// Section 4.2, or exact over the pinned corpora for experiments — the PrL
+/// enumerator, the plan executor, and the access meter, over ONE text
+/// backend or a sharded, replicated topology of them (connector/sharding.h).
 
 namespace textjoin {
 
@@ -303,7 +304,6 @@ class FederationService {
                                    : options_.topology;
     backend_ = std::make_unique<ShardedBackend>(std::move(topology),
                                                 options_.chain);
-    stats_source_ = backend_->MakeBareSource();
     if (options_.parallelism > 1) {
       pool_ = std::make_unique<ThreadPool>(options_.parallelism - 1);
     }
@@ -338,6 +338,8 @@ class FederationService {
             options_.live->merge_corpora, options_.live->merge_worker);
         merge_worker_->Start();
       }
+    } else {
+      frozen_corpora_ = PinCorpora(kUnpinnedEpoch);
     }
   }
 
@@ -345,12 +347,14 @@ class FederationService {
   FederationService& operator=(const FederationService&) = delete;
 
   /// Parses, optimizes, and executes `sql`, returning a self-contained
-  /// QueryOutcome. Oracle statistics (the default) are recomputed for the
-  /// query's predicates on every call, at the pinned epoch; sampled ones
-  /// are acquired the first time a predicate is seen and then kept. Either
-  /// way the parsed query and its plan come from the plan cache when the
-  /// statistics and the document count have not changed since `sql` was
-  /// planned, so a repeated text skips parsing, enumeration and rendering.
+  /// QueryOutcome. The statistics pass runs under the chosen provider:
+  /// exact statistics (the default) are re-measured for every relation and
+  /// text predicate of the query on every call, at the pinned epoch;
+  /// sampled ones are measured the first time a key is seen and then kept.
+  /// Either way the parsed query and its plan come from the plan cache
+  /// while neither a stored statistic nor the document count has changed
+  /// since `sql` was planned, so a repeated text skips parsing, enumeration
+  /// and rendering.
   Result<QueryOutcome> Run(const std::string& sql);
 
   /// Run() with per-call deadline/priority overrides. A query shed by
@@ -394,8 +398,9 @@ class FederationService {
   AccessMeter meter() const { return cumulative_.Snapshot(); }
   void ResetMeter() { cumulative_.Reset(); }
 
-  /// Charges incurred acquiring statistics (sampling mode only).
-  AccessMeter stats_meter() const { return stats_source_->meter(); }
+  /// Charges of the sampled provider's searches so far (the exact
+  /// provider's are unmetered).
+  AccessMeter stats_meter() const { return stats_meter_.Snapshot(); }
 
   /// The backend: topology plus the service-wide per-(shard, replica)
   /// breakers / limiters and per-shard hedge controllers.
@@ -416,10 +421,13 @@ class FederationService {
   /// one. Stopped by Drain() and the destructor.
   SegmentMergeWorker* merge_worker() const { return merge_worker_.get(); }
 
-  /// The statistics store (exposed for inspection/preloading). Not
+  /// The statistics store (exposed for inspection/preloading): every key
+  /// a query read, stored by the first query that needed it and, under
+  /// oracle_stats, re-measured by every query that reads it. Not
   /// synchronized — do not touch while Run() is in flight elsewhere. A
-  /// preload that inserts or changes a value moves the registry's
-  /// generation, so the next Run() or Explain() of any text re-plans.
+  /// preload that changes a stored value moves the registry's generation,
+  /// so the next Run() or Explain() of any text re-plans; a new key
+  /// re-plans nothing, since no cached plan read it.
   StatsRegistry& stats() { return registry_; }
 
  private:
@@ -452,14 +460,24 @@ class FederationService {
     std::unordered_map<std::string_view, decltype(lru_)::iterator> index_;
   };
 
-  /// Ensures the registry covers every predicate of `query`, reading the
-  /// corpus at `pinned_epoch` (mutable corpora only; kUnpinnedEpoch =
-  /// latest). Caller holds stats_mu_.
-  Status EnsureStatistics(const FederatedQuery& query, uint64_t pinned_epoch);
+  /// What one planning pass reads, for D and exact statistics alike:
+  /// replica 0 of every shard, a mutable one as its snapshot at the pin
+  /// (owned by `snapshots`), so both see the version execution will.
+  struct PinnedCorpora {
+    std::vector<const SearchableCorpus*> shards;
+    std::vector<std::shared_ptr<const SearchableCorpus>> snapshots;
+    size_t num_documents = 0;  ///< The planner's D.
+  };
 
-  /// The planner's corpus size D: for mutable corpora, the size at
-  /// `pinned_epoch` — the same universe execution will see.
-  size_t PlannerDocuments(uint64_t pinned_epoch) const;
+  /// The corpora at `pinned_epoch` (kUnpinnedEpoch = latest).
+  PinnedCorpora PinCorpora(uint64_t pinned_epoch) const;
+
+  /// Runs the statistics pass for `query` with the provider options_
+  /// chooses: exact over `corpora`, or sampled through a bare router
+  /// pinned at `pinned_epoch`. Caller holds stats_mu_.
+  Status EnsureStatistics(const FederatedQuery& query,
+                          const PinnedCorpora& corpora,
+                          uint64_t pinned_epoch);
 
   /// The one planning path of Run() and Explain(): the cached entry for
   /// `sql` while it is still valid at `pinned_epoch`, else a fresh plan
@@ -475,11 +493,14 @@ class FederationService {
   /// its router from this.
   std::unique_ptr<ShardedBackend> backend_;
 
+  /// A frozen topology's corpora, pinned once; live passes pin their own.
+  PinnedCorpora frozen_corpora_;
+
   /// Serializes statistics acquisition and planning (registry_, rng_).
   /// A plan-cache hit with sampled statistics does not take it.
   std::mutex stats_mu_;
-  /// Bare (chain-less) router; its own meter IS the stats meter.
-  std::unique_ptr<ShardedTextSource> stats_source_;
+  /// What the sampled provider's searches cost (stats_meter()).
+  AtomicAccessMeter stats_meter_;
   StatsRegistry registry_;
   /// Statistics sampling; the fixed seed makes sampled statistics (and so
   /// plans) reproducible across services.

@@ -2,7 +2,7 @@
 
 #include "connector/cost_meter.h"
 #include "connector/remote_text_source.h"
-#include "connector/sampler.h"
+#include "core/statistics.h"
 #include "tests/test_util.h"
 #include "text/query.h"
 

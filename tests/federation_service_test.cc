@@ -10,6 +10,26 @@
 namespace textjoin {
 namespace {
 
+/// Query shapes both statistics providers must plan, each a text join over
+/// the university workload: aliased relations (the join column resolves
+/// through its alias), an aliased self-join, a text selection beside an
+/// aliased join, a join column without string values (s = f = 0), two text
+/// joins over one aliased relation, and the unaliased control.
+const char* const kProviderShapes[] = {
+    "select s.name, mercury.docid from student s, mercury "
+    "where s.name in mercury.author",
+    "select a.name, b.name, mercury.docid from student a, student b, mercury "
+    "where a.advisor = b.advisor and a.name in mercury.author",
+    "select f.name, mercury.docid from faculty f, mercury "
+    "where 'belief update' in mercury.title and f.name in mercury.author",
+    "select student.name, mercury.docid from student, mercury "
+    "where student.year in mercury.title",
+    "select p.name, mercury.title from project p, mercury "
+    "where p.name in mercury.title and p.member in mercury.author",
+    "select student.name, mercury.docid from student, mercury "
+    "where student.name in mercury.author",
+};
+
 class FederationServiceTest : public ::testing::Test {
  protected:
   FederationServiceTest() {
@@ -39,6 +59,25 @@ class FederationServiceTest : public ::testing::Test {
     std::multiset<std::string> out;
     for (const Row& row : result->rows) out.insert(RowToString(row));
     return out;
+  }
+
+  /// Runs every shape of kProviderShapes on a fresh service under one
+  /// provider; each must plan, and return the reference rows.
+  void ExpectEveryShapeMatchesReference(bool oracle_stats) {
+    for (const char* sql : kProviderShapes) {
+      SCOPED_TRACE(sql);
+      FederationService::Options options;
+      options.oracle_stats = oracle_stats;
+      FederationService service = MakeService(options);
+      auto outcome = service.Run(sql);
+      if (!outcome.ok()) {
+        ADD_FAILURE() << outcome.status().ToString();
+        continue;
+      }
+      std::multiset<std::string> got;
+      for (const Row& row : outcome->rows.rows) got.insert(RowToString(row));
+      EXPECT_EQ(got, Reference(sql));
+    }
   }
 
   UniversityWorkload workload_;
@@ -99,6 +138,14 @@ TEST_F(FederationServiceTest, SamplingModeChargesStatsMeter) {
   EXPECT_EQ(got, Reference(kSql));
   EXPECT_GT(service.stats_meter().invocations, 0u);
   EXPECT_LE(service.stats_meter().invocations, 5u);
+}
+
+TEST_F(FederationServiceTest, ExactStatisticsPlanEveryShape) {
+  ExpectEveryShapeMatchesReference(/*oracle_stats=*/true);
+}
+
+TEST_F(FederationServiceTest, SampledStatisticsPlanEveryShape) {
+  ExpectEveryShapeMatchesReference(/*oracle_stats=*/false);
 }
 
 TEST_F(FederationServiceTest, StatisticsAmortizedAcrossQueries) {

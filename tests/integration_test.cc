@@ -5,7 +5,6 @@
 
 #include "common/random.h"
 #include "connector/remote_text_source.h"
-#include "connector/sampler.h"
 #include "core/enumerator.h"
 #include "core/executor.h"
 #include "core/statistics.h"

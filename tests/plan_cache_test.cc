@@ -17,10 +17,11 @@
 /// The service's plan cache (DESIGN.md §7, "Plan cache"). A repeated SQL
 /// text is served from the cache — a hit reports the very plan object the
 /// miss built — and must be byte-identical to a fresh service's run; the
-/// cache re-plans when the statistics generation or the live document
-/// count moves, never caches a failure, evicts the least recently used
-/// text past its bound without invalidating outcomes, and serves eight
-/// threads the rows and meters of serial runs.
+/// cache re-plans when a stored statistic changes or the live document
+/// count moves (and not when new statistics arrive), never caches a
+/// failure, evicts the least recently used text past its bound without
+/// invalidating outcomes, and serves eight threads the rows and meters of
+/// serial runs.
 
 namespace textjoin {
 namespace {
@@ -154,9 +155,8 @@ TEST(PlanCacheTest, UniversityTextsHitEqualFreshServices) {
   FederationService::Options options;
   options.text = uni.text;  // Oracle statistics, the default.
   FederationService warm(uni.catalog.get(), uni.engine.get(), options);
-  // The first pass inserts each text's statistics, so every insert after a
-  // text was planned moves the generation past its entry; the second pass
-  // re-plans each text once at the final generation, and then they hit.
+  // Two passes; the second hits what the first planned, since new keys do
+  // not move the generation (NewExactStatisticsKeepCachedPlans holds it).
   std::vector<QueryOutcome> planned;
   for (int pass = 0; pass < 2; ++pass) {
     planned.clear();
@@ -218,6 +218,42 @@ TEST(PlanCacheTest, PreloadThatChangesAStatisticReplans) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->plan, replanned->plan);
   ExpectSameOutcome(*again, *replanned);
+}
+
+/// Statistics a later text inserts leave earlier plans valid: a plan reads
+/// only keys that existed when it was made, so the second pass over four
+/// texts (two student topics, a project text and the student-faculty
+/// shape) hits every plan of the first, under either provider.
+void ExpectNewStatisticsKeepCachedPlans(bool oracle_stats) {
+  UniversityWorkload uni = SmallUniversity();
+  FederationService::Options options;
+  options.text = uni.text;
+  options.oracle_stats = oracle_stats;
+  FederationService service(uni.catalog.get(), uni.engine.get(), options);
+  const std::vector<std::string> texts = {
+      UniversityTexts()[0], UniversityTexts()[1], UniversityTexts()[3],
+      UniversityTexts()[6]};
+  std::vector<PlanNodePtr> first;
+  for (const std::string& sql : texts) {
+    auto outcome = service.Run(sql);
+    ASSERT_TRUE(outcome.ok()) << sql << ": " << outcome.status().ToString();
+    first.push_back(outcome->plan);
+  }
+  const uint64_t generation = service.stats().generation();
+  for (size_t i = 0; i < texts.size(); ++i) {
+    auto again = service.Run(texts[i]);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->plan, first[i]) << texts[i] << " was re-planned";
+  }
+  EXPECT_EQ(service.stats().generation(), generation);
+}
+
+TEST(PlanCacheTest, NewSampledStatisticsKeepCachedPlans) {
+  ExpectNewStatisticsKeepCachedPlans(/*oracle_stats=*/false);
+}
+
+TEST(PlanCacheTest, NewExactStatisticsKeepCachedPlans) {
+  ExpectNewStatisticsKeepCachedPlans(/*oracle_stats=*/true);
 }
 
 TEST(PlanCacheTest, LiveDocumentCountReplans) {
@@ -373,11 +409,12 @@ void ExpectConcurrentRunsMatchSerial(bool oracle_stats) {
   FederationService shared(uni.catalog.get(), uni.engine.get(), options);
   if (!oracle_stats) {
     // Sampled statistics depend on the order in which predicates are first
-    // seen, so sample them in the serial order. Then a statistic no text
-    // reads moves the generation: every entry is stale, and the threads'
-    // first runs race to re-plan the same texts.
+    // seen, so sample them in the serial order. Then changing a statistic
+    // no text reads moves the generation: every entry is stale, and the
+    // threads' first runs race to re-plan the same texts.
     for (const std::string& sql : texts) ASSERT_TRUE(shared.Run(sql).ok());
     shared.stats().SetTextSelectionStats("unread", "title", 1.0, 1.0);
+    shared.stats().SetTextSelectionStats("unread", "title", 2.0, 2.0);
   }
   constexpr int kThreads = 8;
   constexpr size_t kRunsPerThread = 24;

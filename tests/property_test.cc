@@ -12,7 +12,6 @@
 #include "common/random.h"
 #include "common/text_match.h"
 #include "connector/remote_text_source.h"
-#include "connector/sampler.h"
 #include "core/enumerator.h"
 #include "core/executor.h"
 #include "core/join_methods.h"

@@ -118,7 +118,12 @@ TEST(SplitCorpusTest, PartitionsByHashAndRecordsGlobalOrdinals) {
   EXPECT_TRUE(split->topology.Validate().ok());
   EXPECT_EQ(split->topology.num_shards(), 4u);
   EXPECT_EQ(split->topology.num_replicas(), 8u);
-  EXPECT_EQ(split->topology.total_documents(), full->num_documents());
+  // The planner's D: replica 0 of every shard, summed.
+  size_t topology_documents = 0;
+  for (const BackendTopology::Shard& shard : split->topology.shards) {
+    topology_documents += shard.replicas[0].corpus->num_documents();
+  }
+  EXPECT_EQ(topology_documents, full->num_documents());
   EXPECT_EQ(split->topology.max_search_terms(), full->max_search_terms());
 
   ShardedCorpusConfig zero_shards;

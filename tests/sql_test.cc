@@ -285,6 +285,36 @@ TEST(SqlEndToEndTest, AggregationExecution) {
 }
 
 
+/// The exact statistics pass resolves a text-join column through the
+/// relation its qualifier names, alias included.
+TEST(SqlEndToEndTest, ExactStatisticsResolveAliasedColumns) {
+  auto engine = MakeSmallEngine();
+  RemoteTextSource source(engine.get());
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable(MakeStudentTable()).ok());
+  auto query = ParseQuery(
+      "select s.name, mercury.docid from student s, mercury "
+      "where s.name in mercury.author",
+      MercuryDecl());
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  StatsRegistry registry;
+  Status computed = ComputeExactStats(*query, catalog, *engine, registry);
+  ASSERT_TRUE(computed.ok()) << computed.ToString();
+  // All five names are authors, of 1, 2, 2, 2 and 1 documents.
+  auto stats = registry.GetTextJoinStats("s.name", "author");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_DOUBLE_EQ(stats->selectivity, 1.0);
+  EXPECT_DOUBLE_EQ(stats->fanout, 8.0 / 5.0);
+  Enumerator enumerator(&catalog, &registry, engine->num_documents(),
+                        engine->max_search_terms(), EnumeratorOptions{});
+  auto plan = enumerator.Optimize(*query);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  PlanExecutor executor(&catalog, &source);
+  auto result = executor.Execute(**plan, *query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), 8u);
+}
+
 TEST(SqlEndToEndTest, SumAndAvgAggregates) {
   auto engine = MakeSmallEngine();
   RemoteTextSource source(engine.get());
