@@ -5,7 +5,8 @@
 // tests/support, phrase adjacency, index build, Boolean search evaluation,
 // tokenization, the relational hash join, Q5's relational join with its
 // residual selected per batch and evaluated per row on the scratch row it
-// replaced, Q5's probe grouping, the paper's Q5 through the whole service,
+// replaced, Q5's probe grouping and probe searches, the paper's Q5 through
+// the whole service,
 // and planning each paper query on a plan-cache hit against planning it
 // from scratch. A custom main() additionally emits the machine-readable
 // BENCH_vectorized.json snapshot (rows/sec, ns/row, heap allocations) and
@@ -25,6 +26,7 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <set>
 #include <string_view>
 
 #include "bench/bench_util.h"
@@ -465,7 +467,8 @@ std::vector<bench::BenchRecord> RunVectorizedSnapshot() {
     // student (200 rows) x faculty (40) with no keys and the residual
     // `faculty.dept != student.dept`; rows = the 8,000 candidate pairs.
     // JoinRows selects among each student's 40 candidates in one
-    // Expr::Select call and writes the joined ids once. The scratch-row
+    // Expr::Select call, comparing dictionary codes, and writes the joined
+    // ids once. The scratch-row
     // record is the path JoinRows took before it read base rows in place,
     // kept as the baseline: one reused row, the left tuple's values
     // copy-assigned over it once per left tuple and each candidate's right
@@ -477,10 +480,13 @@ std::vector<bench::BenchRecord> RunVectorizedSnapshot() {
     auto student = built->scenario.catalog->GetTable("student");
     auto faculty = built->scenario.catalog->GetTable("faculty");
     TEXTJOIN_CHECK(student.ok() && faculty.ok(), "q5 tables");
+    // Both inputs are table parts, as the executor's scans produce, so the
+    // residual compares faculty.dept's dictionary codes with the left
+    // tuple's student.dept, looked up once per call.
     const RowIdSet left = RowIdSet::BorrowedAll(
-        (*student)->schema().WithQualifier("student"), (*student)->rows());
+        (*student)->schema().WithQualifier("student"), **student);
     const RowIdSet right = RowIdSet::BorrowedAll(
-        (*faculty)->schema().WithQualifier("faculty"), (*faculty)->rows());
+        (*faculty)->schema().WithQualifier("faculty"), **faculty);
     TEXTJOIN_CHECK(built->query.relational_predicates.size() == 1,
                    "q5 has one join predicate");
     const Expr& predicate = *built->query.relational_predicates.front();
@@ -542,6 +548,45 @@ std::vector<bench::BenchRecord> RunVectorizedSnapshot() {
                                           .size();
                            }));
     TEXTJOIN_CHECK(groups > 0, "q5 grouping found no keys");
+  }
+  {
+    // Q5's probe searches: `year='year1993' and author='<name>'` (the
+    // order pipeline::BuildSearch gives) for each of the 25 distinct
+    // faculty names P+RTP probes, through TextEngine::Search with the
+    // queries built beforehand; rows = searches, so allocs_per_row is the
+    // allocations of one search. The evaluator's scratch arena is the
+    // thread's, reused across searches.
+    auto built = BuildQ5(Q5Config{});
+    TEXTJOIN_CHECK(built.ok(), "q5");
+    auto faculty = built->scenario.catalog->GetTable("faculty");
+    TEXTJOIN_CHECK(faculty.ok(), "q5 faculty");
+    std::set<std::string> names;
+    for (const Row& row : (*faculty)->rows()) names.insert(row[0].AsString());
+    TEXTJOIN_CHECK(built->query.text_selections.size() == 1, "q5 selection");
+    const TextSelection& year = built->query.text_selections[0];
+    std::vector<TextQueryPtr> probes;
+    for (const std::string& name : names) {
+      std::vector<TextQueryPtr> terms;
+      terms.push_back(TextQuery::Term(year.field, year.term));
+      terms.push_back(TextQuery::Term("author", name));
+      probes.push_back(TextQuery::And(std::move(terms)));
+    }
+    const TextEngine& engine = *built->scenario.engine;
+    auto search_all = [&] {
+      size_t docs = 0;
+      for (const TextQueryPtr& probe : probes) {
+        auto result = engine.Search(*probe);
+        TEXTJOIN_CHECK(result.ok(), "q5 probe search");
+        docs += result->docs.size();
+      }
+      return docs;
+    };
+    const size_t expected_docs = search_all();
+    out.push_back(TimeLoop("search_probe_q5", 2000,
+                           static_cast<double>(probes.size()), [&] {
+                             TEXTJOIN_CHECK(search_all() == expected_docs,
+                                            "q5 probe results changed");
+                           }));
   }
   {
     // The paper's Example 6.1 (Q5) through FederationService::Run with

@@ -122,6 +122,10 @@ for leg in "${legs[@]}"; do
     # <repo>/.bench_build/perfbench when the variable is unset.
     echo "==> [release] benchmark self-test (perfbench)"
     (cd "$repo" && python3 perfbench/run.py --self-test)
+    # The parent/change pairs tool (scripts/perf_pairs.py) on canned
+    # perfbench output: parsing, quartiles, win counts, per-query floors.
+    echo "==> [release] pairs tool self-test"
+    python3 "$repo/scripts/perf_pairs.py" --self-test
     # The examples smoke, as in CI: every example runs to completion, and
     # the shell drives its \demo tour (EXPLAIN ANALYZE included) and \quit
     # from stdin, which the others ignore.

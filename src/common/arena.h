@@ -17,17 +17,26 @@
 /// The vectorized hot path (DESIGN.md §14) sizes its intermediate posting
 /// arrays by exact upper bounds (an intersection holds at most
 /// min(|a|, |b|) docs), so allocation reduces to bumping a pointer in a
-/// chunk and the whole query's scratch memory is released wholesale when
-/// the Arena dies. Only trivially destructible element types are allowed —
-/// the Arena never runs destructors.
+/// chunk and the whole query's scratch memory is released wholesale, when
+/// the Arena dies or is Reset. Only trivially destructible element types
+/// are allowed — the Arena never runs destructors.
+///
+/// Chunks are left uninitialized. The first is the larger of the minimum
+/// chunk size and the request that needs it; each later one at least
+/// doubles the one before. Reset keeps the largest chunk of at most
+/// kMaxRetainedBytes, so an arena reused across searches settles into one
+/// chunk that fits all but the largest of them, and stops asking the
+/// system for memory.
 
 namespace textjoin {
 
 /// A chunked bump allocator. Not thread-safe: one Arena per query (or per
-/// evaluator), used from one thread at a time.
+/// evaluator, or per thread), used from one thread at a time.
 class Arena {
  public:
-  static constexpr size_t kDefaultChunkBytes = 1u << 16;  // 64 KiB
+  static constexpr size_t kDefaultChunkBytes = 1u << 12;  // 4 KiB
+  /// The largest chunk Reset keeps for reuse.
+  static constexpr size_t kMaxRetainedBytes = 1u << 20;  // 1 MiB
 
   explicit Arena(size_t min_chunk_bytes = kDefaultChunkBytes)
       : min_chunk_bytes_(min_chunk_bytes) {}
@@ -65,30 +74,54 @@ class Arena {
     return {p, s.size()};
   }
 
+  /// Releases every allocation at once. Keeps the largest chunk of at most
+  /// kMaxRetainedBytes for the allocations that follow, and returns the
+  /// other chunks to the system. The counters restart.
+  void Reset() {
+    Chunk kept;
+    for (Chunk& chunk : chunks_) {
+      if (chunk.size > kept.size && chunk.size <= kMaxRetainedBytes) {
+        kept = std::move(chunk);
+      }
+    }
+    chunks_.clear();
+    cursor_ = limit_ = 0;
+    bytes_reserved_ = bytes_allocated_ = allocations_ = 0;
+    if (kept.data != nullptr) UseChunk(std::move(kept));
+  }
+
   /// Total bytes handed out (excludes alignment padding and chunk slack).
   size_t bytes_allocated() const { return bytes_allocated_; }
-  /// Total bytes reserved from the system allocator.
+  /// Total bytes reserved from the system allocator, in the chunks held.
   size_t bytes_reserved() const { return bytes_reserved_; }
   /// Number of AllocBytes calls served.
   size_t allocations() const { return allocations_; }
+  /// Number of chunks held.
+  size_t num_chunks() const { return chunks_.size(); }
 
  private:
+  struct Chunk {
+    std::unique_ptr<char[]> data;
+    size_t size = 0;
+  };
+
   void AddChunk(size_t at_least) {
     size_t size = min_chunk_bytes_;
     // Grow geometrically so a query with large lists settles into a few
     // big chunks instead of many small ones.
     if (!chunks_.empty()) size = chunks_.back().size * 2;
     if (size < at_least) size = at_least;
-    chunks_.push_back({std::make_unique<char[]>(size), size});
-    bytes_reserved_ += size;
-    cursor_ = reinterpret_cast<uintptr_t>(chunks_.back().data.get());
-    limit_ = cursor_ + size;
+    // Uninitialized: every byte is written before it is read.
+    UseChunk({std::make_unique_for_overwrite<char[]>(size), size});
   }
 
-  struct Chunk {
-    std::unique_ptr<char[]> data;
-    size_t size;
-  };
+  /// Appends `chunk` and bumps from its start.
+  void UseChunk(Chunk chunk) {
+    bytes_reserved_ += chunk.size;
+    cursor_ = reinterpret_cast<uintptr_t>(chunk.data.get());
+    limit_ = cursor_ + chunk.size;
+    chunks_.push_back(std::move(chunk));
+  }
 
   size_t min_chunk_bytes_;
   std::vector<Chunk> chunks_;

@@ -365,8 +365,11 @@ Result<PlanNodePtr> Enumerator::Optimize(const FederatedQuery& query) {
     ctx.text_pred_relation.push_back(rel);
     ctx.text_required_mask |= uint64_t{1} << rel;
     TEXTJOIN_ASSIGN_OR_RETURN(
+        TextJoinColumn column,
+        ResolveTextJoinColumn(query, *catalog_, pred.column_ref));
+    TEXTJOIN_ASSIGN_OR_RETURN(
         TextPredicateStats ps,
-        stats_->GetTextJoinStats(pred.column_ref, pred.field));
+        stats_->GetTextJoinStats(column.key, pred.field));
     ctx.text_pred_stats.push_back(ps);
   }
   if (query.has_text_relation) {

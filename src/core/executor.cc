@@ -72,11 +72,10 @@ Result<RowIdSet> PlanExecutor::ExecNode(const PlanNode& node,
     case PlanNode::Kind::kScan: {
       TEXTJOIN_ASSIGN_OR_RETURN(Table * table,
                                 catalog_->GetTable(node.table_name));
-      const std::vector<Row>& rows = table->rows();
       TEXTJOIN_ASSIGN_OR_RETURN(
           std::vector<size_t> ids,
-          SelectRows(node.output_schema, rows, node.filters));
-      return RowIdSet::Borrowed(node.output_schema, rows, std::move(ids));
+          SelectRows(node.output_schema, table->rows(), node.filters));
+      return RowIdSet::Borrowed(node.output_schema, *table, std::move(ids));
     }
     case PlanNode::Kind::kProbe: {
       TEXTJOIN_ASSIGN_OR_RETURN(RowIdSet child,

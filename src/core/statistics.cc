@@ -21,18 +21,18 @@ void StatsRegistry::Store(Map& map, typename Map::key_type key,
   ++generation_;
 }
 
-void StatsRegistry::SetTextJoinStats(const std::string& column_ref,
+void StatsRegistry::SetTextJoinStats(const std::string& column,
                                      const std::string& field,
                                      double selectivity, double fanout) {
-  Store(join_stats_, {column_ref, field}, JoinStatsEntry{selectivity, fanout});
+  Store(join_stats_, {column, field}, JoinStatsEntry{selectivity, fanout});
 }
 
 Result<TextPredicateStats> StatsRegistry::GetTextJoinStats(
-    const std::string& column_ref, const std::string& field) const {
-  auto it = join_stats_.find({column_ref, field});
+    const std::string& column, const std::string& field) const {
+  auto it = join_stats_.find({column, field});
   if (it == join_stats_.end()) {
-    return Status::NotFound("no statistics for '" + column_ref + " in " +
-                            field + "'");
+    return Status::NotFound("no statistics for '" + column + " in " + field +
+                            "'");
   }
   TextPredicateStats stats;
   stats.selectivity = it->second.selectivity;
@@ -71,6 +71,27 @@ Result<const TableStats*> StatsRegistry::GetTableStats(
     return Status::NotFound("no table statistics for '" + table_name + "'");
   }
   return &it->second;
+}
+
+Result<TextJoinColumn> ResolveTextJoinColumn(const FederatedQuery& query,
+                                             const Catalog& catalog,
+                                             const std::string& column_ref) {
+  const size_t dot = column_ref.find('.');
+  if (dot == std::string::npos) {
+    return Status::InvalidArgument("text join column '" + column_ref +
+                                   "' must be qualified");
+  }
+  TEXTJOIN_ASSIGN_OR_RETURN(const RelationRef* rel,
+                            query.FindRelation(column_ref.substr(0, dot)));
+  TextJoinColumn resolved;
+  TEXTJOIN_ASSIGN_OR_RETURN(Table * table, catalog.GetTable(rel->table_name));
+  resolved.table = table;
+  TEXTJOIN_ASSIGN_OR_RETURN(
+      resolved.column,
+      table->schema().WithQualifier(rel->name()).Resolve(column_ref));
+  resolved.key =
+      table->name() + "." + table->schema().column(resolved.column).name;
+  return resolved;
 }
 
 namespace {
@@ -177,31 +198,20 @@ Status AcquireStatistics(const FederatedQuery& query, const Catalog& catalog,
     registry.SetTableStats(rel.table_name, TableStats::Analyze(*table));
   }
   for (const TextJoinPredicate& pred : query.text_joins) {
-    if (!remeasure &&
-        registry.GetTextJoinStats(pred.column_ref, pred.field).ok()) {
+    TEXTJOIN_ASSIGN_OR_RETURN(
+        TextJoinColumn column,
+        ResolveTextJoinColumn(query, catalog, pred.column_ref));
+    if (!remeasure && registry.GetTextJoinStats(column.key, pred.field).ok()) {
       continue;
     }
-    const size_t dot = pred.column_ref.find('.');
-    if (dot == std::string::npos) {
-      return Status::InvalidArgument("text join column '" + pred.column_ref +
-                                     "' must be qualified");
-    }
-    TEXTJOIN_ASSIGN_OR_RETURN(
-        const RelationRef* rel,
-        query.FindRelation(pred.column_ref.substr(0, dot)));
-    TEXTJOIN_ASSIGN_OR_RETURN(Table * table,
-                              catalog.GetTable(rel->table_name));
-    TEXTJOIN_ASSIGN_OR_RETURN(
-        size_t column,
-        table->schema().WithQualifier(rel->name()).Resolve(pred.column_ref));
     std::vector<std::string_view> values =
-        SortedDistinctStrings(*table, column);
+        SortedDistinctStrings(*column.table, column.column);
     PredicateStatsEstimate est;  // s = f = 0: a non-string never matches.
     if (!values.empty()) {
       TEXTJOIN_ASSIGN_OR_RETURN(
           est, provider.MeasureJoin(std::move(values), pred.field));
     }
-    registry.SetTextJoinStats(pred.column_ref, pred.field, est.selectivity,
+    registry.SetTextJoinStats(column.key, pred.field, est.selectivity,
                               est.fanout);
   }
   for (const TextSelection& sel : query.text_selections) {

@@ -43,9 +43,11 @@ struct TextSelectionStats {
   bool operator==(const TextSelectionStats&) const = default;
 };
 
-/// Holds every estimate the optimizer consumes. Estimates are keyed by the
-/// textual form of the predicate, so they are shared across queries (the
-/// paper amortizes sampling cost this way). Keys are never erased.
+/// Holds every estimate the optimizer consumes, shared across queries (the
+/// paper amortizes sampling cost this way): text-join statistics keyed by
+/// the table column and field (ResolveTextJoinColumn's key, whatever alias
+/// the query gives the table), selection statistics by term and field, and
+/// table statistics by table name. Keys are never erased.
 ///
 /// The registry counts its own changes: generation() moves exactly when a
 /// Set* call stores a value different from the one a key already holds.
@@ -59,13 +61,13 @@ class StatsRegistry {
   /// The number of stored values changed so far.
   uint64_t generation() const { return generation_.load(); }
 
-  /// Records s_i / f_i for `column_ref in field`.
-  void SetTextJoinStats(const std::string& column_ref,
-                        const std::string& field, double selectivity,
-                        double fanout);
+  /// Records s_i / f_i for `column in field`, `column` a table column
+  /// ("student.name").
+  void SetTextJoinStats(const std::string& column, const std::string& field,
+                        double selectivity, double fanout);
 
   /// The recorded stats. Fails with NotFound if never set.
-  Result<TextPredicateStats> GetTextJoinStats(const std::string& column_ref,
+  Result<TextPredicateStats> GetTextJoinStats(const std::string& column,
                                               const std::string& field) const;
 
   /// Records match count / postings for a selection term.
@@ -102,6 +104,24 @@ class StatsRegistry {
       selection_stats_;
   std::map<std::string, TableStats> table_stats_;
 };
+
+/// A text join's column resolved through the query relation its qualifier
+/// names: the catalog table, the column's index in it, and the registry key
+/// of its statistics, "<table>.<column>" in the catalog's spelling. So
+/// `s.name` keys "student.name" in a query over `student s` and
+/// "faculty.name" in one over `faculty s`.
+struct TextJoinColumn {
+  const Table* table = nullptr;
+  size_t column = 0;
+  std::string key;
+};
+
+/// Resolves `column_ref`, a text join's column of `query`. Fails with
+/// InvalidArgument when it is unqualified and NotFound when its qualifier
+/// names no relation of the query or the column is not the table's.
+Result<TextJoinColumn> ResolveTextJoinColumn(const FederatedQuery& query,
+                                             const Catalog& catalog,
+                                             const std::string& column_ref);
 
 /// Runs the statistics pass with the exact provider over one corpus, for
 /// every key of `query`. No metered traffic.

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "common/string_util.h"
+#include "relational/table.h"
 
 namespace textjoin {
 
@@ -68,6 +69,41 @@ void Subtract(Selection& selection, const Selection& dropped) {
 /// (bit 0: less, bit 1: equal, bit 2: greater).
 constexpr unsigned kAcceptedSigns[] = {0b010, 0b101, 0b001,
                                        0b011, 0b100, 0b110};
+
+/// Narrows `selection` by `=` (`equal`) or `!=` on the dictionary codes of
+/// the batch's table, when one operand is a string the same for every
+/// candidate and the other a coded column of the candidates' rows: the
+/// string is looked up once, and each candidate compares one code. A NULL
+/// cell's code equals no string's, and a string absent from the dictionary
+/// has a code no row holds, so this keeps what comparing the values keeps.
+/// Returns false, leaving `selection` alone, when the operands are not of
+/// that form.
+bool SelectByCode(const RowBatch& batch, ExprOperand::Resolved a,
+                  ExprOperand::Resolved b, bool equal, Selection& selection) {
+  if (batch.table == nullptr || (a.value == nullptr) == (b.value == nullptr)) {
+    return false;
+  }
+  const ExprOperand::Resolved& fixed = a.value != nullptr ? a : b;
+  const ExprOperand::Resolved& column = a.value != nullptr ? b : a;
+  if (fixed.value->type() != ValueType::kString) return false;
+  const std::vector<uint32_t>* coded = batch.table->codes(column.index);
+  if (coded == nullptr) return false;
+  const uint32_t* codes = coded->data();
+  const size_t* ids = batch.ids;
+  const uint32_t code =
+      batch.table->CodeOf(column.index, fixed.value->AsString());
+  if (equal) {
+    Narrow(selection, [&](size_t c) {
+      return codes[ids == nullptr ? c : ids[c]] == code;
+    });
+  } else {
+    Narrow(selection, [&](size_t c) {
+      const uint32_t k = codes[ids == nullptr ? c : ids[c]];
+      return k != code && k != Table::kNullCode;
+    });
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -137,6 +173,10 @@ void ComparisonExpr::Select(const RowBatch& batch,
                             Selection& selection) const {
   const ExprOperand::Resolved l = left_.Resolve(batch);
   const ExprOperand::Resolved r = right_.Resolve(batch);
+  if ((op_ == CompareOp::kEq || op_ == CompareOp::kNe) &&
+      SelectByCode(batch, l, r, op_ == CompareOp::kEq, selection)) {
+    return;
+  }
   const unsigned accepted = kAcceptedSigns[static_cast<size_t>(op_)];
   // SQL-style: comparisons involving NULL are false (not unknown-propagating
   // three-valued logic; adequate for conjunctive queries).

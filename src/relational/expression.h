@@ -26,6 +26,9 @@
 /// of the candidates' rows by reference per candidate), and AND, OR and
 /// NOT combine their children's selections. So a scan filters its table
 /// and a relational join each left tuple's candidates in one call each.
+/// When the batch lends its candidates' table, `=` and `!=` between a
+/// string read once and a coded column compare the table's dictionary
+/// codes instead of the strings (DESIGN.md §14), with the same result.
 
 namespace textjoin {
 

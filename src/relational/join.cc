@@ -29,13 +29,15 @@ RowView RowOf(const RowIdSet& set, size_t tuple, Row& gathered) {
 }
 
 /// Points `batch`'s candidates at `set`'s tuples, candidate t being tuple
-/// t's row: a one-part set's base rows are read in place through its ids;
-/// a multi-part set's rows are gathered into `gathered` once.
+/// t's row: a one-part set's base rows are read in place through its ids,
+/// with its table's codes when the part is a table's; a multi-part set's
+/// rows are gathered into `gathered` once.
 void PointAtTuples(const RowIdSet& set, RowBatch& batch,
                    std::vector<Row>& gathered) {
   if (set.num_parts() == 1) {
     batch.rows = set.rows(0).data();
     batch.ids = set.ids().data();
+    batch.table = set.table(0);
     return;
   }
   gathered.resize(set.size());

@@ -34,8 +34,10 @@ struct JoinKey {
 /// tuple's candidates in one Expr::Select call: the left tuple's row is
 /// the batch's fixed piece, and the candidates' rows are the right input's
 /// base rows read in place (a one-part input, as every right input the
-/// enumerator builds) or, for a multi-part input, its rows gathered once
-/// per call. A multi-part left tuple's row is gathered once per tuple.
+/// enumerator builds; a table's part also lends the batch its table, whose
+/// codes `=` and `!=` may compare) or, for a multi-part input, its rows
+/// gathered once per call. A multi-part left tuple's row is gathered once
+/// per tuple.
 ///
 /// Tuples come in left-tuple order and, within one left tuple, in
 /// right-input order. Fails if a key does not resolve or the residual

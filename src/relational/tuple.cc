@@ -2,6 +2,8 @@
 
 #include <numeric>
 
+#include "relational/table.h"
+
 namespace textjoin {
 
 Row ConcatRows(RowView left, RowView right) {
@@ -62,7 +64,7 @@ int CompareRows(RowView a, RowView b) {
 RowIdSet RowIdSet::Borrowed(Schema schema, const std::vector<Row>& rows,
                             std::vector<size_t> ids) {
   RowIdSet set;
-  set.parts_.push_back({&rows, 0, schema.num_columns()});
+  set.parts_.push_back({&rows, nullptr, 0, schema.num_columns()});
   set.schema_ = std::move(schema);
   set.ids_ = std::move(ids);
   set.size_ = set.ids_.size();
@@ -73,6 +75,19 @@ RowIdSet RowIdSet::BorrowedAll(Schema schema, const std::vector<Row>& rows) {
   std::vector<size_t> ids(rows.size());
   std::iota(ids.begin(), ids.end(), size_t{0});
   return Borrowed(std::move(schema), rows, std::move(ids));
+}
+
+RowIdSet RowIdSet::Borrowed(Schema schema, const Table& table,
+                            std::vector<size_t> ids) {
+  RowIdSet set = Borrowed(std::move(schema), table.rows(), std::move(ids));
+  set.parts_[0].table = &table;
+  return set;
+}
+
+RowIdSet RowIdSet::BorrowedAll(Schema schema, const Table& table) {
+  RowIdSet set = BorrowedAll(std::move(schema), table.rows());
+  set.parts_[0].table = &table;
+  return set;
 }
 
 RowIdSet RowIdSet::Owned(Schema schema, std::vector<Row> rows) {

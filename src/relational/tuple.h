@@ -36,6 +36,8 @@ using Row = std::vector<Value>;
 /// a Table, or a TupleBatch slot).
 using RowView = std::span<const Value>;
 
+class Table;
+
 /// The rows a predicate selects among: a fixed piece, read once per call,
 /// and one base row per candidate. Candidate c's row is the fixed piece
 /// followed by rows[ids[c]] (rows[c] when `ids` is null), so column i is
@@ -47,6 +49,10 @@ struct RowBatch {
   RowView fixed;
   const Row* rows = nullptr;
   const size_t* ids = nullptr;
+  /// The table whose rows the candidates' base rows are (`rows` is then
+  /// table->rows().data()), or null. A predicate may read its column codes
+  /// in place of the candidates' values.
+  const Table* table = nullptr;
 
   /// Candidate c's base row.
   const Row& candidate(size_t c) const {
@@ -132,11 +138,12 @@ class TupleBatch {
 
 /// Join tuples held as row ids (DESIGN.md §14). Each tuple is one row id
 /// per part, and a part is a vector of base rows: a catalog table's,
-/// borrowed, or a materialized foreign-join output that the set shares
-/// ownership of. The set's schema is its parts' schemas concatenated, and
-/// a column of it resolves to (part, column) and is read in place. So a
-/// scan, a probe reducer and a relational join pass ids up the plan, and a
-/// Row is gathered only where one is output. Each base row must have its
+/// borrowed (with the table, whose column codes predicates may read), or
+/// a materialized foreign-join output that the set shares ownership of.
+/// The set's schema is its parts' schemas concatenated, and a column of it
+/// resolves to (part, column) and is read in place. So a scan, a probe
+/// reducer and a relational join pass ids up the plan, and a Row is
+/// gathered only where one is output. Each base row must have its
 /// part's width. Immutable once built, so pool threads may read it.
 class RowIdSet {
  public:
@@ -154,6 +161,13 @@ class RowIdSet {
                            std::vector<size_t> ids);
   /// One borrowed part (as above) holding every row of `rows`, in order.
   static RowIdSet BorrowedAll(Schema schema, const std::vector<Row>& rows);
+  /// One part over `table`'s rows, borrowed as above, that remembers the
+  /// table (so do the sets derived from it), so a join's residual can read
+  /// its column codes. The table must not change while the set lives.
+  static RowIdSet Borrowed(Schema schema, const Table& table,
+                           std::vector<size_t> ids);
+  /// One table part (as above) holding every row of `table`, in order.
+  static RowIdSet BorrowedAll(Schema schema, const Table& table);
   /// One part that owns `rows` and holds every one of them, in order.
   static RowIdSet Owned(Schema schema, std::vector<Row> rows);
   /// An empty set for the join of `left` and `right`: the parts of `left`
@@ -183,6 +197,8 @@ class RowIdSet {
   const std::vector<Row>& rows(size_t part) const {
     return *parts_[part].rows;
   }
+  /// The table `part` borrows its rows from, or null.
+  const Table* table(size_t part) const { return parts_[part].table; }
   /// The row id `tuple` holds in `part`.
   size_t id(size_t tuple, size_t part) const {
     return ids_[tuple * parts_.size() + part];
@@ -203,6 +219,7 @@ class RowIdSet {
  private:
   struct Part {
     const std::vector<Row>* rows = nullptr;
+    const Table* table = nullptr;  ///< Whose rows `rows` are, if a table's.
     size_t first_column = 0;  ///< Its first column in schema_.
     size_t width = 0;
   };

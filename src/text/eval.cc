@@ -21,10 +21,11 @@ namespace {
 /// decoding blocks that cannot match) or an arena-backed decoded view.
 class BlockEvaluator {
  public:
+  /// Evaluates with scratch memory from `arena`, which must outlive it.
   BlockEvaluator(const ListProvider& lists, size_t num_documents,
-                 bool exhaustive)
+                 bool exhaustive, Arena& arena)
       : lists_(lists), num_documents_(num_documents),
-        exhaustive_(exhaustive) {}
+        exhaustive_(exhaustive), arena_(arena) {}
 
   Result<EngineSearchResult> Run(const TextQuery& query) {
     TEXTJOIN_ASSIGN_OR_RETURN(Operand root, Eval(query));
@@ -172,7 +173,7 @@ class BlockEvaluator {
   size_t num_documents_;
   bool exhaustive_;
   uint64_t postings_ = 0;
-  Arena arena_;
+  Arena& arena_;
   std::vector<BlockListHandle> keepalive_;
 };
 
@@ -194,8 +195,14 @@ Result<EngineSearchResult> EvaluateBooleanQuery(const TextQuery& query,
                                                 size_t max_terms,
                                                 bool exhaustive) {
   TEXTJOIN_RETURN_IF_ERROR(CheckTermLimit(query, max_terms));
-  BlockEvaluator evaluator(lists, num_documents, exhaustive);
-  return evaluator.Run(query);
+  // The calling thread's scratch, reset after each search, so a thread's
+  // searches reuse one chunk. One search at a time holds it: no
+  // ListProvider evaluates a search.
+  thread_local Arena scratch;
+  BlockEvaluator evaluator(lists, num_documents, exhaustive, scratch);
+  Result<EngineSearchResult> result = evaluator.Run(query);
+  scratch.Reset();
+  return result;
 }
 
 }  // namespace textjoin

@@ -14,7 +14,8 @@
 /// The Boolean search evaluator, shared by every engine implementation:
 /// retrieves block posting lists through a ListProvider and combines them
 /// with the merge kernels of postings.h (galloping skip-based intersection,
-/// scratch memory in a per-search Arena; DESIGN.md §14). Charging follows
+/// scratch memory in the calling thread's Arena, reset after each search;
+/// DESIGN.md §14). Charging follows
 /// the paper's model: postings_processed = total length of the inverted
 /// lists retrieved (merges are linear in those lengths).
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <vector>
 
+#include "common/arena.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -254,6 +259,108 @@ TEST(RandomTest, ZipfSkewsTowardLowRanks) {
   std::vector<int> counts(100, 0);
   for (int i = 0; i < 50000; ++i) ++counts[zipf.Next(rng)];
   EXPECT_GT(counts[0], counts[50] * 5);
+}
+
+// ----------------------------------------------------------------- Arena
+
+/// Whether `p` is aligned to `align`.
+bool AlignedTo(const void* p, size_t align) {
+  return reinterpret_cast<uintptr_t>(p) % align == 0;
+}
+
+TEST(ArenaTest, FirstChunkFitsALargerFirstRequest) {
+  Arena arena;
+  const size_t big = 3 * Arena::kDefaultChunkBytes;
+  char* p = arena.AllocArray<char>(big);
+  std::fill(p, p + big, 'x');
+  EXPECT_EQ(arena.num_chunks(), 1u);
+  EXPECT_GE(arena.bytes_reserved(), big);
+  EXPECT_EQ(arena.bytes_allocated(), big);
+}
+
+TEST(ArenaTest, SmallRequestsShareTheDefaultFirstChunk) {
+  Arena arena;
+  for (int i = 0; i < 16; ++i) arena.AllocArray<uint32_t>(8);
+  EXPECT_EQ(arena.num_chunks(), 1u);
+  EXPECT_EQ(arena.bytes_reserved(), Arena::kDefaultChunkBytes);
+  EXPECT_EQ(arena.allocations(), 16u);
+}
+
+TEST(ArenaTest, ChunksGrowGeometrically) {
+  Arena arena(64);
+  size_t chunks = 0;
+  size_t reserved = 0;
+  std::vector<size_t> sizes;
+  for (int i = 0; i < 200; ++i) {
+    arena.AllocArray<char>(40);
+    if (arena.num_chunks() != chunks) {
+      sizes.push_back(arena.bytes_reserved() - reserved);
+      chunks = arena.num_chunks();
+      reserved = arena.bytes_reserved();
+    }
+  }
+  ASSERT_GE(sizes.size(), 4u);
+  EXPECT_EQ(sizes[0], 64u);
+  for (size_t i = 1; i < sizes.size(); ++i) {
+    EXPECT_EQ(sizes[i], 2 * sizes[i - 1]) << "chunk " << i;
+  }
+}
+
+TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
+  Arena arena(128);
+  std::vector<std::pair<char*, size_t>> blocks;
+  const size_t aligns[] = {1, 2, 4, 8, 16, 64};
+  for (int i = 0; i < 300; ++i) {
+    const size_t align = aligns[i % 6];
+    const size_t bytes = 1 + static_cast<size_t>(i * 7 % 50);
+    char* p = static_cast<char*>(arena.AllocBytes(bytes, align));
+    EXPECT_TRUE(AlignedTo(p, align)) << "request " << i;
+    std::memset(p, i & 0xff, bytes);
+    blocks.push_back({p, bytes});
+  }
+  // Every block still holds what was written to it: none overlaps another.
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    for (size_t b = 0; b < blocks[i].second; ++b) {
+      ASSERT_EQ(static_cast<unsigned char>(blocks[i].first[b]), i & 0xff);
+    }
+  }
+}
+
+TEST(ArenaTest, ResetReusesTheLargestChunk) {
+  Arena arena;
+  arena.AllocArray<char>(100);
+  const size_t small = arena.bytes_reserved();
+  arena.AllocArray<char>(3 * Arena::kDefaultChunkBytes);
+  ASSERT_EQ(arena.num_chunks(), 2u);
+  const size_t largest = arena.bytes_reserved() - small;
+  ASSERT_GT(largest, small);
+  arena.Reset();
+  EXPECT_EQ(arena.num_chunks(), 1u);
+  EXPECT_EQ(arena.bytes_reserved(), largest);
+  EXPECT_EQ(arena.bytes_allocated(), 0u);
+  EXPECT_EQ(arena.allocations(), 0u);
+  // A search of the same size fits the kept chunk: no new chunk.
+  const char* first = arena.AllocArray<char>(largest / 2);
+  arena.AllocArray<char>(largest / 4);
+  EXPECT_EQ(arena.num_chunks(), 1u);
+  arena.Reset();
+  EXPECT_EQ(arena.AllocArray<char>(8), first) << "Reset rewinds the chunk";
+}
+
+TEST(ArenaTest, ResetReleasesChunksPastTheRetentionBound) {
+  Arena arena;
+  arena.AllocArray<char>(Arena::kMaxRetainedBytes + 1);
+  arena.Reset();
+  EXPECT_EQ(arena.num_chunks(), 0u);
+  EXPECT_EQ(arena.bytes_reserved(), 0u);
+  arena.AllocArray<char>(16);
+  EXPECT_EQ(arena.bytes_reserved(), Arena::kDefaultChunkBytes);
+  // A search past the bound keeps the largest chunk within it.
+  arena.AllocArray<char>(Arena::kMaxRetainedBytes + 1);
+  ASSERT_EQ(arena.num_chunks(), 2u);
+  arena.Reset();
+  EXPECT_EQ(arena.num_chunks(), 1u);
+  EXPECT_EQ(arena.bytes_reserved(), Arena::kDefaultChunkBytes);
 }
 
 }  // namespace

@@ -256,6 +256,69 @@ TEST(PlanCacheTest, NewExactStatisticsKeepCachedPlans) {
   ExpectNewStatisticsKeepCachedPlans(/*oracle_stats=*/true);
 }
 
+/// Two texts that give the alias `s` to different tables. Join statistics
+/// are keyed by the table column (student.name, faculty.name), not by the
+/// text's `s.name`, so the texts keep apart on one service: under
+/// sampling the faculty text reads faculty's own s and f, as a fresh
+/// service measures them; under the oracle, alternating the texts changes
+/// no stored value, so the generation stays put and the later rounds hit
+/// the plans of the first.
+TEST(PlanCacheTest, AliasOfTwoTablesKeepsTheirStatisticsApart) {
+  UniversityWorkload uni = SmallUniversity();
+  const std::string student_sql =
+      "select s.name, mercury.docid from student s, mercury where s.name in "
+      "mercury.author";
+  const std::string faculty_sql =
+      "select s.name, mercury.docid from faculty s, mercury where s.name in "
+      "mercury.author";
+  FederationService::Options options;
+  options.text = uni.text;
+
+  options.oracle_stats = false;
+  FederationService sampled(uni.catalog.get(), uni.engine.get(), options);
+  ASSERT_TRUE(sampled.Run(student_sql).ok());
+  auto faculty = sampled.Run(faculty_sql);
+  ASSERT_TRUE(faculty.ok()) << faculty.status().ToString();
+  FederationService fresh(uni.catalog.get(), uni.engine.get(), options);
+  auto reference = fresh.Run(faculty_sql);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  auto got = sampled.stats().GetTextJoinStats("faculty.name", "author");
+  auto want = fresh.stats().GetTextJoinStats("faculty.name", "author");
+  auto student = sampled.stats().GetTextJoinStats("student.name", "author");
+  ASSERT_TRUE(got.ok() && want.ok() && student.ok());
+  EXPECT_EQ(got->selectivity, want->selectivity);
+  EXPECT_EQ(got->fanout, want->fanout);
+  EXPECT_NE(student->fanout, want->fanout)
+      << "the two tables measure alike, so this test shows nothing";
+  ExpectSameOutcome(*faculty, *reference);
+
+  options.oracle_stats = true;
+  FederationService oracle(uni.catalog.get(), uni.engine.get(), options);
+  const uint64_t generation = oracle.stats().generation();
+  std::vector<PlanNodePtr> first;
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    int text = 0;
+    for (const std::string* sql : {&student_sql, &faculty_sql}) {
+      auto outcome = oracle.Run(*sql);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      if (round == 0) {
+        first.push_back(outcome->plan);
+      } else {
+        EXPECT_EQ(outcome->plan, first[text]) << *sql << " was re-planned";
+      }
+      ++text;
+    }
+    EXPECT_EQ(oracle.stats().generation(), generation);
+  }
+  auto warm = oracle.Run(faculty_sql);
+  FederationService fresh_oracle(uni.catalog.get(), uni.engine.get(),
+                                 options);
+  auto fresh_run = fresh_oracle.Run(faculty_sql);
+  ASSERT_TRUE(warm.ok() && fresh_run.ok());
+  ExpectSameOutcome(*warm, *fresh_run);
+}
+
 TEST(PlanCacheTest, LiveDocumentCountReplans) {
   // One live shard seeded with 48 documents; oracle statistics.
   EpochClock clock;

@@ -18,6 +18,7 @@
 #include "core/pipeline.h"
 #include "core/statistics.h"
 #include "relational/join.h"
+#include "relational/table.h"
 #include "tests/support/reference_expression.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
@@ -651,36 +652,84 @@ Value RandomValue(std::mt19937_64& rng) {
   }
 }
 
+/// A cell of a dictionary-coded column: NULL, the empty string, strings
+/// that differ only in case, a string of digits, and a string too long to
+/// be stored inline.
+Value RandomCell(std::mt19937_64& rng) {
+  static const char* const kStrings[] = {
+      "",  "a", "A", "ab", "AB",
+      "2", "a string well beyond the inline capacity"};
+  if (rng() % 6 == 0) return Value::Null();
+  return Value::Str(kStrings[rng() % 7]);
+}
+
+/// A value compared with coded cells: a cell, a string no cell holds, or a
+/// number equal to the digit string's number.
+Value RandomProbeValue(std::mt19937_64& rng) {
+  switch (rng() % 5) {
+    case 0:
+      return Value::Str("absent");
+    case 1:
+      return rng() % 2 == 0 ? Value::Int(2) : Value::Real(2.0);
+    default:
+      return RandomCell(rng);
+  }
+}
+
+/// Draws a literal's value.
+using ValueDraw = Value (*)(std::mt19937_64&);
+
 /// A comparison or LIKE operand: a column or a literal.
 ExprPtr RandomOperand(std::mt19937_64& rng,
-                      const std::vector<std::string>& columns) {
+                      const std::vector<std::string>& columns,
+                      ValueDraw draw) {
   if (rng() % 2 == 0) return Col(columns[rng() % columns.size()]);
-  return Lit(RandomValue(rng));
+  return Lit(draw(rng));
 }
 
 /// A random predicate tree: the six comparisons and LIKE at the leaves,
-/// AND, OR and NOT above them.
+/// AND, OR and NOT above them; literals are drawn by `draw`.
 ExprPtr RandomPredicate(std::mt19937_64& rng,
-                        const std::vector<std::string>& columns, int depth) {
+                        const std::vector<std::string>& columns, int depth,
+                        ValueDraw draw = RandomValue) {
   static const char* const kPatterns[] = {"a%", "%b", "_", "%", "2"};
   switch (rng() % (depth == 0 ? 2 : 5)) {
     case 0:
       return Cmp(static_cast<CompareOp>(rng() % 6),
-                 RandomOperand(rng, columns), RandomOperand(rng, columns));
+                 RandomOperand(rng, columns, draw),
+                 RandomOperand(rng, columns, draw));
     case 1:
-      return Like(RandomOperand(rng, columns), kPatterns[rng() % 5]);
+      return Like(RandomOperand(rng, columns, draw), kPatterns[rng() % 5]);
     case 2:
     case 3: {
       std::vector<ExprPtr> children;
       const size_t n = 2 + rng() % 2;
       for (size_t i = 0; i < n; ++i) {
-        children.push_back(RandomPredicate(rng, columns, depth - 1));
+        children.push_back(RandomPredicate(rng, columns, depth - 1, draw));
       }
       return rng() % 2 == 0 ? And(std::move(children))
                             : Or(std::move(children));
     }
     default:
-      return Not(RandomPredicate(rng, columns, depth - 1));
+      return Not(RandomPredicate(rng, columns, depth - 1, draw));
+  }
+}
+
+/// Appends `n` rows of RandomCell to `table` (whose columns are STRING),
+/// each through Insert or InsertUnchecked at random; one unchecked row in
+/// twenty puts a number in a string column, which stops it being coded.
+void AppendRandomRows(std::mt19937_64& rng, Table& table, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    Row row;
+    for (size_t c = 0; c < table.schema().num_columns(); ++c) {
+      row.push_back(RandomCell(rng));
+    }
+    if (rng() % 2 == 0) {
+      ASSERT_TRUE(table.Insert(std::move(row)).ok());
+      continue;
+    }
+    if (rng() % 20 == 0) row[rng() % row.size()] = Value::Int(2);
+    table.InsertUnchecked(std::move(row));
   }
 }
 
@@ -718,10 +767,55 @@ RowIdSet RandomParts(std::mt19937_64& rng, const std::string& prefix,
 class InPlaceResidualPropertyTest
     : public ::testing::TestWithParam<uint64_t> {};
 
+/// Joins `left` with `right` under an optional random key and a random
+/// residual over their columns (literals drawn by `draw`), and expects the
+/// tuples the per-row reference keeps on each candidate pair's
+/// concatenated, gathered row, in the same order.
+void ExpectJoinRowsMatchReference(std::mt19937_64& rng, const RowIdSet& left,
+                                  const std::vector<std::string>& left_columns,
+                                  const RowIdSet& right,
+                                  const std::vector<std::string>& right_columns,
+                                  ValueDraw draw) {
+  std::vector<JoinKey> keys;
+  if (rng() % 2 == 0) {
+    keys.push_back({left_columns[rng() % left_columns.size()],
+                    right_columns[rng() % right_columns.size()]});
+  }
+  std::vector<std::string> columns = left_columns;
+  columns.insert(columns.end(), right_columns.begin(), right_columns.end());
+  ExprPtr residual = RandomPredicate(rng, columns, 3, draw);
+  const std::string text = residual->ToString();
+  ExprPtr reference = residual->Clone();
+  ASSERT_TRUE(reference->Bind(left.schema().Concat(right.schema())).ok());
+
+  RowIdSet expected = RowIdSet::JoinOf(left, right);
+  for (size_t l = 0; l < left.size(); ++l) {
+    for (size_t r = 0; r < right.size(); ++r) {
+      const Row row = ConcatRows(left.Gather(l), right.Gather(r));
+      bool keys_equal = true;
+      for (const JoinKey& key : keys) {
+        const Value& a = row[*left.schema().Resolve(key.left_ref)];
+        const Value& b = row[left.schema().num_columns() +
+                             *right.schema().Resolve(key.right_ref)];
+        keys_equal = keys_equal && !a.is_null() && !b.is_null() &&
+                     ReferenceCompare(a, b) == 0;
+      }
+      if (keys_equal && ReferenceHolds(*reference, row)) {
+        expected.AppendJoined(left, l, right, std::vector<size_t>{r});
+      }
+    }
+  }
+  auto joined = JoinRows(left, right, keys, std::move(residual));
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(joined->size(), expected.size());
+  EXPECT_EQ(joined->ids(), expected.ids())
+      << "residual " << text << " keys " << keys.size() << " parts "
+      << left.num_parts() << "+" << right.num_parts();
+}
+
 /// JoinRows selects among each left tuple's candidates on the two inputs'
 /// rows in place; the reference evaluates the same predicate per row on
-/// each candidate pair's concatenated, gathered row. The joined sets must
-/// hold the same tuples, in the same order.
+/// each candidate pair's concatenated, gathered row.
 TEST_P(InPlaceResidualPropertyTest, JoinRowsMatchesConcatenatedRows) {
   std::mt19937_64 rng(GetParam() * 7717u + 3);
   for (int round = 0; round < 60; ++round) {
@@ -733,42 +827,38 @@ TEST_P(InPlaceResidualPropertyTest, JoinRowsMatchesConcatenatedRows) {
         RandomParts(rng, "l", 1 + rng() % 3, left_base, left_columns);
     const RowIdSet right =
         RandomParts(rng, "r", 1 + rng() % 2, right_base, right_columns);
-    std::vector<JoinKey> keys;
-    if (rng() % 2 == 0) {
-      keys.push_back({left_columns[rng() % left_columns.size()],
-                      right_columns[rng() % right_columns.size()]});
-    }
-    std::vector<std::string> columns = left_columns;
-    columns.insert(columns.end(), right_columns.begin(), right_columns.end());
-    ExprPtr residual = RandomPredicate(rng, columns, 3);
-    const std::string text = residual->ToString();
-    ExprPtr reference = residual->Clone();
-    ASSERT_TRUE(reference->Bind(left.schema().Concat(right.schema())).ok());
+    ExpectJoinRowsMatchReference(rng, left, left_columns, right,
+                                 right_columns, RandomValue);
+  }
+}
 
-    RowIdSet expected = RowIdSet::JoinOf(left, right);
-    for (size_t l = 0; l < left.size(); ++l) {
-      for (size_t r = 0; r < right.size(); ++r) {
-        const Row row = ConcatRows(left.Gather(l), right.Gather(r));
-        bool keys_equal = true;
-        for (const JoinKey& key : keys) {
-          const Value& a = row[*left.schema().Resolve(key.left_ref)];
-          const Value& b =
-              row[left.schema().num_columns() +
-                  *right.schema().Resolve(key.right_ref)];
-          keys_equal = keys_equal && !a.is_null() && !b.is_null() &&
-                       ReferenceCompare(a, b) == 0;
-        }
-        if (keys_equal && ReferenceHolds(*reference, row)) {
-          expected.AppendJoined(left, l, right, std::vector<size_t>{r});
-        }
-      }
+/// The same over a right input that is one part of a Table's rows, every
+/// row or an id list as a probe over a scan leaves, so `=` and `!=`
+/// between a left column or a literal and a right column compare the
+/// table's codes. The table grows by Insert and InsertUnchecked over the
+/// rounds and is sometimes cleared and refilled.
+TEST_P(InPlaceResidualPropertyTest, TableRightInputMatchesConcatenatedRows) {
+  std::mt19937_64 rng(GetParam() * 3109u + 11);
+  Table table("r0", Schema({Column{"r0", "v0", ValueType::kString},
+                            Column{"r0", "v1", ValueType::kString}}));
+  const std::vector<std::string> right_columns = {"r0.v0", "r0.v1"};
+  for (int round = 0; round < 60; ++round) {
+    if (rng() % 15 == 0) table.Clear();
+    AppendRandomRows(rng, table, 1 + rng() % 4);
+    std::vector<std::vector<Row>> left_base;
+    std::vector<std::string> left_columns;
+    const RowIdSet left =
+        RandomParts(rng, "l", 1 + rng() % 3, left_base, left_columns);
+    std::vector<size_t> ids;
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      if (rng() % 3 != 0) ids.push_back(r);
     }
-    auto joined = JoinRows(left, right, keys, std::move(residual));
-    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-    EXPECT_EQ(joined->size(), expected.size());
-    EXPECT_EQ(joined->ids(), expected.ids())
-        << "residual " << text << " keys " << keys.size() << " parts "
-        << left.num_parts() << "+" << right.num_parts();
+    const RowIdSet right =
+        rng() % 2 == 0 ? RowIdSet::BorrowedAll(table.schema(), table)
+                       : RowIdSet::Borrowed(table.schema(), table, ids);
+    ASSERT_EQ(right.table(0), &table);
+    ExpectJoinRowsMatchReference(rng, left, left_columns, right,
+                                 right_columns, RandomProbeValue);
   }
 }
 
@@ -830,6 +920,93 @@ TEST_P(SelectPropertyTest, KeepsWhatThePerRowReferenceHolds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SelectPropertyTest,
+                         ::testing::Range<uint64_t>(1, 11));
+
+class CodedSelectPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+/// Expr::Select over batches whose candidates are a Table's rows, with the
+/// batch lending the table so that `=` and `!=` against a string compare
+/// its codes, keeps exactly the candidates the per-row reference holds for
+/// on the values. The table grows over rounds of Insert and InsertUnchecked
+/// (which may put a number in a string column and so stop it being coded)
+/// and is sometimes cleared and refilled. Cells are NULL, the empty string
+/// and strings that differ only in case; the fixed piece and the literals
+/// add NULL, a string no cell holds, and numbers.
+TEST_P(CodedSelectPropertyTest, KeepsWhatThePerRowReferenceHolds) {
+  std::mt19937_64 rng(GetParam() * 2713u + 5);
+  Table table("k", Schema({Column{"k", "c0", ValueType::kString},
+                           Column{"k", "c1", ValueType::kString}}));
+  size_t coded_comparisons = 0;
+  for (int round = 0; round < 200; ++round) {
+    if (rng() % 25 == 0) table.Clear();
+    AppendRandomRows(rng, table, rng() % 6);
+    if (table.num_rows() == 0) continue;
+    const size_t fixed_width = rng() % 3;
+    Schema schema;
+    std::vector<std::string> fixed_columns;
+    for (size_t c = 0; c < fixed_width; ++c) {
+      std::string name = "c";  // Two-step concat (see RandomConfig).
+      name += std::to_string(c);
+      schema.AddColumn(Column{"f", name, ValueType::kString});
+      fixed_columns.push_back("f." + name);
+    }
+    const std::vector<std::string> table_columns = {"k.c0", "k.c1"};
+    for (const Column& column : table.schema().columns()) {
+      schema.AddColumn(column);
+    }
+    std::vector<std::string> columns = fixed_columns;
+    columns.insert(columns.end(), table_columns.begin(), table_columns.end());
+    Row fixed(fixed_width);
+    for (Value& v : fixed) v = RandomProbeValue(rng);
+
+    const bool through_ids = rng() % 2 == 0;
+    const size_t num_candidates =
+        through_ids ? rng() % 40 : 1 + rng() % table.num_rows();
+    std::vector<size_t> ids(num_candidates);
+    for (size_t& id : ids) id = rng() % table.num_rows();
+    Selection selection;
+    for (size_t c = 0; c < num_candidates; ++c) {
+      if (rng() % 4 != 0) selection.push_back(c);
+    }
+    // Half the rounds compare one candidate column with a fixed column or
+    // a literal by `=` or `!=`, the coded form; the rest draw a tree.
+    ExprPtr predicate;
+    if (rng() % 2 == 0) {
+      const std::string& column = table_columns[rng() % 2];
+      ExprPtr other = !fixed_columns.empty() && rng() % 2 == 0
+                          ? Col(fixed_columns[rng() % fixed_width])
+                          : Lit(RandomProbeValue(rng));
+      const CompareOp op = rng() % 2 == 0 ? CompareOp::kEq : CompareOp::kNe;
+      predicate = rng() % 2 == 0 ? Cmp(op, Col(column), std::move(other))
+                                 : Cmp(op, std::move(other), Col(column));
+      if (table.codes(column == "k.c0" ? 0 : 1) != nullptr) {
+        ++coded_comparisons;
+      }
+    } else {
+      predicate = RandomPredicate(rng, columns, 3, RandomProbeValue);
+    }
+    ASSERT_TRUE(predicate->Bind(schema).ok());
+
+    RowBatch batch;
+    batch.fixed = fixed;
+    batch.rows = table.rows().data();
+    batch.ids = through_ids ? ids.data() : nullptr;
+    batch.table = &table;
+    Selection expected;
+    for (size_t c : selection) {
+      if (ReferenceHolds(*predicate, ConcatRows(fixed, batch.candidate(c)))) {
+        expected.push_back(c);
+      }
+    }
+    predicate->Select(batch, selection);
+    EXPECT_EQ(selection, expected)
+        << predicate->ToString() << " fixed " << RowToString(fixed)
+        << " rows " << table.num_rows();
+  }
+  EXPECT_GT(coded_comparisons, 20u) << "the coded form was rarely drawn";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CodedSelectPropertyTest,
                          ::testing::Range<uint64_t>(1, 11));
 
 }  // namespace

@@ -65,6 +65,35 @@ TEST(TableTest, InsertChecksArityAndTypes) {
   EXPECT_EQ(table.num_rows(), 2u);
 }
 
+TEST(TableTest, StringColumnsAreDictionaryCoded) {
+  Schema schema;
+  schema.AddColumn(Column{"t", "a", ValueType::kString});
+  schema.AddColumn(Column{"t", "b", ValueType::kInt64});
+  Table table("t", schema);
+  ASSERT_NE(table.codes(0), nullptr);
+  EXPECT_EQ(table.codes(1), nullptr) << "only STRING columns are coded";
+  ASSERT_TRUE(table.Insert({Value::Str("x"), Value::Int(1)}).ok());
+  ASSERT_TRUE(table.Insert({Value::Null(), Value::Int(2)}).ok());
+  table.InsertUnchecked({Value::Str("X"), Value::Int(3)});
+  table.InsertUnchecked({Value::Str("x"), Value::Int(4)});
+  ASSERT_NE(table.codes(0), nullptr);
+  EXPECT_EQ(*table.codes(0),
+            (std::vector<uint32_t>{0, Table::kNullCode, 1, 0}))
+      << "codes are case-sensitive, as `=` is";
+  EXPECT_EQ(table.CodeOf(0, "X"), 1u);
+  EXPECT_EQ(table.CodeOf(0, "y"), Table::kAbsentCode);
+
+  // A non-string cell stops the column being coded; Clear codes it again.
+  table.InsertUnchecked({Value::Int(7), Value::Int(5)});
+  EXPECT_EQ(table.codes(0), nullptr);
+  table.Clear();
+  ASSERT_NE(table.codes(0), nullptr);
+  EXPECT_EQ(table.CodeOf(0, "x"), Table::kAbsentCode);
+  ASSERT_TRUE(table.Insert({Value::Str("y"), Value::Int(1)}).ok());
+  EXPECT_EQ(*table.codes(0), std::vector<uint32_t>{0});
+  EXPECT_EQ(table.CodeOf(0, "y"), 0u);
+}
+
 TEST(TableTest, CountDistinct) {
   auto table = MakeStudentTable();
   // advisor column (index 2) has 2 distinct values; name has 5.

@@ -286,7 +286,8 @@ TEST(SqlEndToEndTest, AggregationExecution) {
 
 
 /// The exact statistics pass resolves a text-join column through the
-/// relation its qualifier names, alias included.
+/// relation its qualifier names, alias included, and keys its statistics
+/// by the table column.
 TEST(SqlEndToEndTest, ExactStatisticsResolveAliasedColumns) {
   auto engine = MakeSmallEngine();
   RemoteTextSource source(engine.get());
@@ -301,7 +302,7 @@ TEST(SqlEndToEndTest, ExactStatisticsResolveAliasedColumns) {
   Status computed = ComputeExactStats(*query, catalog, *engine, registry);
   ASSERT_TRUE(computed.ok()) << computed.ToString();
   // All five names are authors, of 1, 2, 2, 2 and 1 documents.
-  auto stats = registry.GetTextJoinStats("s.name", "author");
+  auto stats = registry.GetTextJoinStats("student.name", "author");
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_DOUBLE_EQ(stats->selectivity, 1.0);
   EXPECT_DOUBLE_EQ(stats->fanout, 8.0 / 5.0);
