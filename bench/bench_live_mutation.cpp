@@ -1,11 +1,18 @@
 // Live-corpus perf gates (DESIGN.md §16): the price of mutability.
 //
-// Part 1 — read-only snapshot overhead: the SAME query stream against a
-// frozen TextEngine service and a LiveCorpus service with zero pending
-// writes (fully merged, so every query takes the borrowed-lists fast
-// path). Target <= 3% wall-clock overhead on best-of-N medians: pinning
-// an epoch and capturing a snapshot must cost a couple of atomic loads
-// and a cached shared_ptr copy, not an index rebuild.
+// Both parts compare against a frozen TextEngine service that reads its
+// own cross-query cache with the same CacheOptions as the live service's
+// shared one, so a ratio measures the mutation machinery, not the cache.
+// Each rep times enough queries (hundreds of milliseconds) that one
+// descheduling or one merge publish cannot decide it, and frozen and
+// live reps are interleaved so machine noise hits both sides.
+//
+// Part 1 — read-only snapshot overhead: the SAME query stream against the
+// frozen service and a LiveCorpus service with zero pending writes (fully
+// merged, so every query takes the borrowed-lists fast path). Target
+// <= 3% wall-clock overhead on medians: pinning an epoch and capturing a
+// snapshot must cost a couple of atomic loads and a cached shared_ptr
+// copy, not an index rebuild.
 //
 // Part 2 — merge-concurrent throughput: query throughput while a writer
 // churns inserts/updates/deletes and a 1ms merge worker continuously
@@ -42,6 +49,10 @@ const char* const kSql =
     "select corpus.docid from r, corpus "
     "where r.a in corpus.title and 'golden' in corpus.title";
 
+/// The options of every cache in the bench: the live service's shared one
+/// and each frozen service's own.
+const CacheOptions kCacheOptions;
+
 struct Fixture {
   Scenario scenario;
   std::unique_ptr<LiveCorpus> live;
@@ -64,7 +75,7 @@ std::unique_ptr<Fixture> BuildFixture() {
   auto fx = std::make_unique<Fixture>();
   fx->scenario = std::move(*built);
   fx->live = std::make_unique<LiveCorpus>();
-  fx->cache = std::make_shared<TextCache>();
+  fx->cache = std::make_shared<TextCache>(kCacheOptions);
   fx->writer = std::make_unique<CorpusWriter>(
       std::vector<std::vector<LiveCorpus*>>{{fx->live.get()}}, &fx->clock,
       fx->cache);
@@ -84,11 +95,13 @@ std::unique_ptr<Fixture> BuildFixture() {
 FederationService::Options FrozenOptions(const Fixture& fx) {
   FederationService::Options options;
   options.text = fx.scenario.text;
+  options.chain.cache = kCacheOptions;
   return options;
 }
 
 FederationService::Options LiveOptions(Fixture& fx) {
-  FederationService::Options options = FrozenOptions(fx);
+  FederationService::Options options;
+  options.text = fx.scenario.text;
   options.topology = fx.live_topology;
   options.live.emplace();
   options.live->clock = &fx.clock;
@@ -119,8 +132,8 @@ double MedianOf(std::vector<double> samples) {
 
 bool RunSnapshotOverheadPart(Fixture& fx) {
   std::printf("\n-- read-only snapshot overhead --\n");
-  constexpr int kReps = 7;
-  constexpr int kQueries = 40;
+  constexpr int kReps = 9;
+  constexpr int kQueries = 400;
 
   FederationService frozen(fx.scenario.catalog.get(),
                            fx.scenario.engine.get(), FrozenOptions(fx));
@@ -190,8 +203,8 @@ double TimeUnderChurn(Fixture& fx, FederationService& live, int queries,
 
 bool RunMergeConcurrentPart(Fixture& fx) {
   std::printf("\n-- merge-concurrent throughput --\n");
-  constexpr int kReps = 3;
-  constexpr int kQueries = 120;
+  constexpr int kReps = 5;
+  constexpr int kQueries = 1500;
 
   FederationService frozen(fx.scenario.catalog.get(),
                            fx.scenario.engine.get(), FrozenOptions(fx));

@@ -23,6 +23,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -332,6 +333,18 @@ BENCHMARK(BM_MemoryListLookup);
 // reference records keep their "legacy" names so the snapshot stays
 // comparable with earlier ones.
 
+/// "DistinctKeys" -> "distinct_keys".
+std::string SnakeCase(std::string_view name) {
+  std::string out;
+  for (const char c : name) {
+    if (std::isupper(static_cast<unsigned char>(c)) && !out.empty()) {
+      out += '_';
+    }
+    out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return out;
+}
+
 std::vector<bench::BenchRecord> RunVectorizedSnapshot() {
   using bench::TimeLoop;
   std::vector<bench::BenchRecord> out;
@@ -442,7 +455,14 @@ std::vector<bench::BenchRecord> RunVectorizedSnapshot() {
   }
   {
     // End-to-end TS join over Q3 (batched pipeline + arenas); rows =
-    // result rows, allocs_per_row is the memory-layout artifact.
+    // result rows, allocs_per_row is the memory-layout artifact. Then the
+    // same join's per-stage split, join_ts_stage_<stage>: each stage's
+    // wall-clock from the stage profile (a unit's own time plus the source
+    // operations it issued, so the stages sum to the busy time), summed
+    // over as many runs, per output row; these carry no allocation count.
+    // A stage that runs no unit has no record: Q3 reads docids only, so TS
+    // fetches nothing.
+    constexpr size_t kRuns = 200;
     Q3Config config;
     config.num_documents = 20000;
     auto built = BuildQ3(config);
@@ -453,14 +473,38 @@ std::vector<bench::BenchRecord> RunVectorizedSnapshot() {
     const bench::MethodRun probe = bench::RunMethod(
         JoinMethodKind::kTS, *prepared, *built->scenario.engine);
     TEXTJOIN_CHECK(probe.applicable, "ts");
-    out.push_back(TimeLoop(
-        "join_ts_end_to_end", 3, static_cast<double>(probe.result_rows),
-        [&] {
-          benchmark::DoNotOptimize(
-              bench::RunMethod(JoinMethodKind::kTS, *prepared,
-                               *built->scenario.engine)
-                  .result_rows);
-        }));
+    const double rows = static_cast<double>(probe.result_rows);
+    out.push_back(TimeLoop("join_ts_end_to_end", kRuns, rows, [&] {
+      benchmark::DoNotOptimize(bench::RunMethod(JoinMethodKind::kTS,
+                                                *prepared,
+                                                *built->scenario.engine)
+                                   .result_rows);
+    }));
+    std::vector<bench::BenchRecord> stages;
+    std::vector<uint64_t> units;
+    for (size_t run = 0; run < kRuns; ++run) {
+      RemoteTextSource source(built->scenario.engine.get());
+      pipeline::PipelineProfile profile;
+      auto joined =
+          ExecuteForeignJoin(JoinMethodKind::kTS, prepared->spec,
+                             prepared->rows, source, 0, nullptr, {}, &profile);
+      TEXTJOIN_CHECK(joined.ok() && joined->rows.size() == probe.result_rows,
+                     "ts rows changed");
+      for (size_t i = 0; i < profile.stages.size(); ++i) {
+        const pipeline::StageStats& stage = profile.stages[i];
+        if (stages.size() == i) {
+          const std::string kind = pipeline::StageKindName(stage.desc.kind);
+          stages.push_back({"join_ts_stage_" + SnakeCase(kind)});
+          units.push_back(0);
+        }
+        stages[i].rows += rows;
+        stages[i].seconds += stage.wall_seconds;
+        units[i] += stage.units;
+      }
+    }
+    for (size_t i = 0; i < stages.size(); ++i) {
+      if (units[i] > 0) out.push_back(stages[i]);
+    }
   }
   {
     // Q5's relational join (the paper's Example 6.1): JoinRows over

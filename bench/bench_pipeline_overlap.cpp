@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/text_match.h"
 #include "common/thread_pool.h"
 #include "connector/remote_text_source.h"
 #include "core/pipeline.h"
@@ -115,16 +116,16 @@ Result<ForeignJoinResult> BarrierSemiJoin(const ForeignJoinSpec& spec,
 
   ForeignJoinResult result;
   result.schema = rspec.output_schema;
-  const Row null_left = pl::NullLeftRow(spec.left_schema);
-  TupleBatch doc_row(spec.text.fields.size() + 1, 1);
+  const Row null_left(spec.left_schema.num_columns(), Value::Null());
   for (size_t d = 0; d < distinct.size(); ++d) {
-    doc_row.Clear();
-    if (spec.need_document_fields) {
-      pl::AppendDocumentRow(spec.text, docs[d], doc_row);
-    } else {
-      pl::AppendDocidOnlyRow(spec.text, distinct[d], doc_row);
+    Row doc_row = {Value::Str(distinct[d])};
+    for (const std::string& field : spec.text.fields) {
+      doc_row.push_back(
+          spec.need_document_fields
+              ? Value::Str(JoinFieldValues(docs[d].FieldValues(field)))
+              : Value::Null());
     }
-    result.rows.push_back(ConcatRows(null_left, doc_row.row(0)));
+    result.rows.push_back(ConcatRows(null_left, doc_row));
   }
   return result;
 }

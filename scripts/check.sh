@@ -78,13 +78,15 @@ for leg in "${legs[@]}"; do
     # cancellation, mutation), the deadline-shed, executor-cancel and
     # probe-reducer tests (overload, join methods), the cache's flight
     # handoff and shared-cache stress tests (cache), the multi-relation
-    # plan parity grid at parallelism 1/4/8 (plan parity) and the plan
-    # cache's 8-thread stress mix (plan cache), repeated on top of the
-    # single pass above so that a test whose outcome depends on the thread
-    # schedule fails here rather than once in a few hundred runs.
+    # plan parity grid at parallelism 1/4/8 (plan parity), the plan
+    # cache's 8-thread stress mix (plan cache) and the golden-explain wall,
+    # which renders every composition at parallelism 1/4/8 (golden
+    # explain), repeated on top of the single pass above so that a test
+    # whose outcome depends on the thread schedule fails here rather than
+    # once in a few hundred runs.
     echo "==> [release] determinism grids, repeated until failure (50x)"
     run_ctest --test-dir "$build" --output-on-failure \
-      -R 'sharding_test|pipeline_test|cancel_test|mutation_service_test|overload_test|join_methods_test|cache_test|plan_parity_test|plan_cache_test' \
+      -R 'sharding_test|pipeline_test|cancel_test|mutation_service_test|overload_test|join_methods_test|cache_test|plan_parity_test|plan_cache_test|golden_explain_test' \
       --repeat until-fail:50 -j "$jobs"
     echo "==> [release] shard scaling gate"
     "$build/bench/bench_shard_scaling"

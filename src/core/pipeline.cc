@@ -182,31 +182,11 @@ TextQueryPtr BuildDisjunct(const ResolvedSpec& rspec,
   return TextQuery::And(std::move(children));
 }
 
-void AppendDocumentRow(const TextRelationDecl& text, const Document& doc,
-                       TupleBatch& batch) {
-  std::span<Value> slot = batch.AppendMutable();
-  slot[0] = Value::Str(doc.docid);
-  for (size_t f = 0; f < text.fields.size(); ++f) {
-    slot[f + 1] = Value::Str(JoinFieldValues(doc.FieldValues(text.fields[f])));
-  }
-}
-
-void AppendDocidOnlyRow(const TextRelationDecl& text, const std::string& docid,
-                        TupleBatch& batch) {
-  std::span<Value> slot = batch.AppendMutable();
-  slot[0] = Value::Str(docid);
-  for (size_t f = 0; f < text.fields.size(); ++f) slot[f + 1] = Value::Null();
-}
-
-Row NullLeftRow(const Schema& left_schema) {
-  return Row(left_schema.num_columns(), Value::Null());
-}
-
 JoinTermMatcher::JoinTermMatcher(const ResolvedSpec& rspec,
                                  PredicateMask mask,
                                  std::vector<RowIdSet::ColumnRef> columns,
                                  size_t num_tuples)
-    : columns_(std::move(columns)) {
+    : num_rows_(num_tuples), columns_(std::move(columns)) {
   for (size_t i = 0; i < rspec.spec->joins.size(); ++i) {
     if ((mask & (1u << i)) != 0) fields_.push_back(&rspec.spec->joins[i].field);
   }
@@ -727,6 +707,15 @@ void StageScheduler::ChargeRelationalMatches(StageId stage,
                                       std::memory_order_relaxed);
 }
 
+std::optional<bool> StageScheduler::KnownProbe(const TextQuery& probe) const {
+  if (caching_ == nullptr) return std::nullopt;
+  return caching_->BeginProbe(probe);
+}
+
+void StageScheduler::RecordProbe(const TextQuery& probe, bool matched) const {
+  if (caching_ != nullptr) caching_->RecordProbe(probe, matched);
+}
+
 void StageScheduler::NoteCacheHit(StageId stage) {
   caching_->NoteProbeHit();
   stage->cache_hits.fetch_add(1, std::memory_order_relaxed);
@@ -772,8 +761,7 @@ PipelineProfile StageScheduler::Profile(
 // ---------------------------------------------------------------------------
 // Timers
 
-ScopedStageTimer::ScopedStageTimer(StageScheduler& /*sched*/,
-                                   StageScheduler::StageId stage,
+ScopedStageTimer::ScopedStageTimer(StageScheduler::StageId stage,
                                    uint64_t units)
     : stage_(stage),
       units_(units),
@@ -791,52 +779,101 @@ ScopedStageTimer::~ScopedStageTimer() {
 // ---------------------------------------------------------------------------
 // DocFetcher
 
-size_t DocFetcher::Fetch(const std::string& docid) {
-  return Fetch(docid, nullptr, nullptr);
+DocFetcher::DocFetcher(StageScheduler& sched, StageScheduler::StageId stage,
+                       const TextRelationDecl& text, bool long_form)
+    : sched_(sched), stage_(stage), text_(text), long_form_(long_form) {}
+
+void DocFetcher::MatchEach(StageScheduler::StageId stage,
+                           const ResolvedSpec& rspec, const RowIdSet& tuples) {
+  ScopedStageTimer timer(stage, /*units=*/0);
+  match_stage_ = stage;
+  matcher_.emplace(rspec, tuples, FullMask(rspec.spec->joins.size()));
 }
 
-size_t DocFetcher::Fetch(const std::string& docid,
-                         StageScheduler::StageId then_stage,
-                         std::function<Status(const Document&)> then) {
-  Document* slot_ptr = nullptr;
-  size_t slot = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    slot = docs_.size();
-    docs_.emplace_back();
-    slot_ptr = &docs_.back();
+std::vector<size_t> DocFetcher::Fetch(const std::vector<std::string>& docids) {
+  if (docids.empty()) return {};  // Most searches answer nothing: no lock.
+  std::vector<size_t> slots;
+  slots.reserve(docids.size());
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const std::string& docid : docids) slots.push_back(Request(docid));
+  return slots;
+}
+
+std::vector<size_t> DocFetcher::FetchOnce(
+    const std::vector<std::string>& docids) {
+  if (docids.empty()) return {};
+  std::vector<size_t> slots;
+  slots.reserve(docids.size());
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const std::string& docid : docids) {
+    const auto [it, inserted] = slot_of_.try_emplace(docid, slots_.size());
+    if (inserted) Request(docid);
+    slots.push_back(it->second);
   }
-  StageScheduler* sched = &sched_;
-  StageScheduler::StageId stage = stage_;
-  sched_.Spawn(
-      stage_, slot,
-      [sched, stage, then_stage, then, slot_ptr, slot, docid]() -> Status {
-        Result<Document> fetched = sched->Fetch(stage, docid);
-        if (!fetched.ok()) {
-          // Absorbed => the slot keeps its placeholder Document, and the
-          // continuation never runs (there is nothing to match).
-          return sched->HandleSourceFailure(fetched.status(),
-                                            /*affects_completeness=*/true);
-        }
-        *slot_ptr = *std::move(fetched);
-        if (then) {
-          sched->Spawn(then_stage, slot, [then, slot_ptr]() -> Status {
-            return then(*slot_ptr);
-          });
-        }
-        return Status::OK();
-      });
-  return slot;
+  return slots;
+}
+
+size_t DocFetcher::Request(const std::string& docid) {
+  const size_t index = slots_.size();
+  Slot* slot = &slots_.emplace_back();
+  if (!long_form_) {
+    slot->doc.docid = docid;
+    return index;
+  }
+  sched_.Spawn(stage_, index, [this, slot, index, docid]() -> Status {
+    Result<Document> fetched = sched_.Fetch(stage_, docid);
+    if (!fetched.ok()) {
+      // Absorbed => the slot keeps its placeholder Document, and no match
+      // unit runs (there is nothing to match).
+      return sched_.HandleSourceFailure(fetched.status(),
+                                        /*affects_completeness=*/true);
+    }
+    slot->doc = *std::move(fetched);
+    if (matcher_.has_value()) {
+      sched_.Spawn(match_stage_, index, [this, slot] { return Match(*slot); });
+    }
+    return Status::OK();
+  });
+  return index;
+}
+
+Status DocFetcher::Match(Slot& slot) const {
+  sched_.ChargeRelationalMatches(match_stage_, 1);
+  const std::vector<std::string> fields = matcher_->PrepareDoc(slot.doc);
+  for (size_t t = 0; t < matcher_->size(); ++t) {
+    if (matcher_->Matches(t, fields)) slot.matched.push_back(t);
+  }
+  return Status::OK();
 }
 
 const Document& DocFetcher::doc(size_t slot) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return docs_.at(slot);
+  return slots_.at(slot).doc;
+}
+
+const std::vector<size_t>& DocFetcher::matched(size_t slot) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return slots_.at(slot).matched;
 }
 
 size_t DocFetcher::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return docs_.size();
+  return slots_.size();
+}
+
+bool DocFetcher::AppendRow(size_t slot, TupleBatch& batch) const {
+  const Document& doc = this->doc(slot);
+  if (IsPlaceholderDoc(doc)) return false;
+  std::span<Value> row = batch.AppendMutable();
+  row[0] = Value::Str(doc.docid);
+  if (!long_form_) {
+    std::fill(row.begin() + 1, row.end(), Value::Null());
+    return true;
+  }
+  for (size_t f = 0; f < text_.fields.size(); ++f) {
+    row[f + 1] = Value::Str(JoinFieldValues(doc.FieldValues(text_.fields[f])));
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -846,6 +883,234 @@ StageScheduler::StageId MethodContext::AddStage(StageKind kind,
                                                 std::string detail) {
   stage_ids.push_back(sched.AddStage({kind, std::move(detail)}));
   return stage_ids.back();
+}
+
+namespace {
+
+/// The DistinctKeys stage of both fronts: one unit of `stage`.
+KeyGroups GroupTuples(const MethodContext& ctx, StageScheduler::StageId stage,
+                      PredicateMask mask) {
+  ScopedStageTimer timer(stage);
+  return GroupRowsByTerms(ctx.rspec, ctx.left, mask);
+}
+
+/// The OR-batch plan: disjunct terms in deterministic group order, carved
+/// into index ranges of at most batch_capacity disjuncts — keeping the
+/// ranges, rather than sealed opaque queries, is what lets recovery
+/// re-split a failed batch.
+struct BatchPlan {
+  std::vector<std::vector<std::string>> disjunct_terms;
+  struct Range {
+    size_t begin;
+    size_t end;
+  };
+  std::vector<Range> ranges;
+};
+
+Result<BatchPlan> PlanBatches(
+    const MethodContext& ctx,
+    std::vector<std::vector<std::string>> disjunct_terms) {
+  const ForeignJoinSpec& spec = *ctx.rspec.spec;
+  const size_t selection_terms = spec.selections.size();
+  const size_t terms_per_disjunct = spec.joins.size();
+  const size_t m = ctx.sched.source().max_search_terms();
+  if (selection_terms + terms_per_disjunct > m) {
+    return Status::ResourceExhausted(
+        "one disjunct already exceeds the term limit M=" + std::to_string(m));
+  }
+  const size_t batch_capacity =
+      std::max<size_t>(1, (m - selection_terms) / terms_per_disjunct);
+  BatchPlan plan;
+  plan.disjunct_terms = std::move(disjunct_terms);
+  for (size_t b = 0; b < plan.disjunct_terms.size(); b += batch_capacity) {
+    plan.ranges.push_back(
+        {b, std::min(b + batch_capacity, plan.disjunct_terms.size())});
+  }
+  return plan;
+}
+
+/// Builds the OR-batched search over the disjuncts [begin, end): the
+/// selection terms AND'ed with the OR of the per-combination disjuncts.
+TextQueryPtr BuildBatchQuery(
+    const ResolvedSpec& rspec,
+    const std::vector<std::vector<std::string>>& disjunct_terms,
+    size_t begin, size_t end) {
+  const ForeignJoinSpec& spec = *rspec.spec;
+  const PredicateMask all = FullMask(spec.joins.size());
+  std::vector<TextQueryPtr> disjuncts;
+  disjuncts.reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) {
+    disjuncts.push_back(BuildDisjunct(rspec, disjunct_terms[i], all));
+  }
+  std::vector<TextQueryPtr> children;
+  for (const TextSelection& sel : spec.selections) {
+    children.push_back(TextQuery::Term(sel.field, sel.term));
+  }
+  children.push_back(TextQuery::Or(std::move(disjuncts)));
+  return TextQuery::And(std::move(children));
+}
+
+/// Method-level recovery for an OR-batch whose search failed transiently
+/// even through the resilience layer: split the disjunct range in half and
+/// try each half, recursing on halves that fail again. The base case is a
+/// single disjunct — one combination's per-tuple search; if even that
+/// fails, best-effort drops the disjunct (recorded as a skipped batch
+/// unit) while retry-then-fail propagates `failure`. Smaller searches give
+/// genuinely better odds: fewer terms, shorter server time, and each
+/// retry-wrapped sub-search gets a fresh retry budget. Recovery runs
+/// inside the failed batch's own unit, so other batches' fetches proceed
+/// concurrently; the sub-searches it issues depend only on this batch's
+/// own outcomes, never on scheduling order.
+Result<std::vector<std::string>> RecoverBatch(
+    StageScheduler& sched, StageScheduler::StageId search_stage,
+    const ResolvedSpec& rspec,
+    const std::vector<std::vector<std::string>>& disjunct_terms,
+    size_t begin, size_t end, Status failure) {
+  const FaultPolicy& policy = sched.policy();
+  if (end - begin == 1) {
+    if (policy.best_effort()) {
+      policy.NoteSkippedBatch(1);
+      return std::vector<std::string>{};
+    }
+    return failure;
+  }
+  policy.NoteResplit();
+  const size_t mid = begin + (end - begin) / 2;
+  std::vector<std::string> docids;
+  for (const auto& [half_begin, half_end] :
+       {std::pair{begin, mid}, std::pair{mid, end}}) {
+    Result<std::vector<std::string>> half = sched.Search(
+        search_stage,
+        *BuildBatchQuery(rspec, disjunct_terms, half_begin, half_end));
+    if (!half.ok()) {
+      if (!IsTransientError(half.status().code())) return half.status();
+      TEXTJOIN_ASSIGN_OR_RETURN(
+          half, RecoverBatch(sched, search_stage, rspec, disjunct_terms,
+                             half_begin, half_end, half.status()));
+    }
+    docids.insert(docids.end(), half->begin(), half->end());
+  }
+  return docids;
+}
+
+/// One OR-batch's search unit: searches batch `b` (re-splitting it when it
+/// fails transiently under a recovering policy) and requests the answer's
+/// documents through `fetcher`.FetchOnce, recording their slots in
+/// `answer`.
+Status SearchBatch(StageScheduler& sched, StageScheduler::StageId search,
+                   const ResolvedSpec& rspec, const BatchPlan& plan, size_t b,
+                   DocFetcher& fetcher, std::vector<size_t>& answer) {
+  const BatchPlan::Range range = plan.ranges[b];
+  const TextQueryPtr query =
+      BuildBatchQuery(rspec, plan.disjunct_terms, range.begin, range.end);
+  Result<std::vector<std::string>> searched = sched.Search(search, *query);
+  if (!searched.ok()) {
+    if (!sched.policy().recovers() ||
+        !IsTransientError(searched.status().code())) {
+      return searched.status();
+    }
+    TEXTJOIN_ASSIGN_OR_RETURN(
+        searched, RecoverBatch(sched, search, rspec, plan.disjunct_terms,
+                               range.begin, range.end, searched.status()));
+  }
+  answer = fetcher.FetchOnce(*searched);
+  return Status::OK();
+}
+
+}  // namespace
+
+GroupedSearches GroupAndBuildSearches(const MethodContext& ctx,
+                                      StageScheduler::StageId keys,
+                                      StageScheduler::StageId build,
+                                      PredicateMask mask) {
+  GroupedSearches out;
+  out.groups = GroupTuples(ctx, keys, mask);
+  ScopedStageTimer timer(build, out.groups.size());
+  out.searches.reserve(out.groups.size());
+  for (const std::vector<std::string>& terms : out.groups.terms) {
+    out.searches.push_back(BuildSearch(ctx.rspec, terms, mask));
+  }
+  return out;
+}
+
+Status SpawnOrBatches(const MethodContext& ctx, StageScheduler::StageId keys,
+                      StageScheduler::StageId build,
+                      StageScheduler::StageId search, DocFetcher& fetcher,
+                      std::vector<std::vector<size_t>>& answers) {
+  KeyGroups groups =
+      GroupTuples(ctx, keys, FullMask(ctx.rspec.spec->joins.size()));
+  std::shared_ptr<const BatchPlan> plan;
+  {
+    ScopedStageTimer timer(build);
+    TEXTJOIN_ASSIGN_OR_RETURN(BatchPlan planned,
+                              PlanBatches(ctx, std::move(groups.terms)));
+    plan = std::make_shared<const BatchPlan>(std::move(planned));
+  }
+  answers.assign(plan->ranges.size(), {});
+  // The units outlive this frame: every capture is a value or a pointer to
+  // caller-owned state, never a reference to a parameter or local here.
+  StageScheduler* sched = &ctx.sched;
+  const ResolvedSpec* rspec = &ctx.rspec;
+  DocFetcher* docs = &fetcher;
+  for (size_t b = 0; b < plan->ranges.size(); ++b) {
+    std::vector<size_t>* answer = &answers[b];
+    sched->Spawn(search, b, [sched, search, rspec, plan, b, docs, answer] {
+      return SearchBatch(*sched, search, *rspec, *plan, b, *docs, *answer);
+    });
+  }
+  return Status::OK();
+}
+
+std::vector<size_t> FirstSeenSlots(
+    const std::vector<std::vector<size_t>>& answers, size_t num_slots) {
+  std::vector<char> seen(num_slots, 0);
+  std::vector<size_t> order;
+  order.reserve(num_slots);
+  for (const std::vector<size_t>& answer : answers) {
+    for (size_t slot : answer) {
+      if (seen[slot] != 0) continue;
+      seen[slot] = 1;
+      order.push_back(slot);
+    }
+  }
+  return order;
+}
+
+Result<ForeignJoinResult> AssembleGroupOrder(
+    const MethodContext& ctx, StageScheduler::StageId stage,
+    const KeyGroups& groups, const DocFetcher& fetcher,
+    const std::vector<std::vector<size_t>>& slots_per_group) {
+  BatchAssembler assemble(ctx, stage);
+  const size_t text_width = ctx.rspec.spec->text.fields.size() + 1;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const std::vector<size_t>& slots = slots_per_group[g];
+    if (slots.empty()) continue;
+    TupleBatch doc_rows(text_width, slots.size());
+    for (size_t slot : slots) fetcher.AppendRow(slot, doc_rows);
+    for (size_t r : groups.rows[g]) {
+      for (size_t d = 0; d < doc_rows.size(); ++d) {
+        TEXTJOIN_RETURN_IF_ERROR(assemble.AppendConcat(r, doc_rows.row(d)));
+      }
+    }
+  }
+  return assemble.Finish();
+}
+
+Result<ForeignJoinResult> AssembleMatchedDocs(
+    const MethodContext& ctx, StageScheduler::StageId stage,
+    const DocFetcher& fetcher, const std::vector<size_t>& order) {
+  BatchAssembler assemble(ctx, stage);
+  TupleBatch doc_row(ctx.rspec.spec->text.fields.size() + 1, 1);
+  for (size_t slot : order) {
+    const std::vector<size_t>& tuples = fetcher.matched(slot);
+    if (tuples.empty()) continue;
+    doc_row.Clear();
+    fetcher.AppendRow(slot, doc_row);
+    for (size_t t : tuples) {
+      TEXTJOIN_RETURN_IF_ERROR(assemble.AppendConcat(t, doc_row.row(0)));
+    }
+  }
+  return assemble.Finish();
 }
 
 namespace {

@@ -7,7 +7,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/cancel.h"
@@ -32,18 +34,24 @@
 ///  - the stage taxonomy (StageKind / StageDesc) and per-stage runtime
 ///    accounting (StageStats / PipelineProfile);
 ///  - StageScheduler: ONE scheduler owning parallelism, FaultPolicy
-///    handling, metering, the query's cancel token, and deterministic
-///    failure selection for all methods. It pipelines ACROSS stages: a
-///    unit may spawn downstream units (search answers spawn fetches) that
-///    execute while sibling upstream units are still in flight, so there
-///    is no barrier between stages;
-///  - DocFetcher: slot-addressed asynchronous document retrieval with
-///    optional per-document continuation units (the RTP-family match
-///    stage);
+///    handling, metering, the session probe store, the query's cancel
+///    token, and deterministic failure selection for all methods. It
+///    pipelines ACROSS stages: a unit may spawn downstream units (search
+///    answers spawn fetches) that execute while sibling upstream units are
+///    still in flight, so there is no barrier between stages;
+///  - the parts every composition is built from, each written once:
+///    the grouped-search front (GroupAndBuildSearches) and the OR-batch
+///    front (SpawnOrBatches); DocFetcher, slot-addressed document
+///    retrieval with a per-search and a deduplicating entry, the optional
+///    fetch-then-match unit (MatchEach), and the one place a document
+///    becomes an output row; and the assemblies, one per replay order
+///    (AssembleGroupOrder, AssembleMatchedDocs over FirstSeenSlots or
+///    document order) on the one BatchAssembler;
 ///  - the shared spec-resolution and query-building helpers;
 ///  - RunForeignJoin / RunProbeReducer: the one entry each for a join
 ///    method's composition and for the probe reducer on a given scheduler.
-///    Every composition registers its own stages as it runs.
+///    Every composition registers its own stages as it runs and adds only
+///    its own logic to the parts.
 ///
 /// Determinism contract: result rows AND meter totals are byte-identical
 /// to serial execution at any parallelism. The argument: (1) the set of
@@ -152,21 +160,6 @@ TextQueryPtr BuildDisjunct(const ResolvedSpec& rspec,
                            const std::vector<std::string>& terms,
                            PredicateMask mask);
 
-/// Writes a fetched document's text-side row [docid, field1, field2, ...],
-/// multi-valued fields flattened, into a fresh slot of `batch` (the
-/// assembly staging form: no Row per document). The batch's width must be
-/// text.fields.size() + 1.
-void AppendDocumentRow(const TextRelationDecl& text, const Document& doc,
-                       TupleBatch& batch);
-
-/// Writes the text-side row carrying only the docid (fields NULL) into a
-/// fresh slot of `batch`.
-void AppendDocidOnlyRow(const TextRelationDecl& text, const std::string& docid,
-                        TupleBatch& batch);
-
-/// The all-NULL left row (for doc-side semi-join output).
-Row NullLeftRow(const Schema& left_schema);
-
 /// Relational-side string matching for the RTP family (DESIGN.md §14):
 /// outer tuples' join terms for the predicates in `mask`, read through the
 /// tuples' row ids and prepared once per query in common/text_match.h's
@@ -194,12 +187,16 @@ class JoinTermMatcher {
   /// matches.
   bool Matches(size_t i, const std::vector<std::string>& doc_fields) const;
 
+  /// The number of prepared rows.
+  size_t size() const { return num_rows_; }
+
  private:
   JoinTermMatcher(const ResolvedSpec& rspec, PredicateMask mask,
                   std::vector<RowIdSet::ColumnRef> columns,
                   size_t num_tuples);
   void AddTuple(const RowIdSet& tuples, size_t tuple);
 
+  size_t num_rows_;
   std::vector<const std::string*> fields_;  ///< Text field per predicate.
   std::vector<RowIdSet::ColumnRef> columns_;  ///< Left column per predicate.
   std::string terms_;  ///< Every prepared term, row-major, back to back.
@@ -336,17 +333,21 @@ class StageScheduler {
   /// combined time.
   void ChargeRelationalMatches(StageId stage, uint64_t docs_scanned);
 
+  /// The session probe store (text_cache.h: probe outcomes across
+  /// queries, paper Section 3.3), reached through the caching decorator
+  /// when one fronts the source chain (the FederationService layering).
+  /// KnownProbe returns the outcome an earlier query recorded for `probe`;
+  /// RecordProbe stores the outcome this query observed. Without a store,
+  /// every lookup misses and every record is dropped.
+  std::optional<bool> KnownProbe(const TextQuery& probe) const;
+  void RecordProbe(const TextQuery& probe, bool matched) const;
+
   /// Charges one cross-query cache hit for an upstream operation a method
   /// skipped OUTSIDE Search/Fetch (the probing methods skipping a search
-  /// or probe because the session store already knows the probe's
-  /// outcome): to `stage`'s profile and to the query's probe-hit account.
-  /// Search/Fetch account their own hits. Requires caching().
+  /// or probe because KnownProbe knew the probe's outcome): to `stage`'s
+  /// profile and to the query's probe-hit account. Search/Fetch account
+  /// their own hits. Call only after KnownProbe returned an outcome.
   void NoteCacheHit(StageId stage);
-
-  /// The caching decorator when the source chain is fronted by one (the
-  /// FederationService layering), else null. Probing methods use it for
-  /// session-scope probe outcomes.
-  CachingTextSource* caching() const { return caching_; }
 
   /// Decides the fate of a failed source operation under the policy:
   /// returns OK (failure absorbed, recorded in the degradation sink) when
@@ -366,8 +367,6 @@ class StageScheduler {
   PipelineProfile Profile(const std::vector<StageId>& ids) const;
 
  private:
-  friend class ScopedStageTimer;
-
   struct State;
   struct Task;
 
@@ -404,8 +403,8 @@ class StageScheduler {
 /// units to the stage.
 class ScopedStageTimer {
  public:
-  ScopedStageTimer(StageScheduler& sched, StageScheduler::StageId stage,
-                   uint64_t units = 1);
+  explicit ScopedStageTimer(StageScheduler::StageId stage,
+                            uint64_t units = 1);
   ~ScopedStageTimer();
   ScopedStageTimer(const ScopedStageTimer&) = delete;
   ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
@@ -417,83 +416,73 @@ class ScopedStageTimer {
   uint64_t op_ns_at_start_;
 };
 
-/// Batched deterministic result assembly (DESIGN.md §14). Every method's
-/// Assemble stage appends its join output through this helper, and it is
-/// the one place a foreign join gathers an outer tuple's values: only for
-/// the output rows, one allocation per row. The scheduler's cooperative
-/// cancellation checkpoint runs once per kBatchRows appends — a client
-/// abort mid-assembly lands within one batch instead of after a full
-/// cross product. Deadline shedding is deliberately NOT checked here: a
-/// shed query still assembles the rows it has. Append order is the
-/// caller's deterministic replay order, so rows stay byte-identical.
-class BatchAssembler {
- public:
-  static constexpr size_t kBatchRows = TupleBatch::kDefaultCapacity;
-
-  BatchAssembler(StageScheduler& sched, std::vector<Row>& out)
-      : sched_(sched), out_(&out) {}
-
-  /// Appends outer tuple `tuple` of `left` ⨯ `right` as one output row.
-  Status AppendConcat(const RowIdSet& left, size_t tuple, RowView right) {
-    Row& row = out_->emplace_back();
-    row.reserve(left.schema().num_columns() + right.size());
-    left.GatherInto(tuple, row);
-    row.insert(row.end(), right.begin(), right.end());
-    return Tick();
-  }
-
-  /// Appends left ⨯ right as one output row (SJ's all-NULL left row).
-  Status AppendConcat(RowView left, RowView right) {
-    ConcatInto(left, right, out_->emplace_back());
-    return Tick();
-  }
-
- private:
-  Status Tick() {
-    if (++appended_ % kBatchRows != 0) return Status::OK();
-    return sched_.BatchCheckpoint();
-  }
-
-  StageScheduler& sched_;
-  std::vector<Row>* out_;
-  uint64_t appended_ = 0;
-};
-
-/// What one RTP-family match unit found: the fetched document and the
-/// outer tuples it matched, ascending. Assemble gathers their rows.
-struct DocMatches {
-  const Document* doc = nullptr;  ///< Set by the match unit.
-  std::vector<size_t> tuples;
-};
-
-/// Slot-addressed asynchronous document retrieval. Each Fetch() reserves a
-/// stable slot and spawns a fetch unit; after the scheduler drains, doc()
-/// returns the slot's document — or the empty placeholder (see
+/// Slot-addressed asynchronous document retrieval, and the one place a
+/// document becomes an output row (AppendRow). Each docid requested gets
+/// a stable slot; a long-form fetcher spawns one fetch unit per slot,
+/// while a docid-only one (the query reads no document field) issues no
+/// Fetch and its slot holds the docid alone. After the scheduler drains,
+/// doc() returns the slot's document, or the empty placeholder (see
 /// IsPlaceholderDoc) when a best-effort policy absorbed the fetch failure.
-/// Exactly one source Fetch is issued per call (deduplication is the
-/// caller's concern, as it defines the method's cost).
 ///
-/// The two-argument form chains a continuation: on fetch success, `then`
-/// runs as a unit of `then_stage` with the fetched document — the
-/// RTP-family match stage, overlapped with everything else.
+/// Deduplication is the method's choice between the two entries, as it
+/// defines the method's cost: Fetch gives every docid a fresh slot, so TS
+/// and P+TS retrieve each search's documents (the paper's c_l·V); FetchOnce
+/// fetches a docid only the first time the fetcher sees it and hands every
+/// later request that slot (the methods that fetch a set of docids).
+/// Both entries are safe to call from concurrent units.
+///
+/// MatchEach adds the fetch-then-match unit of the RTP family: each
+/// successful fetch chains a unit that string-matches the document against
+/// every outer tuple, overlapped with everything else.
 class DocFetcher {
  public:
-  DocFetcher(StageScheduler& sched, StageScheduler::StageId stage)
-      : sched_(sched), stage_(stage) {}
+  DocFetcher(StageScheduler& sched, StageScheduler::StageId stage,
+             const TextRelationDecl& text, bool long_form);
 
-  size_t Fetch(const std::string& docid);
-  size_t Fetch(const std::string& docid, StageScheduler::StageId then_stage,
-               std::function<Status(const Document&)> then);
+  /// From now on, each successful fetch spawns a unit of `stage` that
+  /// charges one relational match (c_a) and records, in ascending order,
+  /// the tuples of `tuples` the document satisfies on every join predicate
+  /// of `rspec` (matched()). The tuples' terms are prepared here, as
+  /// Match-stage work that is not a unit. Call before the first request;
+  /// `rspec` must outlive the fetcher.
+  void MatchEach(StageScheduler::StageId stage, const ResolvedSpec& rspec,
+                 const RowIdSet& tuples);
 
-  /// The document in `slot`. Valid only after the scheduler drained.
+  /// Requests `docids` and returns their slots, in order.
+  std::vector<size_t> Fetch(const std::vector<std::string>& docids);
+  std::vector<size_t> FetchOnce(const std::vector<std::string>& docids);
+
+  // Valid only after the scheduler drained.
   const Document& doc(size_t slot) const;
+  /// The tuples the slot's match unit matched (none when it never ran).
+  const std::vector<size_t>& matched(size_t slot) const;
   size_t size() const;
 
+  /// Stages the slot's text-side row [docid, field1, field2, ...] into a
+  /// fresh slot of `batch` (width text.fields.size() + 1): multi-valued
+  /// fields flattened, or NULL for a docid-only fetcher. Stages nothing
+  /// and returns false for a placeholder.
+  bool AppendRow(size_t slot, TupleBatch& batch) const;
+
  private:
+  struct Slot {
+    Document doc;
+    std::vector<size_t> matched;
+  };
+
+  /// Reserves a slot for `docid` and spawns its fetch. Called under mu_.
+  size_t Request(const std::string& docid);
+  Status Match(Slot& slot) const;
+
   StageScheduler& sched_;
   StageScheduler::StageId stage_;
+  const TextRelationDecl& text_;
+  bool long_form_;
+  StageScheduler::StageId match_stage_ = nullptr;
+  std::optional<JoinTermMatcher> matcher_;
   mutable std::mutex mu_;
-  std::deque<Document> docs_;  ///< deque: growth keeps element addresses.
+  std::deque<Slot> slots_;  ///< deque: growth keeps element addresses.
+  std::unordered_map<std::string, size_t> slot_of_;  ///< FetchOnce's.
 };
 
 // ---------------------------------------------------------------------------
@@ -515,6 +504,110 @@ struct MethodContext {
   /// rank and the profile order.
   StageScheduler::StageId AddStage(StageKind kind, std::string detail);
 };
+
+/// The grouped-search front (TS, P+TS, P+RTP and the probe reducer): the
+/// outer tuples grouped by their join terms over `mask`, timed as one unit
+/// of `keys`, and one search per group instantiated over the same mask
+/// (BuildSearch: the per-combination search or a probe), one unit of
+/// `build` each.
+struct GroupedSearches {
+  KeyGroups groups;
+  std::vector<TextQueryPtr> searches;  ///< Parallel to groups.terms.
+  size_t size() const { return searches.size(); }
+};
+GroupedSearches GroupAndBuildSearches(const MethodContext& ctx,
+                                      StageScheduler::StageId keys,
+                                      StageScheduler::StageId build,
+                                      PredicateMask mask);
+
+/// The OR-batch front (SJ and SJ+RTP, paper Section 3.2): the outer tuples
+/// grouped by every join term (one unit of `keys`), the combinations
+/// carved into OR-batches under the source's term limit M (one unit of
+/// `build`: each batch spends the selection terms once plus k terms per
+/// disjunct, so |Q|/M searches), and one search unit per batch spawned on
+/// `search`. A batch whose search fails transiently under a recovering
+/// policy re-splits itself down to single disjuncts. Each answer's docids
+/// are requested through `fetcher`'s FetchOnce the moment it arrives, so
+/// fetches overlap the remaining searches, and batch b's slots land in
+/// answers[b]. Fails, spawning nothing, when one disjunct alone exceeds M.
+Status SpawnOrBatches(const MethodContext& ctx, StageScheduler::StageId keys,
+                      StageScheduler::StageId build,
+                      StageScheduler::StageId search, DocFetcher& fetcher,
+                      std::vector<std::vector<size_t>>& answers);
+
+/// The slots of `answers` (one fetcher's, below `num_slots`), each once,
+/// in first-seen order: the replay order of the OR-batch methods, batch
+/// major, so it does not depend on the order the batches completed in.
+std::vector<size_t> FirstSeenSlots(
+    const std::vector<std::vector<size_t>>& answers, size_t num_slots);
+
+/// Batched deterministic result assembly (DESIGN.md §14), timed as one
+/// unit of a composition's Assemble stage for the assembler's lifetime.
+/// Every method's join output is appended through it, and it is the one
+/// place a foreign join gathers an outer tuple's values: only for the
+/// output rows, one allocation per row. The scheduler's cooperative
+/// cancellation checkpoint runs once per kBatchRows appends — a client
+/// abort mid-assembly lands within one batch instead of after a full
+/// cross product. Deadline shedding is deliberately NOT checked here: a
+/// shed query still assembles the rows it has. Append order is the
+/// caller's deterministic replay order, so rows stay byte-identical.
+class BatchAssembler {
+ public:
+  static constexpr size_t kBatchRows = TupleBatch::kDefaultCapacity;
+
+  BatchAssembler(const MethodContext& ctx, StageScheduler::StageId stage)
+      : timer_(stage), sched_(ctx.sched), left_(ctx.left) {
+    result_.schema = ctx.rspec.output_schema;
+  }
+
+  /// Appends outer tuple `tuple` ⨯ `right` as one output row.
+  Status AppendConcat(size_t tuple, RowView right) {
+    Row& row = result_.rows.emplace_back();
+    row.reserve(left_.schema().num_columns() + right.size());
+    left_.GatherInto(tuple, row);
+    row.insert(row.end(), right.begin(), right.end());
+    return Tick();
+  }
+
+  /// Appends left ⨯ right as one output row (SJ's all-NULL left row).
+  Status AppendConcat(RowView left, RowView right) {
+    ConcatInto(left, right, result_.rows.emplace_back());
+    return Tick();
+  }
+
+  /// The assembled result; the assembler is spent.
+  ForeignJoinResult Finish() { return std::move(result_); }
+
+ private:
+  Status Tick() {
+    if (++appended_ % kBatchRows != 0) return Status::OK();
+    return sched_.BatchCheckpoint();
+  }
+
+  ScopedStageTimer timer_;
+  StageScheduler& sched_;
+  const RowIdSet& left_;
+  ForeignJoinResult result_;
+  uint64_t appended_ = 0;
+};
+
+/// The group-order assembly (TS, P+TS): group by group, each tuple of the
+/// group joined with each document of its search, the slots
+/// slots_per_group[g] of `fetcher` (placeholders skipped). A group's
+/// document rows are staged once, in one batch.
+Result<ForeignJoinResult> AssembleGroupOrder(
+    const MethodContext& ctx, StageScheduler::StageId stage,
+    const KeyGroups& groups, const DocFetcher& fetcher,
+    const std::vector<std::vector<size_t>>& slots_per_group);
+
+/// The per-document assembly of the fetch-then-match methods (RTP,
+/// SJ+RTP): for each slot of `order`, the document's row after each tuple
+/// of ctx.left its match unit matched (DocFetcher::MatchEach). A matched
+/// document's row is staged once.
+Result<ForeignJoinResult> AssembleMatchedDocs(const MethodContext& ctx,
+                                              StageScheduler::StageId stage,
+                                              const DocFetcher& fetcher,
+                                              const std::vector<size_t>& order);
 
 /// Executes `method`'s composition on `sched`, which may already carry
 /// other compositions (the plan executor's shared DAG), over the outer

@@ -1,7 +1,5 @@
-#include <algorithm>
 #include <map>
 #include <optional>
-#include <unordered_map>
 
 #include "core/pipeline.h"
 
@@ -41,7 +39,6 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
   const ResolvedSpec& rspec = ctx.rspec;
   const ForeignJoinSpec& spec = *rspec.spec;
   StageScheduler& sched = ctx.sched;
-  const PredicateMask all = FullMask(spec.joins.size());
   const PredicateMask mask = ctx.probe_mask;
 
   const StageScheduler::StageId sd_keys =
@@ -58,19 +55,8 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
   const StageScheduler::StageId sd_assemble =
       ctx.AddStage(StageKind::kAssemble, "group-order");
 
-  KeyGroups groups;
-  {
-    ScopedStageTimer timer(sched, sd_keys, 1);
-    groups = GroupRowsByTerms(rspec, ctx.left, all);
-  }
-  std::vector<TextQueryPtr> searches;
-  {
-    ScopedStageTimer timer(sched, sd_build, groups.size());
-    searches.reserve(groups.size());
-    for (const std::vector<std::string>& terms : groups.terms) {
-      searches.push_back(BuildSearch(rspec, terms, all));
-    }
-  }
+  const GroupedSearches front = GroupAndBuildSearches(
+      ctx, sd_keys, sd_build, FullMask(spec.joins.size()));
   // One entry per distinct probe key: how many full-key combinations still
   // share it — a probe is only worth sending if at least one *other*
   // combination could reuse its outcome (the paper's refinement for
@@ -80,44 +66,42 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
   struct ProbeKeyState {
     size_t remaining_sharers = 0;
     std::optional<bool> outcome;  ///< True = the probe matches documents.
+    TextQueryPtr probe;  ///< Built when the outcome is first looked up.
   };
   using ProbeKeyMap = std::map<std::vector<std::string>, ProbeKeyState>;
   ProbeKeyMap probe_keys;
-  std::vector<ProbeKeyMap::value_type*> group_probe_key(groups.size());
+  std::vector<ProbeKeyMap::value_type*> group_probe_key(front.size());
   {
-    ScopedStageTimer timer(sched, sd_probe, groups.size());
-    for (size_t g = 0; g < groups.size(); ++g) {
+    ScopedStageTimer timer(sd_probe, front.size());
+    for (size_t g = 0; g < front.size(); ++g) {
       std::vector<std::string> key =
-          ProbeKeyOf(groups.terms[g], mask, spec.joins.size());
+          ProbeKeyOf(front.groups.terms[g], mask, spec.joins.size());
       const auto entry = probe_keys.try_emplace(std::move(key)).first;
       ++entry->second.remaining_sharers;
       group_probe_key[g] = &*entry;
     }
   }
 
-  DocFetcher fetcher(sched, sd_fetch);
-  std::vector<char> group_hit(groups.size(), 0);
-  std::vector<std::vector<size_t>> slots_per_group(groups.size());
-  std::vector<std::vector<std::string>> docids_per_group(groups.size());
+  DocFetcher fetcher(sched, sd_fetch, spec.text, spec.need_document_fields);
+  std::vector<std::vector<size_t>> slots_per_group(front.size());
   sched.Spawn(sd_search, 0, [&]() -> Status {
-    // Probe outcomes are seeded from the session store (text_cache.h)
-    // when one is attached: outcomes learned by EARLIER queries skip full
-    // searches / probe sends here, and outcomes discovered here are
-    // recorded for later queries. With no session store (or a cold one)
-    // the behavior is bit-for-bit the original.
-    CachingTextSource* session = sched.caching();
-    for (size_t g = 0; g < groups.size(); ++g) {
+    // Probe outcomes learned by EARLIER queries (the session store, when
+    // one is attached) skip full searches / probe sends here, and outcomes
+    // discovered here are recorded for later queries. With no store (or a
+    // cold one) the chain is the paper's algorithm.
+    for (size_t g = 0; g < front.size(); ++g) {
       const std::vector<std::string>& probe_terms = group_probe_key[g]->first;
       ProbeKeyState& key = group_probe_key[g]->second;
       --key.remaining_sharers;
 
-      TextQueryPtr probe;
-      bool session_known = false;
-      if (session != nullptr && !key.outcome.has_value()) {
-        probe = BuildSearch(rspec, probe_terms, mask);
-        key.outcome = session->BeginProbe(*probe);
-        session_known = key.outcome.has_value();
+      const bool looked_up = !key.outcome.has_value();
+      if (looked_up) {
+        if (key.probe == nullptr) {
+          key.probe = BuildSearch(rspec, probe_terms, mask);
+        }
+        key.outcome = sched.KnownProbe(*key.probe);
       }
+      const bool session_known = looked_up && key.outcome.has_value();
       if (key.outcome.has_value() && !*key.outcome) {  // Known fail-query.
         // The session store saved the full search for this combination.
         if (session_known) sched.NoteCacheHit(sd_search);
@@ -126,7 +110,7 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
 
       // Full tuple-substitution search for this combination.
       Result<std::vector<std::string>> searched =
-          sched.Search(sd_search, *searches[g]);
+          sched.Search(sd_search, *front.searches[g]);
       if (!searched.ok()) {
         // Best-effort: drop the combination — and learn nothing about the
         // probe key (the outcome is unknown, so no probe is sent either).
@@ -138,27 +122,17 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
         // A successful full query implies the probe would succeed;
         // remember it without spending an invocation.
         key.outcome = true;
-        if (session != nullptr && !session_known && probe != nullptr) {
-          session->RecordProbe(*probe, true);
-        }
-        group_hit[g] = 1;
-        docids_per_group[g] = *std::move(searched);
-        if (spec.need_document_fields) {
-          slots_per_group[g].reserve(docids_per_group[g].size());
-          for (const std::string& docid : docids_per_group[g]) {
-            slots_per_group[g].push_back(fetcher.Fetch(docid));
-          }
-        }
+        if (looked_up && !session_known) sched.RecordProbe(*key.probe, true);
+        slots_per_group[g] = fetcher.Fetch(*searched);
         continue;
       }
       // The full query failed. Send the probe (selections + probe-column
       // predicates, short form) so later agreeing combinations can be
       // skipped — but only if some combination still shares this probe key
-      // and the outcome is not already known.
+      // and the outcome is not already known (so it was looked up above).
       if (!key.outcome.has_value() && key.remaining_sharers > 0) {
-        if (probe == nullptr) probe = BuildSearch(rspec, probe_terms, mask);
         Result<std::vector<std::string>> probe_docs =
-            sched.Search(sd_probe, *probe);
+            sched.Search(sd_probe, *key.probe);
         if (!probe_docs.ok()) {
           // The probe is purely advisory: its loss costs future skip
           // opportunities, never rows, so a recovering policy absorbs it.
@@ -167,7 +141,7 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
           continue;
         }
         key.outcome = !probe_docs->empty();
-        if (session != nullptr) session->RecordProbe(*probe, *key.outcome);
+        sched.RecordProbe(*key.probe, *key.outcome);
       } else if (session_known && *key.outcome && key.remaining_sharers > 0) {
         // Without the session store a probe would have been sent here
         // (outcome unknown, sharers remain): a second saved invocation.
@@ -177,39 +151,8 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
     return Status::OK();
   });
   TEXTJOIN_RETURN_IF_ERROR(sched.Wait());
-
-  ForeignJoinResult result;
-  result.schema = rspec.output_schema;
-  ScopedStageTimer timer(sched, sd_assemble, 1);
-  // Batched assembly (see RunTS): TupleBatch doc-row staging per group,
-  // cancellation checkpoints at batch boundaries.
-  BatchAssembler assemble(sched, result.rows);
-  const size_t text_width = spec.text.fields.size() + 1;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (!group_hit[g]) continue;
-    const size_t count = spec.need_document_fields
-                             ? slots_per_group[g].size()
-                             : docids_per_group[g].size();
-    TupleBatch doc_rows(text_width, std::max<size_t>(1, count));
-    if (spec.need_document_fields) {
-      for (size_t slot : slots_per_group[g]) {
-        const Document& doc = fetcher.doc(slot);
-        if (IsPlaceholderDoc(doc)) continue;  // Best-effort fetch skip.
-        AppendDocumentRow(spec.text, doc, doc_rows);
-      }
-    } else {
-      for (const std::string& docid : docids_per_group[g]) {
-        AppendDocidOnlyRow(spec.text, docid, doc_rows);
-      }
-    }
-    for (size_t r : groups.rows[g]) {
-      for (size_t d = 0; d < doc_rows.size(); ++d) {
-        TEXTJOIN_RETURN_IF_ERROR(
-            assemble.AppendConcat(ctx.left, r, doc_rows.row(d)));
-      }
-    }
-  }
-  return result;
+  return AssembleGroupOrder(ctx, sd_assemble, front.groups, fetcher,
+                            slots_per_group);
 }
 
 /// Section 3.3 — probing + relational text processing: one probe per
@@ -217,18 +160,16 @@ Result<ForeignJoinResult> RunPTS(MethodContext& ctx) {
 /// matched are fetched (long form, deduplicated across probes) and matched
 /// against the agreeing tuples in SQL.
 ///
-/// Every probe unit hands its docids to the shared dedup map the moment its
-/// answer arrives and spawns fetches for the unclaimed ones — so fetches
-/// for early probes overlap the remaining probes. The fetched docid SET is
-/// schedule-independent (first-completed wins only the slot number); the
-/// deterministic first-seen order and the residual matching are replayed
-/// serially in group order after the drain, exactly as the serial
+/// Every probe unit requests its answer's documents through FetchOnce the
+/// moment the answer arrives — so fetches for early probes overlap the
+/// remaining probes. The fetched docid SET is schedule-independent
+/// (first-requested wins only the slot number); the residual matching is
+/// replayed serially in group order after the drain, exactly as the serial
 /// interleaved loop would, so rows and meter totals are byte-identical.
 Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
   const ResolvedSpec& rspec = ctx.rspec;
   const ForeignJoinSpec& spec = *rspec.spec;
   StageScheduler& sched = ctx.sched;
-  const PredicateMask all = FullMask(spec.joins.size());
   const PredicateMask mask = ctx.probe_mask;
 
   const StageScheduler::StageId sd_keys = ctx.AddStage(
@@ -244,66 +185,41 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
   const StageScheduler::StageId sd_assemble =
       ctx.AddStage(StageKind::kAssemble, "group-order");
 
-  KeyGroups groups;
-  {
-    ScopedStageTimer timer(sched, sd_keys, 1);
-    groups = GroupRowsByTerms(rspec, ctx.left, mask);
-  }
-  std::vector<TextQueryPtr> probes;
-  {
-    ScopedStageTimer timer(sched, sd_build, groups.size());
-    probes.reserve(groups.size());
-    for (const std::vector<std::string>& probe_terms : groups.terms) {
-      probes.push_back(BuildSearch(rspec, probe_terms, mask));
-    }
-  }
-
-  DocFetcher fetcher(sched, sd_fetch);
-  std::vector<std::vector<std::string>> docids_per_group(groups.size());
-  std::mutex mu;
-  std::unordered_map<std::string, size_t> docid_slot;
+  const GroupedSearches front =
+      GroupAndBuildSearches(ctx, sd_keys, sd_build, mask);
+  const KeyGroups& groups = front.groups;
+  DocFetcher fetcher(sched, sd_fetch, spec.text, /*long_form=*/true);
+  std::vector<std::vector<size_t>> slots_per_group(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
     sched.Spawn(sd_search, g, [&, g]() -> Status {
-      // Session store (text_cache.h): a probe known to have failed in an
-      // earlier query matches no documents, so the whole group drops
-      // without a search. (A known-success outcome does not help — the
-      // docids are still needed, and those come from the search cache.)
-      CachingTextSource* session = sched.caching();
-      std::optional<bool> known;
-      if (session != nullptr) {
-        known = session->BeginProbe(*probes[g]);
-        if (known.has_value() && !*known) {
-          sched.NoteCacheHit(sd_search);
-          return Status::OK();
-        }
+      // A probe known (from an earlier query) to have failed matches no
+      // documents, so the whole group drops without a search. A known
+      // success does not help: the docids are still needed, and those
+      // come from the search cache.
+      const TextQuery& probe = *front.searches[g];
+      const std::optional<bool> known = sched.KnownProbe(probe);
+      if (known.has_value() && !*known) {
+        sched.NoteCacheHit(sd_search);
+        return Status::OK();
       }
       Result<std::vector<std::string>> searched =
-          sched.Search(sd_search, *probes[g]);
+          sched.Search(sd_search, probe);
       if (!searched.ok()) {
         // Best-effort: the group's rows are missing from the answer.
         return sched.HandleSourceFailure(searched.status(),
                                          /*affects_completeness=*/true);
       }
-      if (session != nullptr && !known.has_value()) {
-        session->RecordProbe(*probes[g], !searched->empty());
-      }
-      docids_per_group[g] = *std::move(searched);
-      std::lock_guard<std::mutex> lock(mu);
-      for (const std::string& docid : docids_per_group[g]) {
-        if (docid_slot.count(docid) != 0) continue;
-        docid_slot.emplace(docid, fetcher.Fetch(docid));
-      }
+      if (!known.has_value()) sched.RecordProbe(probe, !searched->empty());
+      slots_per_group[g] = fetcher.FetchOnce(*searched);
       return Status::OK();
     });
   }
   TEXTJOIN_RETURN_IF_ERROR(sched.Wait());
 
-  ForeignJoinResult result;
-  result.schema = rspec.output_schema;
   // Residual matching is fused with assembly: both replay group order, and
   // the probe already guaranteed the mask predicates. Matching work is
   // charged to the Match stage; the pass's wall-clock to Assemble.
-  ScopedStageTimer timer(sched, sd_assemble, 1);
+  BatchAssembler assemble(ctx, sd_assemble);
   // The residual predicates' terms are prepared once for every outer tuple
   // a successful probe's documents are matched against — group by group, so
   // group g's tuples are the prepared rows from first_prepared[g] on — and
@@ -312,43 +228,38 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
   std::vector<size_t> first_prepared(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
     first_prepared[g] = prepared_rows.size();
-    if (docids_per_group[g].empty()) continue;
+    if (slots_per_group[g].empty()) continue;
     prepared_rows.insert(prepared_rows.end(), groups.rows[g].begin(),
                          groups.rows[g].end());
   }
-  const JoinTermMatcher matcher(rspec, ctx.left, prepared_rows, all & ~mask);
+  const JoinTermMatcher matcher(rspec, ctx.left, prepared_rows,
+                                FullMask(spec.joins.size()) & ~mask);
   std::vector<std::vector<std::string>> prepared_docs(fetcher.size());
   for (size_t slot = 0; slot < prepared_docs.size(); ++slot) {
     const Document& doc = fetcher.doc(slot);
     if (!IsPlaceholderDoc(doc)) prepared_docs[slot] = matcher.PrepareDoc(doc);
   }
-  // Batched assembly: the document row is staged once per document in a
+  // Each document row is staged once per (group, document) in a
   // single-slot batch and concatenated as a view against every matching
-  // tuple, whose values are gathered only then; cancellation is
-  // checkpointed at batch boundaries.
-  BatchAssembler assemble(sched, result.rows);
+  // tuple, whose values are gathered only then.
   TupleBatch doc_row(spec.text.fields.size() + 1, 1);
   for (size_t g = 0; g < groups.size(); ++g) {
-    const std::vector<std::string>& docids = docids_per_group[g];
-    if (docids.empty()) continue;  // Fail: every agreeing tuple is skipped.
+    if (slots_per_group[g].empty()) continue;  // Fail: tuples are skipped.
     uint64_t scanned = 0;
-    for (const std::string& docid : docids) {
-      const size_t slot = docid_slot.at(docid);
-      const Document& doc = fetcher.doc(slot);
-      if (IsPlaceholderDoc(doc)) continue;  // Fetch was skipped.
-      ++scanned;
+    for (size_t slot : slots_per_group[g]) {
       doc_row.Clear();
-      AppendDocumentRow(spec.text, doc, doc_row);
+      if (!fetcher.AppendRow(slot, doc_row)) continue;  // Fetch was skipped.
+      ++scanned;
       for (size_t j = 0; j < groups.rows[g].size(); ++j) {
         if (matcher.Matches(first_prepared[g] + j, prepared_docs[slot])) {
-          TEXTJOIN_RETURN_IF_ERROR(assemble.AppendConcat(
-              ctx.left, groups.rows[g][j], doc_row.row(0)));
+          TEXTJOIN_RETURN_IF_ERROR(
+              assemble.AppendConcat(groups.rows[g][j], doc_row.row(0)));
         }
       }
     }
     sched.ChargeRelationalMatches(sd_match, scanned);
   }
-  return result;
+  return assemble.Finish();
 }
 
 Result<RowIdSet> RunProbeReducer(StageScheduler& sched,
@@ -367,35 +278,21 @@ Result<RowIdSet> RunProbeReducer(StageScheduler& sched,
   const StageScheduler::StageId sd_probe =
       ctx.AddStage(StageKind::kProbeFilter, "reducer");
 
-  KeyGroups groups;
-  {
-    ScopedStageTimer timer(sched, sd_keys, 1);
-    groups = GroupRowsByTerms(rspec, left, probe_mask);
-  }
-  std::vector<TextQueryPtr> probes;
-  {
-    ScopedStageTimer timer(sched, sd_build, groups.size());
-    probes.reserve(groups.size());
-    for (const std::vector<std::string>& probe_terms : groups.terms) {
-      probes.push_back(BuildSearch(rspec, probe_terms, probe_mask));
-    }
-  }
+  const GroupedSearches front =
+      GroupAndBuildSearches(ctx, sd_keys, sd_build, probe_mask);
   // Every distinct combination's probe is independent; overlap them.
-  std::vector<char> matched(groups.size(), 0);
-  for (size_t g = 0; g < groups.size(); ++g) {
+  std::vector<char> matched(front.size(), 0);
+  for (size_t g = 0; g < front.size(); ++g) {
     sched.Spawn(sd_probe, g, [&, g]() -> Status {
-      // The reducer needs only the one-bit outcome, so BOTH session-known
-      // outcomes (matched / failed) replace the probe invocation.
-      CachingTextSource* session = sched.caching();
-      if (session != nullptr) {
-        if (std::optional<bool> known = session->BeginProbe(*probes[g])) {
-          sched.NoteCacheHit(sd_probe);
-          matched[g] = *known ? 1 : 0;
-          return Status::OK();
-        }
+      // The reducer needs only the one-bit outcome, so BOTH known outcomes
+      // (matched / failed) replace the probe invocation.
+      const TextQuery& probe = *front.searches[g];
+      if (std::optional<bool> known = sched.KnownProbe(probe)) {
+        sched.NoteCacheHit(sd_probe);
+        matched[g] = *known ? 1 : 0;
+        return Status::OK();
       }
-      Result<std::vector<std::string>> docids =
-          sched.Search(sd_probe, *probes[g]);
+      Result<std::vector<std::string>> docids = sched.Search(sd_probe, probe);
       if (!docids.ok()) {
         // The reducer is advisory: an unknown probe outcome keeps the
         // rows (a weaker reduction, never a wrong answer), so any
@@ -405,9 +302,7 @@ Result<RowIdSet> RunProbeReducer(StageScheduler& sched,
         matched[g] = 1;
         return Status::OK();
       }
-      if (session != nullptr) {
-        session->RecordProbe(*probes[g], !docids->empty());
-      }
+      sched.RecordProbe(probe, !docids->empty());
       matched[g] = docids->empty() ? 0 : 1;
       return Status::OK();
     });
@@ -415,9 +310,9 @@ Result<RowIdSet> RunProbeReducer(StageScheduler& sched,
   TEXTJOIN_RETURN_IF_ERROR(sched.Wait());
 
   std::vector<bool> keep(left.size(), false);
-  for (size_t g = 0; g < groups.size(); ++g) {
+  for (size_t g = 0; g < front.size(); ++g) {
     if (!matched[g]) continue;
-    for (size_t t : groups.rows[g]) keep[t] = true;
+    for (size_t t : front.groups.rows[g]) keep[t] = true;
   }
   std::vector<size_t> survivors;
   for (size_t t = 0; t < left.size(); ++t) {

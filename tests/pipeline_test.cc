@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -258,14 +260,113 @@ TEST_F(SchedulerTest, DocFetcherLeavesPlaceholderOnAbsorbedFailure) {
   policy.degradation = &sink;
   StageScheduler sched(nullptr, flaky, policy);
   auto stage = sched.AddStage({StageKind::kFetch, "f"});
-  DocFetcher fetcher(sched, stage);
-  const size_t slot = fetcher.Fetch("d1");
+  const TextRelationDecl text = MercuryDecl();
+  DocFetcher fetcher(sched, stage, text, /*long_form=*/true);
+  const size_t slot = fetcher.Fetch({"d1"}).at(0);
   ASSERT_TRUE(sched.Wait().ok());  // Failure absorbed under best-effort.
   EXPECT_TRUE(IsPlaceholderDoc(fetcher.doc(slot)));
   DegradationReport report = sink.Snapshot();
   EXPECT_FALSE(report.complete);
   EXPECT_EQ(report.skipped_operations, 1u);
 }
+
+/// Counts every Fetch per docid and fails the fetches of one docid.
+class FetchCountingSource : public TextSourceDecorator {
+ public:
+  FetchCountingSource(TextSource* inner, std::string failing)
+      : TextSourceDecorator(inner), failing_(std::move(failing)) {}
+
+  Result<std::vector<std::string>> Search(
+      const TextQuery& query) const override {
+    return inner_->Search(query);
+  }
+  Result<Document> Fetch(const std::string& docid) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++fetches_[docid];
+    }
+    if (docid == failing_) return Status::Unavailable("fetch failed");
+    return inner_->Fetch(docid);
+  }
+  std::map<std::string, int> fetches() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return fetches_;
+  }
+
+ private:
+  std::string failing_;
+  mutable std::mutex mu_;
+  mutable std::map<std::string, int> fetches_;
+};
+
+class DedupFetchTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(DedupFetchTest, FetchOnceFetchesEachDocidOnceAndSharesItsSlot) {
+  const int parallelism = GetParam();
+  auto engine = MakeSmallEngine();
+  RemoteTextSource metered(engine.get());
+  FetchCountingSource source(&metered, /*failing=*/"d3");
+  AtomicDegradation sink;
+  FaultPolicy policy;
+  policy.mode = FailureMode::kBestEffort;
+  policy.degradation = &sink;
+  std::unique_ptr<ThreadPool> pool;
+  if (parallelism > 1) pool = std::make_unique<ThreadPool>(parallelism - 1);
+  StageScheduler sched(pool.get(), source, policy);
+  auto request = sched.AddStage({StageKind::kSearchDispatch, "r"});
+  auto fetch = sched.AddStage({StageKind::kFetch, "f"});
+  const TextRelationDecl text = MercuryDecl();
+  DocFetcher fetcher(sched, fetch, text, /*long_form=*/true);
+
+  // Sixteen units on the pool, each requesting a window of three docids
+  // that overlaps its neighbours', one of them twice.
+  const std::vector<std::string> docids = {"d1", "d2", "d3", "d4", "d5",
+                                           "d6"};
+  constexpr size_t kUnits = 16;
+  std::vector<std::vector<std::string>> requested(kUnits);
+  std::vector<std::vector<size_t>> slots(kUnits);
+  for (size_t u = 0; u < kUnits; ++u) {
+    for (size_t k = 0; k < 3; ++k) {
+      requested[u].push_back(docids[(u + k) % docids.size()]);
+    }
+    requested[u].push_back(requested[u][0]);
+    sched.Spawn(request, u, [&, u] {
+      slots[u] = fetcher.FetchOnce(requested[u]);
+      return Status::OK();
+    });
+  }
+  ASSERT_TRUE(sched.Wait().ok());  // d3's failure absorbed under best-effort.
+
+  EXPECT_EQ(fetcher.size(), docids.size());
+  std::map<std::string, size_t> slot_of;
+  for (size_t u = 0; u < kUnits; ++u) {
+    ASSERT_EQ(slots[u].size(), requested[u].size());
+    for (size_t i = 0; i < slots[u].size(); ++i) {
+      const auto [it, first] = slot_of.try_emplace(requested[u][i],
+                                                   slots[u][i]);
+      EXPECT_EQ(it->second, slots[u][i]) << requested[u][i];
+    }
+  }
+  for (const auto& [docid, slot] : slot_of) {
+    const Document& doc = fetcher.doc(slot);
+    if (docid == "d3") {
+      EXPECT_TRUE(IsPlaceholderDoc(doc));
+    } else {
+      EXPECT_EQ(doc.docid, docid);
+    }
+  }
+  std::map<std::string, int> once;
+  for (const std::string& docid : docids) once[docid] = 1;
+  EXPECT_EQ(source.fetches(), once);
+  EXPECT_EQ(metered.meter().long_docs, docids.size() - 1);
+  EXPECT_EQ(sched.Profile({fetch}).stages[0].units, docids.size());
+  const DegradationReport report = sink.Snapshot();
+  EXPECT_FALSE(report.complete);
+  EXPECT_EQ(report.skipped_operations, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Parallelism, DedupFetchTest,
+                         ::testing::Values(1, 4, 8));
 
 // ------------------------------------------- Byte-identity property test
 //
