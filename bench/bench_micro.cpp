@@ -3,19 +3,20 @@
 // (linear, per the paper's text-system model) in both the engine's
 // block-compressed representation and the flat reference form of
 // tests/support, phrase adjacency, index build, Boolean search evaluation,
-// tokenization, the relational hash join, Q5's relational join with its
-// residual selected per batch and evaluated per row on the scratch row it
-// replaced, Q5's probe grouping and probe searches, the paper's Q5 through
-// the whole service,
-// and planning each paper query on a plan-cache hit against planning it
-// from scratch. A custom main() additionally emits the machine-readable
-// BENCH_vectorized.json snapshot (rows/sec, ns/row, heap allocations) and
-// hosts the release perf-smoke gates:
+// tokenization, the relational hash join, Q1's scan filter on dictionary
+// codes and on values, Q5's relational join with its residual selected per
+// batch and evaluated per row on the scratch row it replaced, Q5's probe
+// grouping and probe searches, the paper's Q5 and Q1 through the whole
+// service, and planning each paper query on a plan-cache hit against
+// planning it from scratch. A custom main() additionally emits the
+// machine-readable BENCH_vectorized.json snapshot (rows/sec, ns/row, heap
+// allocations) and hosts the release perf-smoke gates:
 //
 //   bench_micro                         # full google-benchmark suite + JSON
 //   bench_micro --snapshot_only         # just the JSON snapshot section
 //   bench_micro --perf_smoke            # snapshot + block-vs-reference,
-//                                       # batch-vs-scratch-row and
+//                                       # batch-vs-scratch-row,
+//                                       # coded-vs-values scan and
 //                                       # plan-cache-hit gates
 //   bench_micro --snapshot_path=<file>  # where the JSON lands
 //                                       # (default BENCH_vectorized.json)
@@ -507,6 +508,36 @@ std::vector<bench::BenchRecord> RunVectorizedSnapshot() {
     }
   }
   {
+    // Q1's scan: its filter `student.area = 'area_v0'` over the 1,000
+    // student rows through SelectRows, lending the table as the executor's
+    // scan does (`=` compares student.area's dictionary codes), and over
+    // the rows alone (the values, as ReferenceExecute reads them); rows =
+    // the table's rows. Both bind the filter per call, as a scan does, and
+    // must keep the same ids.
+    auto built = BuildQ1(Q1Config{});
+    TEXTJOIN_CHECK(built.ok(), "q1");
+    auto student = built->scenario.catalog->GetTable("student");
+    TEXTJOIN_CHECK(student.ok(), "q1 student");
+    const Table& table = **student;
+    const Schema schema = table.schema().WithQualifier("student");
+    const std::vector<ExprPtr>& filters = built->query.relational_predicates;
+    const double rows = static_cast<double>(table.num_rows());
+    std::vector<size_t> coded;
+    out.push_back(TimeLoop("scan_filter_q1", 2000, rows, [&] {
+      auto kept = SelectRows(schema, table, filters);
+      TEXTJOIN_CHECK(kept.ok(), "q1 filter");
+      coded = std::move(*kept);
+    }));
+    std::vector<size_t> values;
+    out.push_back(TimeLoop("scan_filter_q1_values", 2000, rows, [&] {
+      auto kept = SelectRows(schema, table.rows(), filters);
+      TEXTJOIN_CHECK(kept.ok(), "q1 filter");
+      values = std::move(*kept);
+    }));
+    TEXTJOIN_CHECK(!coded.empty() && coded == values,
+                   "q1 scan ids differ between codes and values");
+  }
+  {
     // Q5's relational join (the paper's Example 6.1): JoinRows over
     // student (200 rows) x faculty (40) with no keys and the residual
     // `faculty.dept != student.dept`; rows = the 8,000 candidate pairs.
@@ -668,6 +699,44 @@ std::vector<bench::BenchRecord> RunVectorizedSnapshot() {
     }));
   }
   {
+    // The paper's Q1 through FederationService::Run with sampled
+    // statistics: an RTP foreign join over the student scan, SELECT *.
+    // rows = the scan's outer tuples, each matched against every fetched
+    // document through its name's prepared term; every timed run's rows
+    // and meter are CHECKed against a reference service's run, and the
+    // timed runs take the plan from the cache.
+    auto built = BuildQ1(Q1Config{});
+    TEXTJOIN_CHECK(built.ok(), "q1");
+    FederationService::Options options;
+    options.text = built->scenario.text;
+    options.oracle_stats = false;
+    const std::string sql = built->query.ToString();
+    auto reference = FederationService(built->scenario.catalog.get(),
+                                       built->scenario.engine.get(), options)
+                         .Run(sql);
+    TEXTJOIN_CHECK(reference.ok(), "q1 reference");
+    double outer_tuples = 0;
+    bool rtp = false;
+    for (const auto& [node, actuals] : reference->profile.nodes) {
+      if (node->kind == PlanNode::Kind::kScan) {
+        outer_tuples += static_cast<double>(actuals.actual_rows);
+      }
+      rtp = rtp || (node->kind == PlanNode::Kind::kForeignJoin &&
+                    node->method.method == JoinMethodKind::kRTP);
+    }
+    TEXTJOIN_CHECK(rtp && outer_tuples > 0, "q1 plan is not RTP over a scan");
+    FederationService service(built->scenario.catalog.get(),
+                              built->scenario.engine.get(), options);
+    TEXTJOIN_CHECK(service.Run(sql).ok(), "q1 warm-up");  // Samples stats.
+    out.push_back(TimeLoop("join_rtp_q1_end_to_end", 200, outer_tuples, [&] {
+      auto outcome = service.Run(sql);
+      TEXTJOIN_CHECK(outcome.ok() &&
+                         outcome->rows.rows == reference->rows.rows &&
+                         outcome->meter_delta == reference->meter_delta,
+                     "q1 rows or meter differ from the reference run");
+    }));
+  }
+  {
     // Planning each paper query (Q1-Q5, sampled statistics) on a warm
     // service: Explain on a plan-cache hit, against what the hit skips —
     // ParseQuery, Enumerator::Optimize and the EXPLAIN rendering, run
@@ -732,8 +801,10 @@ constexpr double kExplainHitBudgetUs = 5.0;
 /// Release perf-smoke gates. Block-vs-reference speedup per kernel pair,
 /// gated on the geometric mean against the ≥3x design goal; Q5's
 /// relational join, its residual selected per batch by Expr::Select,
-/// against the per-row scratch-row path it replaced; and Explain on a
-/// plan-cache hit within kExplainHitBudgetUs for every paper query.
+/// against the per-row scratch-row path it replaced; Q1's scan filter on
+/// dictionary codes against the same filter on values, at ≥2x; and
+/// Explain on a plan-cache hit within kExplainHitBudgetUs for every paper
+/// query.
 int PerfSmoke(const std::vector<bench::BenchRecord>& records) {
   const std::pair<const char*, const char*> pairs[] = {
       {"intersect_legacy_64k", "intersect_block_64k"},
@@ -781,6 +852,17 @@ int PerfSmoke(const std::vector<bench::BenchRecord>& records) {
            /*target=*/3.0, /*backstop=*/1.1);
 
   bench::PrintHeader(
+      "Perf smoke — Q1 scan filter: dictionary codes vs values");
+  const bench::BenchRecord& values = find("scan_filter_q1_values");
+  const bench::BenchRecord& coded = find("scan_filter_q1");
+  std::printf("%-26s %12s %12s\n", "scan", "values ns", "coded ns");
+  std::printf("%-26s %12.3f %12.3f\n", "q1 (per row)", bench::NsPerRow(values),
+              bench::NsPerRow(coded));
+  const bool scan_pass =
+      Gate("speedup", bench::NsPerRow(values) / bench::NsPerRow(coded),
+           /*target=*/4.0, /*backstop=*/2.0);
+
+  bench::PrintHeader(
       "Perf smoke — planning a paper query: plan-cache hit vs from scratch");
   std::printf("%-10s %14s %12s %10s\n", "query", "uncached us", "hit us",
               "speedup");
@@ -797,7 +879,7 @@ int PerfSmoke(const std::vector<bench::BenchRecord>& records) {
   }
   std::printf("\nplan-cache hit <= %.1f us on every paper query %s\n",
               kExplainHitBudgetUs, explain_pass ? "PASS" : "FAIL");
-  return kernels_pass && residual_pass && explain_pass ? 0 : 1;
+  return kernels_pass && residual_pass && scan_pass && explain_pass ? 0 : 1;
 }
 
 }  // namespace

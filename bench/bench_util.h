@@ -58,8 +58,7 @@ inline Result<PreparedJoin> PrepareSingleJoin(const FederatedQuery& query,
   out.spec.left_columns_needed = needs_left;
   TEXTJOIN_ASSIGN_OR_RETURN(
       std::vector<size_t> kept,
-      SelectRows(out.spec.left_schema, table->rows(),
-                 query.relational_predicates));
+      SelectRows(out.spec.left_schema, *table, query.relational_predicates));
   for (size_t r : kept) out.rows.push_back(table->row(r));
   return out;
 }

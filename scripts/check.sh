@@ -97,11 +97,14 @@ for leg in "${legs[@]}"; do
     # geometric-mean speedup (3x target, 1.5x hard floor as the noise
     # backstop); Q5's relational join with its residual selected per batch
     # by Expr::Select vs evaluated per row on the scratch-row path it
-    # replaced (3x target, 1.1x hard floor); and Explain of each paper
-    # query on a plan-cache hit (at most 5 us per call). Also refreshes the
-    # machine-readable BENCH_vectorized.json snapshot.
+    # replaced (3x target, 1.1x hard floor); Q1's scan filter comparing
+    # dictionary codes vs the same filter on values (4x target, 2x hard
+    # floor); and Explain of each paper query on a plan-cache hit (at most
+    # 5 us per call). Also refreshes the machine-readable
+    # BENCH_vectorized.json snapshot.
     echo "==> [release] vectorized perf smoke (block vs reference kernels," \
-      "batch residual vs scratch row, plan-cache hit)"
+      "batch residual vs scratch row, coded vs values scan filter," \
+      "plan-cache hit)"
     "$build/bench/bench_micro" --perf_smoke \
       --snapshot_path="$build/BENCH_vectorized.json"
     # Multi-tenant fairness gates (DESIGN.md §15): quiet tenants keep

@@ -14,11 +14,17 @@ side builds into its own CARGO_TARGET_DIR under <work>, since a build tree
 is tied to its source path. Pair i runs with seed S + i, and the side that
 runs first alternates. Every run's output is kept in <work>/runs.
 
-Prints each pair's metrics, then for every end-to-end metric the median
+Prints each pair's metrics and completed queries (the result line's
+`attempted - failed`), then for every end-to-end metric the median
 [q1, q3] per side, the change/parent ratio of the medians and the number
 of pairs the change won (the direction comes from BENCHMARK.json), then
-the per-query floor medians when the workload prints them. Exits 1 when a
-run fails or reports `correct: false`. It only reads perfbench's output.
+the per-query floor medians when the workload prints them. Last, it fits
+`rss_mb = a + b * completed` over every run of both sides and prints each
+side's median residual from that line: perfbench keeps one latency sample
+per completed query, so a change that completes more queries reads a
+higher `rss_mb` by about b per query, and the residuals show what memory
+the change adds beside that. Exits 1 when a run fails or reports
+`correct: false`. It only reads perfbench's output.
 """
 
 import argparse
@@ -36,10 +42,12 @@ FLOORS_RE = re.compile(r"^# per-query floors \(us\):((?: [0-9.]+)+)\s*$")
 
 
 def parse_run(stdout):
-    """The result of one perfbench run: (correct, metrics, floors).
+    """The result of one perfbench run: (correct, metrics, floors,
+    completed).
 
     `metrics` maps each metric name to its value; `floors` lists the
-    per-query floors in query order, or is empty when not printed.
+    per-query floors in query order, or is empty when not printed;
+    `completed` is the result line's attempted - failed.
     Raises ValueError when the last line is not a result.
     """
     lines = stdout.rstrip("\n").split("\n")
@@ -51,8 +59,10 @@ def parse_run(stdout):
         match = FLOORS_RE.match(line)
         if match:
             floors = [float(x) for x in match.group(1).split()]
-    correct = bool(result.get("correct")) and int(result.get("failed", 0)) == 0
-    return correct, metrics, floors
+    failed = int(result.get("failed", 0))
+    correct = bool(result.get("correct")) and failed == 0
+    completed = int(result.get("attempted", 0)) - failed
+    return correct, metrics, floors, completed
 
 
 def quartiles(values):
@@ -104,10 +114,36 @@ def summarize(pairs, better):
     return out
 
 
+def rss_fit(pairs):
+    """Lines fitting rss_mb = a + b * completed by least squares over every
+    run of both sides, with each side's median residual from the line.
+    Empty when rss_mb is missing or the completed counts do not vary."""
+    runs = [(side, r[3], r[1]["rss_mb"]) for pair in pairs
+            for side, r in zip(("parent", "change"), pair)
+            if "rss_mb" in r[1]]
+    if len(runs) < 3 or len({x for _, x, _ in runs}) < 2:
+        return []
+    mean_x = statistics.fmean(x for _, x, _ in runs)
+    mean_y = statistics.fmean(y for _, _, y in runs)
+    b = (sum((x - mean_x) * (y - mean_y) for _, x, y in runs) /
+         sum((x - mean_x) ** 2 for _, x, _ in runs))
+    a = mean_y - b * mean_x
+    residual = {side: statistics.median(y - (a + b * x)
+                                        for s, x, y in runs if s == side)
+                for side in ("parent", "change")}
+    return [
+        "rss_mb = %.4g + %.4g * completed over %d runs (%.1f B per "
+        "completed query)" % (a, b, len(runs), b * 1024 * 1024),
+        "  median residual (MB): parent %+.3f, change %+.3f, change - "
+        "parent %+.3f" % (residual["parent"], residual["change"],
+                          residual["change"] - residual["parent"])]
+
+
 def pair_line(index, seed, parent_first, parent, change):
-    """One pair's metrics, parent/change."""
+    """One pair's metrics and completed queries, parent/change."""
     cells = ["%s=%.6g/%.6g" % (name, parent[1][name], change[1][name])
              for name in parent[1] if name in change[1]]
+    cells.append("completed=%d/%d" % (parent[3], change[3]))
     return "pair %d seed %d (%s first): %s" % (
         index + 1, seed, "parent" if parent_first else "change",
         " ".join(cells))
@@ -136,12 +172,12 @@ def run_side(tree, target, workload, seed, seconds, log_path):
     with open(log_path, "w") as log:
         log.write(done.stdout)
     try:
-        correct, metrics, floors = parse_run(done.stdout)
+        correct, metrics, floors, completed = parse_run(done.stdout)
     except (ValueError, IndexError, KeyError):
         return None
     if done.returncode != 0:
         correct = False
-    return correct, metrics, floors
+    return correct, metrics, floors, completed
 
 
 def main():
@@ -210,7 +246,7 @@ def main():
     print("\n%s, %d pairs of %gs runs, seeds %d-%d; logs in %s" % (
         args.workload, args.pairs, args.seconds, args.seed,
         args.seed + args.pairs - 1, os.path.join(work, "runs")))
-    for line in summarize(pairs, better):
+    for line in summarize(pairs, better) + rss_fit(pairs):
         print(line)
     return 0 if all_correct else 1
 
@@ -218,15 +254,19 @@ def main():
 CANNED = """# correct: attempted=100 failed=0 mismatched=0 error_ratio=0.000000
 # latency floors (p1 of each query): p50=44.0us p90=%(p90)s
 # per-query floors (us): 46 29 %(q3)s 35 %(q5)s
-{"correct": %(correct)s, "attempted": 100, "failed": 0, "metrics": {"qps": \
-{"value": %(qps)s, "unit": "1/s"}, "latency_floor_p90_us": {"value": \
-%(p90)s, "unit": "us"}}}
+{"correct": %(correct)s, "attempted": %(attempted)s, "failed": %(failed)s, \
+"metrics": {"qps": {"value": %(qps)s, "unit": "1/s"}, \
+"latency_floor_p90_us": {"value": %(p90)s, "unit": "us"}%(rss)s}}
 """
 
 
-def canned(qps, p90, q3, q5, correct="true"):
-    return CANNED % {"qps": qps, "p90": p90, "q3": q3, "q5": q5,
-                     "correct": correct}
+def canned(qps, p90, q3, q5, correct="true", attempted=100, failed=0,
+           rss=None):
+    return CANNED % {
+        "qps": qps, "p90": p90, "q3": q3, "q5": q5, "correct": correct,
+        "attempted": attempted, "failed": failed,
+        "rss": "" if rss is None else
+        ', "rss_mb": {"value": %s, "unit": "MB"}' % rss}
 
 
 class SelfTest(unittest.TestCase):
@@ -235,15 +275,23 @@ class SelfTest(unittest.TestCase):
     BETTER = {"qps": "higher", "latency_floor_p90_us": "lower"}
 
     def test_parses_result_and_floors(self):
-        correct, metrics, floors = parse_run(canned(22000, 203.5, 141, 209))
+        correct, metrics, floors, completed = parse_run(
+            canned(22000, 203.5, 141, 209, attempted=990000))
         self.assertTrue(correct)
         self.assertEqual(metrics, {"qps": 22000.0,
                                    "latency_floor_p90_us": 203.5})
         self.assertEqual(floors, [46.0, 29.0, 141.0, 35.0, 209.0])
+        self.assertEqual(completed, 990000)
 
     def test_incorrect_run_is_flagged(self):
-        correct, _, _ = parse_run(canned(1, 2, 3, 4, correct="false"))
+        correct, _, _, _ = parse_run(canned(1, 2, 3, 4, correct="false"))
         self.assertFalse(correct)
+
+    def test_completed_excludes_failed_queries(self):
+        correct, _, _, completed = parse_run(
+            canned(1, 2, 3, 4, attempted=120, failed=7))
+        self.assertFalse(correct)
+        self.assertEqual(completed, 113)
 
     def test_missing_result_line_raises(self):
         with self.assertRaises(ValueError):
@@ -273,12 +321,54 @@ class SelfTest(unittest.TestCase):
         self.assertIn("  Q1     46.0 ->     46.0  (+0.0%)", lines)
 
     def test_pair_line(self):
-        pair = (parse_run(canned(20000, 210, 1, 2)),
-                parse_run(canned(24000, 140, 1, 2)))
+        pair = (parse_run(canned(20000, 210, 1, 2, attempted=900000)),
+                parse_run(canned(24000, 140, 1, 2, attempted=1080000)))
         self.assertEqual(
             pair_line(0, 9001, True, *pair),
             "pair 1 seed 9001 (parent first): qps=20000/24000 "
-            "latency_floor_p90_us=210/140")
+            "latency_floor_p90_us=210/140 completed=900000/1080000")
+
+    def test_rss_fit_separates_samples_from_added_memory(self):
+        # Both sides lie on rss_mb = 50 + 65e-6 * completed, and every
+        # change run sits 2 MB above it: the fit takes the slope from the
+        # spread of each side's runs, and the residuals show the 2 MB.
+        def run(completed, extra):
+            return parse_run(canned(1, 2, 3, 4, attempted=completed,
+                                    rss=50 + 65e-6 * completed + extra))
+        pairs = [(run(900000, 0), run(1100000, 2)),
+                 (run(1000000, 0), run(1200000, 2)),
+                 (run(950000, 0), run(1150000, 2))]
+        lines = rss_fit(pairs)
+        self.assertEqual(len(lines), 2)
+        self.assertIn("over 6 runs", lines[0])
+        slope = float(lines[0].split("+ ")[1].split(" *")[0])
+        intercept = float(lines[0].split("= ")[1].split(" +")[0])
+        # A 2 MB step at +200k queries leaks into the slope: two parallel
+        # lines 2 MB apart, fitted as one, meet the data in the middle.
+        self.assertGreater(slope, 65e-6)
+        self.assertLess(intercept, 50)
+        parent = float(lines[1].split("parent ")[1].split(",")[0])
+        change = float(lines[1].split("change ")[1].split(",")[0])
+        self.assertLess(parent, 0)
+        self.assertGreater(change, 0)
+
+    def test_rss_fit_reads_the_slope_of_one_line(self):
+        pairs = [(parse_run(canned(1, 2, 3, 4, attempted=x,
+                                   rss=40 + 6.2e-5 * x)),
+                  parse_run(canned(1, 2, 3, 4, attempted=x + 50000,
+                                   rss=40 + 6.2e-5 * (x + 50000))))
+                 for x in (800000, 900000, 1000000)]
+        lines = rss_fit(pairs)
+        self.assertIn("rss_mb = 40 + 6.2e-05 * completed over 6 runs "
+                      "(65.0 B per completed query)", lines[0])
+        self.assertIn("parent +0.000, change +0.000, change - parent "
+                      "+0.000", lines[1])
+
+    def test_rss_fit_needs_varying_counts(self):
+        same = parse_run(canned(1, 2, 3, 4, rss=50))
+        self.assertEqual(rss_fit([(same, same), (same, same)]), [])
+        no_rss = parse_run(canned(1, 2, 3, 4))
+        self.assertEqual(rss_fit([(no_rss, no_rss)] * 3), [])
 
 
 if __name__ == "__main__":

@@ -74,7 +74,7 @@ Result<RowIdSet> PlanExecutor::ExecNode(const PlanNode& node,
                                 catalog_->GetTable(node.table_name));
       TEXTJOIN_ASSIGN_OR_RETURN(
           std::vector<size_t> ids,
-          SelectRows(node.output_schema, table->rows(), node.filters));
+          SelectRows(node.output_schema, *table, node.filters));
       return RowIdSet::Borrowed(node.output_schema, *table, std::move(ids));
     }
     case PlanNode::Kind::kProbe: {

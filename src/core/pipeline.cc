@@ -5,10 +5,8 @@
 #include <condition_variable>
 #include <cstdio>
 #include <functional>
-#include <limits>
 #include <numeric>
 #include <optional>
-#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -131,15 +129,15 @@ Result<ResolvedSpec> ResolveSpec(const ForeignJoinSpec& spec) {
 
 namespace {
 
-/// The outer column of every predicate in `mask`, located in `tuples`, in
-/// ascending predicate order.
-std::vector<RowIdSet::ColumnRef> MaskedJoinColumns(const ResolvedSpec& rspec,
-                                                   const RowIdSet& tuples,
-                                                   PredicateMask mask) {
-  std::vector<RowIdSet::ColumnRef> columns;
+/// The outer column of every predicate in `mask`, read through its codes,
+/// in ascending predicate order.
+std::vector<CodedColumn> MaskedCodedColumns(const ResolvedSpec& rspec,
+                                            const RowIdSet& tuples,
+                                            PredicateMask mask) {
+  std::vector<CodedColumn> columns;
   for (size_t i = 0; i < rspec.join_columns.size(); ++i) {
     if ((mask & (1u << i)) != 0) {
-      columns.push_back(tuples.Locate(rspec.join_columns[i]));
+      columns.emplace_back(tuples, tuples.Locate(rspec.join_columns[i]));
     }
   }
   return columns;
@@ -183,20 +181,19 @@ TextQueryPtr BuildDisjunct(const ResolvedSpec& rspec,
 }
 
 JoinTermMatcher::JoinTermMatcher(const ResolvedSpec& rspec,
-                                 PredicateMask mask,
-                                 std::vector<RowIdSet::ColumnRef> columns,
-                                 size_t num_tuples)
-    : num_rows_(num_tuples), columns_(std::move(columns)) {
+                                 const RowIdSet& tuples, PredicateMask mask,
+                                 size_t num_rows)
+    : num_rows_(num_rows),
+      columns_(MaskedCodedColumns(rspec, tuples, mask)) {
   for (size_t i = 0; i < rspec.spec->joins.size(); ++i) {
     if ((mask & (1u << i)) != 0) fields_.push_back(&rspec.spec->joins[i].field);
   }
-  term_ends_.reserve(num_tuples * columns_.size());
+  codes_.reserve(num_rows * columns_.size());
 }
 
 JoinTermMatcher::JoinTermMatcher(const ResolvedSpec& rspec,
                                  const RowIdSet& tuples, PredicateMask mask)
-    : JoinTermMatcher(rspec, mask, MaskedJoinColumns(rspec, tuples, mask),
-                      tuples.size()) {
+    : JoinTermMatcher(rspec, tuples, mask, tuples.size()) {
   for (size_t t = 0; t < tuples.size(); ++t) AddTuple(tuples, t);
 }
 
@@ -204,19 +201,13 @@ JoinTermMatcher::JoinTermMatcher(const ResolvedSpec& rspec,
                                  const RowIdSet& tuples,
                                  const std::vector<size_t>& tuple_ids,
                                  PredicateMask mask)
-    : JoinTermMatcher(rspec, mask, MaskedJoinColumns(rspec, tuples, mask),
-                      tuple_ids.size()) {
+    : JoinTermMatcher(rspec, tuples, mask, tuple_ids.size()) {
   for (size_t t : tuple_ids) AddTuple(tuples, t);
 }
 
 void JoinTermMatcher::AddTuple(const RowIdSet& tuples, size_t tuple) {
-  for (const RowIdSet::ColumnRef& column : columns_) {
-    const Value& v = tuples.at(tuple, column);
-    // A non-string value prepares to the empty, never-matching term.
-    if (v.type() == ValueType::kString) {
-      AppendPreparedTerm(v.AsString(), terms_);
-    }
-    term_ends_.push_back(terms_.size());
+  for (const CodedColumn& column : columns_) {
+    codes_.push_back(column.code(tuples.id(tuple, column.part())));
   }
 }
 
@@ -232,12 +223,12 @@ std::vector<std::string> JoinTermMatcher::PrepareDoc(
 
 bool JoinTermMatcher::Matches(
     size_t i, const std::vector<std::string>& doc_fields) const {
-  const std::string_view terms = terms_;
-  size_t index = i * fields_.size();
-  for (const std::string& field : doc_fields) {
-    const size_t begin = index == 0 ? 0 : term_ends_[index - 1];
-    const size_t end = term_ends_[index++];
-    if (!PreparedTermMatches(terms.substr(begin, end - begin), field)) {
+  // A NULL or non-string value's kNullCode has the empty, never-matching
+  // term.
+  const uint32_t* code = codes_.data() + i * columns_.size();
+  for (size_t k = 0; k < columns_.size(); ++k) {
+    if (!PreparedTermMatches(columns_[k].dictionary().term(code[k]),
+                             doc_fields[k])) {
       return false;
     }
   }
@@ -246,74 +237,47 @@ bool JoinTermMatcher::Matches(
 
 KeyGroups GroupRowsByTerms(const ResolvedSpec& rspec, const RowIdSet& tuples,
                            PredicateMask mask) {
-  const std::vector<RowIdSet::ColumnRef> columns =
-      MaskedJoinColumns(rspec, tuples, mask);
+  const std::vector<CodedColumn> columns =
+      MaskedCodedColumns(rspec, tuples, mask);
   const size_t n = tuples.size();
   const size_t width = tuples.num_parts();
-  constexpr uint32_t kNoKey = std::numeric_limits<uint32_t>::max();
+  constexpr uint32_t kNoKey = ColumnDictionary::kNullCode;
   constexpr uint32_t kUnseen = kNoKey - 1;
   // Each tuple's key code, where equal codes mean equal masked terms. Every
-  // tuple starts with the one code of the empty key, and each part holding
-  // masked columns folds its part-local key in; kNoKey drops the tuple.
+  // tuple starts with the one code of the empty key, and each masked column
+  // folds its code in, in one pass over its part's ids at the set's
+  // stride; kNoKey, a NULL or non-string cell's code, drops the tuple.
   std::vector<uint32_t> code(n, 0);
   size_t num_codes = 1;
-  for (size_t part = 0; part < width; ++part) {
-    std::vector<size_t> cols;  // The part's masked columns.
-    for (const RowIdSet::ColumnRef& c : columns) {
-      if (c.part == part) cols.push_back(c.column);
-    }
-    if (cols.empty()) continue;
-    const std::vector<Row>& rows = tuples.rows(part);
-    const auto str = [&](size_t r, size_t c) -> const std::string& {
-      return rows[r][c].AsString();
-    };
-    // Part-local keys: base rows with equal masked strings share one. A
-    // base row's strings are hashed once, when its first tuple comes by.
-    const auto key_hash = [&](size_t r) {
-      size_t h = 0;
-      for (size_t c : cols) {
-        h = h * 1099511628211u ^ std::hash<std::string>{}(str(r, c));
-      }
-      return h;
-    };
-    const auto key_eq = [&](size_t a, size_t b) {
-      return std::all_of(cols.begin(), cols.end(),
-                         [&](size_t c) { return str(a, c) == str(b, c); });
-    };
-    std::unordered_map<size_t, uint32_t, decltype(key_hash), decltype(key_eq)>
-        local_of(std::min(rows.size(), n), key_hash, key_eq);
-    std::vector<uint32_t> key_of(rows.size(), kUnseen);
-    const auto local_key = [&](size_t r) {
-      uint32_t& key = key_of[r];
-      if (key != kUnseen) return key;
-      const bool all_strings =
-          std::all_of(cols.begin(), cols.end(), [&](size_t c) {
-            return rows[r][c].type() == ValueType::kString;
-          });
-      const auto next = static_cast<uint32_t>(local_of.size());
-      key = all_strings ? local_of.try_emplace(r, next).first->second : kNoKey;
-      return key;
-    };
-    // One pass over the part's ids. While every live code is the same, a
-    // local key is the new code; otherwise (code, local key) pairs are
-    // numbered as they first occur.
-    const size_t* id = tuples.ids().data() + part;
+  for (const CodedColumn& column : columns) {
+    const size_t* id = tuples.ids().data() + column.part();
     if (num_codes == 1) {
+      // Every live tuple has the same code, so the column's code is the
+      // key, renumbered densely in order of first occurrence.
+      std::vector<uint32_t> dense(column.dictionary().size(), kUnseen);
+      num_codes = 0;
       for (size_t t = 0; t < n; ++t, id += width) {
-        if (code[t] != kNoKey) code[t] = local_key(*id);
+        if (code[t] == kNoKey) continue;
+        const uint32_t c = column.code(*id);
+        if (c == kNoKey) {
+          code[t] = kNoKey;
+          continue;
+        }
+        if (dense[c] == kUnseen) dense[c] = static_cast<uint32_t>(num_codes++);
+        code[t] = dense[c];
       }
-      num_codes = local_of.size();
       continue;
     }
+    // Otherwise (key code, column code) pairs are numbered as they first
+    // occur.
     std::unordered_map<uint64_t, uint32_t> combined;
     for (size_t t = 0; t < n; ++t, id += width) {
       if (code[t] == kNoKey) continue;
-      const uint32_t local = local_key(*id);
+      const uint32_t c = column.code(*id);
       const auto next = static_cast<uint32_t>(combined.size());
-      code[t] = local == kNoKey
+      code[t] = c == kNoKey
                     ? kNoKey
-                    : combined.try_emplace((uint64_t{code[t]} << 32) | local,
-                                           next)
+                    : combined.try_emplace((uint64_t{code[t]} << 32) | c, next)
                           .first->second;
     }
     num_codes = combined.size();
@@ -330,15 +294,16 @@ KeyGroups GroupRowsByTerms(const ResolvedSpec& rspec, const RowIdSet& tuples,
       t = end;
     }
   };
-  // Each code's tuple count and first tuple, whose terms are read in place.
+  // Each code's tuple count and first tuple, whose codes give its terms.
   std::vector<size_t> count(num_codes, 0);
   std::vector<size_t> first(num_codes, 0);
   for_each_run([&](uint32_t c, size_t begin, size_t end) {
     if (count[c] == 0) first[c] = begin;
     count[c] += end - begin;
   });
-  // Only the live codes are sorted, lexicographically by their term tuples
-  // (the order std::map<std::vector<std::string>, ...> iterates).
+  // The codes are sorted lexicographically by their term tuples (the order
+  // std::map<std::vector<std::string>, ...> iterates); a code without
+  // tuples (only the empty key, with no tuples at all) has no group.
   const size_t k = columns.size();
   std::vector<const std::string*> terms(num_codes * k);
   std::vector<uint32_t> order;
@@ -347,7 +312,9 @@ KeyGroups GroupRowsByTerms(const ResolvedSpec& rspec, const RowIdSet& tuples,
     if (count[c] == 0) continue;
     order.push_back(c);
     for (size_t i = 0; i < k; ++i) {
-      terms[c * k + i] = &tuples.at(first[c], columns[i]).AsString();
+      const CodedColumn& column = columns[i];
+      terms[c * k + i] = &column.dictionary().string(
+          column.code(tuples.id(first[c], column.part())));
     }
   }
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {

@@ -20,6 +20,7 @@
 #include "connector/text_cache.h"
 #include "connector/text_source.h"
 #include "core/join_methods.h"
+#include "relational/table.h"
 #include "relational/tuple.h"
 #include "text/query.h"
 
@@ -162,19 +163,21 @@ TextQueryPtr BuildDisjunct(const ResolvedSpec& rspec,
 
 /// Relational-side string matching for the RTP family (DESIGN.md §14):
 /// outer tuples' join terms for the predicates in `mask`, read through the
-/// tuples' row ids and prepared once per query in common/text_match.h's
-/// form, matched against each fetched document's join fields, prepared
-/// once per document. Immutable after construction, so match units on
-/// pool threads share one instance. It points at the predicates' field
-/// names, so the spec behind `rspec` must outlive it; the tuples need not.
+/// tuples' row ids as one code per tuple and predicate (CodedColumn, whose
+/// codes carry their prepared terms in common/text_match.h's form), matched
+/// against each fetched document's join fields, prepared once per
+/// document. Immutable after construction, so match units on pool threads
+/// share one instance. It points at the predicates' field names and at the
+/// tables the tuples borrow, so the spec behind `rspec` and those tables
+/// must outlive it; the tuples need not.
 class JoinTermMatcher {
  public:
-  /// Prepares every tuple: the i-th prepared row is tuple i.
+  /// Reads every tuple: the i-th prepared row is tuple i.
   JoinTermMatcher(const ResolvedSpec& rspec, const RowIdSet& tuples,
                   PredicateMask mask);
 
-  /// Prepares only the tuples that will be matched: the i-th prepared row
-  /// is tuple tuple_ids[i].
+  /// Reads only the tuples that will be matched: the i-th prepared row is
+  /// tuple tuple_ids[i].
   JoinTermMatcher(const ResolvedSpec& rspec, const RowIdSet& tuples,
                   const std::vector<size_t>& tuple_ids, PredicateMask mask);
 
@@ -191,27 +194,26 @@ class JoinTermMatcher {
   size_t size() const { return num_rows_; }
 
  private:
-  JoinTermMatcher(const ResolvedSpec& rspec, PredicateMask mask,
-                  std::vector<RowIdSet::ColumnRef> columns,
-                  size_t num_tuples);
+  JoinTermMatcher(const ResolvedSpec& rspec, const RowIdSet& tuples,
+                  PredicateMask mask, size_t num_rows);
   void AddTuple(const RowIdSet& tuples, size_t tuple);
 
   size_t num_rows_;
   std::vector<const std::string*> fields_;  ///< Text field per predicate.
-  std::vector<RowIdSet::ColumnRef> columns_;  ///< Left column per predicate.
-  std::string terms_;  ///< Every prepared term, row-major, back to back.
-  /// End offset in terms_ of the term of (prepared row i, k-th predicate)
-  /// at index i * fields_.size() + k; it starts where the previous ends.
-  std::vector<size_t> term_ends_;
+  std::vector<CodedColumn> columns_;        ///< Left column per predicate.
+  /// The code of (prepared row i, k-th predicate) at index
+  /// i * columns_.size() + k.
+  std::vector<uint32_t> codes_;
 };
 
 /// Tuple indices grouped by their join-term combination over `mask` (the
 /// shape the DistinctKeys stage hands to slot-addressed downstream
 /// stages). Tuples with NULL/non-string join values are dropped (they
 /// cannot match); each group lists its tuples in ascending order. Each
-/// part's masked strings are hashed once per base row, each masked part's
-/// ids are read in one pass, and runs of tuples with equal keys are
-/// counted and scattered into presized group lists as one.
+/// masked column is read as codes (CodedColumn), one pass over its part's
+/// ids, so no string is hashed or compared until the groups are sorted;
+/// runs of tuples with equal keys are counted and scattered into presized
+/// group lists as one.
 struct KeyGroups {
   std::vector<std::vector<std::string>> terms;  ///< Lexicographic order.
   std::vector<std::vector<size_t>> rows;        ///< Parallel to `terms`.
@@ -442,7 +444,7 @@ class DocFetcher {
   /// From now on, each successful fetch spawns a unit of `stage` that
   /// charges one relational match (c_a) and records, in ascending order,
   /// the tuples of `tuples` the document satisfies on every join predicate
-  /// of `rspec` (matched()). The tuples' terms are prepared here, as
+  /// of `rspec` (matched()). The tuples' codes are read here, as
   /// Match-stage work that is not a unit. Call before the first request;
   /// `rspec` must outlive the fetcher.
   void MatchEach(StageScheduler::StageId stage, const ResolvedSpec& rspec,

@@ -220,10 +220,11 @@ Result<ForeignJoinResult> RunPRTP(MethodContext& ctx) {
   // the probe already guaranteed the mask predicates. Matching work is
   // charged to the Match stage; the pass's wall-clock to Assemble.
   BatchAssembler assemble(ctx, sd_assemble);
-  // The residual predicates' terms are prepared once for every outer tuple
-  // a successful probe's documents are matched against — group by group, so
+  // The residual predicates' codes are read once for every outer tuple a
+  // successful probe's documents are matched against — group by group, so
   // group g's tuples are the prepared rows from first_prepared[g] on — and
-  // each fetched document's fields once, however many groups it serves.
+  // each fetched document's fields are prepared once, however many groups
+  // it serves.
   std::vector<size_t> prepared_rows;
   std::vector<size_t> first_prepared(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {

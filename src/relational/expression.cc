@@ -90,8 +90,8 @@ bool SelectByCode(const RowBatch& batch, ExprOperand::Resolved a,
   if (coded == nullptr) return false;
   const uint32_t* codes = coded->data();
   const size_t* ids = batch.ids;
-  const uint32_t code =
-      batch.table->CodeOf(column.index, fixed.value->AsString());
+  const uint32_t code = batch.table->dictionary(column.index)
+                            ->CodeOf(fixed.value->AsString());
   if (equal) {
     Narrow(selection, [&](size_t c) {
       return codes[ids == nullptr ? c : ids[c]] == code;
@@ -99,17 +99,16 @@ bool SelectByCode(const RowBatch& batch, ExprOperand::Resolved a,
   } else {
     Narrow(selection, [&](size_t c) {
       const uint32_t k = codes[ids == nullptr ? c : ids[c]];
-      return k != code && k != Table::kNullCode;
+      return k != code && k != ColumnDictionary::kNullCode;
     });
   }
   return true;
 }
 
-}  // namespace
-
-Result<std::vector<size_t>> SelectRows(const Schema& schema,
-                                       const std::vector<Row>& rows,
-                                       const std::vector<ExprPtr>& predicates) {
+/// SelectRows over `rows`, which are `table`'s when it is not null.
+Result<std::vector<size_t>> SelectBatch(
+    const Schema& schema, const std::vector<Row>& rows, const Table* table,
+    const std::vector<ExprPtr>& predicates) {
   std::vector<ExprPtr> bound;
   bound.reserve(predicates.size());
   for (const ExprPtr& predicate : predicates) {
@@ -120,11 +119,26 @@ Result<std::vector<size_t>> SelectRows(const Schema& schema,
   std::iota(selection.begin(), selection.end(), size_t{0});
   RowBatch batch;
   batch.rows = rows.data();
+  batch.table = table;
   for (const ExprPtr& predicate : bound) {
     if (selection.empty()) break;
     predicate->Select(batch, selection);
   }
   return selection;
+}
+
+}  // namespace
+
+Result<std::vector<size_t>> SelectRows(const Schema& schema,
+                                       const std::vector<Row>& rows,
+                                       const std::vector<ExprPtr>& predicates) {
+  return SelectBatch(schema, rows, nullptr, predicates);
+}
+
+Result<std::vector<size_t>> SelectRows(const Schema& schema,
+                                       const Table& table,
+                                       const std::vector<ExprPtr>& predicates) {
+  return SelectBatch(schema, table.rows(), &table, predicates);
 }
 
 void LiteralExpr::Select(const RowBatch&, Selection& selection) const {

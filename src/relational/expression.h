@@ -26,9 +26,10 @@
 /// of the candidates' rows by reference per candidate), and AND, OR and
 /// NOT combine their children's selections. So a scan filters its table
 /// and a relational join each left tuple's candidates in one call each.
-/// When the batch lends its candidates' table, `=` and `!=` between a
-/// string read once and a coded column compare the table's dictionary
-/// codes instead of the strings (DESIGN.md §14), with the same result.
+/// When the batch lends its candidates' table (a scan's, or a join's
+/// right input's), `=` and `!=` between a string read once and a coded
+/// column compare the table's dictionary codes instead of the strings
+/// (DESIGN.md §14), with the same result.
 
 namespace textjoin {
 
@@ -71,6 +72,12 @@ using ExprPtr = std::unique_ptr<Expr>;
 /// every row predicate by predicate. Fails if a predicate does not bind.
 Result<std::vector<size_t>> SelectRows(const Schema& schema,
                                        const std::vector<Row>& rows,
+                                       const std::vector<ExprPtr>& predicates);
+/// SelectRows over `table`'s rows that lends the table to the batch, so
+/// `=` and `!=` between a string and a coded column compare codes (a
+/// scan's filters).
+Result<std::vector<size_t>> SelectRows(const Schema& schema,
+                                       const Table& table,
                                        const std::vector<ExprPtr>& predicates);
 
 /// A constant.

@@ -2,11 +2,24 @@
 
 #include <unordered_set>
 
+#include "common/text_match.h"
+
 namespace textjoin {
+
+uint32_t ColumnDictionary::Add(std::string_view s) {
+  auto it = code_of_.find(s);
+  if (it != code_of_.end()) return it->second;
+  if (strings_.size() == kAbsentCode) return kAbsentCode;
+  const auto code = static_cast<uint32_t>(strings_.size());
+  strings_.push_back(&code_of_.emplace(s, code).first->first);
+  AppendPreparedTerm(s, terms_);
+  term_ends_.push_back(terms_.size());
+  return code;
+}
 
 Table::Table(std::string name, Schema schema)
     : name_(std::move(name)), schema_(std::move(schema)) {
-  ResetDictionaries();
+  ResetCodings();
 }
 
 Status Table::Insert(Row row) {
@@ -35,50 +48,37 @@ void Table::InsertUnchecked(Row row) {
 
 void Table::Clear() {
   rows_.clear();
-  ResetDictionaries();
+  ResetCodings();
 }
 
-uint32_t Table::CodeOf(size_t column, std::string_view s) const {
-  const Dictionary& dict = dictionaries_[column];
-  auto it = dict.code_of.find(s);
-  return it == dict.code_of.end() ? kAbsentCode : it->second;
-}
-
-void Table::ResetDictionaries() {
-  dictionaries_.assign(schema_.num_columns(), Dictionary{});
+void Table::ResetCodings() {
+  codings_.clear();
+  codings_.resize(schema_.num_columns());
   for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    dictionaries_[c].coded = schema_.column(c).type == ValueType::kString;
+    codings_[c].coded = schema_.column(c).type == ValueType::kString;
   }
 }
 
 void Table::Encode(const Row& row) {
-  for (size_t c = 0; c < dictionaries_.size(); ++c) {
-    Dictionary& dict = dictionaries_[c];
-    if (!dict.coded) continue;
+  for (size_t c = 0; c < codings_.size(); ++c) {
+    Coding& coding = codings_[c];
+    if (!coding.coded) continue;
     // A cell that is neither a string nor NULL, or a string past the last
     // free code, leaves the column to be read as values from now on.
     const bool is_string =
         c < row.size() && row[c].type() == ValueType::kString;
     if (!is_string && (c >= row.size() || !row[c].is_null())) {
-      dict = Dictionary{};
+      coding = Coding{};
       continue;
     }
-    uint32_t code = kNullCode;
-    if (is_string) {
-      const std::string& s = row[c].AsString();
-      auto it = dict.code_of.find(std::string_view(s));
-      if (it == dict.code_of.end()) {
-        if (dict.code_of.size() == kAbsentCode) {
-          dict = Dictionary{};
-          continue;
-        }
-        it = dict.code_of
-                 .emplace(s, static_cast<uint32_t>(dict.code_of.size()))
-                 .first;
-      }
-      code = it->second;
+    const uint32_t code = is_string
+                              ? coding.dictionary.Add(row[c].AsString())
+                              : ColumnDictionary::kNullCode;
+    if (code == ColumnDictionary::kAbsentCode) {
+      coding = Coding{};
+      continue;
     }
-    dict.row_codes.push_back(code);
+    coding.row_codes.push_back(code);
   }
 }
 
@@ -89,6 +89,30 @@ size_t Table::CountDistinct(const std::vector<size_t>& column_indices) const {
     seen.insert(ProjectRow(row, column_indices));
   }
   return seen.size();
+}
+
+CodedColumn::CodedColumn(const RowIdSet& set, RowIdSet::ColumnRef column)
+    : part_(column.part) {
+  const Table* table = set.table(column.part);
+  if (table != nullptr && table->codes(column.column) != nullptr) {
+    codes_ = table->codes(column.column)->data();
+    dictionary_ = table->dictionary(column.column);
+    return;
+  }
+  const std::vector<Row>& rows = set.rows(column.part);
+  TEXTJOIN_CHECK(rows.size() < ColumnDictionary::kAbsentCode,
+                 "too many rows to code");
+  auto built = std::make_unique<Built>();
+  built->codes.reserve(rows.size());
+  for (const Row& row : rows) {
+    const Value& v = row[column.column];
+    built->codes.push_back(v.type() == ValueType::kString
+                               ? built->dictionary.Add(v.AsString())
+                               : ColumnDictionary::kNullCode);
+  }
+  codes_ = built->codes.data();
+  dictionary_ = &built->dictionary;
+  built_ = std::move(built);
 }
 
 }  // namespace textjoin

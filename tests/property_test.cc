@@ -5,6 +5,8 @@
 #include <cmath>
 #include <iterator>
 #include <map>
+#include <memory>
+#include <numeric>
 #include <random>
 #include <set>
 #include <string>
@@ -439,6 +441,28 @@ std::vector<std::string> RandomValues(std::mt19937_64& rng) {
   return values;
 }
 
+/// One part over `rows` (each of `schema`) holding the tuples `ids`, drawn
+/// at random from the row vector itself or from a Table filled with the
+/// same rows through InsertUnchecked, so a column holding a number is not
+/// coded and the others are. Every other table is first filled with the
+/// rows in reverse and cleared, so its codes are numbered afresh. `tables`
+/// keeps the tables alive.
+RowIdSet RandomPart(std::mt19937_64& rng, const Schema& schema,
+                    const std::vector<Row>& rows, std::vector<size_t> ids,
+                    std::vector<std::unique_ptr<Table>>& tables) {
+  if (rng() % 2 == 0) return RowIdSet::Borrowed(schema, rows, std::move(ids));
+  auto table = std::make_unique<Table>("t", schema);
+  if (rng() % 2 == 0) {
+    for (auto row = rows.rbegin(); row != rows.rend(); ++row) {
+      table->InsertUnchecked(*row);
+    }
+    table->Clear();
+  }
+  for (const Row& row : rows) table->InsertUnchecked(row);
+  tables.push_back(std::move(table));
+  return RowIdSet::Borrowed(schema, *tables.back(), std::move(ids));
+}
+
 class PreparedMatchPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
@@ -475,45 +499,64 @@ TEST_P(PreparedMatchPropertyTest, JoinTermMatcherAgreesWithTokenReference) {
   }
   auto rspec = pipeline::ResolveSpec(spec);
   ASSERT_TRUE(rspec.ok()) << rspec.status().ToString();
-  std::vector<Row> rows(12);
-  for (Row& row : rows) {
-    for (size_t p = 0; p < fields.size(); ++p) {
-      const uint64_t kind = rng() % 8;
-      row.push_back(kind == 0   ? Value::Null()
-                    : kind == 1 ? Value::Int(7)
-                                : Value::Str(RandomText(rng, 3)));
-    }
-  }
-  std::vector<size_t> row_ids;  // A random subset, in random order.
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (rng() % 3 != 0) row_ids.push_back(r);
-  }
-  std::shuffle(row_ids.begin(), row_ids.end(), rng);
-  const RowIdSet tuples = RowIdSet::BorrowedAll(spec.left_schema, rows);
-  for (PredicateMask mask = 1; mask < 8; ++mask) {
-    const pipeline::JoinTermMatcher all_rows(*rspec, tuples, mask);
-    const pipeline::JoinTermMatcher some_rows(*rspec, tuples, row_ids, mask);
-    for (int d = 0; d < 8; ++d) {
-      Document doc;
-      doc.docid = std::to_string(d);
-      doc.fields["title"] = RandomValues(rng);
-      doc.fields["author"] = RandomValues(rng);
-      const std::vector<std::string> prepared = all_rows.PrepareDoc(doc);
-      std::vector<bool> expected(rows.size(), true);
-      for (size_t r = 0; r < rows.size(); ++r) {
-        for (size_t p = 0; p < fields.size(); ++p) {
-          if ((mask & (1u << p)) == 0) continue;
-          const Value& v = rows[r][p];
-          if (v.type() != ValueType::kString ||
-              !ReferenceMatch(v.AsString(), doc.FieldValues(fields[p]))) {
-            expected[r] = false;
-          }
-        }
-        EXPECT_EQ(all_rows.Matches(r, prepared), expected[r])
-            << "row " << r << " mask " << mask;
+  for (int round = 0; round < 4; ++round) {
+    // A column holds numbers in one round in three, so a table part has
+    // coded and uncoded columns.
+    std::vector<bool> numbers(fields.size());
+    for (size_t p = 0; p < fields.size(); ++p) numbers[p] = rng() % 3 == 0;
+    std::vector<Row> rows(12);
+    for (Row& row : rows) {
+      for (size_t p = 0; p < fields.size(); ++p) {
+        const uint64_t kind = rng() % 8;
+        row.push_back(kind == 0 ? Value::Null()
+                      : kind == 1 && numbers[p]
+                          ? Value::Int(7)
+                          : Value::Str(RandomText(rng, 3)));
       }
-      for (size_t i = 0; i < row_ids.size(); ++i) {
-        EXPECT_EQ(some_rows.Matches(i, prepared), expected[row_ids[i]]);
+    }
+    // Every row once, some twice, in random order.
+    std::vector<size_t> ids(rows.size());
+    std::iota(ids.begin(), ids.end(), size_t{0});
+    for (size_t r = 0; r < rows.size(); ++r) {
+      if (rng() % 4 == 0) ids.push_back(r);
+    }
+    std::shuffle(ids.begin(), ids.end(), rng);
+    std::vector<std::unique_ptr<Table>> tables;
+    const RowIdSet tuples =
+        RandomPart(rng, spec.left_schema, rows, ids, tables);
+    std::vector<size_t> tuple_ids;  // A random subset, in random order.
+    for (size_t t = 0; t < tuples.size(); ++t) {
+      if (rng() % 3 != 0) tuple_ids.push_back(t);
+    }
+    std::shuffle(tuple_ids.begin(), tuple_ids.end(), rng);
+    for (PredicateMask mask = 1; mask < 8; ++mask) {
+      const pipeline::JoinTermMatcher all_rows(*rspec, tuples, mask);
+      const pipeline::JoinTermMatcher some_rows(*rspec, tuples, tuple_ids,
+                                                mask);
+      for (int d = 0; d < 8; ++d) {
+        Document doc;
+        doc.docid = std::to_string(d);
+        doc.fields["title"] = RandomValues(rng);
+        doc.fields["author"] = RandomValues(rng);
+        const std::vector<std::string> prepared = all_rows.PrepareDoc(doc);
+        std::vector<bool> expected(tuples.size(), true);
+        for (size_t t = 0; t < tuples.size(); ++t) {
+          const Row& row = rows[ids[t]];
+          for (size_t p = 0; p < fields.size(); ++p) {
+            if ((mask & (1u << p)) == 0) continue;
+            const Value& v = row[p];
+            if (v.type() != ValueType::kString ||
+                !ReferenceMatch(v.AsString(), doc.FieldValues(fields[p]))) {
+              expected[t] = false;
+            }
+          }
+          EXPECT_EQ(all_rows.Matches(t, prepared), expected[t])
+              << "tuple " << t << " mask " << mask << " table "
+              << (tuples.table(0) != nullptr);
+        }
+        for (size_t i = 0; i < tuple_ids.size(); ++i) {
+          EXPECT_EQ(some_rows.Matches(i, prepared), expected[tuple_ids[i]]);
+        }
       }
     }
   }
@@ -541,7 +584,8 @@ class GroupRowsPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 /// Tuples of 1-3 parts with few base rows each, so base rows repeat across
 /// tuples; every part leads with an unused id column, so join columns are
 /// not row positions, and the join columns of different parts interleave
-/// in predicate order, so masks span parts.
+/// in predicate order, so masks span parts. A part is a table's (its
+/// string columns coded unless they hold a number) or a row vector's.
 TEST_P(GroupRowsPropertyTest, MatchesOrderedMapReference) {
   std::mt19937_64 rng(GetParam() * 6151u + 29);
   // Small pools force duplicate keys; "a"/"ab"/"" and a high byte probe
@@ -577,9 +621,16 @@ TEST_P(GroupRowsPropertyTest, MatchesOrderedMapReference) {
     std::shuffle(join_refs.begin(), join_refs.end(), rng);
     // Random tuples: each join pairs random earlier tuples with random
     // base rows of the next part, in random order.
-    RowIdSet tuples = RowIdSet::BorrowedAll(schemas[0], base[0]);
+    // Each part is a table's or a row vector's, over 1-8 random base rows.
+    std::vector<std::unique_ptr<Table>> tables;
+    const auto part = [&](size_t p) {
+      std::vector<size_t> ids(1 + rng() % 8);
+      for (size_t& id : ids) id = rng() % base[p].size();
+      return RandomPart(rng, schemas[p], base[p], std::move(ids), tables);
+    };
+    RowIdSet tuples = part(0);
     for (size_t p = 1; p < num_parts; ++p) {
-      const RowIdSet next = RowIdSet::BorrowedAll(schemas[p], base[p]);
+      const RowIdSet next = part(p);
       tuples = RandomPairs(rng, tuples, next, 60);
     }
     ForeignJoinSpec spec;

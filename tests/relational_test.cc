@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/text_match.h"
 #include "relational/catalog.h"
 #include "relational/expression.h"
 #include "relational/join.h"
@@ -72,26 +73,60 @@ TEST(TableTest, StringColumnsAreDictionaryCoded) {
   Table table("t", schema);
   ASSERT_NE(table.codes(0), nullptr);
   EXPECT_EQ(table.codes(1), nullptr) << "only STRING columns are coded";
+  EXPECT_EQ(table.dictionary(1), nullptr);
   ASSERT_TRUE(table.Insert({Value::Str("x"), Value::Int(1)}).ok());
   ASSERT_TRUE(table.Insert({Value::Null(), Value::Int(2)}).ok());
   table.InsertUnchecked({Value::Str("X"), Value::Int(3)});
   table.InsertUnchecked({Value::Str("x"), Value::Int(4)});
+  table.InsertUnchecked({Value::Str("..."), Value::Int(5)});
+  table.InsertUnchecked({Value::Str("Belief  UPDATE!"), Value::Int(6)});
   ASSERT_NE(table.codes(0), nullptr);
-  EXPECT_EQ(*table.codes(0),
-            (std::vector<uint32_t>{0, Table::kNullCode, 1, 0}))
+  EXPECT_EQ(*table.codes(0), (std::vector<uint32_t>{
+                                 0, ColumnDictionary::kNullCode, 1, 0, 2, 3}))
       << "codes are case-sensitive, as `=` is";
-  EXPECT_EQ(table.CodeOf(0, "X"), 1u);
-  EXPECT_EQ(table.CodeOf(0, "y"), Table::kAbsentCode);
+  const ColumnDictionary* dict = table.dictionary(0);
+  ASSERT_NE(dict, nullptr);
+  EXPECT_EQ(dict->CodeOf("X"), 1u);
+  EXPECT_EQ(dict->CodeOf("y"), ColumnDictionary::kAbsentCode);
 
-  // A non-string cell stops the column being coded; Clear codes it again.
+  // Each code keeps its string and its prepared term.
+  ASSERT_EQ(dict->size(), 4u);
+  for (uint32_t code = 0; code < dict->size(); ++code) {
+    EXPECT_EQ(dict->CodeOf(dict->string(code)), code);
+    std::string prepared;
+    AppendPreparedTerm(dict->string(code), prepared);
+    EXPECT_EQ(dict->term(code), prepared) << "code " << code;
+  }
+  EXPECT_EQ(dict->term(3), " belief update ");
+  EXPECT_EQ(dict->term(0), dict->term(1)) << "case folds in the term";
+  // A string without tokens prepares to the empty term, and so does NULL:
+  // neither matches any field.
+  EXPECT_EQ(dict->term(2), "");
+  EXPECT_EQ(dict->term(ColumnDictionary::kNullCode), "");
+  EXPECT_FALSE(PreparedTermMatches(dict->term(2), PrepareFieldValues({""})));
+  EXPECT_FALSE(
+      PreparedTermMatches(dict->term(2), PrepareFieldValues({"...", "a"})));
+
+  // A non-string cell stops the column being coded and drops its
+  // dictionary; Clear codes it again, with no strings or terms.
   table.InsertUnchecked({Value::Int(7), Value::Int(5)});
   EXPECT_EQ(table.codes(0), nullptr);
+  EXPECT_EQ(table.dictionary(0), nullptr);
   table.Clear();
   ASSERT_NE(table.codes(0), nullptr);
-  EXPECT_EQ(table.CodeOf(0, "x"), Table::kAbsentCode);
+  ASSERT_NE(table.dictionary(0), nullptr);
+  EXPECT_EQ(table.dictionary(0)->size(), 0u);
+  EXPECT_EQ(table.dictionary(0)->CodeOf("x"), ColumnDictionary::kAbsentCode);
+  EXPECT_EQ(table.dictionary(0)->term(0), "");
   ASSERT_TRUE(table.Insert({Value::Str("y"), Value::Int(1)}).ok());
   EXPECT_EQ(*table.codes(0), std::vector<uint32_t>{0});
-  EXPECT_EQ(table.CodeOf(0, "y"), 0u);
+  EXPECT_EQ(table.dictionary(0)->CodeOf("y"), 0u);
+  EXPECT_EQ(table.dictionary(0)->term(0), " y ");
+
+  // Clearing a coded column also drops its terms.
+  table.Clear();
+  EXPECT_EQ(table.dictionary(0)->size(), 0u);
+  EXPECT_EQ(table.dictionary(0)->term(0), "");
 }
 
 TEST(TableTest, CountDistinct) {
